@@ -11,7 +11,8 @@ Conventions shared by every subcommand:
 * Exit codes: 0 success, 2 usage or configuration error (message on
   stderr), 1 runtime failure (full cause chain on stderr).
 * ``FDREC_THREADS`` caps worker parallelism; the numeric engine is
-  single-threaded, so any positive value is accepted and recorded.
+  single-threaded, so the value is only validated: it must be a positive
+  integer.
 """
 
 from __future__ import annotations

@@ -3,8 +3,14 @@
 Every primitive carries an exact analytic vector-Jacobian product, so any
 composition of these ops has exact gradients; an independent central-difference
 checker validates them.  The op set is deliberately small: enough for
-embedding gathers, dense layers, a GRU cell, attention, softmax heads, and
-pairwise ranking losses, all batched over leading axes.
+embedding gathers, dense layers, attention, softmax heads, and pairwise
+ranking losses, all batched over leading axes.
+
+Recurrent history encoders use one fused op, :func:`gru_sequence`: a whole
+masked GRU run is a single tape node whose backward pass is hand-written
+backpropagation through time.  Its tape-free twin :func:`gru_sequence_np`
+runs the same forward code for inference, and :func:`gru_cell` (one step
+built from primitives) stays as the reference it is tested against.
 """
 
 from __future__ import annotations
@@ -199,9 +205,12 @@ def gather_rows(table: Var, indices) -> Var:
         )
 
     def vjp(g):
-        out = np.zeros_like(table.data)
-        np.add.at(out, idx, g)
-        return (out,)
+        # bincount adds in input order, exactly like np.add.at, but faster
+        n = table.data.shape[0]
+        d = table.data.size // n
+        flat = (idx.reshape(-1, 1) * d + np.arange(d)).ravel()
+        out = np.bincount(flat, weights=g.reshape(-1), minlength=n * d)
+        return (out.reshape(table.data.shape),)
 
     return Var(table.data[idx], (table,), vjp)
 
@@ -249,12 +258,8 @@ def tanh(a: Var) -> Var:
 
 
 def _sigmoid(x: Array) -> Array:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # tanh form: one ufunc, no overflow, exactly 0 and 1 far from the origin
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
 def sigmoid(a: Var) -> Var:
@@ -329,9 +334,11 @@ def backward(out: Var, seed: Array | None = None) -> None:
             for parent, pg in zip(node._parents, node._vjp(g)):
                 if pg is None:
                     continue
+                # never in place: a VJP may hand one array to several parents
                 if parent.grad is None:
-                    parent.grad = np.zeros_like(parent.data)
-                parent.grad += pg
+                    parent.grad = pg
+                else:
+                    parent.grad = parent.grad + pg
 
 
 class ParamTensor:
@@ -444,11 +451,6 @@ def gru_leaves(state: ModelState, name: str) -> GRUParams:
     return GRUParams(*(state.leaf(f"{name}.{t}{g}") for g in "zrh" for t in ("w", "u", "b")))
 
 
-def embed_lookup(table: Var, index) -> Var:
-    """Embedding row(s) for ``index`` (scalar or integer array)."""
-    return gather_rows(table, index)
-
-
 def dense(w: Var, b: Var | None, x: Var) -> Var:
     """Affine map ``x @ w.T + b`` for ``x`` shaped [..., in_dim]."""
     x = _as_var(x)
@@ -474,14 +476,87 @@ def gru_cell(p: GRUParams, x: Var, h: Var) -> Var:
     return add(mul(sub(1.0, z), h), mul(z, cand))
 
 
-def gru_cell_np(values: dict[str, Array], name: str, x: Array, h: Array) -> Array:
-    """Plain-numpy twin of :func:`gru_cell` for inference paths."""
-    z = _sigmoid(x @ values[f"{name}.wz"].T + h @ values[f"{name}.uz"].T + values[f"{name}.bz"])
-    r = _sigmoid(x @ values[f"{name}.wr"].T + h @ values[f"{name}.ur"].T + values[f"{name}.br"])
-    cand = np.tanh(
-        x @ values[f"{name}.wh"].T + (r * h) @ values[f"{name}.uh"].T + values[f"{name}.bh"]
-    )
-    return (1.0 - z) * h + z * cand
+def _gru_run(w: Array, u: Array, b: Array, xs: Array, mask, cache: bool):
+    """Masked GRU over ``xs`` [B,L,I] from h = 0; gates stacked z, r, h.
+
+    ``w`` [3D,I], ``u`` [3D,D] and ``b`` [3D] stack the three gates' weights.
+    The input projection of every step is one matmul; only the recurrence
+    loops.  A step whose ``mask`` [B,L] entry is 0 leaves that row's h as is.
+    Returns (h, steps).  With ``cache``, ``steps`` holds what the backward
+    pass needs: the boolean mask, then per step h_prev, [z, r], r * h_prev
+    and the candidate, each shaped [B,L,.]; otherwise it is None.
+    """
+    keep = np.asarray(mask, dtype=bool)
+    if xs.ndim != 3 or keep.shape != xs.shape[:2]:
+        raise ValueError("a GRU run expects xs [B,L,I] and mask [B,L]")
+    B, L, I = xs.shape
+    D = u.shape[1]
+    xp = (xs.reshape(B * L, I) @ w.T + b).reshape(B, L, 3 * D)
+    u_zr, u_h = u[: 2 * D].T, u[2 * D :].T
+    h = np.zeros((B, D))
+    if cache:
+        hs, zrs, rhs, cs = (np.empty((B, L, k * D)) for k in (1, 2, 1, 1))
+    for t in range(L):
+        zr = _sigmoid(xp[:, t, : 2 * D] + h @ u_zr)
+        z = zr[:, :D]
+        rh = zr[:, D:] * h
+        c = np.tanh(xp[:, t, 2 * D :] + rh @ u_h)
+        if cache:
+            hs[:, t], zrs[:, t], rhs[:, t], cs[:, t] = h, zr, rh, c
+        h = np.where(keep[:, t, None], (1.0 - z) * h + z * c, h)
+    return h, ((keep, hs, zrs, rhs, cs) if cache else None)
+
+
+def gru_sequence(p: GRUParams, xs, mask) -> Var:
+    """Final hidden state [B,D] of a masked GRU run over ``xs`` [B,L,I].
+
+    Same cell as :func:`gru_cell`, starting from h = 0; where ``mask`` [B,L]
+    is 0 the step keeps the row's previous h.  The whole run is one tape node
+    whose VJP is backpropagation through time; the gradients of each weight
+    matrix and of ``xs`` are one matmul each over all steps.
+    """
+    xs = _as_var(xs)
+    w, u, b = (np.concatenate([getattr(p, t + g).data for g in "zrh"]) for t in "wub")
+    h, (keep, hs, zrs, rhs, cs) = _gru_run(w, u, b, xs.data, mask, cache=True)
+    B, L, I = xs.data.shape
+    D = u.shape[1]
+
+    def vjp(g):
+        dxp = np.empty((B, L, 3 * D))
+        gh = g
+        for t in range(L - 1, -1, -1):
+            m = keep[:, t, None]
+            gn = np.where(m, gh, 0.0)
+            zr, c, hp = zrs[:, t], cs[:, t], hs[:, t]
+            z, r = zr[:, :D], zr[:, D:]
+            dcand = gn * z * (1.0 - c * c)
+            drh = dcand @ u[2 * D :]
+            dxp[:, t, :D] = gn * (c - hp)
+            dxp[:, t, D : 2 * D] = drh * hp
+            dxp[:, t, : 2 * D] *= zr * (1.0 - zr)
+            dxp[:, t, 2 * D :] = dcand
+            dprev = gn * (1.0 - z) + drh * r + dxp[:, t, : 2 * D] @ u[: 2 * D]
+            gh = np.where(m, dprev, gh)
+        flat = dxp.reshape(B * L, 3 * D)
+        dw = flat.T @ xs.data.reshape(B * L, I)
+        du_zr = flat[:, : 2 * D].T @ hs.reshape(B * L, D)
+        du_h = flat[:, 2 * D :].T @ rhs.reshape(B * L, D)
+        db = flat.sum(axis=0)
+        dxs = (flat @ w).reshape(B, L, I)
+        return (
+            dxs,
+            dw[:D], du_zr[:D], db[:D],
+            dw[D : 2 * D], du_zr[D:], db[D : 2 * D],
+            dw[2 * D :], du_h, db[2 * D :],
+        )
+
+    return Var(h, (xs, *p), vjp)
+
+
+def gru_sequence_np(values: dict[str, Array], name: str, xs: Array, mask) -> Array:
+    """Tape-free :func:`gru_sequence` over named weights, for inference."""
+    w, u, b = (np.concatenate([values[f"{name}.{t}{g}"] for g in "zrh"]) for t in "wub")
+    return _gru_run(w, u, b, _f64(xs), mask, cache=False)[0]
 
 
 def adam_step(

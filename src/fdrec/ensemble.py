@@ -23,6 +23,7 @@ from . import diffcore as dc
 from . import evalharness, exprec, features, reprec
 from .dataio import DatasetSplit, SituationFeatures
 from .evalharness import EvalCase, ScoredSlate
+from .exprec import _situation_np, _situation_var, _values
 from .training import TrainResult, TrainSettings, run_training
 
 __all__ = [
@@ -115,31 +116,18 @@ def ensemble_build(
     return state
 
 
-def _values(state: dc.ModelState) -> dict[str, np.ndarray]:
-    return {name: state.value(name) for name in state.params}
-
-
-def _situation_np(values, hours, dows, locs) -> np.ndarray:
-    return values["emb.hour"][hours] + values["emb.dow"][dows] + values["emb.loc"][locs]
-
-
 # ---------------------------------------------------------------- intent
 
 def _intent_probs_np(
-    values: dict, dim: int, window: int, seqs: features.UserSequences,
+    values: dict, window: int, seqs: features.UserSequences,
     rows: np.ndarray,
 ) -> np.ndarray:
     """Batched (repeat_prob, explore_prob) for the interactions at ``rows``."""
     user_codes = np.searchsorted(seqs.offsets, rows, side="right") - 1
     local = rows - seqs.offsets[user_codes]
     wrows, mask = features.window_rows(seqs, user_codes, local, window)
-    flags = seqs.repeat[wrows].astype(np.int64)
-    h = np.zeros((len(rows), dim))
-    for t in range(flags.shape[1]):
-        x = values["emb.flag"][flags[:, t]]
-        h_new = dc.gru_cell_np(values, "gru.intent", x, h)
-        m = mask[:, t : t + 1]
-        h = np.where(m, h_new, h)
+    xs = values["emb.flag"][seqs.repeat[wrows].astype(np.int64)]
+    h = dc.gru_sequence_np(values, "gru.intent", xs, mask)
     e_mu = _situation_np(values, seqs.hour[rows], seqs.dow[rows], seqs.loc[rows])
     u = values["emb.user"][user_codes]
     logits = (
@@ -158,57 +146,43 @@ def predict_intent(
     """Repeat/explore probabilities from past flags, situation, and user."""
     values = _values(state)
     meta = state.meta
-    dim = int(meta["dim"])
     window = int(meta["window"])
     user_index = {u: i for i, u in enumerate(meta["user_ids"])}
     loc_index = {l: i for i, l in enumerate(meta["location_ids"])}
     if user not in user_index:
         raise ValueError(f"unknown user {user!r}")
 
-    h = np.zeros(dim)
-    for f in list(intent_history)[-window:]:
-        x = values["emb.flag"][int(bool(f))]
-        h = dc.gru_cell_np(values, "gru.intent", x, h)
-    e_mu = (
-        values["emb.hour"][now.hour]
-        + values["emb.dow"][now.day_of_week]
-        + values["emb.loc"][loc_index.get(now.location_id, features.FALLBACK)]
-    )
+    flags = [int(bool(f)) for f in list(intent_history)[-window:]]
+    xs = values["emb.flag"][np.array(flags, dtype=np.int64)]
+    h = dc.gru_sequence_np(values, "gru.intent", xs[None], np.ones((1, len(flags))))[0]
+    e_mu = _situation_np(values, now.hour, now.day_of_week,
+                         loc_index.get(now.location_id, features.FALLBACK))
     u = values["emb.user"][user_index[user]]
     logits = np.concatenate([h, e_mu, u]) @ values["intent.w"].T + values["intent.b"]
     probs = dc._softmax(logits, axis=-1)
     return IntentEstimate(float(probs[0]), float(probs[1]))
 
 
-def _intent_logits_var(
-    state: dc.ModelState,
-    flags: np.ndarray,
-    mask: np.ndarray,
-    now_hour: np.ndarray,
-    now_dow: np.ndarray,
-    now_loc: np.ndarray,
-    users: np.ndarray,
-) -> dc.Var:
-    B, L = flags.shape
-    dim = int(state.meta["dim"])
-    gru = dc.gru_leaves(state, "gru.intent")
-    femb = dc.gather_rows(state.leaf("emb.flag"), flags)
-    h = dc.Var(np.zeros((B, dim)))
-    for t in range(L):
-        x_t = dc.getitem(femb, (slice(None), t))
-        h_new = dc.gru_cell(gru, x_t, h)
-        m = mask[:, t : t + 1]
-        h = dc.add(dc.mul(h_new, m), dc.mul(h, 1.0 - m))
-    e_mu = dc.add(
-        dc.add(
-            dc.gather_rows(state.leaf("emb.hour"), now_hour),
-            dc.gather_rows(state.leaf("emb.dow"), now_dow),
-        ),
-        dc.gather_rows(state.leaf("emb.loc"), now_loc),
-    )
-    u = dc.gather_rows(state.leaf("emb.user"), users)
+def _intent_logits_var(state: dc.ModelState, seqs: features.UserSequences,
+                       rows: np.ndarray) -> dc.Var:
+    """Differentiable intent logits [B,2] for the interactions at ``rows``."""
+    user_codes = np.searchsorted(seqs.offsets, rows, side="right") - 1
+    local = rows - seqs.offsets[user_codes]
+    wrows, mask = features.window_rows(seqs, user_codes, local, int(state.meta["window"]))
+    femb = dc.gather_rows(state.leaf("emb.flag"), seqs.repeat[wrows].astype(np.int64))
+    h = dc.gru_sequence(dc.gru_leaves(state, "gru.intent"), femb, mask)
+    e_mu = _situation_var(state, seqs.hour[rows], seqs.dow[rows], seqs.loc[rows])
+    u = dc.gather_rows(state.leaf("emb.user"), user_codes)
     feats = dc.concat([h, e_mu, u], axis=-1)
     return dc.dense(state.leaf("intent.w"), state.leaf("intent.b"), feats)
+
+
+def _intent_ce(logits: dc.Var, repeat: np.ndarray) -> dc.Var:
+    """Per-row two-class cross-entropy from logits: -log softmax_true."""
+    true_col = np.where(repeat, 0, 1)
+    ar = np.arange(len(repeat))
+    return dc.bpr_loss(dc.getitem(logits, (ar, true_col)),
+                       dc.getitem(logits, (ar, 1 - true_col)))
 
 
 # ---------------------------------------------------------------- combine
@@ -230,8 +204,12 @@ def _item_weights_np(values: dict, base: np.ndarray, origin: np.ndarray,
     A = values["attn.wq"].shape[0]
     x = np.stack([base, origin], axis=-1)
     X = x @ values["lift.w"].T + values["lift.b"]
-    att = dc._softmax((X @ values["attn.wq"]) @ (X @ values["attn.wk"]).T
-                      / np.sqrt(A), axis=-1)
+    # dc._softmax's steps done in place: C x C temporaries are large
+    att = (X @ values["attn.wq"]) @ (X @ values["attn.wk"]).T
+    att /= np.sqrt(A)
+    att -= att.max(axis=-1, keepdims=True)
+    np.exp(att, out=att)
+    att /= att.sum(axis=-1, keepdims=True)
     H = X + att @ (X @ values["attn.wv"])
     q = probs @ values["cq.w"].T + values["cq.b"]
     att2 = dc._softmax(q @ (H @ values["cross.wk"]).T / np.sqrt(A), axis=-1)
@@ -306,11 +284,9 @@ class _Slate:
 
 def _frozen_base_scores(rep_state, exp_state, seqs, neighbors):
     """Closures scoring arbitrary candidate code arrays with the frozen bases."""
-    rep_values = {n: rep_state.value(n) for n in rep_state.params}
-    exp_values = {n: exp_state.value(n) for n in exp_state.params}
+    rep_values, exp_values = _values(rep_state), _values(exp_state)
     rep_window = int(rep_state.meta["window"])
     exp_window = int(exp_state.meta["window"])
-    exp_dim = int(exp_state.meta["dim"])
     nb_ids, nb_w = neighbors
     no_mask = np.zeros(len(exprec.TRIGGERS), dtype=bool)
 
@@ -322,7 +298,7 @@ def _frozen_base_scores(rep_state, exp_state, seqs, neighbors):
 
     def explore_scores(row: int, user_code: int, lo: int,
                        codes: np.ndarray) -> np.ndarray:
-        s_e = exprec.fused_vector(exp_values, exp_dim, exp_window, seqs,
+        s_e = exprec.fused_vector(exp_values, exp_window, seqs,
                                   nb_ids, nb_w, row, user_code, lo, no_mask)
         return exp_values["emb.store"][codes] @ s_e
 
@@ -395,7 +371,6 @@ def _combined_batch_loss(
     rng: np.random.Generator,
     lam: float,
 ) -> dc.Var:
-    window = int(state.meta["window"])
     by_size: dict[int, list[int]] = {}
     for i in chunk:
         sl = slates[int(i)]
@@ -409,13 +384,7 @@ def _combined_batch_loss(
         x_feats = np.stack([sl.x_feats for sl in group])
         tgt = np.array([sl.tgt for sl in group])
 
-        user_codes = np.searchsorted(seqs.offsets, rows, side="right") - 1
-        local = rows - seqs.offsets[user_codes]
-        wrows, mask = features.window_rows(seqs, user_codes, local, window)
-        logits = _intent_logits_var(
-            state, seqs.repeat[wrows].astype(np.int64), mask.astype(np.float64),
-            seqs.hour[rows], seqs.dow[rows], seqs.loc[rows], user_codes,
-        )
+        logits = _intent_logits_var(state, seqs, rows)
         probs = dc.softmax(logits)
         weights = _item_weights_var(state, x_feats, probs)
         p = dc.mul(weights, x_feats[:, :, 0])
@@ -426,14 +395,7 @@ def _combined_batch_loss(
         rank = dc.sum_(dc.bpr_loss(
             dc.getitem(p, (ar, tgt)), dc.getitem(p, (ar, j))
         ))
-
-        # two-class cross-entropy from logits: -log softmax_true
-        y = seqs.repeat[rows]
-        true_col = np.where(y, 0, 1)
-        ce = dc.sum_(dc.bpr_loss(
-            dc.getitem(logits, (ar, true_col)),
-            dc.getitem(logits, (ar, 1 - true_col)),
-        ))
+        ce = dc.sum_(_intent_ce(logits, seqs.repeat[rows]))
         term = dc.add(rank, dc.mul(ce, lam))
         total = term if total is None else dc.add(total, term)
     return dc.mul(total, 1.0 / len(chunk))
@@ -467,25 +429,12 @@ def ensemble_train(
     # stage 1: intent head, early-stopped on validation cross-entropy
     def intent_loss(st, chunk, rng):
         rows = train_rows[chunk]
-        user_codes = np.searchsorted(seqs.offsets, rows, side="right") - 1
-        local = rows - seqs.offsets[user_codes]
-        wrows, mask = features.window_rows(seqs, user_codes, local, window)
-        logits = _intent_logits_var(
-            st, seqs.repeat[wrows].astype(np.int64), mask.astype(np.float64),
-            seqs.hour[rows], seqs.dow[rows], seqs.loc[rows], user_codes,
-        )
-        y = seqs.repeat[rows]
-        true_col = np.where(y, 0, 1)
-        ar = np.arange(len(rows))
-        return dc.mean_(dc.bpr_loss(
-            dc.getitem(logits, (ar, true_col)),
-            dc.getitem(logits, (ar, 1 - true_col)),
-        ))
+        return dc.mean_(_intent_ce(_intent_logits_var(st, seqs, rows), seqs.repeat[rows]))
 
     val_rows = valid_rows[: min(len(valid_rows), 5000)]
 
     def intent_val(st) -> float:
-        probs = _intent_probs_np(values, dim, window, seqs, val_rows)
+        probs = _intent_probs_np(values, window, seqs, val_rows)
         y = seqs.repeat[val_rows]
         p_true = np.where(y, probs[:, 0], probs[:, 1])
         return float(np.log(np.clip(p_true, 1e-12, None)).mean())
@@ -538,16 +487,9 @@ def ensemble_train(
 
 # ---------------------------------------------------------------- scoring
 
-def ensemble_scorer(
-    state: dc.ModelState,
-    rep_state: dc.ModelState,
-    exp_state: dc.ModelState,
-    split: DatasetSplit,
-    seqs: features.UserSequences | None = None,
-    vocabs: features.Vocabs | None = None,
-    neighbors: tuple[np.ndarray, np.ndarray] | None = None,
-):
-    """Combined-protocol adapter running the full weighting pipeline."""
+def _case_bases(rep_state, exp_state, split, seqs, vocabs, neighbors):
+    """(seqs, base_of): ``base_of(case)`` gives the case's flat row and its
+    normalized frozen base scores, repeat part first."""
     if vocabs is None:
         vocabs = features.build_vocabs(split)
     if seqs is None:
@@ -560,12 +502,9 @@ def ensemble_scorer(
     repeat_scores, explore_scores = _frozen_base_scores(
         rep_state, exp_state, seqs, neighbors
     )
-    values = _values(state)
-    dim = int(state.meta["dim"])
-    window = int(state.meta["window"])
     log = split.log
 
-    def score(case: EvalCase) -> ScoredSlate:
+    def base_of(case: EvalCase) -> tuple[int, np.ndarray]:
         row = int(seqs.flat_of_global[case.position])
         user_code = int(log.users[case.position])
         lo = int(seqs.offsets[user_code])
@@ -578,8 +517,30 @@ def ensemble_scorer(
             base[a:] = normalize_slate(
                 explore_scores(row, user_code, lo, codes[a:])
             )
-        origin = np.concatenate([np.ones(a), np.zeros(len(codes) - a)])
-        probs = _intent_probs_np(values, dim, window, seqs, np.array([row]))[0]
+        return row, base
+
+    return seqs, base_of
+
+
+def ensemble_scorer(
+    state: dc.ModelState,
+    rep_state: dc.ModelState,
+    exp_state: dc.ModelState,
+    split: DatasetSplit,
+    seqs: features.UserSequences | None = None,
+    vocabs: features.Vocabs | None = None,
+    neighbors: tuple[np.ndarray, np.ndarray] | None = None,
+):
+    """Combined-protocol adapter running the full weighting pipeline."""
+    seqs, base_of = _case_bases(rep_state, exp_state, split, seqs, vocabs, neighbors)
+    values = _values(state)
+    window = int(state.meta["window"])
+
+    def score(case: EvalCase) -> ScoredSlate:
+        row, base = base_of(case)
+        a = case.n_prior
+        origin = np.concatenate([np.ones(a), np.zeros(len(base) - a)])
+        probs = _intent_probs_np(values, window, seqs, np.array([row]))[0]
         weights = _item_weights_np(values, base, origin, probs)
         return ScoredSlate(case.candidates, weights * base, origin="ensemble")
 
@@ -595,33 +556,9 @@ def concat_scorer(
     neighbors: tuple[np.ndarray, np.ndarray] | None = None,
 ):
     """Unit-weight reference: normalized base slates concatenated as-is."""
-    if vocabs is None:
-        vocabs = features.build_vocabs(split)
-    if seqs is None:
-        seqs = features.build_sequences(split, vocabs)
-    if neighbors is None:
-        neighbors = exprec.neighbor_arrays(
-            split.log, vocabs.user_ids, int(exp_state.meta["k_neighbors"]),
-            int(exp_state.meta["neighbor_as_of"]),
-        )
-    repeat_scores, explore_scores = _frozen_base_scores(
-        rep_state, exp_state, seqs, neighbors
-    )
-    log = split.log
+    _, base_of = _case_bases(rep_state, exp_state, split, seqs, vocabs, neighbors)
 
     def score(case: EvalCase) -> ScoredSlate:
-        row = int(seqs.flat_of_global[case.position])
-        user_code = int(log.users[case.position])
-        lo = int(seqs.offsets[user_code])
-        codes = np.array([vocabs.store_code(c) for c in case.candidates])
-        a = case.n_prior
-        base = np.empty(len(codes))
-        if a:
-            base[:a] = normalize_slate(repeat_scores(row, lo, codes[:a]))
-        if len(codes) > a:
-            base[a:] = normalize_slate(
-                explore_scores(row, user_code, lo, codes[a:])
-            )
-        return ScoredSlate(case.candidates, base, origin="concat")
+        return ScoredSlate(case.candidates, base_of(case)[1], origin="concat")
 
     return score

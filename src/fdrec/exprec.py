@@ -111,19 +111,15 @@ def encode_history(
 ) -> np.ndarray:
     """GRU encoding of the last ``limit`` interactions; empty history -> 0."""
     values = _values(state)
-    dim = int(state.meta["dim"])
     if limit is None:
         limit = int(state.meta["window"])
-    h = np.zeros(dim)
     if not history:
-        return h
+        return np.zeros(int(state.meta["dim"]))
     tail = history[-limit:] if limit else history
     stores, hours, dows, locs = _history_codes(state, tail)
     situ = _situation_np(values, hours, dows, locs)
     xs = np.concatenate([values["emb.store"][stores], situ], axis=-1)
-    for x in xs:
-        h = dc.gru_cell_np(values, "gru.hist", x, h)
-    return h
+    return dc.gru_sequence_np(values, "gru.hist", xs[None], np.ones((1, len(xs))))[0]
 
 
 def _mix_weights_np(values, situation_vec: np.ndarray) -> np.ndarray:
@@ -243,11 +239,8 @@ def exprec_score(
     if user not in user_index:
         raise ValueError(f"unknown user {user!r}")
 
-    e_mu = (
-        values["emb.hour"][now.hour]
-        + values["emb.dow"][now.day_of_week]
-        + values["emb.loc"][loc_index.get(now.location_id, features.FALLBACK)]
-    )
+    e_mu = _situation_np(values, now.hour, now.day_of_week,
+                         loc_index.get(now.location_id, features.FALLBACK))
     e_h = encode_history(state, history)
     e_u = condition_user(state, values["emb.user"][user_index[user]], e_mu)
     e_cu = collaborative_embedding(state, user, list(neighbors), e_mu)
@@ -340,7 +333,7 @@ def _col(x: dc.Var, j: int) -> dc.Var:
 def exprec_batch_loss(state: dc.ModelState, batch: ExpRecBatch,
                       neg: np.ndarray) -> dc.Var:
     """Pairwise ranking loss; deterministic in its inputs for gradient checks."""
-    B, L = batch.store_w.shape
+    B = batch.store_w.shape[0]
     dim = int(state.meta["dim"])
 
     e_mu = _situation_var(state, batch.now_hour, batch.now_dow, batch.now_loc)
@@ -349,14 +342,7 @@ def exprec_batch_loss(state: dc.ModelState, batch: ExpRecBatch,
     situ_w = _situation_var(state, batch.hour_w, batch.dow_w, batch.loc_w)
     store_w = dc.gather_rows(state.leaf("emb.store"), batch.store_w)
     xs = dc.concat([store_w, situ_w], axis=-1)          # [B,L,2D]
-    gru = dc.gru_leaves(state, "gru.hist")
-    h = dc.Var(np.zeros((B, dim)))
-    for t in range(L):
-        x_t = dc.getitem(xs, (slice(None), t))
-        h_new = dc.gru_cell(gru, x_t, h)
-        m = batch.mask[:, t : t + 1]
-        h = dc.add(dc.mul(h_new, m), dc.mul(h, 1.0 - m))
-    e_h = h
+    e_h = dc.gru_sequence(dc.gru_leaves(state, "gru.hist"), xs, batch.mask)
 
     # situation-conditioned activation mix, shared by user and neighbors
     a = dc.softmax(dc.dense(state.leaf("cond.w"), state.leaf("cond.b"), e_mu))
@@ -502,7 +488,7 @@ def exprec_scorer(
         row = int(seqs.flat_of_global[case.position])
         user_code = int(log.users[case.position])
         lo = int(seqs.offsets[user_code])
-        s_e = fused_vector(values, int(meta["dim"]), window, seqs, nb_ids, nb_w,
+        s_e = fused_vector(values, window, seqs, nb_ids, nb_w,
                            row, user_code, lo, mask)
         codes = [vocabs.store_code(c) for c in case.candidates]
         scores = values["emb.store"][codes] @ s_e
@@ -513,7 +499,6 @@ def exprec_scorer(
 
 def fused_vector(
     values: dict,
-    dim: int,
     window: int,
     seqs: features.UserSequences,
     nb_ids: np.ndarray,
@@ -528,12 +513,9 @@ def fused_vector(
     win = slice(start, row)
 
     e_mu = _situation_np(values, seqs.hour[row], seqs.dow[row], seqs.loc[row])
-    h = np.zeros(dim)
-    if row > start:
-        situ = _situation_np(values, seqs.hour[win], seqs.dow[win], seqs.loc[win])
-        xs = np.concatenate([values["emb.store"][seqs.store[win]], situ], axis=-1)
-        for x in xs:
-            h = dc.gru_cell_np(values, "gru.hist", x, h)
+    situ = _situation_np(values, seqs.hour[win], seqs.dow[win], seqs.loc[win])
+    xs = np.concatenate([values["emb.store"][seqs.store[win]], situ], axis=-1)
+    h = dc.gru_sequence_np(values, "gru.hist", xs[None], np.ones((1, row - start)))[0]
 
     a = _mix_weights_np(values, e_mu)
 

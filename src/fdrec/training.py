@@ -69,6 +69,8 @@ def run_training(
             loss = batch_loss(state, chunk, rng)
             if loss.data.shape != ():
                 raise ValueError("batch_loss must return a scalar")
+            if not np.isfinite(loss.data):
+                raise ValueError(f"non-finite loss at epoch {epoch}, batch start {start}")
             backward(loss)
             adam_step(
                 state,

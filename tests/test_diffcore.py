@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from fdrec import diffcore as dc
+from fdrec.training import TrainSettings, run_training
 from conftest import rng
 
 
@@ -126,6 +127,17 @@ def test_gradients_matmul_dot_transpose_reshape():
     check_grads(lambda x: dc.sum_(dc.exp(dc.reshape(x, (15,)))), m * 0.1)
 
 
+def test_gather_rows_bincount_backward_matches_add_at():
+    gen = rng(40)
+    table = gen.normal(size=(20, 6))
+    for idx in (np.array([3, 3, 0, 19, 3]), gen.integers(0, 20, size=(7, 11))):
+        g = gen.normal(size=idx.shape + (6,))
+        want = np.zeros_like(table)
+        np.add.at(want, idx, g)
+        (got,) = dc.gather_rows(var(table), idx)._vjp(g)
+        np.testing.assert_array_equal(got, want)
+
+
 def test_gradients_getitem_scatter_adds_duplicates():
     table = rng(16).normal(size=(5, 3))
     idx = np.array([1, 1, 4])  # duplicate rows must accumulate
@@ -164,6 +176,38 @@ def test_backward_accumulates_shared_subexpression():
     y = dc.mul(x, x)  # x appears twice: dy/dx = 2x
     dc.backward(dc.sum_(y))
     np.testing.assert_allclose(x.grad, [4.0], atol=1e-12)
+
+
+def test_backward_add_of_same_node_twice():
+    x = var([1.0, -2.0])
+    dc.backward(dc.sum_(dc.mul(dc.add(x, x), [3.0, 5.0])))
+    np.testing.assert_array_equal(x.grad, [6.0, 10.0])
+
+
+@pytest.mark.parametrize("a_first", [True, False])
+def test_backward_add_hands_one_array_to_both_parents(a_first):
+    # a later gradient for ``a`` must not leak into ``b``'s shared array
+    a, b = var([1.0, 2.0]), var([3.0, 4.0])
+    via_add = dc.sum_(dc.mul(dc.add(a, b), [5.0, 7.0]))
+    via_a = dc.sum_(dc.mul(a, [11.0, 13.0]))
+    dc.backward(dc.add(via_add, via_a) if a_first else dc.add(via_a, via_add))
+    np.testing.assert_array_equal(a.grad, [16.0, 20.0])
+    np.testing.assert_array_equal(b.grad, [5.0, 7.0])
+
+
+def test_backward_node_shared_by_two_consumers():
+    x = var([0.5, 1.5])
+    y = dc.add(x, 1.0)                   # y and its grad feed two branches
+    out = dc.add(dc.sum_(dc.mul(y, y)), dc.sum_(dc.mul(y, [2.0, 3.0])))
+    dc.backward(out)
+    np.testing.assert_allclose(x.grad, 2.0 * (x.data + 1.0) + [2.0, 3.0],
+                               atol=1e-15)
+
+
+def test_sigmoid_saturates_exactly_without_warnings():
+    with np.errstate(all="raise"):
+        out = dc.sigmoid(var([-1000.0, 0.0, 1000.0])).data
+    np.testing.assert_array_equal(out, [0.0, 0.5, 1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -228,15 +272,77 @@ def test_gru_zero_weights_halve_state():
     np.testing.assert_allclose(out, 0.5 * h, atol=1e-12)
 
 
-def test_gru_numpy_twin_matches_tape():
+def stepwise_gru(p, xs, mask):
+    """Reference masked GRU run built from one gru_cell per step."""
+    B, L, _ = xs.data.shape
+    h = var(np.zeros((B, p.uz.data.shape[0])))
+    for t in range(L):
+        h_new = dc.gru_cell(p, dc.getitem(xs, (slice(None), t)), h)
+        m = mask[:, t : t + 1]
+        h = dc.add(dc.mul(h_new, m), dc.mul(h, 1.0 - m))
+    return h
+
+
+@pytest.mark.parametrize("B, L", [(5, 6), (3, 1)], ids=["mixed_masks", "one_step"])
+def test_gru_sequence_matches_stepwise_cells(B, L):
     state = dc.ModelState(seed=6)
     state.add_gru("g", in_dim=3, hidden=5)
-    x = rng(26).normal(size=(4, 3))
-    h = rng(27).normal(size=(4, 5))
-    tape = dc.gru_cell(dc.gru_leaves(state, "g"), var(x), var(h)).data
+    for name in state.params:  # non-zero biases exercise every gradient
+        state.value(name)[...] += rng(31).uniform(-0.3, 0.3, state.value(name).shape)
+    xs = rng(26).normal(size=(B, L, 3))
+    mask = (rng(27).uniform(size=(B, L)) > 0.4).astype(np.float64)
+    mask[0] = 1.0
+    mask[1] = 0.0  # a fully masked row stays at h = 0
+    target = rng(28).normal(size=(B, 5))
+
+    def run(fn):
+        state.zero_grads()
+        x = var(xs)
+        h = fn(dc.gru_leaves(state, "g"), x, mask)
+        dc.backward(dc.sum_(dc.mul(dc.tanh(h), target)))
+        return h.data, x.grad, {n: p.grad.copy() for n, p in state.params.items()}
+
+    h_ref, gx_ref, g_ref = run(stepwise_gru)
+    h_got, gx_got, g_got = run(dc.gru_sequence)
+    np.testing.assert_allclose(h_got, h_ref, atol=1e-12)
+    np.testing.assert_array_equal(h_got[1], np.zeros(5))
+    np.testing.assert_allclose(gx_got, gx_ref, atol=1e-12)
+    for name in g_ref:
+        # one step from h = 0 never uses the reset gate or recurrent weights
+        unused = L == 1 and (".u" in name or name.endswith("r"))
+        assert (np.abs(g_ref[name]).max() > 0.0) != unused
+        np.testing.assert_allclose(g_got[name], g_ref[name], atol=1e-12)
+
+
+def test_gru_sequence_np_is_the_tape_forward():
+    state = dc.ModelState(seed=7)
+    state.add_gru("g", in_dim=4, hidden=3)
+    xs = rng(32).normal(size=(6, 5, 4))
+    mask = rng(33).uniform(size=(6, 5)) > 0.3
     values = {n: state.value(n) for n in state.params}
-    twin = dc.gru_cell_np(values, "g", x, h)
-    np.testing.assert_allclose(tape, twin, atol=1e-12)
+    got = dc.gru_sequence_np(values, "g", xs, mask)
+    want = dc.gru_sequence(dc.gru_leaves(state, "g"), var(xs), mask).data
+    np.testing.assert_array_equal(got, want)
+    empty = dc.gru_sequence_np(values, "g", np.zeros((2, 0, 4)), np.ones((2, 0)))
+    np.testing.assert_array_equal(empty, np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="mask"):
+        dc.gru_sequence_np(values, "g", xs, mask[:, :4])
+
+
+def test_gru_sequence_gradient_check():
+    state = dc.ModelState(seed=10)
+    state.add_gru("g", in_dim=3, hidden=4)
+    state.add_param("xs", (3, 4, 3), scale=1.0)  # probes the xs gradient too
+    mask = np.array([[1, 1, 1, 1], [0, 0, 1, 1], [0, 0, 0, 0]], dtype=np.float64)
+    target = rng(34).normal(size=(3, 4))
+
+    def forward(s):
+        h = dc.gru_sequence(dc.gru_leaves(s, "g"), s.leaf("xs"), mask)
+        diff = dc.sub(h, target)
+        return dc.mean_(dc.mul(diff, diff))
+
+    err = dc.finite_difference_check(forward, state, num_coords=80, rng_seed=0)
+    assert err <= 1e-4
 
 
 def test_gru_gradient_check():
@@ -321,6 +427,25 @@ def test_adam_updates_in_place():
     p.grad[...] = [1.0, 1.0]
     dc.adam_step(state, lr=0.05)
     assert alias is p.values
+
+
+# ---------------------------------------------------------------------------
+# training loop
+
+
+def test_run_training_rejects_non_finite_loss():
+    state = dc.ModelState(seed=0)
+    state.add_param("w", (2,), scale=0.5)
+    before = state.value("w").copy()
+
+    def batch_loss(s, chunk, gen):
+        return dc.sum_(dc.mul(s.leaf("w"), np.nan))
+
+    with pytest.raises(ValueError, match="epoch 1, batch start 0"):
+        run_training(state, 4, batch_loss, lambda s: 0.0,
+                     TrainSettings(batch_size=2, max_epochs=1))
+    np.testing.assert_array_equal(state.value("w"), before)
+    assert not state.m["w"].any()
 
 
 # ---------------------------------------------------------------------------

@@ -71,7 +71,7 @@ def test_batched_intent_matches_single_op(small_split, small_seqs):
     log = small_split.log
     day, hour, dow = log.facets
     rows = seqs.flat_of_global[small_split.test_idx[:6]]
-    probs = ensemble._intent_probs_np(values, 8, 5, seqs, rows)
+    probs = ensemble._intent_probs_np(values, 5, seqs, rows)
     for i, row in enumerate(rows):
         row = int(row)
         ucode = int(np.searchsorted(seqs.offsets, row, side="right") - 1)
@@ -195,6 +195,29 @@ def test_item_weights_var_matches_numpy_path(tiny_split):
     for g in range(G):
         want = ensemble._item_weights_np(values, base[g], origin[g], probs_np[g])
         np.testing.assert_allclose(out.data[g], want, atol=1e-12)
+
+
+def test_item_weights_in_place_softmax_matches_plain_expression(tiny_split):
+    state = build(tiny_split, dim=8, attn_dim=4, seed=7)
+    values = {n: state.value(n) for n in state.params}
+    gen = rng(12)
+    C = 300
+    base = gen.uniform(size=C)
+    origin = (np.arange(C) < 40).astype(np.float64)
+    probs = np.array([0.35, 0.65])
+    got = ensemble._item_weights_np(values, base, origin, probs)
+
+    A = 4
+    X = np.stack([base, origin], axis=-1) @ values["lift.w"].T + values["lift.b"]
+    att = dc._softmax((X @ values["attn.wq"]) @ (X @ values["attn.wk"]).T
+                      / np.sqrt(A), axis=-1)
+    H = X + att @ (X @ values["attn.wv"])
+    q = probs @ values["cq.w"].T + values["cq.b"]
+    att2 = dc._softmax(q @ (H @ values["cross.wk"]).T / np.sqrt(A), axis=-1)
+    c = att2 @ (H @ values["cross.wv"])
+    feats = np.concatenate([H, np.broadcast_to(c, H.shape)], axis=-1)
+    want = dc._sigmoid((feats @ values["proj.w"].T + values["proj.b"])[:, 0])
+    np.testing.assert_allclose(got, want, atol=1e-12)
 
 
 def frozen_bases(split, dim=6):
