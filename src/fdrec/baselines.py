@@ -116,14 +116,10 @@ def sonly_build(split: DatasetSplit, dim: int = 64, seed: int = 0) -> dc.ModelSt
     return state
 
 
-def _situation_batch(state: dc.ModelState, hours, dows, locs) -> dc.Var:
-    return dc.add(
-        dc.add(
-            dc.gather_rows(state.leaf("emb.hour"), hours),
-            dc.gather_rows(state.leaf("emb.dow"), dows),
-        ),
-        dc.gather_rows(state.leaf("emb.loc"), locs),
-    )
+def _situations(state: dc.ModelState, seqs: features.UserSequences,
+                rows: np.ndarray) -> dc.Var:
+    """SOnly's query: the embedded situation [B, D] of each row."""
+    return features.situation(state, seqs.hour[rows], seqs.dow[rows], seqs.loc[rows])
 
 
 def sonly_train(
@@ -142,9 +138,6 @@ def sonly_train(
     state = sonly_build(split, dim=dim, seed=settings.seed)
 
     rows = seqs.flat_of_global[split.train_idx]
-    hours = seqs.hour[rows]
-    dows = seqs.dow[rows]
-    locs = seqs.loc[rows]
     pos = seqs.store[rows]
     n_stores = len(vocabs.store_ids)
 
@@ -155,7 +148,7 @@ def sonly_train(
             neg = neg + (neg >= b_pos)
         else:
             neg = b_pos
-        situ = _situation_batch(st, hours[chunk], dows[chunk], locs[chunk])
+        situ = _situations(st, seqs, rows[chunk])
         pos_e = dc.gather_rows(st.leaf("emb.store"), b_pos)
         neg_e = dc.gather_rows(st.leaf("emb.store"), neg)
         s_pos = dc.sum_(dc.mul(situ, pos_e), axis=-1)
@@ -167,9 +160,9 @@ def sonly_train(
     )
     if not valid_cases:
         raise ValueError("validation partition has no exploration cases")
-    scorer = sonly_scorer(state, split, seqs=seqs, vocabs=vocabs)
 
     def val_metric(st: dc.ModelState) -> float:
+        scorer = sonly_scorer(st, split, valid_cases, seqs=seqs, vocabs=vocabs)
         report = evalharness.evaluate(
             scorer, valid_cases, k=3, model_id="sonly", seed=settings.seed
         )
@@ -203,22 +196,15 @@ def sonly_score(
     return ScoredSlate(tuple(candidates), scores, origin="sonly")
 
 
-def sonly_scorer(state: dc.ModelState, split: DatasetSplit, seqs=None, vocabs=None):
-    """Eval-harness adapter; works for every protocol."""
+def sonly_scorer(state: dc.ModelState, split: DatasetSplit, cases,
+                 seqs=None, vocabs=None):
+    """Eval-harness adapter for ``cases``; works for every protocol."""
     if vocabs is None:
         vocabs = features.build_vocabs(split)
     if seqs is None:
         seqs = features.build_sequences(split, vocabs)
-
-    def score(case: EvalCase) -> ScoredSlate:
-        row = int(seqs.flat_of_global[case.position])
-        situ = (
-            state.value("emb.hour")[seqs.hour[row]]
-            + state.value("emb.dow")[seqs.dow[row]]
-            + state.value("emb.loc")[seqs.loc[row]]
-        )
-        cand_codes = [vocabs.store_code(c) for c in case.candidates]
-        scores = state.value("emb.store")[cand_codes] @ situ
-        return ScoredSlate(case.candidates, scores, origin="sonly")
-
-    return score
+    situ = features.query_rows(
+        lambda chunk: _situations(state, seqs, chunk), evalharness.case_rows(seqs, cases)
+    )
+    return evalharness.dot_scorer(cases, situ, state.value("emb.store"), vocabs,
+                                  origin="sonly")

@@ -233,6 +233,7 @@ def _train_one(cfg: RunConfig, run_dir: str, model: str):
         return exprec.exprec_train(
             split, settings, dim=m.dim, window=m.history_window,
             k_neighbors=m.k_neighbors, val_max_cases=t.val_max_cases,
+            ablation_mask=cfg.ablation_mask(),
         )
     # ensemble: both base checkpoints must exist already
     rep = _load_checkpoint(run_dir, "reprec")
@@ -242,15 +243,6 @@ def _train_one(cfg: RunConfig, run_dir: str, model: str):
         window=m.history_window, budget=m.budget, lam=m.intent_weight,
         max_instances=t.max_instances, val_max_cases=t.val_max_cases,
     )
-
-
-def _train_result_dict(result) -> dict:
-    return {
-        "epochs": result.epochs,
-        "best_epoch": result.best_epoch,
-        "best_metric": result.best_metric,
-        "history": list(result.history),
-    }
 
 
 def _cmd_train(args) -> int:
@@ -267,9 +259,9 @@ def _cmd_train(args) -> int:
             "parameters": state.param_count(),
         }
         if isinstance(result, dict):
-            summary["stages"] = {k: _train_result_dict(v) for k, v in result.items()}
+            summary["stages"] = {k: v.to_dict() for k, v in result.items()}
         else:
-            summary.update(_train_result_dict(result))
+            summary.update(result.to_dict())
         summary_path = os.path.join(run_dir, f"{args.model}.train.json")
         _write_json(summary_path, summary)
     print(ckpt)
@@ -277,28 +269,25 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _make_scorer(cfg: RunConfig, run_dir: str, model: str, split, seqs, vocabs):
-    """Returns (case scorer, parameter count) for an evaluable model."""
+def _make_scorer(run_dir: str, model: str, split, seqs, vocabs):
+    """Returns (cases -> scorer, parameter count) for an evaluable model.
+
+    ExpRec scores with the ablation mask recorded in its checkpoint.
+    """
     if model == "hispop":
-        return baselines.hispop_scorer(split, seqs, vocabs), 0
-    if model == "sonly":
-        state = _load_checkpoint(run_dir, "sonly")
-        return baselines.sonly_scorer(state, split, seqs, vocabs), state.param_count()
-    if model == "reprec":
-        state = _load_checkpoint(run_dir, "reprec")
-        return reprec.reprec_scorer(state, split, seqs, vocabs), state.param_count()
-    if model == "exprec":
-        state = _load_checkpoint(run_dir, "exprec")
-        scorer = exprec.exprec_scorer(
-            state, split, seqs, vocabs, ablation_mask=cfg.ablation_mask()
-        )
-        return scorer, state.param_count()
+        return (lambda cases: baselines.hispop_scorer(split, seqs, vocabs)), 0
+    if model in ("sonly", "reprec", "exprec"):
+        state = _load_checkpoint(run_dir, model)
+        factory = {"sonly": baselines.sonly_scorer, "reprec": reprec.reprec_scorer,
+                   "exprec": exprec.exprec_scorer}[model]
+        return (lambda cases: factory(state, split, cases, seqs, vocabs),
+                state.param_count())
     ens = _load_checkpoint(run_dir, "ensemble")
     rep = _load_checkpoint(run_dir, "reprec")
     exp = _load_checkpoint(run_dir, "exprec")
-    scorer = ensemble.ensemble_scorer(ens, rep, exp, split, seqs, vocabs)
     params = ens.param_count() + rep.param_count() + exp.param_count()
-    return scorer, params
+    return (lambda cases: ensemble.ensemble_scorer(ens, rep, exp, split, cases,
+                                                   seqs, vocabs)), params
 
 
 def _cmd_eval(args) -> int:
@@ -319,14 +308,14 @@ def _cmd_eval(args) -> int:
         split = _load_split(cfg)
         vocabs = features.build_vocabs(split)
         seqs = features.build_sequences(split, vocabs)
-        scorer, params = _make_scorer(cfg, run_dir, args.model, split, seqs, vocabs)
+        scorer_for, params = _make_scorer(run_dir, args.model, split, seqs, vocabs)
         for protocol in protocols:
             cases = evalharness.build_cases(
                 split, protocol, seed=cfg.eval.seed,
                 max_cases=cfg.eval.max_cases, seqs=seqs, vocabs=vocabs,
             )
             report = evalharness.evaluate(
-                scorer, cases, k=cfg.eval.k, model_id=args.model,
+                scorer_for(cases), cases, k=cfg.eval.k, model_id=args.model,
                 seed=cfg.eval.seed, param_count=params,
             )
             path = os.path.join(run_dir, f"eval.{args.model}.{protocol}.json")

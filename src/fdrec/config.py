@@ -192,10 +192,11 @@ class RunConfig:
     def test_window_s(self) -> int:
         return int(round(self.data.test_window_days * SECONDS_PER_DAY))
 
-    def ablation_mask(self) -> dict[str, bool] | None:
+    def ablation_mask(self) -> tuple[bool, ...] | None:
+        """Ablated triggers as flags in ``TRIGGERS`` order; None if none."""
         if not self.model.ablate:
             return None
-        return {t: (t in self.model.ablate) for t in TRIGGERS}
+        return tuple(t in self.model.ablate for t in TRIGGERS)
 
 
 def _validate(cfg: RunConfig) -> None:

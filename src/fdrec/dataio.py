@@ -121,7 +121,6 @@ class InteractionLog:
             missing = [s for s in store_ids if s not in catalog]
             if missing:
                 raise ValueError(f"stores missing from catalog: {missing[:5]}")
-        self._user_index = {u: i for i, u in enumerate(user_ids)}
         self._store_index = {s: i for i, s in enumerate(store_ids)}
         self._per_user: dict[int, np.ndarray] | None = None
         self._facets: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
@@ -186,12 +185,6 @@ class InteractionLog:
         return SituationFeatures(
             int(day_index[i]), int(hour[i]), int(dow[i]), self.location_ids[self.locs[i]]
         )
-
-    def user_positions(self, user_id: str) -> np.ndarray:
-        code = self._user_index.get(user_id)
-        if code is None:
-            return np.empty(0, dtype=np.int64)
-        return self.per_user.get(code, np.empty(0, dtype=np.int64))
 
     def with_catalog(self, catalog: dict[str, StoreMeta]) -> "InteractionLog":
         return InteractionLog(
@@ -313,24 +306,6 @@ def label_repeat_flags(log: InteractionLog) -> np.ndarray:
     return flags
 
 
-class LogView:
-    """A partition of a log: global positions plus convenience accessors."""
-
-    def __init__(self, log: InteractionLog, indices: np.ndarray):
-        self.log = log
-        self.indices = indices
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-    def __iter__(self) -> Iterator[Interaction]:
-        return (self.log.interaction(int(i)) for i in self.indices)
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.log.times[self.indices]
-
-
 @dataclass
 class DatasetSplit:
     """Global-timeline split; repeat flags are computed on the full log."""
@@ -342,18 +317,6 @@ class DatasetSplit:
     train_idx: np.ndarray
     valid_idx: np.ndarray
     test_idx: np.ndarray
-
-    @property
-    def train(self) -> LogView:
-        return LogView(self.log, self.train_idx)
-
-    @property
-    def valid(self) -> LogView:
-        return LogView(self.log, self.valid_idx)
-
-    @property
-    def test(self) -> LogView:
-        return LogView(self.log, self.test_idx)
 
 
 def split_global_timeline(

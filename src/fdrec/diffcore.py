@@ -8,9 +8,9 @@ ranking losses, all batched over leading axes.
 
 Recurrent history encoders use one fused op, :func:`gru_sequence`: a whole
 masked GRU run is a single tape node whose backward pass is hand-written
-backpropagation through time.  Its tape-free twin :func:`gru_sequence_np`
-runs the same forward code for inference, and :func:`gru_cell` (one step
-built from primitives) stays as the reference it is tested against.
+backpropagation through time.  Training and inference run the same op; there
+is no tape-free twin.  :func:`gru_cell` (one step built from primitives)
+stays as the reference it is tested against.
 """
 
 from __future__ import annotations
@@ -476,50 +476,36 @@ def gru_cell(p: GRUParams, x: Var, h: Var) -> Var:
     return add(mul(sub(1.0, z), h), mul(z, cand))
 
 
-def _gru_run(w: Array, u: Array, b: Array, xs: Array, mask, cache: bool):
-    """Masked GRU over ``xs`` [B,L,I] from h = 0; gates stacked z, r, h.
-
-    ``w`` [3D,I], ``u`` [3D,D] and ``b`` [3D] stack the three gates' weights.
-    The input projection of every step is one matmul; only the recurrence
-    loops.  A step whose ``mask`` [B,L] entry is 0 leaves that row's h as is.
-    Returns (h, steps).  With ``cache``, ``steps`` holds what the backward
-    pass needs: the boolean mask, then per step h_prev, [z, r], r * h_prev
-    and the candidate, each shaped [B,L,.]; otherwise it is None.
-    """
-    keep = np.asarray(mask, dtype=bool)
-    if xs.ndim != 3 or keep.shape != xs.shape[:2]:
-        raise ValueError("a GRU run expects xs [B,L,I] and mask [B,L]")
-    B, L, I = xs.shape
-    D = u.shape[1]
-    xp = (xs.reshape(B * L, I) @ w.T + b).reshape(B, L, 3 * D)
-    u_zr, u_h = u[: 2 * D].T, u[2 * D :].T
-    h = np.zeros((B, D))
-    if cache:
-        hs, zrs, rhs, cs = (np.empty((B, L, k * D)) for k in (1, 2, 1, 1))
-    for t in range(L):
-        zr = _sigmoid(xp[:, t, : 2 * D] + h @ u_zr)
-        z = zr[:, :D]
-        rh = zr[:, D:] * h
-        c = np.tanh(xp[:, t, 2 * D :] + rh @ u_h)
-        if cache:
-            hs[:, t], zrs[:, t], rhs[:, t], cs[:, t] = h, zr, rh, c
-        h = np.where(keep[:, t, None], (1.0 - z) * h + z * c, h)
-    return h, ((keep, hs, zrs, rhs, cs) if cache else None)
-
-
 def gru_sequence(p: GRUParams, xs, mask) -> Var:
     """Final hidden state [B,D] of a masked GRU run over ``xs`` [B,L,I].
 
     Same cell as :func:`gru_cell`, starting from h = 0; where ``mask`` [B,L]
     is 0 the step keeps the row's previous h.  The whole run is one tape node
-    whose VJP is backpropagation through time; the gradients of each weight
-    matrix and of ``xs`` are one matmul each over all steps.
+    used by training and inference alike.  The input projection of every
+    step is one matmul and only the recurrence loops; the forward caches, per
+    step, h_prev, [z, r], r * h_prev and the candidate.  The VJP is
+    backpropagation through time; the gradients of each weight matrix and of
+    ``xs`` are one matmul each over all steps.
     """
     xs = _as_var(xs)
+    keep = np.asarray(mask, dtype=bool)
+    if xs.data.ndim != 3 or keep.shape != xs.data.shape[:2]:
+        raise ValueError("a GRU run expects xs [B,L,I] and mask [B,L]")
+    # gates stacked z, r, h: w [3D,I], u [3D,D], b [3D]
     w, u, b = (np.concatenate([getattr(p, t + g).data for g in "zrh"]) for t in "wub")
-    h, (keep, hs, zrs, rhs, cs) = _gru_run(w, u, b, xs.data, mask, cache=True)
     B, L, I = xs.data.shape
     D = u.shape[1]
+    xp = (xs.data.reshape(B * L, I) @ w.T + b).reshape(B, L, 3 * D)
+    u_zr, u_h = u[: 2 * D].T, u[2 * D :].T
+    h = np.zeros((B, D))
+    hs, zrs, rhs, cs = (np.empty((B, L, k * D)) for k in (1, 2, 1, 1))
+    for t in range(L):
+        zr = _sigmoid(xp[:, t, : 2 * D] + h @ u_zr)
+        z = zr[:, :D]
+        rh = zr[:, D:] * h
+        c = np.tanh(xp[:, t, 2 * D :] + rh @ u_h)
+        hs[:, t], zrs[:, t], rhs[:, t], cs[:, t] = h, zr, rh, c
+        h = np.where(keep[:, t, None], (1.0 - z) * h + z * c, h)
 
     def vjp(g):
         dxp = np.empty((B, L, 3 * D))
@@ -551,12 +537,6 @@ def gru_sequence(p: GRUParams, xs, mask) -> Var:
         )
 
     return Var(h, (xs, *p), vjp)
-
-
-def gru_sequence_np(values: dict[str, Array], name: str, xs: Array, mask) -> Array:
-    """Tape-free :func:`gru_sequence` over named weights, for inference."""
-    w, u, b = (np.concatenate([values[f"{name}.{t}{g}"] for g in "zrh"]) for t in "wub")
-    return _gru_run(w, u, b, _f64(xs), mask, cache=False)[0]
 
 
 def adam_step(

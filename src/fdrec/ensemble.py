@@ -23,7 +23,7 @@ from . import diffcore as dc
 from . import evalharness, exprec, features, reprec
 from .dataio import DatasetSplit, SituationFeatures
 from .evalharness import EvalCase, ScoredSlate
-from .exprec import _situation_np, _situation_var, _values
+from .exprec import _situation_np, _values
 from .training import TrainResult, TrainSettings, run_training
 
 __all__ = [
@@ -118,25 +118,6 @@ def ensemble_build(
 
 # ---------------------------------------------------------------- intent
 
-def _intent_probs_np(
-    values: dict, window: int, seqs: features.UserSequences,
-    rows: np.ndarray,
-) -> np.ndarray:
-    """Batched (repeat_prob, explore_prob) for the interactions at ``rows``."""
-    user_codes = np.searchsorted(seqs.offsets, rows, side="right") - 1
-    local = rows - seqs.offsets[user_codes]
-    wrows, mask = features.window_rows(seqs, user_codes, local, window)
-    xs = values["emb.flag"][seqs.repeat[wrows].astype(np.int64)]
-    h = dc.gru_sequence_np(values, "gru.intent", xs, mask)
-    e_mu = _situation_np(values, seqs.hour[rows], seqs.dow[rows], seqs.loc[rows])
-    u = values["emb.user"][user_codes]
-    logits = (
-        np.concatenate([h, e_mu, u], axis=-1) @ values["intent.w"].T
-        + values["intent.b"]
-    )
-    return dc._softmax(logits, axis=-1)
-
-
 def predict_intent(
     state: dc.ModelState,
     user: str,
@@ -152,9 +133,11 @@ def predict_intent(
     if user not in user_index:
         raise ValueError(f"unknown user {user!r}")
 
-    flags = [int(bool(f)) for f in list(intent_history)[-window:]]
-    xs = values["emb.flag"][np.array(flags, dtype=np.int64)]
-    h = dc.gru_sequence_np(values, "gru.intent", xs[None], np.ones((1, len(flags))))[0]
+    p = dc.gru_leaves(state, "gru.intent")
+    h = dc.Var(np.zeros(int(meta["dim"])))
+    for flag in list(intent_history)[-window:]:
+        h = dc.gru_cell(p, values["emb.flag"][int(bool(flag))], h)
+    h = h.data
     e_mu = _situation_np(values, now.hour, now.day_of_week,
                          loc_index.get(now.location_id, features.FALLBACK))
     u = values["emb.user"][user_index[user]]
@@ -163,18 +146,24 @@ def predict_intent(
     return IntentEstimate(float(probs[0]), float(probs[1]))
 
 
-def _intent_logits_var(state: dc.ModelState, seqs: features.UserSequences,
-                       rows: np.ndarray) -> dc.Var:
-    """Differentiable intent logits [B,2] for the interactions at ``rows``."""
-    user_codes = np.searchsorted(seqs.offsets, rows, side="right") - 1
-    local = rows - seqs.offsets[user_codes]
-    wrows, mask = features.window_rows(seqs, user_codes, local, int(state.meta["window"]))
-    femb = dc.gather_rows(state.leaf("emb.flag"), seqs.repeat[wrows].astype(np.int64))
-    h = dc.gru_sequence(dc.gru_leaves(state, "gru.intent"), femb, mask)
-    e_mu = _situation_var(state, seqs.hour[rows], seqs.dow[rows], seqs.loc[rows])
-    u = dc.gather_rows(state.leaf("emb.user"), user_codes)
+def _intent_logits(state: dc.ModelState, seqs: features.UserSequences,
+                   rows: np.ndarray) -> dc.Var:
+    """Intent logits [B,2] (repeat, explore) for the interactions at ``rows``."""
+    win = features.gather_window(seqs, rows, int(state.meta["window"]))
+    femb = dc.gather_rows(state.leaf("emb.flag"), win.repeat)
+    h = dc.gru_sequence(dc.gru_leaves(state, "gru.intent"), femb, win.mask)
+    e_mu = features.situation(state, win.now_hour, win.now_dow, win.now_loc)
+    u = dc.gather_rows(state.leaf("emb.user"), win.user)
     feats = dc.concat([h, e_mu, u], axis=-1)
     return dc.dense(state.leaf("intent.w"), state.leaf("intent.b"), feats)
+
+
+def _intent_probs(state: dc.ModelState, seqs: features.UserSequences,
+                  rows: np.ndarray) -> np.ndarray:
+    """(repeat_prob, explore_prob) [N,2] for the interactions at ``rows``."""
+    return features.query_rows(
+        lambda chunk: dc.softmax(_intent_logits(state, seqs, chunk)), rows
+    )
 
 
 def _intent_ce(logits: dc.Var, repeat: np.ndarray) -> dc.Var:
@@ -201,6 +190,8 @@ def normalize_slate(scores) -> np.ndarray:
 def _item_weights_np(values: dict, base: np.ndarray, origin: np.ndarray,
                      probs: np.ndarray) -> np.ndarray:
     """Per-item weights in (0,1) from one attention pass (single slate)."""
+    # kept beside _item_weights_var: on a 1000-item slate it took 8.5 ms and
+    # 9 MB against the tape's 21.5 ms and 41 MB, which wide catalogs would pay
     A = values["attn.wq"].shape[0]
     x = np.stack([base, origin], axis=-1)
     X = x @ values["lift.w"].T + values["lift.b"]
@@ -282,39 +273,35 @@ class _Slate:
     tgt: int              # target index within the slate
 
 
-def _frozen_base_scores(rep_state, exp_state, seqs, neighbors):
-    """Closures scoring arbitrary candidate code arrays with the frozen bases."""
-    rep_values, exp_values = _values(rep_state), _values(exp_state)
-    rep_window = int(rep_state.meta["window"])
-    exp_window = int(exp_state.meta["window"])
-    nb_ids, nb_w = neighbors
-    no_mask = np.zeros(len(exprec.TRIGGERS), dtype=bool)
+def _frozen_bases(rep_state, exp_state, seqs, rows, neighbors):
+    """``bases(i, codes, a)``: normalized frozen base scores of store
+    ``codes`` for the ``i``-th of ``rows``; RepRec scores the first ``a``,
+    ExpRec the rest.  Both models' queries come from one chunked forward."""
+    rep_q = reprec.reprec_queries(rep_state, seqs, rows)
+    exp_q = exprec.exprec_queries(exp_state, seqs, rows, neighbors)
+    rep_store, exp_store = rep_state.value("emb.store"), exp_state.value("emb.store")
 
-    def repeat_scores(row: int, lo: int, codes: np.ndarray) -> np.ndarray:
-        profile = reprec.profile_vector(
-            rep_values, seqs, row, max(lo, row - rep_window)
-        )
-        return rep_values["emb.store"][codes] @ profile
+    def bases(i: int, codes: np.ndarray, a: int) -> np.ndarray:
+        base = np.empty(len(codes))
+        if a:
+            base[:a] = normalize_slate(rep_store[codes[:a]] @ rep_q[i])
+        if len(codes) > a:
+            base[a:] = normalize_slate(exp_store[codes[a:]] @ exp_q[i])
+        return base
 
-    def explore_scores(row: int, user_code: int, lo: int,
-                       codes: np.ndarray) -> np.ndarray:
-        s_e = exprec.fused_vector(exp_values, exp_window, seqs,
-                                  nb_ids, nb_w, row, user_code, lo, no_mask)
-        return exp_values["emb.store"][codes] @ s_e
-
-    return repeat_scores, explore_scores
+    return bases
 
 
 def _build_training_slates(
-    split, seqs, vocabs, rows, budget, seed, repeat_scores, explore_scores
+    split, seqs, vocabs, rows, budget, seed, rep_state, exp_state, neighbors
 ) -> list[_Slate]:
     n_stores = len(vocabs.store_ids)
     user_codes = np.searchsorted(seqs.offsets, rows, side="right") - 1
+    bases = _frozen_bases(rep_state, exp_state, seqs, rows, neighbors)
     rep_cap = budget // 2
     slates: list[_Slate] = []
-    for row, ucode in zip(rows, user_codes):
+    for i, (row, ucode) in enumerate(zip(rows, user_codes)):
         row = int(row)
-        lo = int(seqs.offsets[ucode])
         d = int(seqs.distinct_before[row])
         fo = int(seqs.first_offsets[ucode])
         priors = seqs.first_stores[fo : fo + d]
@@ -346,19 +333,11 @@ def _build_training_slates(
         if n < 2:
             continue  # a ranking pair needs at least two items
 
-        base = np.empty(n)
-        if len(rep_part):
-            base[: len(rep_part)] = normalize_slate(
-                repeat_scores(row, lo, rep_part)
-            )
-        if len(exp_part):
-            base[len(rep_part):] = normalize_slate(
-                explore_scores(row, int(ucode), lo, exp_part)
-            )
-        origin = np.concatenate([np.ones(len(rep_part)), np.zeros(len(exp_part))])
+        a = len(rep_part)
+        base = bases(i, np.concatenate([rep_part, exp_part]), a)
+        origin = np.concatenate([np.ones(a), np.zeros(len(exp_part))])
         slates.append(_Slate(
-            row=row, a=len(rep_part),
-            x_feats=np.stack([base, origin], axis=-1), tgt=tgt,
+            row=row, a=a, x_feats=np.stack([base, origin], axis=-1), tgt=tgt,
         ))
     return slates
 
@@ -384,7 +363,7 @@ def _combined_batch_loss(
         x_feats = np.stack([sl.x_feats for sl in group])
         tgt = np.array([sl.tgt for sl in group])
 
-        logits = _intent_logits_var(state, seqs, rows)
+        logits = _intent_logits(state, seqs, rows)
         probs = dc.softmax(logits)
         weights = _item_weights_var(state, x_feats, probs)
         p = dc.mul(weights, x_feats[:, :, 0])
@@ -421,7 +400,6 @@ def ensemble_train(
     seqs = features.build_sequences(split, vocabs)
     state = ensemble_build(split, dim=dim, attn_dim=attn_dim, seed=settings.seed,
                            window=window, budget=budget)
-    values = _values(state)
 
     train_rows = seqs.flat_of_global[split.train_idx]
     valid_rows = seqs.flat_of_global[split.valid_idx]
@@ -429,12 +407,12 @@ def ensemble_train(
     # stage 1: intent head, early-stopped on validation cross-entropy
     def intent_loss(st, chunk, rng):
         rows = train_rows[chunk]
-        return dc.mean_(_intent_ce(_intent_logits_var(st, seqs, rows), seqs.repeat[rows]))
+        return dc.mean_(_intent_ce(_intent_logits(st, seqs, rows), seqs.repeat[rows]))
 
     val_rows = valid_rows[: min(len(valid_rows), 5000)]
 
     def intent_val(st) -> float:
-        probs = _intent_probs_np(values, window, seqs, val_rows)
+        probs = _intent_probs(st, seqs, val_rows)
         y = seqs.repeat[val_rows]
         p_true = np.where(y, probs[:, 0], probs[:, 1])
         return float(np.log(np.clip(p_true, 1e-12, None)).mean())
@@ -448,16 +426,13 @@ def ensemble_train(
         split.log, vocabs.user_ids, int(frozen_exprec.meta["k_neighbors"]),
         int(frozen_exprec.meta["neighbor_as_of"]),
     )
-    repeat_scores, explore_scores = _frozen_base_scores(
-        frozen_reprec, frozen_exprec, seqs, neighbors
-    )
     rows = train_rows
     if max_instances and len(rows) > max_instances:
         keep = np.unique(np.linspace(0, len(rows) - 1, max_instances).astype(np.int64))
         rows = rows[keep]
     slates = _build_training_slates(
         split, seqs, vocabs, rows, budget, settings.seed,
-        repeat_scores, explore_scores,
+        frozen_reprec, frozen_exprec, neighbors,
     )
     if not slates:
         raise ValueError("no combined training slates could be built")
@@ -467,10 +442,11 @@ def ensemble_train(
     )
     if not valid_cases:
         raise ValueError("validation partition has no combined cases")
-    scorer = ensemble_scorer(state, frozen_reprec, frozen_exprec, split,
-                             seqs=seqs, vocabs=vocabs, neighbors=neighbors)
+    bases = _case_bases(frozen_reprec, frozen_exprec, split, valid_cases,
+                        seqs, vocabs, neighbors)
 
     def combined_val(st) -> float:
+        scorer = _weighted_scorer(st, *bases)
         report = evalharness.evaluate(
             scorer, valid_cases, k=3, model_id="ensemble", seed=settings.seed
         )
@@ -487,9 +463,10 @@ def ensemble_train(
 
 # ---------------------------------------------------------------- scoring
 
-def _case_bases(rep_state, exp_state, split, seqs, vocabs, neighbors):
-    """(seqs, base_of): ``base_of(case)`` gives the case's flat row and its
-    normalized frozen base scores, repeat part first."""
+def _case_bases(rep_state, exp_state, split, cases, seqs, vocabs, neighbors):
+    """(seqs, rows, base_of) for ``cases``: ``base_of(case)`` gives the case's
+    index in ``cases`` and its normalized frozen base scores, repeat part
+    first; ``rows`` are the cases' flat rows."""
     if vocabs is None:
         vocabs = features.build_vocabs(split)
     if seqs is None:
@@ -499,27 +476,31 @@ def _case_bases(rep_state, exp_state, split, seqs, vocabs, neighbors):
             split.log, vocabs.user_ids, int(exp_state.meta["k_neighbors"]),
             int(exp_state.meta["neighbor_as_of"]),
         )
-    repeat_scores, explore_scores = _frozen_base_scores(
-        rep_state, exp_state, seqs, neighbors
-    )
-    log = split.log
+    rows = evalharness.case_rows(seqs, cases)
+    bases = _frozen_bases(rep_state, exp_state, seqs, rows, neighbors)
+    index = {c.position: i for i, c in enumerate(cases)}
 
     def base_of(case: EvalCase) -> tuple[int, np.ndarray]:
-        row = int(seqs.flat_of_global[case.position])
-        user_code = int(log.users[case.position])
-        lo = int(seqs.offsets[user_code])
+        i = index[case.position]
         codes = np.array([vocabs.store_code(c) for c in case.candidates])
-        a = case.n_prior
-        base = np.empty(len(codes))
-        if a:
-            base[:a] = normalize_slate(repeat_scores(row, lo, codes[:a]))
-        if len(codes) > a:
-            base[a:] = normalize_slate(
-                explore_scores(row, user_code, lo, codes[a:])
-            )
-        return row, base
+        return i, bases(i, codes, case.n_prior)
 
-    return seqs, base_of
+    return seqs, rows, base_of
+
+
+def _weighted_scorer(state: dc.ModelState, seqs, rows, base_of):
+    """Scorer weighting each case's base slate by the intent-queried attention."""
+    probs = _intent_probs(state, seqs, rows)
+    values = _values(state)
+
+    def score(case: EvalCase) -> ScoredSlate:
+        i, base = base_of(case)
+        a = case.n_prior
+        origin = np.concatenate([np.ones(a), np.zeros(len(base) - a)])
+        weights = _item_weights_np(values, base, origin, probs[i])
+        return ScoredSlate(case.candidates, weights * base, origin="ensemble")
+
+    return score
 
 
 def ensemble_scorer(
@@ -527,36 +508,30 @@ def ensemble_scorer(
     rep_state: dc.ModelState,
     exp_state: dc.ModelState,
     split: DatasetSplit,
+    cases,
     seqs: features.UserSequences | None = None,
     vocabs: features.Vocabs | None = None,
     neighbors: tuple[np.ndarray, np.ndarray] | None = None,
 ):
-    """Combined-protocol adapter running the full weighting pipeline."""
-    seqs, base_of = _case_bases(rep_state, exp_state, split, seqs, vocabs, neighbors)
-    values = _values(state)
-    window = int(state.meta["window"])
-
-    def score(case: EvalCase) -> ScoredSlate:
-        row, base = base_of(case)
-        a = case.n_prior
-        origin = np.concatenate([np.ones(a), np.zeros(len(base) - a)])
-        probs = _intent_probs_np(values, window, seqs, np.array([row]))[0]
-        weights = _item_weights_np(values, base, origin, probs)
-        return ScoredSlate(case.candidates, weights * base, origin="ensemble")
-
-    return score
+    """Combined-protocol adapter for ``cases`` running the full weighting
+    pipeline."""
+    return _weighted_scorer(
+        state, *_case_bases(rep_state, exp_state, split, cases, seqs, vocabs, neighbors)
+    )
 
 
 def concat_scorer(
     rep_state: dc.ModelState,
     exp_state: dc.ModelState,
     split: DatasetSplit,
+    cases,
     seqs: features.UserSequences | None = None,
     vocabs: features.Vocabs | None = None,
     neighbors: tuple[np.ndarray, np.ndarray] | None = None,
 ):
     """Unit-weight reference: normalized base slates concatenated as-is."""
-    _, base_of = _case_bases(rep_state, exp_state, split, seqs, vocabs, neighbors)
+    _, _, base_of = _case_bases(rep_state, exp_state, split, cases, seqs, vocabs,
+                                neighbors)
 
     def score(case: EvalCase) -> ScoredSlate:
         return ScoredSlate(case.candidates, base_of(case)[1], origin="concat")

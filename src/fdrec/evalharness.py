@@ -179,6 +179,30 @@ def validation_cases(
     return build_cases(sub, protocol, seed, max_cases=max_cases, seqs=seqs, vocabs=vocabs)
 
 
+def case_rows(seqs: features.UserSequences, cases: Sequence[EvalCase]) -> np.ndarray:
+    """Flat sequence rows of the cases' target interactions, in case order."""
+    return seqs.flat_of_global[np.array([c.position for c in cases], dtype=np.int64)]
+
+
+def dot_scorer(
+    cases: Sequence[EvalCase],
+    queries: np.ndarray,
+    table: np.ndarray,
+    vocabs: features.Vocabs,
+    origin: str,
+) -> Callable[[EvalCase], ScoredSlate]:
+    """Scorer for ``cases``: candidates' rows of ``table`` dotted with the
+    case's row of ``queries`` (aligned with ``cases``)."""
+    index = {c.position: i for i, c in enumerate(cases)}
+
+    def score(case: EvalCase) -> ScoredSlate:
+        codes = [vocabs.store_code(c) for c in case.candidates]
+        return ScoredSlate(case.candidates, table[codes] @ queries[index[case.position]],
+                           origin=origin)
+
+    return score
+
+
 @dataclass(frozen=True)
 class RankResult:
     rank: int
@@ -231,6 +255,10 @@ def evaluate(
             raise RuntimeError(
                 f"scorer returned {len(slate.candidates)} scores for "
                 f"{len(case.candidates)} candidates at position {case.position}"
+            )
+        if not np.isfinite(slate.scores).all():
+            raise RuntimeError(
+                f"scorer returned non-finite scores at position {case.position}"
             )
         r = rank_metrics(slate, case.target_id, k)
         hr_sum += r.hr

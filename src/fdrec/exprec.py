@@ -11,14 +11,12 @@ weights renormalize.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import diffcore as dc
 from . import evalharness, features, situsim
 from .dataio import DatasetSplit, Interaction, SituationFeatures, time_facets
-from .evalharness import EvalCase, ScoredSlate
+from .evalharness import ScoredSlate
 from .training import TrainResult, TrainSettings, run_training
 
 __all__ = [
@@ -30,7 +28,9 @@ __all__ = [
     "trigger_fusion",
     "fusion_weights",
     "exprec_score",
+    "exprec_fused",
     "exprec_batch_loss",
+    "exprec_queries",
     "exprec_train",
     "exprec_scorer",
     "neighbor_arrays",
@@ -57,6 +57,7 @@ def exprec_build(
     seed: int = 0,
     window: int = DEFAULT_WINDOW,
     k_neighbors: int = DEFAULT_NEIGHBORS,
+    ablation_mask=None,
 ) -> dc.ModelState:
     vocabs = features.build_vocabs(split)
     log = split.log
@@ -75,6 +76,7 @@ def exprec_build(
         "window": window,
         "k_neighbors": k_neighbors,
         "neighbor_as_of": split.valid_boundary,
+        "ablate": _check_mask(ablation_mask).tolist(),
         "store_ids": vocabs.store_ids,
         "location_ids": vocabs.location_ids,
         "user_ids": vocabs.user_ids,
@@ -119,7 +121,11 @@ def encode_history(
     stores, hours, dows, locs = _history_codes(state, tail)
     situ = _situation_np(values, hours, dows, locs)
     xs = np.concatenate([values["emb.store"][stores], situ], axis=-1)
-    return dc.gru_sequence_np(values, "gru.hist", xs[None], np.ones((1, len(xs))))[0]
+    p = dc.gru_leaves(state, "gru.hist")
+    h = dc.Var(np.zeros(int(state.meta["dim"])))
+    for x in xs:
+        h = dc.gru_cell(p, x, h)
+    return h.data
 
 
 def _mix_weights_np(values, situation_vec: np.ndarray) -> np.ndarray:
@@ -272,106 +278,97 @@ def neighbor_arrays(
     return ids, weights
 
 
-@dataclass(frozen=True)
-class ExpRecBatch:
-    """Constant arrays feeding one differentiable batch forward."""
-
-    user: np.ndarray       # [B]
-    store_w: np.ndarray    # [B, L] window store codes
-    hour_w: np.ndarray
-    dow_w: np.ndarray
-    loc_w: np.ndarray
-    mask: np.ndarray       # [B, L] floats
-    now_hour: np.ndarray
-    now_dow: np.ndarray
-    now_loc: np.ndarray
-    nb_ids: np.ndarray     # [B, K], clipped to valid rows
-    nb_w: np.ndarray       # [B, K], zeros where padded
-    pos: np.ndarray        # [B]
-
-
-def _situation_var(state, hours, dows, locs) -> dc.Var:
-    return dc.add(
-        dc.add(
-            dc.gather_rows(state.leaf("emb.hour"), hours),
-            dc.gather_rows(state.leaf("emb.dow"), dows),
-        ),
-        dc.gather_rows(state.leaf("emb.loc"), locs),
-    )
-
-
-def _gather_batch(
-    seqs: features.UserSequences,
-    flat_rows: np.ndarray,
-    window: int,
-    nb_ids: np.ndarray,
-    nb_w: np.ndarray,
-) -> ExpRecBatch:
-    user_codes = np.searchsorted(seqs.offsets, flat_rows, side="right") - 1
-    local = flat_rows - seqs.offsets[user_codes]
-    rows, mask = features.window_rows(seqs, user_codes, local, window)
-    return ExpRecBatch(
-        user=user_codes,
-        store_w=seqs.store[rows],
-        hour_w=seqs.hour[rows],
-        dow_w=seqs.dow[rows],
-        loc_w=seqs.loc[rows],
-        mask=mask.astype(np.float64),
-        now_hour=seqs.hour[flat_rows],
-        now_dow=seqs.dow[flat_rows],
-        now_loc=seqs.loc[flat_rows],
-        nb_ids=np.maximum(nb_ids[user_codes], 0),
-        nb_w=nb_w[user_codes],
-        pos=seqs.store[flat_rows],
-    )
-
-
 def _col(x: dc.Var, j: int) -> dc.Var:
     return dc.getitem(x, (slice(None), slice(j, j + 1)))
 
 
-def exprec_batch_loss(state: dc.ModelState, batch: ExpRecBatch,
-                      neg: np.ndarray) -> dc.Var:
-    """Pairwise ranking loss; deterministic in its inputs for gradient checks."""
-    B = batch.store_w.shape[0]
+def exprec_fused(
+    state: dc.ModelState,
+    win: features.Window,
+    neighbors: tuple[np.ndarray, np.ndarray],
+    ablation_mask=None,
+) -> dc.Var:
+    """Fused trigger vectors [B, D], the queries every ExpRec score dots with.
+
+    ``neighbors`` are the frozen per-user tables from :func:`neighbor_arrays`.
+    An ablated trigger's logit becomes -inf, so it gets exactly zero weight.
+    """
+    mask = _check_mask(ablation_mask)
+    B = win.store.shape[0]
     dim = int(state.meta["dim"])
 
-    e_mu = _situation_var(state, batch.now_hour, batch.now_dow, batch.now_loc)
+    e_mu = features.situation(state, win.now_hour, win.now_dow, win.now_loc)
 
     # history GRU over the window, masked steps keep the previous hidden state
-    situ_w = _situation_var(state, batch.hour_w, batch.dow_w, batch.loc_w)
-    store_w = dc.gather_rows(state.leaf("emb.store"), batch.store_w)
+    situ_w = features.situation(state, win.hour, win.dow, win.loc)
+    store_w = dc.gather_rows(state.leaf("emb.store"), win.store)
     xs = dc.concat([store_w, situ_w], axis=-1)          # [B,L,2D]
-    e_h = dc.gru_sequence(dc.gru_leaves(state, "gru.hist"), xs, batch.mask)
+    e_h = dc.gru_sequence(dc.gru_leaves(state, "gru.hist"), xs, win.mask)
 
     # situation-conditioned activation mix, shared by user and neighbors
     a = dc.softmax(dc.dense(state.leaf("cond.w"), state.leaf("cond.b"), e_mu))
-    u_emb = dc.gather_rows(state.leaf("emb.user"), batch.user)
+    u_emb = dc.gather_rows(state.leaf("emb.user"), win.user)
     e_u = dc.Var(np.zeros((B, dim)))
     for j, act in enumerate(_ACTIVATIONS_VAR):
         e_u = dc.add(e_u, dc.mul(_col(a, j), act(u_emb)))
 
-    nb_emb = dc.gather_rows(state.leaf("emb.user"), batch.nb_ids)   # [B,K,D]
-    cond_nb = dc.Var(np.zeros(nb_emb.data.shape))
+    nb_ids, nb_w = neighbors
+    nb_emb = dc.gather_rows(state.leaf("emb.user"), np.maximum(nb_ids[win.user], 0))
+    cond_nb = dc.Var(np.zeros(nb_emb.data.shape))       # [B,K,D]
     for j, act in enumerate(_ACTIVATIONS_VAR):
         aj = dc.reshape(_col(a, j), (B, 1, 1))
         cond_nb = dc.add(cond_nb, dc.mul(aj, act(nb_emb)))
-    e_cu = dc.sum_(dc.mul(cond_nb, batch.nb_w[:, :, None]), axis=1)
+    e_cu = dc.sum_(dc.mul(cond_nb, nb_w[win.user][:, :, None]), axis=1)
 
     logits = dc.dense(
         state.leaf("fuse.w"), state.leaf("fuse.b"), dc.concat([e_mu, e_u], axis=-1)
     )
+    if mask.any():
+        logits = dc.add(logits, np.where(mask, -np.inf, 0.0))
     w = dc.softmax(logits, axis=-1)
     triggers = (e_mu, e_h, e_u, e_cu)
     s_e = dc.Var(np.zeros((B, dim)))
     for j, trig in enumerate(triggers):
         s_e = dc.add(s_e, dc.mul(_col(w, j), trig))
+    return s_e
 
-    pos_e = dc.gather_rows(state.leaf("emb.store"), batch.pos)
+
+def exprec_batch_loss(
+    state: dc.ModelState,
+    win: features.Window,
+    neighbors: tuple[np.ndarray, np.ndarray],
+    neg: np.ndarray,
+    ablation_mask=None,
+) -> dc.Var:
+    """Pairwise ranking loss; deterministic in its inputs for gradient checks."""
+    s_e = exprec_fused(state, win, neighbors, ablation_mask)
+    pos_e = dc.gather_rows(state.leaf("emb.store"), win.target)
     neg_e = dc.gather_rows(state.leaf("emb.store"), neg)
     s_pos = dc.sum_(dc.mul(s_e, pos_e), axis=-1)
     s_neg = dc.sum_(dc.mul(s_e, neg_e), axis=-1)
     return dc.mean_(dc.bpr_loss(s_pos, s_neg))
+
+
+def exprec_queries(
+    state: dc.ModelState,
+    seqs: features.UserSequences,
+    rows: np.ndarray,
+    neighbors: tuple[np.ndarray, np.ndarray],
+    ablation_mask=None,
+) -> np.ndarray:
+    """Fused vectors [N, D] for the interactions at flat ``rows``, in chunks.
+
+    ``ablation_mask`` defaults to the mask the checkpoint was trained with.
+    """
+    if ablation_mask is None:
+        ablation_mask = state.meta.get("ablate")
+    window = int(state.meta["window"])
+    return features.query_rows(
+        lambda chunk: exprec_fused(
+            state, features.gather_window(seqs, chunk, window), neighbors, ablation_mask
+        ),
+        rows,
+    )
 
 
 def _visited_mask(seqs: features.UserSequences, rows: np.ndarray,
@@ -413,12 +410,16 @@ def exprec_train(
     window: int = DEFAULT_WINDOW,
     k_neighbors: int = DEFAULT_NEIGHBORS,
     val_max_cases: int = 2000,
+    ablation_mask=None,
 ) -> tuple[dc.ModelState, TrainResult]:
-    """Train on exploration-flagged interactions with unvisited negatives."""
+    """Train on exploration-flagged interactions with unvisited negatives.
+
+    Triggers set in ``ablation_mask`` are dropped from training and scoring.
+    """
     vocabs = features.build_vocabs(split)
     seqs = features.build_sequences(split, vocabs)
     state = exprec_build(split, dim=dim, seed=settings.seed, window=window,
-                         k_neighbors=k_neighbors)
+                         k_neighbors=k_neighbors, ablation_mask=ablation_mask)
     n_stores = len(vocabs.store_ids)
 
     train_rows = seqs.flat_of_global[split.train_idx]
@@ -428,26 +429,26 @@ def exprec_train(
     if len(rows) == 0:
         raise ValueError("no exploration training instances")
 
-    nb_ids, nb_w = neighbor_arrays(
+    neighbors = neighbor_arrays(
         split.log, vocabs.user_ids, k_neighbors, split.valid_boundary
     )
 
     def batch_loss(st: dc.ModelState, chunk: np.ndarray, rng: np.random.Generator):
         batch_rows = rows[chunk]
-        batch = _gather_batch(seqs, batch_rows, window, nb_ids, nb_w)
+        win = features.gather_window(seqs, batch_rows, window)
         visited = _visited_mask(seqs, batch_rows, n_stores)
-        neg = _sample_unvisited(rng, visited, batch.pos)
-        return exprec_batch_loss(st, batch, neg)
+        neg = _sample_unvisited(rng, visited, win.target)
+        return exprec_batch_loss(st, win, neighbors, neg, ablation_mask)
 
     valid_cases = evalharness.validation_cases(
         split, "exploration", settings.seed, val_max_cases, seqs, vocabs
     )
     if not valid_cases:
         raise ValueError("validation partition has no exploration cases")
-    scorer = exprec_scorer(state, split, seqs=seqs, vocabs=vocabs,
-                           neighbors=(nb_ids, nb_w))
 
     def val_metric(st: dc.ModelState) -> float:
+        scorer = exprec_scorer(st, split, valid_cases, seqs=seqs, vocabs=vocabs,
+                               neighbors=neighbors)
         report = evalharness.evaluate(
             scorer, valid_cases, k=3, model_id="exprec", seed=settings.seed
         )
@@ -462,13 +463,16 @@ def exprec_train(
 def exprec_scorer(
     state: dc.ModelState,
     split: DatasetSplit,
+    cases,
     seqs: features.UserSequences | None = None,
     vocabs: features.Vocabs | None = None,
     ablation_mask=None,
     neighbors: tuple[np.ndarray, np.ndarray] | None = None,
 ):
-    """Eval adapter on plain numpy; recomputes frozen neighbors if not given."""
-    mask = _check_mask(ablation_mask)
+    """Eval adapter for ``cases``; recomputes frozen neighbors if not given.
+
+    ``ablation_mask`` defaults to the mask the checkpoint was trained with.
+    """
     if vocabs is None:
         vocabs = features.build_vocabs(split)
     if seqs is None:
@@ -479,58 +483,7 @@ def exprec_scorer(
             split.log, vocabs.user_ids, int(meta["k_neighbors"]),
             int(meta["neighbor_as_of"]),
         )
-    nb_ids, nb_w = neighbors
-    values = _values(state)
-    window = int(meta["window"])
-    log = split.log
-
-    def score(case: EvalCase) -> ScoredSlate:
-        row = int(seqs.flat_of_global[case.position])
-        user_code = int(log.users[case.position])
-        lo = int(seqs.offsets[user_code])
-        s_e = fused_vector(values, window, seqs, nb_ids, nb_w,
-                           row, user_code, lo, mask)
-        codes = [vocabs.store_code(c) for c in case.candidates]
-        scores = values["emb.store"][codes] @ s_e
-        return ScoredSlate(case.candidates, scores, origin="exprec")
-
-    return score
-
-
-def fused_vector(
-    values: dict,
-    window: int,
-    seqs: features.UserSequences,
-    nb_ids: np.ndarray,
-    nb_w: np.ndarray,
-    row: int,
-    user_code: int,
-    lo: int,
-    mask: np.ndarray,
-) -> np.ndarray:
-    """Fused trigger vector for the interaction at flat ``row`` (numpy path)."""
-    start = max(lo, row - window)
-    win = slice(start, row)
-
-    e_mu = _situation_np(values, seqs.hour[row], seqs.dow[row], seqs.loc[row])
-    situ = _situation_np(values, seqs.hour[win], seqs.dow[win], seqs.loc[win])
-    xs = np.concatenate([values["emb.store"][seqs.store[win]], situ], axis=-1)
-    h = dc.gru_sequence_np(values, "gru.hist", xs[None], np.ones((1, row - start)))[0]
-
-    a = _mix_weights_np(values, e_mu)
-
-    def conditioned(emb: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(emb)
-        for am, act in zip(a, _ACTIVATIONS_NP):
-            out = out + am * act(emb)
-        return out
-
-    e_u = conditioned(values["emb.user"][user_code])
-    ids = nb_ids[user_code]
-    e_cu = nb_w[user_code] @ conditioned(values["emb.user"][np.maximum(ids, 0)])
-
-    logits = np.concatenate([e_mu, e_u]) @ values["fuse.w"].T + values["fuse.b"]
-    w = np.zeros(len(TRIGGERS))
-    keep = ~mask
-    w[keep] = dc._softmax(logits[keep], axis=-1)
-    return w[0] * e_mu + w[1] * h + w[2] * e_u + w[3] * e_cu
+    queries = exprec_queries(state, seqs, evalharness.case_rows(seqs, cases),
+                             neighbors, ablation_mask)
+    return evalharness.dot_scorer(cases, queries, state.value("emb.store"), vocabs,
+                                  origin="exprec")

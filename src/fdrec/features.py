@@ -3,17 +3,24 @@
 Models index stores by catalog order (so never-visited stores are scoreable),
 users by log order, and delivery locations by train-partition order with row 0
 reserved as a fallback for values unseen during training.
+
+The models' forward passes share the history-window gatherer, the situation
+embedding and :func:`query_rows`, which runs a training forward for inference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .dataio import DatasetSplit, InteractionLog
+from . import diffcore as dc
+from .dataio import DatasetSplit
 
 FALLBACK = 0  # reserved location row
+# rows per inference forward pass; bounds the tape a scorer builds at once
+QUERY_CHUNK = 128
 
 
 @dataclass
@@ -93,11 +100,6 @@ class UserSequences:
         else:
             count = int(self.distinct_before[int(self.offsets[user_code]) + local_pos])
         return self.first_stores[base : base + count]
-
-    def prior_store_codes_at_end(self, user_code: int) -> np.ndarray:
-        return self.first_stores[
-            int(self.first_offsets[user_code]) : int(self.first_offsets[user_code + 1])
-        ]
 
 
 def build_sequences(split: DatasetSplit, vocabs: Vocabs) -> UserSequences:
@@ -183,3 +185,71 @@ def window_rows(
     mask = rel >= 0
     rows = base + np.where(mask, rel, 0)
     return rows, mask
+
+
+@dataclass(frozen=True)
+class Window:
+    """Code arrays for a batch of interactions and the rows before each.
+
+    ``[B, L]`` fields hold the ``L`` most recent prior rows (see
+    :func:`window_rows`); ``[B]`` fields describe the interactions themselves.
+    """
+
+    user: np.ndarray      # [B]
+    store: np.ndarray     # [B, L]
+    hour: np.ndarray      # [B, L]
+    dow: np.ndarray       # [B, L]
+    loc: np.ndarray       # [B, L]
+    repeat: np.ndarray    # [B, L] int flags
+    mask: np.ndarray      # [B, L] floats, 1 = real slot
+    now_hour: np.ndarray  # [B]
+    now_dow: np.ndarray   # [B]
+    now_loc: np.ndarray   # [B]
+    target: np.ndarray    # [B] store codes
+
+
+def gather_window(seqs: UserSequences, flat_rows: np.ndarray, limit: int) -> Window:
+    """Window of at most ``limit`` prior rows for each interaction at ``flat_rows``."""
+    user_codes = np.searchsorted(seqs.offsets, flat_rows, side="right") - 1
+    local = flat_rows - seqs.offsets[user_codes]
+    rows, mask = window_rows(seqs, user_codes, local, limit)
+    return Window(
+        user=user_codes,
+        store=seqs.store[rows],
+        hour=seqs.hour[rows],
+        dow=seqs.dow[rows],
+        loc=seqs.loc[rows],
+        repeat=seqs.repeat[rows].astype(np.int64),
+        mask=mask.astype(np.float64),
+        now_hour=seqs.hour[flat_rows],
+        now_dow=seqs.dow[flat_rows],
+        now_loc=seqs.loc[flat_rows],
+        target=seqs.store[flat_rows],
+    )
+
+
+def situation(state: dc.ModelState, hours, dows, locs) -> dc.Var:
+    """Embedded situation: hour + weekday + location vectors, any index shape."""
+    return dc.add(
+        dc.add(
+            dc.gather_rows(state.leaf("emb.hour"), hours),
+            dc.gather_rows(state.leaf("emb.dow"), dows),
+        ),
+        dc.gather_rows(state.leaf("emb.loc"), locs),
+    )
+
+
+def query_rows(forward: Callable[[np.ndarray], dc.Var], rows: np.ndarray) -> np.ndarray:
+    """``forward(chunk).data`` over ``rows``, in chunks of ``QUERY_CHUNK`` rows.
+
+    ``forward`` maps flat rows [B] to per-row vectors [B, ...]; it is the
+    same forward pass a model's training loss uses.  The last chunk is padded
+    with row 0, so every pass has the same shape: BLAS rounding depends on
+    matrix shapes, and a row's vector must not depend on its chunk mates.
+    """
+    n = len(rows)
+    padded = np.zeros(-(-max(n, 1) // QUERY_CHUNK) * QUERY_CHUNK, dtype=np.int64)
+    padded[:n] = rows
+    parts = [forward(padded[i : i + QUERY_CHUNK]).data
+             for i in range(0, len(padded), QUERY_CHUNK)]
+    return np.concatenate(parts)[:n]

@@ -9,20 +9,20 @@ so they may be negative and the sum is unnormalized.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import diffcore as dc
 from . import evalharness, features
 from .dataio import DatasetSplit, Interaction, SituationFeatures, time_facets
-from .evalharness import EvalCase, ScoredSlate
+from .evalharness import ScoredSlate
 from .training import TrainResult, TrainSettings, run_training
 
 __all__ = [
     "reprec_build",
     "reprec_forward",
+    "reprec_profiles",
     "reprec_batch_loss",
+    "reprec_queries",
     "reprec_train",
     "reprec_scorer",
 ]
@@ -49,10 +49,6 @@ def reprec_build(split: DatasetSplit, dim: int = 64, seed: int = 0) -> dc.ModelS
         "epoch": split.log.epoch,
     }
     return state
-
-
-def _situation_rows(values: dict, hours, dows, locs) -> np.ndarray:
-    return values["emb.hour"][hours] + values["emb.dow"][dows] + values["emb.loc"][locs]
 
 
 def _cosine_rows(mu: np.ndarray, mu_now: np.ndarray) -> np.ndarray:
@@ -89,7 +85,7 @@ def reprec_forward(
     locs = np.array(
         [loc_index.get(it.location_id, features.FALLBACK) for it in history]
     )
-    mu = _situation_rows(values, hours, dows, locs)
+    mu = values["emb.hour"][hours] + values["emb.dow"][dows] + values["emb.loc"][locs]
     mu_now = (
         values["emb.hour"][now.hour]
         + values["emb.dow"][now.day_of_week]
@@ -110,74 +106,45 @@ def reprec_forward(
     return ScoredSlate(tuple(candidates), scores, origin="reprec")
 
 
-@dataclass(frozen=True)
-class RepRecBatch:
-    """Code arrays for one training batch (L window slots per instance)."""
+def reprec_profiles(state: dc.ModelState, win: features.Window) -> dc.Var:
+    """Situation-weighted history profiles [B, D]; differentiable end to end."""
+    B, L = win.store.shape
+    mu = features.situation(state, win.hour, win.dow, win.loc)          # [B,L,D]
+    mu_now = features.situation(state, win.now_hour, win.now_dow, win.now_loc)
+    mu_now3 = dc.reshape(mu_now, (B, 1, mu_now.data.shape[-1]))
 
-    store: np.ndarray   # [B, L]
-    hour: np.ndarray    # [B, L]
-    dow: np.ndarray     # [B, L]
-    loc: np.ndarray     # [B, L]
-    mask: np.ndarray    # [B, L] floats, 1 = real slot
-    now_hour: np.ndarray
-    now_dow: np.ndarray
-    now_loc: np.ndarray
-    pos: np.ndarray     # [B] target store codes
+    num = dc.sum_(dc.mul(mu, mu_now3), axis=-1)                         # [B,L]
+    n_hist = dc.sqrt(dc.add(dc.sum_(dc.mul(mu, mu), axis=-1), _NORM_EPS_SQ))
+    n_now = dc.sqrt(dc.add(dc.sum_(dc.mul(mu_now, mu_now), axis=-1), _NORM_EPS_SQ))
+    w = dc.mul(dc.div(num, dc.mul(n_hist, dc.reshape(n_now, (B, 1)))), win.mask)
 
-
-def _gather_batch(seqs: features.UserSequences, flat_rows: np.ndarray,
-                  window: int) -> RepRecBatch:
-    user_codes = np.searchsorted(seqs.offsets, flat_rows, side="right") - 1
-    local = flat_rows - seqs.offsets[user_codes]
-    rows, mask = features.window_rows(seqs, user_codes, local, window)
-    return RepRecBatch(
-        store=seqs.store[rows],
-        hour=seqs.hour[rows],
-        dow=seqs.dow[rows],
-        loc=seqs.loc[rows],
-        mask=mask.astype(np.float64),
-        now_hour=seqs.hour[flat_rows],
-        now_dow=seqs.dow[flat_rows],
-        now_loc=seqs.loc[flat_rows],
-        pos=seqs.store[flat_rows],
-    )
+    hist_emb = dc.gather_rows(state.leaf("emb.store"), win.store)       # [B,L,D]
+    return dc.sum_(dc.mul(dc.reshape(w, (B, L, 1)), hist_emb), axis=1)
 
 
-def _situation_var(state: dc.ModelState, hours, dows, locs) -> dc.Var:
-    return dc.add(
-        dc.add(
-            dc.gather_rows(state.leaf("emb.hour"), hours),
-            dc.gather_rows(state.leaf("emb.dow"), dows),
-        ),
-        dc.gather_rows(state.leaf("emb.loc"), locs),
-    )
-
-
-def reprec_batch_loss(state: dc.ModelState, batch: RepRecBatch,
+def reprec_batch_loss(state: dc.ModelState, win: features.Window,
                       neg: np.ndarray) -> dc.Var:
     """Pairwise ranking loss over one batch; differentiable end to end.
 
     ``neg`` holds one negative store code per instance.  Deterministic given
     its inputs, so it doubles as the target of gradient checks.
     """
-    B, L = batch.store.shape
-    mu = _situation_var(state, batch.hour, batch.dow, batch.loc)        # [B,L,D]
-    mu_now = _situation_var(state, batch.now_hour, batch.now_dow, batch.now_loc)
-    mu_now3 = dc.reshape(mu_now, (B, 1, mu_now.data.shape[-1]))
-
-    num = dc.sum_(dc.mul(mu, mu_now3), axis=-1)                         # [B,L]
-    n_hist = dc.sqrt(dc.add(dc.sum_(dc.mul(mu, mu), axis=-1), _NORM_EPS_SQ))
-    n_now = dc.sqrt(dc.add(dc.sum_(dc.mul(mu_now, mu_now), axis=-1), _NORM_EPS_SQ))
-    w = dc.mul(dc.div(num, dc.mul(n_hist, dc.reshape(n_now, (B, 1)))), batch.mask)
-
-    hist_emb = dc.gather_rows(state.leaf("emb.store"), batch.store)     # [B,L,D]
-    profile = dc.sum_(dc.mul(dc.reshape(w, (B, L, 1)), hist_emb), axis=1)
-
-    pos_e = dc.gather_rows(state.leaf("emb.store"), batch.pos)
+    profile = reprec_profiles(state, win)
+    pos_e = dc.gather_rows(state.leaf("emb.store"), win.target)
     neg_e = dc.gather_rows(state.leaf("emb.store"), neg)
     s_pos = dc.sum_(dc.mul(profile, pos_e), axis=-1)
     s_neg = dc.sum_(dc.mul(profile, neg_e), axis=-1)
     return dc.mean_(dc.bpr_loss(s_pos, s_neg))
+
+
+def reprec_queries(state: dc.ModelState, seqs: features.UserSequences,
+                   rows: np.ndarray) -> np.ndarray:
+    """Profiles [N, D] for the interactions at flat ``rows``, in chunks."""
+    window = int(state.meta.get("window", DEFAULT_WINDOW))
+    return features.query_rows(
+        lambda chunk: reprec_profiles(state, features.gather_window(seqs, chunk, window)),
+        rows,
+    )
 
 
 def reprec_train(
@@ -207,21 +174,21 @@ def reprec_train(
     target_rank = seqs.first_rank[rows]
 
     def batch_loss(st: dc.ModelState, chunk: np.ndarray, rng: np.random.Generator):
-        batch = _gather_batch(seqs, rows[chunk], window)
+        win = features.gather_window(seqs, rows[chunk], window)
         # uniform over the user's other prior stores: skip the target's rank
         j = rng.integers(0, pool_size[chunk] - 1)
         j = j + (j >= target_rank[chunk])
         neg = seqs.first_stores[pool_base[chunk] + j]
-        return reprec_batch_loss(st, batch, neg)
+        return reprec_batch_loss(st, win, neg)
 
     valid_cases = evalharness.validation_cases(
         split, "repeat", settings.seed, val_max_cases, seqs, vocabs
     )
     if not valid_cases:
         raise ValueError("validation partition has no repeat cases")
-    scorer = reprec_scorer(state, split, seqs=seqs, vocabs=vocabs)
 
     def val_metric(st: dc.ModelState) -> float:
+        scorer = reprec_scorer(st, split, valid_cases, seqs=seqs, vocabs=vocabs)
         report = evalharness.evaluate(
             scorer, valid_cases, k=3, model_id="reprec", seed=settings.seed
         )
@@ -233,37 +200,14 @@ def reprec_train(
     return state, result
 
 
-def profile_vector(
-    values: dict, seqs: features.UserSequences, row: int, start: int
-) -> np.ndarray:
-    """Situation-weighted history profile for the interaction at flat ``row``."""
-    win = slice(start, row)
-    mu = _situation_rows(values, seqs.hour[win], seqs.dow[win], seqs.loc[win])
-    mu_now = _situation_rows(
-        values,
-        np.array([seqs.hour[row]]), np.array([seqs.dow[row]]),
-        np.array([seqs.loc[row]]),
-    )[0]
-    w = _cosine_rows(mu, mu_now)
-    return w @ values["emb.store"][seqs.store[win]]
-
-
-def reprec_scorer(state: dc.ModelState, split: DatasetSplit, seqs=None, vocabs=None):
-    """Repeat-protocol adapter; profiles use the trailing history window."""
+def reprec_scorer(state: dc.ModelState, split: DatasetSplit, cases,
+                  seqs=None, vocabs=None):
+    """Repeat-protocol adapter for ``cases``; profiles use the trailing
+    history window and are computed up front, in chunks."""
     if vocabs is None:
         vocabs = features.build_vocabs(split)
     if seqs is None:
         seqs = features.build_sequences(split, vocabs)
-    window = int(state.meta.get("window", DEFAULT_WINDOW))
-    values = {n: state.value(n) for n in ("emb.store", "emb.hour", "emb.dow", "emb.loc")}
-
-    def score(case: EvalCase) -> ScoredSlate:
-        row = int(seqs.flat_of_global[case.position])
-        user_code = int(split.log.users[case.position])
-        lo = int(seqs.offsets[user_code])
-        profile = profile_vector(values, seqs, row, max(lo, row - window))
-        cand_codes = [vocabs.store_code(c) for c in case.candidates]
-        scores = values["emb.store"][cand_codes] @ profile
-        return ScoredSlate(case.candidates, scores, origin="reprec")
-
-    return score
+    profiles = reprec_queries(state, seqs, evalharness.case_rows(seqs, cases))
+    return evalharness.dot_scorer(cases, profiles, state.value("emb.store"),
+                                  vocabs, origin="reprec")

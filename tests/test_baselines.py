@@ -145,10 +145,10 @@ def test_sonly_training_improves_validation_metric(small_split):
 def test_sonly_scorer_covers_all_protocols(small_split, small_seqs):
     seqs, vocabs = small_seqs
     state = baselines.sonly_build(small_split, dim=8, seed=0)
-    scorer = baselines.sonly_scorer(state, small_split, seqs, vocabs)
     for protocol in ("repeat", "exploration", "combined"):
         cases = evalharness.build_cases(small_split, protocol, seed=0,
                                         max_cases=10, seqs=seqs, vocabs=vocabs)
+        scorer = baselines.sonly_scorer(state, small_split, cases, seqs, vocabs)
         report = evalharness.evaluate(scorer, cases, k=3)
         assert report.protocols[protocol]["n"] == len(cases)
 
@@ -157,9 +157,9 @@ def test_sonly_scorer_matches_public_op(small_split, small_seqs):
     seqs, vocabs = small_seqs
     log = small_split.log
     state = baselines.sonly_build(small_split, dim=8, seed=2)
-    scorer = baselines.sonly_scorer(state, small_split, seqs, vocabs)
     cases = evalharness.build_cases(small_split, "exploration", seed=0,
                                     max_cases=8, seqs=seqs, vocabs=vocabs)
+    scorer = baselines.sonly_scorer(state, small_split, cases, seqs, vocabs)
     day, hour, dow = log.facets
     for case in cases:
         now = SituationFeatures(

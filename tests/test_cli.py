@@ -5,6 +5,7 @@ import pytest
 
 from fdrec import cli
 from fdrec.config import load_config, write_config
+from fdrec.diffcore import ModelState
 
 SMALL = {
     "data": {"min_orders": 6},
@@ -148,6 +149,22 @@ def test_incompatible_protocol_is_usage_error(pipeline, capsys):
                      "--protocol", "exploration"]) == 2
     err = capsys.readouterr().err
     assert "does not support" in err
+
+
+def test_ablated_exprec_trains_and_evaluates(tmp_path):
+    base = tmp_path / "base.cfg"
+    write_config(str(base), {**SMALL, "model": {**SMALL["model"], "ablate": "collab"}})
+    data_dir = tmp_path / "data"
+    assert cli.main(["synth", "--out", str(data_dir), "--config", str(base)]) == 0
+    cfg_path = str(data_dir / "cfg")
+    assert cli.main(["train", "--config", cfg_path, "--model", "exprec"]) == 0
+    run_dir = load_config(cfg_path).run_dir()
+    state = ModelState.load(os.path.join(run_dir, "exprec.ckpt"))
+    assert state.meta["ablate"] == [False, False, False, True]
+    assert cli.main(["eval", "--config", cfg_path, "--model", "exprec",
+                     "--protocol", "exploration"]) == 0
+    with open(os.path.join(run_dir, "eval.exprec.exploration.json")) as fh:
+        assert json.load(fh)["protocols"]["exploration"]["n"] > 0
 
 
 def test_missing_config_is_usage_error(tmp_path, capsys):

@@ -314,19 +314,15 @@ def test_gru_sequence_matches_stepwise_cells(B, L):
         np.testing.assert_allclose(g_got[name], g_ref[name], atol=1e-12)
 
 
-def test_gru_sequence_np_is_the_tape_forward():
+def test_gru_sequence_empty_run_and_mask_shape():
     state = dc.ModelState(seed=7)
     state.add_gru("g", in_dim=4, hidden=3)
-    xs = rng(32).normal(size=(6, 5, 4))
-    mask = rng(33).uniform(size=(6, 5)) > 0.3
-    values = {n: state.value(n) for n in state.params}
-    got = dc.gru_sequence_np(values, "g", xs, mask)
-    want = dc.gru_sequence(dc.gru_leaves(state, "g"), var(xs), mask).data
-    np.testing.assert_array_equal(got, want)
-    empty = dc.gru_sequence_np(values, "g", np.zeros((2, 0, 4)), np.ones((2, 0)))
+    p = dc.gru_leaves(state, "g")
+    empty = dc.gru_sequence(p, np.zeros((2, 0, 4)), np.ones((2, 0))).data
     np.testing.assert_array_equal(empty, np.zeros((2, 3)))
+    xs = rng(32).normal(size=(6, 5, 4))
     with pytest.raises(ValueError, match="mask"):
-        dc.gru_sequence_np(values, "g", xs, mask[:, :4])
+        dc.gru_sequence(p, xs, np.ones((6, 4)))
 
 
 def test_gru_sequence_gradient_check():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fdrec import diffcore as dc
-from fdrec import ensemble, evalharness, exprec, features, reprec
+from fdrec import baselines, ensemble, evalharness, exprec, features, reprec
 from fdrec.dataio import SituationFeatures
 from fdrec.evalharness import ScoredSlate
 from fdrec.training import TrainSettings
@@ -71,7 +71,7 @@ def test_batched_intent_matches_single_op(small_split, small_seqs):
     log = small_split.log
     day, hour, dow = log.facets
     rows = seqs.flat_of_global[small_split.test_idx[:6]]
-    probs = ensemble._intent_probs_np(values, 5, seqs, rows)
+    probs = ensemble._intent_probs(state, seqs, rows)
     for i, row in enumerate(rows):
         row = int(row)
         ucode = int(np.searchsorted(seqs.offsets, row, side="right") - 1)
@@ -232,12 +232,11 @@ def test_training_slate_construction(tiny_split):
     rep, exp = frozen_bases(tiny_split)
     neighbors = exprec.neighbor_arrays(tiny_split.log, vocabs.user_ids, 3,
                                        tiny_split.valid_boundary)
-    rep_fn, exp_fn = ensemble._frozen_base_scores(rep, exp, seqs, neighbors)
     rows = seqs.flat_of_global[tiny_split.train_idx]
     rows = rows[seqs.distinct_before[rows] >= 1][:12]
     slates = ensemble._build_training_slates(
         tiny_split, seqs, vocabs, rows, budget=6, seed=0,
-        repeat_scores=rep_fn, explore_scores=exp_fn,
+        rep_state=rep, exp_state=exp, neighbors=neighbors,
     )
     assert slates
     for sl in slates:
@@ -261,12 +260,11 @@ def test_combined_loss_gradients_match_finite_differences(tiny_split):
     rep, exp = frozen_bases(tiny_split)
     neighbors = exprec.neighbor_arrays(tiny_split.log, vocabs.user_ids, 3,
                                        tiny_split.valid_boundary)
-    rep_fn, exp_fn = ensemble._frozen_base_scores(rep, exp, seqs, neighbors)
     rows = seqs.flat_of_global[tiny_split.train_idx]
     rows = rows[seqs.distinct_before[rows] >= 1][:8]
     slates = ensemble._build_training_slates(
         tiny_split, seqs, vocabs, rows, budget=6, seed=1,
-        repeat_scores=rep_fn, explore_scores=exp_fn,
+        rep_state=rep, exp_state=exp, neighbors=neighbors,
     )
     chunk = np.arange(len(slates))
 
@@ -307,10 +305,11 @@ def test_scorer_composes_public_pieces(small_split, small_seqs):
         small_split.log, vocabs.user_ids, int(exp.meta["k_neighbors"]),
         int(exp.meta["neighbor_as_of"]),
     )
-    scorer = ensemble.ensemble_scorer(state, rep, exp, small_split, seqs=seqs,
-                                      vocabs=vocabs, neighbors=(nb_ids, nb_w))
     cases = evalharness.build_cases(small_split, "combined", seed=0,
                                     max_cases=8, seqs=seqs, vocabs=vocabs)
+    scorer = ensemble.ensemble_scorer(state, rep, exp, small_split, cases,
+                                      seqs=seqs, vocabs=vocabs,
+                                      neighbors=(nb_ids, nb_w))
     log = small_split.log
     day, hour, dow = log.facets
     rep_window = int(rep.meta["window"])
@@ -345,13 +344,41 @@ def test_scorer_composes_public_pieces(small_split, small_seqs):
         np.testing.assert_allclose(got.scores, want.scores, atol=1e-9)
 
 
+@pytest.mark.parametrize("model, protocol", [
+    ("sonly", "combined"), ("reprec", "repeat"), ("exprec", "exploration"),
+    ("ensemble", "combined"),
+])
+def test_cases_across_chunks_score_as_each_case_alone(
+    small_split, small_seqs, monkeypatch, model, protocol
+):
+    seqs, vocabs = small_seqs
+    rep, exp = frozen_bases(small_split, dim=8)
+    son = baselines.sonly_build(small_split, dim=8, seed=4)
+    ens = build(small_split, dim=8, attn_dim=4, seed=43, window=5)
+    makers = {
+        "sonly": lambda cs: baselines.sonly_scorer(son, small_split, cs, seqs, vocabs),
+        "reprec": lambda cs: reprec.reprec_scorer(rep, small_split, cs, seqs, vocabs),
+        "exprec": lambda cs: exprec.exprec_scorer(exp, small_split, cs, seqs, vocabs),
+        "ensemble": lambda cs: ensemble.ensemble_scorer(ens, rep, exp, small_split,
+                                                        cs, seqs, vocabs),
+    }
+    monkeypatch.setattr(features, "QUERY_CHUNK", 4)
+    cases = evalharness.build_cases(small_split, protocol, seed=3, max_cases=11,
+                                    seqs=seqs, vocabs=vocabs)
+    assert len(cases) > 2 * features.QUERY_CHUNK
+    together = makers[model](cases)
+    for case in cases:
+        alone = makers[model]([case])
+        np.testing.assert_array_equal(together(case).scores, alone(case).scores)
+
+
 def test_concat_scorer_returns_normalized_bases(small_split, small_seqs):
     seqs, vocabs = small_seqs
     rep, exp = frozen_bases(small_split, dim=8)
-    scorer = ensemble.concat_scorer(rep, exp, small_split, seqs=seqs,
-                                    vocabs=vocabs)
     cases = evalharness.build_cases(small_split, "combined", seed=2,
                                     max_cases=6, seqs=seqs, vocabs=vocabs)
+    scorer = ensemble.concat_scorer(rep, exp, small_split, cases, seqs=seqs,
+                                    vocabs=vocabs)
     for case in cases:
         out = scorer(case)
         a = case.n_prior

@@ -215,6 +215,20 @@ def test_evaluate_rejects_mixed_protocols_and_bad_slates():
         evaluate(short_scorer, make_cases(1))
 
 
+@pytest.mark.parametrize("bad", [0, 2], ids=["target", "other"])
+def test_evaluate_rejects_non_finite_scores_with_position(bad):
+    cases = make_cases(3)
+
+    def scorer(case):
+        scores = np.array([1.0, 0.0, 0.5, 0.25])
+        if case.position == 2:
+            scores[bad] = np.nan
+        return ScoredSlate(case.candidates, scores, "test")
+
+    with pytest.raises(RuntimeError, match="non-finite scores at position 2"):
+        evaluate(scorer, cases)
+
+
 def test_metrics_report_json_deterministic():
     report = MetricsReport(model_id="m", seed=1, param_count=10, k=3)
     report.protocols["repeat"] = {"hr@3": 0.5, "ndcg@3": 0.25, "n": 8}

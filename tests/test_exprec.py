@@ -328,7 +328,7 @@ def test_neighbor_arrays_pad_users_without_history():
     np.testing.assert_array_equal(w, np.zeros((2, 3)))
 
 
-def test_batch_loss_gradients_match_finite_differences(tiny_split):
+def batch_loss_fd_error(tiny_split, ablation_mask):
     state = build(tiny_split, dim=6, seed=17, window=4, k_neighbors=3)
     vocabs = features.build_vocabs(tiny_split)
     seqs = features.build_sequences(tiny_split, vocabs)
@@ -345,27 +345,42 @@ def test_batch_loss_gradients_match_finite_differences(tiny_split):
     nb_ids, nb_w = exprec.neighbor_arrays(
         tiny_split.log, vocabs.user_ids, 3, tiny_split.valid_boundary
     )
-    batch = exprec._gather_batch(seqs, rows, 4, nb_ids, nb_w)
+    win = features.gather_window(seqs, rows, 4)
     visited = exprec._visited_mask(seqs, rows, n_stores)
-    neg = exprec._sample_unvisited(rng(0), visited, batch.pos)
+    neg = exprec._sample_unvisited(rng(0), visited, win.target)
 
     err = dc.finite_difference_check(
-        lambda s: exprec.exprec_batch_loss(s, batch, neg),
+        lambda s: exprec.exprec_batch_loss(s, win, (nb_ids, nb_w), neg,
+                                           ablation_mask),
         state, num_coords=80, rng_seed=1,
     )
-    assert err <= 1e-4
+    return err
 
 
-def test_scorer_matches_public_op(small_split, small_seqs):
+def test_batch_loss_gradients_match_finite_differences(tiny_split):
+    assert batch_loss_fd_error(tiny_split, None) <= 1e-4
+
+
+def test_masked_batch_loss_gradients_match_finite_differences(tiny_split):
+    # the ablated trigger's -inf logit must leave every gradient finite
+    assert batch_loss_fd_error(tiny_split, (False, True, False, True)) <= 1e-4
+
+
+MASKS = [None] + [tuple(i == j for i in range(4)) for j in range(4)]
+
+
+@pytest.mark.parametrize("mask", MASKS, ids=["none", *exprec.TRIGGERS])
+def test_scorer_matches_public_op(small_split, small_seqs, mask):
     seqs, vocabs = small_seqs
     state = build(small_split, dim=8, seed=19, window=6, k_neighbors=4)
-    scorer = exprec.exprec_scorer(state, small_split, seqs=seqs, vocabs=vocabs)
     nb_ids, nb_w = exprec.neighbor_arrays(
         small_split.log, vocabs.user_ids,
         int(state.meta["k_neighbors"]), int(state.meta["neighbor_as_of"]),
     )
     cases = evalharness.build_cases(small_split, "exploration", seed=0,
                                     max_cases=10, seqs=seqs, vocabs=vocabs)
+    scorer = exprec.exprec_scorer(state, small_split, cases, seqs=seqs,
+                                  vocabs=vocabs, ablation_mask=mask)
     log = small_split.log
     day, hour, dow = log.facets
     for case in cases:
@@ -377,22 +392,38 @@ def test_scorer_matches_public_op(small_split, small_seqs):
         neighbors = [(vocabs.user_ids[int(i)], float(wk))
                      for i, wk in zip(nb_ids[u], nb_w[u]) if i >= 0]
         want = exprec.exprec_score(state, case.user_id, history, now,
-                                   case.candidates, neighbors=neighbors).scores
+                                   case.candidates, ablation_mask=mask,
+                                   neighbors=neighbors).scores
         np.testing.assert_allclose(scorer(case).scores, want, atol=1e-9)
 
 
 def test_scorer_ablation_mask_zeroes_trigger(small_split, small_seqs):
     seqs, vocabs = small_seqs
     state = build(small_split, dim=8, seed=21)
-    plain = exprec.exprec_scorer(state, small_split, seqs=seqs, vocabs=vocabs)
-    masked = exprec.exprec_scorer(
-        state, small_split, seqs=seqs, vocabs=vocabs,
-        ablation_mask=[True, False, False, False],
-    )
     cases = evalharness.build_cases(small_split, "exploration", seed=1,
                                     max_cases=5, seqs=seqs, vocabs=vocabs)
+    plain = exprec.exprec_scorer(state, small_split, cases, seqs=seqs, vocabs=vocabs)
+    masked = exprec.exprec_scorer(
+        state, small_split, cases, seqs=seqs, vocabs=vocabs,
+        ablation_mask=[True, False, False, False],
+    )
     diffs = [not np.allclose(plain(c).scores, masked(c).scores) for c in cases]
     assert any(diffs)
+
+
+def test_scorer_defaults_to_the_trained_mask(small_split, small_seqs):
+    seqs, vocabs = small_seqs
+    mask = (False, False, False, True)
+    state = build(small_split, dim=8, seed=23, ablation_mask=mask)
+    assert state.meta["ablate"] == list(mask)
+    cases = evalharness.build_cases(small_split, "exploration", seed=1,
+                                    max_cases=5, seqs=seqs, vocabs=vocabs)
+    implicit = exprec.exprec_scorer(state, small_split, cases, seqs=seqs,
+                                    vocabs=vocabs)
+    explicit = exprec.exprec_scorer(state, small_split, cases, seqs=seqs,
+                                    vocabs=vocabs, ablation_mask=mask)
+    for case in cases:
+        np.testing.assert_array_equal(implicit(case).scores, explicit(case).scores)
 
 
 def test_training_is_deterministic(small_split):

@@ -150,7 +150,7 @@ def test_batch_loss_gradients_match_finite_differences(tiny_split):
     flags = seqs.repeat & (seqs.distinct_before >= 2)
     rows = np.nonzero(flags)[0][:8]
     assert len(rows) >= 4
-    batch = reprec._gather_batch(seqs, rows, window=10)
+    win = features.gather_window(seqs, rows, 10)
     gen = rng(1)
     neg = np.zeros(len(rows), dtype=np.int64)
     for i, r in enumerate(rows):
@@ -160,7 +160,7 @@ def test_batch_loss_gradients_match_finite_differences(tiny_split):
         neg[i] = pool[int(gen.integers(len(pool)))]
 
     err = dc.finite_difference_check(
-        lambda s: reprec.reprec_batch_loss(s, batch, neg),
+        lambda s: reprec.reprec_batch_loss(s, win, neg),
         state, num_coords=80, rng_seed=0,
     )
     assert err <= 1e-4
@@ -194,9 +194,9 @@ def test_scorer_matches_public_op_with_window(small_split, small_seqs):
     seqs, vocabs = small_seqs
     state = reprec.reprec_build(small_split, dim=8, seed=8)
     window = int(state.meta["window"])
-    scorer = reprec.reprec_scorer(state, small_split, seqs, vocabs)
     cases = evalharness.build_cases(small_split, "repeat", seed=0, max_cases=12,
                                     seqs=seqs, vocabs=vocabs)
+    scorer = reprec.reprec_scorer(state, small_split, cases, seqs, vocabs)
     log = small_split.log
     day, hour, dow = log.facets
     for case in cases:
