@@ -83,8 +83,8 @@ def hispop_scorer(split: DatasetSplit, seqs=None, vocabs=None):
         )
         visited = np.zeros(n_stores, dtype=bool)
         visited[seqs.store[prior]] = True
-        cand_codes = [vocabs.store_code(c) for c in case.candidates]
-        if not all(visited[c] for c in cand_codes):
+        cand_codes = vocabs.store_codes(case.candidates)
+        if not visited[cand_codes].all():
             raise ValueError("history-popularity scoring needs visited candidates")
         scores = totals[cand_codes]
         return ScoredSlate(case.candidates, scores, origin="hispop")

@@ -42,6 +42,9 @@ DEFAULT_ATTN_DIM = 32
 DEFAULT_WINDOW = 20
 DEFAULT_BUDGET = 30
 DEFAULT_LAMBDA = 1.0
+# rows per block of _item_weights_np's self-attention: a 1000-item slate's
+# block buffer is 1 MB where one C x C array is 8 MB
+ROW_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -190,18 +193,39 @@ def normalize_slate(scores) -> np.ndarray:
 def _item_weights_np(values: dict, base: np.ndarray, origin: np.ndarray,
                      probs: np.ndarray) -> np.ndarray:
     """Per-item weights in (0,1) from one attention pass (single slate)."""
-    # kept beside _item_weights_var: on a 1000-item slate it took 8.5 ms and
-    # 9 MB against the tape's 21.5 ms and 41 MB, which wide catalogs would pay
+    # Every lifted row is affine in u = (base, origin, 1): X = u @ P with
+    # P = [lift.w^T; lift.b].  So the C x C self-attention logits are
+    # u @ M @ u^T with the 3 x 3 M = (P Wq)(P Wk)^T / sqrt(A), and
+    # att @ V = (att @ u) @ (P Wv), where att @ u's ones column is the softmax
+    # denominator.  The only C x C work left is one K=3 matmul, one exp and
+    # one product with u, done ROW_BLOCK rows at a time in one buffer.  At
+    # C=1000, A=32 a slate takes 1.7-2.7 ms against 7.5-9 ms for the direct
+    # form (2-vCPU Xeon VM, 1 BLAS thread); _item_weights_var keeps that form
+    # for training and as the reference.
     A = values["attn.wq"].shape[0]
-    x = np.stack([base, origin], axis=-1)
-    X = x @ values["lift.w"].T + values["lift.b"]
-    # dc._softmax's steps done in place: C x C temporaries are large
-    att = (X @ values["attn.wq"]) @ (X @ values["attn.wk"]).T
-    att /= np.sqrt(A)
-    att -= att.max(axis=-1, keepdims=True)
-    np.exp(att, out=att)
-    att /= att.sum(axis=-1, keepdims=True)
-    H = X + att @ (X @ values["attn.wv"])
+    C = len(base)
+    u = np.ones((C, 3))
+    u[:, 0], u[:, 1] = base, origin
+    P = np.vstack([values["lift.w"].T, values["lift.b"]])
+    M = (P @ values["attn.wq"]) @ (P @ values["attn.wk"]).T / np.sqrt(A)
+    R = u @ M  # row i's logits are R[i] @ u[j]
+    # logits are linear in base within an origin group, so each row's max is
+    # at one of the groups' extreme bases
+    ends = []
+    rep = origin == 1.0
+    for g, b in ((1.0, base[rep]), (0.0, base[~rep])):
+        if b.size:
+            ends += [(b.min(), g, 1.0), (b.max(), g, 1.0)]
+    R[:, 2] -= (R @ np.array(ends).T).max(axis=-1)
+    att = np.empty((min(C, ROW_BLOCK), C))
+    att_u = np.empty((C, 3))
+    for lo in range(0, C, ROW_BLOCK):
+        blk = att[: min(C - lo, ROW_BLOCK)]
+        np.matmul(R[lo : lo + ROW_BLOCK], u.T, out=blk)  # logits minus row max
+        np.exp(blk, out=blk)
+        np.matmul(blk, u, out=att_u[lo : lo + ROW_BLOCK])
+    att_u /= att_u[:, 2:]
+    H = u @ P + att_u @ (P @ values["attn.wv"])
     q = probs @ values["cq.w"].T + values["cq.b"]
     att2 = dc._softmax(q @ (H @ values["cross.wk"]).T / np.sqrt(A), axis=-1)
     c = att2 @ (H @ values["cross.wv"])
@@ -212,7 +236,9 @@ def _item_weights_np(values: dict, base: np.ndarray, origin: np.ndarray,
 
 def _item_weights_var(state: dc.ModelState, x_feats: np.ndarray,
                       probs: dc.Var) -> dc.Var:
-    """Differentiable twin of :func:`_item_weights_np` over [G, n, 2] slates."""
+    """Item weights over [G, n, 2] slates in the direct attention form, on
+    the tape; training runs it, and it is the reference that
+    :func:`_item_weights_np`'s factorized form is tested against."""
     G, n, _ = x_feats.shape
     A = int(state.meta["attn_dim"])
     X = dc.dense(state.leaf("lift.w"), state.leaf("lift.b"), dc.Var(x_feats))
@@ -482,7 +508,7 @@ def _case_bases(rep_state, exp_state, split, cases, seqs, vocabs, neighbors):
 
     def base_of(case: EvalCase) -> tuple[int, np.ndarray]:
         i = index[case.position]
-        codes = np.array([vocabs.store_code(c) for c in case.candidates])
+        codes = vocabs.store_codes(case.candidates)
         return i, bases(i, codes, case.n_prior)
 
     return seqs, rows, base_of

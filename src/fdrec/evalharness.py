@@ -100,6 +100,9 @@ def build_cases(
     store_ids = vocabs.store_ids
     n_stores = len(store_ids)
 
+    def ids(codes: np.ndarray) -> tuple[str, ...]:
+        return tuple(map(store_ids.__getitem__, codes.tolist()))
+
     cases: list[EvalCase] = []
     for p in split.test_idx:
         p = int(p)
@@ -116,7 +119,7 @@ def build_cases(
         user_id = log.user_ids[user_code]
 
         if protocol == "repeat":
-            candidates = tuple(store_ids[int(c)] for c in prior)
+            candidates = ids(prior)
             cases.append(
                 EvalCase(p, protocol, user_id, target_id, candidates, len(candidates))
             )
@@ -130,23 +133,23 @@ def build_cases(
             need = min(MAX_CANDIDATES - 1, len(pool))
             rng = _case_rng(seed, p)
             picked = pool[rng.permutation(len(pool))[:need]] if need else pool[:0]
-            candidates = (target_id,) + tuple(store_ids[int(c)] for c in picked)
+            candidates = (target_id,) + ids(picked)
             cases.append(EvalCase(p, protocol, user_id, target_id, candidates, 0))
             continue
 
         # combined
-        head = [store_ids[int(c)] for c in prior]
+        head = ids(prior)
         available = np.ones(n_stores, dtype=bool)
         available[prior] = False
         if available[target_code]:
-            head.append(target_id)
+            head += (target_id,)
             available[target_code] = False
         pool = np.nonzero(available)[0]
         need = min(MAX_CANDIDATES - len(head), len(pool))
         need = max(need, 0)
         rng = _case_rng(seed, p)
         picked = pool[rng.permutation(len(pool))[:need]] if need else pool[:0]
-        candidates = tuple(head) + tuple(store_ids[int(c)] for c in picked)
+        candidates = head + ids(picked)
         cases.append(EvalCase(p, protocol, user_id, target_id, candidates, len(prior)))
 
     if max_cases and len(cases) > max_cases:
@@ -196,7 +199,7 @@ def dot_scorer(
     index = {c.position: i for i, c in enumerate(cases)}
 
     def score(case: EvalCase) -> ScoredSlate:
-        codes = [vocabs.store_code(c) for c in case.candidates]
+        codes = vocabs.store_codes(case.candidates)
         return ScoredSlate(case.candidates, table[codes] @ queries[index[case.position]],
                            origin=origin)
 

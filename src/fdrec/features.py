@@ -32,11 +32,13 @@ class Vocabs:
     location_index: dict[str, int]
     user_index: dict[str, int]
 
-    def store_code(self, store_id: str) -> int:
-        code = self.store_index.get(store_id)
-        if code is None:
-            raise KeyError(f"store {store_id!r} not in catalog")
-        return code
+    def store_codes(self, store_ids) -> np.ndarray:
+        """Catalog codes of ``store_ids`` (a sized sequence) as int64."""
+        try:
+            return np.fromiter(map(self.store_index.__getitem__, store_ids),
+                               np.int64, count=len(store_ids))
+        except KeyError as e:
+            raise KeyError(f"store {e.args[0]!r} not in catalog") from None
 
     def location_code(self, location_id: str) -> int:
         return self.location_index.get(location_id, FALLBACK)

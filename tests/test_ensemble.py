@@ -197,27 +197,46 @@ def test_item_weights_var_matches_numpy_path(tiny_split):
         np.testing.assert_allclose(out.data[g], want, atol=1e-12)
 
 
-def test_item_weights_in_place_softmax_matches_plain_expression(tiny_split):
+ITEM_WEIGHT_SLATES = {
+    # name: (C, leading repeat items a, constant base, Wq/Wk scale);
+    # C=1000 and C=300 span several ROW_BLOCK blocks, the last one partial
+    "C1000-a0": (1000, 0, False, 1.0),
+    "C1000-a7": (1000, 7, False, 1.0),
+    "C1000-a1000": (1000, 1000, False, 1.0),
+    "C1": (1, 1, False, 1.0),
+    "constant-base": (50, 10, True, 1.0),
+    "large-logits": (300, 40, False, 150.0),
+}
+
+
+@pytest.mark.parametrize("slate", ITEM_WEIGHT_SLATES.values(),
+                         ids=ITEM_WEIGHT_SLATES.keys())
+def test_item_weights_factorized_attention_matches_plain_expression(tiny_split, slate):
+    C, a, constant, scale = slate
     state = build(tiny_split, dim=8, attn_dim=4, seed=7)
     values = {n: state.value(n) for n in state.params}
+    values["attn.wq"] = values["attn.wq"] * scale
+    values["attn.wk"] = values["attn.wk"] * scale
     gen = rng(12)
-    C = 300
-    base = gen.uniform(size=C)
-    origin = (np.arange(C) < 40).astype(np.float64)
+    base = ensemble.normalize_slate(np.ones(C) if constant else gen.normal(size=C))
+    origin = (np.arange(C) < a).astype(np.float64)
     probs = np.array([0.35, 0.65])
-    got = ensemble._item_weights_np(values, base, origin, probs)
 
     A = 4
-    X = np.stack([base, origin], axis=-1) @ values["lift.w"].T + values["lift.b"]
-    att = dc._softmax((X @ values["attn.wq"]) @ (X @ values["attn.wk"]).T
-                      / np.sqrt(A), axis=-1)
-    H = X + att @ (X @ values["attn.wv"])
-    q = probs @ values["cq.w"].T + values["cq.b"]
-    att2 = dc._softmax(q @ (H @ values["cross.wk"]).T / np.sqrt(A), axis=-1)
-    c = att2 @ (H @ values["cross.wv"])
-    feats = np.concatenate([H, np.broadcast_to(c, H.shape)], axis=-1)
-    want = dc._sigmoid((feats @ values["proj.w"].T + values["proj.b"])[:, 0])
-    np.testing.assert_allclose(got, want, atol=1e-12)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        got = ensemble._item_weights_np(values, base, origin, probs)
+        X = np.stack([base, origin], axis=-1) @ values["lift.w"].T + values["lift.b"]
+        logits = (X @ values["attn.wq"]) @ (X @ values["attn.wk"]).T / np.sqrt(A)
+        att = dc._softmax(logits, axis=-1)
+        H = X + att @ (X @ values["attn.wv"])
+        q = probs @ values["cq.w"].T + values["cq.b"]
+        att2 = dc._softmax(q @ (H @ values["cross.wk"]).T / np.sqrt(A), axis=-1)
+        c = att2 @ (H @ values["cross.wv"])
+        feats = np.concatenate([H, np.broadcast_to(c, H.shape)], axis=-1)
+        want = dc._sigmoid((feats @ values["proj.w"].T + values["proj.b"])[:, 0])
+    if scale > 1.0:
+        assert np.ptp(logits, axis=-1).max() > 1000.0  # exp overflows unshifted
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 def frozen_bases(split, dim=6):

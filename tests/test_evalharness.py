@@ -1,10 +1,13 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fdrec import evalharness, features
+from fdrec import baselines, ensemble, evalharness, exprec, features, reprec
 from fdrec.evalharness import (
     MAX_CANDIDATES,
     EvalCase,
@@ -150,6 +153,21 @@ def test_rank_metrics_ties_count_against_target():
     assert (r.rank, r.hr) == (4, 0.0)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    scores=st.lists(st.integers(-3, 3), min_size=1, max_size=12),
+    data=st.data(),
+)
+def test_rank_metrics_matches_brute_force_pessimistic_rank(scores, data):
+    t = data.draw(st.integers(0, len(scores) - 1), label="target")
+    want = 1 + sum(1 for j, s in enumerate(scores) if j != t and s >= scores[t])
+    for k in (1, 2, 3, 5, 10):
+        r = rank_metrics(slate(scores), f"s{t}", k=k)
+        assert r.rank == want
+        assert r.hr == (1.0 if want <= k else 0.0)
+        assert r.ndcg == (1.0 / math.log2(want + 1.0) if want <= k else 0.0)
+
+
 def test_rank_metrics_validates_inputs():
     with pytest.raises(ValueError, match="not among candidates"):
         rank_metrics(slate([1.0, 0.5]), "missing", k=3)
@@ -255,3 +273,39 @@ def test_random_scorer_exploration_hit_rate_near_k_over_cap(small_split):
     expect = np.mean([3 / len(c.candidates) for c in cases])
     sigma = math.sqrt(expect * (1 - expect) / len(cases))
     assert abs(hr - expect) <= 4 * sigma
+
+
+def _unknown_candidate_scorer(model, split, seqs, vocabs):
+    protocol = "repeat" if model == "hispop" else "combined"
+    cases = build_cases(split, protocol, seed=0, max_cases=3, seqs=seqs, vocabs=vocabs)
+    cases[1] = dataclasses.replace(
+        cases[1], candidates=cases[1].candidates[:-1] + ("no-such-store",)
+    )
+    if model == "hispop":
+        return baselines.hispop_scorer(split, seqs, vocabs), cases
+    if model == "sonly":
+        state = baselines.sonly_build(split, dim=4, seed=0)
+        return baselines.sonly_scorer(state, split, cases, seqs, vocabs), cases
+    rep = reprec.reprec_build(split, dim=4, seed=1)
+    exp = exprec.exprec_build(split, dim=4, seed=2, window=4, k_neighbors=3)
+    return ensemble.concat_scorer(rep, exp, split, cases, seqs, vocabs), cases
+
+
+@pytest.mark.parametrize("model", ["sonly", "hispop", "concat"])
+def test_unknown_candidate_fails_with_catalog_message(small_split, small_seqs, model):
+    seqs, vocabs = small_seqs
+    scorer, cases = _unknown_candidate_scorer(model, small_split, seqs, vocabs)
+    with pytest.raises(RuntimeError, match=f"position {cases[1].position}") as exc_info:
+        evaluate(scorer, cases)
+    cause = exc_info.value.__cause__
+    assert isinstance(cause, KeyError)
+    assert cause.args[0] == "store 'no-such-store' not in catalog"
+
+
+def test_store_codes_are_catalog_positions(small_seqs):
+    _, vocabs = small_seqs
+    ids = (vocabs.store_ids[3], vocabs.store_ids[0], vocabs.store_ids[3])
+    codes = vocabs.store_codes(ids)
+    assert codes.dtype == np.int64
+    np.testing.assert_array_equal(codes, [3, 0, 3])
+    assert vocabs.store_codes(()).shape == (0,)
