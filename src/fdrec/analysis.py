@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import situsim
-from .dataio import SECONDS_PER_WEEK, InteractionLog, label_repeat_flags
+from .dataio import SECONDS_PER_WEEK, InteractionLog, atomic_open, label_repeat_flags
 
 HISTOGRAM_BINS = 41
 CDF_GRID_POINTS = 101
@@ -237,7 +237,7 @@ def _fmt(v) -> str:
 
 
 def _write_curve(path: str, curve: CurveSeries) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(path) as fh:
         fh.write("x,y,n\n")
         for x, y, n in zip(curve.x, curve.y, curve.n):
             fh.write(f"{_fmt(x)},{_fmt(y)},{int(n)}\n")
@@ -249,7 +249,7 @@ def _write_histogram(path: str, records: list[InfluenceRecord]) -> None:
     for kind in ("repeat", "exploration"):
         values = [r.value for r in records if r.kind == kind and r.value is not None]
         counts[kind], _ = np.histogram(values, bins=edges)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(path) as fh:
         fh.write("bin_lo,bin_hi,repeat,exploration\n")
         for i in range(HISTOGRAM_BINS):
             fh.write(
@@ -298,7 +298,7 @@ def emit_analysis_report(
         paths.append(path)
 
     summary = os.path.join(out_dir, "summary.csv")
-    with open(summary, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(summary) as fh:
         fh.write("metric,kind,mean,defined,undefined\n")
         for metric, records in (
             ("historical_influence", his_records),

@@ -14,7 +14,7 @@ import numpy as np
 from . import diffcore as dc
 from . import evalharness, features, situsim
 from .dataio import DatasetSplit, Interaction, SituationFeatures, time_facets
-from .evalharness import EvalCase, ScoredSlate
+from .evalharness import ScoredSlate
 from .training import TrainResult, TrainSettings, run_training
 
 __all__ = [
@@ -59,18 +59,14 @@ def hispop_score(
     return ScoredSlate(tuple(candidates), scores, origin="hispop")
 
 
-def hispop_scorer(split: DatasetSplit, seqs=None, vocabs=None):
+def hispop_scorer(split: DatasetSplit, seqs, vocabs):
     """Eval-harness adapter for the repeat protocol."""
-    if vocabs is None:
-        vocabs = features.build_vocabs(split)
-    if seqs is None:
-        seqs = features.build_sequences(split, vocabs)
     log = split.log
     n_stores = len(vocabs.store_ids)
 
-    def score(case: EvalCase) -> ScoredSlate:
-        user_code = int(log.users[case.position])
-        row = int(seqs.flat_of_global[case.position])
+    def row_scores(position: int, codes: np.ndarray) -> np.ndarray:
+        user_code = int(log.users[position])
+        row = int(seqs.flat_of_global[position])
         lo = int(seqs.offsets[user_code])
         prior = slice(lo, row)
         sims = situsim.situation_similarity_arrays(
@@ -83,13 +79,13 @@ def hispop_scorer(split: DatasetSplit, seqs=None, vocabs=None):
         )
         visited = np.zeros(n_stores, dtype=bool)
         visited[seqs.store[prior]] = True
-        cand_codes = vocabs.store_codes(case.candidates)
-        if not visited[cand_codes].all():
+        if not visited[codes].all():
             raise ValueError("history-popularity scoring needs visited candidates")
-        scores = totals[cand_codes]
-        return ScoredSlate(case.candidates, scores, origin="hispop")
+        return totals[codes]
 
-    return score
+    return lambda cases: evalharness.score_rows(
+        cases, lambda i, codes, a: row_scores(int(cases.position[i]), codes)
+    )
 
 
 def _register_situation_tables(
@@ -196,15 +192,9 @@ def sonly_score(
     return ScoredSlate(tuple(candidates), scores, origin="sonly")
 
 
-def sonly_scorer(state: dc.ModelState, split: DatasetSplit, cases,
-                 seqs=None, vocabs=None):
+def sonly_scorer(state: dc.ModelState, split: DatasetSplit, cases, seqs, vocabs):
     """Eval-harness adapter for ``cases``; works for every protocol."""
-    if vocabs is None:
-        vocabs = features.build_vocabs(split)
-    if seqs is None:
-        seqs = features.build_sequences(split, vocabs)
     situ = features.query_rows(
-        lambda chunk: _situations(state, seqs, chunk), evalharness.case_rows(seqs, cases)
+        lambda chunk: _situations(state, seqs, chunk), seqs.flat_of_global[cases.position]
     )
-    return evalharness.dot_scorer(cases, situ, state.value("emb.store"), vocabs,
-                                  origin="sonly")
+    return evalharness.dot_scorer(situ, state.value("emb.store"))

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import sys
 
 import numpy as np
@@ -63,22 +64,46 @@ def _check_threads_env() -> None:
         raise UsageError(f"FDREC_THREADS must be >= 1, got {n}")
 
 
+def _exited_here(owner: list[str]) -> bool:
+    """Whether a lock's ``[pid, host]`` names an exited process of this host.
+    Only POSIX can probe a pid: elsewhere ``os.kill`` would end the process."""
+    if (os.name != "posix" or len(owner) != 2 or not owner[0].isdigit()
+            or owner[1] != platform.node()):
+        return False
+    try:
+        os.kill(int(owner[0]), 0)
+    except ProcessLookupError:
+        return True
+    except PermissionError:  # alive, but not ours to signal
+        pass
+    return False
+
+
 class _RunDirLock:
-    """Exclusive lock on a run directory via an O_EXCL-created file."""
+    """Exclusive lock on a run directory via an O_EXCL-created file holding
+    ``pid host``; a lock whose owner on this host has exited is taken over."""
 
     def __init__(self, run_dir: str):
         self.path = os.path.join(run_dir, ".lock")
         self.fd: int | None = None
 
     def __enter__(self) -> "_RunDirLock":
-        try:
-            self.fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            raise RuntimeError(
-                f"run directory is locked ({self.path} exists); another command "
-                f"may be running against it — remove the file if it is stale"
-            ) from None
-        os.write(self.fd, f"{os.getpid()}\n".encode("ascii"))
+        for retry in (False, True):
+            try:
+                self.fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+                break
+            except FileExistsError:
+                with open(self.path, encoding="utf-8") as fh:
+                    owner = fh.read().split()
+                if retry or not _exited_here(owner):
+                    who = " on host ".join(owner) or "?"
+                    raise RuntimeError(
+                        f"run directory is locked by pid {who} ({self.path} exists); "
+                        f"another command may be running against it — remove the "
+                        f"file if it is stale"
+                    ) from None
+                os.unlink(self.path)
+        os.write(self.fd, f"{os.getpid()} {platform.node()}\n".encode())
         return self
 
     def __exit__(self, *exc) -> None:
@@ -95,7 +120,7 @@ def _prepare_run_dir(cfg: RunConfig) -> str:
 
 def _write_json(path: str, payload: dict) -> None:
     text = json.dumps(payload, sort_keys=True, separators=(",", ": "))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with dataio.atomic_open(path) as fh:
         fh.write(text + "\n")
 
 
@@ -319,8 +344,7 @@ def _cmd_eval(args) -> int:
                 seed=cfg.eval.seed, param_count=params,
             )
             path = os.path.join(run_dir, f"eval.{args.model}.{protocol}.json")
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(report.to_json() + "\n")
+            _write_json(path, report.to_dict())
             stats = report.protocols[protocol]
             k = cfg.eval.k
             lines.append(
@@ -360,7 +384,7 @@ def _cmd_report(args) -> int:
 
     summary_path = os.path.join(run_dir, "summary.csv")
     with _RunDirLock(run_dir):
-        with open(summary_path, "w", encoding="utf-8", newline="") as fh:
+        with dataio.atomic_open(summary_path) as fh:
             fh.write("model,protocol,k,hr,ndcg,n,parameters\n")
             for model, protocol, k, hr, ndcg, n, params in rows:
                 fh.write(f"{model},{protocol},{k},{hr!r},{ndcg!r},{n},{params}\n")

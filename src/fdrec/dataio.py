@@ -9,7 +9,9 @@ deterministically from the unix timestamp and a configured UTC offset.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import os
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -22,6 +24,22 @@ _EPOCH_WEEKDAY_SHIFT = 3
 
 INTERACTIONS_HEADER = ("user_id", "store_id", "unix_time_s", "location_id")
 STORES_HEADER = ("store_id", "brand_id", "cuisine_id", "store_location_id")
+
+
+@contextlib.contextmanager
+def atomic_open(path: str, mode: str = "w"):
+    """Write ``path`` through a temporary file in its directory that one
+    ``os.replace`` moves over it when the block ends; an error inside the
+    block removes the temporary file and leaves ``path`` as it was."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    text = {} if "b" in mode else {"encoding": "utf-8", "newline": ""}
+    try:
+        with open(tmp, mode, **text) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 class ParseError(ValueError):

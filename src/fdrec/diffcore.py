@@ -22,6 +22,8 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
+from .dataio import atomic_open
+
 Array = np.ndarray
 
 
@@ -630,7 +632,7 @@ def save_checkpoint(state: ModelState, path: str) -> None:
         sort_keys=True,
         separators=(",", ":"),
     ).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(_CKPT_MAGIC)
         fh.write(struct.pack("<Q", len(header)))
         fh.write(header)

@@ -22,7 +22,7 @@ import numpy as np
 from . import diffcore as dc
 from . import evalharness, exprec, features, reprec
 from .dataio import DatasetSplit, SituationFeatures
-from .evalharness import EvalCase, ScoredSlate
+from .evalharness import ScoredSlate
 from .exprec import _situation_np, _values
 from .training import TrainResult, TrainSettings, run_training
 
@@ -472,7 +472,7 @@ def ensemble_train(
                         seqs, vocabs, neighbors)
 
     def combined_val(st) -> float:
-        scorer = _weighted_scorer(st, *bases)
+        scorer = _weighted_scorer(st, seqs, *bases)
         report = evalharness.evaluate(
             scorer, valid_cases, k=3, model_id="ensemble", seed=settings.seed
         )
@@ -490,76 +490,45 @@ def ensemble_train(
 # ---------------------------------------------------------------- scoring
 
 def _case_bases(rep_state, exp_state, split, cases, seqs, vocabs, neighbors):
-    """(seqs, rows, base_of) for ``cases``: ``base_of(case)`` gives the case's
-    index in ``cases`` and its normalized frozen base scores, repeat part
-    first; ``rows`` are the cases' flat rows."""
-    if vocabs is None:
-        vocabs = features.build_vocabs(split)
-    if seqs is None:
-        seqs = features.build_sequences(split, vocabs)
+    """(rows, bases) for ``cases``: ``rows`` are the cases' flat rows
+    and ``bases(i, codes, a)`` case ``i``'s normalized frozen base scores
+    (see :func:`_frozen_bases`)."""
     if neighbors is None:
         neighbors = exprec.neighbor_arrays(
             split.log, vocabs.user_ids, int(exp_state.meta["k_neighbors"]),
             int(exp_state.meta["neighbor_as_of"]),
         )
-    rows = evalharness.case_rows(seqs, cases)
-    bases = _frozen_bases(rep_state, exp_state, seqs, rows, neighbors)
-    index = {c.position: i for i, c in enumerate(cases)}
-
-    def base_of(case: EvalCase) -> tuple[int, np.ndarray]:
-        i = index[case.position]
-        codes = vocabs.store_codes(case.candidates)
-        return i, bases(i, codes, case.n_prior)
-
-    return seqs, rows, base_of
+    rows = seqs.flat_of_global[cases.position]
+    return rows, _frozen_bases(rep_state, exp_state, seqs, rows, neighbors)
 
 
-def _weighted_scorer(state: dc.ModelState, seqs, rows, base_of):
+def _weighted_scorer(state: dc.ModelState, seqs, rows, bases):
     """Scorer weighting each case's base slate by the intent-queried attention."""
     probs = _intent_probs(state, seqs, rows)
     values = _values(state)
 
-    def score(case: EvalCase) -> ScoredSlate:
-        i, base = base_of(case)
-        a = case.n_prior
+    def row_scores(i: int, codes: np.ndarray, a: int) -> np.ndarray:
+        base = bases(i, codes, a)
         origin = np.concatenate([np.ones(a), np.zeros(len(base) - a)])
-        weights = _item_weights_np(values, base, origin, probs[i])
-        return ScoredSlate(case.candidates, weights * base, origin="ensemble")
+        return _item_weights_np(values, base, origin, probs[i]) * base
 
-    return score
+    return lambda cases: evalharness.score_rows(cases, row_scores)
 
 
-def ensemble_scorer(
-    state: dc.ModelState,
-    rep_state: dc.ModelState,
-    exp_state: dc.ModelState,
-    split: DatasetSplit,
-    cases,
-    seqs: features.UserSequences | None = None,
-    vocabs: features.Vocabs | None = None,
-    neighbors: tuple[np.ndarray, np.ndarray] | None = None,
-):
+def ensemble_scorer(state: dc.ModelState, rep_state: dc.ModelState,
+                    exp_state: dc.ModelState, split: DatasetSplit, cases,
+                    seqs: features.UserSequences, vocabs: features.Vocabs,
+                    neighbors: tuple[np.ndarray, np.ndarray] | None = None):
     """Combined-protocol adapter for ``cases`` running the full weighting
     pipeline."""
-    return _weighted_scorer(
-        state, *_case_bases(rep_state, exp_state, split, cases, seqs, vocabs, neighbors)
-    )
+    rows, bases = _case_bases(rep_state, exp_state, split, cases, seqs, vocabs, neighbors)
+    return _weighted_scorer(state, seqs, rows, bases)
 
 
-def concat_scorer(
-    rep_state: dc.ModelState,
-    exp_state: dc.ModelState,
-    split: DatasetSplit,
-    cases,
-    seqs: features.UserSequences | None = None,
-    vocabs: features.Vocabs | None = None,
-    neighbors: tuple[np.ndarray, np.ndarray] | None = None,
-):
+def concat_scorer(rep_state: dc.ModelState, exp_state: dc.ModelState,
+                  split: DatasetSplit, cases, seqs: features.UserSequences,
+                  vocabs: features.Vocabs,
+                  neighbors: tuple[np.ndarray, np.ndarray] | None = None):
     """Unit-weight reference: normalized base slates concatenated as-is."""
-    _, _, base_of = _case_bases(rep_state, exp_state, split, cases, seqs, vocabs,
-                                neighbors)
-
-    def score(case: EvalCase) -> ScoredSlate:
-        return ScoredSlate(case.candidates, base_of(case)[1], origin="concat")
-
-    return score
+    _, bases = _case_bases(rep_state, exp_state, split, cases, seqs, vocabs, neighbors)
+    return lambda cases: evalharness.score_rows(cases, bases)

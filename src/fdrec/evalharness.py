@@ -11,15 +11,18 @@ Three protocols per test interaction:
 
 "Previously visited" always means the user's full timeline before the test
 interaction, regardless of partition boundaries.  Candidate sampling is
-deterministic: each case's generator is derived from (seed, log position).
-Ranking is pessimistic: the target ranks below every candidate it ties with.
+deterministic: each case's generator is derived from (seed, log position), and
+only the cases ``max_cases`` keeps are sampled.  A protocol's cases form one
+:class:`CaseSet` of store codes, which a scorer maps to [N, C] scores that
+:func:`evaluate` ranks at once.  Ranking is pessimistic: the target ranks
+below every candidate it ties with (:func:`rank_metrics` is the scalar form).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -54,6 +57,43 @@ class EvalCase:
     n_prior: int  # leading candidates that are previously visited stores
 
 
+@dataclass(frozen=True, eq=False)
+class CaseSet:
+    """One protocol's cases as integer arrays, one row per case in log order.
+
+    Row ``i`` ranks the store codes ``cand[i, :length[i]]`` (later slots are
+    padding); the first ``n_prior[i]`` are stores the user visited before and
+    the target sits in column ``tcol[i]``.  Indexing or iterating gives the
+    string-id :class:`EvalCase` of a row.
+    """
+
+    protocol: str
+    position: np.ndarray  # [N] global log positions
+    user: np.ndarray  # [N] user codes
+    target: np.ndarray  # [N] target store codes
+    cand: np.ndarray  # [N, C] candidate store codes, 0 in pad slots
+    length: np.ndarray  # [N] real candidates per row
+    n_prior: np.ndarray  # [N] leading candidates the user visited before
+    tcol: np.ndarray  # [N] the target's column
+    store_ids: Sequence[str]
+    user_ids: Sequence[str]
+
+    @property
+    def mask(self) -> np.ndarray:
+        """[N, C] pad mask: True on real candidates."""
+        return np.arange(self.cand.shape[1]) < self.length[:, None]
+
+    def __len__(self) -> int:
+        return len(self.position)
+
+    def __getitem__(self, i: int) -> EvalCase:
+        codes = self.cand[i, : self.length[i]].tolist()
+        return EvalCase(int(self.position[i]), self.protocol,
+                        self.user_ids[self.user[i]], self.store_ids[self.target[i]],
+                        tuple(map(self.store_ids.__getitem__, codes)),
+                        int(self.n_prior[i]))
+
+
 @dataclass
 class MetricsReport:
     model_id: str
@@ -61,6 +101,8 @@ class MetricsReport:
     param_count: int
     k: int
     protocols: dict[str, dict[str, float | int]] = field(default_factory=dict)
+    # per-case pessimistic target ranks in case order; not serialized
+    ranks: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -86,7 +128,7 @@ def build_cases(
     max_cases: int = 0,
     seqs: features.UserSequences | None = None,
     vocabs: features.Vocabs | None = None,
-) -> list[EvalCase]:
+) -> CaseSet:
     """Eval cases for one protocol over the test partition (log order)."""
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}")
@@ -97,65 +139,44 @@ def build_cases(
         vocabs = features.build_vocabs(split)
     if seqs is None:
         seqs = features.build_sequences(split, vocabs)
-    store_ids = vocabs.store_ids
-    n_stores = len(store_ids)
+    n_stores = len(vocabs.store_ids)
 
-    def ids(codes: np.ndarray) -> tuple[str, ...]:
-        return tuple(map(store_ids.__getitem__, codes.tolist()))
+    pos = np.asarray(split.test_idx, dtype=np.int64)
+    if protocol != "combined":
+        pos = pos[split.repeat_flags[pos] == (protocol == "repeat")]
+    if max_cases and len(pos) > max_cases:
+        pos = pos[np.unique(np.linspace(0, len(pos) - 1, max_cases).astype(np.int64))]
+    users = log.users[pos]
+    target = seqs.store[seqs.flat_of_global[pos]]
 
-    cases: list[EvalCase] = []
-    for p in split.test_idx:
-        p = int(p)
-        is_repeat = bool(split.repeat_flags[p])
-        if protocol == "repeat" and not is_repeat:
-            continue
-        if protocol == "exploration" and is_repeat:
-            continue
-        user_code = int(log.users[p])
-        local = int(seqs.local_of_global[p])
-        prior = seqs.prior_store_codes(user_code, local)
-        target_code = int(seqs.store[seqs.flat_of_global[p]])
-        target_id = store_ids[target_code]
-        user_id = log.user_ids[user_code]
-
+    rows, n_prior = [], []
+    for p, user_code, tc in zip(pos.tolist(), users.tolist(), target.tolist()):
+        prior = seqs.prior_store_codes(user_code, int(seqs.local_of_global[p]))
+        n_prior.append(0 if protocol == "exploration" else len(prior))
         if protocol == "repeat":
-            candidates = ids(prior)
-            cases.append(
-                EvalCase(p, protocol, user_id, target_id, candidates, len(candidates))
-            )
+            rows.append(prior)
             continue
-
-        if protocol == "exploration":
-            available = np.ones(n_stores, dtype=bool)
-            available[prior] = False
-            available[target_code] = False
-            pool = np.nonzero(available)[0]
-            need = min(MAX_CANDIDATES - 1, len(pool))
-            rng = _case_rng(seed, p)
-            picked = pool[rng.permutation(len(pool))[:need]] if need else pool[:0]
-            candidates = (target_id,) + ids(picked)
-            cases.append(EvalCase(p, protocol, user_id, target_id, candidates, 0))
-            continue
-
-        # combined
-        head = ids(prior)
         available = np.ones(n_stores, dtype=bool)
         available[prior] = False
-        if available[target_code]:
-            head += (target_id,)
-            available[target_code] = False
-        pool = np.nonzero(available)[0]
-        need = min(MAX_CANDIDATES - len(head), len(pool))
-        need = max(need, 0)
-        rng = _case_rng(seed, p)
-        picked = pool[rng.permutation(len(pool))[:need]] if need else pool[:0]
-        candidates = head + ids(picked)
-        cases.append(EvalCase(p, protocol, user_id, target_id, candidates, len(prior)))
+        head = [tc] if protocol == "exploration" or available[tc] else []
+        if protocol == "combined":
+            head = prior.tolist() + head
+        available[tc] = False
+        pool = np.flatnonzero(available)
+        need = max(min(MAX_CANDIDATES - len(head), len(pool)), 0)
+        picked = pool[_case_rng(seed, p).permutation(len(pool))[:need]]
+        rows.append(np.concatenate([np.array(head, dtype=np.int64), picked]))
 
-    if max_cases and len(cases) > max_cases:
-        keep = np.unique(np.linspace(0, len(cases) - 1, max_cases).astype(np.int64))
-        cases = [cases[int(i)] for i in keep]
-    return cases
+    length = np.array([len(r) for r in rows], dtype=np.int64)
+    cand = np.zeros((len(rows), int(length.max(initial=1))), dtype=np.int64)
+    for i, r in enumerate(rows):
+        cand[i, : len(r)] = r
+    real = np.arange(cand.shape[1]) < length[:, None]
+    return CaseSet(
+        protocol, pos, users, target, cand, length, np.array(n_prior, dtype=np.int64),
+        np.argmax((cand == target[:, None]) & real, axis=1),
+        vocabs.store_ids, log.user_ids,
+    )
 
 
 def validation_cases(
@@ -165,45 +186,36 @@ def validation_cases(
     max_cases: int = 0,
     seqs: features.UserSequences | None = None,
     vocabs: features.Vocabs | None = None,
-) -> list[EvalCase]:
+) -> CaseSet:
     """Like :func:`build_cases`, but over the validation partition.
 
     Used for early stopping, keeping the test partition untouched.
     """
-    sub = DatasetSplit(
-        log=split.log,
-        valid_boundary=split.valid_boundary,
-        test_boundary=split.test_boundary,
-        repeat_flags=split.repeat_flags,
-        train_idx=split.train_idx,
-        valid_idx=split.valid_idx,
-        test_idx=split.valid_idx,
-    )
-    return build_cases(sub, protocol, seed, max_cases=max_cases, seqs=seqs, vocabs=vocabs)
+    return build_cases(replace(split, test_idx=split.valid_idx), protocol, seed,
+                       max_cases=max_cases, seqs=seqs, vocabs=vocabs)
 
 
-def case_rows(seqs: features.UserSequences, cases: Sequence[EvalCase]) -> np.ndarray:
-    """Flat sequence rows of the cases' target interactions, in case order."""
-    return seqs.flat_of_global[np.array([c.position for c in cases], dtype=np.int64)]
+def score_rows(
+    cases: CaseSet, row_scores: Callable[[int, np.ndarray, int], np.ndarray]
+) -> np.ndarray:
+    """[N, C] scores whose row ``i`` is ``row_scores(i, codes, n_prior)`` over
+    that case's real candidate codes; pad slots hold 0.  A failing row raises
+    with its case's log position."""
+    out = np.zeros(cases.cand.shape)
+    for i, (n, a) in enumerate(zip(cases.length.tolist(), cases.n_prior.tolist())):
+        try:
+            out[i, :n] = row_scores(i, cases.cand[i, :n], a)
+        except Exception as e:
+            raise RuntimeError(
+                f"scorer failed on case at log position {cases.position[i]}"
+            ) from e
+    return out
 
 
-def dot_scorer(
-    cases: Sequence[EvalCase],
-    queries: np.ndarray,
-    table: np.ndarray,
-    vocabs: features.Vocabs,
-    origin: str,
-) -> Callable[[EvalCase], ScoredSlate]:
-    """Scorer for ``cases``: candidates' rows of ``table`` dotted with the
-    case's row of ``queries`` (aligned with ``cases``)."""
-    index = {c.position: i for i, c in enumerate(cases)}
-
-    def score(case: EvalCase) -> ScoredSlate:
-        codes = vocabs.store_codes(case.candidates)
-        return ScoredSlate(case.candidates, table[codes] @ queries[index[case.position]],
-                           origin=origin)
-
-    return score
+def dot_scorer(queries: np.ndarray, table: np.ndarray) -> Callable[[CaseSet], np.ndarray]:
+    """Scorer for the cases ``queries`` is aligned with: each case's
+    candidates' rows of ``table`` dotted with its row of ``queries``."""
+    return lambda cases: score_rows(cases, lambda i, codes, a: table[codes] @ queries[i])
 
 
 @dataclass(frozen=True)
@@ -231,45 +243,52 @@ def rank_metrics(slate: ScoredSlate, target_id: str, k: int = 3) -> RankResult:
     return RankResult(rank, 1.0 if hit else 0.0, ndcg)
 
 
+def _require(cases: CaseSet, ok: np.ndarray, what: str) -> None:
+    """Raise ``what`` at the log position of the first case that is not ok."""
+    if not ok.all():
+        raise RuntimeError(f"{what} at position {cases.position[np.argmin(ok)]}")
+
+
 def evaluate(
-    scorer: Callable[[EvalCase], ScoredSlate],
-    cases: Sequence[EvalCase],
+    scorer: Callable[[CaseSet], np.ndarray],
+    cases: CaseSet,
     k: int = 3,
     model_id: str = "model",
     seed: int = 0,
     param_count: int = 0,
 ) -> MetricsReport:
-    """Mean HR@k / NDCG@k over cases; scorer errors carry the case position."""
-    if not cases:
-        raise ValueError("no cases to evaluate")
-    protocol = cases[0].protocol
-    hr_sum = 0.0
-    ndcg_sum = 0.0
-    for case in cases:
-        if case.protocol != protocol:
-            raise ValueError("mixed protocols in one evaluation")
-        try:
-            slate = scorer(case)
-        except Exception as e:
-            raise RuntimeError(
-                f"scorer failed on case at log position {case.position}"
-            ) from e
-        if len(slate.candidates) != len(case.candidates):
-            raise RuntimeError(
-                f"scorer returned {len(slate.candidates)} scores for "
-                f"{len(case.candidates)} candidates at position {case.position}"
-            )
-        if not np.isfinite(slate.scores).all():
-            raise RuntimeError(
-                f"scorer returned non-finite scores at position {case.position}"
-            )
-        r = rank_metrics(slate, case.target_id, k)
-        hr_sum += r.hr
-        ndcg_sum += r.ndcg
+    """Mean HR@k / NDCG@k over ``cases``, ranked as one batch.
+
+    ``scorer`` maps the case set to [N, C] scores; pad slots are ignored.
+    Unknown candidate codes, a missing target and non-finite scores fail
+    with the case's log position.
+    """
+    if k <= 0:
+        raise ValueError("k must be positive")
     n = len(cases)
-    report = MetricsReport(model_id=model_id, seed=seed, param_count=param_count, k=k)
-    report.protocols[protocol] = {
-        f"hr@{k}": hr_sum / n,
+    if not n:
+        raise ValueError("no cases to evaluate")
+    real, cand, tcol, rows = cases.mask, cases.cand, cases.tcol, np.arange(n)
+    _require(cases, ~(real & ((cand < 0) | (cand >= len(cases.store_ids)))).any(axis=1),
+             "candidate outside the store catalog")
+    _require(cases, (tcol < cases.length) & (cand[rows, tcol] == cases.target),
+             "target not among candidates")
+    scores = np.asarray(scorer(cases), dtype=np.float64)
+    if scores.shape != cand.shape:
+        raise RuntimeError(f"scorer returned scores of shape {scores.shape} "
+                           f"for candidates of shape {cand.shape}")
+    _require(cases, (np.isfinite(scores) | ~real).all(axis=1),
+             "scorer returned non-finite scores")
+    scores = np.where(real, scores, -np.inf)
+    ranks = (scores >= scores[rows, tcol][:, None]).sum(axis=1)
+    gain = [0.0] + [1.0 / math.log2(r + 1.0) for r in range(1, k + 1)]
+    ndcg_sum = 0.0
+    for r in ranks.tolist():  # in case order: a pairwise sum rounds differently
+        ndcg_sum += gain[r] if r <= k else 0.0
+    report = MetricsReport(model_id=model_id, seed=seed, param_count=param_count, k=k,
+                           ranks=ranks)
+    report.protocols[cases.protocol] = {
+        f"hr@{k}": int((ranks <= k).sum()) / n,
         f"ndcg@{k}": ndcg_sum / n,
         "n": n,
     }

@@ -464,8 +464,8 @@ def exprec_scorer(
     state: dc.ModelState,
     split: DatasetSplit,
     cases,
-    seqs: features.UserSequences | None = None,
-    vocabs: features.Vocabs | None = None,
+    seqs: features.UserSequences,
+    vocabs: features.Vocabs,
     ablation_mask=None,
     neighbors: tuple[np.ndarray, np.ndarray] | None = None,
 ):
@@ -473,17 +473,12 @@ def exprec_scorer(
 
     ``ablation_mask`` defaults to the mask the checkpoint was trained with.
     """
-    if vocabs is None:
-        vocabs = features.build_vocabs(split)
-    if seqs is None:
-        seqs = features.build_sequences(split, vocabs)
     meta = state.meta
     if neighbors is None:
         neighbors = neighbor_arrays(
             split.log, vocabs.user_ids, int(meta["k_neighbors"]),
             int(meta["neighbor_as_of"]),
         )
-    queries = exprec_queries(state, seqs, evalharness.case_rows(seqs, cases),
+    queries = exprec_queries(state, seqs, seqs.flat_of_global[cases.position],
                              neighbors, ablation_mask)
-    return evalharness.dot_scorer(cases, queries, state.value("emb.store"), vocabs,
-                                  origin="exprec")
+    return evalharness.dot_scorer(queries, state.value("emb.store"))

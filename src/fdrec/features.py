@@ -30,18 +30,6 @@ class Vocabs:
     user_ids: list[str]
     store_index: dict[str, int]
     location_index: dict[str, int]
-    user_index: dict[str, int]
-
-    def store_codes(self, store_ids) -> np.ndarray:
-        """Catalog codes of ``store_ids`` (a sized sequence) as int64."""
-        try:
-            return np.fromiter(map(self.store_index.__getitem__, store_ids),
-                               np.int64, count=len(store_ids))
-        except KeyError as e:
-            raise KeyError(f"store {e.args[0]!r} not in catalog") from None
-
-    def location_code(self, location_id: str) -> int:
-        return self.location_index.get(location_id, FALLBACK)
 
 
 def build_vocabs(split: DatasetSplit) -> Vocabs:
@@ -58,7 +46,6 @@ def build_vocabs(split: DatasetSplit) -> Vocabs:
         user_ids=user_ids,
         store_index={s: i for i, s in enumerate(store_ids)},
         location_index={l: i for i, l in enumerate(location_ids)},
-        user_index={u: i for i, u in enumerate(user_ids)},
     )
 
 

@@ -200,14 +200,8 @@ def reprec_train(
     return state, result
 
 
-def reprec_scorer(state: dc.ModelState, split: DatasetSplit, cases,
-                  seqs=None, vocabs=None):
+def reprec_scorer(state: dc.ModelState, split: DatasetSplit, cases, seqs, vocabs):
     """Repeat-protocol adapter for ``cases``; profiles use the trailing
     history window and are computed up front, in chunks."""
-    if vocabs is None:
-        vocabs = features.build_vocabs(split)
-    if seqs is None:
-        seqs = features.build_sequences(split, vocabs)
-    profiles = reprec_queries(state, seqs, evalharness.case_rows(seqs, cases))
-    return evalharness.dot_scorer(cases, profiles, state.value("emb.store"),
-                                  vocabs, origin="reprec")
+    profiles = reprec_queries(state, seqs, seqs.flat_of_global[cases.position])
+    return evalharness.dot_scorer(profiles, state.value("emb.store"))

@@ -1,5 +1,7 @@
 """Shared fixtures: small deterministic datasets reused across test modules."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -68,3 +70,11 @@ def tiny_split():
 
 def rng(seed=0):
     return np.random.Generator(np.random.PCG64(seed))
+
+
+CASE_ROWS = ("position", "user", "target", "cand", "length", "n_prior", "tcol")
+
+
+def take(cases, rows):
+    """The cases of an ``evalharness.CaseSet`` at ``rows``, same column count."""
+    return dataclasses.replace(cases, **{f: getattr(cases, f)[rows] for f in CASE_ROWS})

@@ -18,7 +18,7 @@ def test_repeat_ratio_by_order_index_counts_by_position():
     ]
     curve = analysis.repeat_ratio_by_order_index(make_log(records), max_n=3)
     assert curve.x.tolist() == [1, 2, 3]
-    np.testing.assert_allclose(curve.y, [0.0, 0.5, 1.0], atol=1e-12)
+    np.testing.assert_allclose(curve.y, [0.0, 0.5, 1.0], atol=1e-12, rtol=0)
     assert curve.n.tolist() == [3, 2, 2]
 
 
@@ -29,7 +29,7 @@ def test_explored_store_counts_mean_distinct():
     ]
     curve = analysis.explored_store_counts(make_log(records), max_n=3)
     # distinct stores after n orders: u1 -> 1,2,2 ; u2 -> 1,1,1
-    np.testing.assert_allclose(curve.y, [1.0, 1.5, 1.5], atol=1e-12)
+    np.testing.assert_allclose(curve.y, [1.0, 1.5, 1.5], atol=1e-12, rtol=0)
 
 
 def test_repeat_exploration_cdf_tail_semantics():

@@ -56,8 +56,8 @@ def test_hispop_scorer_matches_public_op(small_split, small_seqs):
     scorer = baselines.hispop_scorer(small_split, seqs, vocabs)
     cases = evalharness.build_cases(small_split, "repeat", seed=0, seqs=seqs,
                                     vocabs=vocabs)
-    for case in cases[:20]:
-        slate = scorer(case)
+    scores = scorer(cases)
+    for i, case in zip(range(20), cases):
         history = history_of(log, case.position)
         day, hour, dow = log.facets
         now = SituationFeatures(
@@ -68,8 +68,9 @@ def test_hispop_scorer_matches_public_op(small_split, small_seqs):
             history, now, list(case.candidates),
             tz_offset_minutes=log.tz_offset_minutes, epoch=log.epoch,
         )
-        np.testing.assert_allclose(slate.scores, want.scores, atol=1e-9)
-        assert slate.candidates == case.candidates
+        np.testing.assert_allclose(scores[i, : len(want.scores)], want.scores,
+                                   atol=1e-9, rtol=0)
+        assert not scores[i, len(want.scores):].any()
 
 
 def test_hispop_is_deterministic(small_split, small_seqs):
@@ -111,7 +112,7 @@ def test_sonly_score_is_dot_of_situation_and_store(small_split):
     )
     store_idx = [state.meta["store_ids"].index(c) for c in candidates]
     want = state.value("emb.store")[store_idx] @ situ
-    np.testing.assert_allclose(scores, want, atol=1e-12)
+    np.testing.assert_allclose(scores, want, atol=1e-12, rtol=0)
 
 
 def test_sonly_score_unseen_location_uses_fallback(small_split):
@@ -125,7 +126,7 @@ def test_sonly_score_unseen_location_uses_fallback(small_split):
     )
     idx = [state.meta["store_ids"].index(c) for c in small_split.log.store_ids[:3]]
     want = state.value("emb.store")[idx] @ situ
-    np.testing.assert_allclose(scores, want, atol=1e-12)
+    np.testing.assert_allclose(scores, want, atol=1e-12, rtol=0)
 
 
 def test_sonly_training_improves_validation_metric(small_split):
@@ -161,10 +162,12 @@ def test_sonly_scorer_matches_public_op(small_split, small_seqs):
                                     max_cases=8, seqs=seqs, vocabs=vocabs)
     scorer = baselines.sonly_scorer(state, small_split, cases, seqs, vocabs)
     day, hour, dow = log.facets
-    for case in cases:
+    scores = scorer(cases)
+    for i, case in enumerate(cases):
         now = SituationFeatures(
             int(day[case.position]), int(hour[case.position]),
             int(dow[case.position]), log.location_ids[log.locs[case.position]],
         )
         want = baselines.sonly_score(state, now, list(case.candidates))
-        np.testing.assert_allclose(scorer(case).scores, want.scores, atol=1e-9)
+        np.testing.assert_allclose(scores[i, : len(want.scores)], want.scores,
+                                   atol=1e-9, rtol=0)

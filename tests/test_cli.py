@@ -1,5 +1,9 @@
 import json
 import os
+import platform
+import re
+import subprocess
+import sys
 
 import pytest
 
@@ -294,3 +298,32 @@ def test_synth_infeasible_settings_fail(tmp_path, capsys):
     assert cli.main(["synth", "--out", str(tmp_path / "bad"),
                      "--config", base]) == 1
     assert "error" in capsys.readouterr().err
+
+
+def _dead_pid() -> int:
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()  # exited and reaped: its pid names no process
+    return child.pid
+
+
+def test_stale_lock_of_an_exited_process_is_taken_over(tmp_path):
+    lock = tmp_path / ".lock"
+    lock.write_text(f"{_dead_pid()} {platform.node()}\n")
+    with cli._RunDirLock(str(tmp_path)):
+        assert lock.read_text() == f"{os.getpid()} {platform.node()}\n"
+    assert not lock.exists()
+
+
+@pytest.mark.parametrize("owner", ["live", "other-host"])
+def test_lock_of_a_live_or_foreign_owner_still_fails(tmp_path, owner):
+    """A live pid holds its lock; a pid of another host cannot be checked."""
+    pid, host = os.getpid(), platform.node()
+    if owner == "other-host":
+        pid, host = _dead_pid(), host + "-other"
+    lock = tmp_path / ".lock"
+    lock.write_text(f"{pid} {host}\n")
+    want = re.escape(f"locked by pid {pid} on host {host}")
+    with pytest.raises(RuntimeError, match=want):
+        with cli._RunDirLock(str(tmp_path)):
+            pass
+    assert lock.read_text() == f"{pid} {host}\n"

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -221,3 +223,19 @@ def test_synthetic_time_span_and_store_ids():
     assert span <= 10 * SECONDS_PER_DAY
     assert log.times[0] >= cfg.start_time
     assert list(catalog) == [f"s{i:04d}" for i in range(40)]
+
+
+def test_atomic_open_error_midway_keeps_the_old_file(tmp_path):
+    path = tmp_path / "out.csv"
+    path.write_text("old\n")
+    with pytest.raises(ZeroDivisionError):
+        with dataio.atomic_open(str(path)) as fh:
+            fh.write("new, half written")
+            fh.flush()
+            1 / 0
+    assert path.read_text() == "old\n"
+    assert sorted(os.listdir(tmp_path)) == ["out.csv"]
+    with dataio.atomic_open(str(path)) as fh:
+        fh.write("new\n")
+    assert path.read_bytes() == b"new\n"
+    assert sorted(os.listdir(tmp_path)) == ["out.csv"]

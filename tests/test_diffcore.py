@@ -44,7 +44,7 @@ def check_grads(expr_fn, *arrays, tol=1e-6):
     for i in range(len(arrays)):
         want = numeric_grad(expr_fn, arrays, i)
         scale = max(1.0, float(np.abs(want).max()))
-        np.testing.assert_allclose(grads[i], want, atol=tol * scale)
+        np.testing.assert_allclose(grads[i], want, atol=tol * scale, rtol=0)
 
 
 # ---------------------------------------------------------------------------
@@ -65,22 +65,22 @@ def test_matmul_batch_broadcasting():
     a = rng(3).normal(size=(5, 2, 3))
     b = rng(4).normal(size=(3, 4))
     got = dc.matmul(var(a), var(b)).data
-    np.testing.assert_allclose(got, np.einsum("bij,jk->bik", a, b), atol=1e-12)
+    np.testing.assert_allclose(got, np.einsum("bij,jk->bik", a, b), atol=1e-12, rtol=0)
 
 
 def test_softmax_known_value_and_normalization():
     out = dc.softmax(var([0.0, math.log(3.0)])).data
-    np.testing.assert_allclose(out, [0.25, 0.75], atol=1e-12)
+    np.testing.assert_allclose(out, [0.25, 0.75], atol=1e-12, rtol=0)
     x = rng(5).normal(size=(4, 7)) * 3
     rows = dc.softmax(var(x), axis=-1).data
-    np.testing.assert_allclose(rows.sum(axis=-1), np.ones(4), atol=1e-12)
+    np.testing.assert_allclose(rows.sum(axis=-1), np.ones(4), atol=1e-12, rtol=0)
     assert (rows > 0).all()
 
 
 def test_bpr_loss_is_softplus_of_margin():
     pos, neg = var([2.0, 0.5]), var([1.0, 3.0])
     want = np.log1p(np.exp(np.array([1.0, 3.0]) - np.array([2.0, 0.5])))
-    np.testing.assert_allclose(dc.bpr_loss(pos, neg).data, want, atol=1e-12)
+    np.testing.assert_allclose(dc.bpr_loss(pos, neg).data, want, atol=1e-12, rtol=0)
 
 
 def test_softplus_is_stable_for_large_inputs():
@@ -175,7 +175,7 @@ def test_backward_accumulates_shared_subexpression():
     x = var([2.0])
     y = dc.mul(x, x)  # x appears twice: dy/dx = 2x
     dc.backward(dc.sum_(y))
-    np.testing.assert_allclose(x.grad, [4.0], atol=1e-12)
+    np.testing.assert_allclose(x.grad, [4.0], atol=1e-12, rtol=0)
 
 
 def test_backward_add_of_same_node_twice():
@@ -201,7 +201,7 @@ def test_backward_node_shared_by_two_consumers():
     out = dc.add(dc.sum_(dc.mul(y, y)), dc.sum_(dc.mul(y, [2.0, 3.0])))
     dc.backward(out)
     np.testing.assert_allclose(x.grad, 2.0 * (x.data + 1.0) + [2.0, 3.0],
-                               atol=1e-15)
+                               atol=1e-15, rtol=0)
 
 
 def test_sigmoid_saturates_exactly_without_warnings():
@@ -255,10 +255,10 @@ def test_dense_handles_vectors_and_batches():
     w, b = state.value("d.w"), state.value("d.b")
     x1 = rng(22).normal(size=4)
     out1 = dc.dense(state.leaf("d.w"), state.leaf("d.b"), var(x1)).data
-    np.testing.assert_allclose(out1, x1 @ w.T + b, atol=1e-12)
+    np.testing.assert_allclose(out1, x1 @ w.T + b, atol=1e-12, rtol=0)
     xb = rng(23).normal(size=(6, 2, 4))
     outb = dc.dense(state.leaf("d.w"), state.leaf("d.b"), var(xb)).data
-    np.testing.assert_allclose(outb, xb @ w.T + b, atol=1e-12)
+    np.testing.assert_allclose(outb, xb @ w.T + b, atol=1e-12, rtol=0)
 
 
 def test_gru_zero_weights_halve_state():
@@ -269,7 +269,7 @@ def test_gru_zero_weights_halve_state():
     h = rng(24).normal(size=(2, 4))
     x = rng(25).normal(size=(2, 3))
     out = dc.gru_cell(dc.gru_leaves(state, "g"), var(x), var(h)).data
-    np.testing.assert_allclose(out, 0.5 * h, atol=1e-12)
+    np.testing.assert_allclose(out, 0.5 * h, atol=1e-12, rtol=0)
 
 
 def stepwise_gru(p, xs, mask):
@@ -304,14 +304,14 @@ def test_gru_sequence_matches_stepwise_cells(B, L):
 
     h_ref, gx_ref, g_ref = run(stepwise_gru)
     h_got, gx_got, g_got = run(dc.gru_sequence)
-    np.testing.assert_allclose(h_got, h_ref, atol=1e-12)
+    np.testing.assert_allclose(h_got, h_ref, atol=1e-12, rtol=0)
     np.testing.assert_array_equal(h_got[1], np.zeros(5))
-    np.testing.assert_allclose(gx_got, gx_ref, atol=1e-12)
+    np.testing.assert_allclose(gx_got, gx_ref, atol=1e-12, rtol=0)
     for name in g_ref:
         # one step from h = 0 never uses the reset gate or recurrent weights
         unused = L == 1 and (".u" in name or name.endswith("r"))
         assert (np.abs(g_ref[name]).max() > 0.0) != unused
-        np.testing.assert_allclose(g_got[name], g_ref[name], atol=1e-12)
+        np.testing.assert_allclose(g_got[name], g_ref[name], atol=1e-12, rtol=0)
 
 
 def test_gru_sequence_empty_run_and_mask_shape():
@@ -401,7 +401,7 @@ def test_adam_single_step_matches_reference():
     mhat = m / (1 - 0.9)
     vhat = v / (1 - 0.999)
     want = w0 - 0.01 * mhat / (np.sqrt(vhat) + 1e-8)
-    np.testing.assert_allclose(p.values, want, atol=1e-12)
+    np.testing.assert_allclose(p.values, want, atol=1e-12, rtol=0)
     np.testing.assert_array_equal(p.grad, np.zeros(3))
     assert state.step == 1
 
@@ -413,7 +413,7 @@ def test_adam_weight_decay_is_decoupled():
     p.grad[...] = [0.0, 0.0]
     dc.adam_step(state, lr=0.1, weight_decay=0.5)
     # zero gradient: only the decay term moves the weights
-    np.testing.assert_allclose(p.values, [2.0 * 0.95, -2.0 * 0.95], atol=1e-12)
+    np.testing.assert_allclose(p.values, [2.0 * 0.95, -2.0 * 0.95], atol=1e-12, rtol=0)
 
 
 def test_adam_updates_in_place():
@@ -472,3 +472,18 @@ def test_checkpoint_rejects_foreign_files(tmp_path):
     path.write_bytes(b"not a checkpoint at all")
     with pytest.raises(ValueError):
         dc.ModelState.load(str(path))
+
+
+def test_checkpoint_write_failing_midway_keeps_the_old_file(tmp_path):
+    state = dc.ModelState(seed=5)
+    state.add_embedding("emb", 7, 4)
+    state.add_dense("head", 2, 4)
+    path = tmp_path / "m.ckpt"
+    state.save(str(path))
+    before = path.read_bytes()
+    # the header and the first tensor are written before this one fails
+    state.params["head.b"].values = np.array([object()], dtype=object)
+    with pytest.raises(TypeError):
+        state.save(str(path))
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["m.ckpt"]

@@ -6,7 +6,7 @@ from fdrec import baselines, ensemble, evalharness, exprec, features, reprec
 from fdrec.dataio import SituationFeatures
 from fdrec.evalharness import ScoredSlate
 from fdrec.training import TrainSettings
-from conftest import rng
+from conftest import rng, take
 from test_exprec import manual_gru, np_softmax
 
 
@@ -101,7 +101,7 @@ def test_normalize_slate_affine_invariance():
     x = rng(3).normal(size=12)
     base = ensemble.normalize_slate(x)
     np.testing.assert_allclose(ensemble.normalize_slate(4.0 * x - 7.0), base,
-                               atol=1e-12)
+                               atol=1e-12, rtol=0)
     assert base.min() == 0.0 and base.max() == 1.0
 
 
@@ -147,7 +147,7 @@ def test_combine_weights_match_attention_oracle(tiny_split):
     feats = np.concatenate([H, np.tile(c, (len(H), 1))], axis=-1)
     logits = (feats @ values["proj.w"].T + values["proj.b"])[:, 0]
     want = 1.0 / (1.0 + np.exp(-logits))
-    np.testing.assert_allclose(out.weights, want, atol=1e-12)
+    np.testing.assert_allclose(out.weights, want, atol=1e-12, rtol=0)
 
 
 def np_softmax_rows(z):
@@ -194,7 +194,7 @@ def test_item_weights_var_matches_numpy_path(tiny_split):
     out = ensemble._item_weights_var(state, x_feats, dc.Var(probs_np))
     for g in range(G):
         want = ensemble._item_weights_np(values, base[g], origin[g], probs_np[g])
-        np.testing.assert_allclose(out.data[g], want, atol=1e-12)
+        np.testing.assert_allclose(out.data[g], want, atol=1e-12, rtol=0)
 
 
 ITEM_WEIGHT_SLATES = {
@@ -332,7 +332,8 @@ def test_scorer_composes_public_pieces(small_split, small_seqs):
     log = small_split.log
     day, hour, dow = log.facets
     rep_window = int(rep.meta["window"])
-    for case in cases:
+    scores = scorer(cases)
+    for i, case in enumerate(cases):
         p = case.position
         u = int(log.users[p])
         history = [log.interaction(int(q)) for q in log.per_user[u] if q < p]
@@ -358,9 +359,9 @@ def test_scorer_composes_public_pieces(small_split, small_seqs):
                  seqs.repeat[seqs.user_slice(u)][: len(history)]]
         intent = ensemble.predict_intent(state, case.user_id, flags, now)
         want = ensemble.combine(state, rep_slate, exp_slate, intent)
-        got = scorer(case)
-        assert got.candidates == want.candidates
-        np.testing.assert_allclose(got.scores, want.scores, atol=1e-9)
+        assert want.candidates == case.candidates
+        np.testing.assert_allclose(scores[i, : len(want.scores)], want.scores,
+                                   atol=1e-9, rtol=0)
 
 
 @pytest.mark.parametrize("model, protocol", [
@@ -385,10 +386,10 @@ def test_cases_across_chunks_score_as_each_case_alone(
     cases = evalharness.build_cases(small_split, protocol, seed=3, max_cases=11,
                                     seqs=seqs, vocabs=vocabs)
     assert len(cases) > 2 * features.QUERY_CHUNK
-    together = makers[model](cases)
-    for case in cases:
-        alone = makers[model]([case])
-        np.testing.assert_array_equal(together(case).scores, alone(case).scores)
+    together = makers[model](cases)(cases)
+    for i in range(len(cases)):
+        alone = take(cases, [i])
+        np.testing.assert_array_equal(together[i], makers[model](alone)(alone)[0])
 
 
 def test_concat_scorer_returns_normalized_bases(small_split, small_seqs):
@@ -398,16 +399,16 @@ def test_concat_scorer_returns_normalized_bases(small_split, small_seqs):
                                     max_cases=6, seqs=seqs, vocabs=vocabs)
     scorer = ensemble.concat_scorer(rep, exp, small_split, cases, seqs=seqs,
                                     vocabs=vocabs)
-    for case in cases:
-        out = scorer(case)
+    scores = scorer(cases)
+    for i, case in enumerate(cases):
+        out = scores[i, : len(case.candidates)]
         a = case.n_prior
-        assert out.origin == "concat"
-        assert out.scores.min() >= 0.0 and out.scores.max() <= 1.0
+        assert out.min() >= 0.0 and out.max() <= 1.0
         if a >= 2:
-            part = out.scores[:a]
+            part = out[:a]
             assert part.min() == 0.0 and part.max() == 1.0
         if len(case.candidates) - a >= 2:
-            part = out.scores[a:]
+            part = out[a:]
             assert part.min() == 0.0 and part.max() == 1.0
 
 

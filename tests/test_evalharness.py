@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdrec import baselines, ensemble, evalharness, exprec, features, reprec
+from fdrec import baselines, ensemble, evalharness, exprec, reprec
 from fdrec.evalharness import (
     MAX_CANDIDATES,
-    EvalCase,
+    CaseSet,
     MetricsReport,
     ScoredSlate,
     build_cases,
@@ -40,7 +40,7 @@ def prior_stores_of(split, position):
 def test_repeat_cases_candidates_are_distinct_priors(small_split):
     cases = build_cases(small_split, "repeat", seed=0)
     assert cases
-    for case in cases[:25]:
+    for case in list(cases)[:25]:
         assert small_split.repeat_flags[case.position]
         want = prior_stores_of(small_split, case.position)
         assert list(case.candidates) == want
@@ -51,7 +51,7 @@ def test_repeat_cases_candidates_are_distinct_priors(small_split):
 def test_exploration_cases_target_first_then_unvisited(small_split):
     cases = build_cases(small_split, "exploration", seed=0)
     assert cases
-    for case in cases[:25]:
+    for case in list(cases)[:25]:
         assert not small_split.repeat_flags[case.position]
         assert case.candidates[0] == case.target_id
         prior = set(prior_stores_of(small_split, case.position))
@@ -67,7 +67,7 @@ def test_exploration_cases_target_first_then_unvisited(small_split):
 def test_exploration_cases_fill_to_cap_when_catalog_allows(small_split):
     n_stores = len(small_split.log.store_ids)
     cases = build_cases(small_split, "exploration", seed=0)
-    for case in cases[:10]:
+    for case in list(cases)[:10]:
         prior = len(prior_stores_of(small_split, case.position))
         want = min(MAX_CANDIDATES, n_stores - prior)
         assert len(case.candidates) == want
@@ -76,7 +76,7 @@ def test_exploration_cases_fill_to_cap_when_catalog_allows(small_split):
 def test_combined_cases_split_into_prior_then_unvisited(small_split):
     cases = build_cases(small_split, "combined", seed=0)
     assert cases
-    for case in cases[:25]:
+    for case in list(cases)[:25]:
         prior = prior_stores_of(small_split, case.position)
         is_repeat = bool(small_split.repeat_flags[case.position])
         assert case.n_prior == len(prior)
@@ -96,7 +96,7 @@ def test_combined_cases_split_into_prior_then_unvisited(small_split):
 def test_cases_are_deterministic_and_position_keyed(small_split):
     a = build_cases(small_split, "exploration", seed=7)
     b = build_cases(small_split, "exploration", seed=7)
-    assert a == b
+    assert list(a) == list(b)
     c = build_cases(small_split, "exploration", seed=8)
     assert any(x.candidates != y.candidates for x, y in zip(a, c))
     # sampling is keyed by log position: the same case keeps its candidates
@@ -114,6 +114,29 @@ def test_max_cases_subsets_evenly(small_split):
     positions = [c.position for c in sub]
     assert positions == sorted(positions)
     assert set(positions) <= {c.position for c in full}
+
+
+@pytest.mark.parametrize("protocol", ["repeat", "exploration", "combined"])
+def test_capped_cases_are_the_uncapped_cases_at_linspace_indices(small_split, protocol):
+    full = list(build_cases(small_split, protocol, seed=4))
+    for cap in (1, 2, 7, len(full) - 1, len(full), len(full) + 5):
+        capped = build_cases(small_split, protocol, seed=4, max_cases=cap)
+        keep = range(len(full))
+        if len(full) > cap:
+            keep = np.unique(np.linspace(0, len(full) - 1, cap).astype(np.int64))
+        assert list(capped) == [full[i] for i in keep]
+
+
+def test_case_set_arrays_match_its_case_views(small_split, small_seqs):
+    seqs, vocabs = small_seqs
+    for protocol in ("repeat", "exploration", "combined"):
+        cases = build_cases(small_split, protocol, seed=1, seqs=seqs, vocabs=vocabs)
+        assert cases.cand.shape == (len(cases), cases.length.max())
+        assert not cases.cand[~cases.mask].any()
+        for i, case in enumerate(cases):
+            codes = cases.cand[i, : cases.length[i]]
+            assert tuple(vocabs.store_ids[c] for c in codes) == case.candidates
+            assert case.candidates[cases.tcol[i]] == case.target_id
 
 
 def test_validation_cases_use_validation_partition(small_split):
@@ -179,23 +202,35 @@ def test_rank_metrics_validates_inputs():
 # evaluate
 
 
+def case_set(scores_shape, lengths=None, tcol=None, protocol="repeat"):
+    """Hand-made cases: row ``i`` at log position ``100 + i`` ranks codes
+    ``0 .. lengths[i] - 1`` of catalog ``s0, s1, ...``; the target is at
+    ``tcol[i]`` (default 0)."""
+    n, c = scores_shape
+    lengths = np.full(n, c) if lengths is None else np.asarray(lengths)
+    tcol = np.zeros(n, dtype=np.int64) if tcol is None else np.asarray(tcol)
+    cand = np.tile(np.arange(c), (n, 1)) * (np.arange(c) < lengths[:, None])
+    return CaseSet(
+        protocol, 100 + np.arange(n), np.arange(n), cand[np.arange(n), tcol], cand,
+        lengths, lengths.copy(), tcol, [f"s{j}" for j in range(c)],
+        [f"u{i}" for i in range(n)],
+    )
+
+
 def make_cases(n, protocol="repeat"):
-    return [
-        EvalCase(i, protocol, f"u{i}", "t", ("t", "x", "y", "z"), 4)
-        for i in range(n)
-    ]
+    return case_set((n, 4), protocol=protocol)
 
 
 def test_evaluate_aggregates_means():
     cases = make_cases(4)
 
-    def scorer(case):
+    def scorer(cs):
         # target ranks 1, 2, 3, 4 across the four cases
-        scores = np.zeros(4)
-        scores[0] = 1.0
-        for j in range(1, case.position + 1):
-            scores[j] = 2.0 + j
-        return ScoredSlate(case.candidates, scores, "test")
+        scores = np.zeros((4, 4))
+        scores[:, 0] = 1.0
+        for i in range(4):
+            scores[i, 1 : i + 1] = 2.0 + np.arange(1, i + 1)
+        return scores
 
     report = evaluate(scorer, cases, k=3, model_id="demo", seed=5, param_count=9)
     stats = report.protocols["repeat"]
@@ -204,47 +239,80 @@ def test_evaluate_aggregates_means():
     want_ndcg = (1.0 + 1 / math.log2(3) + 1 / math.log2(4) + 0.0) / 4
     assert stats["ndcg@3"] == pytest.approx(want_ndcg)
     assert report.model_id == "demo" and report.param_count == 9
+    np.testing.assert_array_equal(report.ranks, [1, 2, 3, 4])
 
 
 def test_evaluate_wraps_scorer_errors_with_position():
     cases = make_cases(2)
 
-    def scorer(case):
-        if case.position == 1:
+    def row_scores(i, codes, n_prior):
+        if cases.position[i] == 101:
             raise KeyError("boom")
-        return ScoredSlate(case.candidates, np.zeros(4), "test")
+        return np.zeros(len(codes))
 
-    with pytest.raises(RuntimeError, match="position 1") as exc_info:
-        evaluate(scorer, cases)
+    with pytest.raises(RuntimeError, match="position 101") as exc_info:
+        evaluate(lambda cs: evalharness.score_rows(cs, row_scores), cases)
     assert isinstance(exc_info.value.__cause__, KeyError)
 
 
-def test_evaluate_rejects_mixed_protocols_and_bad_slates():
-    mixed = make_cases(1) + make_cases(1, protocol="exploration")
-    with pytest.raises(ValueError, match="mixed protocols"):
-        evaluate(lambda c: ScoredSlate(c.candidates, np.zeros(4), "t"), mixed)
+def test_evaluate_rejects_empty_cases_and_bad_slates():
     with pytest.raises(ValueError, match="no cases"):
-        evaluate(lambda c: None, [])
-
-    def short_scorer(case):
-        return ScoredSlate(case.candidates[:2], np.zeros(2), "t")
-
-    with pytest.raises(RuntimeError, match="scorer returned"):
-        evaluate(short_scorer, make_cases(1))
+        evaluate(lambda c: None, make_cases(0))
+    with pytest.raises(ValueError, match="k must be positive"):
+        evaluate(lambda c: np.zeros((1, 4)), make_cases(1), k=0)
+    with pytest.raises(RuntimeError, match="scorer returned scores of shape"):
+        evaluate(lambda c: np.zeros((1, 2)), make_cases(1))
+    cases = make_cases(2)
+    missing = dataclasses.replace(cases, tcol=np.array([0, 3]))  # column 3 holds s3
+    with pytest.raises(RuntimeError, match="target not among candidates at position 101"):
+        evaluate(lambda c: np.zeros((2, 4)), missing)
 
 
 @pytest.mark.parametrize("bad", [0, 2], ids=["target", "other"])
 def test_evaluate_rejects_non_finite_scores_with_position(bad):
     cases = make_cases(3)
 
-    def scorer(case):
-        scores = np.array([1.0, 0.0, 0.5, 0.25])
-        if case.position == 2:
-            scores[bad] = np.nan
-        return ScoredSlate(case.candidates, scores, "test")
+    def scorer(cs):
+        scores = np.tile([1.0, 0.0, 0.5, 0.25], (3, 1))
+        scores[2, bad] = np.nan
+        return scores
 
-    with pytest.raises(RuntimeError, match="non-finite scores at position 2"):
+    with pytest.raises(RuntimeError, match="non-finite scores at position 102"):
         evaluate(scorer, cases)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_evaluate_ranks_every_row_as_scalar_rank_metrics(data):
+    """Batched ranking over padded [N, C] integer scores in [-3, 3] (frequent
+    ties) against the scalar oracle, row by row; pad slots may hold NaN."""
+    n = data.draw(st.integers(1, 6), label="rows")
+    c = data.draw(st.integers(1, 8), label="columns")
+    lengths = data.draw(st.lists(st.integers(1, c), min_size=n, max_size=n))
+    tcol = [data.draw(st.integers(0, m - 1)) for m in lengths]
+    values = data.draw(st.lists(st.integers(-3, 3), min_size=n * c, max_size=n * c))
+    pad_nan = data.draw(st.booleans(), label="NaN in pad slots")
+    k = data.draw(st.sampled_from([1, 2, 3, 5, 10]), label="k")
+    cases = case_set((n, c), lengths, tcol)
+    scores = np.array(values, dtype=np.float64).reshape(n, c)
+    if pad_nan:
+        scores[~cases.mask] = np.nan
+    report = evaluate(lambda cs: scores, cases, k=k)
+    hr_sum = ndcg_sum = 0.0
+    for i, case in enumerate(cases):
+        r = rank_metrics(ScoredSlate(case.candidates, scores[i, : lengths[i]], "t"),
+                         case.target_id, k=k)
+        assert report.ranks[i] == r.rank
+        hr_sum += r.hr
+        ndcg_sum += r.ndcg
+    stats = report.protocols["repeat"]
+    assert stats[f"hr@{k}"] == hr_sum / n
+    assert stats[f"ndcg@{k}"] == ndcg_sum / n
+    # a NaN in a real slot still fails, naming that case's position
+    row = data.draw(st.integers(0, n - 1), label="NaN row")
+    scores[row, data.draw(st.integers(0, lengths[row] - 1), label="NaN column")] = np.nan
+    with pytest.raises(RuntimeError, match=f"non-finite scores at position {100 + row}"):
+        evaluate(lambda cs: scores, cases, k=k)
 
 
 def test_metrics_report_json_deterministic():
@@ -263,9 +331,9 @@ def test_random_scorer_exploration_hit_rate_near_k_over_cap(small_split):
     cases = build_cases(small_split, "exploration", seed=0)
     rng = np.random.Generator(np.random.PCG64(0))
 
-    def scorer(case):
-        return ScoredSlate(
-            case.candidates, rng.standard_normal(len(case.candidates)), "rand"
+    def scorer(cs):
+        return evalharness.score_rows(
+            cs, lambda i, codes, a: rng.standard_normal(len(codes))
         )
 
     report = evaluate(scorer, cases, k=3)
@@ -275,12 +343,12 @@ def test_random_scorer_exploration_hit_rate_near_k_over_cap(small_split):
     assert abs(hr - expect) <= 4 * sigma
 
 
-def _unknown_candidate_scorer(model, split, seqs, vocabs):
+def _unknown_candidate_scorer(model, split, seqs, vocabs, code):
     protocol = "repeat" if model == "hispop" else "combined"
     cases = build_cases(split, protocol, seed=0, max_cases=3, seqs=seqs, vocabs=vocabs)
-    cases[1] = dataclasses.replace(
-        cases[1], candidates=cases[1].candidates[:-1] + ("no-such-store",)
-    )
+    cand = cases.cand.copy()
+    cand[1, cases.length[1] - 1] = code
+    cases = dataclasses.replace(cases, cand=cand)
     if model == "hispop":
         return baselines.hispop_scorer(split, seqs, vocabs), cases
     if model == "sonly":
@@ -293,19 +361,11 @@ def _unknown_candidate_scorer(model, split, seqs, vocabs):
 
 @pytest.mark.parametrize("model", ["sonly", "hispop", "concat"])
 def test_unknown_candidate_fails_with_catalog_message(small_split, small_seqs, model):
+    """A code outside the catalog fails before scoring: -1 would otherwise
+    index the last store silently."""
     seqs, vocabs = small_seqs
-    scorer, cases = _unknown_candidate_scorer(model, small_split, seqs, vocabs)
-    with pytest.raises(RuntimeError, match=f"position {cases[1].position}") as exc_info:
-        evaluate(scorer, cases)
-    cause = exc_info.value.__cause__
-    assert isinstance(cause, KeyError)
-    assert cause.args[0] == "store 'no-such-store' not in catalog"
-
-
-def test_store_codes_are_catalog_positions(small_seqs):
-    _, vocabs = small_seqs
-    ids = (vocabs.store_ids[3], vocabs.store_ids[0], vocabs.store_ids[3])
-    codes = vocabs.store_codes(ids)
-    assert codes.dtype == np.int64
-    np.testing.assert_array_equal(codes, [3, 0, 3])
-    assert vocabs.store_codes(()).shape == (0,)
+    for code in (-1, len(vocabs.store_ids)):
+        scorer, cases = _unknown_candidate_scorer(model, small_split, seqs, vocabs, code)
+        with pytest.raises(RuntimeError, match="candidate outside the store catalog "
+                           f"at position {cases.position[1]}"):
+            evaluate(scorer, cases)
