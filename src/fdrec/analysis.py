@@ -193,14 +193,13 @@ def collaborative_influence(
     brand, cuisine, sloc = _store_attr_codes(log)
     day, hour, dow = log.facets
     as_of = int(log.times[-1]) + 1 if len(log) else 1
-    neighbors = situsim.neighbor_table(log, k, as_of)
-    code_of = {u: i for i, u in enumerate(log.user_ids)}
+    neighbors, _ = situsim.neighbor_table(log, k, as_of)
     per_user = log.per_user
     user_times = {c: log.times[pos] for c, pos in per_user.items()}
 
     records: list[InfluenceRecord] = []
     for u, positions in per_user.items():
-        nb_codes = [code_of[v] for v, _ in neighbors[log.user_ids[u]]]
+        nb_codes = [c for c in neighbors[u].tolist() if c >= 0]
         nb_pos = [per_user.get(c, np.empty(0, dtype=np.int64)) for c in nb_codes]
         nb_times = [user_times.get(c, np.empty(0, dtype=np.int64)) for c in nb_codes]
         for p in positions:

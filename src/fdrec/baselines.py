@@ -4,7 +4,8 @@ HisPop scores each previously visited store by the summed situation similarity
 of its past orders to the current situation; it cannot score unvisited stores.
 The situation-only model (SOnly) learns store embeddings against a situation
 vector (hour + weekday + location embeddings) with a pairwise ranking loss and
-scores any store, visited or not.
+scores any store, visited or not.  Both score a whole case set of integer
+store codes at once.
 """
 
 from __future__ import annotations
@@ -13,50 +14,15 @@ import numpy as np
 
 from . import diffcore as dc
 from . import evalharness, features, situsim
-from .dataio import DatasetSplit, Interaction, SituationFeatures, time_facets
-from .evalharness import ScoredSlate
+from .dataio import DatasetSplit
 from .training import TrainResult, TrainSettings, run_training
 
 __all__ = [
-    "ScoredSlate",
-    "hispop_score",
     "hispop_scorer",
     "sonly_build",
     "sonly_train",
-    "sonly_score",
     "sonly_scorer",
 ]
-
-
-def hispop_score(
-    history: list[Interaction],
-    now: SituationFeatures,
-    candidates: tuple[str, ...] | list[str],
-    tz_offset_minutes: int = 0,
-    epoch: int = 0,
-) -> ScoredSlate:
-    """Sum of situation similarities of each candidate's past orders to now.
-
-    Candidates must all appear in the history; ``epoch`` anchors day indices
-    and must match the reference frame of ``now``.
-    """
-    times = np.array([it.time for it in history], dtype=np.int64)
-    day, hour, dow = time_facets(times, tz_offset_minutes, epoch)
-    loc_match = np.array(
-        [it.location_id == now.location_id for it in history], dtype=bool
-    )
-    sims = situsim.situation_similarity_arrays(
-        day, hour, dow, loc_match, now.day_index, now.hour, now.day_of_week
-    )
-    totals: dict[str, float] = {}
-    for it, s in zip(history, sims):
-        totals[it.store_id] = totals.get(it.store_id, 0.0) + float(s)
-    scores = np.empty(len(candidates), dtype=np.float64)
-    for i, c in enumerate(candidates):
-        if c not in totals:
-            raise ValueError(f"candidate {c!r} was never visited")
-        scores[i] = totals[c]
-    return ScoredSlate(tuple(candidates), scores, origin="hispop")
 
 
 def hispop_scorer(split: DatasetSplit, seqs, vocabs):
@@ -122,7 +88,6 @@ def sonly_train(
     split: DatasetSplit,
     settings: TrainSettings = TrainSettings(),
     dim: int = 64,
-    val_max_cases: int = 2000,
 ) -> tuple[dc.ModelState, TrainResult]:
     """Pairwise-ranking training over all train interactions.
 
@@ -151,45 +116,14 @@ def sonly_train(
         s_neg = dc.sum_(dc.mul(situ, neg_e), axis=-1)
         return dc.mean_(dc.bpr_loss(s_pos, s_neg))
 
-    valid_cases = evalharness.validation_cases(
-        split, "exploration", settings.seed, val_max_cases, seqs, vocabs
+    val_metric = evalharness.validation_metric(
+        split, "exploration", settings.seed, settings.val_max_cases, seqs, vocabs, "sonly",
+        lambda cases: lambda st: sonly_scorer(st, split, cases, seqs, vocabs),
     )
-    if not valid_cases:
-        raise ValueError("validation partition has no exploration cases")
-
-    def val_metric(st: dc.ModelState) -> float:
-        scorer = sonly_scorer(st, split, valid_cases, seqs=seqs, vocabs=vocabs)
-        report = evalharness.evaluate(
-            scorer, valid_cases, k=3, model_id="sonly", seed=settings.seed
-        )
-        return report.protocols["exploration"]["hr@3"]
-
     result = run_training(
         state, len(rows), batch_loss, val_metric, settings, stream=101
     )
     return state, result
-
-
-def sonly_score(
-    state: dc.ModelState, now: SituationFeatures, candidates
-) -> ScoredSlate:
-    """Dot product between the situation vector and candidate store embeddings."""
-    meta = state.meta
-    loc_index = {l: i for i, l in enumerate(meta["location_ids"])}
-    store_index = {s: i for i, s in enumerate(meta["store_ids"])}
-    lc = loc_index.get(now.location_id, features.FALLBACK)
-    situ = (
-        state.value("emb.hour")[now.hour]
-        + state.value("emb.dow")[now.day_of_week]
-        + state.value("emb.loc")[lc]
-    )
-    codes = []
-    for c in candidates:
-        if c not in store_index:
-            raise ValueError(f"unknown store {c!r}")
-        codes.append(store_index[c])
-    scores = state.value("emb.store")[codes] @ situ
-    return ScoredSlate(tuple(candidates), scores, origin="sonly")
 
 
 def sonly_scorer(state: dc.ModelState, split: DatasetSplit, cases, seqs, vocabs):

@@ -10,9 +10,6 @@ Conventions shared by every subcommand:
 * A ``.lock`` file guards the run directory against concurrent commands.
 * Exit codes: 0 success, 2 usage or configuration error (message on
   stderr), 1 runtime failure (full cause chain on stderr).
-* ``FDREC_THREADS`` caps worker parallelism; the numeric engine is
-  single-threaded, so the value is only validated: it must be a positive
-  integer.
 """
 
 from __future__ import annotations
@@ -50,18 +47,6 @@ COMPATIBLE = {
 
 class UsageError(Exception):
     """Bad invocation or configuration: exit code 2."""
-
-
-def _check_threads_env() -> None:
-    raw = os.environ.get("FDREC_THREADS")
-    if raw is None:
-        return
-    try:
-        n = int(raw)
-    except ValueError:
-        raise UsageError(f"FDREC_THREADS must be an integer, got {raw!r}") from None
-    if n < 1:
-        raise UsageError(f"FDREC_THREADS must be >= 1, got {n}")
 
 
 def _exited_here(owner: list[str]) -> bool:
@@ -208,7 +193,7 @@ def _cmd_synth(args) -> int:
     write_config(cfg_path, overrides)
     cfg = load_config(cfg_path)
 
-    log, catalog = dataio.generate_synthetic(cfg.synth_config(), seed=cfg.synth.seed)
+    log, catalog = dataio.generate_synthetic(cfg.synth)
     inter_path = os.path.join(args.out, "interactions.tsv")
     stores_path = os.path.join(args.out, "stores.tsv")
     dataio.write_interactions_tsv(log, inter_path)
@@ -243,30 +228,22 @@ def _cmd_analyze(args) -> int:
 
 def _train_one(cfg: RunConfig, run_dir: str, model: str):
     split = _load_split(cfg)
-    settings = cfg.train_settings()
-    m, t = cfg.model, cfg.train
+    m = cfg.model
     if model == "sonly":
-        return baselines.sonly_train(
-            split, settings, dim=m.dim, val_max_cases=t.val_max_cases
-        )
+        return baselines.sonly_train(split, cfg.train, dim=m.dim)
     if model == "reprec":
-        return reprec.reprec_train(
-            split, settings, dim=m.dim, window=m.repeat_window,
-            val_max_cases=t.val_max_cases,
-        )
+        return reprec.reprec_train(split, cfg.train, dim=m.dim, window=m.repeat_window)
     if model == "exprec":
         return exprec.exprec_train(
-            split, settings, dim=m.dim, window=m.history_window,
-            k_neighbors=m.k_neighbors, val_max_cases=t.val_max_cases,
-            ablation_mask=cfg.ablation_mask(),
+            split, cfg.train, dim=m.dim, window=m.history_window,
+            k_neighbors=m.k_neighbors, ablation_mask=cfg.ablation_mask(),
         )
     # ensemble: both base checkpoints must exist already
     rep = _load_checkpoint(run_dir, "reprec")
     exp = _load_checkpoint(run_dir, "exprec")
     return ensemble.ensemble_train(
-        split, rep, exp, settings, dim=m.dim, attn_dim=m.attn_dim,
+        split, rep, exp, cfg.train, dim=m.dim, attn_dim=m.attn_dim,
         window=m.history_window, budget=m.budget, lam=m.intent_weight,
-        max_instances=t.max_instances, val_max_cases=t.val_max_cases,
     )
 
 
@@ -460,7 +437,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_threads_env()
         return args.func(args)
     except (UsageError, ConfigError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -5,6 +5,8 @@ value is validated up front, and relative paths are resolved against the
 directory containing the file, so a config can travel with its data.  The
 content hash (12 hex chars) names the run directory together with the
 training seed, which keeps artifacts from different configurations apart.
+The ``[synth]`` and ``[train]`` sections parse straight into
+:class:`~fdrec.dataio.SynthConfig` and :class:`~fdrec.training.TrainSettings`.
 """
 
 from __future__ import annotations
@@ -23,9 +25,7 @@ from .training import TrainSettings
 __all__ = [
     "ConfigError",
     "DataSection",
-    "SynthSection",
     "ModelSection",
-    "TrainSection",
     "EvalSection",
     "RunConfig",
     "load_config",
@@ -49,24 +49,6 @@ class DataSection:
 
 
 @dataclass(frozen=True)
-class SynthSection:
-    n_users: int = 1000
-    n_stores: int = 200
-    n_orders_per_user: int = 15
-    repeat_prob: float = 0.55
-    situation_coupling: float = 0.0
-    collab_coupling: float = 0.0
-    n_locations: int = 20
-    n_brands: int = 40
-    n_cuisines: int = 12
-    span_days: int = 28
-    start_time: int = 1_600_041_600
-    modes_per_user: int = 3
-    n_clusters: int = 8
-    seed: int = 0
-
-
-@dataclass(frozen=True)
 class ModelSection:
     dim: int = 64
     repeat_window: int = 50
@@ -79,18 +61,6 @@ class ModelSection:
 
 
 @dataclass(frozen=True)
-class TrainSection:
-    lr: float = 0.01
-    weight_decay: float = 0.0
-    batch_size: int = 256
-    patience: int = 10
-    max_epochs: int = 100
-    seed: int = 0
-    max_instances: int = 20000
-    val_max_cases: int = 2000
-
-
-@dataclass(frozen=True)
 class EvalSection:
     k: int = 3
     seed: int = 0
@@ -99,9 +69,9 @@ class EvalSection:
 
 _SECTIONS = {
     "data": DataSection,
-    "synth": SynthSection,
+    "synth": SynthConfig,
     "model": ModelSection,
-    "train": TrainSection,
+    "train": TrainSettings,
     "eval": EvalSection,
 }
 
@@ -133,9 +103,9 @@ class RunConfig:
 
     path: str
     data: DataSection
-    synth: SynthSection
+    synth: SynthConfig
     model: ModelSection
-    train: TrainSection
+    train: TrainSettings
     eval: EvalSection
 
     @property
@@ -167,24 +137,6 @@ class RunConfig:
     def run_dir(self) -> str:
         name = f"{self.config_hash()}-s{self.train.seed}"
         return os.path.join(self.resolve(self.data.out), name)
-
-    def synth_config(self) -> SynthConfig:
-        fields = {f.name for f in dataclasses.fields(SynthConfig)}
-        values = {
-            k: v for k, v in dataclasses.asdict(self.synth).items() if k in fields
-        }
-        return SynthConfig(**values)
-
-    def train_settings(self) -> TrainSettings:
-        t = self.train
-        return TrainSettings(
-            lr=t.lr,
-            weight_decay=t.weight_decay,
-            batch_size=t.batch_size,
-            patience=t.patience,
-            max_epochs=t.max_epochs,
-            seed=t.seed,
-        )
 
     def valid_window_s(self) -> int:
         return int(round(self.data.valid_window_days * SECONDS_PER_DAY))

@@ -10,10 +10,9 @@ deterministically from the unix timestamp and a configured UTC offset.
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import os
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -52,29 +51,11 @@ class ParseError(ValueError):
 
 
 @dataclass(frozen=True)
-class Interaction:
-    user_id: str
-    store_id: str
-    time: int
-    location_id: str
-
-
-@dataclass(frozen=True)
 class StoreMeta:
     store_id: str
     brand_id: str
     cuisine_id: str
     store_location_id: str
-
-
-@dataclass(frozen=True)
-class SituationFeatures:
-    """Consumption situation: when (date, hour, weekday) and where (delivery location)."""
-
-    day_index: int
-    hour: int
-    day_of_week: int
-    location_id: str
 
 
 def time_facets(
@@ -186,23 +167,6 @@ class InteractionLog:
                 int(self.users[g[0]]): g for g in np.split(order, cuts) if len(g)
             }
         return self._per_user
-
-    def interaction(self, i: int) -> Interaction:
-        return Interaction(
-            self.user_ids[self.users[i]],
-            self.store_ids[self.stores[i]],
-            int(self.times[i]),
-            self.location_ids[self.locs[i]],
-        )
-
-    def __iter__(self) -> Iterator[Interaction]:
-        return (self.interaction(i) for i in range(len(self)))
-
-    def situation(self, i: int) -> SituationFeatures:
-        day_index, hour, dow = self.facets
-        return SituationFeatures(
-            int(day_index[i]), int(hour[i]), int(dow[i]), self.location_ids[self.locs[i]]
-        )
 
     def with_catalog(self, catalog: dict[str, StoreMeta]) -> "InteractionLog":
         return InteractionLog(
@@ -385,13 +349,7 @@ class SynthConfig:
     first order is necessarily an exploration).  ``situation_coupling`` pulls
     repeat choices toward stores previously ordered in similar situations;
     ``collab_coupling`` pulls explorations toward a situation-store affinity
-    shared by the user's cluster.
-
-    ``repeat_prob_spread`` spreads per-user repeat rates uniformly around
-    ``repeat_prob`` (population mean unchanged).  ``heavy_modes`` marks the
-    first personal modes as frequent habits; the remaining modes are drawn
-    with relative weight ``light_mode_weight`` (0 keeps all modes equally
-    likely).
+    shared by the user's cluster.  ``seed`` seeds the generator.
     """
 
     n_users: int = 1000
@@ -407,9 +365,7 @@ class SynthConfig:
     start_time: int = 1_600_041_600  # a midnight, so day boundaries are clean
     modes_per_user: int = 3
     n_clusters: int = 8
-    heavy_modes: int = 0
-    light_mode_weight: float = 0.4
-    repeat_prob_spread: float = 0.0
+    seed: int = 0
 
 
 def _circular(a: np.ndarray, b: int, period: int) -> np.ndarray:
@@ -417,9 +373,7 @@ def _circular(a: np.ndarray, b: int, period: int) -> np.ndarray:
     return np.minimum(d, period - d)
 
 
-def generate_synthetic(
-    cfg: SynthConfig, seed: int
-) -> tuple[InteractionLog, dict[str, StoreMeta]]:
+def generate_synthetic(cfg: SynthConfig) -> tuple[InteractionLog, dict[str, StoreMeta]]:
     """Generate a deterministic synthetic log with plantable regularities.
 
     Raises for infeasible configurations (cannot explore enough distinct
@@ -429,17 +383,11 @@ def generate_synthetic(
         raise ValueError("n_users, n_stores, n_orders_per_user must be positive")
     if not (0.0 <= cfg.repeat_prob <= 1.0):
         raise ValueError("repeat_prob must be within [0, 1]")
-    if not (0.0 <= cfg.repeat_prob_spread <= 0.5):
-        raise ValueError("repeat_prob_spread must be within [0, 0.5]")
-    if cfg.heavy_modes < 0 or cfg.heavy_modes > max(1, cfg.modes_per_user):
-        raise ValueError("heavy_modes must be within [0, modes_per_user]")
-    if not (0.0 < cfg.light_mode_weight <= 1.0):
-        raise ValueError("light_mode_weight must be within (0, 1]")
     if cfg.repeat_prob == 0.0 and cfg.n_orders_per_user > cfg.n_stores:
         raise ValueError(
             "infeasible: repeat_prob=0 needs at least as many stores as orders per user"
         )
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = np.random.Generator(np.random.PCG64(cfg.seed))
     sc = float(cfg.situation_coupling)
     cc = float(cfg.collab_coupling)
 
@@ -485,17 +433,6 @@ def generate_synthetic(
         days_by_dow.append(match if len(match) else all_days)
 
     n_modes = max(1, cfg.modes_per_user)
-    # Habit frequencies: heavy modes are everyday habits, the rest rare but
-    # just as situation-locked.  Rare habits are what separate learned repeat
-    # matching from additive popularity: a store visited twice in a sharply
-    # matching situation must outrank stores with far more, but situationally
-    # scattered, visits.
-    if cfg.heavy_modes and cfg.heavy_modes < n_modes:
-        w = np.where(np.arange(n_modes) < cfg.heavy_modes, 1.0, cfg.light_mode_weight)
-        mode_p = w / w.sum()
-    else:
-        mode_p = None
-    spread = float(cfg.repeat_prob_spread)
 
     uw = max(5, len(str(cfg.n_users - 1)))
     records: list[tuple[str, str, int, str]] = []
@@ -515,39 +452,23 @@ def generate_synthetic(
              int(rng.integers(cfg.n_locations)))
             for _ in range(n_modes)
         ]
-        shared_modes = []
-        for _ in range(1):
-            if len(pool):
-                # anchors concentrate on a handful of pool stores so
-                # cluster-mates' explorations overlap enough to make the
-                # community discoverable from preferences alone
-                s = int(pool[rng.integers(min(3, len(pool)))])
-                shared_modes.append(
-                    (int(proto_hour[cluster, s]), int(proto_dow[cluster, s]),
-                     int(proto_loc[cluster, s]))
-                )
-            else:
-                shared_modes.append(
-                    (int(rng.integers(24)), int(rng.integers(7)),
-                     int(rng.integers(cfg.n_locations)))
-                )
-
-        if spread > 0.0:
-            p_u = float(np.clip(
-                cfg.repeat_prob + spread * (2.0 * rng.random() - 1.0), 0.02, 0.98
-            ))
+        if len(pool):
+            # anchors concentrate on a handful of pool stores so cluster-mates'
+            # explorations overlap enough to make the community discoverable
+            # from preferences alone
+            s = int(pool[rng.integers(min(3, len(pool)))])
+            shared_modes = [(int(proto_hour[cluster, s]), int(proto_dow[cluster, s]),
+                             int(proto_loc[cluster, s]))]
         else:
-            p_u = cfg.repeat_prob
-        wants_repeat = rng.random(cfg.n_orders_per_user) < p_u
+            shared_modes = [(int(rng.integers(24)), int(rng.integers(7)),
+                             int(rng.integers(cfg.n_locations)))]
+
+        wants_repeat = rng.random(cfg.n_orders_per_user) < cfg.repeat_prob
         times = np.empty(cfg.n_orders_per_user, dtype=np.int64)
         locs = np.empty(cfg.n_orders_per_user, dtype=np.int64)
         for k in range(cfg.n_orders_per_user):
             if wants_repeat[k]:
-                if mode_p is None:
-                    m_idx = int(rng.integers(n_modes))
-                else:
-                    m_idx = int(rng.choice(n_modes, p=mode_p))
-                hour_m, dow_m, loc_m = personal_modes[m_idx]
+                hour_m, dow_m, loc_m = personal_modes[int(rng.integers(n_modes))]
             else:
                 hour_m, dow_m, loc_m = shared_modes[int(rng.integers(len(shared_modes)))]
             day_choices = days_by_dow[dow_m]

@@ -10,7 +10,8 @@ one intent-queried cross-attention, and projected to a per-item weight in
 Training is two-stage on frozen base models: the intent head first (binary
 cross-entropy on repeat flags), then the whole network with a pairwise
 ranking loss over fixed-size training slates plus the intent loss as an
-auxiliary term.
+auxiliary term.  Training runs the attention on the tape in its direct form;
+scoring runs an exact factorized numpy form of it over each case's slate.
 """
 
 from __future__ import annotations
@@ -21,18 +22,12 @@ import numpy as np
 
 from . import diffcore as dc
 from . import evalharness, exprec, features, reprec
-from .dataio import DatasetSplit, SituationFeatures
-from .evalharness import ScoredSlate
-from .exprec import _situation_np, _values
+from .dataio import DatasetSplit
 from .training import TrainResult, TrainSettings, run_training
 
 __all__ = [
-    "IntentEstimate",
-    "CombinedSlate",
     "ensemble_build",
-    "predict_intent",
     "normalize_slate",
-    "combine",
     "ensemble_train",
     "ensemble_scorer",
     "concat_scorer",
@@ -45,40 +40,6 @@ DEFAULT_LAMBDA = 1.0
 # rows per block of _item_weights_np's self-attention: a 1000-item slate's
 # block buffer is 1 MB where one C x C array is 8 MB
 ROW_BLOCK = 128
-
-
-@dataclass(frozen=True)
-class IntentEstimate:
-    repeat_prob: float
-    explore_prob: float
-
-    def __post_init__(self):
-        for p in (self.repeat_prob, self.explore_prob):
-            if not 0.0 <= p <= 1.0:
-                raise ValueError("intent probabilities must lie in [0, 1]")
-        if abs(self.repeat_prob + self.explore_prob - 1.0) > 1e-9:
-            raise ValueError("intent probabilities must sum to 1")
-
-
-@dataclass(frozen=True)
-class CombinedSlate:
-    """Final slate: ``a`` repeat items followed by ``b`` exploration items.
-
-    ``scores == weights * base`` holds exactly, element by element.
-    """
-
-    candidates: tuple[str, ...]
-    a: int
-    b: int
-    base: np.ndarray     # normalized input scores, repeat part first
-    weights: np.ndarray  # per-item sigmoid weights in (0, 1)
-    scores: np.ndarray
-
-    def __post_init__(self):
-        n = self.a + self.b
-        if not (len(self.candidates) == len(self.base) == len(self.weights)
-                == len(self.scores) == n):
-            raise ValueError("slate arrays must all have length a + b")
 
 
 def ensemble_build(
@@ -120,34 +81,6 @@ def ensemble_build(
 
 
 # ---------------------------------------------------------------- intent
-
-def predict_intent(
-    state: dc.ModelState,
-    user: str,
-    intent_history,
-    now: SituationFeatures,
-) -> IntentEstimate:
-    """Repeat/explore probabilities from past flags, situation, and user."""
-    values = _values(state)
-    meta = state.meta
-    window = int(meta["window"])
-    user_index = {u: i for i, u in enumerate(meta["user_ids"])}
-    loc_index = {l: i for i, l in enumerate(meta["location_ids"])}
-    if user not in user_index:
-        raise ValueError(f"unknown user {user!r}")
-
-    p = dc.gru_leaves(state, "gru.intent")
-    h = dc.Var(np.zeros(int(meta["dim"])))
-    for flag in list(intent_history)[-window:]:
-        h = dc.gru_cell(p, values["emb.flag"][int(bool(flag))], h)
-    h = h.data
-    e_mu = _situation_np(values, now.hour, now.day_of_week,
-                         loc_index.get(now.location_id, features.FALLBACK))
-    u = values["emb.user"][user_index[user]]
-    logits = np.concatenate([h, e_mu, u]) @ values["intent.w"].T + values["intent.b"]
-    probs = dc._softmax(logits, axis=-1)
-    return IntentEstimate(float(probs[0]), float(probs[1]))
-
 
 def _intent_logits(state: dc.ModelState, seqs: features.UserSequences,
                    rows: np.ndarray) -> dc.Var:
@@ -255,38 +188,6 @@ def _item_weights_var(state: dc.ModelState, x_feats: np.ndarray,
     feats = dc.concat([H, c_n], axis=-1)
     logits = dc.dense(state.leaf("proj.w"), state.leaf("proj.b"), feats)
     return dc.sigmoid(dc.reshape(logits, (G, n)))
-
-
-def combine(
-    state: dc.ModelState,
-    repeat_slate: ScoredSlate | None,
-    exploration_slate: ScoredSlate | None,
-    intent: IntentEstimate,
-) -> CombinedSlate:
-    """Weight two normalized, disjoint slates into one final ranking."""
-    parts = [s for s in (repeat_slate, exploration_slate) if s is not None
-             and len(s.candidates)]
-    if not parts:
-        raise ValueError("both slates are empty")
-    for s in parts:
-        if s.scores.min() < -1e-12 or s.scores.max() > 1.0 + 1e-12:
-            raise ValueError("slates must be min-max normalized before combining")
-    rep = repeat_slate.candidates if repeat_slate else ()
-    exp = exploration_slate.candidates if exploration_slate else ()
-    if set(rep) & set(exp):
-        raise ValueError("repeat and exploration slates overlap")
-    a, b = len(rep), len(exp)
-    base = np.concatenate([
-        repeat_slate.scores if a else np.empty(0),
-        exploration_slate.scores if b else np.empty(0),
-    ])
-    origin = np.concatenate([np.ones(a), np.zeros(b)])
-    probs = np.array([intent.repeat_prob, intent.explore_prob])
-    weights = _item_weights_np(_values(state), base, origin, probs)
-    return CombinedSlate(
-        candidates=tuple(rep) + tuple(exp),
-        a=a, b=b, base=base, weights=weights, scores=weights * base,
-    )
 
 
 # ---------------------------------------------------------------- training
@@ -416,8 +317,6 @@ def ensemble_train(
     window: int = DEFAULT_WINDOW,
     budget: int = DEFAULT_BUDGET,
     lam: float = DEFAULT_LAMBDA,
-    max_instances: int = 20000,
-    val_max_cases: int = 2000,
 ) -> tuple[dc.ModelState, dict[str, TrainResult]]:
     """Two-stage training against frozen base models."""
     if frozen_reprec is None or frozen_exprec is None:
@@ -449,12 +348,13 @@ def ensemble_train(
 
     # stage 2: item weighting over fixed-size slates, frozen base scores
     neighbors = exprec.neighbor_arrays(
-        split.log, vocabs.user_ids, int(frozen_exprec.meta["k_neighbors"]),
+        split.log, int(frozen_exprec.meta["k_neighbors"]),
         int(frozen_exprec.meta["neighbor_as_of"]),
     )
     rows = train_rows
-    if max_instances and len(rows) > max_instances:
-        keep = np.unique(np.linspace(0, len(rows) - 1, max_instances).astype(np.int64))
+    cap = settings.max_instances
+    if cap and len(rows) > cap:
+        keep = np.unique(np.linspace(0, len(rows) - 1, cap).astype(np.int64))
         rows = rows[keep]
     slates = _build_training_slates(
         split, seqs, vocabs, rows, budget, settings.seed,
@@ -463,20 +363,15 @@ def ensemble_train(
     if not slates:
         raise ValueError("no combined training slates could be built")
 
-    valid_cases = evalharness.validation_cases(
-        split, "combined", settings.seed, val_max_cases, seqs, vocabs
-    )
-    if not valid_cases:
-        raise ValueError("validation partition has no combined cases")
-    bases = _case_bases(frozen_reprec, frozen_exprec, split, valid_cases,
-                        seqs, vocabs, neighbors)
+    def scorer_for(cases):
+        bases = _case_bases(frozen_reprec, frozen_exprec, split, cases,
+                            seqs, vocabs, neighbors)
+        return lambda st: _weighted_scorer(st, seqs, *bases)
 
-    def combined_val(st) -> float:
-        scorer = _weighted_scorer(st, seqs, *bases)
-        report = evalharness.evaluate(
-            scorer, valid_cases, k=3, model_id="ensemble", seed=settings.seed
-        )
-        return report.protocols["combined"]["hr@3"]
+    combined_val = evalharness.validation_metric(
+        split, "combined", settings.seed, settings.val_max_cases, seqs, vocabs,
+        "ensemble", scorer_for,
+    )
 
     def combined_loss(st, chunk, rng):
         return _combined_batch_loss(st, slates, seqs, chunk, rng, lam)
@@ -495,7 +390,7 @@ def _case_bases(rep_state, exp_state, split, cases, seqs, vocabs, neighbors):
     (see :func:`_frozen_bases`)."""
     if neighbors is None:
         neighbors = exprec.neighbor_arrays(
-            split.log, vocabs.user_ids, int(exp_state.meta["k_neighbors"]),
+            split.log, int(exp_state.meta["k_neighbors"]),
             int(exp_state.meta["neighbor_as_of"]),
         )
     rows = seqs.flat_of_global[cases.position]
@@ -505,7 +400,7 @@ def _case_bases(rep_state, exp_state, split, cases, seqs, vocabs, neighbors):
 def _weighted_scorer(state: dc.ModelState, seqs, rows, bases):
     """Scorer weighting each case's base slate by the intent-queried attention."""
     probs = _intent_probs(state, seqs, rows)
-    values = _values(state)
+    values = {name: state.value(name) for name in state.params}
 
     def row_scores(i: int, codes: np.ndarray, a: int) -> np.ndarray:
         base = bases(i, codes, a)

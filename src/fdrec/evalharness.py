@@ -15,7 +15,7 @@ deterministic: each case's generator is derived from (seed, log position), and
 only the cases ``max_cases`` keeps are sampled.  A protocol's cases form one
 :class:`CaseSet` of store codes, which a scorer maps to [N, C] scores that
 :func:`evaluate` ranks at once.  Ranking is pessimistic: the target ranks
-below every candidate it ties with (:func:`rank_metrics` is the scalar form).
+below every candidate it ties with.
 """
 
 from __future__ import annotations
@@ -32,19 +32,6 @@ from .dataio import DatasetSplit
 
 PROTOCOLS = ("repeat", "exploration", "combined")
 MAX_CANDIDATES = 1000
-
-
-@dataclass(frozen=True)
-class ScoredSlate:
-    """Candidate store ids with aligned scores and their originating model."""
-
-    candidates: tuple[str, ...]
-    scores: np.ndarray
-    origin: str
-
-    def __post_init__(self):
-        if len(self.candidates) != len(self.scores):
-            raise ValueError("candidates and scores must align")
 
 
 @dataclass(frozen=True)
@@ -195,6 +182,33 @@ def validation_cases(
                        max_cases=max_cases, seqs=seqs, vocabs=vocabs)
 
 
+def validation_metric(
+    split: DatasetSplit,
+    protocol: str,
+    seed: int,
+    max_cases: int,
+    seqs: features.UserSequences,
+    vocabs: features.Vocabs,
+    model_id: str,
+    scorer_for: Callable[[CaseSet], Callable],
+) -> Callable:
+    """A trainer's ``val_metric``: HR@3 over ``protocol``'s validation cases.
+
+    ``scorer_for(cases)`` runs once and returns ``state -> scorer``; the
+    metric scores the same cases after every epoch.
+    """
+    cases = validation_cases(split, protocol, seed, max_cases, seqs, vocabs)
+    if not cases:
+        raise ValueError(f"validation partition has no {protocol} cases")
+    scorer_of = scorer_for(cases)
+
+    def val_metric(state) -> float:
+        report = evaluate(scorer_of(state), cases, k=3, model_id=model_id, seed=seed)
+        return report.protocols[protocol]["hr@3"]
+
+    return val_metric
+
+
 def score_rows(
     cases: CaseSet, row_scores: Callable[[int, np.ndarray, int], np.ndarray]
 ) -> np.ndarray:
@@ -216,31 +230,6 @@ def dot_scorer(queries: np.ndarray, table: np.ndarray) -> Callable[[CaseSet], np
     """Scorer for the cases ``queries`` is aligned with: each case's
     candidates' rows of ``table`` dotted with its row of ``queries``."""
     return lambda cases: score_rows(cases, lambda i, codes, a: table[codes] @ queries[i])
-
-
-@dataclass(frozen=True)
-class RankResult:
-    rank: int
-    hr: float
-    ndcg: float
-
-
-def rank_metrics(slate: ScoredSlate, target_id: str, k: int = 3) -> RankResult:
-    """Pessimistic rank of the target: ties count against it."""
-    if k <= 0:
-        raise ValueError("k must be positive")
-    try:
-        t = slate.candidates.index(target_id)
-    except ValueError:
-        raise ValueError(f"target {target_id!r} not among candidates") from None
-    scores = np.asarray(slate.scores, dtype=np.float64)
-    ts = scores[t]
-    greater = int((scores > ts).sum())
-    ties = int((scores == ts).sum()) - 1
-    rank = 1 + greater + ties
-    hit = rank <= k
-    ndcg = 1.0 / math.log2(rank + 1.0) if hit else 0.0
-    return RankResult(rank, 1.0 if hit else 0.0, ndcg)
 
 
 def _require(cases: CaseSet, ok: np.ndarray, what: str) -> None:

@@ -6,7 +6,8 @@ activation mix, and a similarity-weighted sum of neighbors' conditioned
 embeddings.  A softmax head over (situation ⊕ conditioned user) fuses the four
 into one vector that scores candidates by dot product.  Each trigger can be
 ablated; ablation removes its logit before the softmax so the remaining
-weights renormalize.
+weights renormalize.  Training and scoring run the same batched forward,
+:func:`exprec_fused`, over integer history windows and frozen neighbor tables.
 """
 
 from __future__ import annotations
@@ -15,19 +16,12 @@ import numpy as np
 
 from . import diffcore as dc
 from . import evalharness, features, situsim
-from .dataio import DatasetSplit, Interaction, SituationFeatures, time_facets
-from .evalharness import ScoredSlate
+from .dataio import DatasetSplit
 from .training import TrainResult, TrainSettings, run_training
 
 __all__ = [
     "TRIGGERS",
     "exprec_build",
-    "encode_history",
-    "condition_user",
-    "collaborative_embedding",
-    "trigger_fusion",
-    "fusion_weights",
-    "exprec_score",
     "exprec_fused",
     "exprec_batch_loss",
     "exprec_queries",
@@ -41,14 +35,8 @@ DEFAULT_WINDOW = 20
 DEFAULT_NEIGHBORS = 10
 
 # ordered activation set for the conditioned user encoder
-_ACTIVATIONS_NP = (
-    lambda x: x,
-    np.tanh,
-    dc._sigmoid,
-    lambda x: np.maximum(x, 0.0),
-)
 _ACTIVATIONS_VAR = (lambda x: x, dc.tanh, dc.sigmoid, dc.relu)
-M = len(_ACTIVATIONS_NP)
+M = len(_ACTIVATIONS_VAR)
 
 
 def exprec_build(
@@ -86,64 +74,6 @@ def exprec_build(
     return state
 
 
-def _values(state: dc.ModelState) -> dict[str, np.ndarray]:
-    return {name: state.value(name) for name in state.params}
-
-
-def _situation_np(values, hours, dows, locs) -> np.ndarray:
-    return values["emb.hour"][hours] + values["emb.dow"][dows] + values["emb.loc"][locs]
-
-
-def _history_codes(state: dc.ModelState, history: list[Interaction]):
-    meta = state.meta
-    store_index = {s: i for i, s in enumerate(meta["store_ids"])}
-    loc_index = {l: i for i, l in enumerate(meta["location_ids"])}
-    stores = np.array([store_index[it.store_id] for it in history], dtype=np.int64)
-    times = np.array([it.time for it in history], dtype=np.int64)
-    _, hours, dows = time_facets(times, meta["tz_offset_minutes"], meta["epoch"])
-    locs = np.array(
-        [loc_index.get(it.location_id, features.FALLBACK) for it in history],
-        dtype=np.int64,
-    )
-    return stores, hours, dows, locs
-
-
-def encode_history(
-    state: dc.ModelState, history: list[Interaction], limit: int | None = None
-) -> np.ndarray:
-    """GRU encoding of the last ``limit`` interactions; empty history -> 0."""
-    values = _values(state)
-    if limit is None:
-        limit = int(state.meta["window"])
-    if not history:
-        return np.zeros(int(state.meta["dim"]))
-    tail = history[-limit:] if limit else history
-    stores, hours, dows, locs = _history_codes(state, tail)
-    situ = _situation_np(values, hours, dows, locs)
-    xs = np.concatenate([values["emb.store"][stores], situ], axis=-1)
-    p = dc.gru_leaves(state, "gru.hist")
-    h = dc.Var(np.zeros(int(state.meta["dim"])))
-    for x in xs:
-        h = dc.gru_cell(p, x, h)
-    return h.data
-
-
-def _mix_weights_np(values, situation_vec: np.ndarray) -> np.ndarray:
-    return dc._softmax(situation_vec @ values["cond.w"].T + values["cond.b"], axis=-1)
-
-
-def condition_user(
-    state: dc.ModelState, user_vec: np.ndarray, situation_vec: np.ndarray
-) -> np.ndarray:
-    """Situation-gated mix of fixed activations applied to ``user_vec``."""
-    values = _values(state)
-    a = _mix_weights_np(values, situation_vec)
-    out = np.zeros_like(user_vec, dtype=np.float64)
-    for weight, act in zip(a, _ACTIVATIONS_NP):
-        out = out + weight * act(user_vec)
-    return out
-
-
 def _neighbor_weights(sims: np.ndarray, valid: np.ndarray) -> np.ndarray:
     """max(sim, 0) normalized over valid entries; uniform fallback."""
     w = np.where(valid, np.maximum(sims, 0.0), 0.0)
@@ -154,33 +84,6 @@ def _neighbor_weights(sims: np.ndarray, valid: np.ndarray) -> np.ndarray:
     if n == 0:
         return np.zeros_like(w)
     return valid.astype(np.float64) / n
-
-
-def collaborative_embedding(
-    state: dc.ModelState,
-    target: str,
-    neighbors: list[tuple[str, float]],
-    situation_vec: np.ndarray,
-) -> np.ndarray:
-    """Similarity-weighted sum of neighbors' conditioned embeddings."""
-    dim = int(state.meta["dim"])
-    if not neighbors:
-        return np.zeros(dim)
-    user_index = {u: i for i, u in enumerate(state.meta["user_ids"])}
-    values = _values(state)
-    sims = np.array([s for _, s in neighbors], dtype=np.float64)
-    w = _neighbor_weights(sims, np.ones(len(neighbors), dtype=bool))
-    a = _mix_weights_np(values, situation_vec)
-    out = np.zeros(dim)
-    for (uid, _), wk in zip(neighbors, w):
-        if uid == target:
-            raise ValueError("target cannot be its own neighbor")
-        emb = values["emb.user"][user_index[uid]]
-        cond = np.zeros(dim)
-        for am, act in zip(a, _ACTIVATIONS_NP):
-            cond = cond + am * act(emb)
-        out = out + wk * cond
-    return out
 
 
 def _check_mask(ablation_mask) -> np.ndarray:
@@ -194,88 +97,11 @@ def _check_mask(ablation_mask) -> np.ndarray:
     return mask
 
 
-def fusion_weights(
-    state: dc.ModelState,
-    e_mu: np.ndarray,
-    e_u_mu: np.ndarray,
-    ablation_mask=None,
-) -> np.ndarray:
-    """Softmax trigger weights; ablated entries are exactly 0."""
-    mask = _check_mask(ablation_mask)
-    values = _values(state)
-    logits = np.concatenate([e_mu, e_u_mu]) @ values["fuse.w"].T + values["fuse.b"]
-    w = np.zeros(len(TRIGGERS))
-    keep = ~mask
-    w[keep] = dc._softmax(logits[keep], axis=-1)
-    return w
-
-
-def trigger_fusion(
-    state: dc.ModelState,
-    e_mu: np.ndarray,
-    e_h: np.ndarray,
-    e_u_mu: np.ndarray,
-    e_cu_mu: np.ndarray,
-    ablation_mask=None,
-) -> np.ndarray:
-    w = fusion_weights(state, e_mu, e_u_mu, ablation_mask)
-    triggers = (e_mu, e_h, e_u_mu, e_cu_mu)
-    return sum(wk * t for wk, t in zip(w, triggers))
-
-
-def exprec_score(
-    state: dc.ModelState,
-    user: str,
-    history: list[Interaction],
-    now: SituationFeatures,
-    candidates: tuple[str, ...] | list[str],
-    ablation_mask=None,
-    neighbors: list[tuple[str, float]] = (),
-) -> ScoredSlate:
-    """Fused-trigger dot-product scores over unvisited candidates."""
-    meta = state.meta
-    visited = {it.store_id for it in history}
-    for c in candidates:
-        if c in visited:
-            raise ValueError(f"candidate {c!r} was already visited")
-    values = _values(state)
-    store_index = {s: i for i, s in enumerate(meta["store_ids"])}
-    loc_index = {l: i for i, l in enumerate(meta["location_ids"])}
-    user_index = {u: i for i, u in enumerate(meta["user_ids"])}
-    if user not in user_index:
-        raise ValueError(f"unknown user {user!r}")
-
-    e_mu = _situation_np(values, now.hour, now.day_of_week,
-                         loc_index.get(now.location_id, features.FALLBACK))
-    e_h = encode_history(state, history)
-    e_u = condition_user(state, values["emb.user"][user_index[user]], e_mu)
-    e_cu = collaborative_embedding(state, user, list(neighbors), e_mu)
-    s_e = trigger_fusion(state, e_mu, e_h, e_u, e_cu, ablation_mask)
-    codes = [store_index[c] for c in candidates]
-    scores = values["emb.store"][codes] @ s_e
-    return ScoredSlate(tuple(candidates), scores, origin="exprec")
-
-
-def neighbor_arrays(
-    log, user_ids: list[str], k: int, as_of: int
-) -> tuple[np.ndarray, np.ndarray]:
+def neighbor_arrays(log, k: int, as_of: int) -> tuple[np.ndarray, np.ndarray]:
     """Frozen per-user neighbor codes [U,K] (pad -1) and weights [U,K]."""
-    table = situsim.neighbor_table(log, k, as_of)
-    code_of = {u: i for i, u in enumerate(user_ids)}
-    n = len(user_ids)
-    ids = np.full((n, k), -1, dtype=np.int64)
-    weights = np.zeros((n, k), dtype=np.float64)
-    for uid, rows in table.items():
-        u = code_of[uid]
-        sims = np.array([s for _, s in rows], dtype=np.float64)
-        valid = np.zeros(k, dtype=bool)
-        valid[: len(rows)] = True
-        for j, (nid, _) in enumerate(rows):
-            ids[u, j] = code_of[nid]
-        full_sims = np.zeros(k)
-        full_sims[: len(rows)] = sims
-        weights[u] = _neighbor_weights(full_sims, valid)
-    return ids, weights
+    ids, sims = situsim.neighbor_table(log, k, as_of)
+    weights = np.array([_neighbor_weights(s, i >= 0) for s, i in zip(sims, ids)])
+    return ids, weights.reshape(sims.shape)
 
 
 def _col(x: dc.Var, j: int) -> dc.Var:
@@ -409,7 +235,6 @@ def exprec_train(
     dim: int = 64,
     window: int = DEFAULT_WINDOW,
     k_neighbors: int = DEFAULT_NEIGHBORS,
-    val_max_cases: int = 2000,
     ablation_mask=None,
 ) -> tuple[dc.ModelState, TrainResult]:
     """Train on exploration-flagged interactions with unvisited negatives.
@@ -429,9 +254,7 @@ def exprec_train(
     if len(rows) == 0:
         raise ValueError("no exploration training instances")
 
-    neighbors = neighbor_arrays(
-        split.log, vocabs.user_ids, k_neighbors, split.valid_boundary
-    )
+    neighbors = neighbor_arrays(split.log, k_neighbors, split.valid_boundary)
 
     def batch_loss(st: dc.ModelState, chunk: np.ndarray, rng: np.random.Generator):
         batch_rows = rows[chunk]
@@ -440,20 +263,11 @@ def exprec_train(
         neg = _sample_unvisited(rng, visited, win.target)
         return exprec_batch_loss(st, win, neighbors, neg, ablation_mask)
 
-    valid_cases = evalharness.validation_cases(
-        split, "exploration", settings.seed, val_max_cases, seqs, vocabs
+    val_metric = evalharness.validation_metric(
+        split, "exploration", settings.seed, settings.val_max_cases, seqs, vocabs,
+        "exprec", lambda cases: lambda st: exprec_scorer(
+            st, split, cases, seqs, vocabs, neighbors=neighbors),
     )
-    if not valid_cases:
-        raise ValueError("validation partition has no exploration cases")
-
-    def val_metric(st: dc.ModelState) -> float:
-        scorer = exprec_scorer(st, split, valid_cases, seqs=seqs, vocabs=vocabs,
-                               neighbors=neighbors)
-        report = evalharness.evaluate(
-            scorer, valid_cases, k=3, model_id="exprec", seed=settings.seed
-        )
-        return report.protocols["exploration"]["hr@3"]
-
     result = run_training(
         state, len(rows), batch_loss, val_metric, settings, stream=103
     )
@@ -476,8 +290,7 @@ def exprec_scorer(
     meta = state.meta
     if neighbors is None:
         neighbors = neighbor_arrays(
-            split.log, vocabs.user_ids, int(meta["k_neighbors"]),
-            int(meta["neighbor_as_of"]),
+            split.log, int(meta["k_neighbors"]), int(meta["neighbor_as_of"])
         )
     queries = exprec_queries(state, seqs, seqs.flat_of_global[cases.position],
                              neighbors, ablation_mask)

@@ -4,7 +4,9 @@ Each past interaction is weighted by the cosine between its embedded situation
 (hour + weekday + location vectors) and the embedded current situation; the
 weighted sum of the visited stores' embeddings scores previously visited
 candidates by dot product.  Weights are raw cosines, not softmax-normalized,
-so they may be negative and the sum is unnormalized.
+so they may be negative and the sum is unnormalized.  Training and scoring
+run the same batched forward, :func:`reprec_profiles`, over integer history
+windows.
 """
 
 from __future__ import annotations
@@ -13,13 +15,11 @@ import numpy as np
 
 from . import diffcore as dc
 from . import evalharness, features
-from .dataio import DatasetSplit, Interaction, SituationFeatures, time_facets
-from .evalharness import ScoredSlate
+from .dataio import DatasetSplit
 from .training import TrainResult, TrainSettings, run_training
 
 __all__ = [
     "reprec_build",
-    "reprec_forward",
     "reprec_profiles",
     "reprec_batch_loss",
     "reprec_queries",
@@ -49,61 +49,6 @@ def reprec_build(split: DatasetSplit, dim: int = 64, seed: int = 0) -> dc.ModelS
         "epoch": split.log.epoch,
     }
     return state
-
-
-def _cosine_rows(mu: np.ndarray, mu_now: np.ndarray) -> np.ndarray:
-    """Cosine of each row of ``mu`` against ``mu_now``; zero-norm terms -> 0."""
-    norms = np.linalg.norm(mu, axis=-1)
-    now_norm = float(np.linalg.norm(mu_now))
-    num = mu @ mu_now
-    denom = norms * now_norm
-    out = np.zeros_like(num)
-    ok = denom > 0.0
-    out[ok] = num[ok] / denom[ok]
-    return out
-
-
-def reprec_forward(
-    state: dc.ModelState,
-    history: list[Interaction],
-    now: SituationFeatures,
-    candidates: tuple[str, ...] | list[str],
-) -> ScoredSlate:
-    """Score candidates against the situation-weighted history profile.
-
-    Every candidate must appear among the history's stores.
-    """
-    if not history:
-        raise ValueError("history must be non-empty")
-    meta = state.meta
-    values = {n: state.value(n) for n in ("emb.store", "emb.hour", "emb.dow", "emb.loc")}
-    store_index = {s: i for i, s in enumerate(meta["store_ids"])}
-    loc_index = {l: i for i, l in enumerate(meta["location_ids"])}
-
-    times = np.array([it.time for it in history], dtype=np.int64)
-    _, hours, dows = time_facets(times, meta["tz_offset_minutes"], meta["epoch"])
-    locs = np.array(
-        [loc_index.get(it.location_id, features.FALLBACK) for it in history]
-    )
-    mu = values["emb.hour"][hours] + values["emb.dow"][dows] + values["emb.loc"][locs]
-    mu_now = (
-        values["emb.hour"][now.hour]
-        + values["emb.dow"][now.day_of_week]
-        + values["emb.loc"][loc_index.get(now.location_id, features.FALLBACK)]
-    )
-    w = _cosine_rows(mu, mu_now)
-
-    visited = {it.store_id for it in history}
-    stores = np.array([store_index[it.store_id] for it in history])
-    profile = w @ values["emb.store"][stores]
-
-    codes = []
-    for c in candidates:
-        if c not in visited:
-            raise ValueError(f"candidate {c!r} does not appear in the history")
-        codes.append(store_index[c])
-    scores = values["emb.store"][codes] @ profile
-    return ScoredSlate(tuple(candidates), scores, origin="reprec")
 
 
 def reprec_profiles(state: dc.ModelState, win: features.Window) -> dc.Var:
@@ -152,7 +97,6 @@ def reprec_train(
     settings: TrainSettings = TrainSettings(),
     dim: int = 64,
     window: int = DEFAULT_WINDOW,
-    val_max_cases: int = 2000,
 ) -> tuple[dc.ModelState, TrainResult]:
     """Train on repeat-flagged interactions; negatives from the user's own
     other prior stores (instances with fewer than 2 distinct priors skipped).
@@ -181,19 +125,10 @@ def reprec_train(
         neg = seqs.first_stores[pool_base[chunk] + j]
         return reprec_batch_loss(st, win, neg)
 
-    valid_cases = evalharness.validation_cases(
-        split, "repeat", settings.seed, val_max_cases, seqs, vocabs
+    val_metric = evalharness.validation_metric(
+        split, "repeat", settings.seed, settings.val_max_cases, seqs, vocabs, "reprec",
+        lambda cases: lambda st: reprec_scorer(st, split, cases, seqs, vocabs),
     )
-    if not valid_cases:
-        raise ValueError("validation partition has no repeat cases")
-
-    def val_metric(st: dc.ModelState) -> float:
-        scorer = reprec_scorer(st, split, valid_cases, seqs=seqs, vocabs=vocabs)
-        report = evalharness.evaluate(
-            scorer, valid_cases, k=3, model_id="reprec", seed=settings.seed
-        )
-        return report.protocols["repeat"]["hr@3"]
-
     result = run_training(
         state, len(rows), batch_loss, val_metric, settings, stream=102
     )

@@ -1,11 +1,10 @@
-"""Situation and store similarity kernels plus preference-based user neighbors.
+"""Situation similarity, Pearson correlation and preference-based user neighbors.
 
-Situation similarity compares two consumption situations on four facets
-(date distance capped at 30 days, circular hour-of-day, circular day-of-week,
-delivery-location mismatch), each normalized to [0, 1] and averaged.  Store
-similarity is the fraction of matching attributes among brand, cuisine, and
-store location.  User neighbors are ranked by the Pearson correlation of
-relative store-frequency vectors aligned on the union of both users' stores.
+Situation similarity compares consumption situations on four facets (date
+distance capped at 30 days, circular hour-of-day, circular day-of-week,
+delivery-location mismatch), each normalized to [0, 1] and averaged.  User
+neighbors are ranked by the Pearson correlation of relative store-frequency
+vectors aligned on the union of both users' stores, for every user at once.
 """
 
 from __future__ import annotations
@@ -15,20 +14,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataio import Interaction, InteractionLog, SituationFeatures, StoreMeta
+from .dataio import InteractionLog
 
 DATE_CAP_DAYS = 30
-
-
-def situation_similarity(a: SituationFeatures, b: SituationFeatures) -> float:
-    """Similarity in [0, 1]; 1 iff all four facets coincide."""
-    d_date = min(abs(a.day_index - b.day_index), DATE_CAP_DAYS) / DATE_CAP_DAYS
-    dh = abs(a.hour - b.hour)
-    d_hour = min(dh, 24 - dh) / 12.0
-    dw = abs(a.day_of_week - b.day_of_week)
-    d_dow = min(dw, 7 - dw) / 3.0
-    mismatch = 0.0 if a.location_id == b.location_id else 1.0
-    return 1.0 - (d_date + d_hour + d_dow + mismatch) / 4.0
 
 
 def situation_similarity_arrays(
@@ -40,7 +28,8 @@ def situation_similarity_arrays(
     now_hour: int,
     now_dow: int,
 ) -> np.ndarray:
-    """Vectorized twin of :func:`situation_similarity`.
+    """Similarity in [0, 1] of each past situation to "now"; 1 iff all four
+    facets coincide.
 
     ``loc_match`` is a boolean array (same delivery location as "now").
     """
@@ -51,16 +40,6 @@ def situation_similarity_arrays(
     d_dow = np.minimum(dw, 7 - dw) / 3.0
     mismatch = 1.0 - loc_match.astype(np.float64)
     return 1.0 - (d_date + d_hour + d_dow + mismatch) / 4.0
-
-
-def store_similarity(a: StoreMeta, b: StoreMeta) -> float:
-    """Fraction of matching attributes among brand, cuisine, store location."""
-    matches = (
-        (a.brand_id == b.brand_id)
-        + (a.cuisine_id == b.cuisine_id)
-        + (a.store_location_id == b.store_location_id)
-    )
-    return matches / 3.0
 
 
 def pearson(x: Sequence[float], y: Sequence[float]) -> float | None:
@@ -88,46 +67,6 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float | None:
     return min(1.0, max(-1.0, r))
 
 
-def preference_vector(history: Sequence[Interaction]) -> dict[str, float]:
-    """Relative frequency of each store in the history."""
-    if not history:
-        raise ValueError("history must be non-empty")
-    counts: dict[str, int] = {}
-    for it in history:
-        counts[it.store_id] = counts.get(it.store_id, 0) + 1
-    n = len(history)
-    return {s: c / n for s, c in counts.items()}
-
-
-def _union_pearson(
-    pu: dict[str, float], pv: dict[str, float]
-) -> float:
-    """Pearson of two preference vectors over the union of their supports.
-
-    Missing stores count as 0.  Undefined correlations and disjoint supports
-    map to similarity 0.
-    """
-    if not pu or not pv:
-        return 0.0
-    union = set(pu) | set(pv)
-    m = len(union)
-    if m < 2:
-        return 0.0
-    dot = sum(pu[s] * pv.get(s, 0.0) for s in pu)
-    overlap = sum(1 for s in pu if s in pv)
-    if overlap == 0:
-        return 0.0
-    qu = sum(w * w for w in pu.values())
-    qv = sum(w * w for w in pv.values())
-    # Component sums over the union are 1 by construction.
-    vu = qu - 1.0 / m
-    vv = qv - 1.0 / m
-    if vu <= 1e-15 or vv <= 1e-15:
-        return 0.0
-    r = (dot - 1.0 / m) / math.sqrt(vu * vv)
-    return min(1.0, max(-1.0, r))
-
-
 def _histories_before(
     log: InteractionLog, as_of: int
 ) -> dict[int, np.ndarray]:
@@ -139,52 +78,18 @@ def _histories_before(
     return out
 
 
-def collaborative_users(
-    target: str, log: InteractionLog, k: int, as_of: int
-) -> list[tuple[str, float]]:
-    """Top-``k`` users by preference-vector correlation with ``target``.
-
-    Only interactions strictly before ``as_of`` count.  Every other user is a
-    candidate; undefined or non-overlapping correlations score 0.  Sorting is
-    by descending similarity, ties by ascending user id.  A target with no
-    history before ``as_of`` has no neighbors.
-    """
-    if k <= 0:
-        raise ValueError("k must be positive")
-    if target not in log.user_ids:
-        raise ValueError(f"unknown user {target!r}")
-    before = _histories_before(log, as_of)
-    code_of = {u: i for i, u in enumerate(log.user_ids)}
-    tcode = code_of[target]
-    tpos = before.get(tcode, np.empty(0, dtype=np.int64))
-    if not len(tpos):
-        return []
-
-    def prefs(positions: np.ndarray) -> dict[str, float]:
-        if not len(positions):
-            return {}
-        stores, counts = np.unique(log.stores[positions], return_counts=True)
-        n = len(positions)
-        return {log.store_ids[s]: c / n for s, c in zip(stores, counts)}
-
-    pt = prefs(tpos)
-    scored = []
-    for user in log.user_ids:
-        if user == target:
-            continue
-        sim = _union_pearson(pt, prefs(before.get(code_of[user], np.empty(0, np.int64))))
-        scored.append((user, sim))
-    scored.sort(key=lambda us: (-us[1], us[0]))
-    return scored[:k]
-
-
 def neighbor_table(
     log: InteractionLog, k: int, as_of: int
-) -> dict[str, list[tuple[str, float]]]:
-    """All users' neighbor lists at once; agrees with :func:`collaborative_users`.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every user's top-``k`` neighbors as user codes ``ids [U, k]`` and
+    similarities ``sims [U, k]``; unused slots hold -1 and 0.
 
-    Works in user blocks with dense linear algebra so it stays fast on logs
-    with tens of thousands of users.
+    Only interactions strictly before ``as_of`` count.  Every other user is a
+    candidate; undefined or non-overlapping correlations score 0.  Rows are
+    sorted by descending similarity, ties by ascending user id.  A user with
+    no history before ``as_of`` has no neighbors.  Works in user blocks with
+    dense linear algebra so it stays fast on logs with tens of thousands of
+    users.
     """
     if k <= 0:
         raise ValueError("k must be positive")
@@ -208,7 +113,9 @@ def neighbor_table(
     rank_by_id = np.empty(n_users, dtype=np.int64)
     rank_by_id[uid_order] = np.arange(n_users)
 
-    result: dict[str, list[tuple[str, float]]] = {}
+    ids = np.full((n_users, k), -1, dtype=np.int64)
+    out_sims = np.zeros((n_users, k))
+    kk = min(k, n_users - 1)
     block = max(1, min(512, n_users))
     supportf = support.astype(np.float64)
     for start in range(0, n_users, block):
@@ -232,12 +139,7 @@ def neighbor_table(
         r = np.where(defined, np.clip(r, -1.0, 1.0), 0.0)
         for row in range(stop - start):
             u = start + row
-            if not active[u]:
-                result[log.user_ids[u]] = []
-                continue
-            kk = min(k, n_users - 1)
-            if kk <= 0:
-                result[log.user_ids[u]] = []
+            if not active[u] or kk <= 0:
                 continue
             sims = r[row].copy()
             sims[u] = -np.inf
@@ -255,7 +157,6 @@ def neighbor_table(
             else:
                 chosen = np.nonzero(np.arange(n_users) != u)[0]
             chosen = chosen[np.lexsort((rank_by_id[chosen], -sims[chosen]))]
-            result[log.user_ids[u]] = [
-                (log.user_ids[int(j)], float(sims[int(j)])) for j in chosen
-            ]
-    return result
+            ids[u, : len(chosen)] = chosen
+            out_sims[u, : len(chosen)] = sims[chosen]
+    return ids, out_sims

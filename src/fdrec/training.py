@@ -18,6 +18,8 @@ class TrainSettings:
     patience: int = 10
     max_epochs: int = 100
     seed: int = 0
+    max_instances: int = 20000  # ensemble training slates
+    val_max_cases: int = 2000  # validation cases for early stopping
 
 
 @dataclass

@@ -35,8 +35,9 @@ def small_split():
         n_locations=6,
         n_brands=10,
         n_cuisines=5,
+        seed=11,
     )
-    log, _ = dataio.generate_synthetic(cfg, seed=11)
+    log, _ = dataio.generate_synthetic(cfg)
     return dataio.split_global_timeline(
         log, test_window_s=4 * DAY, valid_window_s=4 * DAY
     )
@@ -61,8 +62,9 @@ def tiny_split():
         n_brands=5,
         n_cuisines=3,
         span_days=21,
+        seed=5,
     )
-    log, _ = dataio.generate_synthetic(cfg, seed=5)
+    log, _ = dataio.generate_synthetic(cfg)
     return dataio.split_global_timeline(
         log, test_window_s=4 * DAY, valid_window_s=4 * DAY
     )

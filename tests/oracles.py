@@ -1,0 +1,585 @@
+"""Scalar string-id transcriptions of what ``fdrec`` computes in batches.
+
+``src/fdrec`` scores a whole protocol's cases at once: integer codes, padded
+history windows and one batched forward pass per model.  The functions here
+compute the same numbers one case at a time, from string ids and plain numpy,
+written apart from that path.  The parity tests check each batched path
+against them, and the oracles themselves against hand-worked values, so a
+shared mistake has to be made twice to go unseen.  Nothing in ``src/fdrec``
+imports this module.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
+
+from fdrec import diffcore as dc
+from fdrec import features, situsim
+from fdrec.dataio import InteractionLog, StoreMeta, time_facets
+from fdrec.ensemble import _item_weights_np
+from fdrec.exprec import TRIGGERS, _check_mask, _neighbor_weights
+from fdrec.situsim import DATE_CAP_DAYS, _histories_before
+
+
+def _values(state: dc.ModelState) -> dict[str, np.ndarray]:
+    return {name: state.value(name) for name in state.params}
+
+
+# ---------------------------------------------------------------- log views
+
+
+@dataclass(frozen=True)
+class Interaction:
+    user_id: str
+    store_id: str
+    time: int
+    location_id: str
+
+
+@dataclass(frozen=True)
+class SituationFeatures:
+    """Consumption situation: when (date, hour, weekday) and where (delivery location)."""
+
+    day_index: int
+    hour: int
+    day_of_week: int
+    location_id: str
+
+
+def interaction(log: InteractionLog, i: int) -> Interaction:
+    return Interaction(
+        log.user_ids[log.users[i]],
+        log.store_ids[log.stores[i]],
+        int(log.times[i]),
+        log.location_ids[log.locs[i]],
+    )
+
+
+def interactions(log: InteractionLog) -> list[Interaction]:
+    return [interaction(log, i) for i in range(len(log))]
+
+
+def situation(log: InteractionLog, i: int) -> SituationFeatures:
+    day_index, hour, dow = log.facets
+    return SituationFeatures(
+        int(day_index[i]), int(hour[i]), int(dow[i]), log.location_ids[log.locs[i]]
+    )
+
+
+def history_before(log: InteractionLog, position: int) -> list[Interaction]:
+    """The same user's interactions strictly before ``position``."""
+    user = log.users[position]
+    return [interaction(log, p) for p in range(position) if log.users[p] == user]
+
+
+# ---------------------------------------------------------------- ranking
+
+
+@dataclass(frozen=True)
+class ScoredSlate:
+    """Candidate store ids with aligned scores and their originating model."""
+
+    candidates: tuple[str, ...]
+    scores: np.ndarray
+    origin: str
+
+    def __post_init__(self):
+        if len(self.candidates) != len(self.scores):
+            raise ValueError("candidates and scores must align")
+
+
+@dataclass(frozen=True)
+class RankResult:
+    rank: int
+    hr: float
+    ndcg: float
+
+
+def rank_metrics(slate: ScoredSlate, target_id: str, k: int = 3) -> RankResult:
+    """Pessimistic rank of the target: ties count against it."""
+    if k <= 0:
+        raise ValueError("k must be positive")
+    try:
+        t = slate.candidates.index(target_id)
+    except ValueError:
+        raise ValueError(f"target {target_id!r} not among candidates") from None
+    scores = np.asarray(slate.scores, dtype=np.float64)
+    ts = scores[t]
+    greater = int((scores > ts).sum())
+    ties = int((scores == ts).sum()) - 1
+    rank = 1 + greater + ties
+    hit = rank <= k
+    ndcg = 1.0 / math.log2(rank + 1.0) if hit else 0.0
+    return RankResult(rank, 1.0 if hit else 0.0, ndcg)
+
+
+# ---------------------------------------------------------------- similarity
+
+
+def situation_similarity(a: SituationFeatures, b: SituationFeatures) -> float:
+    """Similarity in [0, 1]; 1 iff all four facets coincide."""
+    d_date = min(abs(a.day_index - b.day_index), DATE_CAP_DAYS) / DATE_CAP_DAYS
+    dh = abs(a.hour - b.hour)
+    d_hour = min(dh, 24 - dh) / 12.0
+    dw = abs(a.day_of_week - b.day_of_week)
+    d_dow = min(dw, 7 - dw) / 3.0
+    mismatch = 0.0 if a.location_id == b.location_id else 1.0
+    return 1.0 - (d_date + d_hour + d_dow + mismatch) / 4.0
+
+
+def store_similarity(a: StoreMeta, b: StoreMeta) -> float:
+    """Fraction of matching attributes among brand, cuisine, store location."""
+    matches = (
+        (a.brand_id == b.brand_id)
+        + (a.cuisine_id == b.cuisine_id)
+        + (a.store_location_id == b.store_location_id)
+    )
+    return matches / 3.0
+
+
+def preference_vector(history: Sequence[Interaction]) -> dict[str, float]:
+    """Relative frequency of each store in the history."""
+    if not history:
+        raise ValueError("history must be non-empty")
+    counts: dict[str, int] = {}
+    for it in history:
+        counts[it.store_id] = counts.get(it.store_id, 0) + 1
+    n = len(history)
+    return {s: c / n for s, c in counts.items()}
+
+
+def _union_pearson(
+    pu: dict[str, float], pv: dict[str, float]
+) -> float:
+    """Pearson of two preference vectors over the union of their supports.
+
+    Missing stores count as 0.  Undefined correlations and disjoint supports
+    map to similarity 0.
+    """
+    if not pu or not pv:
+        return 0.0
+    union = set(pu) | set(pv)
+    m = len(union)
+    if m < 2:
+        return 0.0
+    dot = sum(pu[s] * pv.get(s, 0.0) for s in pu)
+    overlap = sum(1 for s in pu if s in pv)
+    if overlap == 0:
+        return 0.0
+    qu = sum(w * w for w in pu.values())
+    qv = sum(w * w for w in pv.values())
+    # Component sums over the union are 1 by construction.
+    vu = qu - 1.0 / m
+    vv = qv - 1.0 / m
+    if vu <= 1e-15 or vv <= 1e-15:
+        return 0.0
+    r = (dot - 1.0 / m) / math.sqrt(vu * vv)
+    return min(1.0, max(-1.0, r))
+
+
+def collaborative_users(
+    target: str, log: InteractionLog, k: int, as_of: int
+) -> list[tuple[str, float]]:
+    """Top-``k`` users by preference-vector correlation with ``target``.
+
+    Only interactions strictly before ``as_of`` count.  Every other user is a
+    candidate; undefined or non-overlapping correlations score 0.  Sorting is
+    by descending similarity, ties by ascending user id.  A target with no
+    history before ``as_of`` has no neighbors.
+    """
+    if k <= 0:
+        raise ValueError("k must be positive")
+    if target not in log.user_ids:
+        raise ValueError(f"unknown user {target!r}")
+    before = _histories_before(log, as_of)
+    code_of = {u: i for i, u in enumerate(log.user_ids)}
+    tcode = code_of[target]
+    tpos = before.get(tcode, np.empty(0, dtype=np.int64))
+    if not len(tpos):
+        return []
+
+    def prefs(positions: np.ndarray) -> dict[str, float]:
+        if not len(positions):
+            return {}
+        stores, counts = np.unique(log.stores[positions], return_counts=True)
+        n = len(positions)
+        return {log.store_ids[s]: c / n for s, c in zip(stores, counts)}
+
+    pt = prefs(tpos)
+    scored = []
+    for user in log.user_ids:
+        if user == target:
+            continue
+        sim = _union_pearson(pt, prefs(before.get(code_of[user], np.empty(0, np.int64))))
+        scored.append((user, sim))
+    scored.sort(key=lambda us: (-us[1], us[0]))
+    return scored[:k]
+
+
+# ---------------------------------------------------------------- HisPop, SOnly
+
+
+def hispop_score(
+    history: list[Interaction],
+    now: SituationFeatures,
+    candidates: tuple[str, ...] | list[str],
+    tz_offset_minutes: int = 0,
+    epoch: int = 0,
+) -> ScoredSlate:
+    """Sum of situation similarities of each candidate's past orders to now.
+
+    Candidates must all appear in the history; ``epoch`` anchors day indices
+    and must match the reference frame of ``now``.
+    """
+    times = np.array([it.time for it in history], dtype=np.int64)
+    day, hour, dow = time_facets(times, tz_offset_minutes, epoch)
+    loc_match = np.array(
+        [it.location_id == now.location_id for it in history], dtype=bool
+    )
+    sims = situsim.situation_similarity_arrays(
+        day, hour, dow, loc_match, now.day_index, now.hour, now.day_of_week
+    )
+    totals: dict[str, float] = {}
+    for it, s in zip(history, sims):
+        totals[it.store_id] = totals.get(it.store_id, 0.0) + float(s)
+    scores = np.empty(len(candidates), dtype=np.float64)
+    for i, c in enumerate(candidates):
+        if c not in totals:
+            raise ValueError(f"candidate {c!r} was never visited")
+        scores[i] = totals[c]
+    return ScoredSlate(tuple(candidates), scores, origin="hispop")
+
+
+def sonly_score(
+    state: dc.ModelState, now: SituationFeatures, candidates
+) -> ScoredSlate:
+    """Dot product between the situation vector and candidate store embeddings."""
+    meta = state.meta
+    loc_index = {l: i for i, l in enumerate(meta["location_ids"])}
+    store_index = {s: i for i, s in enumerate(meta["store_ids"])}
+    lc = loc_index.get(now.location_id, features.FALLBACK)
+    situ = (
+        state.value("emb.hour")[now.hour]
+        + state.value("emb.dow")[now.day_of_week]
+        + state.value("emb.loc")[lc]
+    )
+    codes = []
+    for c in candidates:
+        if c not in store_index:
+            raise ValueError(f"unknown store {c!r}")
+        codes.append(store_index[c])
+    scores = state.value("emb.store")[codes] @ situ
+    return ScoredSlate(tuple(candidates), scores, origin="sonly")
+
+
+# ---------------------------------------------------------------- RepRec
+
+
+def _cosine_rows(mu: np.ndarray, mu_now: np.ndarray) -> np.ndarray:
+    """Cosine of each row of ``mu`` against ``mu_now``; zero-norm terms -> 0."""
+    norms = np.linalg.norm(mu, axis=-1)
+    now_norm = float(np.linalg.norm(mu_now))
+    num = mu @ mu_now
+    denom = norms * now_norm
+    out = np.zeros_like(num)
+    ok = denom > 0.0
+    out[ok] = num[ok] / denom[ok]
+    return out
+
+
+def reprec_forward(
+    state: dc.ModelState,
+    history: list[Interaction],
+    now: SituationFeatures,
+    candidates: tuple[str, ...] | list[str],
+) -> ScoredSlate:
+    """Score candidates against the situation-weighted history profile.
+
+    Every candidate must appear among the history's stores.
+    """
+    if not history:
+        raise ValueError("history must be non-empty")
+    meta = state.meta
+    values = {n: state.value(n) for n in ("emb.store", "emb.hour", "emb.dow", "emb.loc")}
+    store_index = {s: i for i, s in enumerate(meta["store_ids"])}
+    loc_index = {l: i for i, l in enumerate(meta["location_ids"])}
+
+    times = np.array([it.time for it in history], dtype=np.int64)
+    _, hours, dows = time_facets(times, meta["tz_offset_minutes"], meta["epoch"])
+    locs = np.array(
+        [loc_index.get(it.location_id, features.FALLBACK) for it in history]
+    )
+    mu = values["emb.hour"][hours] + values["emb.dow"][dows] + values["emb.loc"][locs]
+    mu_now = (
+        values["emb.hour"][now.hour]
+        + values["emb.dow"][now.day_of_week]
+        + values["emb.loc"][loc_index.get(now.location_id, features.FALLBACK)]
+    )
+    w = _cosine_rows(mu, mu_now)
+
+    visited = {it.store_id for it in history}
+    stores = np.array([store_index[it.store_id] for it in history])
+    profile = w @ values["emb.store"][stores]
+
+    codes = []
+    for c in candidates:
+        if c not in visited:
+            raise ValueError(f"candidate {c!r} does not appear in the history")
+        codes.append(store_index[c])
+    scores = values["emb.store"][codes] @ profile
+    return ScoredSlate(tuple(candidates), scores, origin="reprec")
+
+
+# ---------------------------------------------------------------- ExpRec
+
+# ordered activation set for the conditioned user encoder
+_ACTIVATIONS_NP = (
+    lambda x: x,
+    np.tanh,
+    dc._sigmoid,
+    lambda x: np.maximum(x, 0.0),
+)
+
+
+def _situation_np(values, hours, dows, locs) -> np.ndarray:
+    return values["emb.hour"][hours] + values["emb.dow"][dows] + values["emb.loc"][locs]
+
+
+def _history_codes(state: dc.ModelState, history: list[Interaction]):
+    meta = state.meta
+    store_index = {s: i for i, s in enumerate(meta["store_ids"])}
+    loc_index = {l: i for i, l in enumerate(meta["location_ids"])}
+    stores = np.array([store_index[it.store_id] for it in history], dtype=np.int64)
+    times = np.array([it.time for it in history], dtype=np.int64)
+    _, hours, dows = time_facets(times, meta["tz_offset_minutes"], meta["epoch"])
+    locs = np.array(
+        [loc_index.get(it.location_id, features.FALLBACK) for it in history],
+        dtype=np.int64,
+    )
+    return stores, hours, dows, locs
+
+
+def encode_history(
+    state: dc.ModelState, history: list[Interaction], limit: int | None = None
+) -> np.ndarray:
+    """GRU encoding of the last ``limit`` interactions; empty history -> 0."""
+    values = _values(state)
+    if limit is None:
+        limit = int(state.meta["window"])
+    if not history:
+        return np.zeros(int(state.meta["dim"]))
+    tail = history[-limit:] if limit else history
+    stores, hours, dows, locs = _history_codes(state, tail)
+    situ = _situation_np(values, hours, dows, locs)
+    xs = np.concatenate([values["emb.store"][stores], situ], axis=-1)
+    p = dc.gru_leaves(state, "gru.hist")
+    h = dc.Var(np.zeros(int(state.meta["dim"])))
+    for x in xs:
+        h = dc.gru_cell(p, x, h)
+    return h.data
+
+
+def _mix_weights_np(values, situation_vec: np.ndarray) -> np.ndarray:
+    return dc._softmax(situation_vec @ values["cond.w"].T + values["cond.b"], axis=-1)
+
+
+def condition_user(
+    state: dc.ModelState, user_vec: np.ndarray, situation_vec: np.ndarray
+) -> np.ndarray:
+    """Situation-gated mix of fixed activations applied to ``user_vec``."""
+    values = _values(state)
+    a = _mix_weights_np(values, situation_vec)
+    out = np.zeros_like(user_vec, dtype=np.float64)
+    for weight, act in zip(a, _ACTIVATIONS_NP):
+        out = out + weight * act(user_vec)
+    return out
+
+
+def collaborative_embedding(
+    state: dc.ModelState,
+    target: str,
+    neighbors: list[tuple[str, float]],
+    situation_vec: np.ndarray,
+) -> np.ndarray:
+    """Similarity-weighted sum of neighbors' conditioned embeddings."""
+    dim = int(state.meta["dim"])
+    if not neighbors:
+        return np.zeros(dim)
+    user_index = {u: i for i, u in enumerate(state.meta["user_ids"])}
+    values = _values(state)
+    sims = np.array([s for _, s in neighbors], dtype=np.float64)
+    w = _neighbor_weights(sims, np.ones(len(neighbors), dtype=bool))
+    a = _mix_weights_np(values, situation_vec)
+    out = np.zeros(dim)
+    for (uid, _), wk in zip(neighbors, w):
+        if uid == target:
+            raise ValueError("target cannot be its own neighbor")
+        emb = values["emb.user"][user_index[uid]]
+        cond = np.zeros(dim)
+        for am, act in zip(a, _ACTIVATIONS_NP):
+            cond = cond + am * act(emb)
+        out = out + wk * cond
+    return out
+
+
+def fusion_weights(
+    state: dc.ModelState,
+    e_mu: np.ndarray,
+    e_u_mu: np.ndarray,
+    ablation_mask=None,
+) -> np.ndarray:
+    """Softmax trigger weights; ablated entries are exactly 0."""
+    mask = _check_mask(ablation_mask)
+    values = _values(state)
+    logits = np.concatenate([e_mu, e_u_mu]) @ values["fuse.w"].T + values["fuse.b"]
+    w = np.zeros(len(TRIGGERS))
+    keep = ~mask
+    w[keep] = dc._softmax(logits[keep], axis=-1)
+    return w
+
+
+def trigger_fusion(
+    state: dc.ModelState,
+    e_mu: np.ndarray,
+    e_h: np.ndarray,
+    e_u_mu: np.ndarray,
+    e_cu_mu: np.ndarray,
+    ablation_mask=None,
+) -> np.ndarray:
+    w = fusion_weights(state, e_mu, e_u_mu, ablation_mask)
+    triggers = (e_mu, e_h, e_u_mu, e_cu_mu)
+    return sum(wk * t for wk, t in zip(w, triggers))
+
+
+def exprec_score(
+    state: dc.ModelState,
+    user: str,
+    history: list[Interaction],
+    now: SituationFeatures,
+    candidates: tuple[str, ...] | list[str],
+    ablation_mask=None,
+    neighbors: list[tuple[str, float]] = (),
+) -> ScoredSlate:
+    """Fused-trigger dot-product scores over unvisited candidates."""
+    meta = state.meta
+    visited = {it.store_id for it in history}
+    for c in candidates:
+        if c in visited:
+            raise ValueError(f"candidate {c!r} was already visited")
+    values = _values(state)
+    store_index = {s: i for i, s in enumerate(meta["store_ids"])}
+    loc_index = {l: i for i, l in enumerate(meta["location_ids"])}
+    user_index = {u: i for i, u in enumerate(meta["user_ids"])}
+    if user not in user_index:
+        raise ValueError(f"unknown user {user!r}")
+
+    e_mu = _situation_np(values, now.hour, now.day_of_week,
+                         loc_index.get(now.location_id, features.FALLBACK))
+    e_h = encode_history(state, history)
+    e_u = condition_user(state, values["emb.user"][user_index[user]], e_mu)
+    e_cu = collaborative_embedding(state, user, list(neighbors), e_mu)
+    s_e = trigger_fusion(state, e_mu, e_h, e_u, e_cu, ablation_mask)
+    codes = [store_index[c] for c in candidates]
+    scores = values["emb.store"][codes] @ s_e
+    return ScoredSlate(tuple(candidates), scores, origin="exprec")
+
+
+# ---------------------------------------------------------------- ensemble
+
+
+@dataclass(frozen=True)
+class IntentEstimate:
+    repeat_prob: float
+    explore_prob: float
+
+    def __post_init__(self):
+        for p in (self.repeat_prob, self.explore_prob):
+            if not 0.0 <= p <= 1.0:
+                raise ValueError("intent probabilities must lie in [0, 1]")
+        if abs(self.repeat_prob + self.explore_prob - 1.0) > 1e-9:
+            raise ValueError("intent probabilities must sum to 1")
+
+
+@dataclass(frozen=True)
+class CombinedSlate:
+    """Final slate: ``a`` repeat items followed by ``b`` exploration items.
+
+    ``scores == weights * base`` holds exactly, element by element.
+    """
+
+    candidates: tuple[str, ...]
+    a: int
+    b: int
+    base: np.ndarray     # normalized input scores, repeat part first
+    weights: np.ndarray  # per-item sigmoid weights in (0, 1)
+    scores: np.ndarray
+
+    def __post_init__(self):
+        n = self.a + self.b
+        if not (len(self.candidates) == len(self.base) == len(self.weights)
+                == len(self.scores) == n):
+            raise ValueError("slate arrays must all have length a + b")
+
+
+def predict_intent(
+    state: dc.ModelState,
+    user: str,
+    intent_history,
+    now: SituationFeatures,
+) -> IntentEstimate:
+    """Repeat/explore probabilities from past flags, situation, and user."""
+    values = _values(state)
+    meta = state.meta
+    window = int(meta["window"])
+    user_index = {u: i for i, u in enumerate(meta["user_ids"])}
+    loc_index = {l: i for i, l in enumerate(meta["location_ids"])}
+    if user not in user_index:
+        raise ValueError(f"unknown user {user!r}")
+
+    p = dc.gru_leaves(state, "gru.intent")
+    h = dc.Var(np.zeros(int(meta["dim"])))
+    for flag in list(intent_history)[-window:]:
+        h = dc.gru_cell(p, values["emb.flag"][int(bool(flag))], h)
+    h = h.data
+    e_mu = _situation_np(values, now.hour, now.day_of_week,
+                         loc_index.get(now.location_id, features.FALLBACK))
+    u = values["emb.user"][user_index[user]]
+    logits = np.concatenate([h, e_mu, u]) @ values["intent.w"].T + values["intent.b"]
+    probs = dc._softmax(logits, axis=-1)
+    return IntentEstimate(float(probs[0]), float(probs[1]))
+
+
+def combine(
+    state: dc.ModelState,
+    repeat_slate: ScoredSlate | None,
+    exploration_slate: ScoredSlate | None,
+    intent: IntentEstimate,
+) -> CombinedSlate:
+    """Weight two normalized, disjoint slates into one final ranking."""
+    parts = [s for s in (repeat_slate, exploration_slate) if s is not None
+             and len(s.candidates)]
+    if not parts:
+        raise ValueError("both slates are empty")
+    for s in parts:
+        if s.scores.min() < -1e-12 or s.scores.max() > 1.0 + 1e-12:
+            raise ValueError("slates must be min-max normalized before combining")
+    rep = repeat_slate.candidates if repeat_slate else ()
+    exp = exploration_slate.candidates if exploration_slate else ()
+    if set(rep) & set(exp):
+        raise ValueError("repeat and exploration slates overlap")
+    a, b = len(rep), len(exp)
+    base = np.concatenate([
+        repeat_slate.scores if a else np.empty(0),
+        exploration_slate.scores if b else np.empty(0),
+    ])
+    origin = np.concatenate([np.ones(a), np.zeros(b)])
+    probs = np.array([intent.repeat_prob, intent.explore_prob])
+    weights = _item_weights_np(_values(state), base, origin, probs)
+    return CombinedSlate(
+        candidates=tuple(rep) + tuple(exp),
+        a=a, b=b, base=base, weights=weights, scores=weights * base,
+    )

@@ -66,9 +66,9 @@ def make_coupled_log(sc, cc, seed=0, n_users=60):
     cfg = dataio.SynthConfig(
         n_users=n_users, n_stores=25, n_orders_per_user=12,
         situation_coupling=sc, collab_coupling=cc,
-        n_locations=5, n_brands=8, n_cuisines=4,
+        n_locations=5, n_brands=8, n_cuisines=4, seed=seed,
     )
-    log, _ = dataio.generate_synthetic(cfg, seed=seed)
+    log, _ = dataio.generate_synthetic(cfg)
     return log
 
 

@@ -1,16 +1,10 @@
 import numpy as np
 import pytest
 
-from fdrec import baselines, dataio, evalharness, features, situsim
-from fdrec.dataio import Interaction, SituationFeatures
+import oracles
+from fdrec import baselines, evalharness, features
 from fdrec.training import TrainSettings
-from conftest import make_log
-
-
-def history_of(log, position):
-    """Interactions of the same user strictly before ``position``."""
-    user = log.users[position]
-    return [log.interaction(p) for p in range(position) if log.users[p] == user]
+from oracles import Interaction, SituationFeatures
 
 
 # ---------------------------------------------------------------------------
@@ -26,9 +20,9 @@ def test_hispop_sums_situation_similarity():
     ]
     # unix time 0 falls on a Thursday: day_of_week 3 with Monday = 0
     now = SituationFeatures(day_index=0, hour=2, day_of_week=3, location_id="l1")
-    scores = baselines.hispop_score(history, now, ["A", "B"], epoch=0).scores
+    scores = oracles.hispop_score(history, now, ["A", "B"], epoch=0).scores
     sims = [
-        situsim.situation_similarity(SituationFeatures(0, h, 3, "l1"), now)
+        oracles.situation_similarity(SituationFeatures(0, h, 3, "l1"), now)
         for h in (0, 1, 2)
     ]
     assert scores[0] == pytest.approx(sims[0] + sims[1], abs=1e-12)
@@ -47,7 +41,7 @@ def test_hispop_rejects_unvisited_candidates():
     history = [Interaction("u", "A", 0, "l1")]
     now = SituationFeatures(0, 0, 0, "l1")
     with pytest.raises(ValueError, match="never visited"):
-        baselines.hispop_score(history, now, ["A", "Z"], epoch=0)
+        oracles.hispop_score(history, now, ["A", "Z"], epoch=0)
 
 
 def test_hispop_scorer_matches_public_op(small_split, small_seqs):
@@ -58,14 +52,9 @@ def test_hispop_scorer_matches_public_op(small_split, small_seqs):
                                     vocabs=vocabs)
     scores = scorer(cases)
     for i, case in zip(range(20), cases):
-        history = history_of(log, case.position)
-        day, hour, dow = log.facets
-        now = SituationFeatures(
-            int(day[case.position]), int(hour[case.position]),
-            int(dow[case.position]), log.location_ids[log.locs[case.position]],
-        )
-        want = baselines.hispop_score(
-            history, now, list(case.candidates),
+        want = oracles.hispop_score(
+            oracles.history_before(log, case.position),
+            oracles.situation(log, case.position), list(case.candidates),
             tz_offset_minutes=log.tz_offset_minutes, epoch=log.epoch,
         )
         np.testing.assert_allclose(scores[i, : len(want.scores)], want.scores,
@@ -102,7 +91,7 @@ def test_sonly_score_is_dot_of_situation_and_store(small_split):
     log = small_split.log
     now = SituationFeatures(2, 13, 4, log.location_ids[0])
     candidates = log.store_ids[:5]
-    scores = baselines.sonly_score(state, now, candidates).scores
+    scores = oracles.sonly_score(state, now, candidates).scores
     loc_ids = state.meta["location_ids"]
     loc_idx = loc_ids.index(log.location_ids[0])
     situ = (
@@ -118,7 +107,7 @@ def test_sonly_score_is_dot_of_situation_and_store(small_split):
 def test_sonly_score_unseen_location_uses_fallback(small_split):
     state = baselines.sonly_build(small_split, dim=8, seed=1)
     now_known = SituationFeatures(0, 9, 2, "no-such-location")
-    scores = baselines.sonly_score(state, now_known, small_split.log.store_ids[:3]).scores
+    scores = oracles.sonly_score(state, now_known, small_split.log.store_ids[:3]).scores
     situ = (
         state.value("emb.hour")[9]
         + state.value("emb.dow")[2]
@@ -161,13 +150,9 @@ def test_sonly_scorer_matches_public_op(small_split, small_seqs):
     cases = evalharness.build_cases(small_split, "exploration", seed=0,
                                     max_cases=8, seqs=seqs, vocabs=vocabs)
     scorer = baselines.sonly_scorer(state, small_split, cases, seqs, vocabs)
-    day, hour, dow = log.facets
     scores = scorer(cases)
     for i, case in enumerate(cases):
-        now = SituationFeatures(
-            int(day[case.position]), int(hour[case.position]),
-            int(dow[case.position]), log.location_ids[log.locs[case.position]],
-        )
-        want = baselines.sonly_score(state, now, list(case.candidates))
+        now = oracles.situation(log, case.position)
+        want = oracles.sonly_score(state, now, list(case.candidates))
         np.testing.assert_allclose(scores[i, : len(want.scores)], want.scores,
                                    atol=1e-9, rtol=0)

@@ -196,17 +196,6 @@ def test_unknown_command_rejected(capsys):
     capsys.readouterr()
 
 
-def test_threads_env_validation(pipeline, monkeypatch, capsys):
-    cfg_path, _ = pipeline
-    monkeypatch.setenv("FDREC_THREADS", "abc")
-    assert cli.main(["report", "--config", cfg_path]) == 2
-    assert "FDREC_THREADS" in capsys.readouterr().err
-    monkeypatch.setenv("FDREC_THREADS", "0")
-    assert cli.main(["report", "--config", cfg_path]) == 2
-    monkeypatch.setenv("FDREC_THREADS", "2")
-    assert cli.main(["report", "--config", cfg_path]) == 0
-
-
 def test_missing_checkpoint_is_runtime_error(pipeline, capsys):
     cfg_path, _ = pipeline
     # a distinct eval seed hashes to a fresh run directory with no checkpoints

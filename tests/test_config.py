@@ -1,10 +1,13 @@
+import dataclasses
 import os
 
 import pytest
 
+from fdrec import baselines, cli, dataio, ensemble, exprec, reprec
 from fdrec.config import ConfigError, load_config, write_config
-from fdrec.dataio import SECONDS_PER_DAY
+from fdrec.dataio import SECONDS_PER_DAY, SynthConfig
 from fdrec.exprec import TRIGGERS
+from fdrec.training import TrainSettings
 
 
 def write(tmp_path, text, name="run.cfg"):
@@ -161,20 +164,106 @@ def test_write_config_applies_overrides(tmp_path):
 
 def test_derived_settings(tmp_path):
     cfg = load_config(write(
-        tmp_path,
-        "[data]\nvalid_window_days = 1.5\ntest_window_days = 2\n"
-        "[train]\nlr = 0.05\nweight_decay = 0.01\nbatch_size = 32\n"
-        "patience = 4\nmax_epochs = 9\nseed = 3\n"
-        "[synth]\nn_users = 12\nrepeat_prob = 0.4\nseed = 8\n",
+        tmp_path, "[data]\nvalid_window_days = 1.5\ntest_window_days = 2\n"
     ))
     assert cfg.valid_window_s() == int(round(1.5 * SECONDS_PER_DAY))
     assert cfg.test_window_s() == 2 * SECONDS_PER_DAY
-    ts = cfg.train_settings()
-    assert (ts.lr, ts.weight_decay, ts.batch_size) == (0.05, 0.01, 32)
-    assert (ts.patience, ts.max_epochs, ts.seed) == (4, 9, 3)
-    sc = cfg.synth_config()
-    assert sc.n_users == 12 and sc.repeat_prob == 0.4
-    assert cfg.synth.seed == 8
+
+
+# The default write_config() output.  Run directories are named by its hash,
+# so a changed default, key or key order renames every one of them.
+DEFAULT_CONFIG = """\
+[data]
+interactions = 
+stores = 
+out = runs
+tz_offset_minutes = 0
+min_orders = 10
+valid_window_days = 4.0
+test_window_days = 4.0
+
+[synth]
+n_users = 1000
+n_stores = 200
+n_orders_per_user = 15
+repeat_prob = 0.55
+situation_coupling = 0.0
+collab_coupling = 0.0
+n_locations = 20
+n_brands = 40
+n_cuisines = 12
+span_days = 28
+start_time = 1600041600
+modes_per_user = 3
+n_clusters = 8
+seed = 0
+
+[model]
+dim = 64
+repeat_window = 50
+history_window = 20
+k_neighbors = 10
+attn_dim = 32
+budget = 30
+intent_weight = 1.0
+ablate = 
+
+[train]
+lr = 0.01
+weight_decay = 0.0
+batch_size = 256
+patience = 10
+max_epochs = 100
+seed = 0
+max_instances = 20000
+val_max_cases = 2000
+
+[eval]
+k = 3
+seed = 0
+max_cases = 0
+
+"""
+
+
+def test_default_config_bytes_and_hash_are_pinned(tmp_path):
+    path = tmp_path / "run.cfg"
+    write_config(str(path))
+    assert path.read_bytes() == DEFAULT_CONFIG.encode()
+    assert load_config(str(path)).config_hash() == "534867ef8af3"
+
+
+def test_every_synth_and_train_key_reaches_the_generator_and_trainers(
+    tmp_path, monkeypatch
+):
+    synth = {"n_users": 31, "n_stores": 17, "n_orders_per_user": 9, "repeat_prob": 0.4,
+             "situation_coupling": 0.3, "collab_coupling": 0.2, "n_locations": 5,
+             "n_brands": 6, "n_cuisines": 4, "span_days": 11, "start_time": 86400,
+             "modes_per_user": 2, "n_clusters": 3, "seed": 9}
+    train = {"lr": 0.2, "weight_decay": 0.1, "batch_size": 7, "patience": 3,
+             "max_epochs": 4, "seed": 5, "max_instances": 11, "val_max_cases": 13}
+    assert set(synth) == {f.name for f in dataclasses.fields(SynthConfig)}
+    assert set(train) == {f.name for f in dataclasses.fields(TrainSettings)}
+    path = str(tmp_path / "run.cfg")
+    write_config(path, {"synth": synth, "train": train})
+
+    seen = []
+
+    def generator(cfg):
+        seen.append(cfg)
+        raise RuntimeError("stop after the call")
+
+    monkeypatch.setattr(dataio, "generate_synthetic", generator)
+    assert cli.main(["synth", "--out", str(tmp_path / "d"), "--config", path]) == 1
+    assert seen == [SynthConfig(**synth)]
+
+    monkeypatch.setattr(cli, "_load_split", lambda cfg: "split")
+    monkeypatch.setattr(cli, "_load_checkpoint", lambda run_dir, model: model)
+    for module, name in ((baselines, "sonly_train"), (reprec, "reprec_train"),
+                         (exprec, "exprec_train"), (ensemble, "ensemble_train")):
+        monkeypatch.setattr(module, name, lambda *args, **kwargs: args)
+    for model in cli.TRAINABLE:
+        assert cli._train_one(load_config(path), "run", model)[-1] == TrainSettings(**train)
 
 
 def test_to_dict_is_json_friendly(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 
 import numpy as np
@@ -21,6 +22,7 @@ from fdrec.dataio import (
     write_stores_tsv,
 )
 from conftest import make_log
+from oracles import interactions
 
 # 2020-09-14 00:00:00 UTC, a Monday.
 MONDAY = 1_600_041_600
@@ -52,8 +54,8 @@ def test_log_sorted_by_time_with_stable_ties():
             ("u3", "c", 50, "l2"),
         ]
     )
-    assert [i.user_id for i in log] == ["u1", "u2", "u3"]
-    assert [i.store_id for i in log] == ["a", "b", "c"]
+    assert [i.user_id for i in interactions(log)] == ["u1", "u2", "u3"]
+    assert [i.store_id for i in interactions(log)] == ["a", "b", "c"]
 
 
 def test_vocabularies_first_appearance_order():
@@ -70,9 +72,7 @@ def test_parse_interactions_roundtrip(tmp_path):
     path = tmp_path / "inter.tsv"
     write_interactions_tsv(log, str(path))
     back = parse_interactions(str(path))
-    assert [tuple(vars(i).values()) for i in back] == [
-        tuple(vars(i).values()) for i in log
-    ]
+    assert interactions(back) == interactions(log)
 
 
 def test_parse_interactions_rejects_bad_rows(tmp_path):
@@ -117,7 +117,7 @@ def test_filter_users_keeps_full_histories():
     records += [("u2", "a", t, "l1") for t in range(3)]
     log = make_log(records)
     kept = filter_users(log, min_orders=5)
-    assert set(i.user_id for i in kept) == {"u1"}
+    assert set(i.user_id for i in interactions(kept)) == {"u1"}
     assert len(kept) == 5
     assert kept.catalog is not None and set(kept.catalog) == {"a"}
 
@@ -171,24 +171,21 @@ def test_split_repeat_flags_cross_boundaries():
 
 
 def test_synthetic_is_deterministic_and_feasible():
-    cfg = SynthConfig(n_users=20, n_stores=15, n_orders_per_user=6)
-    log_a, cat_a = generate_synthetic(cfg, seed=3)
-    log_b, cat_b = generate_synthetic(cfg, seed=3)
-    assert [tuple(vars(i).values()) for i in log_a] == [
-        tuple(vars(i).values()) for i in log_b
-    ]
+    cfg = SynthConfig(n_users=20, n_stores=15, n_orders_per_user=6, seed=3)
+    log_a, cat_a = generate_synthetic(cfg)
+    log_b, cat_b = generate_synthetic(cfg)
+    assert interactions(log_a) == interactions(log_b)
     assert cat_a == cat_b
     assert len(log_a) == 20 * 6
     assert log_a.catalog is not None
-    log_c, _ = generate_synthetic(cfg, seed=4)
-    assert [tuple(vars(i).values()) for i in log_a] != [
-        tuple(vars(i).values()) for i in log_c
-    ]
+    log_c, _ = generate_synthetic(dataclasses.replace(cfg, seed=4))
+    assert interactions(log_a) != interactions(log_c)
 
 
 def test_synthetic_first_order_never_repeats():
-    cfg = SynthConfig(n_users=30, n_stores=12, n_orders_per_user=5, repeat_prob=1.0)
-    log, _ = generate_synthetic(cfg, seed=1)
+    cfg = SynthConfig(n_users=30, n_stores=12, n_orders_per_user=5, repeat_prob=1.0,
+                      seed=1)
+    log, _ = generate_synthetic(cfg)
     flags = label_repeat_flags(log)
     for _, positions in log.per_user.items():
         assert not flags[positions[0]]
@@ -198,8 +195,8 @@ def test_synthetic_first_order_never_repeats():
 
 def test_synthetic_repeat_probability_is_respected():
     cfg = SynthConfig(n_users=400, n_stores=50, n_orders_per_user=12,
-                      repeat_prob=0.55)
-    log, _ = generate_synthetic(cfg, seed=9)
+                      repeat_prob=0.55, seed=9)
+    log, _ = generate_synthetic(cfg)
     flags = label_repeat_flags(log)
     eligible = np.ones(len(log), dtype=bool)
     for _, positions in log.per_user.items():
@@ -211,14 +208,14 @@ def test_synthetic_repeat_probability_is_respected():
 def test_synthetic_rejects_infeasible_exploration():
     with pytest.raises(ValueError):
         generate_synthetic(
-            SynthConfig(n_users=2, n_stores=3, n_orders_per_user=5, repeat_prob=0.0),
-            seed=0,
+            SynthConfig(n_users=2, n_stores=3, n_orders_per_user=5, repeat_prob=0.0)
         )
 
 
 def test_synthetic_time_span_and_store_ids():
-    cfg = SynthConfig(n_users=25, n_stores=40, n_orders_per_user=8, span_days=10)
-    log, catalog = generate_synthetic(cfg, seed=2)
+    cfg = SynthConfig(n_users=25, n_stores=40, n_orders_per_user=8, span_days=10,
+                      seed=2)
+    log, catalog = generate_synthetic(cfg)
     span = int(log.times[-1]) - int(log.times[0])
     assert span <= 10 * SECONDS_PER_DAY
     assert log.times[0] >= cfg.start_time

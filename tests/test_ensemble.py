@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+import oracles
 from fdrec import diffcore as dc
 from fdrec import baselines, ensemble, evalharness, exprec, features, reprec
-from fdrec.dataio import SituationFeatures
-from fdrec.evalharness import ScoredSlate
 from fdrec.training import TrainSettings
+from oracles import ScoredSlate, SituationFeatures
 from conftest import rng, take
 from test_exprec import manual_gru, np_softmax
 
@@ -15,12 +15,12 @@ def build(split, **kw):
 
 
 def test_intent_estimate_validation():
-    est = ensemble.IntentEstimate(0.6, 0.4)
+    est = oracles.IntentEstimate(0.6, 0.4)
     assert est.repeat_prob == 0.6
     with pytest.raises(ValueError, match="lie in"):
-        ensemble.IntentEstimate(1.2, -0.2)
+        oracles.IntentEstimate(1.2, -0.2)
     with pytest.raises(ValueError, match="sum to 1"):
-        ensemble.IntentEstimate(0.6, 0.3)
+        oracles.IntentEstimate(0.6, 0.3)
 
 
 def test_predict_intent_zero_state_is_even_split(tiny_split):
@@ -29,7 +29,7 @@ def test_predict_intent_zero_state_is_even_split(tiny_split):
         state.value(name)[...] = 0.0
     user = state.meta["user_ids"][0]
     now = SituationFeatures(0, 12, 2, state.meta["location_ids"][0])
-    est = ensemble.predict_intent(state, user, [True, False, True], now)
+    est = oracles.predict_intent(state, user, [True, False, True], now)
     assert est.repeat_prob == pytest.approx(0.5, abs=1e-12)
     assert est.explore_prob == pytest.approx(0.5, abs=1e-12)
 
@@ -38,7 +38,7 @@ def test_predict_intent_unknown_user(tiny_split):
     state = build(tiny_split, dim=8, attn_dim=4)
     now = SituationFeatures(0, 12, 2, state.meta["location_ids"][0])
     with pytest.raises(ValueError, match="unknown user"):
-        ensemble.predict_intent(state, "nobody", [True], now)
+        oracles.predict_intent(state, "nobody", [True], now)
 
 
 def test_predict_intent_matches_manual_transcription(tiny_split):
@@ -48,7 +48,7 @@ def test_predict_intent_matches_manual_transcription(tiny_split):
     user = meta["user_ids"][1]
     flags = [True, False, False, True, True]
     now = SituationFeatures(4, 19, 6, meta["location_ids"][0])
-    est = ensemble.predict_intent(state, user, flags, now)
+    est = oracles.predict_intent(state, user, flags, now)
 
     h = np.zeros(8)
     for f in flags[-3:]:  # history is windowed
@@ -68,8 +68,6 @@ def test_batched_intent_matches_single_op(small_split, small_seqs):
     seqs, vocabs = small_seqs
     state = build(small_split, dim=8, attn_dim=4, seed=7, window=5)
     values = {n: state.value(n) for n in state.params}
-    log = small_split.log
-    day, hour, dow = log.facets
     rows = seqs.flat_of_global[small_split.test_idx[:6]]
     probs = ensemble._intent_probs(state, seqs, rows)
     for i, row in enumerate(rows):
@@ -77,10 +75,8 @@ def test_batched_intent_matches_single_op(small_split, small_seqs):
         ucode = int(np.searchsorted(seqs.offsets, row, side="right") - 1)
         lo = int(seqs.offsets[ucode])
         flags = [bool(seqs.repeat[r]) for r in range(lo, row)]
-        p = int(small_split.test_idx[:6][i])
-        now = SituationFeatures(int(day[p]), int(hour[p]), int(dow[p]),
-                                log.location_ids[log.locs[p]])
-        est = ensemble.predict_intent(state, vocabs.user_ids[ucode], flags, now)
+        now = oracles.situation(small_split.log, int(small_split.test_idx[i]))
+        est = oracles.predict_intent(state, vocabs.user_ids[ucode], flags, now)
         assert probs[i, 0] == pytest.approx(est.repeat_prob, abs=1e-12)
         assert probs[i, 1] == pytest.approx(est.explore_prob, abs=1e-12)
 
@@ -118,7 +114,7 @@ def slates_for(state, seed=0):
 def test_combine_is_exact_elementwise_product(tiny_split):
     state = build(tiny_split, dim=8, attn_dim=4, seed=1)
     rep, exp = slates_for(state)
-    out = ensemble.combine(state, rep, exp, ensemble.IntentEstimate(0.7, 0.3))
+    out = oracles.combine(state, rep, exp, oracles.IntentEstimate(0.7, 0.3))
     assert out.a == 3 and out.b == 4
     assert out.candidates == rep.candidates + exp.candidates
     np.testing.assert_array_equal(out.base,
@@ -131,8 +127,8 @@ def test_combine_weights_match_attention_oracle(tiny_split):
     state = build(tiny_split, dim=8, attn_dim=4, seed=2)
     values = {n: state.value(n) for n in state.params}
     rep, exp = slates_for(state, seed=9)
-    intent = ensemble.IntentEstimate(0.25, 0.75)
-    out = ensemble.combine(state, rep, exp, intent)
+    intent = oracles.IntentEstimate(0.25, 0.75)
+    out = oracles.combine(state, rep, exp, intent)
 
     base = np.concatenate([rep.scores, exp.scores])
     origin = np.concatenate([np.ones(3), np.zeros(4)])
@@ -158,10 +154,10 @@ def np_softmax_rows(z):
 def test_combine_single_sided_slates(tiny_split):
     state = build(tiny_split, dim=8, attn_dim=4, seed=3)
     rep, exp = slates_for(state, seed=4)
-    intent = ensemble.IntentEstimate(0.5, 0.5)
-    only_rep = ensemble.combine(state, rep, None, intent)
+    intent = oracles.IntentEstimate(0.5, 0.5)
+    only_rep = oracles.combine(state, rep, None, intent)
     assert only_rep.a == 3 and only_rep.b == 0
-    only_exp = ensemble.combine(state, None, exp, intent)
+    only_exp = oracles.combine(state, None, exp, intent)
     assert only_exp.a == 0 and only_exp.b == 4
     np.testing.assert_array_equal(only_exp.scores,
                                   only_exp.weights * exp.scores)
@@ -170,16 +166,16 @@ def test_combine_single_sided_slates(tiny_split):
 def test_combine_input_validation(tiny_split):
     state = build(tiny_split, dim=8, attn_dim=4, seed=0)
     stores = state.meta["store_ids"]
-    intent = ensemble.IntentEstimate(0.5, 0.5)
+    intent = oracles.IntentEstimate(0.5, 0.5)
     with pytest.raises(ValueError, match="both slates are empty"):
-        ensemble.combine(state, None, None, intent)
+        oracles.combine(state, None, None, intent)
     rep, exp = slates_for(state)
     shared = ScoredSlate((stores[0], stores[5]), np.array([0.0, 1.0]), "exprec")
     with pytest.raises(ValueError, match="overlap"):
-        ensemble.combine(state, rep, shared, intent)
+        oracles.combine(state, rep, shared, intent)
     raw = ScoredSlate(tuple(stores[7:9]), np.array([0.2, 1.5]), "exprec")
     with pytest.raises(ValueError, match="normalized"):
-        ensemble.combine(state, rep, raw, intent)
+        oracles.combine(state, rep, raw, intent)
 
 
 def test_item_weights_var_matches_numpy_path(tiny_split):
@@ -249,8 +245,7 @@ def test_training_slate_construction(tiny_split):
     vocabs = features.build_vocabs(tiny_split)
     seqs = features.build_sequences(tiny_split, vocabs)
     rep, exp = frozen_bases(tiny_split)
-    neighbors = exprec.neighbor_arrays(tiny_split.log, vocabs.user_ids, 3,
-                                       tiny_split.valid_boundary)
+    neighbors = exprec.neighbor_arrays(tiny_split.log, 3, tiny_split.valid_boundary)
     rows = seqs.flat_of_global[tiny_split.train_idx]
     rows = rows[seqs.distinct_before[rows] >= 1][:12]
     slates = ensemble._build_training_slates(
@@ -277,8 +272,7 @@ def test_combined_loss_gradients_match_finite_differences(tiny_split):
     seqs = features.build_sequences(tiny_split, vocabs)
     state = build(tiny_split, dim=6, attn_dim=4, seed=33, window=4, budget=6)
     rep, exp = frozen_bases(tiny_split)
-    neighbors = exprec.neighbor_arrays(tiny_split.log, vocabs.user_ids, 3,
-                                       tiny_split.valid_boundary)
+    neighbors = exprec.neighbor_arrays(tiny_split.log, 3, tiny_split.valid_boundary)
     rows = seqs.flat_of_global[tiny_split.train_idx]
     rows = rows[seqs.distinct_before[rows] >= 1][:8]
     slates = ensemble._build_training_slates(
@@ -298,16 +292,14 @@ def test_combined_loss_gradients_match_finite_differences(tiny_split):
 def test_train_runs_two_stages_and_is_deterministic(small_split):
     rep, exp = frozen_bases(small_split, dim=8)
     settings = TrainSettings(lr=0.05, batch_size=64, patience=2, max_epochs=2,
-                             seed=3)
+                             seed=3, max_instances=300, val_max_cases=40)
     state, results = ensemble.ensemble_train(
-        small_split, rep, exp, settings, dim=8, attn_dim=4, window=5,
-        budget=6, max_instances=300, val_max_cases=40,
+        small_split, rep, exp, settings, dim=8, attn_dim=4, window=5, budget=6,
     )
     assert set(results) == {"intent", "combine"}
     assert state.meta["model"] == "ensemble"
     state2, results2 = ensemble.ensemble_train(
-        small_split, rep, exp, settings, dim=8, attn_dim=4, window=5,
-        budget=6, max_instances=300, val_max_cases=40,
+        small_split, rep, exp, settings, dim=8, attn_dim=4, window=5, budget=6,
     )
     assert results["combine"].history == results2["combine"].history
     for name in state.params:
@@ -321,8 +313,7 @@ def test_scorer_composes_public_pieces(small_split, small_seqs):
     state = build(small_split, dim=8, attn_dim=4, seed=41, window=5)
     rep, exp = frozen_bases(small_split, dim=8)
     nb_ids, nb_w = exprec.neighbor_arrays(
-        small_split.log, vocabs.user_ids, int(exp.meta["k_neighbors"]),
-        int(exp.meta["neighbor_as_of"]),
+        small_split.log, int(exp.meta["k_neighbors"]), int(exp.meta["neighbor_as_of"])
     )
     cases = evalharness.build_cases(small_split, "combined", seed=0,
                                     max_cases=8, seqs=seqs, vocabs=vocabs)
@@ -330,19 +321,17 @@ def test_scorer_composes_public_pieces(small_split, small_seqs):
                                       seqs=seqs, vocabs=vocabs,
                                       neighbors=(nb_ids, nb_w))
     log = small_split.log
-    day, hour, dow = log.facets
     rep_window = int(rep.meta["window"])
     scores = scorer(cases)
     for i, case in enumerate(cases):
         p = case.position
         u = int(log.users[p])
-        history = [log.interaction(int(q)) for q in log.per_user[u] if q < p]
-        now = SituationFeatures(int(day[p]), int(hour[p]), int(dow[p]),
-                                log.location_ids[log.locs[p]])
+        history = oracles.history_before(log, p)
+        now = oracles.situation(log, p)
         a = case.n_prior
         rep_slate = None
         if a:
-            raw = reprec.reprec_forward(rep, history[-rep_window:], now,
+            raw = oracles.reprec_forward(rep, history[-rep_window:], now,
                                         list(case.candidates[:a])).scores
             rep_slate = ScoredSlate(case.candidates[:a],
                                     ensemble.normalize_slate(raw), "reprec")
@@ -350,15 +339,15 @@ def test_scorer_composes_public_pieces(small_split, small_seqs):
         if len(case.candidates) > a:
             neighbors = [(vocabs.user_ids[int(i)], float(wk))
                          for i, wk in zip(nb_ids[u], nb_w[u]) if i >= 0]
-            raw = exprec.exprec_score(exp, case.user_id, history, now,
+            raw = oracles.exprec_score(exp, case.user_id, history, now,
                                       case.candidates[a:],
                                       neighbors=neighbors).scores
             exp_slate = ScoredSlate(case.candidates[a:],
                                     ensemble.normalize_slate(raw), "exprec")
         flags = [bool(f) for f in
                  seqs.repeat[seqs.user_slice(u)][: len(history)]]
-        intent = ensemble.predict_intent(state, case.user_id, flags, now)
-        want = ensemble.combine(state, rep_slate, exp_slate, intent)
+        intent = oracles.predict_intent(state, case.user_id, flags, now)
+        want = oracles.combine(state, rep_slate, exp_slate, intent)
         assert want.candidates == case.candidates
         np.testing.assert_allclose(scores[i, : len(want.scores)], want.scores,
                                    atol=1e-9, rtol=0)

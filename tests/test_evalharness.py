@@ -12,12 +12,11 @@ from fdrec.evalharness import (
     MAX_CANDIDATES,
     CaseSet,
     MetricsReport,
-    ScoredSlate,
     build_cases,
     evaluate,
-    rank_metrics,
     validation_cases,
 )
+from oracles import ScoredSlate, rank_metrics
 
 
 def prior_stores_of(split, position):

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+import oracles
 from fdrec import diffcore as dc
 from fdrec import evalharness, exprec, features
-from fdrec.dataio import Interaction, SituationFeatures, time_facets
+from fdrec.dataio import time_facets
 from fdrec.training import TrainSettings
 from conftest import DAY, make_log, rng
 
@@ -46,18 +47,13 @@ def user_history(split, n=5):
     log = split.log
     user_code = max(log.per_user, key=lambda c: len(log.per_user[c]))
     positions = log.per_user[user_code]
-    history = [log.interaction(int(p)) for p in positions[:n]]
-    p = int(positions[n])
-    day, hour, dow = log.facets
-    now = SituationFeatures(
-        int(day[p]), int(hour[p]), int(dow[p]), log.location_ids[log.locs[p]]
-    )
-    return log.user_ids[user_code], history, now
+    history = [oracles.interaction(log, int(p)) for p in positions[:n]]
+    return log.user_ids[user_code], history, oracles.situation(log, int(positions[n]))
 
 
 def test_encode_history_empty_is_zero(tiny_split):
     state = build(tiny_split, dim=8, seed=0)
-    np.testing.assert_array_equal(exprec.encode_history(state, []), np.zeros(8))
+    np.testing.assert_array_equal(oracles.encode_history(state, []), np.zeros(8))
 
 
 def test_encode_history_zero_gru_stays_zero(tiny_split):
@@ -67,19 +63,19 @@ def test_encode_history_zero_gru_stays_zero(tiny_split):
             state.value(name)[...] = 0.0
     _, history, _ = user_history(tiny_split)
     np.testing.assert_array_equal(
-        exprec.encode_history(state, history), np.zeros(8)
+        oracles.encode_history(state, history), np.zeros(8)
     )
 
 
 def test_encode_history_respects_window(tiny_split):
     state = build(tiny_split, dim=8, seed=2, window=3)
     _, history, _ = user_history(tiny_split, n=6)
-    full = exprec.encode_history(state, history)
-    tail = exprec.encode_history(state, history[-3:])
+    full = oracles.encode_history(state, history)
+    tail = oracles.encode_history(state, history[-3:])
     np.testing.assert_array_equal(full, tail)
-    two = exprec.encode_history(state, history, limit=2)
+    two = oracles.encode_history(state, history, limit=2)
     np.testing.assert_array_equal(
-        two, exprec.encode_history(state, history[-2:])
+        two, oracles.encode_history(state, history[-2:])
     )
 
 
@@ -99,7 +95,7 @@ def test_encode_history_matches_manual_gru(tiny_split):
                                                   features.FALLBACK)])
         x = np.concatenate([values["emb.store"][store_index[it.store_id]], situ])
         h = manual_gru(values, "gru.hist", x, h)
-    np.testing.assert_allclose(exprec.encode_history(state, history), h,
+    np.testing.assert_allclose(oracles.encode_history(state, history), h,
                                atol=1e-12, rtol=0)
 
 
@@ -107,7 +103,7 @@ def test_condition_all_zero_inputs_gives_eighth(tiny_split):
     state = build(tiny_split, dim=8, seed=0)
     for name in state.params:
         state.value(name)[...] = 0.0
-    out = exprec.condition_user(state, np.zeros(8), np.zeros(8))
+    out = oracles.condition_user(state, np.zeros(8), np.zeros(8))
     np.testing.assert_allclose(out, np.full(8, 0.125), atol=1e-15, rtol=0)
 
 
@@ -118,7 +114,7 @@ def test_condition_is_quarter_mix_when_gate_is_flat(tiny_split):
     u = rng(7).normal(size=8)
     want = sum(act(u) for act in ACTS) / 4.0
     np.testing.assert_allclose(
-        exprec.condition_user(state, u, rng(8).normal(size=8)), want, atol=1e-12
+        oracles.condition_user(state, u, rng(8).normal(size=8)), want, atol=1e-12
     , rtol=0)
 
 
@@ -129,7 +125,7 @@ def test_condition_gate_responds_to_situation(tiny_split):
     u = rng(10).normal(size=8)
     a = np_softmax(mu @ values["cond.w"].T + values["cond.b"])
     want = sum(aj * act(u) for aj, act in zip(a, ACTS))
-    np.testing.assert_allclose(exprec.condition_user(state, u, mu), want,
+    np.testing.assert_allclose(oracles.condition_user(state, u, mu), want,
                                atol=1e-12, rtol=0)
 
 
@@ -150,7 +146,7 @@ def collab_fixture(split, seed=0):
 def test_collaborative_weights_are_normalized_similarities(tiny_split):
     state, users, g = collab_fixture(tiny_split)
     mu = np.zeros(8)
-    out = exprec.collaborative_embedding(
+    out = oracles.collaborative_embedding(
         state, users[0], [(users[1], 0.6), (users[2], 0.2)], mu
     )
     np.testing.assert_allclose(out, 0.75 * g(users[1]) + 0.25 * g(users[2]),
@@ -159,7 +155,7 @@ def test_collaborative_weights_are_normalized_similarities(tiny_split):
 
 def test_collaborative_negative_similarities_are_clipped(tiny_split):
     state, users, g = collab_fixture(tiny_split, seed=1)
-    out = exprec.collaborative_embedding(
+    out = oracles.collaborative_embedding(
         state, users[0], [(users[1], 0.5), (users[2], -0.5)], np.zeros(8)
     )
     np.testing.assert_allclose(out, g(users[1]), atol=1e-12, rtol=0)
@@ -167,7 +163,7 @@ def test_collaborative_negative_similarities_are_clipped(tiny_split):
 
 def test_collaborative_uniform_fallback_when_no_positive_mass(tiny_split):
     state, users, g = collab_fixture(tiny_split, seed=2)
-    out = exprec.collaborative_embedding(
+    out = oracles.collaborative_embedding(
         state, users[0], [(users[1], -1.0), (users[2], 0.0)], np.zeros(8)
     )
     np.testing.assert_allclose(out, 0.5 * g(users[1]) + 0.5 * g(users[2]),
@@ -176,7 +172,7 @@ def test_collaborative_uniform_fallback_when_no_positive_mass(tiny_split):
 
 def test_collaborative_empty_neighbors_is_zero(tiny_split):
     state = build(tiny_split, dim=8, seed=3)
-    out = exprec.collaborative_embedding(
+    out = oracles.collaborative_embedding(
         state, state.meta["user_ids"][0], [], np.zeros(8)
     )
     np.testing.assert_array_equal(out, np.zeros(8))
@@ -186,14 +182,14 @@ def test_collaborative_rejects_self_neighbor(tiny_split):
     state = build(tiny_split, dim=8, seed=3)
     u = state.meta["user_ids"][0]
     with pytest.raises(ValueError, match="own neighbor"):
-        exprec.collaborative_embedding(state, u, [(u, 0.9)], np.zeros(8))
+        oracles.collaborative_embedding(state, u, [(u, 0.9)], np.zeros(8))
 
 
 def test_fusion_weights_uniform_when_head_is_zero(tiny_split):
     state = build(tiny_split, dim=8, seed=0)
     state.value("fuse.w")[...] = 0.0
     state.value("fuse.b")[...] = 0.0
-    w = exprec.fusion_weights(state, rng(1).normal(size=8),
+    w = oracles.fusion_weights(state, rng(1).normal(size=8),
                               rng(2).normal(size=8))
     np.testing.assert_allclose(w, np.full(4, 0.25), atol=1e-15, rtol=0)
 
@@ -201,9 +197,9 @@ def test_fusion_weights_uniform_when_head_is_zero(tiny_split):
 def test_fusion_weights_masking(tiny_split):
     state = build(tiny_split, dim=8, seed=6)
     e_mu, e_u = rng(3).normal(size=8), rng(4).normal(size=8)
-    w = exprec.fusion_weights(state, e_mu, e_u)
+    w = oracles.fusion_weights(state, e_mu, e_u)
     assert w.sum() == pytest.approx(1.0) and (w > 0).all()
-    masked = exprec.fusion_weights(state, e_mu, e_u,
+    masked = oracles.fusion_weights(state, e_mu, e_u,
                                    ablation_mask=[True, False, False, False])
     assert masked[0] == 0.0
     assert masked[1:].sum() == pytest.approx(1.0)
@@ -211,17 +207,17 @@ def test_fusion_weights_masking(tiny_split):
     order = np.argsort(w[1:])
     np.testing.assert_array_equal(np.argsort(masked[1:]), order)
     with pytest.raises(ValueError, match="4 entries"):
-        exprec.fusion_weights(state, e_mu, e_u, ablation_mask=[True, False])
+        oracles.fusion_weights(state, e_mu, e_u, ablation_mask=[True, False])
     with pytest.raises(ValueError, match="all four"):
-        exprec.fusion_weights(state, e_mu, e_u, ablation_mask=[True] * 4)
+        oracles.fusion_weights(state, e_mu, e_u, ablation_mask=[True] * 4)
 
 
 def test_trigger_fusion_is_weighted_sum(tiny_split):
     state = build(tiny_split, dim=8, seed=7)
     vecs = [rng(i).normal(size=8) for i in range(4)]
-    w = exprec.fusion_weights(state, vecs[0], vecs[2])
+    w = oracles.fusion_weights(state, vecs[0], vecs[2])
     want = sum(wk * v for wk, v in zip(w, vecs))
-    np.testing.assert_allclose(exprec.trigger_fusion(state, *vecs), want,
+    np.testing.assert_allclose(oracles.trigger_fusion(state, *vecs), want,
                                atol=1e-12, rtol=0)
 
 
@@ -235,7 +231,7 @@ def test_score_matches_manual_transcription(tiny_split):
     others = [u for u in meta["user_ids"] if u != user]
     neighbors = [(others[0], 0.6), (others[1], 0.2)]
 
-    slate = exprec.exprec_score(state, user, history, now, candidates,
+    slate = oracles.exprec_score(state, user, history, now, candidates,
                                 neighbors=neighbors)
 
     loc_index = {l: i for i, l in enumerate(meta["location_ids"])}
@@ -276,11 +272,11 @@ def test_score_input_validation(tiny_split):
     user, history, now = user_history(tiny_split)
     visited_store = history[0].store_id
     with pytest.raises(ValueError, match="already visited"):
-        exprec.exprec_score(state, user, history, now, [visited_store])
+        oracles.exprec_score(state, user, history, now, [visited_store])
     fresh = [s for s in state.meta["store_ids"]
              if s not in {it.store_id for it in history}]
     with pytest.raises(ValueError, match="unknown user"):
-        exprec.exprec_score(state, "nobody", history, now, fresh[:1])
+        oracles.exprec_score(state, "nobody", history, now, fresh[:1])
 
 
 def test_score_ablation_changes_output(tiny_split):
@@ -288,8 +284,8 @@ def test_score_ablation_changes_output(tiny_split):
     user, history, now = user_history(tiny_split)
     fresh = [s for s in state.meta["store_ids"]
              if s not in {it.store_id for it in history}][:3]
-    base = exprec.exprec_score(state, user, history, now, fresh).scores
-    masked = exprec.exprec_score(
+    base = oracles.exprec_score(state, user, history, now, fresh).scores
+    masked = oracles.exprec_score(
         state, user, history, now, fresh,
         ablation_mask=[True, False, False, False],
     ).scores
@@ -308,10 +304,10 @@ def test_neighbor_arrays_ignore_interactions_after_cutoff():
                ("u0", "a", 12 * DAY, "l0")]
     cutoff = 5 * DAY
     users = ["u0", "u1", "u2"]
-    ids_a, w_a = exprec.neighbor_arrays(make_log(before + after_a), users, 2,
-                                        cutoff)
-    ids_b, w_b = exprec.neighbor_arrays(make_log(before + after_b), users, 2,
-                                        cutoff)
+    log_a, log_b = make_log(before + after_a), make_log(before + after_b)
+    assert log_a.user_ids == log_b.user_ids == users
+    ids_a, w_a = exprec.neighbor_arrays(log_a, 2, cutoff)
+    ids_b, w_b = exprec.neighbor_arrays(log_b, 2, cutoff)
     np.testing.assert_array_equal(ids_a, ids_b)
     np.testing.assert_array_equal(w_a, w_b)
     assert (w_a.sum(axis=1) > 0).all()
@@ -323,7 +319,7 @@ def test_neighbor_arrays_pad_users_without_history():
         ("u1", "a", 10 * DAY, "l0"), ("u1", "b", 11 * DAY, "l0"),
     ]
     log = make_log(records)
-    ids, w = exprec.neighbor_arrays(log, ["u0", "u1"], 3, as_of=1 * DAY)
+    ids, w = exprec.neighbor_arrays(log, 3, as_of=1 * DAY)
     np.testing.assert_array_equal(ids, np.full((2, 3), -1))
     np.testing.assert_array_equal(w, np.zeros((2, 3)))
 
@@ -342,9 +338,7 @@ def batch_loss_fd_error(tiny_split, ablation_mask):
             & (local >= 1))
     rows = train_rows[keep][:8]
     assert len(rows) >= 4
-    nb_ids, nb_w = exprec.neighbor_arrays(
-        tiny_split.log, vocabs.user_ids, 3, tiny_split.valid_boundary
-    )
+    nb_ids, nb_w = exprec.neighbor_arrays(tiny_split.log, 3, tiny_split.valid_boundary)
     win = features.gather_window(seqs, rows, 4)
     visited = exprec._visited_mask(seqs, rows, n_stores)
     neg = exprec._sample_unvisited(rng(0), visited, win.target)
@@ -374,27 +368,22 @@ def test_scorer_matches_public_op(small_split, small_seqs, mask):
     seqs, vocabs = small_seqs
     state = build(small_split, dim=8, seed=19, window=6, k_neighbors=4)
     nb_ids, nb_w = exprec.neighbor_arrays(
-        small_split.log, vocabs.user_ids,
-        int(state.meta["k_neighbors"]), int(state.meta["neighbor_as_of"]),
+        small_split.log, int(state.meta["k_neighbors"]), int(state.meta["neighbor_as_of"])
     )
     cases = evalharness.build_cases(small_split, "exploration", seed=0,
                                     max_cases=10, seqs=seqs, vocabs=vocabs)
     scorer = exprec.exprec_scorer(state, small_split, cases, seqs=seqs,
                                   vocabs=vocabs, ablation_mask=mask)
     log = small_split.log
-    day, hour, dow = log.facets
     scores = scorer(cases)
     for i, case in enumerate(cases):
         p = case.position
         u = int(log.users[p])
-        history = [log.interaction(int(q)) for q in log.per_user[u] if q < p]
-        now = SituationFeatures(int(day[p]), int(hour[p]), int(dow[p]),
-                                log.location_ids[log.locs[p]])
         neighbors = [(vocabs.user_ids[int(i)], float(wk))
                      for i, wk in zip(nb_ids[u], nb_w[u]) if i >= 0]
-        want = exprec.exprec_score(state, case.user_id, history, now,
-                                   case.candidates, ablation_mask=mask,
-                                   neighbors=neighbors).scores
+        want = oracles.exprec_score(state, case.user_id, oracles.history_before(log, p),
+                                    oracles.situation(log, p), case.candidates,
+                                    ablation_mask=mask, neighbors=neighbors).scores
         np.testing.assert_allclose(scores[i, : len(want)], want, atol=1e-9, rtol=0)
 
 
@@ -427,12 +416,11 @@ def test_scorer_defaults_to_the_trained_mask(small_split, small_seqs):
 
 def test_training_is_deterministic(small_split):
     settings = TrainSettings(lr=0.05, batch_size=64, patience=2, max_epochs=3,
-                             seed=2)
+                             seed=2, val_max_cases=50)
     state, result = exprec.exprec_train(small_split, settings, dim=8, window=6,
-                                        k_neighbors=4, val_max_cases=50)
+                                        k_neighbors=4)
     state2, result2 = exprec.exprec_train(small_split, settings, dim=8,
-                                          window=6, k_neighbors=4,
-                                          val_max_cases=50)
+                                          window=6, k_neighbors=4)
     assert result.history == result2.history
     assert state.meta["model"] == "exprec"
     for name in state.params:

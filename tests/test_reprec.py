@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+import oracles
 from fdrec import diffcore as dc
 from fdrec import evalharness, features, reprec
-from fdrec.dataio import Interaction, SituationFeatures, time_facets
+from fdrec.dataio import time_facets
 from fdrec.training import TrainSettings
+from oracles import Interaction, SituationFeatures
 from conftest import rng
 
 
@@ -50,20 +52,15 @@ def sample_history(split, n=6, seed=0):
     log = split.log
     user_code = max(log.per_user, key=lambda c: len(log.per_user[c]))
     positions = log.per_user[user_code][: n + 1]
-    history = [log.interaction(int(p)) for p in positions[:-1]]
-    p = int(positions[-1])
-    day, hour, dow = log.facets
-    now = SituationFeatures(
-        int(day[p]), int(hour[p]), int(dow[p]), log.location_ids[log.locs[p]]
-    )
-    return history, now
+    history = [oracles.interaction(log, int(p)) for p in positions[:-1]]
+    return history, oracles.situation(log, int(positions[-1]))
 
 
 def test_forward_matches_brute_force(tiny_split):
     state = reprec.reprec_build(tiny_split, dim=12, seed=3)
     history, now = sample_history(tiny_split)
     candidates = sorted({it.store_id for it in history})
-    slate = reprec.reprec_forward(state, history, now, candidates)
+    slate = oracles.reprec_forward(state, history, now, candidates)
     want = brute_force_scores(state, history, now, candidates)
     np.testing.assert_allclose(slate.scores, want, atol=1e-9, rtol=0)
     assert slate.candidates == tuple(candidates)
@@ -81,7 +78,7 @@ def test_forward_identical_situation_scores_self_similarity(tiny_split):
     entry = Interaction("u", sid, meta["epoch"], log.location_ids[0])
     now = SituationFeatures(int(day0[0]), int(hour0[0]), int(dow0[0]),
                             log.location_ids[0])
-    slate = reprec.reprec_forward(state, [entry], now, [sid])
+    slate = oracles.reprec_forward(state, [entry], now, [sid])
     s = state.value("emb.store")[meta["store_ids"].index(sid)]
     assert slate.scores[0] == pytest.approx(float(s @ s), abs=1e-9)
 
@@ -90,9 +87,9 @@ def test_forward_history_permutation_invariant(tiny_split):
     state = reprec.reprec_build(tiny_split, dim=10, seed=1)
     history, now = sample_history(tiny_split)
     candidates = sorted({it.store_id for it in history})
-    base = reprec.reprec_forward(state, history, now, candidates).scores
+    base = oracles.reprec_forward(state, history, now, candidates).scores
     perm = [history[i] for i in rng(4).permutation(len(history))]
-    out = reprec.reprec_forward(state, perm, now, candidates).scores
+    out = oracles.reprec_forward(state, perm, now, candidates).scores
     np.testing.assert_allclose(out, base, atol=1e-12, rtol=0)
 
 
@@ -100,11 +97,11 @@ def test_forward_duplicated_entry_doubles_its_weight(tiny_split):
     state = reprec.reprec_build(tiny_split, dim=10, seed=2)
     history, now = sample_history(tiny_split, n=3)
     sid = history[0].store_id
-    single = reprec.reprec_forward(state, history, now, [sid]).scores[0]
-    doubled = reprec.reprec_forward(
+    single = oracles.reprec_forward(state, history, now, [sid]).scores[0]
+    doubled = oracles.reprec_forward(
         state, history + [history[0]], now, [sid]
     ).scores[0]
-    lone = reprec.reprec_forward(state, [history[0]], now, [sid]).scores[0]
+    lone = oracles.reprec_forward(state, [history[0]], now, [sid]).scores[0]
     assert doubled == pytest.approx(single + lone, abs=1e-9)
 
 
@@ -113,10 +110,10 @@ def test_forward_situation_scale_invariance(tiny_split):
     state = reprec.reprec_build(tiny_split, dim=10, seed=5)
     history, now = sample_history(tiny_split)
     candidates = sorted({it.store_id for it in history})
-    base = reprec.reprec_forward(state, history, now, candidates).scores
+    base = oracles.reprec_forward(state, history, now, candidates).scores
     for name in ("emb.hour", "emb.dow", "emb.loc"):
         state.value(name)[...] *= 3.7
-    scaled = reprec.reprec_forward(state, history, now, candidates).scores
+    scaled = oracles.reprec_forward(state, history, now, candidates).scores
     np.testing.assert_allclose(scaled, base, atol=1e-9, rtol=0)
 
 
@@ -126,7 +123,7 @@ def test_forward_zero_situation_gets_exactly_zero_weight(tiny_split):
         state.value(name)[...] = 0.0
     history, now = sample_history(tiny_split, n=4)
     candidates = sorted({it.store_id for it in history})
-    slate = reprec.reprec_forward(state, history, now, candidates)
+    slate = oracles.reprec_forward(state, history, now, candidates)
     np.testing.assert_array_equal(slate.scores, np.zeros(len(candidates)))
 
 
@@ -134,13 +131,13 @@ def test_forward_input_validation(tiny_split):
     state = reprec.reprec_build(tiny_split, dim=6, seed=0)
     history, now = sample_history(tiny_split, n=3)
     with pytest.raises(ValueError, match="non-empty"):
-        reprec.reprec_forward(state, [], now, ["s0000"])
+        oracles.reprec_forward(state, [], now, ["s0000"])
     with pytest.raises(ValueError, match="does not appear"):
         absent = next(
             s for s in tiny_split.log.store_ids
             if s not in {it.store_id for it in history}
         )
-        reprec.reprec_forward(state, history, now, [absent])
+        oracles.reprec_forward(state, history, now, [absent])
 
 
 def test_batch_loss_gradients_match_finite_differences(tiny_split):
@@ -182,11 +179,11 @@ def test_checkpoint_roundtrip_preserves_scores(tiny_split, tmp_path):
     state = reprec.reprec_build(tiny_split, dim=8, seed=4)
     history, now = sample_history(tiny_split)
     candidates = sorted({it.store_id for it in history})
-    want = reprec.reprec_forward(state, history, now, candidates).scores
+    want = oracles.reprec_forward(state, history, now, candidates).scores
     path = tmp_path / "reprec.ckpt"
     state.save(str(path))
     back = dc.ModelState.load(str(path))
-    got = reprec.reprec_forward(back, history, now, candidates).scores
+    got = oracles.reprec_forward(back, history, now, candidates).scores
     np.testing.assert_array_equal(got, want)
 
 
@@ -198,19 +195,11 @@ def test_scorer_matches_public_op_with_window(small_split, small_seqs):
                                     seqs=seqs, vocabs=vocabs)
     scorer = reprec.reprec_scorer(state, small_split, cases, seqs, vocabs)
     log = small_split.log
-    day, hour, dow = log.facets
     scores = scorer(cases)
     for i, case in enumerate(cases):
-        full = [
-            log.interaction(p)
-            for p in range(case.position)
-            if log.users[p] == log.users[case.position]
-        ]
-        now = SituationFeatures(
-            int(day[case.position]), int(hour[case.position]),
-            int(dow[case.position]), log.location_ids[log.locs[case.position]],
-        )
-        want = reprec.reprec_forward(
-            state, full[-window:], now, list(case.candidates)
+        full = oracles.history_before(log, case.position)
+        want = oracles.reprec_forward(
+            state, full[-window:], oracles.situation(log, case.position),
+            list(case.candidates),
         ).scores
         np.testing.assert_allclose(scores[i, : len(want)], want, atol=1e-9, rtol=0)

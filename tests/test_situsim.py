@@ -1,12 +1,13 @@
-import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from fdrec import situsim
-from fdrec.dataio import SituationFeatures, StoreMeta
+from fdrec.dataio import StoreMeta
+from oracles import Interaction, SituationFeatures
 from conftest import make_log
 
 
@@ -20,20 +21,20 @@ def situ(day=0, hour=12, dow=0, loc="l1"):
 
 def test_situation_similarity_identity():
     a = situ(day=7, hour=19, dow=3, loc="home")
-    assert situsim.situation_similarity(a, a) == 1.0
+    assert oracles.situation_similarity(a, a) == 1.0
 
 
 def test_situation_similarity_all_terms_maximal():
     a = situ(day=0, hour=0, dow=0, loc="l1")
     b = situ(day=31, hour=12, dow=3, loc="l2")
-    assert situsim.situation_similarity(a, b) == 0.0
+    assert oracles.situation_similarity(a, b) == 0.0
 
 
 def test_situation_similarity_worked_value():
     # day gap 3 (3/30), same hour, weekday gap 3 (3/3), same location
     a = situ(day=0, hour=18, dow=0, loc="l1")
     b = situ(day=3, hour=18, dow=3, loc="l1")
-    assert situsim.situation_similarity(a, b) == pytest.approx(0.725, abs=1e-12)
+    assert oracles.situation_similarity(a, b) == pytest.approx(0.725, abs=1e-12)
 
 
 def test_situation_similarity_circular_hour_and_dow():
@@ -41,13 +42,13 @@ def test_situation_similarity_circular_hour_and_dow():
     a = situ(hour=23, dow=6)
     b = situ(hour=1, dow=0)
     expected = 1 - ((2 / 12) + (1 / 3)) / 4
-    assert situsim.situation_similarity(a, b) == pytest.approx(expected, abs=1e-12)
+    assert oracles.situation_similarity(a, b) == pytest.approx(expected, abs=1e-12)
 
 
 def test_situation_similarity_day_gap_saturates_at_30():
     a, b = situ(day=0), situ(day=30)
     c = situ(day=500)
-    assert situsim.situation_similarity(a, b) == situsim.situation_similarity(a, c)
+    assert oracles.situation_similarity(a, b) == oracles.situation_similarity(a, c)
 
 
 @settings(max_examples=200, deadline=None)
@@ -60,8 +61,8 @@ def test_situation_similarity_day_gap_saturates_at_30():
 def test_situation_similarity_symmetric_and_bounded(d1, d2, h1, h2, w1, w2, same_loc):
     a = situ(day=d1, hour=h1, dow=w1, loc="x")
     b = situ(day=d2, hour=h2, dow=w2, loc="x" if same_loc else "y")
-    s_ab = situsim.situation_similarity(a, b)
-    s_ba = situsim.situation_similarity(b, a)
+    s_ab = oracles.situation_similarity(a, b)
+    s_ba = oracles.situation_similarity(b, a)
     assert s_ab == s_ba
     assert 0.0 <= s_ab <= 1.0
 
@@ -72,14 +73,14 @@ def test_situation_similarity_symmetric_and_bounded(d1, d2, h1, h2, w1, w2, same
 
 def test_store_similarity_attribute_counting():
     a = StoreMeta("s1", "b1", "c1", "sl1")
-    assert situsim.store_similarity(a, a) == 1.0
+    assert oracles.store_similarity(a, a) == 1.0
     b = StoreMeta("s2", "b2", "c2", "sl2")
-    assert situsim.store_similarity(a, b) == 0.0
+    assert oracles.store_similarity(a, b) == 0.0
     c = StoreMeta("s3", "b9", "c1", "sl9")  # only cuisine matches
-    assert situsim.store_similarity(a, c) == pytest.approx(1 / 3, abs=1e-15)
+    assert oracles.store_similarity(a, c) == pytest.approx(1 / 3, abs=1e-15)
     d = StoreMeta("s4", "b1", "c1", "sl9")
-    assert situsim.store_similarity(a, d) == pytest.approx(2 / 3, abs=1e-15)
-    assert situsim.store_similarity(c, a) == situsim.store_similarity(a, c)
+    assert oracles.store_similarity(a, d) == pytest.approx(2 / 3, abs=1e-15)
+    assert oracles.store_similarity(c, a) == oracles.store_similarity(a, c)
 
 
 # ---------------------------------------------------------------------------
@@ -127,13 +128,11 @@ def test_pearson_positive_affine_invariance(xs, a, b):
 
 def test_preference_vector_frequencies():
     hist = [("s1",), ("s1",), ("s2",)]
-    from fdrec.dataio import Interaction
-
     history = [Interaction("u", s[0], i, "l") for i, s in enumerate(hist)]
-    vec = situsim.preference_vector(history)
+    vec = oracles.preference_vector(history)
     assert vec == {"s1": pytest.approx(2 / 3), "s2": pytest.approx(1 / 3)}
     with pytest.raises(ValueError):
-        situsim.preference_vector([])
+        oracles.preference_vector([])
 
 
 def test_collaborative_users_clone_is_top_neighbor():
@@ -142,7 +141,7 @@ def test_collaborative_users_clone_is_top_neighbor():
         records += [(u, "a", 10, "l"), (u, "b", 20, "l"), (u, "a", 30, "l")]
     records += [("u3", "c", 10, "l"), ("u3", "c", 20, "l"), ("u3", "d", 30, "l")]
     log = make_log(records)
-    neighbors = situsim.collaborative_users("u1", log, 10, as_of=100)
+    neighbors = oracles.collaborative_users("u1", log, 10, as_of=100)
     assert neighbors[0][0] == "u2"
     assert neighbors[0][1] == pytest.approx(1.0, abs=1e-12)
     assert all(u != "u1" for u, _ in neighbors)
@@ -179,7 +178,7 @@ def test_collaborative_users_matches_brute_force(tiny_split):
     as_of = tiny_split.valid_boundary
     n = len(log.user_ids)
     for target in log.user_ids:
-        got = situsim.collaborative_users(target, log, n, as_of)
+        got = oracles.collaborative_users(target, log, n, as_of)
         want = dict(brute_force_neighbors(target, log, n, as_of))
         assert {u for u, _ in got} == set(want)
         for user, sim in got:
@@ -194,14 +193,14 @@ def test_collaborative_users_matches_brute_force(tiny_split):
 def test_collaborative_users_truncates_to_k(tiny_split):
     log = tiny_split.log
     as_of = tiny_split.valid_boundary
-    full = situsim.collaborative_users("u00000", log, len(log.user_ids), as_of)
-    top = situsim.collaborative_users("u00000", log, 4, as_of)
+    full = oracles.collaborative_users("u00000", log, len(log.user_ids), as_of)
+    top = oracles.collaborative_users("u00000", log, 4, as_of)
     assert top == full[:4]
 
 
 def test_collaborative_users_empty_history_before_as_of():
     log = make_log([("u1", "a", 100, "l"), ("u2", "a", 5, "l"), ("u2", "b", 6, "l")])
-    assert situsim.collaborative_users("u1", log, 3, as_of=50) == []
+    assert oracles.collaborative_users("u1", log, 3, as_of=50) == []
 
 
 def test_collaborative_users_respects_as_of():
@@ -211,7 +210,7 @@ def test_collaborative_users_respects_as_of():
                ("u2", "a", 100, "l"), ("u2", "a", 101, "l"), ("u2", "b", 102, "l"),
                ("u3", "a", 5, "l"), ("u3", "a", 6, "l"), ("u3", "b", 7, "l")]
     log = make_log(records)
-    neighbors = situsim.collaborative_users("u1", log, 2, as_of=50)
+    neighbors = oracles.collaborative_users("u1", log, 2, as_of=50)
     sims = dict(neighbors)
     assert sims["u3"] == pytest.approx(1.0, abs=1e-12)
     assert sims["u2"] == 0.0  # disjoint support before the cutoff
@@ -221,13 +220,14 @@ def test_neighbor_table_matches_pairwise_queries(tiny_split):
     log = tiny_split.log
     as_of = tiny_split.valid_boundary
     n = len(log.user_ids)
-    table = situsim.neighbor_table(log, n, as_of)
-    assert set(table) == set(log.user_ids)
-    for target in log.user_ids:
-        pairwise = dict(situsim.collaborative_users(target, log, n, as_of))
-        got = table[target]
-        assert {u for u, _ in got} == set(pairwise)
-        for user, sim in got:
+    ids, sims = situsim.neighbor_table(log, n, as_of)
+    assert ids.shape == sims.shape == (n, n)
+    for u, target in enumerate(log.user_ids):
+        pairwise = dict(oracles.collaborative_users(target, log, n, as_of))
+        m = len(pairwise)
+        got = [log.user_ids[c] for c in ids[u, :m]]
+        assert set(got) == set(pairwise)
+        for user, sim in zip(got, sims[u, :m]):
             assert sim == pytest.approx(pairwise[user], abs=1e-9)
-        sims = [s for _, s in got]
-        assert all(a >= b for a, b in zip(sims, sims[1:]))
+        assert all(a >= b for a, b in zip(sims[u, :m], sims[u, 1:m]))
+        assert (ids[u, m:] == -1).all() and (sims[u, m:] == 0.0).all()
