@@ -14,21 +14,20 @@ import numpy as np
 
 from . import diffcore as dc
 from . import evalharness, features, situsim
-from .dataio import DatasetSplit
 from .training import TrainResult, TrainSettings, run_training
 
 __all__ = [
-    "hispop_scorer",
+    "hispop_scores",
     "sonly_build",
     "sonly_train",
-    "sonly_scorer",
+    "sonly_scores",
 ]
 
 
-def hispop_scorer(split: DatasetSplit, seqs, vocabs):
-    """Eval-harness adapter for the repeat protocol."""
-    log = split.log
-    n_stores = len(vocabs.store_ids)
+def hispop_scores(data: features.Dataset, cases) -> np.ndarray:
+    """[N, C] repeat-protocol scores for ``cases``."""
+    log, seqs = data.split.log, data.seqs
+    n_stores = len(data.vocabs.store_ids)
 
     def row_scores(position: int, codes: np.ndarray) -> np.ndarray:
         user_code = int(log.users[position])
@@ -49,31 +48,23 @@ def hispop_scorer(split: DatasetSplit, seqs, vocabs):
             raise ValueError("history-popularity scoring needs visited candidates")
         return totals[codes]
 
-    return lambda cases: evalharness.score_rows(
+    return evalharness.score_rows(
         cases, lambda i, codes, a: row_scores(int(cases.position[i]), codes)
     )
 
 
-def _register_situation_tables(
-    state: dc.ModelState, dim: int, n_locations: int
-) -> None:
-    state.add_embedding("emb.hour", 24, dim)
-    state.add_embedding("emb.dow", 7, dim)
-    state.add_embedding("emb.loc", n_locations, dim)
-
-
-def sonly_build(split: DatasetSplit, dim: int = 64, seed: int = 0) -> dc.ModelState:
-    vocabs = features.build_vocabs(split)
+def sonly_build(data: features.Dataset, dim: int = 64, seed: int = 0) -> dc.ModelState:
+    vocabs, log = data.vocabs, data.split.log
     state = dc.ModelState(seed=seed)
     state.add_embedding("emb.store", len(vocabs.store_ids), dim)
-    _register_situation_tables(state, dim, len(vocabs.location_ids))
+    features.add_situation_tables(state, dim, len(vocabs.location_ids))
     state.meta = {
         "model": "sonly",
         "dim": dim,
         "store_ids": vocabs.store_ids,
         "location_ids": vocabs.location_ids,
-        "tz_offset_minutes": split.log.tz_offset_minutes,
-        "epoch": split.log.epoch,
+        "tz_offset_minutes": log.tz_offset_minutes,
+        "epoch": log.epoch,
     }
     return state
 
@@ -85,7 +76,7 @@ def _situations(state: dc.ModelState, seqs: features.UserSequences,
 
 
 def sonly_train(
-    split: DatasetSplit,
+    data: features.Dataset,
     settings: TrainSettings = TrainSettings(),
     dim: int = 64,
 ) -> tuple[dc.ModelState, TrainResult]:
@@ -94,13 +85,12 @@ def sonly_train(
     Negatives are uniform over the catalog (excluding the target).  Early
     stopping tracks HR@3 on validation exploration cases.
     """
-    vocabs = features.build_vocabs(split)
-    seqs = features.build_sequences(split, vocabs)
-    state = sonly_build(split, dim=dim, seed=settings.seed)
+    seqs = data.seqs
+    state = sonly_build(data, dim=dim, seed=settings.seed)
 
-    rows = seqs.flat_of_global[split.train_idx]
+    rows = seqs.flat_of_global[data.split.train_idx]
     pos = seqs.store[rows]
-    n_stores = len(vocabs.store_ids)
+    n_stores = len(data.vocabs.store_ids)
 
     def batch_loss(st: dc.ModelState, chunk: np.ndarray, rng: np.random.Generator):
         b_pos = pos[chunk]
@@ -117,8 +107,8 @@ def sonly_train(
         return dc.mean_(dc.bpr_loss(s_pos, s_neg))
 
     val_metric = evalharness.validation_metric(
-        split, "exploration", settings.seed, settings.val_max_cases, seqs, vocabs, "sonly",
-        lambda cases: lambda st: sonly_scorer(st, split, cases, seqs, vocabs),
+        data, "exploration", settings, "sonly",
+        lambda cases: lambda st: sonly_scores(st, data, cases),
     )
     result = run_training(
         state, len(rows), batch_loss, val_metric, settings, stream=101
@@ -126,9 +116,10 @@ def sonly_train(
     return state, result
 
 
-def sonly_scorer(state: dc.ModelState, split: DatasetSplit, cases, seqs, vocabs):
-    """Eval-harness adapter for ``cases``; works for every protocol."""
+def sonly_scores(state: dc.ModelState, data: features.Dataset, cases) -> np.ndarray:
+    """[N, C] scores for ``cases``; works for every protocol."""
+    seqs = data.seqs
     situ = features.query_rows(
         lambda chunk: _situations(state, seqs, chunk), seqs.flat_of_global[cases.position]
     )
-    return evalharness.dot_scorer(situ, state.value("emb.store"))
+    return evalharness.dot_scores(cases, situ, state.value("emb.store"))

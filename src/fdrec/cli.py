@@ -8,6 +8,10 @@ Conventions shared by every subcommand:
   under ``[data] out``, so different configurations never collide and
   rerunning the same one reproduces byte-identical files.
 * A ``.lock`` file guards the run directory against concurrent commands.
+* ``train`` and ``eval`` parse and split the data once per stage into one
+  :class:`fdrec.features.Dataset` that every model reads.  A checkpoint
+  must match that data's store, location and user vocabularies, or the
+  stage fails and says to retrain.
 * Exit codes: 0 success, 2 usage or configuration error (message on
   stderr), 1 runtime failure (full cause chain on stderr).
 """
@@ -134,13 +138,22 @@ def _checkpoint_path(run_dir: str, model: str) -> str:
     return os.path.join(run_dir, f"{model}.ckpt")
 
 
-def _load_checkpoint(run_dir: str, model: str) -> ModelState:
+def _load_checkpoint(run_dir: str, model: str, data: features.Dataset) -> ModelState:
+    """The ``model`` checkpoint, which must have been trained on ``data``'s
+    vocabularies: a model indexes its tables by their codes."""
     path = _checkpoint_path(run_dir, model)
     if not os.path.isfile(path):
         raise RuntimeError(
             f"no {model} checkpoint at {path}; run `fdrec train --model {model}` first"
         )
-    return ModelState.load(path)
+    state = ModelState.load(path)
+    for field in ("store_ids", "location_ids", "user_ids"):
+        if field in state.meta and state.meta[field] != getattr(data.vocabs, field):
+            raise RuntimeError(
+                f"checkpoint {path} does not match this run's data: its {field} "
+                f"differ; retrain with `fdrec train --model {model}`"
+            )
+    return state
 
 
 # ---------------------------------------------------------------------------
@@ -226,23 +239,22 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _train_one(cfg: RunConfig, run_dir: str, model: str):
-    split = _load_split(cfg)
+def _train_one(cfg: RunConfig, run_dir: str, model: str, data: features.Dataset):
     m = cfg.model
     if model == "sonly":
-        return baselines.sonly_train(split, cfg.train, dim=m.dim)
+        return baselines.sonly_train(data, cfg.train, dim=m.dim)
     if model == "reprec":
-        return reprec.reprec_train(split, cfg.train, dim=m.dim, window=m.repeat_window)
+        return reprec.reprec_train(data, cfg.train, dim=m.dim, window=m.repeat_window)
     if model == "exprec":
         return exprec.exprec_train(
-            split, cfg.train, dim=m.dim, window=m.history_window,
+            data, cfg.train, dim=m.dim, window=m.history_window,
             k_neighbors=m.k_neighbors, ablation_mask=cfg.ablation_mask(),
         )
     # ensemble: both base checkpoints must exist already
-    rep = _load_checkpoint(run_dir, "reprec")
-    exp = _load_checkpoint(run_dir, "exprec")
+    rep = _load_checkpoint(run_dir, "reprec", data)
+    exp = _load_checkpoint(run_dir, "exprec", data)
     return ensemble.ensemble_train(
-        split, rep, exp, cfg.train, dim=m.dim, attn_dim=m.attn_dim,
+        data, rep, exp, cfg.train, dim=m.dim, attn_dim=m.attn_dim,
         window=m.history_window, budget=m.budget, lam=m.intent_weight,
     )
 
@@ -251,7 +263,8 @@ def _cmd_train(args) -> int:
     cfg = load_config(args.config)
     run_dir = _prepare_run_dir(cfg)
     with _RunDirLock(run_dir):
-        state, result = _train_one(cfg, run_dir, args.model)
+        data = features.prepare(_load_split(cfg))
+        state, result = _train_one(cfg, run_dir, args.model, data)
         ckpt = _checkpoint_path(run_dir, args.model)
         state.save(ckpt)
         summary = {
@@ -271,25 +284,20 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _make_scorer(run_dir: str, model: str, split, seqs, vocabs):
-    """Returns (cases -> scorer, parameter count) for an evaluable model.
-
-    ExpRec scores with the ablation mask recorded in its checkpoint.
-    """
+def _make_scorer(run_dir: str, model: str, data: features.Dataset):
+    """Returns (cases -> [N, C] scores, parameter count) for an evaluable model."""
     if model == "hispop":
-        return (lambda cases: baselines.hispop_scorer(split, seqs, vocabs)), 0
+        return (lambda cases: baselines.hispop_scores(data, cases)), 0
     if model in ("sonly", "reprec", "exprec"):
-        state = _load_checkpoint(run_dir, model)
-        factory = {"sonly": baselines.sonly_scorer, "reprec": reprec.reprec_scorer,
-                   "exprec": exprec.exprec_scorer}[model]
-        return (lambda cases: factory(state, split, cases, seqs, vocabs),
-                state.param_count())
-    ens = _load_checkpoint(run_dir, "ensemble")
-    rep = _load_checkpoint(run_dir, "reprec")
-    exp = _load_checkpoint(run_dir, "exprec")
+        state = _load_checkpoint(run_dir, model, data)
+        scores = {"sonly": baselines.sonly_scores, "reprec": reprec.reprec_scores,
+                  "exprec": exprec.exprec_scores}[model]
+        return (lambda cases: scores(state, data, cases)), state.param_count()
+    ens = _load_checkpoint(run_dir, "ensemble", data)
+    rep = _load_checkpoint(run_dir, "reprec", data)
+    exp = _load_checkpoint(run_dir, "exprec", data)
     params = ens.param_count() + rep.param_count() + exp.param_count()
-    return (lambda cases: ensemble.ensemble_scorer(ens, rep, exp, split, cases,
-                                                   seqs, vocabs)), params
+    return (lambda cases: ensemble.ensemble_scores(ens, rep, exp, data, cases)), params
 
 
 def _cmd_eval(args) -> int:
@@ -307,17 +315,15 @@ def _cmd_eval(args) -> int:
     run_dir = _prepare_run_dir(cfg)
     lines = []
     with _RunDirLock(run_dir):
-        split = _load_split(cfg)
-        vocabs = features.build_vocabs(split)
-        seqs = features.build_sequences(split, vocabs)
-        scorer_for, params = _make_scorer(run_dir, args.model, split, seqs, vocabs)
+        data = features.prepare(_load_split(cfg))
+        scorer, params = _make_scorer(run_dir, args.model, data)
         for protocol in protocols:
             cases = evalharness.build_cases(
-                split, protocol, seed=cfg.eval.seed,
-                max_cases=cfg.eval.max_cases, seqs=seqs, vocabs=vocabs,
+                data.split, protocol, seed=cfg.eval.seed,
+                max_cases=cfg.eval.max_cases, seqs=data.seqs, vocabs=data.vocabs,
             )
             report = evalharness.evaluate(
-                scorer_for(cases), cases, k=cfg.eval.k, model_id=args.model,
+                scorer, cases, k=cfg.eval.k, model_id=args.model,
                 seed=cfg.eval.seed, param_count=params,
             )
             path = os.path.join(run_dir, f"eval.{args.model}.{protocol}.json")

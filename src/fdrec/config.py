@@ -18,7 +18,7 @@ import json
 import os
 from dataclasses import dataclass
 
-from .dataio import SECONDS_PER_DAY, SynthConfig
+from .dataio import SECONDS_PER_DAY, SynthConfig, atomic_open
 from .exprec import TRIGGERS
 from .training import TrainSettings
 
@@ -262,5 +262,5 @@ def write_config(path: str, overrides: dict[str, dict[str, object]] | None = Non
             if isinstance(value, (tuple, list)):
                 value = " ".join(str(v) for v in value)
             parser.set(name, key, str(value))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(path) as fh:
         parser.write(fh)

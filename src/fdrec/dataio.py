@@ -120,7 +120,6 @@ class InteractionLog:
             missing = [s for s in store_ids if s not in catalog]
             if missing:
                 raise ValueError(f"stores missing from catalog: {missing[:5]}")
-        self._store_index = {s: i for i, s in enumerate(store_ids)}
         self._per_user: dict[int, np.ndarray] | None = None
         self._facets: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
@@ -230,7 +229,7 @@ def parse_stores(path: str) -> dict[str, StoreMeta]:
 
 
 def write_interactions_tsv(log: InteractionLog, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(path) as fh:
         fh.write("\t".join(INTERACTIONS_HEADER) + "\n")
         for i in range(len(log)):
             fh.write(
@@ -240,7 +239,7 @@ def write_interactions_tsv(log: InteractionLog, path: str) -> None:
 
 
 def write_stores_tsv(catalog: dict[str, StoreMeta], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(path) as fh:
         fh.write("\t".join(STORES_HEADER) + "\n")
         for meta in catalog.values():
             fh.write(

@@ -22,15 +22,14 @@ import numpy as np
 
 from . import diffcore as dc
 from . import evalharness, exprec, features, reprec
-from .dataio import DatasetSplit
 from .training import TrainResult, TrainSettings, run_training
 
 __all__ = [
     "ensemble_build",
     "normalize_slate",
     "ensemble_train",
-    "ensemble_scorer",
-    "concat_scorer",
+    "ensemble_scores",
+    "concat_scores",
 ]
 
 DEFAULT_ATTN_DIM = 32
@@ -43,18 +42,16 @@ ROW_BLOCK = 128
 
 
 def ensemble_build(
-    split: DatasetSplit,
+    data: features.Dataset,
     dim: int = 64,
     attn_dim: int = DEFAULT_ATTN_DIM,
     seed: int = 0,
     window: int = DEFAULT_WINDOW,
     budget: int = DEFAULT_BUDGET,
 ) -> dc.ModelState:
-    vocabs = features.build_vocabs(split)
+    vocabs, log = data.vocabs, data.split.log
     state = dc.ModelState(seed=seed)
-    state.add_embedding("emb.hour", 24, dim)
-    state.add_embedding("emb.dow", 7, dim)
-    state.add_embedding("emb.loc", len(vocabs.location_ids), dim)
+    features.add_situation_tables(state, dim, len(vocabs.location_ids))
     state.add_embedding("emb.user", len(vocabs.user_ids), dim)
     state.add_embedding("emb.flag", 2, dim)
     state.add_gru("gru.intent", dim, dim)
@@ -74,8 +71,8 @@ def ensemble_build(
         "store_ids": vocabs.store_ids,
         "location_ids": vocabs.location_ids,
         "user_ids": vocabs.user_ids,
-        "tz_offset_minutes": split.log.tz_offset_minutes,
-        "epoch": split.log.epoch,
+        "tz_offset_minutes": log.tz_offset_minutes,
+        "epoch": log.epoch,
     }
     return state
 
@@ -200,12 +197,12 @@ class _Slate:
     tgt: int              # target index within the slate
 
 
-def _frozen_bases(rep_state, exp_state, seqs, rows, neighbors):
+def _frozen_bases(rep_state, exp_state, data: features.Dataset, rows):
     """``bases(i, codes, a)``: normalized frozen base scores of store
     ``codes`` for the ``i``-th of ``rows``; RepRec scores the first ``a``,
     ExpRec the rest.  Both models' queries come from one chunked forward."""
-    rep_q = reprec.reprec_queries(rep_state, seqs, rows)
-    exp_q = exprec.exprec_queries(exp_state, seqs, rows, neighbors)
+    rep_q = reprec.reprec_queries(rep_state, data, rows)
+    exp_q = exprec.exprec_queries(exp_state, data, rows)
     rep_store, exp_store = rep_state.value("emb.store"), exp_state.value("emb.store")
 
     def bases(i: int, codes: np.ndarray, a: int) -> np.ndarray:
@@ -220,11 +217,12 @@ def _frozen_bases(rep_state, exp_state, seqs, rows, neighbors):
 
 
 def _build_training_slates(
-    split, seqs, vocabs, rows, budget, seed, rep_state, exp_state, neighbors
+    data: features.Dataset, rows, budget, seed, rep_state, exp_state
 ) -> list[_Slate]:
-    n_stores = len(vocabs.store_ids)
+    seqs = data.seqs
+    n_stores = len(data.vocabs.store_ids)
     user_codes = np.searchsorted(seqs.offsets, rows, side="right") - 1
-    bases = _frozen_bases(rep_state, exp_state, seqs, rows, neighbors)
+    bases = _frozen_bases(rep_state, exp_state, data, rows)
     rep_cap = budget // 2
     slates: list[_Slate] = []
     for i, (row, ucode) in enumerate(zip(rows, user_codes)):
@@ -308,7 +306,7 @@ def _combined_batch_loss(
 
 
 def ensemble_train(
-    split: DatasetSplit,
+    data: features.Dataset,
     frozen_reprec: dc.ModelState,
     frozen_exprec: dc.ModelState,
     settings: TrainSettings = TrainSettings(),
@@ -321,13 +319,12 @@ def ensemble_train(
     """Two-stage training against frozen base models."""
     if frozen_reprec is None or frozen_exprec is None:
         raise ValueError("ensemble training needs both frozen base models")
-    vocabs = features.build_vocabs(split)
-    seqs = features.build_sequences(split, vocabs)
-    state = ensemble_build(split, dim=dim, attn_dim=attn_dim, seed=settings.seed,
+    seqs = data.seqs
+    state = ensemble_build(data, dim=dim, attn_dim=attn_dim, seed=settings.seed,
                            window=window, budget=budget)
 
-    train_rows = seqs.flat_of_global[split.train_idx]
-    valid_rows = seqs.flat_of_global[split.valid_idx]
+    train_rows = seqs.flat_of_global[data.split.train_idx]
+    valid_rows = seqs.flat_of_global[data.split.valid_idx]
 
     # stage 1: intent head, early-stopped on validation cross-entropy
     def intent_loss(st, chunk, rng):
@@ -347,30 +344,23 @@ def ensemble_train(
     )
 
     # stage 2: item weighting over fixed-size slates, frozen base scores
-    neighbors = exprec.neighbor_arrays(
-        split.log, int(frozen_exprec.meta["k_neighbors"]),
-        int(frozen_exprec.meta["neighbor_as_of"]),
-    )
     rows = train_rows
     cap = settings.max_instances
     if cap and len(rows) > cap:
         keep = np.unique(np.linspace(0, len(rows) - 1, cap).astype(np.int64))
         rows = rows[keep]
     slates = _build_training_slates(
-        split, seqs, vocabs, rows, budget, settings.seed,
-        frozen_reprec, frozen_exprec, neighbors,
+        data, rows, budget, settings.seed, frozen_reprec, frozen_exprec,
     )
     if not slates:
         raise ValueError("no combined training slates could be built")
 
-    def scorer_for(cases):
-        bases = _case_bases(frozen_reprec, frozen_exprec, split, cases,
-                            seqs, vocabs, neighbors)
-        return lambda st: _weighted_scorer(st, seqs, *bases)
+    def scores_for(cases):
+        bases = _case_bases(frozen_reprec, frozen_exprec, data, cases)
+        return lambda st: _weighted_scores(st, seqs, cases, bases)
 
     combined_val = evalharness.validation_metric(
-        split, "combined", settings.seed, settings.val_max_cases, seqs, vocabs,
-        "ensemble", scorer_for,
+        data, "combined", settings, "ensemble", scores_for,
     )
 
     def combined_loss(st, chunk, rng):
@@ -384,22 +374,17 @@ def ensemble_train(
 
 # ---------------------------------------------------------------- scoring
 
-def _case_bases(rep_state, exp_state, split, cases, seqs, vocabs, neighbors):
-    """(rows, bases) for ``cases``: ``rows`` are the cases' flat rows
-    and ``bases(i, codes, a)`` case ``i``'s normalized frozen base scores
+def _case_bases(rep_state, exp_state, data: features.Dataset, cases):
+    """``bases(i, codes, a)``: case ``i``'s normalized frozen base scores
     (see :func:`_frozen_bases`)."""
-    if neighbors is None:
-        neighbors = exprec.neighbor_arrays(
-            split.log, int(exp_state.meta["k_neighbors"]),
-            int(exp_state.meta["neighbor_as_of"]),
-        )
-    rows = seqs.flat_of_global[cases.position]
-    return rows, _frozen_bases(rep_state, exp_state, seqs, rows, neighbors)
+    rows = data.seqs.flat_of_global[cases.position]
+    return _frozen_bases(rep_state, exp_state, data, rows)
 
 
-def _weighted_scorer(state: dc.ModelState, seqs, rows, bases):
-    """Scorer weighting each case's base slate by the intent-queried attention."""
-    probs = _intent_probs(state, seqs, rows)
+def _weighted_scores(state: dc.ModelState, seqs, cases, bases) -> np.ndarray:
+    """[N, C] scores weighting each case's base slate by the intent-queried
+    attention."""
+    probs = _intent_probs(state, seqs, seqs.flat_of_global[cases.position])
     values = {name: state.value(name) for name in state.params}
 
     def row_scores(i: int, codes: np.ndarray, a: int) -> np.ndarray:
@@ -407,23 +392,19 @@ def _weighted_scorer(state: dc.ModelState, seqs, rows, bases):
         origin = np.concatenate([np.ones(a), np.zeros(len(base) - a)])
         return _item_weights_np(values, base, origin, probs[i]) * base
 
-    return lambda cases: evalharness.score_rows(cases, row_scores)
+    return evalharness.score_rows(cases, row_scores)
 
 
-def ensemble_scorer(state: dc.ModelState, rep_state: dc.ModelState,
-                    exp_state: dc.ModelState, split: DatasetSplit, cases,
-                    seqs: features.UserSequences, vocabs: features.Vocabs,
-                    neighbors: tuple[np.ndarray, np.ndarray] | None = None):
-    """Combined-protocol adapter for ``cases`` running the full weighting
+def ensemble_scores(state: dc.ModelState, rep_state: dc.ModelState,
+                    exp_state: dc.ModelState, data: features.Dataset,
+                    cases) -> np.ndarray:
+    """[N, C] combined-protocol scores for ``cases`` from the full weighting
     pipeline."""
-    rows, bases = _case_bases(rep_state, exp_state, split, cases, seqs, vocabs, neighbors)
-    return _weighted_scorer(state, seqs, rows, bases)
+    return _weighted_scores(state, data.seqs, cases,
+                            _case_bases(rep_state, exp_state, data, cases))
 
 
-def concat_scorer(rep_state: dc.ModelState, exp_state: dc.ModelState,
-                  split: DatasetSplit, cases, seqs: features.UserSequences,
-                  vocabs: features.Vocabs,
-                  neighbors: tuple[np.ndarray, np.ndarray] | None = None):
+def concat_scores(rep_state: dc.ModelState, exp_state: dc.ModelState,
+                  data: features.Dataset, cases) -> np.ndarray:
     """Unit-weight reference: normalized base slates concatenated as-is."""
-    _, bases = _case_bases(rep_state, exp_state, split, cases, seqs, vocabs, neighbors)
-    return lambda cases: evalharness.score_rows(cases, bases)
+    return evalharness.score_rows(cases, _case_bases(rep_state, exp_state, data, cases))

@@ -13,8 +13,9 @@ Three protocols per test interaction:
 interaction, regardless of partition boundaries.  Candidate sampling is
 deterministic: each case's generator is derived from (seed, log position), and
 only the cases ``max_cases`` keeps are sampled.  A protocol's cases form one
-:class:`CaseSet` of store codes, which a scorer maps to [N, C] scores that
-:func:`evaluate` ranks at once.  Ranking is pessimistic: the target ranks
+:class:`CaseSet` of store codes.  Each model's ``<model>_scores(state, data,
+cases)`` returns the set's [N, C] score array, row ``i`` for case ``i``, and
+:func:`evaluate` ranks it at once.  Ranking is pessimistic: the target ranks
 below every candidate it ties with.
 """
 
@@ -29,6 +30,7 @@ import numpy as np
 
 from . import features
 from .dataio import DatasetSplit
+from .training import TrainSettings
 
 PROTOCOLS = ("repeat", "exploration", "combined")
 MAX_CANDIDATES = 1000
@@ -122,10 +124,9 @@ def build_cases(
     log = split.log
     if log.catalog is None:
         raise ValueError("eval cases need a store catalog")
-    if vocabs is None:
-        vocabs = features.build_vocabs(split)
-    if seqs is None:
-        seqs = features.build_sequences(split, vocabs)
+    if seqs is None or vocabs is None:
+        data = features.prepare(split)
+        seqs, vocabs = data.seqs, data.vocabs
     n_stores = len(vocabs.store_ids)
 
     pos = np.asarray(split.test_idx, dtype=np.int64)
@@ -183,27 +184,27 @@ def validation_cases(
 
 
 def validation_metric(
-    split: DatasetSplit,
+    data: features.Dataset,
     protocol: str,
-    seed: int,
-    max_cases: int,
-    seqs: features.UserSequences,
-    vocabs: features.Vocabs,
+    settings: TrainSettings,
     model_id: str,
-    scorer_for: Callable[[CaseSet], Callable],
+    scores_for: Callable[[CaseSet], Callable],
 ) -> Callable:
-    """A trainer's ``val_metric``: HR@3 over ``protocol``'s validation cases.
+    """A trainer's ``val_metric``: HR@3 over ``protocol``'s validation cases,
+    drawn with ``settings.seed`` and capped at ``settings.val_max_cases``.
 
-    ``scorer_for(cases)`` runs once and returns ``state -> scorer``; the
-    metric scores the same cases after every epoch.
+    ``scores_for(cases)`` runs once and returns ``state -> [N, C] scores``;
+    the metric scores the same cases after every epoch.
     """
-    cases = validation_cases(split, protocol, seed, max_cases, seqs, vocabs)
+    cases = validation_cases(data.split, protocol, settings.seed, settings.val_max_cases,
+                             data.seqs, data.vocabs)
     if not cases:
         raise ValueError(f"validation partition has no {protocol} cases")
-    scorer_of = scorer_for(cases)
+    scores_of = scores_for(cases)
 
     def val_metric(state) -> float:
-        report = evaluate(scorer_of(state), cases, k=3, model_id=model_id, seed=seed)
+        report = evaluate(lambda _: scores_of(state), cases, k=3, model_id=model_id,
+                          seed=settings.seed)
         return report.protocols[protocol]["hr@3"]
 
     return val_metric
@@ -226,10 +227,10 @@ def score_rows(
     return out
 
 
-def dot_scorer(queries: np.ndarray, table: np.ndarray) -> Callable[[CaseSet], np.ndarray]:
-    """Scorer for the cases ``queries`` is aligned with: each case's
-    candidates' rows of ``table`` dotted with its row of ``queries``."""
-    return lambda cases: score_rows(cases, lambda i, codes, a: table[codes] @ queries[i])
+def dot_scores(cases: CaseSet, queries: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """[N, C] scores: each case's candidates' rows of ``table`` dotted with
+    its row of ``queries``, which holds one row per case."""
+    return score_rows(cases, lambda i, codes, a: table[codes] @ queries[i])
 
 
 def _require(cases: CaseSet, ok: np.ndarray, what: str) -> None:

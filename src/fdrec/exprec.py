@@ -8,6 +8,9 @@ into one vector that scores candidates by dot product.  Each trigger can be
 ablated; ablation removes its logit before the softmax so the remaining
 weights renormalize.  Training and scoring run the same batched forward,
 :func:`exprec_fused`, over integer history windows and frozen neighbor tables.
+The checkpoint alone says how to score: the ablation mask is its
+``meta["ablate"]`` and the neighbours are the stage data's
+``neighbors(meta["k_neighbors"], meta["neighbor_as_of"])``.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ import numpy as np
 
 from . import diffcore as dc
 from . import evalharness, features, situsim
-from .dataio import DatasetSplit
 from .training import TrainResult, TrainSettings, run_training
 
 __all__ = [
@@ -26,7 +28,7 @@ __all__ = [
     "exprec_batch_loss",
     "exprec_queries",
     "exprec_train",
-    "exprec_scorer",
+    "exprec_scores",
     "neighbor_arrays",
 ]
 
@@ -40,20 +42,18 @@ M = len(_ACTIVATIONS_VAR)
 
 
 def exprec_build(
-    split: DatasetSplit,
+    data: features.Dataset,
     dim: int = 64,
     seed: int = 0,
     window: int = DEFAULT_WINDOW,
     k_neighbors: int = DEFAULT_NEIGHBORS,
     ablation_mask=None,
 ) -> dc.ModelState:
-    vocabs = features.build_vocabs(split)
+    vocabs, split = data.vocabs, data.split
     log = split.log
     state = dc.ModelState(seed=seed)
     state.add_embedding("emb.store", len(vocabs.store_ids), dim)
-    state.add_embedding("emb.hour", 24, dim)
-    state.add_embedding("emb.dow", 7, dim)
-    state.add_embedding("emb.loc", len(vocabs.location_ids), dim)
+    features.add_situation_tables(state, dim, len(vocabs.location_ids))
     state.add_embedding("emb.user", len(vocabs.user_ids), dim)
     state.add_gru("gru.hist", 2 * dim, dim)
     state.add_dense("cond", M, dim)
@@ -112,14 +112,14 @@ def exprec_fused(
     state: dc.ModelState,
     win: features.Window,
     neighbors: tuple[np.ndarray, np.ndarray],
-    ablation_mask=None,
 ) -> dc.Var:
     """Fused trigger vectors [B, D], the queries every ExpRec score dots with.
 
     ``neighbors`` are the frozen per-user tables from :func:`neighbor_arrays`.
-    An ablated trigger's logit becomes -inf, so it gets exactly zero weight.
+    The triggers set in ``state.meta["ablate"]`` get a -inf logit, so they get
+    exactly zero weight.
     """
-    mask = _check_mask(ablation_mask)
+    mask = _check_mask(state.meta["ablate"])
     B = win.store.shape[0]
     dim = int(state.meta["dim"])
 
@@ -164,10 +164,9 @@ def exprec_batch_loss(
     win: features.Window,
     neighbors: tuple[np.ndarray, np.ndarray],
     neg: np.ndarray,
-    ablation_mask=None,
 ) -> dc.Var:
     """Pairwise ranking loss; deterministic in its inputs for gradient checks."""
-    s_e = exprec_fused(state, win, neighbors, ablation_mask)
+    s_e = exprec_fused(state, win, neighbors)
     pos_e = dc.gather_rows(state.leaf("emb.store"), win.target)
     neg_e = dc.gather_rows(state.leaf("emb.store"), neg)
     s_pos = dc.sum_(dc.mul(s_e, pos_e), axis=-1)
@@ -175,23 +174,16 @@ def exprec_batch_loss(
     return dc.mean_(dc.bpr_loss(s_pos, s_neg))
 
 
-def exprec_queries(
-    state: dc.ModelState,
-    seqs: features.UserSequences,
-    rows: np.ndarray,
-    neighbors: tuple[np.ndarray, np.ndarray],
-    ablation_mask=None,
-) -> np.ndarray:
-    """Fused vectors [N, D] for the interactions at flat ``rows``, in chunks.
-
-    ``ablation_mask`` defaults to the mask the checkpoint was trained with.
-    """
-    if ablation_mask is None:
-        ablation_mask = state.meta.get("ablate")
-    window = int(state.meta["window"])
+def exprec_queries(state: dc.ModelState, data: features.Dataset,
+                   rows: np.ndarray) -> np.ndarray:
+    """Fused vectors [N, D] for the interactions at flat ``rows``, in chunks,
+    with the neighbour table the checkpoint was trained with."""
+    meta = state.meta
+    neighbors = data.neighbors(meta["k_neighbors"], meta["neighbor_as_of"])
+    window = int(meta["window"])
     return features.query_rows(
         lambda chunk: exprec_fused(
-            state, features.gather_window(seqs, chunk, window), neighbors, ablation_mask
+            state, features.gather_window(data.seqs, chunk, window), neighbors
         ),
         rows,
     )
@@ -230,7 +222,7 @@ def _sample_unvisited(rng, visited: np.ndarray, pos: np.ndarray) -> np.ndarray:
 
 
 def exprec_train(
-    split: DatasetSplit,
+    data: features.Dataset,
     settings: TrainSettings = TrainSettings(),
     dim: int = 64,
     window: int = DEFAULT_WINDOW,
@@ -241,11 +233,10 @@ def exprec_train(
 
     Triggers set in ``ablation_mask`` are dropped from training and scoring.
     """
-    vocabs = features.build_vocabs(split)
-    seqs = features.build_sequences(split, vocabs)
-    state = exprec_build(split, dim=dim, seed=settings.seed, window=window,
+    seqs, split = data.seqs, data.split
+    state = exprec_build(data, dim=dim, seed=settings.seed, window=window,
                          k_neighbors=k_neighbors, ablation_mask=ablation_mask)
-    n_stores = len(vocabs.store_ids)
+    n_stores = len(data.vocabs.store_ids)
 
     train_rows = seqs.flat_of_global[split.train_idx]
     # a negative needs a second unvisited store besides the target
@@ -254,19 +245,18 @@ def exprec_train(
     if len(rows) == 0:
         raise ValueError("no exploration training instances")
 
-    neighbors = neighbor_arrays(split.log, k_neighbors, split.valid_boundary)
+    neighbors = data.neighbors(k_neighbors, split.valid_boundary)
 
     def batch_loss(st: dc.ModelState, chunk: np.ndarray, rng: np.random.Generator):
         batch_rows = rows[chunk]
         win = features.gather_window(seqs, batch_rows, window)
         visited = _visited_mask(seqs, batch_rows, n_stores)
         neg = _sample_unvisited(rng, visited, win.target)
-        return exprec_batch_loss(st, win, neighbors, neg, ablation_mask)
+        return exprec_batch_loss(st, win, neighbors, neg)
 
     val_metric = evalharness.validation_metric(
-        split, "exploration", settings.seed, settings.val_max_cases, seqs, vocabs,
-        "exprec", lambda cases: lambda st: exprec_scorer(
-            st, split, cases, seqs, vocabs, neighbors=neighbors),
+        data, "exploration", settings, "exprec",
+        lambda cases: lambda st: exprec_scores(st, data, cases),
     )
     result = run_training(
         state, len(rows), batch_loss, val_metric, settings, stream=103
@@ -274,24 +264,7 @@ def exprec_train(
     return state, result
 
 
-def exprec_scorer(
-    state: dc.ModelState,
-    split: DatasetSplit,
-    cases,
-    seqs: features.UserSequences,
-    vocabs: features.Vocabs,
-    ablation_mask=None,
-    neighbors: tuple[np.ndarray, np.ndarray] | None = None,
-):
-    """Eval adapter for ``cases``; recomputes frozen neighbors if not given.
-
-    ``ablation_mask`` defaults to the mask the checkpoint was trained with.
-    """
-    meta = state.meta
-    if neighbors is None:
-        neighbors = neighbor_arrays(
-            split.log, int(meta["k_neighbors"]), int(meta["neighbor_as_of"])
-        )
-    queries = exprec_queries(state, seqs, seqs.flat_of_global[cases.position],
-                             neighbors, ablation_mask)
-    return evalharness.dot_scorer(queries, state.value("emb.store"))
+def exprec_scores(state: dc.ModelState, data: features.Dataset, cases) -> np.ndarray:
+    """[N, C] exploration scores for ``cases``."""
+    queries = exprec_queries(state, data, data.seqs.flat_of_global[cases.position])
+    return evalharness.dot_scores(cases, queries, state.value("emb.store"))

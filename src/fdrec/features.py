@@ -1,8 +1,12 @@
-"""Shared model plumbing: vocabularies and per-user chronological feature arrays.
+"""Shared model plumbing: one stage's data view and the forward-pass helpers.
 
-Models index stores by catalog order (so never-visited stores are scoreable),
-users by log order, and delivery locations by train-partition order with row 0
-reserved as a fallback for values unseen during training.
+:func:`prepare` builds a :class:`Dataset` once per training or evaluation
+stage: the split, its vocabularies, per-user chronological feature arrays and
+memoized frozen neighbour tables.  Every builder, trainer and scorer takes
+that one object.  Models index stores by catalog order (so never-visited
+stores are scoreable), users by log order, and delivery locations by
+train-partition order with row 0 reserved as a fallback for values unseen
+during training.
 
 The models' forward passes share the history-window gatherer, the situation
 embedding and :func:`query_rows`, which runs a training forward for inference.
@@ -10,7 +14,7 @@ embedding and :func:`query_rows`, which runs a training forward for inference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -75,9 +79,6 @@ class UserSequences:
     first_offsets: np.ndarray
     flat_of_global: np.ndarray  # global log position -> flat row
     local_of_global: np.ndarray  # global log position -> user-local index
-
-    def user_slice(self, user_code: int) -> slice:
-        return slice(int(self.offsets[user_code]), int(self.offsets[user_code + 1]))
 
     def prior_store_codes(self, user_code: int, local_pos: int) -> np.ndarray:
         """Distinct stores visited before user-local position ``local_pos``,
@@ -158,6 +159,32 @@ def build_sequences(split: DatasetSplit, vocabs: Vocabs) -> UserSequences:
     )
 
 
+@dataclass(eq=False)
+class Dataset:
+    """One stage's data: the split with its vocabularies and sequences."""
+
+    split: DatasetSplit
+    vocabs: Vocabs
+    seqs: UserSequences
+    _neighbors: dict = field(default_factory=dict, init=False, repr=False)
+
+    def neighbors(self, k: int, as_of: int) -> tuple[np.ndarray, np.ndarray]:
+        """Frozen neighbour codes and weights from
+        :func:`fdrec.exprec.neighbor_arrays`, computed once per ``(k, as_of)``."""
+        key = (int(k), int(as_of))
+        if key not in self._neighbors:
+            from . import exprec  # exprec imports this module
+
+            self._neighbors[key] = exprec.neighbor_arrays(self.split.log, *key)
+        return self._neighbors[key]
+
+
+def prepare(split: DatasetSplit) -> Dataset:
+    """The stage's :class:`Dataset`; vocabularies and sequences are built here only."""
+    vocabs = build_vocabs(split)
+    return Dataset(split, vocabs, build_sequences(split, vocabs))
+
+
 def window_rows(
     seqs: UserSequences, user_codes: np.ndarray, local_pos: np.ndarray, limit: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -215,6 +242,13 @@ def gather_window(seqs: UserSequences, flat_rows: np.ndarray, limit: int) -> Win
         now_loc=seqs.loc[flat_rows],
         target=seqs.store[flat_rows],
     )
+
+
+def add_situation_tables(state: dc.ModelState, dim: int, n_locations: int) -> None:
+    """Register the hour, weekday and location tables :func:`situation` reads."""
+    state.add_embedding("emb.hour", 24, dim)
+    state.add_embedding("emb.dow", 7, dim)
+    state.add_embedding("emb.loc", n_locations, dim)
 
 
 def situation(state: dc.ModelState, hours, dows, locs) -> dc.Var:

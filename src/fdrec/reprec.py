@@ -15,7 +15,6 @@ import numpy as np
 
 from . import diffcore as dc
 from . import evalharness, features
-from .dataio import DatasetSplit
 from .training import TrainResult, TrainSettings, run_training
 
 __all__ = [
@@ -24,7 +23,7 @@ __all__ = [
     "reprec_batch_loss",
     "reprec_queries",
     "reprec_train",
-    "reprec_scorer",
+    "reprec_scores",
 ]
 
 DEFAULT_WINDOW = 50
@@ -32,21 +31,20 @@ DEFAULT_WINDOW = 50
 _NORM_EPS_SQ = 1e-24
 
 
-def reprec_build(split: DatasetSplit, dim: int = 64, seed: int = 0) -> dc.ModelState:
-    vocabs = features.build_vocabs(split)
+def reprec_build(data: features.Dataset, dim: int = 64, seed: int = 0,
+                 window: int = DEFAULT_WINDOW) -> dc.ModelState:
+    vocabs, log = data.vocabs, data.split.log
     state = dc.ModelState(seed=seed)
     state.add_embedding("emb.store", len(vocabs.store_ids), dim)
-    state.add_embedding("emb.hour", 24, dim)
-    state.add_embedding("emb.dow", 7, dim)
-    state.add_embedding("emb.loc", len(vocabs.location_ids), dim)
+    features.add_situation_tables(state, dim, len(vocabs.location_ids))
     state.meta = {
         "model": "reprec",
         "dim": dim,
-        "window": DEFAULT_WINDOW,
+        "window": window,
         "store_ids": vocabs.store_ids,
         "location_ids": vocabs.location_ids,
-        "tz_offset_minutes": split.log.tz_offset_minutes,
-        "epoch": split.log.epoch,
+        "tz_offset_minutes": log.tz_offset_minutes,
+        "epoch": log.epoch,
     }
     return state
 
@@ -82,18 +80,20 @@ def reprec_batch_loss(state: dc.ModelState, win: features.Window,
     return dc.mean_(dc.bpr_loss(s_pos, s_neg))
 
 
-def reprec_queries(state: dc.ModelState, seqs: features.UserSequences,
+def reprec_queries(state: dc.ModelState, data: features.Dataset,
                    rows: np.ndarray) -> np.ndarray:
     """Profiles [N, D] for the interactions at flat ``rows``, in chunks."""
-    window = int(state.meta.get("window", DEFAULT_WINDOW))
+    window = int(state.meta["window"])
     return features.query_rows(
-        lambda chunk: reprec_profiles(state, features.gather_window(seqs, chunk, window)),
+        lambda chunk: reprec_profiles(
+            state, features.gather_window(data.seqs, chunk, window)
+        ),
         rows,
     )
 
 
 def reprec_train(
-    split: DatasetSplit,
+    data: features.Dataset,
     settings: TrainSettings = TrainSettings(),
     dim: int = 64,
     window: int = DEFAULT_WINDOW,
@@ -101,12 +101,10 @@ def reprec_train(
     """Train on repeat-flagged interactions; negatives from the user's own
     other prior stores (instances with fewer than 2 distinct priors skipped).
     """
-    vocabs = features.build_vocabs(split)
-    seqs = features.build_sequences(split, vocabs)
-    state = reprec_build(split, dim=dim, seed=settings.seed)
-    state.meta["window"] = window
+    seqs = data.seqs
+    state = reprec_build(data, dim=dim, seed=settings.seed, window=window)
 
-    train_rows = seqs.flat_of_global[split.train_idx]
+    train_rows = seqs.flat_of_global[data.split.train_idx]
     keep = seqs.repeat[train_rows] & (seqs.distinct_before[train_rows] >= 2)
     rows = train_rows[keep]
     if len(rows) == 0:
@@ -126,8 +124,8 @@ def reprec_train(
         return reprec_batch_loss(st, win, neg)
 
     val_metric = evalharness.validation_metric(
-        split, "repeat", settings.seed, settings.val_max_cases, seqs, vocabs, "reprec",
-        lambda cases: lambda st: reprec_scorer(st, split, cases, seqs, vocabs),
+        data, "repeat", settings, "reprec",
+        lambda cases: lambda st: reprec_scores(st, data, cases),
     )
     result = run_training(
         state, len(rows), batch_loss, val_metric, settings, stream=102
@@ -135,8 +133,8 @@ def reprec_train(
     return state, result
 
 
-def reprec_scorer(state: dc.ModelState, split: DatasetSplit, cases, seqs, vocabs):
-    """Repeat-protocol adapter for ``cases``; profiles use the trailing
+def reprec_scores(state: dc.ModelState, data: features.Dataset, cases) -> np.ndarray:
+    """[N, C] repeat-protocol scores for ``cases``; profiles use the trailing
     history window and are computed up front, in chunks."""
-    profiles = reprec_queries(state, seqs, seqs.flat_of_global[cases.position])
-    return evalharness.dot_scorer(profiles, state.value("emb.store"))
+    profiles = reprec_queries(state, data, data.seqs.flat_of_global[cases.position])
+    return evalharness.dot_scores(cases, profiles, state.value("emb.store"))

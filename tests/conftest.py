@@ -44,9 +44,13 @@ def small_split():
 
 
 @pytest.fixture(scope="session")
-def small_seqs(small_split):
-    vocabs = features.build_vocabs(small_split)
-    return features.build_sequences(small_split, vocabs), vocabs
+def small_data(small_split):
+    return features.prepare(small_split)
+
+
+@pytest.fixture(scope="session")
+def small_seqs(small_data):
+    return small_data.seqs, small_data.vocabs
 
 
 @pytest.fixture(scope="session")
@@ -68,6 +72,11 @@ def tiny_split():
     return dataio.split_global_timeline(
         log, test_window_s=4 * DAY, valid_window_s=4 * DAY
     )
+
+
+@pytest.fixture(scope="session")
+def tiny_data(tiny_split):
+    return features.prepare(tiny_split)
 
 
 def rng(seed=0):

@@ -44,13 +44,12 @@ def test_hispop_rejects_unvisited_candidates():
         oracles.hispop_score(history, now, ["A", "Z"], epoch=0)
 
 
-def test_hispop_scorer_matches_public_op(small_split, small_seqs):
+def test_hispop_scorer_matches_public_op(small_split, small_data, small_seqs):
     seqs, vocabs = small_seqs
     log = small_split.log
-    scorer = baselines.hispop_scorer(small_split, seqs, vocabs)
     cases = evalharness.build_cases(small_split, "repeat", seed=0, seqs=seqs,
                                     vocabs=vocabs)
-    scores = scorer(cases)
+    scores = baselines.hispop_scores(small_data, cases)
     for i, case in zip(range(20), cases):
         want = oracles.hispop_score(
             oracles.history_before(log, case.position),
@@ -62,11 +61,14 @@ def test_hispop_scorer_matches_public_op(small_split, small_seqs):
         assert not scores[i, len(want.scores):].any()
 
 
-def test_hispop_is_deterministic(small_split, small_seqs):
+def test_hispop_is_deterministic(small_split, small_data, small_seqs):
     seqs, vocabs = small_seqs
     cases = evalharness.build_cases(small_split, "repeat", seed=0, seqs=seqs,
                                     vocabs=vocabs)
-    scorer = baselines.hispop_scorer(small_split, seqs, vocabs)
+
+    def scorer(cs):
+        return baselines.hispop_scores(small_data, cs)
+
     r1 = evalharness.evaluate(scorer, cases, k=3)
     r2 = evalharness.evaluate(scorer, cases, k=3)
     assert r1.to_json() == r2.to_json()
@@ -76,8 +78,8 @@ def test_hispop_is_deterministic(small_split, small_seqs):
 # situation-only embedding model
 
 
-def test_sonly_build_shapes(small_split):
-    state = baselines.sonly_build(small_split, dim=16, seed=0)
+def test_sonly_build_shapes(small_split, small_data):
+    state = baselines.sonly_build(small_data, dim=16, seed=0)
     n_stores = len(small_split.log.store_ids)
     assert state.value("emb.store").shape == (n_stores, 16)
     assert state.value("emb.hour").shape == (24, 16)
@@ -86,8 +88,8 @@ def test_sonly_build_shapes(small_split):
     assert state.meta["dim"] == 16
 
 
-def test_sonly_score_is_dot_of_situation_and_store(small_split):
-    state = baselines.sonly_build(small_split, dim=8, seed=1)
+def test_sonly_score_is_dot_of_situation_and_store(small_split, small_data):
+    state = baselines.sonly_build(small_data, dim=8, seed=1)
     log = small_split.log
     now = SituationFeatures(2, 13, 4, log.location_ids[0])
     candidates = log.store_ids[:5]
@@ -104,8 +106,8 @@ def test_sonly_score_is_dot_of_situation_and_store(small_split):
     np.testing.assert_allclose(scores, want, atol=1e-12, rtol=0)
 
 
-def test_sonly_score_unseen_location_uses_fallback(small_split):
-    state = baselines.sonly_build(small_split, dim=8, seed=1)
+def test_sonly_score_unseen_location_uses_fallback(small_split, small_data):
+    state = baselines.sonly_build(small_data, dim=8, seed=1)
     now_known = SituationFeatures(0, 9, 2, "no-such-location")
     scores = oracles.sonly_score(state, now_known, small_split.log.store_ids[:3]).scores
     situ = (
@@ -118,39 +120,38 @@ def test_sonly_score_unseen_location_uses_fallback(small_split):
     np.testing.assert_allclose(scores, want, atol=1e-12, rtol=0)
 
 
-def test_sonly_training_improves_validation_metric(small_split):
+def test_sonly_training_improves_validation_metric(small_data):
     settings = TrainSettings(lr=0.05, batch_size=128, patience=3, max_epochs=8,
                              seed=0)
-    state, result = baselines.sonly_train(small_split, settings, dim=16)
+    state, result = baselines.sonly_train(small_data, settings, dim=16)
     assert result.epochs >= 1
     assert result.best_metric == max(result.history)
     assert state.meta["model"] == "sonly"
     # training must be reproducible
-    state2, result2 = baselines.sonly_train(small_split, settings, dim=16)
+    state2, result2 = baselines.sonly_train(small_data, settings, dim=16)
     assert result2.history == result.history
     for name in state.params:
         np.testing.assert_array_equal(state.value(name), state2.value(name))
 
 
-def test_sonly_scorer_covers_all_protocols(small_split, small_seqs):
+def test_sonly_scorer_covers_all_protocols(small_split, small_data, small_seqs):
     seqs, vocabs = small_seqs
-    state = baselines.sonly_build(small_split, dim=8, seed=0)
+    state = baselines.sonly_build(small_data, dim=8, seed=0)
     for protocol in ("repeat", "exploration", "combined"):
         cases = evalharness.build_cases(small_split, protocol, seed=0,
                                         max_cases=10, seqs=seqs, vocabs=vocabs)
-        scorer = baselines.sonly_scorer(state, small_split, cases, seqs, vocabs)
-        report = evalharness.evaluate(scorer, cases, k=3)
+        report = evalharness.evaluate(
+            lambda cs: baselines.sonly_scores(state, small_data, cs), cases, k=3)
         assert report.protocols[protocol]["n"] == len(cases)
 
 
-def test_sonly_scorer_matches_public_op(small_split, small_seqs):
+def test_sonly_scorer_matches_public_op(small_split, small_data, small_seqs):
     seqs, vocabs = small_seqs
     log = small_split.log
-    state = baselines.sonly_build(small_split, dim=8, seed=2)
+    state = baselines.sonly_build(small_data, dim=8, seed=2)
     cases = evalharness.build_cases(small_split, "exploration", seed=0,
                                     max_cases=8, seqs=seqs, vocabs=vocabs)
-    scorer = baselines.sonly_scorer(state, small_split, cases, seqs, vocabs)
-    scores = scorer(cases)
+    scores = baselines.sonly_scores(state, small_data, cases)
     for i, case in enumerate(cases):
         now = oracles.situation(log, case.position)
         want = oracles.sonly_score(state, now, list(case.candidates))

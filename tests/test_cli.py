@@ -2,6 +2,7 @@ import json
 import os
 import platform
 import re
+import shutil
 import subprocess
 import sys
 
@@ -210,6 +211,24 @@ def test_missing_checkpoint_is_runtime_error(pipeline, capsys):
     err = capsys.readouterr().err
     assert "no reprec checkpoint" in err or "no ensemble checkpoint" in err
     assert "fdrec train" in err
+
+
+def test_checkpoint_of_other_data_is_runtime_error(pipeline, tmp_path, capsys):
+    """Store codes index a checkpoint's tables: reordering the catalog after
+    training must stop the eval, not score with the wrong rows."""
+    cfg_path, _ = pipeline
+    data_dir = tmp_path / "data"
+    shutil.copytree(os.path.dirname(cfg_path), data_dir)
+    stores = data_dir / "stores.tsv"
+    header, *rows = stores.read_text().splitlines(keepends=True)
+    stores.write_text(header + "".join(reversed(rows)))
+    cfg = str(data_dir / "cfg")
+    assert cli.main(["eval", "--config", cfg, "--model", "reprec",
+                     "--protocol", "repeat"]) == 1
+    err = capsys.readouterr().err
+    ckpt = os.path.join(load_config(cfg).run_dir(), "reprec.ckpt")
+    assert f"checkpoint {ckpt} does not match this run's data: its store_ids" in err
+    assert "retrain with `fdrec train --model reprec`" in err
 
 
 def test_locked_run_dir_fails_cleanly(pipeline, capsys):

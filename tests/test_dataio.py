@@ -1,3 +1,4 @@
+import configparser
 import dataclasses
 import os
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from fdrec import dataio
+from fdrec.config import write_config
 from fdrec.dataio import (
     SECONDS_PER_DAY,
     InteractionLog,
@@ -236,3 +238,36 @@ def test_atomic_open_error_midway_keeps_the_old_file(tmp_path):
         fh.write("new\n")
     assert path.read_bytes() == b"new\n"
     assert sorted(os.listdir(tmp_path)) == ["out.csv"]
+
+
+class _Unformattable:
+    def __format__(self, spec):
+        raise RuntimeError("cannot format")
+
+
+def _write_failing_midway(kind, path, monkeypatch):
+    """Run one artifact writer on input that fails after some rows are out."""
+    if kind == "interactions":
+        log = make_log([("u", "a", 1, "l0"), ("u", "b", 2, "l0"), ("u", "a", 3, "l1")])
+        log.location_ids = ["l0", _Unformattable()]
+        write_interactions_tsv(log, path)
+    elif kind == "stores":
+        write_stores_tsv({"a": StoreMeta("a", "b0", "c0", "l0"),
+                          "b": StoreMeta("b", _Unformattable(), "c0", "l0")}, path)
+    else:
+        def half_write(parser, fh, *args):
+            fh.write("[data]\n")
+            raise RuntimeError("cannot format")
+
+        monkeypatch.setattr(configparser.ConfigParser, "write", half_write)
+        write_config(path)
+
+
+@pytest.mark.parametrize("kind", ["interactions", "stores", "config"])
+def test_writer_failing_midway_keeps_the_old_file(tmp_path, monkeypatch, kind):
+    path = tmp_path / "out"
+    path.write_text("old\n")
+    with pytest.raises(RuntimeError, match="cannot format"):
+        _write_failing_midway(kind, str(path), monkeypatch)
+    assert path.read_text() == "old\n"
+    assert sorted(os.listdir(tmp_path)) == ["out"]

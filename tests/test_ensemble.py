@@ -10,8 +10,8 @@ from conftest import rng, take
 from test_exprec import manual_gru, np_softmax
 
 
-def build(split, **kw):
-    return ensemble.ensemble_build(split, **kw)
+def build(data, **kw):
+    return ensemble.ensemble_build(data, **kw)
 
 
 def test_intent_estimate_validation():
@@ -23,8 +23,8 @@ def test_intent_estimate_validation():
         oracles.IntentEstimate(0.6, 0.3)
 
 
-def test_predict_intent_zero_state_is_even_split(tiny_split):
-    state = build(tiny_split, dim=8, attn_dim=4)
+def test_predict_intent_zero_state_is_even_split(tiny_data):
+    state = build(tiny_data, dim=8, attn_dim=4)
     for name in state.params:
         state.value(name)[...] = 0.0
     user = state.meta["user_ids"][0]
@@ -34,15 +34,15 @@ def test_predict_intent_zero_state_is_even_split(tiny_split):
     assert est.explore_prob == pytest.approx(0.5, abs=1e-12)
 
 
-def test_predict_intent_unknown_user(tiny_split):
-    state = build(tiny_split, dim=8, attn_dim=4)
+def test_predict_intent_unknown_user(tiny_data):
+    state = build(tiny_data, dim=8, attn_dim=4)
     now = SituationFeatures(0, 12, 2, state.meta["location_ids"][0])
     with pytest.raises(ValueError, match="unknown user"):
         oracles.predict_intent(state, "nobody", [True], now)
 
 
-def test_predict_intent_matches_manual_transcription(tiny_split):
-    state = build(tiny_split, dim=8, attn_dim=4, seed=5, window=3)
+def test_predict_intent_matches_manual_transcription(tiny_data):
+    state = build(tiny_data, dim=8, attn_dim=4, seed=5, window=3)
     values = {n: state.value(n) for n in state.params}
     meta = state.meta
     user = meta["user_ids"][1]
@@ -64,9 +64,9 @@ def test_predict_intent_matches_manual_transcription(tiny_split):
     assert est.repeat_prob + est.explore_prob == pytest.approx(1.0)
 
 
-def test_batched_intent_matches_single_op(small_split, small_seqs):
+def test_batched_intent_matches_single_op(small_split, small_data, small_seqs):
     seqs, vocabs = small_seqs
-    state = build(small_split, dim=8, attn_dim=4, seed=7, window=5)
+    state = build(small_data, dim=8, attn_dim=4, seed=7, window=5)
     values = {n: state.value(n) for n in state.params}
     rows = seqs.flat_of_global[small_split.test_idx[:6]]
     probs = ensemble._intent_probs(state, seqs, rows)
@@ -111,8 +111,8 @@ def slates_for(state, seed=0):
     return rep, exp
 
 
-def test_combine_is_exact_elementwise_product(tiny_split):
-    state = build(tiny_split, dim=8, attn_dim=4, seed=1)
+def test_combine_is_exact_elementwise_product(tiny_data):
+    state = build(tiny_data, dim=8, attn_dim=4, seed=1)
     rep, exp = slates_for(state)
     out = oracles.combine(state, rep, exp, oracles.IntentEstimate(0.7, 0.3))
     assert out.a == 3 and out.b == 4
@@ -123,8 +123,8 @@ def test_combine_is_exact_elementwise_product(tiny_split):
     assert ((out.weights > 0) & (out.weights < 1)).all()
 
 
-def test_combine_weights_match_attention_oracle(tiny_split):
-    state = build(tiny_split, dim=8, attn_dim=4, seed=2)
+def test_combine_weights_match_attention_oracle(tiny_data):
+    state = build(tiny_data, dim=8, attn_dim=4, seed=2)
     values = {n: state.value(n) for n in state.params}
     rep, exp = slates_for(state, seed=9)
     intent = oracles.IntentEstimate(0.25, 0.75)
@@ -151,8 +151,8 @@ def np_softmax_rows(z):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def test_combine_single_sided_slates(tiny_split):
-    state = build(tiny_split, dim=8, attn_dim=4, seed=3)
+def test_combine_single_sided_slates(tiny_data):
+    state = build(tiny_data, dim=8, attn_dim=4, seed=3)
     rep, exp = slates_for(state, seed=4)
     intent = oracles.IntentEstimate(0.5, 0.5)
     only_rep = oracles.combine(state, rep, None, intent)
@@ -163,8 +163,8 @@ def test_combine_single_sided_slates(tiny_split):
                                   only_exp.weights * exp.scores)
 
 
-def test_combine_input_validation(tiny_split):
-    state = build(tiny_split, dim=8, attn_dim=4, seed=0)
+def test_combine_input_validation(tiny_data):
+    state = build(tiny_data, dim=8, attn_dim=4, seed=0)
     stores = state.meta["store_ids"]
     intent = oracles.IntentEstimate(0.5, 0.5)
     with pytest.raises(ValueError, match="both slates are empty"):
@@ -178,8 +178,8 @@ def test_combine_input_validation(tiny_split):
         oracles.combine(state, rep, raw, intent)
 
 
-def test_item_weights_var_matches_numpy_path(tiny_split):
-    state = build(tiny_split, dim=8, attn_dim=4, seed=6)
+def test_item_weights_var_matches_numpy_path(tiny_data):
+    state = build(tiny_data, dim=8, attn_dim=4, seed=6)
     values = {n: state.value(n) for n in state.params}
     gen = rng(11)
     G, n = 3, 5
@@ -207,9 +207,9 @@ ITEM_WEIGHT_SLATES = {
 
 @pytest.mark.parametrize("slate", ITEM_WEIGHT_SLATES.values(),
                          ids=ITEM_WEIGHT_SLATES.keys())
-def test_item_weights_factorized_attention_matches_plain_expression(tiny_split, slate):
+def test_item_weights_factorized_attention_matches_plain_expression(tiny_data, slate):
     C, a, constant, scale = slate
-    state = build(tiny_split, dim=8, attn_dim=4, seed=7)
+    state = build(tiny_data, dim=8, attn_dim=4, seed=7)
     values = {n: state.value(n) for n in state.params}
     values["attn.wq"] = values["attn.wq"] * scale
     values["attn.wk"] = values["attn.wk"] * scale
@@ -235,22 +235,19 @@ def test_item_weights_factorized_attention_matches_plain_expression(tiny_split, 
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
-def frozen_bases(split, dim=6):
-    rep = reprec.reprec_build(split, dim=dim, seed=31)
-    exp = exprec.exprec_build(split, dim=dim, seed=32, window=4, k_neighbors=3)
+def frozen_bases(data, dim=6):
+    rep = reprec.reprec_build(data, dim=dim, seed=31)
+    exp = exprec.exprec_build(data, dim=dim, seed=32, window=4, k_neighbors=3)
     return rep, exp
 
 
-def test_training_slate_construction(tiny_split):
-    vocabs = features.build_vocabs(tiny_split)
-    seqs = features.build_sequences(tiny_split, vocabs)
-    rep, exp = frozen_bases(tiny_split)
-    neighbors = exprec.neighbor_arrays(tiny_split.log, 3, tiny_split.valid_boundary)
-    rows = seqs.flat_of_global[tiny_split.train_idx]
+def test_training_slate_construction(tiny_data):
+    seqs = tiny_data.seqs
+    rep, exp = frozen_bases(tiny_data)
+    rows = seqs.flat_of_global[tiny_data.split.train_idx]
     rows = rows[seqs.distinct_before[rows] >= 1][:12]
     slates = ensemble._build_training_slates(
-        tiny_split, seqs, vocabs, rows, budget=6, seed=0,
-        rep_state=rep, exp_state=exp, neighbors=neighbors,
+        tiny_data, rows, budget=6, seed=0, rep_state=rep, exp_state=exp,
     )
     assert slates
     for sl in slates:
@@ -267,17 +264,14 @@ def test_training_slate_construction(tiny_split):
             assert sl.tgt == sl.a
 
 
-def test_combined_loss_gradients_match_finite_differences(tiny_split):
-    vocabs = features.build_vocabs(tiny_split)
-    seqs = features.build_sequences(tiny_split, vocabs)
-    state = build(tiny_split, dim=6, attn_dim=4, seed=33, window=4, budget=6)
-    rep, exp = frozen_bases(tiny_split)
-    neighbors = exprec.neighbor_arrays(tiny_split.log, 3, tiny_split.valid_boundary)
-    rows = seqs.flat_of_global[tiny_split.train_idx]
+def test_combined_loss_gradients_match_finite_differences(tiny_data):
+    seqs = tiny_data.seqs
+    state = build(tiny_data, dim=6, attn_dim=4, seed=33, window=4, budget=6)
+    rep, exp = frozen_bases(tiny_data)
+    rows = seqs.flat_of_global[tiny_data.split.train_idx]
     rows = rows[seqs.distinct_before[rows] >= 1][:8]
     slates = ensemble._build_training_slates(
-        tiny_split, seqs, vocabs, rows, budget=6, seed=1,
-        rep_state=rep, exp_state=exp, neighbors=neighbors,
+        tiny_data, rows, budget=6, seed=1, rep_state=rep, exp_state=exp,
     )
     chunk = np.arange(len(slates))
 
@@ -289,40 +283,37 @@ def test_combined_loss_gradients_match_finite_differences(tiny_split):
     assert err <= 1e-4
 
 
-def test_train_runs_two_stages_and_is_deterministic(small_split):
-    rep, exp = frozen_bases(small_split, dim=8)
+def test_train_runs_two_stages_and_is_deterministic(small_data):
+    rep, exp = frozen_bases(small_data, dim=8)
     settings = TrainSettings(lr=0.05, batch_size=64, patience=2, max_epochs=2,
                              seed=3, max_instances=300, val_max_cases=40)
     state, results = ensemble.ensemble_train(
-        small_split, rep, exp, settings, dim=8, attn_dim=4, window=5, budget=6,
+        small_data, rep, exp, settings, dim=8, attn_dim=4, window=5, budget=6,
     )
     assert set(results) == {"intent", "combine"}
     assert state.meta["model"] == "ensemble"
     state2, results2 = ensemble.ensemble_train(
-        small_split, rep, exp, settings, dim=8, attn_dim=4, window=5, budget=6,
+        small_data, rep, exp, settings, dim=8, attn_dim=4, window=5, budget=6,
     )
     assert results["combine"].history == results2["combine"].history
     for name in state.params:
         np.testing.assert_array_equal(state.value(name), state2.value(name))
     with pytest.raises(ValueError, match="both frozen base models"):
-        ensemble.ensemble_train(small_split, None, exp, settings)
+        ensemble.ensemble_train(small_data, None, exp, settings)
 
 
-def test_scorer_composes_public_pieces(small_split, small_seqs):
+def test_scorer_composes_public_pieces(small_split, small_data, small_seqs):
     seqs, vocabs = small_seqs
-    state = build(small_split, dim=8, attn_dim=4, seed=41, window=5)
-    rep, exp = frozen_bases(small_split, dim=8)
+    state = build(small_data, dim=8, attn_dim=4, seed=41, window=5)
+    rep, exp = frozen_bases(small_data, dim=8)
     nb_ids, nb_w = exprec.neighbor_arrays(
         small_split.log, int(exp.meta["k_neighbors"]), int(exp.meta["neighbor_as_of"])
     )
     cases = evalharness.build_cases(small_split, "combined", seed=0,
                                     max_cases=8, seqs=seqs, vocabs=vocabs)
-    scorer = ensemble.ensemble_scorer(state, rep, exp, small_split, cases,
-                                      seqs=seqs, vocabs=vocabs,
-                                      neighbors=(nb_ids, nb_w))
     log = small_split.log
     rep_window = int(rep.meta["window"])
-    scores = scorer(cases)
+    scores = ensemble.ensemble_scores(state, rep, exp, small_data, cases)
     for i, case in enumerate(cases):
         p = case.position
         u = int(log.users[p])
@@ -344,8 +335,8 @@ def test_scorer_composes_public_pieces(small_split, small_seqs):
                                       neighbors=neighbors).scores
             exp_slate = ScoredSlate(case.candidates[a:],
                                     ensemble.normalize_slate(raw), "exprec")
-        flags = [bool(f) for f in
-                 seqs.repeat[seqs.user_slice(u)][: len(history)]]
+        lo = int(seqs.offsets[u])
+        flags = [bool(f) for f in seqs.repeat[lo : lo + len(history)]]
         intent = oracles.predict_intent(state, case.user_id, flags, now)
         want = oracles.combine(state, rep_slate, exp_slate, intent)
         assert want.candidates == case.candidates
@@ -358,37 +349,33 @@ def test_scorer_composes_public_pieces(small_split, small_seqs):
     ("ensemble", "combined"),
 ])
 def test_cases_across_chunks_score_as_each_case_alone(
-    small_split, small_seqs, monkeypatch, model, protocol
+    small_split, small_data, small_seqs, monkeypatch, model, protocol
 ):
     seqs, vocabs = small_seqs
-    rep, exp = frozen_bases(small_split, dim=8)
-    son = baselines.sonly_build(small_split, dim=8, seed=4)
-    ens = build(small_split, dim=8, attn_dim=4, seed=43, window=5)
-    makers = {
-        "sonly": lambda cs: baselines.sonly_scorer(son, small_split, cs, seqs, vocabs),
-        "reprec": lambda cs: reprec.reprec_scorer(rep, small_split, cs, seqs, vocabs),
-        "exprec": lambda cs: exprec.exprec_scorer(exp, small_split, cs, seqs, vocabs),
-        "ensemble": lambda cs: ensemble.ensemble_scorer(ens, rep, exp, small_split,
-                                                        cs, seqs, vocabs),
+    rep, exp = frozen_bases(small_data, dim=8)
+    son = baselines.sonly_build(small_data, dim=8, seed=4)
+    ens = build(small_data, dim=8, attn_dim=4, seed=43, window=5)
+    scores = {
+        "sonly": lambda cs: baselines.sonly_scores(son, small_data, cs),
+        "reprec": lambda cs: reprec.reprec_scores(rep, small_data, cs),
+        "exprec": lambda cs: exprec.exprec_scores(exp, small_data, cs),
+        "ensemble": lambda cs: ensemble.ensemble_scores(ens, rep, exp, small_data, cs),
     }
     monkeypatch.setattr(features, "QUERY_CHUNK", 4)
     cases = evalharness.build_cases(small_split, protocol, seed=3, max_cases=11,
                                     seqs=seqs, vocabs=vocabs)
     assert len(cases) > 2 * features.QUERY_CHUNK
-    together = makers[model](cases)(cases)
+    together = scores[model](cases)
     for i in range(len(cases)):
-        alone = take(cases, [i])
-        np.testing.assert_array_equal(together[i], makers[model](alone)(alone)[0])
+        np.testing.assert_array_equal(together[i], scores[model](take(cases, [i]))[0])
 
 
-def test_concat_scorer_returns_normalized_bases(small_split, small_seqs):
+def test_concat_scorer_returns_normalized_bases(small_split, small_data, small_seqs):
     seqs, vocabs = small_seqs
-    rep, exp = frozen_bases(small_split, dim=8)
+    rep, exp = frozen_bases(small_data, dim=8)
     cases = evalharness.build_cases(small_split, "combined", seed=2,
                                     max_cases=6, seqs=seqs, vocabs=vocabs)
-    scorer = ensemble.concat_scorer(rep, exp, small_split, cases, seqs=seqs,
-                                    vocabs=vocabs)
-    scores = scorer(cases)
+    scores = ensemble.concat_scores(rep, exp, small_data, cases)
     for i, case in enumerate(cases):
         out = scores[i, : len(case.candidates)]
         a = case.n_prior
@@ -401,8 +388,8 @@ def test_concat_scorer_returns_normalized_bases(small_split, small_seqs):
             assert part.min() == 0.0 and part.max() == 1.0
 
 
-def test_checkpoint_roundtrip(tiny_split, tmp_path):
-    state = build(tiny_split, dim=8, attn_dim=4, seed=9)
+def test_checkpoint_roundtrip(tiny_data, tmp_path):
+    state = build(tiny_data, dim=8, attn_dim=4, seed=9)
     path = tmp_path / "ensemble.ckpt"
     state.save(str(path))
     back = dc.ModelState.load(str(path))

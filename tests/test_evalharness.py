@@ -342,29 +342,29 @@ def test_random_scorer_exploration_hit_rate_near_k_over_cap(small_split):
     assert abs(hr - expect) <= 4 * sigma
 
 
-def _unknown_candidate_scorer(model, split, seqs, vocabs, code):
+def _unknown_candidate_scorer(model, data, code):
     protocol = "repeat" if model == "hispop" else "combined"
-    cases = build_cases(split, protocol, seed=0, max_cases=3, seqs=seqs, vocabs=vocabs)
+    cases = build_cases(data.split, protocol, seed=0, max_cases=3, seqs=data.seqs,
+                        vocabs=data.vocabs)
     cand = cases.cand.copy()
     cand[1, cases.length[1] - 1] = code
     cases = dataclasses.replace(cases, cand=cand)
     if model == "hispop":
-        return baselines.hispop_scorer(split, seqs, vocabs), cases
+        return (lambda cs: baselines.hispop_scores(data, cs)), cases
     if model == "sonly":
-        state = baselines.sonly_build(split, dim=4, seed=0)
-        return baselines.sonly_scorer(state, split, cases, seqs, vocabs), cases
-    rep = reprec.reprec_build(split, dim=4, seed=1)
-    exp = exprec.exprec_build(split, dim=4, seed=2, window=4, k_neighbors=3)
-    return ensemble.concat_scorer(rep, exp, split, cases, seqs, vocabs), cases
+        state = baselines.sonly_build(data, dim=4, seed=0)
+        return (lambda cs: baselines.sonly_scores(state, data, cs)), cases
+    rep = reprec.reprec_build(data, dim=4, seed=1)
+    exp = exprec.exprec_build(data, dim=4, seed=2, window=4, k_neighbors=3)
+    return (lambda cs: ensemble.concat_scores(rep, exp, data, cs)), cases
 
 
 @pytest.mark.parametrize("model", ["sonly", "hispop", "concat"])
-def test_unknown_candidate_fails_with_catalog_message(small_split, small_seqs, model):
+def test_unknown_candidate_fails_with_catalog_message(small_data, model):
     """A code outside the catalog fails before scoring: -1 would otherwise
     index the last store silently."""
-    seqs, vocabs = small_seqs
-    for code in (-1, len(vocabs.store_ids)):
-        scorer, cases = _unknown_candidate_scorer(model, small_split, seqs, vocabs, code)
+    for code in (-1, len(small_data.vocabs.store_ids)):
+        scorer, cases = _unknown_candidate_scorer(model, small_data, code)
         with pytest.raises(RuntimeError, match="candidate outside the store catalog "
                            f"at position {cases.position[1]}"):
             evaluate(scorer, cases)

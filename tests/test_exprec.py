@@ -35,8 +35,8 @@ def manual_gru(values, prefix, x, h):
     return (1.0 - z) * h + z * cand
 
 
-def build(split, **kw):
-    return exprec.exprec_build(split, **kw)
+def build(data, **kw):
+    return exprec.exprec_build(data, **kw)
 
 
 def values_of(state):
@@ -51,13 +51,13 @@ def user_history(split, n=5):
     return log.user_ids[user_code], history, oracles.situation(log, int(positions[n]))
 
 
-def test_encode_history_empty_is_zero(tiny_split):
-    state = build(tiny_split, dim=8, seed=0)
+def test_encode_history_empty_is_zero(tiny_data):
+    state = build(tiny_data, dim=8, seed=0)
     np.testing.assert_array_equal(oracles.encode_history(state, []), np.zeros(8))
 
 
-def test_encode_history_zero_gru_stays_zero(tiny_split):
-    state = build(tiny_split, dim=8, seed=1)
+def test_encode_history_zero_gru_stays_zero(tiny_split, tiny_data):
+    state = build(tiny_data, dim=8, seed=1)
     for name in state.params:
         if name.startswith("gru."):
             state.value(name)[...] = 0.0
@@ -67,8 +67,8 @@ def test_encode_history_zero_gru_stays_zero(tiny_split):
     )
 
 
-def test_encode_history_respects_window(tiny_split):
-    state = build(tiny_split, dim=8, seed=2, window=3)
+def test_encode_history_respects_window(tiny_split, tiny_data):
+    state = build(tiny_data, dim=8, seed=2, window=3)
     _, history, _ = user_history(tiny_split, n=6)
     full = oracles.encode_history(state, history)
     tail = oracles.encode_history(state, history[-3:])
@@ -79,8 +79,8 @@ def test_encode_history_respects_window(tiny_split):
     )
 
 
-def test_encode_history_matches_manual_gru(tiny_split):
-    state = build(tiny_split, dim=6, seed=3, window=10)
+def test_encode_history_matches_manual_gru(tiny_split, tiny_data):
+    state = build(tiny_data, dim=6, seed=3, window=10)
     values = values_of(state)
     meta = state.meta
     _, history, _ = user_history(tiny_split, n=4)
@@ -99,16 +99,16 @@ def test_encode_history_matches_manual_gru(tiny_split):
                                atol=1e-12, rtol=0)
 
 
-def test_condition_all_zero_inputs_gives_eighth(tiny_split):
-    state = build(tiny_split, dim=8, seed=0)
+def test_condition_all_zero_inputs_gives_eighth(tiny_data):
+    state = build(tiny_data, dim=8, seed=0)
     for name in state.params:
         state.value(name)[...] = 0.0
     out = oracles.condition_user(state, np.zeros(8), np.zeros(8))
     np.testing.assert_allclose(out, np.full(8, 0.125), atol=1e-15, rtol=0)
 
 
-def test_condition_is_quarter_mix_when_gate_is_flat(tiny_split):
-    state = build(tiny_split, dim=8, seed=4)
+def test_condition_is_quarter_mix_when_gate_is_flat(tiny_data):
+    state = build(tiny_data, dim=8, seed=4)
     state.value("cond.w")[...] = 0.0
     state.value("cond.b")[...] = 0.0
     u = rng(7).normal(size=8)
@@ -118,8 +118,8 @@ def test_condition_is_quarter_mix_when_gate_is_flat(tiny_split):
     , rtol=0)
 
 
-def test_condition_gate_responds_to_situation(tiny_split):
-    state = build(tiny_split, dim=8, seed=5)
+def test_condition_gate_responds_to_situation(tiny_data):
+    state = build(tiny_data, dim=8, seed=5)
     values = values_of(state)
     mu = rng(9).normal(size=8)
     u = rng(10).normal(size=8)
@@ -129,8 +129,8 @@ def test_condition_gate_responds_to_situation(tiny_split):
                                atol=1e-12, rtol=0)
 
 
-def collab_fixture(split, seed=0):
-    state = build(split, dim=8, seed=seed)
+def collab_fixture(data, seed=0):
+    state = build(data, dim=8, seed=seed)
     state.value("cond.w")[...] = 0.0
     state.value("cond.b")[...] = 0.0
     users = state.meta["user_ids"]
@@ -143,8 +143,8 @@ def collab_fixture(split, seed=0):
     return state, users, g
 
 
-def test_collaborative_weights_are_normalized_similarities(tiny_split):
-    state, users, g = collab_fixture(tiny_split)
+def test_collaborative_weights_are_normalized_similarities(tiny_data):
+    state, users, g = collab_fixture(tiny_data)
     mu = np.zeros(8)
     out = oracles.collaborative_embedding(
         state, users[0], [(users[1], 0.6), (users[2], 0.2)], mu
@@ -153,16 +153,16 @@ def test_collaborative_weights_are_normalized_similarities(tiny_split):
                                atol=1e-12, rtol=0)
 
 
-def test_collaborative_negative_similarities_are_clipped(tiny_split):
-    state, users, g = collab_fixture(tiny_split, seed=1)
+def test_collaborative_negative_similarities_are_clipped(tiny_data):
+    state, users, g = collab_fixture(tiny_data, seed=1)
     out = oracles.collaborative_embedding(
         state, users[0], [(users[1], 0.5), (users[2], -0.5)], np.zeros(8)
     )
     np.testing.assert_allclose(out, g(users[1]), atol=1e-12, rtol=0)
 
 
-def test_collaborative_uniform_fallback_when_no_positive_mass(tiny_split):
-    state, users, g = collab_fixture(tiny_split, seed=2)
+def test_collaborative_uniform_fallback_when_no_positive_mass(tiny_data):
+    state, users, g = collab_fixture(tiny_data, seed=2)
     out = oracles.collaborative_embedding(
         state, users[0], [(users[1], -1.0), (users[2], 0.0)], np.zeros(8)
     )
@@ -170,23 +170,23 @@ def test_collaborative_uniform_fallback_when_no_positive_mass(tiny_split):
                                atol=1e-12, rtol=0)
 
 
-def test_collaborative_empty_neighbors_is_zero(tiny_split):
-    state = build(tiny_split, dim=8, seed=3)
+def test_collaborative_empty_neighbors_is_zero(tiny_data):
+    state = build(tiny_data, dim=8, seed=3)
     out = oracles.collaborative_embedding(
         state, state.meta["user_ids"][0], [], np.zeros(8)
     )
     np.testing.assert_array_equal(out, np.zeros(8))
 
 
-def test_collaborative_rejects_self_neighbor(tiny_split):
-    state = build(tiny_split, dim=8, seed=3)
+def test_collaborative_rejects_self_neighbor(tiny_data):
+    state = build(tiny_data, dim=8, seed=3)
     u = state.meta["user_ids"][0]
     with pytest.raises(ValueError, match="own neighbor"):
         oracles.collaborative_embedding(state, u, [(u, 0.9)], np.zeros(8))
 
 
-def test_fusion_weights_uniform_when_head_is_zero(tiny_split):
-    state = build(tiny_split, dim=8, seed=0)
+def test_fusion_weights_uniform_when_head_is_zero(tiny_data):
+    state = build(tiny_data, dim=8, seed=0)
     state.value("fuse.w")[...] = 0.0
     state.value("fuse.b")[...] = 0.0
     w = oracles.fusion_weights(state, rng(1).normal(size=8),
@@ -194,8 +194,8 @@ def test_fusion_weights_uniform_when_head_is_zero(tiny_split):
     np.testing.assert_allclose(w, np.full(4, 0.25), atol=1e-15, rtol=0)
 
 
-def test_fusion_weights_masking(tiny_split):
-    state = build(tiny_split, dim=8, seed=6)
+def test_fusion_weights_masking(tiny_data):
+    state = build(tiny_data, dim=8, seed=6)
     e_mu, e_u = rng(3).normal(size=8), rng(4).normal(size=8)
     w = oracles.fusion_weights(state, e_mu, e_u)
     assert w.sum() == pytest.approx(1.0) and (w > 0).all()
@@ -212,8 +212,8 @@ def test_fusion_weights_masking(tiny_split):
         oracles.fusion_weights(state, e_mu, e_u, ablation_mask=[True] * 4)
 
 
-def test_trigger_fusion_is_weighted_sum(tiny_split):
-    state = build(tiny_split, dim=8, seed=7)
+def test_trigger_fusion_is_weighted_sum(tiny_data):
+    state = build(tiny_data, dim=8, seed=7)
     vecs = [rng(i).normal(size=8) for i in range(4)]
     w = oracles.fusion_weights(state, vecs[0], vecs[2])
     want = sum(wk * v for wk, v in zip(w, vecs))
@@ -221,8 +221,8 @@ def test_trigger_fusion_is_weighted_sum(tiny_split):
                                atol=1e-12, rtol=0)
 
 
-def test_score_matches_manual_transcription(tiny_split):
-    state = build(tiny_split, dim=8, seed=11, window=4)
+def test_score_matches_manual_transcription(tiny_split, tiny_data):
+    state = build(tiny_data, dim=8, seed=11, window=4)
     values = values_of(state)
     meta = state.meta
     user, history, now = user_history(tiny_split, n=6)
@@ -267,8 +267,8 @@ def test_score_matches_manual_transcription(tiny_split):
     np.testing.assert_allclose(slate.scores, want, atol=1e-10, rtol=0)
 
 
-def test_score_input_validation(tiny_split):
-    state = build(tiny_split, dim=8, seed=0)
+def test_score_input_validation(tiny_split, tiny_data):
+    state = build(tiny_data, dim=8, seed=0)
     user, history, now = user_history(tiny_split)
     visited_store = history[0].store_id
     with pytest.raises(ValueError, match="already visited"):
@@ -279,8 +279,8 @@ def test_score_input_validation(tiny_split):
         oracles.exprec_score(state, "nobody", history, now, fresh[:1])
 
 
-def test_score_ablation_changes_output(tiny_split):
-    state = build(tiny_split, dim=8, seed=13)
+def test_score_ablation_changes_output(tiny_split, tiny_data):
+    state = build(tiny_data, dim=8, seed=13)
     user, history, now = user_history(tiny_split)
     fresh = [s for s in state.meta["store_ids"]
              if s not in {it.store_id for it in history}][:3]
@@ -324,12 +324,13 @@ def test_neighbor_arrays_pad_users_without_history():
     np.testing.assert_array_equal(w, np.zeros((2, 3)))
 
 
-def batch_loss_fd_error(tiny_split, ablation_mask):
-    state = build(tiny_split, dim=6, seed=17, window=4, k_neighbors=3)
-    vocabs = features.build_vocabs(tiny_split)
-    seqs = features.build_sequences(tiny_split, vocabs)
-    n_stores = len(vocabs.store_ids)
-    train_rows = seqs.flat_of_global[tiny_split.train_idx]
+def batch_loss_fd_error(tiny_data, ablation_mask):
+    # exprec_build's parameter draws do not depend on the mask
+    state = build(tiny_data, dim=6, seed=17, window=4, k_neighbors=3,
+                  ablation_mask=ablation_mask)
+    seqs = tiny_data.seqs
+    n_stores = len(tiny_data.vocabs.store_ids)
+    train_rows = seqs.flat_of_global[tiny_data.split.train_idx]
     local = train_rows - seqs.offsets[
         np.searchsorted(seqs.offsets, train_rows, side="right") - 1
     ]
@@ -338,44 +339,43 @@ def batch_loss_fd_error(tiny_split, ablation_mask):
             & (local >= 1))
     rows = train_rows[keep][:8]
     assert len(rows) >= 4
-    nb_ids, nb_w = exprec.neighbor_arrays(tiny_split.log, 3, tiny_split.valid_boundary)
+    nb_ids, nb_w = exprec.neighbor_arrays(tiny_data.split.log, 3,
+                                          tiny_data.split.valid_boundary)
     win = features.gather_window(seqs, rows, 4)
     visited = exprec._visited_mask(seqs, rows, n_stores)
     neg = exprec._sample_unvisited(rng(0), visited, win.target)
 
     err = dc.finite_difference_check(
-        lambda s: exprec.exprec_batch_loss(s, win, (nb_ids, nb_w), neg,
-                                           ablation_mask),
+        lambda s: exprec.exprec_batch_loss(s, win, (nb_ids, nb_w), neg),
         state, num_coords=80, rng_seed=1,
     )
     return err
 
 
-def test_batch_loss_gradients_match_finite_differences(tiny_split):
-    assert batch_loss_fd_error(tiny_split, None) <= 1e-4
+def test_batch_loss_gradients_match_finite_differences(tiny_data):
+    assert batch_loss_fd_error(tiny_data, None) <= 1e-4
 
 
-def test_masked_batch_loss_gradients_match_finite_differences(tiny_split):
+def test_masked_batch_loss_gradients_match_finite_differences(tiny_data):
     # the ablated trigger's -inf logit must leave every gradient finite
-    assert batch_loss_fd_error(tiny_split, (False, True, False, True)) <= 1e-4
+    assert batch_loss_fd_error(tiny_data, (False, True, False, True)) <= 1e-4
 
 
 MASKS = [None] + [tuple(i == j for i in range(4)) for j in range(4)]
 
 
 @pytest.mark.parametrize("mask", MASKS, ids=["none", *exprec.TRIGGERS])
-def test_scorer_matches_public_op(small_split, small_seqs, mask):
+def test_scorer_matches_public_op(small_split, small_data, small_seqs, mask):
     seqs, vocabs = small_seqs
-    state = build(small_split, dim=8, seed=19, window=6, k_neighbors=4)
+    state = build(small_data, dim=8, seed=19, window=6, k_neighbors=4,
+                  ablation_mask=mask)
     nb_ids, nb_w = exprec.neighbor_arrays(
         small_split.log, int(state.meta["k_neighbors"]), int(state.meta["neighbor_as_of"])
     )
     cases = evalharness.build_cases(small_split, "exploration", seed=0,
                                     max_cases=10, seqs=seqs, vocabs=vocabs)
-    scorer = exprec.exprec_scorer(state, small_split, cases, seqs=seqs,
-                                  vocabs=vocabs, ablation_mask=mask)
     log = small_split.log
-    scores = scorer(cases)
+    scores = exprec.exprec_scores(state, small_data, cases)
     for i, case in enumerate(cases):
         p = case.position
         u = int(log.users[p])
@@ -387,39 +387,49 @@ def test_scorer_matches_public_op(small_split, small_seqs, mask):
         np.testing.assert_allclose(scores[i, : len(want)], want, atol=1e-9, rtol=0)
 
 
-def test_scorer_ablation_mask_zeroes_trigger(small_split, small_seqs):
+def test_scorer_ablation_mask_zeroes_trigger(small_split, small_data, small_seqs):
     seqs, vocabs = small_seqs
-    state = build(small_split, dim=8, seed=21)
+    plain = build(small_data, dim=8, seed=21)
+    masked = build(small_data, dim=8, seed=21, ablation_mask=[True, False, False, False])
+    for name in plain.params:  # the mask changes no parameter draw
+        np.testing.assert_array_equal(plain.value(name), masked.value(name))
     cases = evalharness.build_cases(small_split, "exploration", seed=1,
                                     max_cases=5, seqs=seqs, vocabs=vocabs)
-    plain = exprec.exprec_scorer(state, small_split, cases, seqs=seqs, vocabs=vocabs)
-    masked = exprec.exprec_scorer(
-        state, small_split, cases, seqs=seqs, vocabs=vocabs,
-        ablation_mask=[True, False, False, False],
-    )
-    assert not np.allclose(plain(cases), masked(cases))
+    assert not np.allclose(exprec.exprec_scores(plain, small_data, cases),
+                           exprec.exprec_scores(masked, small_data, cases))
 
 
-def test_scorer_defaults_to_the_trained_mask(small_split, small_seqs):
+def test_scorer_defaults_to_the_trained_mask(small_split, small_data, small_seqs, tmp_path):
     seqs, vocabs = small_seqs
     mask = (False, False, False, True)
-    state = build(small_split, dim=8, seed=23, ablation_mask=mask)
+    path = str(tmp_path / "exprec.ckpt")
+    build(small_data, dim=8, seed=23, ablation_mask=mask).save(path)
+    state = dc.ModelState.load(path)
     assert state.meta["ablate"] == list(mask)
     cases = evalharness.build_cases(small_split, "exploration", seed=1,
                                     max_cases=5, seqs=seqs, vocabs=vocabs)
-    implicit = exprec.exprec_scorer(state, small_split, cases, seqs=seqs,
-                                    vocabs=vocabs)
-    explicit = exprec.exprec_scorer(state, small_split, cases, seqs=seqs,
-                                    vocabs=vocabs, ablation_mask=mask)
-    np.testing.assert_array_equal(implicit(cases), explicit(cases))
+    nb_ids, nb_w = exprec.neighbor_arrays(
+        small_split.log, int(state.meta["k_neighbors"]), int(state.meta["neighbor_as_of"])
+    )
+    log = small_split.log
+    scores = exprec.exprec_scores(state, small_data, cases)
+    for i, case in enumerate(cases):
+        p = case.position
+        u = int(log.users[p])
+        neighbors = [(vocabs.user_ids[int(j)], float(wk))
+                     for j, wk in zip(nb_ids[u], nb_w[u]) if j >= 0]
+        want = oracles.exprec_score(state, case.user_id, oracles.history_before(log, p),
+                                    oracles.situation(log, p), case.candidates,
+                                    ablation_mask=mask, neighbors=neighbors).scores
+        np.testing.assert_allclose(scores[i, : len(want)], want, atol=1e-9, rtol=0)
 
 
-def test_training_is_deterministic(small_split):
+def test_training_is_deterministic(small_data):
     settings = TrainSettings(lr=0.05, batch_size=64, patience=2, max_epochs=3,
                              seed=2, val_max_cases=50)
-    state, result = exprec.exprec_train(small_split, settings, dim=8, window=6,
+    state, result = exprec.exprec_train(small_data, settings, dim=8, window=6,
                                         k_neighbors=4)
-    state2, result2 = exprec.exprec_train(small_split, settings, dim=8,
+    state2, result2 = exprec.exprec_train(small_data, settings, dim=8,
                                           window=6, k_neighbors=4)
     assert result.history == result2.history
     assert state.meta["model"] == "exprec"

@@ -1,6 +1,6 @@
 import numpy as np
 
-from fdrec import dataio, features
+from fdrec import dataio, exprec, features
 from conftest import make_log
 
 
@@ -99,3 +99,14 @@ def test_window_rows_right_aligned_with_mask():
     rows2, mask2 = features.window_rows(seqs, np.array([0]), np.array([2]), limit=5)
     assert rows2.shape == (1, 2)
     assert mask2.all()
+
+
+def test_prepared_neighbors_are_memoized_neighbor_arrays(small_split):
+    data = features.prepare(small_split)
+    as_of = small_split.valid_boundary
+    first = data.neighbors(4, as_of)
+    want = exprec.neighbor_arrays(small_split.log, 4, as_of)
+    for got, exp in zip(first, want):
+        np.testing.assert_array_equal(got, exp)
+    assert data.neighbors(4, as_of) is first
+    assert data.neighbors(3, as_of)[0].shape[1] == 3

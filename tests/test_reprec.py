@@ -56,8 +56,8 @@ def sample_history(split, n=6, seed=0):
     return history, oracles.situation(log, int(positions[-1]))
 
 
-def test_forward_matches_brute_force(tiny_split):
-    state = reprec.reprec_build(tiny_split, dim=12, seed=3)
+def test_forward_matches_brute_force(tiny_split, tiny_data):
+    state = reprec.reprec_build(tiny_data, dim=12, seed=3)
     history, now = sample_history(tiny_split)
     candidates = sorted({it.store_id for it in history})
     slate = oracles.reprec_forward(state, history, now, candidates)
@@ -66,8 +66,8 @@ def test_forward_matches_brute_force(tiny_split):
     assert slate.candidates == tuple(candidates)
 
 
-def test_forward_identical_situation_scores_self_similarity(tiny_split):
-    state = reprec.reprec_build(tiny_split, dim=8, seed=0)
+def test_forward_identical_situation_scores_self_similarity(tiny_split, tiny_data):
+    state = reprec.reprec_build(tiny_data, dim=8, seed=0)
     log = tiny_split.log
     sid = log.store_ids[0]
     meta = state.meta
@@ -83,8 +83,8 @@ def test_forward_identical_situation_scores_self_similarity(tiny_split):
     assert slate.scores[0] == pytest.approx(float(s @ s), abs=1e-9)
 
 
-def test_forward_history_permutation_invariant(tiny_split):
-    state = reprec.reprec_build(tiny_split, dim=10, seed=1)
+def test_forward_history_permutation_invariant(tiny_split, tiny_data):
+    state = reprec.reprec_build(tiny_data, dim=10, seed=1)
     history, now = sample_history(tiny_split)
     candidates = sorted({it.store_id for it in history})
     base = oracles.reprec_forward(state, history, now, candidates).scores
@@ -93,8 +93,8 @@ def test_forward_history_permutation_invariant(tiny_split):
     np.testing.assert_allclose(out, base, atol=1e-12, rtol=0)
 
 
-def test_forward_duplicated_entry_doubles_its_weight(tiny_split):
-    state = reprec.reprec_build(tiny_split, dim=10, seed=2)
+def test_forward_duplicated_entry_doubles_its_weight(tiny_split, tiny_data):
+    state = reprec.reprec_build(tiny_data, dim=10, seed=2)
     history, now = sample_history(tiny_split, n=3)
     sid = history[0].store_id
     single = oracles.reprec_forward(state, history, now, [sid]).scores[0]
@@ -105,9 +105,9 @@ def test_forward_duplicated_entry_doubles_its_weight(tiny_split):
     assert doubled == pytest.approx(single + lone, abs=1e-9)
 
 
-def test_forward_situation_scale_invariance(tiny_split):
+def test_forward_situation_scale_invariance(tiny_split, tiny_data):
     """Cosine weights ignore positive rescaling of the situation tables."""
-    state = reprec.reprec_build(tiny_split, dim=10, seed=5)
+    state = reprec.reprec_build(tiny_data, dim=10, seed=5)
     history, now = sample_history(tiny_split)
     candidates = sorted({it.store_id for it in history})
     base = oracles.reprec_forward(state, history, now, candidates).scores
@@ -117,8 +117,8 @@ def test_forward_situation_scale_invariance(tiny_split):
     np.testing.assert_allclose(scaled, base, atol=1e-9, rtol=0)
 
 
-def test_forward_zero_situation_gets_exactly_zero_weight(tiny_split):
-    state = reprec.reprec_build(tiny_split, dim=6, seed=6)
+def test_forward_zero_situation_gets_exactly_zero_weight(tiny_split, tiny_data):
+    state = reprec.reprec_build(tiny_data, dim=6, seed=6)
     for name in ("emb.hour", "emb.dow", "emb.loc"):
         state.value(name)[...] = 0.0
     history, now = sample_history(tiny_split, n=4)
@@ -127,8 +127,8 @@ def test_forward_zero_situation_gets_exactly_zero_weight(tiny_split):
     np.testing.assert_array_equal(slate.scores, np.zeros(len(candidates)))
 
 
-def test_forward_input_validation(tiny_split):
-    state = reprec.reprec_build(tiny_split, dim=6, seed=0)
+def test_forward_input_validation(tiny_split, tiny_data):
+    state = reprec.reprec_build(tiny_data, dim=6, seed=0)
     history, now = sample_history(tiny_split, n=3)
     with pytest.raises(ValueError, match="non-empty"):
         oracles.reprec_forward(state, [], now, ["s0000"])
@@ -140,10 +140,9 @@ def test_forward_input_validation(tiny_split):
         oracles.reprec_forward(state, history, now, [absent])
 
 
-def test_batch_loss_gradients_match_finite_differences(tiny_split):
-    state = reprec.reprec_build(tiny_split, dim=6, seed=7)
-    vocabs = features.build_vocabs(tiny_split)
-    seqs = features.build_sequences(tiny_split, vocabs)
+def test_batch_loss_gradients_match_finite_differences(tiny_data):
+    state = reprec.reprec_build(tiny_data, dim=6, seed=7)
+    seqs = tiny_data.seqs
     flags = seqs.repeat & (seqs.distinct_before >= 2)
     rows = np.nonzero(flags)[0][:8]
     assert len(rows) >= 4
@@ -163,11 +162,11 @@ def test_batch_loss_gradients_match_finite_differences(tiny_split):
     assert err <= 1e-4
 
 
-def test_training_is_deterministic_and_improves(small_split):
+def test_training_is_deterministic_and_improves(small_data):
     settings = TrainSettings(lr=0.05, batch_size=128, patience=3, max_epochs=6,
                              seed=1)
-    state, result = reprec.reprec_train(small_split, settings, dim=16)
-    state2, result2 = reprec.reprec_train(small_split, settings, dim=16)
+    state, result = reprec.reprec_train(small_data, settings, dim=16)
+    state2, result2 = reprec.reprec_train(small_data, settings, dim=16)
     assert result.history == result2.history
     assert result.best_metric >= result.history[0] - 1e-12
     assert state.meta["model"] == "reprec"
@@ -175,8 +174,8 @@ def test_training_is_deterministic_and_improves(small_split):
         np.testing.assert_array_equal(state.value(name), state2.value(name))
 
 
-def test_checkpoint_roundtrip_preserves_scores(tiny_split, tmp_path):
-    state = reprec.reprec_build(tiny_split, dim=8, seed=4)
+def test_checkpoint_roundtrip_preserves_scores(tiny_split, tiny_data, tmp_path):
+    state = reprec.reprec_build(tiny_data, dim=8, seed=4)
     history, now = sample_history(tiny_split)
     candidates = sorted({it.store_id for it in history})
     want = oracles.reprec_forward(state, history, now, candidates).scores
@@ -187,15 +186,14 @@ def test_checkpoint_roundtrip_preserves_scores(tiny_split, tmp_path):
     np.testing.assert_array_equal(got, want)
 
 
-def test_scorer_matches_public_op_with_window(small_split, small_seqs):
+def test_scorer_matches_public_op_with_window(small_split, small_data, small_seqs):
     seqs, vocabs = small_seqs
-    state = reprec.reprec_build(small_split, dim=8, seed=8)
+    state = reprec.reprec_build(small_data, dim=8, seed=8)
     window = int(state.meta["window"])
     cases = evalharness.build_cases(small_split, "repeat", seed=0, max_cases=12,
                                     seqs=seqs, vocabs=vocabs)
-    scorer = reprec.reprec_scorer(state, small_split, cases, seqs, vocabs)
     log = small_split.log
-    scores = scorer(cases)
+    scores = reprec.reprec_scores(state, small_data, cases)
     for i, case in enumerate(cases):
         full = oracles.history_before(log, case.position)
         want = oracles.reprec_forward(
