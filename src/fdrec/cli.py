@@ -8,10 +8,12 @@ Conventions shared by every subcommand:
   under ``[data] out``, so different configurations never collide and
   rerunning the same one reproduces byte-identical files.
 * A ``.lock`` file guards the run directory against concurrent commands.
-* ``train`` and ``eval`` parse and split the data once per stage into one
-  :class:`fdrec.features.Dataset` that every model reads.  A checkpoint
-  must match that data's store, location and user vocabularies, or the
-  stage fails and says to retrain.
+* ``ingest`` parses and splits the TSVs into ``data.bin``, with the neighbour
+  table and a fingerprint of the TSVs and ``[data]``.  Later stages load it as
+  the :class:`fdrec.features.Dataset` every model reads, and fail, saying to
+  run ``ingest`` again, if it is missing or damaged or the TSVs have changed.
+* A checkpoint must match the data's fingerprint, which it records, and its
+  vocabularies, or the stage fails and says to retrain.
 * Exit codes: 0 success, 2 usage or configuration error (message on
   stderr), 1 runtime failure (full cause chain on stderr).
 """
@@ -19,6 +21,7 @@ Conventions shared by every subcommand:
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -34,6 +37,7 @@ from .diffcore import ModelState
 
 __all__ = ["main"]
 
+DATA_FILE = "data.bin"  # what ingest writes into the run directory
 TRAINABLE = ("sonly", "reprec", "exprec", "ensemble")
 EVALUABLE = ("hispop",) + TRAINABLE
 
@@ -113,25 +117,48 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write(text + "\n")
 
 
-def _load_split(cfg: RunConfig) -> dataio.DatasetSplit:
+def _data_paths(cfg: RunConfig) -> tuple[str, str]:
     d = cfg.data
     if not d.interactions or not d.stores:
-        raise UsageError(
-            "[data] interactions and stores must both be set for this command"
-        )
-    log = dataio.parse_interactions(
-        cfg.resolve(d.interactions), tz_offset_minutes=d.tz_offset_minutes
-    )
-    catalog = dataio.parse_stores(cfg.resolve(d.stores))
-    log = log.with_catalog(catalog)
+        raise UsageError("[data] interactions and stores must both be set for this command")
+    return cfg.resolve(d.interactions), cfg.resolve(d.stores)
+
+
+def _data_fingerprint(cfg: RunConfig) -> str:
+    """SHA-256 over the digests of both TSVs and the ``[data]`` section."""
+    h = hashlib.sha256()
+    for path in _data_paths(cfg):
+        with open(path, "rb") as fh:
+            h.update(hashlib.sha256(fh.read()).digest())
+    h.update(json.dumps(cfg.to_dict()["data"], sort_keys=True).encode("utf-8"))
+    return h.hexdigest()
+
+
+def _load_split(cfg: RunConfig) -> dataio.DatasetSplit:
+    d = cfg.data
+    inter_path, stores_path = _data_paths(cfg)
+    log = dataio.parse_interactions(inter_path, tz_offset_minutes=d.tz_offset_minutes)
+    log = log.with_catalog(dataio.parse_stores(stores_path))
     log = dataio.filter_users(log, d.min_orders)
     if not len(log):
-        raise RuntimeError(
-            f"no interactions left after the min_orders={d.min_orders} filter"
-        )
+        raise RuntimeError(f"no interactions left after the min_orders={d.min_orders} filter")
     return dataio.split_global_timeline(
         log, test_window_s=cfg.test_window_s(), valid_window_s=cfg.valid_window_s()
     )
+
+
+def _load_data(cfg: RunConfig, run_dir: str) -> features.Dataset:
+    """The data ``ingest`` wrote, which must still match the TSVs it read."""
+    tsvs = " and ".join(_data_paths(cfg))
+    path = os.path.join(run_dir, DATA_FILE)
+    again = f"run `fdrec ingest --config {cfg.path}`"
+    try:
+        data = features.load(path)
+    except (OSError, ValueError) as err:
+        raise RuntimeError(f"cannot read the ingested data at {path}; {again}") from err
+    if data.fingerprint != _data_fingerprint(cfg):
+        raise RuntimeError(f"{tsvs} no longer match the data in {path}; {again} again")
+    return data
 
 
 def _checkpoint_path(run_dir: str, model: str) -> str:
@@ -139,20 +166,23 @@ def _checkpoint_path(run_dir: str, model: str) -> str:
 
 
 def _load_checkpoint(run_dir: str, model: str, data: features.Dataset) -> ModelState:
-    """The ``model`` checkpoint, which must have been trained on ``data``'s
-    vocabularies: a model indexes its tables by their codes."""
+    """The ``model`` checkpoint, which must have been trained on ``data``: a
+    model indexes its tables by the codes of that data's vocabularies."""
     path = _checkpoint_path(run_dir, model)
     if not os.path.isfile(path):
         raise RuntimeError(
             f"no {model} checkpoint at {path}; run `fdrec train --model {model}` first"
         )
     state = ModelState.load(path)
-    for field in ("store_ids", "location_ids", "user_ids"):
-        if field in state.meta and state.meta[field] != getattr(data.vocabs, field):
-            raise RuntimeError(
-                f"checkpoint {path} does not match this run's data: its {field} "
-                f"differ; retrain with `fdrec train --model {model}`"
-            )
+    want = {f: getattr(data.vocabs, f) for f in ("store_ids", "location_ids", "user_ids")
+            if f in state.meta}
+    want["data_fingerprint"] = data.fingerprint
+    differ = [f for f, value in want.items() if state.meta.get(f) != value]
+    if differ:
+        raise RuntimeError(
+            f"checkpoint {path} does not match this run's data: its "
+            f"{' and '.join(differ)} differ; retrain with `fdrec train --model {model}`"
+        )
     return state
 
 
@@ -163,8 +193,11 @@ def _load_checkpoint(run_dir: str, model: str, data: features.Dataset) -> ModelS
 def _cmd_ingest(args) -> int:
     cfg = load_config(args.config)
     split = _load_split(cfg)
+    data = features.prepare(split, _data_fingerprint(cfg))
+    data.neighbors(cfg.model.k_neighbors, split.valid_boundary)
     run_dir = _prepare_run_dir(cfg)
     with _RunDirLock(run_dir):
+        data.save(os.path.join(run_dir, DATA_FILE))
         log = split.log
         manifest = {
             "config_hash": cfg.config_hash(),
@@ -175,11 +208,8 @@ def _cmd_ingest(args) -> int:
             "repeat_fraction": float(split.repeat_flags.mean()),
             "valid_boundary": split.valid_boundary,
             "test_boundary": split.test_boundary,
-            "partitions": {
-                "train": len(split.train_idx),
-                "valid": len(split.valid_idx),
-                "test": len(split.test_idx),
-            },
+            "partitions": {p: len(getattr(split, f"{p}_idx"))
+                           for p in ("train", "valid", "test")},
         }
         path = os.path.join(run_dir, "split.json")
         _write_json(path, manifest)
@@ -218,10 +248,9 @@ def _cmd_synth(args) -> int:
 
 def _cmd_analyze(args) -> int:
     cfg = load_config(args.config)
-    split = _load_split(cfg)
-    log = split.log
     run_dir = _prepare_run_dir(cfg)
     with _RunDirLock(run_dir):
+        log = _load_data(cfg, run_dir).split.log
         max_n = int(np.bincount(log.users).max())
         repeat_curve = analysis.repeat_ratio_by_order_index(log, max_n)
         explored_curve = analysis.explored_store_counts(log, max_n)
@@ -263,8 +292,9 @@ def _cmd_train(args) -> int:
     cfg = load_config(args.config)
     run_dir = _prepare_run_dir(cfg)
     with _RunDirLock(run_dir):
-        data = features.prepare(_load_split(cfg))
+        data = _load_data(cfg, run_dir)
         state, result = _train_one(cfg, run_dir, args.model, data)
+        state.meta["data_fingerprint"] = data.fingerprint
         ckpt = _checkpoint_path(run_dir, args.model)
         state.save(ckpt)
         summary = {
@@ -315,7 +345,7 @@ def _cmd_eval(args) -> int:
     run_dir = _prepare_run_dir(cfg)
     lines = []
     with _RunDirLock(run_dir):
-        data = features.prepare(_load_split(cfg))
+        data = _load_data(cfg, run_dir)
         scorer, params = _make_scorer(run_dir, args.model, data)
         for protocol in protocols:
             cases = evalharness.build_cases(
@@ -395,7 +425,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ingest", help="parse, filter, and split the dataset")
+    p = sub.add_parser("ingest", help="parse, filter and split the dataset once")
     p.add_argument("--config", required=True, help="run configuration file")
     p.set_defaults(func=_cmd_ingest)
 

@@ -10,7 +10,9 @@ deterministically from the unix timestamp and a configured UTC offset.
 from __future__ import annotations
 
 import contextlib
+import json
 import os
+import struct
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -39,6 +41,45 @@ def atomic_open(path: str, mode: str = "w"):
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+
+
+def write_tensors(path: str, magic: bytes, header: dict, tensors: dict) -> None:
+    """The package's one binary format, written atomically: ``magic``, a u64
+    length, the sorted-key JSON of ``header`` plus a ``tensors`` list of each
+    array's name, shape and dtype (left out for ``<f8``), then each array's
+    bytes in that order, all little-endian.  Equal inputs give equal bytes."""
+    specs, blobs = [], []
+    with atomic_open(path, "wb") as fh:
+        for name, values in tensors.items():
+            dtype = values.dtype.newbyteorder("<")
+            if dtype.kind not in "biuf":
+                raise TypeError(f"tensor {name!r} has unsupported dtype {dtype}")
+            specs.append({"name": name, "shape": list(values.shape),
+                          **({} if dtype.str == "<f8" else {"dtype": dtype.str})})
+            blobs.append(np.ascontiguousarray(values, dtype=dtype).tobytes())
+        text = json.dumps({**header, "tensors": specs}, sort_keys=True,
+                          separators=(",", ":")).encode("utf-8")
+        fh.write(b"".join([magic, struct.pack("<Q", len(text)), text, *blobs]))
+
+
+def read_tensors(path: str, magic: bytes) -> tuple[dict, dict[str, np.ndarray]]:
+    """``(header, tensors)`` of a :func:`write_tensors` file; raises
+    ``ValueError`` on a wrong magic string or a truncated file."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    if not blob.startswith(magic):
+        raise ValueError(f"{path}: not a {magic.decode().strip()} file")
+    try:
+        at = len(magic) + 8 + struct.unpack_from("<Q", blob, len(magic))[0]
+        header, tensors = json.loads(blob[len(magic) + 8 : at]), {}
+        for spec in header["tensors"]:
+            dtype, shape = np.dtype(spec.get("dtype", "<f8")), tuple(spec["shape"])
+            count = int(np.prod(shape))
+            tensors[spec["name"]] = np.frombuffer(blob, dtype, count, at).reshape(shape).copy()
+            at += count * dtype.itemsize
+    except (ValueError, struct.error) as err:
+        raise ValueError(f"{path}: truncated ({err})") from None
+    return header, tensors
 
 
 class ParseError(ValueError):

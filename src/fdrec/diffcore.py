@@ -15,14 +15,11 @@ stays as the reference it is tested against.
 
 from __future__ import annotations
 
-import json
-import struct
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .dataio import atomic_open
+from .dataio import read_tensors, write_tensors
 
 Array = np.ndarray
 
@@ -624,40 +621,18 @@ _CKPT_MAGIC = b"FDRECKPT1\n"
 
 def save_checkpoint(state: ModelState, path: str) -> None:
     """Self-describing binary dump; byte-stable for identical states."""
-    tensors = [
-        {"name": name, "shape": list(p.shape)} for name, p in state.params.items()
-    ]
-    header = json.dumps(
-        {"meta": state.meta, "seed": state.seed, "step": state.step, "tensors": tensors},
-        sort_keys=True,
-        separators=(",", ":"),
-    ).encode("utf-8")
-    with atomic_open(path, "wb") as fh:
-        fh.write(_CKPT_MAGIC)
-        fh.write(struct.pack("<Q", len(header)))
-        fh.write(header)
-        for p in state.params.values():
-            fh.write(np.ascontiguousarray(p.values).astype("<f8").tobytes())
+    write_tensors(
+        path, _CKPT_MAGIC, {"meta": state.meta, "seed": state.seed, "step": state.step},
+        {name: p.values for name, p in state.params.items()},
+    )
 
 
 def load_checkpoint(path: str) -> ModelState:
-    with open(path, "rb") as fh:
-        magic = fh.read(len(_CKPT_MAGIC))
-        if magic != _CKPT_MAGIC:
-            raise ValueError(f"{path}: not a checkpoint file")
-        (hlen,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
-        state = ModelState(seed=header["seed"])
-        state.step = header["step"]
-        state.meta = header["meta"]
-        for spec in header["tensors"]:
-            shape = tuple(spec["shape"])
-            n = int(np.prod(shape)) if shape else 1
-            raw = fh.read(8 * n)
-            if len(raw) != 8 * n:
-                raise ValueError(f"{path}: truncated tensor {spec['name']}")
-            values = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-            state.params[spec["name"]] = ParamTensor(spec["name"], values)
-            state.m[spec["name"]] = np.zeros(shape, dtype=np.float64)
-            state.v[spec["name"]] = np.zeros(shape, dtype=np.float64)
+    header, tensors = read_tensors(path, _CKPT_MAGIC)
+    state = ModelState(seed=header["seed"])
+    state.step = header["step"]
+    state.meta = header["meta"]
+    for name, values in tensors.items():
+        state.params[name] = ParamTensor(name, values)
+        state.m[name], state.v[name] = np.zeros_like(values), np.zeros_like(values)
     return state

@@ -74,18 +74,6 @@ def exprec_build(
     return state
 
 
-def _neighbor_weights(sims: np.ndarray, valid: np.ndarray) -> np.ndarray:
-    """max(sim, 0) normalized over valid entries; uniform fallback."""
-    w = np.where(valid, np.maximum(sims, 0.0), 0.0)
-    total = w.sum()
-    if total > 0:
-        return w / total
-    n = int(valid.sum())
-    if n == 0:
-        return np.zeros_like(w)
-    return valid.astype(np.float64) / n
-
-
 def _check_mask(ablation_mask) -> np.ndarray:
     if ablation_mask is None:
         return np.zeros(len(TRIGGERS), dtype=bool)
@@ -100,8 +88,17 @@ def _check_mask(ablation_mask) -> np.ndarray:
 def neighbor_arrays(log, k: int, as_of: int) -> tuple[np.ndarray, np.ndarray]:
     """Frozen per-user neighbor codes [U,K] (pad -1) and weights [U,K]."""
     ids, sims = situsim.neighbor_table(log, k, as_of)
-    weights = np.array([_neighbor_weights(s, i >= 0) for s, i in zip(sims, ids)])
-    return ids, weights.reshape(sims.shape)
+    return ids, _neighbor_weights(ids, sims)
+
+
+def _neighbor_weights(ids: np.ndarray, sims: np.ndarray) -> np.ndarray:
+    """max(sim, 0) normalized over each row's ``ids >= 0`` entries; uniform if all 0."""
+    valid = ids >= 0
+    w = np.where(valid, np.maximum(sims, 0.0), 0.0)
+    flat = w.sum(axis=1) == 0
+    w[flat] = valid[flat]
+    total = w.sum(axis=1, keepdims=True)
+    return np.divide(w, total, out=np.zeros_like(w), where=total > 0)
 
 
 def _col(x: dc.Var, j: int) -> dc.Var:

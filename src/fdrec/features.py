@@ -1,12 +1,14 @@
 """Shared model plumbing: one stage's data view and the forward-pass helpers.
 
-:func:`prepare` builds a :class:`Dataset` once per training or evaluation
-stage: the split, its vocabularies, per-user chronological feature arrays and
-memoized frozen neighbour tables.  Every builder, trainer and scorer takes
-that one object.  Models index stores by catalog order (so never-visited
-stores are scoreable), users by log order, and delivery locations by
-train-partition order with row 0 reserved as a fallback for values unseen
-during training.
+A :class:`Dataset` holds the split, its vocabularies, per-user chronological
+feature arrays, memoized frozen neighbour tables and the fingerprint of the
+files it came from.  ``ingest`` writes one with :meth:`Dataset.save`; every
+later stage reads it back with :func:`load`, which rebuilds the vocabularies
+and sequences with :func:`prepare`, their only builder.  Every builder,
+trainer and scorer takes that one object.  Models index stores by catalog
+order (so never-visited stores are scoreable), users by log order, and
+delivery locations by train-partition order with row 0 reserved as a
+fallback for values unseen during training.
 
 The models' forward passes share the history-window gatherer, the situation
 embedding and :func:`query_rows`, which runs a training forward for inference.
@@ -20,7 +22,8 @@ from typing import Callable
 import numpy as np
 
 from . import diffcore as dc
-from .dataio import DatasetSplit
+from .dataio import (DatasetSplit, InteractionLog, StoreMeta, read_tensors,
+                     write_tensors)
 
 FALLBACK = 0  # reserved location row
 # rows per inference forward pass; bounds the tape a scorer builds at once
@@ -159,13 +162,19 @@ def build_sequences(split: DatasetSplit, vocabs: Vocabs) -> UserSequences:
     )
 
 
+DATA_MAGIC = b"FDRECDATA1\n"
+_LOG_ARRAYS = ("users", "stores", "times", "locs")
+_SPLIT_ARRAYS = ("repeat_flags", "train_idx", "valid_idx", "test_idx")
+
+
 @dataclass(eq=False)
 class Dataset:
-    """One stage's data: the split with its vocabularies and sequences."""
+    """One stage's data: the split, its vocabularies, sequences and fingerprint."""
 
     split: DatasetSplit
     vocabs: Vocabs
     seqs: UserSequences
+    fingerprint: str = ""
     _neighbors: dict = field(default_factory=dict, init=False, repr=False)
 
     def neighbors(self, k: int, as_of: int) -> tuple[np.ndarray, np.ndarray]:
@@ -178,11 +187,46 @@ class Dataset:
             self._neighbors[key] = exprec.neighbor_arrays(self.split.log, *key)
         return self._neighbors[key]
 
+    def save(self, path: str) -> None:
+        """Write the split, fingerprint and memoized neighbours for :func:`load`."""
+        split, log = self.split, self.split.log
+        header = {
+            "fingerprint": self.fingerprint,
+            "ids": [log.user_ids, log.store_ids, log.location_ids],
+            "catalog": [list(vars(meta).values()) for meta in log.catalog.values()],
+            "tz_offset_minutes": log.tz_offset_minutes,
+            "boundaries": [split.valid_boundary, split.test_boundary],
+            "neighbors": list(self._neighbors),
+        }
+        tensors = {name: getattr(log, name) for name in _LOG_ARRAYS}
+        tensors.update((name, getattr(split, name)) for name in _SPLIT_ARRAYS)
+        for i, (ids, weights) in enumerate(self._neighbors.values()):
+            tensors[f"neighbors.{i}.ids"] = ids
+            tensors[f"neighbors.{i}.weights"] = weights
+        write_tensors(path, DATA_MAGIC, header, tensors)
 
-def prepare(split: DatasetSplit) -> Dataset:
+
+def prepare(split: DatasetSplit, fingerprint: str = "") -> Dataset:
     """The stage's :class:`Dataset`; vocabularies and sequences are built here only."""
     vocabs = build_vocabs(split)
-    return Dataset(split, vocabs, build_sequences(split, vocabs))
+    return Dataset(split, vocabs, build_sequences(split, vocabs), fingerprint)
+
+
+def load(path: str) -> Dataset:
+    """What :meth:`Dataset.save` wrote, neighbours memoized; ``ValueError`` if damaged."""
+    header, tensors = read_tensors(path, DATA_MAGIC)
+    log = InteractionLog(
+        *header["ids"], *(tensors[name] for name in _LOG_ARRAYS),
+        tz_offset_minutes=header["tz_offset_minutes"],
+        catalog={row[0]: StoreMeta(*row) for row in header["catalog"]},
+    )
+    split = DatasetSplit(log, *header["boundaries"],
+                         *(tensors[name] for name in _SPLIT_ARRAYS))
+    data = prepare(split, header["fingerprint"])
+    for i, key in enumerate(header["neighbors"]):
+        data._neighbors[tuple(key)] = (tensors[f"neighbors.{i}.ids"],
+                                       tensors[f"neighbors.{i}.weights"])
+    return data
 
 
 def window_rows(

@@ -108,10 +108,8 @@ def neighbor_table(
     n_distinct = support.sum(axis=1).astype(np.float64)
 
     q = (pref * pref).sum(axis=1)
-    uids = np.array(log.user_ids)
-    uid_order = np.argsort(uids, kind="stable")  # ascending-id tiebreak helper
-    rank_by_id = np.empty(n_users, dtype=np.int64)
-    rank_by_id[uid_order] = np.arange(n_users)
+    # each user's place in ascending-id order, the tiebreak
+    rank_by_id = np.argsort(np.argsort(np.array(log.user_ids), kind="stable"))
 
     ids = np.full((n_users, k), -1, dtype=np.int64)
     out_sims = np.zeros((n_users, k))
@@ -137,26 +135,21 @@ def neighbor_table(
             & active[None, :]
         )
         r = np.where(defined, np.clip(r, -1.0, 1.0), 0.0)
-        for row in range(stop - start):
-            u = start + row
-            if not active[u] or kk <= 0:
-                continue
-            sims = r[row].copy()
-            sims[u] = -np.inf
-            if kk < n_users - 1:
-                top = np.argpartition(-sims, kk - 1)[:kk]
-                threshold = sims[top].min()
-                above = np.nonzero(sims > threshold)[0]
-                need = kk - len(above)
-                tied = np.nonzero(sims == threshold)[0]
-                if need < len(tied):
-                    ranks = rank_by_id[tied]
-                    pick = np.argpartition(ranks, need - 1)[:need] if need else []
-                    tied = tied[pick]
-                chosen = np.concatenate([above, tied]).astype(np.int64)
-            else:
-                chosen = np.nonzero(np.arange(n_users) != u)[0]
-            chosen = chosen[np.lexsort((rank_by_id[chosen], -sims[chosen]))]
-            ids[u, : len(chosen)] = chosen
-            out_sims[u, : len(chosen)] = sims[chosen]
+        ids[start:stop, :kk], out_sims[start:stop, :kk] = _top_neighbors(
+            r, start, active, rank_by_id, kk
+        )
     return ids, out_sims
+
+
+def _top_neighbors(
+    r: np.ndarray, start: int, active: np.ndarray, rank_by_id: np.ndarray, kk: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(ids, sims) [B, kk]``: the ``kk`` most similar other users of the
+    block rows ``r [B, U]`` of users ``start ..`` (whose own entries become
+    -inf), ties by ascending id rank; rows of inactive users hold -1 and 0."""
+    rows = np.arange(len(r))
+    r[rows, start + rows] = -np.inf
+    top = np.lexsort((np.broadcast_to(rank_by_id, r.shape), -r), axis=1)[:, :kk]
+    keep = active[start : start + len(r), None]
+    return (np.where(keep, top, -1),
+            np.where(keep, np.take_along_axis(r, top, axis=1), 0.0))

@@ -21,7 +21,7 @@ from fdrec import diffcore as dc
 from fdrec import features, situsim
 from fdrec.dataio import InteractionLog, StoreMeta, time_facets
 from fdrec.ensemble import _item_weights_np
-from fdrec.exprec import TRIGGERS, _check_mask, _neighbor_weights
+from fdrec.exprec import TRIGGERS, _check_mask
 from fdrec.situsim import DATE_CAP_DAYS, _histories_before
 
 
@@ -220,6 +220,52 @@ def collaborative_users(
     return scored[:k]
 
 
+def top_neighbors_loop(
+    r: np.ndarray, start: int, active: np.ndarray, rank_by_id: np.ndarray, kk: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``situsim._top_neighbors`` one row at a time: a partial selection of
+    the ``kk`` best, the threshold ties by ascending id rank, then a sort."""
+    n_users = r.shape[1]
+    ids = np.full((len(r), kk), -1, dtype=np.int64)
+    out_sims = np.zeros((len(r), kk))
+    for row in range(len(r)):
+        u = start + row
+        if not active[u] or kk <= 0:
+            continue
+        sims = r[row].copy()
+        sims[u] = -np.inf
+        if kk < n_users - 1:
+            top = np.argpartition(-sims, kk - 1)[:kk]
+            threshold = sims[top].min()
+            above = np.nonzero(sims > threshold)[0]
+            need = kk - len(above)
+            tied = np.nonzero(sims == threshold)[0]
+            if need < len(tied):
+                ranks = rank_by_id[tied]
+                pick = np.argpartition(ranks, need - 1)[:need] if need else []
+                tied = tied[pick]
+            chosen = np.concatenate([above, tied]).astype(np.int64)
+        else:
+            chosen = np.nonzero(np.arange(n_users) != u)[0]
+        chosen = chosen[np.lexsort((rank_by_id[chosen], -sims[chosen]))]
+        ids[row, : len(chosen)] = chosen
+        out_sims[row, : len(chosen)] = sims[chosen]
+    return ids, out_sims
+
+
+def neighbor_weights(sims: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    """One row of ``exprec._neighbor_weights``: max(sim, 0) normalized over
+    valid entries; uniform fallback."""
+    w = np.where(valid, np.maximum(sims, 0.0), 0.0)
+    total = w.sum()
+    if total > 0:
+        return w / total
+    n = int(valid.sum())
+    if n == 0:
+        return np.zeros_like(w)
+    return valid.astype(np.float64) / n
+
+
 # ---------------------------------------------------------------- HisPop, SOnly
 
 
@@ -412,7 +458,7 @@ def collaborative_embedding(
     user_index = {u: i for i, u in enumerate(state.meta["user_ids"])}
     values = _values(state)
     sims = np.array([s for _, s in neighbors], dtype=np.float64)
-    w = _neighbor_weights(sims, np.ones(len(neighbors), dtype=bool))
+    w = neighbor_weights(sims, np.ones(len(neighbors), dtype=bool))
     a = _mix_weights_np(values, situation_vec)
     out = np.zeros(dim)
     for (uid, _), wk in zip(neighbors, w):

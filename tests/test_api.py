@@ -1,7 +1,10 @@
-"""The package's public surface: every export resolves, and the scalar
-string-id oracles live only in ``tests/oracles.py``."""
+"""The package's public surface: every export resolves, the scalar string-id
+oracles live only in ``tests/oracles.py``, and no module of ``src/fdrec`` or
+``tests`` imports a name it never uses."""
 
+import ast
 import importlib
+import pathlib
 import pkgutil
 
 import pytest
@@ -20,6 +23,7 @@ ORACLES = (
     "sonly_score", "ScoredSlate", "rank_metrics", "RankResult",
     "situation_similarity", "store_similarity", "preference_vector",
     "_union_pearson", "collaborative_users", "Interaction", "SituationFeatures",
+    "top_neighbors_loop", "neighbor_weights",
 )
 
 
@@ -40,3 +44,30 @@ def test_no_oracle_is_defined_or_exported_by_the_package(name):
 
 def test_interaction_log_has_no_string_id_views():
     assert not [a for a in ("interaction", "situation", "__iter__") if hasattr(InteractionLog, a)]
+
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "fdrec").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+
+
+def unused_imports(tree: ast.Module) -> list[str]:
+    """Names a module imports and never reads; ``__all__`` entries count as read."""
+    imported = {}
+    for node in ast.walk(tree):
+        if (isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", "") != "__future__"):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            used.update(ast.literal_eval(node.value))
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_every_import_is_used(path):
+    unused = unused_imports(ast.parse(path.read_text(encoding="utf-8")))
+    assert not unused, f"{path.name} imports unused {unused}"

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import platform
@@ -6,9 +7,11 @@ import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from numpy.testing import assert_array_equal
 
-from fdrec import cli
+from fdrec import cli, exprec, features
 from fdrec.config import load_config, write_config
 from fdrec.diffcore import ModelState
 
@@ -162,6 +165,7 @@ def test_ablated_exprec_trains_and_evaluates(tmp_path):
     data_dir = tmp_path / "data"
     assert cli.main(["synth", "--out", str(data_dir), "--config", str(base)]) == 0
     cfg_path = str(data_dir / "cfg")
+    assert cli.main(["ingest", "--config", cfg_path]) == 0
     assert cli.main(["train", "--config", cfg_path, "--model", "exprec"]) == 0
     run_dir = load_config(cfg_path).run_dir()
     state = ModelState.load(os.path.join(run_dir, "exprec.ckpt"))
@@ -206,6 +210,7 @@ def test_missing_checkpoint_is_runtime_error(pipeline, capsys):
     with open(alt, "w") as fh:
         fh.write(text)
     assert load_config(alt).run_dir() != load_config(cfg_path).run_dir()
+    assert cli.main(["ingest", "--config", alt]) == 0
     assert cli.main(["eval", "--config", alt, "--model", "ensemble",
                      "--protocol", "combined"]) == 1
     err = capsys.readouterr().err
@@ -215,7 +220,8 @@ def test_missing_checkpoint_is_runtime_error(pipeline, capsys):
 
 def test_checkpoint_of_other_data_is_runtime_error(pipeline, tmp_path, capsys):
     """Store codes index a checkpoint's tables: reordering the catalog after
-    training must stop the eval, not score with the wrong rows."""
+    training and ingesting it again must stop the eval, not score with the
+    wrong rows."""
     cfg_path, _ = pipeline
     data_dir = tmp_path / "data"
     shutil.copytree(os.path.dirname(cfg_path), data_dir)
@@ -223,12 +229,97 @@ def test_checkpoint_of_other_data_is_runtime_error(pipeline, tmp_path, capsys):
     header, *rows = stores.read_text().splitlines(keepends=True)
     stores.write_text(header + "".join(reversed(rows)))
     cfg = str(data_dir / "cfg")
+    assert cli.main(["ingest", "--config", cfg]) == 0
     assert cli.main(["eval", "--config", cfg, "--model", "reprec",
                      "--protocol", "repeat"]) == 1
     err = capsys.readouterr().err
     ckpt = os.path.join(load_config(cfg).run_dir(), "reprec.ckpt")
     assert f"checkpoint {ckpt} does not match this run's data: its store_ids" in err
     assert "retrain with `fdrec train --model reprec`" in err
+
+
+def copy_run(pipeline, tmp_path) -> str:
+    """A copy of the pipeline's data directory, run directory included."""
+    cfg_path, _ = pipeline
+    shutil.copytree(os.path.dirname(cfg_path), tmp_path / "data")
+    return str(tmp_path / "data" / "cfg")
+
+
+def test_edited_data_needs_ingest_then_retraining(pipeline, tmp_path, capsys):
+    """One changed timestamp leaves every vocabulary as it was, so only the
+    data fingerprint can tell that the TSVs are not what was trained on."""
+    cfg = copy_run(pipeline, tmp_path)
+    inter = tmp_path / "data" / "interactions.tsv"
+    lines = inter.read_text().splitlines(keepends=True)
+    user, store, time, loc = lines[len(lines) // 2].split("\t")
+    lines[len(lines) // 2] = "\t".join((user, store, str(int(time) + 1), loc))
+    inter.write_text("".join(lines))
+    evaluate = ["eval", "--config", cfg, "--model", "reprec", "--protocol", "repeat"]
+    assert cli.main(evaluate) == 1
+    err = capsys.readouterr().err
+    data = os.path.join(load_config(cfg).run_dir(), cli.DATA_FILE)
+    assert (f"{inter} and {tmp_path / 'data' / 'stores.tsv'} no longer match the "
+            f"data in {data}; run `fdrec ingest --config {cfg}` again") in err
+
+    assert cli.main(["ingest", "--config", cfg]) == 0
+    assert cli.main(evaluate) == 1
+    ckpt = os.path.join(load_config(cfg).run_dir(), "reprec.ckpt")
+    assert (f"checkpoint {ckpt} does not match this run's data: its data_fingerprint "
+            f"differ; retrain with `fdrec train --model reprec`") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("damage", ["missing", "header", "tensors"])
+def test_missing_or_truncated_data_fails_naming_it(pipeline, tmp_path, capsys, damage):
+    cfg = copy_run(pipeline, tmp_path)
+    path = os.path.join(load_config(cfg).run_dir(), cli.DATA_FILE)
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    os.unlink(path)
+    if damage != "missing":
+        with open(path, "wb") as fh:
+            fh.write(blob[:30] if damage == "header" else blob[:-1])
+    assert cli.main(["train", "--config", cfg, "--model", "reprec"]) == 1
+    err = capsys.readouterr().err
+    assert path in err
+    assert f"run `fdrec ingest --config {cfg}`" in err
+
+
+def test_ingest_rewrites_identical_data(pipeline):
+    cfg_path, run_dir = pipeline
+    path = os.path.join(run_dir, cli.DATA_FILE)
+    with open(path, "rb") as fh:
+        before = fh.read()
+    assert cli.main(["ingest", "--config", cfg_path]) == 0
+    with open(path, "rb") as fh:
+        assert fh.read() == before
+
+
+def assert_same_fields(got, want, names):
+    for name in names:
+        a, b = getattr(got, name), getattr(want, name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype, name
+            assert_array_equal(a, b, err_msg=name)
+        else:
+            assert a == b, name
+
+
+def test_ingested_data_is_the_parsed_data(pipeline):
+    cfg_path, run_dir = pipeline
+    cfg = load_config(cfg_path)
+    got = features.load(os.path.join(run_dir, cli.DATA_FILE))
+    want = features.prepare(cli._load_split(cfg), cli._data_fingerprint(cfg))
+    assert got.fingerprint == want.fingerprint
+    log_fields = [name for name in vars(want.split.log) if not name.startswith("_")]
+    assert_same_fields(got.split.log, want.split.log, log_fields)
+    for part in ("split", "vocabs", "seqs"):
+        names = [f.name for f in dataclasses.fields(getattr(want, part)) if f.name != "log"]
+        assert_same_fields(getattr(got, part), getattr(want, part), names)
+    key = (cfg.model.k_neighbors, want.split.valid_boundary)
+    assert list(got._neighbors) == [key]
+    for a, b in zip(got._neighbors[key], exprec.neighbor_arrays(want.split.log, *key)):
+        assert a.dtype == b.dtype
+        assert_array_equal(a, b)
 
 
 def test_locked_run_dir_fails_cleanly(pipeline, capsys):

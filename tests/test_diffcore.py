@@ -481,7 +481,7 @@ def test_checkpoint_write_failing_midway_keeps_the_old_file(tmp_path):
     path = tmp_path / "m.ckpt"
     state.save(str(path))
     before = path.read_bytes()
-    # the header and the first tensor are written before this one fails
+    # the temporary file is open when this tensor is rejected
     state.params["head.b"].values = np.array([object()], dtype=object)
     with pytest.raises(TypeError):
         state.save(str(path))

@@ -1,11 +1,12 @@
 
 import numpy as np
 import pytest
+from numpy.testing import assert_array_equal
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from fdrec import situsim
+from fdrec import exprec, situsim
 from fdrec.dataio import StoreMeta
 from oracles import Interaction, SituationFeatures
 from conftest import make_log
@@ -231,3 +232,32 @@ def test_neighbor_table_matches_pairwise_queries(tiny_split):
             assert sim == pytest.approx(pairwise[user], abs=1e-9)
         assert all(a >= b for a, b in zip(sims[u, :m], sims[u, 1:m]))
         assert (ids[u, m:] == -1).all() and (sims[u, m:] == 0.0).all()
+
+
+# a handful of values, both zeros among them, so most rows hold ties
+TIED_SIMS = st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.25, 0.5, 1.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_top_neighbors_and_weights_match_the_row_loop(data):
+    n = data.draw(st.integers(1, 12), label="users")
+    b = data.draw(st.integers(1, n), label="block")
+    start = data.draw(st.integers(0, n - b), label="start")
+    kk = data.draw(st.integers(0, n - 1), label="kk")
+    r = np.array(data.draw(st.lists(TIED_SIMS, min_size=b * n, max_size=b * n)))
+    r = r.reshape(b, n)
+    active = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    rank_by_id = np.array(data.draw(st.permutations(range(n))), dtype=np.int64)
+
+    want_ids, want_sims = oracles.top_neighbors_loop(r, start, active, rank_by_id, kk)
+    ids, sims = situsim._top_neighbors(r.copy(), start, active, rank_by_id, kk)
+    assert_array_equal(ids, want_ids)
+    assert_array_equal(sims, want_sims)
+    assert_array_equal(np.signbit(sims), np.signbit(want_sims))
+
+    want_w = np.array([oracles.neighbor_weights(s, i >= 0)
+                       for s, i in zip(want_sims, want_ids)]).reshape(want_sims.shape)
+    w = exprec._neighbor_weights(ids, sims)
+    assert_array_equal(w, want_w)
+    assert_array_equal(np.signbit(w), np.signbit(want_w))
