@@ -5,10 +5,26 @@ cumulative distributions over users and stores.  Influence statistics
 correlate, per interaction, situation similarity against store similarity over
 either the user's own history (historical influence) or recent interactions of
 preference-similar users (collaborative influence).
+
+Both influence studies are computed in segment (CSR) form, with no loop over
+interactions: every (interaction, comparison event) pair is laid out at once,
+each interaction's comparison events one contiguous segment, in the order a
+per-interaction loop would concatenate them.  A historical segment is the
+user's earlier positions.  A collaborative segment joins, neighbour slot by
+neighbour slot, each neighbour's positions in the open window; one
+``searchsorted`` over a (user, position) key finds every slot's window,
+because in a time-sorted log a position orders like its time.  Similarities
+are computed elementwise over the pairs, and
+:func:`fdrec.situsim.segment_pearson` correlates every segment at once.  The
+records are bit-identical to correlating each segment alone: elementwise
+ufuncs round each pair as they would round it inside one segment, and
+``segment_pearson`` reduces each segment in the order a 1-d computation
+would.  ``tests/oracles.py`` keeps the per-interaction loops as the reference.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -20,6 +36,9 @@ from .dataio import SECONDS_PER_WEEK, InteractionLog, atomic_open, label_repeat_
 HISTOGRAM_BINS = 41
 CDF_GRID_POINTS = 101
 MIN_EVENTS = 5
+# (interaction, comparison event) pairs an influence study lays out at once:
+# bounds its memory whatever the history lengths
+PAIR_BLOCK = 1 << 16
 _GRID_EPS = 1e-12
 
 
@@ -134,7 +153,8 @@ def _store_attr_codes(log: InteractionLog) -> tuple[np.ndarray, np.ndarray, np.n
 
 
 def _store_similarity_arrays(
-    brand: np.ndarray, cuisine: np.ndarray, sloc: np.ndarray, others: np.ndarray, s: int
+    brand: np.ndarray, cuisine: np.ndarray, sloc: np.ndarray,
+    others: np.ndarray, s: int | np.ndarray,
 ) -> np.ndarray:
     return (
         (brand[others] == brand[s]).astype(np.float64)
@@ -143,36 +163,73 @@ def _store_similarity_arrays(
     ) / 3.0
 
 
+def _check_minimum(name: str, value: int) -> None:
+    if value < 2:
+        raise ValueError(f"{name} must be at least 2, as a correlation needs two points; "
+                         f"got {value}")
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``starts[i] + arange(lengths[i])`` for every ``i``, concatenated."""
+    offsets = np.cumsum(lengths) - lengths
+    return np.repeat(starts - offsets, lengths) + np.arange(int(lengths.sum()))
+
+
+def _by_user(log: InteractionLog) -> tuple[np.ndarray, np.ndarray]:
+    """Positions grouped by user code, ascending within each user, and the
+    index in that order where each user's group starts."""
+    counts = np.bincount(log.users, minlength=len(log.user_ids))
+    return np.argsort(log.users, kind="stable"), np.cumsum(counts) - counts
+
+
+def _influence(
+    log: InteractionLog, now: np.ndarray, order: np.ndarray,
+    starts: np.ndarray, counts: np.ndarray,
+) -> list[InfluenceRecord]:
+    """Records of the interactions ``now``.  ``now[i]``'s comparison set is
+    ``order[starts[i, j]:starts[i, j] + counts[i, j]]`` for each ``j`` in
+    turn.  Runs over blocks of about ``PAIR_BLOCK`` pairs."""
+    flags = label_repeat_flags(log)
+    brand, cuisine, sloc = _store_attr_codes(log)
+    day, hour, dow = log.facets
+    lengths = counts.sum(axis=1)
+    cuts = np.flatnonzero(np.diff((np.cumsum(lengths) - lengths) // PAIR_BLOCK)) + 1
+    bounds = [0, *cuts.tolist(), len(now)]
+
+    def block(a: int, b: int) -> np.ndarray:
+        events = order[_ranges(starts[a:b].ravel(), counts[a:b].ravel())]
+        at = np.repeat(now[a:b], lengths[a:b])  # each pair's "now"
+        sim_situ = situsim.situation_similarity_arrays(
+            day[events], hour[events], dow[events], log.locs[events] == log.locs[at],
+            day[at], hour[at], dow[at],
+        )
+        sim_store = _store_similarity_arrays(
+            brand, cuisine, sloc, log.stores[events], log.stores[at])
+        return situsim.segment_pearson(sim_situ, sim_store, lengths[a:b])
+
+    values = np.concatenate([block(a, b) for a, b in zip(bounds, bounds[1:])])
+    return [
+        InfluenceRecord(p, "repeat" if f else "exploration", None if math.isnan(v) else v)
+        for p, f, v in zip(now.tolist(), flags[now].tolist(), values.tolist())
+    ]
+
+
 def historical_influence(
     log: InteractionLog, min_history: int = MIN_EVENTS
 ) -> list[InfluenceRecord]:
     """Correlation between situation and store similarity over own history.
 
-    For each interaction with at least ``min_history`` earlier interactions,
-    correlate the situation similarity of "now" against each past interaction
-    with the store similarity of the now-store against each past store.
+    For each interaction with at least ``min_history`` (>= 2) earlier
+    interactions, correlate the situation similarity of "now" against each
+    past interaction with the store similarity of the now-store against each
+    past store.  Records are in log order.
     """
-    flags = label_repeat_flags(log)
-    brand, cuisine, sloc = _store_attr_codes(log)
-    day, hour, dow = log.facets
-    records: list[InfluenceRecord] = []
-    for positions in log.per_user.values():
-        for j in range(min_history, len(positions)):
-            p = int(positions[j])
-            prior = positions[:j]
-            sim_situ = situsim.situation_similarity_arrays(
-                day[prior], hour[prior], dow[prior],
-                log.locs[prior] == log.locs[p],
-                int(day[p]), int(hour[p]), int(dow[p]),
-            )
-            sim_store = _store_similarity_arrays(
-                brand, cuisine, sloc, log.stores[prior], int(log.stores[p])
-            )
-            value = situsim.pearson(sim_situ, sim_store)
-            kind = "repeat" if flags[p] else "exploration"
-            records.append(InfluenceRecord(p, kind, value))
-    records.sort(key=lambda r: r.position)
-    return records
+    _check_minimum("min_history", min_history)
+    order, first = _by_user(log)
+    index = np.empty(len(log), dtype=np.int64)  # place in the user's history
+    index[order] = np.arange(len(log)) - first[log.users[order]]
+    now = np.flatnonzero(index >= min_history)
+    return _influence(log, now, order, first[log.users[now], None], index[now, None])
 
 
 def collaborative_influence(
@@ -186,49 +243,26 @@ def collaborative_influence(
 
     Neighbors are the top-``k`` preference-correlated users over the full log;
     for each interaction, their interactions inside the open window
-    ``(t - t_delta_s, t)`` form the comparison set.  Interactions with fewer
-    than ``min_events`` comparison events are skipped.
+    ``(t - t_delta_s, t)``, neighbour by neighbour, form the comparison set.
+    Interactions with fewer than ``min_events`` (>= 2) comparison events are
+    skipped.  Records are in log order.
     """
-    flags = label_repeat_flags(log)
-    brand, cuisine, sloc = _store_attr_codes(log)
-    day, hour, dow = log.facets
+    _check_minimum("min_events", min_events)
     as_of = int(log.times[-1]) + 1 if len(log) else 1
     neighbors, _ = situsim.neighbor_table(log, k, as_of)
-    per_user = log.per_user
-    user_times = {c: log.times[pos] for c, pos in per_user.items()}
-
-    records: list[InfluenceRecord] = []
-    for u, positions in per_user.items():
-        nb_codes = [c for c in neighbors[u].tolist() if c >= 0]
-        nb_pos = [per_user.get(c, np.empty(0, dtype=np.int64)) for c in nb_codes]
-        nb_times = [user_times.get(c, np.empty(0, dtype=np.int64)) for c in nb_codes]
-        for p in positions:
-            p = int(p)
-            t = int(log.times[p])
-            parts = []
-            for pos_v, times_v in zip(nb_pos, nb_times):
-                lo = int(np.searchsorted(times_v, t - t_delta_s, side="right"))
-                hi = int(np.searchsorted(times_v, t, side="left"))
-                if hi > lo:
-                    parts.append(pos_v[lo:hi])
-            if not parts:
-                continue
-            events = np.concatenate(parts)
-            if len(events) < min_events:
-                continue
-            sim_situ = situsim.situation_similarity_arrays(
-                day[events], hour[events], dow[events],
-                log.locs[events] == log.locs[p],
-                int(day[p]), int(hour[p]), int(dow[p]),
-            )
-            sim_store = _store_similarity_arrays(
-                brand, cuisine, sloc, log.stores[events], int(log.stores[p])
-            )
-            value = situsim.pearson(sim_situ, sim_store)
-            kind = "repeat" if flags[p] else "exploration"
-            records.append(InfluenceRecord(p, kind, value))
-    records.sort(key=lambda r: r.position)
-    return records
+    n = len(log)
+    order, _ = _by_user(log)
+    # The log is time-sorted, so position i is in (t - t_delta_s, t) iff
+    # after <= i < before; a (user, position) key finds every slot's window.
+    after = np.searchsorted(log.times, log.times - t_delta_s, side="right")
+    before = np.searchsorted(log.times, log.times, side="left")
+    key = log.users[order].astype(np.int64) * (n + 1) + order
+    slots = neighbors[log.users]  # [N, k], -1 where unused
+    base = slots * (n + 1)
+    lo, hi = np.searchsorted(key, np.stack([base + after[:, None], base + before[:, None]]))
+    counts = np.where(slots >= 0, hi - lo, 0)  # all <= 0 when t_delta_s <= 0
+    now = np.flatnonzero(counts.sum(axis=1) >= min_events)
+    return _influence(log, now, order, lo[now], counts[now])
 
 
 def _fmt(v) -> str:

@@ -124,27 +124,39 @@ def _data_paths(cfg: RunConfig) -> tuple[str, str]:
     return cfg.resolve(d.interactions), cfg.resolve(d.stores)
 
 
-def _data_fingerprint(cfg: RunConfig) -> str:
-    """SHA-256 over the digests of both TSVs and the ``[data]`` section."""
-    h = hashlib.sha256()
+def _read_tsvs(cfg: RunConfig) -> list[tuple[str, bytes]]:
+    """Both TSVs' paths and bytes."""
+    out = []
     for path in _data_paths(cfg):
         with open(path, "rb") as fh:
-            h.update(hashlib.sha256(fh.read()).digest())
+            out.append((path, fh.read()))
+    return out
+
+
+def _data_fingerprint(cfg: RunConfig, tsvs: list[tuple[str, bytes]]) -> str:
+    """SHA-256 over the digests of both TSVs' bytes and the ``[data]`` section."""
+    h = hashlib.sha256()
+    for _, raw in tsvs:
+        h.update(hashlib.sha256(raw).digest())
     h.update(json.dumps(cfg.to_dict()["data"], sort_keys=True).encode("utf-8"))
     return h.hexdigest()
 
 
-def _load_split(cfg: RunConfig) -> dataio.DatasetSplit:
+def _load_split(cfg: RunConfig) -> tuple[dataio.DatasetSplit, str]:
+    """The split of the TSVs and their fingerprint, from one read of each
+    file: the bytes hashed are the bytes parsed."""
     d = cfg.data
-    inter_path, stores_path = _data_paths(cfg)
-    log = dataio.parse_interactions(inter_path, tz_offset_minutes=d.tz_offset_minutes)
-    log = log.with_catalog(dataio.parse_stores(stores_path))
+    tsvs = _read_tsvs(cfg)
+    (inter_path, inter_raw), (stores_path, stores_raw) = tsvs
+    log = dataio.parse_interactions(inter_path, d.tz_offset_minutes, inter_raw)
+    log = log.with_catalog(dataio.parse_stores(stores_path, stores_raw))
     log = dataio.filter_users(log, d.min_orders)
     if not len(log):
         raise RuntimeError(f"no interactions left after the min_orders={d.min_orders} filter")
-    return dataio.split_global_timeline(
+    split = dataio.split_global_timeline(
         log, test_window_s=cfg.test_window_s(), valid_window_s=cfg.valid_window_s()
     )
+    return split, _data_fingerprint(cfg, tsvs)
 
 
 def _load_data(cfg: RunConfig, run_dir: str) -> features.Dataset:
@@ -156,7 +168,7 @@ def _load_data(cfg: RunConfig, run_dir: str) -> features.Dataset:
         data = features.load(path)
     except (OSError, ValueError) as err:
         raise RuntimeError(f"cannot read the ingested data at {path}; {again}") from err
-    if data.fingerprint != _data_fingerprint(cfg):
+    if data.fingerprint != _data_fingerprint(cfg, _read_tsvs(cfg)):
         raise RuntimeError(f"{tsvs} no longer match the data in {path}; {again} again")
     return data
 
@@ -192,8 +204,8 @@ def _load_checkpoint(run_dir: str, model: str, data: features.Dataset) -> ModelS
 
 def _cmd_ingest(args) -> int:
     cfg = load_config(args.config)
-    split = _load_split(cfg)
-    data = features.prepare(split, _data_fingerprint(cfg))
+    split, fingerprint = _load_split(cfg)
+    data = features.Dataset(split, fingerprint)
     data.neighbors(cfg.model.k_neighbors, split.valid_boundary)
     run_dir = _prepare_run_dir(cfg)
     with _RunDirLock(run_dir):

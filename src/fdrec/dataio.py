@@ -10,6 +10,7 @@ deterministically from the unix timestamp and a configured UTC offset.
 from __future__ import annotations
 
 import contextlib
+import io
 import json
 import os
 import struct
@@ -216,14 +217,24 @@ class InteractionLog:
         )
 
 
-def parse_interactions(path: str, tz_offset_minutes: int = 0) -> InteractionLog:
+def _text(path: str, raw: bytes | None):
+    """The file at ``path`` opened as text, or ``raw``, its bytes already read."""
+    if raw is None:
+        return open(path, "r", encoding="utf-8", newline="")
+    return io.StringIO(raw.decode("utf-8"), newline="")
+
+
+def parse_interactions(
+    path: str, tz_offset_minutes: int = 0, raw: bytes | None = None
+) -> InteractionLog:
     """Parse a tab-separated interaction file into a time-sorted log.
 
     Rejects a missing or wrong header and reports malformed rows with their
-    1-based line number (the header is line 1).
+    1-based line number (the header is line 1).  ``raw``, when given, is the
+    file's content, which a caller read once to both hash and parse.
     """
     records: list[tuple[str, str, int, str]] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with _text(path, raw) as fh:
         header = fh.readline()
         if tuple(header.rstrip("\n").split("\t")) != INTERACTIONS_HEADER:
             raise ParseError(path, 1, "missing or malformed header")
@@ -247,10 +258,11 @@ def parse_interactions(path: str, tz_offset_minutes: int = 0) -> InteractionLog:
     return InteractionLog.from_records(records, tz_offset_minutes=tz_offset_minutes)
 
 
-def parse_stores(path: str) -> dict[str, StoreMeta]:
-    """Parse a store catalog file; insertion order follows the file."""
+def parse_stores(path: str, raw: bytes | None = None) -> dict[str, StoreMeta]:
+    """Parse a store catalog file; insertion order follows the file.  ``raw``
+    is as for :func:`parse_interactions`."""
     catalog: dict[str, StoreMeta] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with _text(path, raw) as fh:
         header = fh.readline()
         if tuple(header.rstrip("\n").split("\t")) != STORES_HEADER:
             raise ParseError(path, 1, "missing or malformed header")

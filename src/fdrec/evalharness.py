@@ -125,7 +125,7 @@ def build_cases(
     if log.catalog is None:
         raise ValueError("eval cases need a store catalog")
     if seqs is None or vocabs is None:
-        data = features.prepare(split)
+        data = features.Dataset(split)
         seqs, vocabs = data.seqs, data.vocabs
     n_stores = len(vocabs.store_ids)
 

@@ -3,12 +3,13 @@
 A :class:`Dataset` holds the split, its vocabularies, per-user chronological
 feature arrays, memoized frozen neighbour tables and the fingerprint of the
 files it came from.  ``ingest`` writes one with :meth:`Dataset.save`; every
-later stage reads it back with :func:`load`, which rebuilds the vocabularies
-and sequences with :func:`prepare`, their only builder.  Every builder,
-trainer and scorer takes that one object.  Models index stores by catalog
-order (so never-visited stores are scoreable), users by log order, and
-delivery locations by train-partition order with row 0 reserved as a
-fallback for values unseen during training.
+later stage reads it back with :func:`load`.  The vocabularies and sequences
+are not stored: a dataset builds them on first use, so a stage that reads
+only the split (``analyze``) never builds them.  Every builder, trainer and
+scorer takes that one object.  Models index stores by catalog order (so
+never-visited stores are scoreable), users by log order, and delivery
+locations by train-partition order with row 0 reserved as a fallback for
+values unseen during training.
 
 The models' forward passes share the history-window gatherer, the situation
 embedding and :func:`query_rows`, which runs a training forward for inference.
@@ -17,6 +18,7 @@ embedding and :func:`query_rows`, which runs a training forward for inference.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -169,13 +171,20 @@ _SPLIT_ARRAYS = ("repeat_flags", "train_idx", "valid_idx", "test_idx")
 
 @dataclass(eq=False)
 class Dataset:
-    """One stage's data: the split, its vocabularies, sequences and fingerprint."""
+    """One stage's data: the split and fingerprint, and the vocabularies and
+    sequences, which are built on first use."""
 
     split: DatasetSplit
-    vocabs: Vocabs
-    seqs: UserSequences
     fingerprint: str = ""
     _neighbors: dict = field(default_factory=dict, init=False, repr=False)
+
+    @cached_property
+    def vocabs(self) -> Vocabs:
+        return build_vocabs(self.split)
+
+    @cached_property
+    def seqs(self) -> UserSequences:
+        return build_sequences(self.split, self.vocabs)
 
     def neighbors(self, k: int, as_of: int) -> tuple[np.ndarray, np.ndarray]:
         """Frozen neighbour codes and weights from
@@ -206,12 +215,6 @@ class Dataset:
         write_tensors(path, DATA_MAGIC, header, tensors)
 
 
-def prepare(split: DatasetSplit, fingerprint: str = "") -> Dataset:
-    """The stage's :class:`Dataset`; vocabularies and sequences are built here only."""
-    vocabs = build_vocabs(split)
-    return Dataset(split, vocabs, build_sequences(split, vocabs), fingerprint)
-
-
 def load(path: str) -> Dataset:
     """What :meth:`Dataset.save` wrote, neighbours memoized; ``ValueError`` if damaged."""
     header, tensors = read_tensors(path, DATA_MAGIC)
@@ -222,7 +225,7 @@ def load(path: str) -> Dataset:
     )
     split = DatasetSplit(log, *header["boundaries"],
                          *(tensors[name] for name in _SPLIT_ARRAYS))
-    data = prepare(split, header["fingerprint"])
+    data = Dataset(split, header["fingerprint"])
     for i, key in enumerate(header["neighbors"]):
         data._neighbors[tuple(key)] = (tensors[f"neighbors.{i}.ids"],
                                        tensors[f"neighbors.{i}.weights"])

@@ -9,9 +9,6 @@ vectors aligned on the union of both users' stores, for every user at once.
 
 from __future__ import annotations
 
-import math
-from typing import Sequence
-
 import numpy as np
 
 from .dataio import InteractionLog
@@ -24,14 +21,15 @@ def situation_similarity_arrays(
     hour: np.ndarray,
     dow: np.ndarray,
     loc_match: np.ndarray,
-    now_day: int,
-    now_hour: int,
-    now_dow: int,
+    now_day: int | np.ndarray,
+    now_hour: int | np.ndarray,
+    now_dow: int | np.ndarray,
 ) -> np.ndarray:
     """Similarity in [0, 1] of each past situation to "now"; 1 iff all four
     facets coincide.
 
-    ``loc_match`` is a boolean array (same delivery location as "now").
+    ``loc_match`` is a boolean array (same delivery location as "now").  The
+    "now" facets are scalars or arrays aligned with the past situations.
     """
     d_date = np.minimum(np.abs(day_index - now_day), DATE_CAP_DAYS) / DATE_CAP_DAYS
     dh = np.abs(hour - now_hour)
@@ -42,29 +40,51 @@ def situation_similarity_arrays(
     return 1.0 - (d_date + d_hour + d_dow + mismatch) / 4.0
 
 
-def pearson(x: Sequence[float], y: Sequence[float]) -> float | None:
-    """Sample Pearson correlation; ``None`` when either sequence is constant.
+def segment_pearson(x, y, lengths) -> np.ndarray:
+    """Sample Pearson correlation of each segment of ``x`` against ``y``.
 
-    Raises ``ValueError`` on length mismatch or fewer than two points.
+    ``x`` and ``y`` are the segments laid end to end, ``lengths`` their sizes
+    (CSR form).  Returns one value per segment, NaN where it is undefined:
+    either side constant, or a variance that is not positive.  Values are
+    clipped to [-1, 1].  Raises ``ValueError`` on mismatched lengths or a
+    segment of fewer than two points.
+
+    Segments of one length are gathered into one ``[S, n]`` block, so each
+    value has the bits a 1-d computation of that segment alone has: the row
+    means reduce like ``ndarray.mean`` of the segment, and the three dot
+    products are ``(1 x n) @ (n x 1)`` matmuls, the same BLAS dot as
+    ``xc @ xc``.  (``np.add.reduceat`` and ``np.einsum`` sum in other orders.)
     """
     xa = np.asarray(x, dtype=np.float64)
     ya = np.asarray(y, dtype=np.float64)
-    if xa.shape != ya.shape or xa.ndim != 1:
-        raise ValueError("pearson needs two equal-length 1-d sequences")
-    if len(xa) < 2:
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if (xa.shape != ya.shape or xa.ndim != 1 or lengths.ndim != 1
+            or int(lengths.sum()) != len(xa)):
+        raise ValueError("pearson needs equal-length 1-d sequences split by lengths")
+    if (lengths < 2).any():
         raise ValueError("pearson needs at least two points")
-    # exact constant check: rounding in the mean must not turn an undefined
-    # correlation into a spurious finite one
-    if bool((xa == xa[0]).all()) or bool((ya == ya[0]).all()):
-        return None
-    xc = xa - xa.mean()
-    yc = ya - ya.mean()
-    vx = float(xc @ xc)
-    vy = float(yc @ yc)
-    if vx <= 0.0 or vy <= 0.0:
-        return None
-    r = float(xc @ yc) / math.sqrt(vx * vy)
-    return min(1.0, max(-1.0, r))
+    out = np.full(len(lengths), np.nan)
+    starts = np.cumsum(lengths) - lengths
+    by_length = np.argsort(lengths, kind="stable")
+    sizes, firsts = np.unique(lengths[by_length], return_index=True)
+    for n, rows in zip(sizes.tolist(), np.split(by_length, firsts[1:])):
+        idx = starts[rows, None] + np.arange(n)
+        xs, ys = xa[idx], ya[idx]
+        # exact constant check: rounding in the mean must not turn an
+        # undefined correlation into a spurious finite one
+        varies = (xs != xs[:, :1]).any(axis=1) & (ys != ys[:, :1]).any(axis=1)
+        xc = xs - xs.mean(axis=1, keepdims=True)
+        yc = ys - ys.mean(axis=1, keepdims=True)
+        vx, vy, cxy = (_row_dots(a, b) for a, b in ((xc, xc), (yc, yc), (xc, yc)))
+        ok = varies & (vx > 0.0) & (vy > 0.0)
+        r = np.divide(cxy, np.sqrt(vx * vy), out=np.full(len(rows), np.nan), where=ok)
+        out[rows] = np.clip(r, -1.0, 1.0)
+    return out
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a[i] @ b[i]`` for every row, each one BLAS dot of the row pair."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
 def _histories_before(

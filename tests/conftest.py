@@ -45,7 +45,7 @@ def small_split():
 
 @pytest.fixture(scope="session")
 def small_data(small_split):
-    return features.prepare(small_split)
+    return features.Dataset(small_split)
 
 
 @pytest.fixture(scope="session")
@@ -76,7 +76,7 @@ def tiny_split():
 
 @pytest.fixture(scope="session")
 def tiny_data(tiny_split):
-    return features.prepare(tiny_split)
+    return features.Dataset(tiny_split)
 
 
 def rng(seed=0):

@@ -19,7 +19,10 @@ import numpy as np
 
 from fdrec import diffcore as dc
 from fdrec import features, situsim
-from fdrec.dataio import InteractionLog, StoreMeta, time_facets
+from fdrec.analysis import (MIN_EVENTS, InfluenceRecord, _store_attr_codes,
+                            _store_similarity_arrays)
+from fdrec.dataio import (SECONDS_PER_WEEK, InteractionLog, StoreMeta, label_repeat_flags,
+                          time_facets)
 from fdrec.ensemble import _item_weights_np
 from fdrec.exprec import TRIGGERS, _check_mask
 from fdrec.situsim import DATE_CAP_DAYS, _histories_before
@@ -264,6 +267,122 @@ def neighbor_weights(sims: np.ndarray, valid: np.ndarray) -> np.ndarray:
     if n == 0:
         return np.zeros_like(w)
     return valid.astype(np.float64) / n
+
+
+# ---------------------------------------------------------------- influence analyses
+
+
+def pearson(x: Sequence[float], y: Sequence[float]) -> float | None:
+    """Sample Pearson correlation; ``None`` when either sequence is constant.
+
+    Raises ``ValueError`` on length mismatch or fewer than two points.
+    """
+    xa = np.asarray(x, dtype=np.float64)
+    ya = np.asarray(y, dtype=np.float64)
+    if xa.shape != ya.shape or xa.ndim != 1:
+        raise ValueError("pearson needs two equal-length 1-d sequences")
+    if len(xa) < 2:
+        raise ValueError("pearson needs at least two points")
+    # exact constant check: rounding in the mean must not turn an undefined
+    # correlation into a spurious finite one
+    if bool((xa == xa[0]).all()) or bool((ya == ya[0]).all()):
+        return None
+    xc = xa - xa.mean()
+    yc = ya - ya.mean()
+    vx = float(xc @ xc)
+    vy = float(yc @ yc)
+    if vx <= 0.0 or vy <= 0.0:
+        return None
+    r = float(xc @ yc) / math.sqrt(vx * vy)
+    return min(1.0, max(-1.0, r))
+
+
+def historical_influence_loop(
+    log: InteractionLog, min_history: int = MIN_EVENTS
+) -> list[InfluenceRecord]:
+    """Correlation between situation and store similarity over own history.
+
+    For each interaction with at least ``min_history`` earlier interactions,
+    correlate the situation similarity of "now" against each past interaction
+    with the store similarity of the now-store against each past store.
+    """
+    flags = label_repeat_flags(log)
+    brand, cuisine, sloc = _store_attr_codes(log)
+    day, hour, dow = log.facets
+    records: list[InfluenceRecord] = []
+    for positions in log.per_user.values():
+        for j in range(min_history, len(positions)):
+            p = int(positions[j])
+            prior = positions[:j]
+            sim_situ = situsim.situation_similarity_arrays(
+                day[prior], hour[prior], dow[prior],
+                log.locs[prior] == log.locs[p],
+                int(day[p]), int(hour[p]), int(dow[p]),
+            )
+            sim_store = _store_similarity_arrays(
+                brand, cuisine, sloc, log.stores[prior], int(log.stores[p])
+            )
+            value = pearson(sim_situ, sim_store)
+            kind = "repeat" if flags[p] else "exploration"
+            records.append(InfluenceRecord(p, kind, value))
+    records.sort(key=lambda r: r.position)
+    return records
+
+
+def collaborative_influence_loop(
+    log: InteractionLog,
+    k: int = 10,
+    t_delta_s: int = SECONDS_PER_WEEK,
+    min_events: int = MIN_EVENTS,
+) -> list[InfluenceRecord]:
+    """Correlation between situation and store similarity over neighbors'
+    recent interactions.
+
+    Neighbors are the top-``k`` preference-correlated users over the full log;
+    for each interaction, their interactions inside the open window
+    ``(t - t_delta_s, t)`` form the comparison set.  Interactions with fewer
+    than ``min_events`` comparison events are skipped.
+    """
+    flags = label_repeat_flags(log)
+    brand, cuisine, sloc = _store_attr_codes(log)
+    day, hour, dow = log.facets
+    as_of = int(log.times[-1]) + 1 if len(log) else 1
+    neighbors, _ = situsim.neighbor_table(log, k, as_of)
+    per_user = log.per_user
+    user_times = {c: log.times[pos] for c, pos in per_user.items()}
+
+    records: list[InfluenceRecord] = []
+    for u, positions in per_user.items():
+        nb_codes = [c for c in neighbors[u].tolist() if c >= 0]
+        nb_pos = [per_user.get(c, np.empty(0, dtype=np.int64)) for c in nb_codes]
+        nb_times = [user_times.get(c, np.empty(0, dtype=np.int64)) for c in nb_codes]
+        for p in positions:
+            p = int(p)
+            t = int(log.times[p])
+            parts = []
+            for pos_v, times_v in zip(nb_pos, nb_times):
+                lo = int(np.searchsorted(times_v, t - t_delta_s, side="right"))
+                hi = int(np.searchsorted(times_v, t, side="left"))
+                if hi > lo:
+                    parts.append(pos_v[lo:hi])
+            if not parts:
+                continue
+            events = np.concatenate(parts)
+            if len(events) < min_events:
+                continue
+            sim_situ = situsim.situation_similarity_arrays(
+                day[events], hour[events], dow[events],
+                log.locs[events] == log.locs[p],
+                int(day[p]), int(hour[p]), int(dow[p]),
+            )
+            sim_store = _store_similarity_arrays(
+                brand, cuisine, sloc, log.stores[events], int(log.stores[p])
+            )
+            value = pearson(sim_situ, sim_store)
+            kind = "repeat" if flags[p] else "exploration"
+            records.append(InfluenceRecord(p, kind, value))
+    records.sort(key=lambda r: r.position)
+    return records
 
 
 # ---------------------------------------------------------------- HisPop, SOnly

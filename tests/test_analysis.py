@@ -2,7 +2,10 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from fdrec import analysis, dataio
 from conftest import make_log
 
@@ -99,6 +102,94 @@ def test_collaborative_influence_windows_and_min_events():
     assert all(r.kind in ("repeat", "exploration") for r in records)
     positions = [r.position for r in records]
     assert positions == sorted(positions)
+
+
+@pytest.mark.parametrize("study, name, value", [
+    (analysis.historical_influence, "min_history", 0),
+    (analysis.historical_influence, "min_history", 1),
+    (analysis.collaborative_influence, "min_events", 0),
+    (analysis.collaborative_influence, "min_events", 1),
+])
+def test_influence_minimums_below_two_are_rejected(study, name, value):
+    log = make_coupled_log(sc=0.5, cc=0.5, seed=1, n_users=10)
+    with pytest.raises(ValueError, match=f"^{name} must be at least 2"):
+        study(log, **{name: value})
+
+
+def assert_same_records(got, want):
+    """Same positions, kinds and value bits, ``None`` where undefined."""
+    assert [(r.position, r.kind) for r in got] == [(r.position, r.kind) for r in want]
+    for g, w in zip(got, want):
+        if w.value is None:
+            assert g.value is None, g
+        else:
+            assert type(g.value) is float, g
+            assert np.float64(g.value).tobytes() == np.float64(w.value).tobytes(), g
+
+
+@st.composite
+def tie_heavy_logs(draw):
+    """1-3 users and 1-4 stores on a coarse time grid, so that equal times,
+    events exactly at ``t - t_delta_s`` and at ``t``, constant similarity
+    runs and empty neighbour windows are all common; plus ``t_delta_s``, -1
+    to 6 grid steps (no window at all up to 0)."""
+    unit = draw(st.sampled_from([3600, 6 * 3600, DAY]))
+    n_stores = draw(st.integers(1, 4))
+    records = draw(st.lists(
+        st.tuples(st.sampled_from(["u1", "u2", "u3"]),
+                  st.integers(0, n_stores - 1), st.integers(0, 10),
+                  st.sampled_from(["l1", "l2"])),
+        min_size=1, max_size=48,
+    ))
+    attrs = draw(st.lists(st.tuples(*[st.sampled_from("ab")] * 3),
+                          min_size=n_stores, max_size=n_stores))
+    catalog = {f"s{i}": dataio.StoreMeta(f"s{i}", *a) for i, a in enumerate(attrs)}
+    log = make_log([(u, f"s{s}", unit * t, loc) for u, s, t, loc in records], catalog)
+    return log, unit * draw(st.integers(-1, 6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sample=tie_heavy_logs(), k=st.integers(1, 3), minimum=st.integers(2, 5))
+def test_influence_matches_the_loops_on_tie_heavy_logs(sample, k, minimum):
+    log, t_delta_s = sample
+    assert_same_records(analysis.historical_influence(log, min_history=minimum),
+                        oracles.historical_influence_loop(log, min_history=minimum))
+    assert_same_records(
+        analysis.collaborative_influence(log, k=k, t_delta_s=t_delta_s, min_events=minimum),
+        oracles.collaborative_influence_loop(log, k=k, t_delta_s=t_delta_s,
+                                             min_events=minimum))
+
+
+def test_influence_matches_the_loops_on_dense_random_logs():
+    """Denser than hypothesis draws: most of these logs have defined values."""
+    gen = np.random.default_rng(3)
+    defined = 0
+    for _ in range(200):
+        n_users, n_stores = gen.integers(2, 6), gen.integers(1, 5)
+        unit = int(gen.choice([3600, 6 * 3600, DAY]))
+        records = [(f"u{gen.integers(n_users)}", f"s{gen.integers(n_stores)}",
+                    unit * int(gen.integers(0, 12)), f"l{gen.integers(2)}")
+                   for _ in range(gen.integers(10, 60))]
+        log = make_log(records)
+        k, minimum = int(gen.integers(1, 4)), int(gen.integers(2, 6))
+        t_delta_s = unit * int(gen.integers(1, 7))
+        got = analysis.collaborative_influence(log, k, t_delta_s, minimum)
+        assert_same_records(got, oracles.collaborative_influence_loop(log, k, t_delta_s, minimum))
+        assert_same_records(analysis.historical_influence(log, minimum),
+                            oracles.historical_influence_loop(log, minimum))
+        defined += sum(r.value is not None for r in got)
+    assert defined > 1000
+
+
+@pytest.mark.parametrize("pair_block", [analysis.PAIR_BLOCK, 1, 7, 1000])
+def test_influence_matches_the_loops_on_a_coupled_log(monkeypatch, pair_block):
+    """Blocks of any size give the records of one pass."""
+    monkeypatch.setattr(analysis, "PAIR_BLOCK", pair_block)
+    log = make_coupled_log(sc=0.6, cc=0.6, seed=5, n_users=40)
+    assert_same_records(analysis.historical_influence(log),
+                        oracles.historical_influence_loop(log))
+    assert_same_records(analysis.collaborative_influence(log, k=4),
+                        oracles.collaborative_influence_loop(log, k=4))
 
 
 def test_influence_means_counts_undefined():

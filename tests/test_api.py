@@ -23,7 +23,8 @@ ORACLES = (
     "sonly_score", "ScoredSlate", "rank_metrics", "RankResult",
     "situation_similarity", "store_similarity", "preference_vector",
     "_union_pearson", "collaborative_users", "Interaction", "SituationFeatures",
-    "top_neighbors_loop", "neighbor_weights",
+    "top_neighbors_loop", "neighbor_weights", "pearson", "historical_influence_loop",
+    "collaborative_influence_loop",
 )
 
 

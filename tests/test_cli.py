@@ -294,6 +294,22 @@ def test_ingest_rewrites_identical_data(pipeline):
         assert fh.read() == before
 
 
+def test_ingest_reads_each_tsv_once(pipeline, tmp_path, monkeypatch):
+    """What is fingerprinted must be what was parsed: one read of each file."""
+    cfg = copy_run(pipeline, tmp_path)
+    tsvs = [str(tmp_path / "data" / name) for name in ("interactions.tsv", "stores.tsv")]
+    opened = []
+    real_open = open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    assert cli.main(["ingest", "--config", cfg]) == 0
+    assert [opened.count(path) for path in tsvs] == [1, 1]
+
+
 def assert_same_fields(got, want, names):
     for name in names:
         a, b = getattr(got, name), getattr(want, name)
@@ -308,7 +324,7 @@ def test_ingested_data_is_the_parsed_data(pipeline):
     cfg_path, run_dir = pipeline
     cfg = load_config(cfg_path)
     got = features.load(os.path.join(run_dir, cli.DATA_FILE))
-    want = features.prepare(cli._load_split(cfg), cli._data_fingerprint(cfg))
+    want = features.Dataset(*cli._load_split(cfg))
     assert got.fingerprint == want.fingerprint
     log_fields = [name for name in vars(want.split.log) if not name.startswith("_")]
     assert_same_fields(got.split.log, want.split.log, log_fields)

@@ -102,7 +102,7 @@ def test_window_rows_right_aligned_with_mask():
 
 
 def test_prepared_neighbors_are_memoized_neighbor_arrays(small_split):
-    data = features.prepare(small_split)
+    data = features.Dataset(small_split)
     as_of = small_split.valid_boundary
     first = data.neighbors(4, as_of)
     want = exprec.neighbor_arrays(small_split.log, 4, as_of)

@@ -88,22 +88,33 @@ def test_store_similarity_attribute_counting():
 # pearson
 
 
+def pearson_one(x, y):
+    """``x`` against ``y`` as one segment of :func:`situsim.segment_pearson`;
+    NaN reads as undefined."""
+    r = situsim.segment_pearson(x, y, [len(x)])[0]
+    return None if np.isnan(r) else float(r)
+
+
 def test_pearson_reference_values():
-    assert situsim.pearson([1, 2, 3], [1, 2, 3]) == pytest.approx(1.0, abs=1e-12)
-    assert situsim.pearson([1, 2, 3], [3, 2, 1]) == pytest.approx(-1.0, abs=1e-12)
-    assert situsim.pearson([1, 2, 3, 4], [1, 3, 2, 4]) == pytest.approx(0.8, abs=1e-12)
+    assert pearson_one([1, 2, 3], [1, 2, 3]) == pytest.approx(1.0, abs=1e-12)
+    assert pearson_one([1, 2, 3], [3, 2, 1]) == pytest.approx(-1.0, abs=1e-12)
+    assert pearson_one([1, 2, 3, 4], [1, 3, 2, 4]) == pytest.approx(0.8, abs=1e-12)
 
 
 def test_pearson_undefined_for_constant_sequences():
-    assert situsim.pearson([1, 1, 1], [1, 2, 3]) is None
-    assert situsim.pearson([1, 2, 3], [5, 5, 5]) is None
+    assert pearson_one([1, 1, 1], [1, 2, 3]) is None
+    assert pearson_one([1, 2, 3], [5, 5, 5]) is None
 
 
 def test_pearson_rejects_bad_lengths():
     with pytest.raises(ValueError):
-        situsim.pearson([1, 2], [1, 2, 3])
+        pearson_one([1, 2], [1, 2, 3])
     with pytest.raises(ValueError):
-        situsim.pearson([1], [2])
+        pearson_one([1], [2])
+    with pytest.raises(ValueError):
+        situsim.segment_pearson([1, 2, 3, 4], [1, 2, 3, 4], [2, 1])
+    with pytest.raises(ValueError):
+        situsim.segment_pearson([1, 2, 3, 4, 5], [1, 2, 3, 4, 5], [2, 2])
 
 
 @settings(max_examples=100, deadline=None)
@@ -114,13 +125,32 @@ def test_pearson_rejects_bad_lengths():
 )
 def test_pearson_positive_affine_invariance(xs, a, b):
     ys = list(np.linspace(-1.0, 1.0, len(xs)))
-    r = situsim.pearson([float(x) for x in xs], ys)
-    r_scaled = situsim.pearson([a * x + b for x in xs], ys)
+    r = pearson_one([float(x) for x in xs], ys)
+    r_scaled = pearson_one([a * x + b for x in xs], ys)
     if r is None:
         assert r_scaled is None
     else:
         assert abs(r - r_scaled) <= 1e-9
         assert -1.0 - 1e-12 <= r <= 1.0 + 1e-12
+
+
+def test_segment_pearson_equals_the_scalar_pearson_bit_for_bit():
+    """Every length from 2 to 300, shuffled, some segments constant, values on
+    the coarse grids similarities take and continuous ones."""
+    gen = np.random.default_rng(0)
+    lengths = gen.permutation(np.repeat(np.arange(2, 301), 3))
+    total = int(lengths.sum())
+    x = np.where(gen.random(total) < 0.5, gen.integers(0, 13, total) / 12.0, gen.random(total))
+    y = gen.integers(0, 4, total) / 3.0
+    starts = np.cumsum(lengths) - lengths
+    for i in range(0, len(lengths), 20):  # constant runs on either side
+        (x if i % 40 else y)[starts[i]:starts[i] + lengths[i]] = (0.1, 1 / 3)[i % 60 == 0]
+    want = [oracles.pearson(x[a:a + n], y[a:a + n]) for a, n in zip(starts, lengths)]
+    assert any(w is None for w in want)
+    got = situsim.segment_pearson(x, y, lengths)
+    want = np.array([np.nan if w is None else w for w in want])
+    assert_array_equal(got, want)
+    assert got.tobytes() == want.tobytes()  # zero signs too
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +198,7 @@ def brute_force_neighbors(target, log, k, as_of):
             continue
         fa = [hist[target].count(s) / len(hist[target]) for s in union]
         fb = [stores.count(s) / len(stores) for s in union]
-        r = situsim.pearson(fa, fb)
+        r = oracles.pearson(fa, fb)
         out.append((other, 0.0 if r is None else min(1.0, max(-1.0, r))))
     out.sort(key=lambda t: (-t[1], t[0]))
     return out[:k]
