@@ -310,6 +310,17 @@ def test_ingest_reads_each_tsv_once(pipeline, tmp_path, monkeypatch):
     assert [opened.count(path) for path in tsvs] == [1, 1]
 
 
+def test_analyze_builds_no_vocabularies_or_sequences(pipeline, tmp_path, monkeypatch):
+    cfg = copy_run(pipeline, tmp_path)
+
+    def unused(*args):
+        raise AssertionError("the analyses read only the split")
+
+    monkeypatch.setattr(features, "build_vocabs", unused)
+    monkeypatch.setattr(features, "build_sequences", unused)
+    assert cli.main(["analyze", "--config", cfg]) == 0
+
+
 def assert_same_fields(got, want, names):
     for name in names:
         a, b = getattr(got, name), getattr(want, name)
