@@ -3,9 +3,11 @@
 HisPop scores each previously visited store by the summed situation similarity
 of its past orders to the current situation; it cannot score unvisited stores.
 The situation-only model (SOnly) learns store embeddings against a situation
-vector (hour + weekday + location embeddings) with a pairwise ranking loss and
-scores any store, visited or not.  Both score a whole case set of integer
-store codes at once.
+vector (hour + weekday + location embeddings) and scores any store, visited
+or not.  Its query forward is :func:`sonly_query`; it trains through
+:func:`fdrec.training.fit_pairs` and scores through
+:func:`fdrec.evalharness.dot_scores`, like RepRec and ExpRec.  Both models
+score a whole case set of integer store codes at once.
 """
 
 from __future__ import annotations
@@ -14,13 +16,13 @@ import numpy as np
 
 from . import diffcore as dc
 from . import evalharness, features, situsim
-from .training import TrainResult, TrainSettings, run_training
+from .training import TrainResult, TrainSettings, fit_pairs
 
 __all__ = [
     "hispop_scores",
     "sonly_build",
+    "sonly_query",
     "sonly_train",
-    "sonly_scores",
 ]
 
 
@@ -69,10 +71,22 @@ def sonly_build(data: features.Dataset, dim: int = 64, seed: int = 0) -> dc.Mode
     return state
 
 
-def _situations(state: dc.ModelState, seqs: features.UserSequences,
+def sonly_query(state: dc.ModelState, data: features.Dataset,
                 rows: np.ndarray) -> dc.Var:
-    """SOnly's query: the embedded situation [B, D] of each row."""
+    """SOnly's query: the embedded situation [B, D] of each flat row."""
+    seqs = data.seqs
     return features.situation(state, seqs.hour[rows], seqs.dow[rows], seqs.loc[rows])
+
+
+def _uniform_negatives(data: features.Dataset, rows: np.ndarray,
+                       rng: np.random.Generator) -> np.ndarray:
+    """One store code per row, uniform over the catalog except the row's store."""
+    pos = data.seqs.store[rows]
+    n_stores = len(data.vocabs.store_ids)
+    if n_stores == 1:
+        return pos
+    neg = rng.integers(0, n_stores - 1, size=len(rows))
+    return neg + (neg >= pos)
 
 
 def sonly_train(
@@ -85,41 +99,8 @@ def sonly_train(
     Negatives are uniform over the catalog (excluding the target).  Early
     stopping tracks HR@3 on validation exploration cases.
     """
-    seqs = data.seqs
     state = sonly_build(data, dim=dim, seed=settings.seed)
-
-    rows = seqs.flat_of_global[data.split.train_idx]
-    pos = seqs.store[rows]
-    n_stores = len(data.vocabs.store_ids)
-
-    def batch_loss(st: dc.ModelState, chunk: np.ndarray, rng: np.random.Generator):
-        b_pos = pos[chunk]
-        if n_stores > 1:
-            neg = rng.integers(0, n_stores - 1, size=len(chunk))
-            neg = neg + (neg >= b_pos)
-        else:
-            neg = b_pos
-        situ = _situations(st, seqs, rows[chunk])
-        pos_e = dc.gather_rows(st.leaf("emb.store"), b_pos)
-        neg_e = dc.gather_rows(st.leaf("emb.store"), neg)
-        s_pos = dc.sum_(dc.mul(situ, pos_e), axis=-1)
-        s_neg = dc.sum_(dc.mul(situ, neg_e), axis=-1)
-        return dc.mean_(dc.bpr_loss(s_pos, s_neg))
-
-    val_metric = evalharness.validation_metric(
-        data, "exploration", settings, "sonly",
-        lambda cases: lambda st: sonly_scores(st, data, cases),
-    )
-    result = run_training(
-        state, len(rows), batch_loss, val_metric, settings, stream=101
-    )
+    rows = data.seqs.flat_of_global[data.split.train_idx]
+    result = fit_pairs(state, data, rows, sonly_query, _uniform_negatives,
+                       "exploration", settings, stream=101)
     return state, result
-
-
-def sonly_scores(state: dc.ModelState, data: features.Dataset, cases) -> np.ndarray:
-    """[N, C] scores for ``cases``; works for every protocol."""
-    seqs = data.seqs
-    situ = features.query_rows(
-        lambda chunk: _situations(state, seqs, chunk), seqs.flat_of_global[cases.position]
-    )
-    return evalharness.dot_scores(cases, situ, state.value("emb.store"))

@@ -332,9 +332,10 @@ def _make_scorer(run_dir: str, model: str, data: features.Dataset):
         return (lambda cases: baselines.hispop_scores(data, cases)), 0
     if model in ("sonly", "reprec", "exprec"):
         state = _load_checkpoint(run_dir, model, data)
-        scores = {"sonly": baselines.sonly_scores, "reprec": reprec.reprec_scores,
-                  "exprec": exprec.exprec_scores}[model]
-        return (lambda cases: scores(state, data, cases)), state.param_count()
+        query = {"sonly": baselines.sonly_query, "reprec": reprec.reprec_query,
+                 "exprec": exprec.exprec_query}[model]
+        return ((lambda cases: evalharness.dot_scores(state, data, cases, query)),
+                state.param_count())
     ens = _load_checkpoint(run_dir, "ensemble", data)
     rep = _load_checkpoint(run_dir, "reprec", data)
     exp = _load_checkpoint(run_dir, "exprec", data)

@@ -45,35 +45,6 @@ class Var:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    # Operator sugar; constants are accepted on either side.
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __getitem__(self, key):
-        return getitem(self, key)
-
 
 def _as_var(x) -> Var:
     return x if isinstance(x, Var) else Var(x)
@@ -146,14 +117,6 @@ def matmul(a, b) -> Var:
         return _unbroadcast(ga, a.data.shape), _unbroadcast(gb, b.data.shape)
 
     return Var(a.data @ b.data, (a, b), vjp)
-
-
-def dot(a, b) -> Var:
-    """Inner product of two 1-d vectors."""
-    a, b = _as_var(a), _as_var(b)
-    if a.data.ndim != 1 or b.data.ndim != 1:
-        raise ValueError("dot expects 1-d vectors")
-    return Var(a.data @ b.data, (a, b), lambda g: (g * b.data, g * a.data))
 
 
 def transpose_last2(a: Var) -> Var:
@@ -231,17 +194,6 @@ def mean_(a: Var, axis=None, keepdims: bool = False) -> Var:
     a = _as_var(a)
     n = a.data.size if axis is None else a.data.shape[axis]
     return mul(sum_(a, axis=axis, keepdims=keepdims), 1.0 / n)
-
-
-def exp(a: Var) -> Var:
-    a = _as_var(a)
-    out = np.exp(a.data)
-    return Var(out, (a,), lambda g: (g * out,))
-
-
-def log(a: Var) -> Var:
-    a = _as_var(a)
-    return Var(np.log(a.data), (a,), lambda g: (g / a.data,))
 
 
 def sqrt(a: Var) -> Var:

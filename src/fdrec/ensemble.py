@@ -22,7 +22,7 @@ import numpy as np
 
 from . import diffcore as dc
 from . import evalharness, exprec, features, reprec
-from .training import TrainResult, TrainSettings, run_training
+from .training import TrainResult, TrainSettings, run_training, validation_metric
 
 __all__ = [
     "ensemble_build",
@@ -91,11 +91,12 @@ def _intent_logits(state: dc.ModelState, seqs: features.UserSequences,
     return dc.dense(state.leaf("intent.w"), state.leaf("intent.b"), feats)
 
 
-def _intent_probs(state: dc.ModelState, seqs: features.UserSequences,
+def _intent_probs(state: dc.ModelState, data: features.Dataset,
                   rows: np.ndarray) -> np.ndarray:
     """(repeat_prob, explore_prob) [N,2] for the interactions at ``rows``."""
     return features.query_rows(
-        lambda chunk: dc.softmax(_intent_logits(state, seqs, chunk)), rows
+        state, data, rows,
+        lambda st, d, chunk: dc.softmax(_intent_logits(st, d.seqs, chunk)),
     )
 
 
@@ -201,8 +202,8 @@ def _frozen_bases(rep_state, exp_state, data: features.Dataset, rows):
     """``bases(i, codes, a)``: normalized frozen base scores of store
     ``codes`` for the ``i``-th of ``rows``; RepRec scores the first ``a``,
     ExpRec the rest.  Both models' queries come from one chunked forward."""
-    rep_q = reprec.reprec_queries(rep_state, data, rows)
-    exp_q = exprec.exprec_queries(exp_state, data, rows)
+    rep_q = features.query_rows(rep_state, data, rows, reprec.reprec_query)
+    exp_q = features.query_rows(exp_state, data, rows, exprec.exprec_query)
     rep_store, exp_store = rep_state.value("emb.store"), exp_state.value("emb.store")
 
     def bases(i: int, codes: np.ndarray, a: int) -> np.ndarray:
@@ -235,7 +236,9 @@ def _build_training_slates(
 
         if is_rep:
             others = priors[priors != tc]
-            keep = others[-(rep_cap - 1):] if len(others) > rep_cap - 1 else others
+            # the target plus the rep_cap - 1 latest others; others[-0:]
+            # would keep them all when rep_cap is 1
+            keep = others[max(len(others) - (rep_cap - 1), 0):]
             rep_part = np.concatenate([[tc], keep]).astype(np.int64)
         else:
             rep_part = (priors[-rep_cap:] if d > rep_cap else priors).astype(np.int64)
@@ -334,7 +337,7 @@ def ensemble_train(
     val_rows = valid_rows[: min(len(valid_rows), 5000)]
 
     def intent_val(st) -> float:
-        probs = _intent_probs(st, seqs, val_rows)
+        probs = _intent_probs(st, data, val_rows)
         y = seqs.repeat[val_rows]
         p_true = np.where(y, probs[:, 0], probs[:, 1])
         return float(np.log(np.clip(p_true, 1e-12, None)).mean())
@@ -357,9 +360,9 @@ def ensemble_train(
 
     def scores_for(cases):
         bases = _case_bases(frozen_reprec, frozen_exprec, data, cases)
-        return lambda st: _weighted_scores(st, seqs, cases, bases)
+        return lambda st: _weighted_scores(st, data, cases, bases)
 
-    combined_val = evalharness.validation_metric(
+    combined_val = validation_metric(
         data, "combined", settings, "ensemble", scores_for,
     )
 
@@ -381,10 +384,11 @@ def _case_bases(rep_state, exp_state, data: features.Dataset, cases):
     return _frozen_bases(rep_state, exp_state, data, rows)
 
 
-def _weighted_scores(state: dc.ModelState, seqs, cases, bases) -> np.ndarray:
+def _weighted_scores(state: dc.ModelState, data: features.Dataset, cases,
+                     bases) -> np.ndarray:
     """[N, C] scores weighting each case's base slate by the intent-queried
     attention."""
-    probs = _intent_probs(state, seqs, seqs.flat_of_global[cases.position])
+    probs = _intent_probs(state, data, data.seqs.flat_of_global[cases.position])
     values = {name: state.value(name) for name in state.params}
 
     def row_scores(i: int, codes: np.ndarray, a: int) -> np.ndarray:
@@ -400,7 +404,7 @@ def ensemble_scores(state: dc.ModelState, rep_state: dc.ModelState,
                     cases) -> np.ndarray:
     """[N, C] combined-protocol scores for ``cases`` from the full weighting
     pipeline."""
-    return _weighted_scores(state, data.seqs, cases,
+    return _weighted_scores(state, data, cases,
                             _case_bases(rep_state, exp_state, data, cases))
 
 

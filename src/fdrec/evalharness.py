@@ -13,10 +13,12 @@ Three protocols per test interaction:
 interaction, regardless of partition boundaries.  Candidate sampling is
 deterministic: each case's generator is derived from (seed, log position), and
 only the cases ``max_cases`` keeps are sampled.  A protocol's cases form one
-:class:`CaseSet` of store codes.  Each model's ``<model>_scores(state, data,
-cases)`` returns the set's [N, C] score array, row ``i`` for case ``i``, and
-:func:`evaluate` ranks it at once.  Ranking is pessimistic: the target ranks
-below every candidate it ties with.
+:class:`CaseSet` of store codes.  A scorer maps the set to its [N, C] score
+array, row ``i`` for case ``i``, and :func:`evaluate` ranks it at once.
+SOnly, RepRec and ExpRec all score through :func:`dot_scores` with their
+``<model>_query``; HisPop and the ensemble score each row through
+:func:`score_rows`.  Ranking is pessimistic: the target ranks below every
+candidate it ties with.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import numpy as np
 
 from . import features
 from .dataio import DatasetSplit
-from .training import TrainSettings
+from .diffcore import ModelState
 
 PROTOCOLS = ("repeat", "exploration", "combined")
 MAX_CANDIDATES = 1000
@@ -183,33 +185,6 @@ def validation_cases(
                        max_cases=max_cases, seqs=seqs, vocabs=vocabs)
 
 
-def validation_metric(
-    data: features.Dataset,
-    protocol: str,
-    settings: TrainSettings,
-    model_id: str,
-    scores_for: Callable[[CaseSet], Callable],
-) -> Callable:
-    """A trainer's ``val_metric``: HR@3 over ``protocol``'s validation cases,
-    drawn with ``settings.seed`` and capped at ``settings.val_max_cases``.
-
-    ``scores_for(cases)`` runs once and returns ``state -> [N, C] scores``;
-    the metric scores the same cases after every epoch.
-    """
-    cases = validation_cases(data.split, protocol, settings.seed, settings.val_max_cases,
-                             data.seqs, data.vocabs)
-    if not cases:
-        raise ValueError(f"validation partition has no {protocol} cases")
-    scores_of = scores_for(cases)
-
-    def val_metric(state) -> float:
-        report = evaluate(lambda _: scores_of(state), cases, k=3, model_id=model_id,
-                          seed=settings.seed)
-        return report.protocols[protocol]["hr@3"]
-
-    return val_metric
-
-
 def score_rows(
     cases: CaseSet, row_scores: Callable[[int, np.ndarray, int], np.ndarray]
 ) -> np.ndarray:
@@ -227,9 +202,16 @@ def score_rows(
     return out
 
 
-def dot_scores(cases: CaseSet, queries: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """[N, C] scores: each case's candidates' rows of ``table`` dotted with
-    its row of ``queries``, which holds one row per case."""
+def dot_scores(state: ModelState, data: features.Dataset, cases: CaseSet,
+               query: features.Query) -> np.ndarray:
+    """[N, C] scores: each case's candidates' rows of ``state``'s store
+    embeddings dotted with ``query(state, data, rows)`` at the case's row.
+
+    The queries come from :func:`fdrec.features.query_rows`, in chunks.
+    """
+    queries = features.query_rows(state, data, data.seqs.flat_of_global[cases.position],
+                                  query)
+    table = state.value("emb.store")
     return score_rows(cases, lambda i, codes, a: table[codes] @ queries[i])
 
 

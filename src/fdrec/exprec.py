@@ -6,11 +6,12 @@ activation mix, and a similarity-weighted sum of neighbors' conditioned
 embeddings.  A softmax head over (situation ⊕ conditioned user) fuses the four
 into one vector that scores candidates by dot product.  Each trigger can be
 ablated; ablation removes its logit before the softmax so the remaining
-weights renormalize.  Training and scoring run the same batched forward,
-:func:`exprec_fused`, over integer history windows and frozen neighbor tables.
-The checkpoint alone says how to score: the ablation mask is its
-``meta["ablate"]`` and the neighbours are the stage data's
-``neighbors(meta["k_neighbors"], meta["neighbor_as_of"])``.
+weights renormalize.  The fusion is the model's query forward,
+:func:`exprec_query`, over integer history windows and frozen neighbor
+tables; it trains through :func:`fdrec.training.fit_pairs` and scores
+through :func:`fdrec.evalharness.dot_scores`.  The checkpoint alone says how
+to score: the ablation mask is its ``meta["ablate"]`` and the neighbours are
+the stage data's ``neighbors(meta["k_neighbors"], meta["neighbor_as_of"])``.
 """
 
 from __future__ import annotations
@@ -18,17 +19,14 @@ from __future__ import annotations
 import numpy as np
 
 from . import diffcore as dc
-from . import evalharness, features, situsim
-from .training import TrainResult, TrainSettings, run_training
+from . import features, situsim
+from .training import TrainResult, TrainSettings, fit_pairs
 
 __all__ = [
     "TRIGGERS",
     "exprec_build",
-    "exprec_fused",
-    "exprec_batch_loss",
-    "exprec_queries",
+    "exprec_query",
     "exprec_train",
-    "exprec_scores",
     "neighbor_arrays",
 ]
 
@@ -105,20 +103,20 @@ def _col(x: dc.Var, j: int) -> dc.Var:
     return dc.getitem(x, (slice(None), slice(j, j + 1)))
 
 
-def exprec_fused(
-    state: dc.ModelState,
-    win: features.Window,
-    neighbors: tuple[np.ndarray, np.ndarray],
-) -> dc.Var:
-    """Fused trigger vectors [B, D], the queries every ExpRec score dots with.
+def exprec_query(state: dc.ModelState, data: features.Dataset,
+                 rows: np.ndarray) -> dc.Var:
+    """Fused trigger vectors [B, D] of the interactions at flat ``rows``, the
+    queries every ExpRec score dots with.
 
-    ``neighbors`` are the frozen per-user tables from :func:`neighbor_arrays`.
-    The triggers set in ``state.meta["ablate"]`` get a -inf logit, so they get
-    exactly zero weight.
+    The neighbours are the frozen per-user tables from :func:`neighbor_arrays`
+    that ``state.meta`` names.  The triggers set in ``state.meta["ablate"]``
+    get a -inf logit, so they get exactly zero weight.
     """
-    mask = _check_mask(state.meta["ablate"])
+    meta = state.meta
+    mask = _check_mask(meta["ablate"])
+    win = features.gather_window(data.seqs, rows, int(meta["window"]))
     B = win.store.shape[0]
-    dim = int(state.meta["dim"])
+    dim = int(meta["dim"])
 
     e_mu = features.situation(state, win.now_hour, win.now_dow, win.now_loc)
 
@@ -135,7 +133,7 @@ def exprec_fused(
     for j, act in enumerate(_ACTIVATIONS_VAR):
         e_u = dc.add(e_u, dc.mul(_col(a, j), act(u_emb)))
 
-    nb_ids, nb_w = neighbors
+    nb_ids, nb_w = data.neighbors(meta["k_neighbors"], meta["neighbor_as_of"])
     nb_emb = dc.gather_rows(state.leaf("emb.user"), np.maximum(nb_ids[win.user], 0))
     cond_nb = dc.Var(np.zeros(nb_emb.data.shape))       # [B,K,D]
     for j, act in enumerate(_ACTIVATIONS_VAR):
@@ -156,36 +154,6 @@ def exprec_fused(
     return s_e
 
 
-def exprec_batch_loss(
-    state: dc.ModelState,
-    win: features.Window,
-    neighbors: tuple[np.ndarray, np.ndarray],
-    neg: np.ndarray,
-) -> dc.Var:
-    """Pairwise ranking loss; deterministic in its inputs for gradient checks."""
-    s_e = exprec_fused(state, win, neighbors)
-    pos_e = dc.gather_rows(state.leaf("emb.store"), win.target)
-    neg_e = dc.gather_rows(state.leaf("emb.store"), neg)
-    s_pos = dc.sum_(dc.mul(s_e, pos_e), axis=-1)
-    s_neg = dc.sum_(dc.mul(s_e, neg_e), axis=-1)
-    return dc.mean_(dc.bpr_loss(s_pos, s_neg))
-
-
-def exprec_queries(state: dc.ModelState, data: features.Dataset,
-                   rows: np.ndarray) -> np.ndarray:
-    """Fused vectors [N, D] for the interactions at flat ``rows``, in chunks,
-    with the neighbour table the checkpoint was trained with."""
-    meta = state.meta
-    neighbors = data.neighbors(meta["k_neighbors"], meta["neighbor_as_of"])
-    window = int(meta["window"])
-    return features.query_rows(
-        lambda chunk: exprec_fused(
-            state, features.gather_window(data.seqs, chunk, window), neighbors
-        ),
-        rows,
-    )
-
-
 def _visited_mask(seqs: features.UserSequences, rows: np.ndarray,
                   n_stores: int) -> np.ndarray:
     """Boolean [B,S]: stores each row's user visited before that row."""
@@ -200,17 +168,22 @@ def _visited_mask(seqs: features.UserSequences, rows: np.ndarray,
     return out
 
 
-def _sample_unvisited(rng, visited: np.ndarray, pos: np.ndarray) -> np.ndarray:
-    """One unvisited store code per row, never equal to the target."""
+def _unvisited_negatives(data: features.Dataset, rows: np.ndarray,
+                         rng: np.random.Generator) -> np.ndarray:
+    """One store code per row that the row's user had not visited before it,
+    never equal to the row's own store."""
+    seqs = data.seqs
+    pos = seqs.store[rows]
+    visited = _visited_mask(seqs, rows, len(data.vocabs.store_ids))
     B, S = visited.shape
     neg = rng.integers(0, S, size=B)
-    rows = np.arange(B)
-    bad = visited[rows, neg] | (neg == pos)
+    ar = np.arange(B)
+    bad = visited[ar, neg] | (neg == pos)
     for _ in range(64):
         if not bad.any():
             return neg
         neg[bad] = rng.integers(0, S, size=int(bad.sum()))
-        bad = visited[rows, neg] | (neg == pos)
+        bad = visited[ar, neg] | (neg == pos)
     for i in np.nonzero(bad)[0]:  # dense fallback for heavily visited users
         pool = np.nonzero(~visited[i])[0]
         pool = pool[pool != pos[i]]
@@ -242,26 +215,6 @@ def exprec_train(
     if len(rows) == 0:
         raise ValueError("no exploration training instances")
 
-    neighbors = data.neighbors(k_neighbors, split.valid_boundary)
-
-    def batch_loss(st: dc.ModelState, chunk: np.ndarray, rng: np.random.Generator):
-        batch_rows = rows[chunk]
-        win = features.gather_window(seqs, batch_rows, window)
-        visited = _visited_mask(seqs, batch_rows, n_stores)
-        neg = _sample_unvisited(rng, visited, win.target)
-        return exprec_batch_loss(st, win, neighbors, neg)
-
-    val_metric = evalharness.validation_metric(
-        data, "exploration", settings, "exprec",
-        lambda cases: lambda st: exprec_scores(st, data, cases),
-    )
-    result = run_training(
-        state, len(rows), batch_loss, val_metric, settings, stream=103
-    )
+    result = fit_pairs(state, data, rows, exprec_query, _unvisited_negatives,
+                       "exploration", settings, stream=103)
     return state, result
-
-
-def exprec_scores(state: dc.ModelState, data: features.Dataset, cases) -> np.ndarray:
-    """[N, C] exploration scores for ``cases``."""
-    queries = exprec_queries(state, data, data.seqs.flat_of_global[cases.position])
-    return evalharness.dot_scores(cases, queries, state.value("emb.store"))

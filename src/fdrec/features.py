@@ -12,7 +12,8 @@ locations by train-partition order with row 0 reserved as a fallback for
 values unseen during training.
 
 The models' forward passes share the history-window gatherer, the situation
-embedding and :func:`query_rows`, which runs a training forward for inference.
+embedding and :func:`query_rows`, which runs a model's query forward, the one
+its training loss uses, for inference.
 """
 
 from __future__ import annotations
@@ -309,10 +310,16 @@ def situation(state: dc.ModelState, hours, dows, locs) -> dc.Var:
     )
 
 
-def query_rows(forward: Callable[[np.ndarray], dc.Var], rows: np.ndarray) -> np.ndarray:
-    """``forward(chunk).data`` over ``rows``, in chunks of ``QUERY_CHUNK`` rows.
+# a model's query forward: flat sequence rows [B] -> query vectors [B, D]
+Query = Callable[[dc.ModelState, Dataset, np.ndarray], dc.Var]
 
-    ``forward`` maps flat rows [B] to per-row vectors [B, ...]; it is the
+
+def query_rows(state: dc.ModelState, data: Dataset, rows: np.ndarray,
+               query: Query) -> np.ndarray:
+    """``query(state, data, chunk).data`` over ``rows``, in chunks of
+    ``QUERY_CHUNK`` rows.
+
+    ``query`` maps flat rows [B] to per-row vectors [B, ...]; it is the
     same forward pass a model's training loss uses.  The last chunk is padded
     with row 0, so every pass has the same shape: BLAS rounding depends on
     matrix shapes, and a row's vector must not depend on its chunk mates.
@@ -320,6 +327,6 @@ def query_rows(forward: Callable[[np.ndarray], dc.Var], rows: np.ndarray) -> np.
     n = len(rows)
     padded = np.zeros(-(-max(n, 1) // QUERY_CHUNK) * QUERY_CHUNK, dtype=np.int64)
     padded[:n] = rows
-    parts = [forward(padded[i : i + QUERY_CHUNK]).data
+    parts = [query(state, data, padded[i : i + QUERY_CHUNK]).data
              for i in range(0, len(padded), QUERY_CHUNK)]
     return np.concatenate(parts)[:n]

@@ -4,9 +4,10 @@ Each past interaction is weighted by the cosine between its embedded situation
 (hour + weekday + location vectors) and the embedded current situation; the
 weighted sum of the visited stores' embeddings scores previously visited
 candidates by dot product.  Weights are raw cosines, not softmax-normalized,
-so they may be negative and the sum is unnormalized.  Training and scoring
-run the same batched forward, :func:`reprec_profiles`, over integer history
-windows.
+so they may be negative and the sum is unnormalized.  The profile is the
+model's query forward, :func:`reprec_query`, over integer history windows;
+it trains through :func:`fdrec.training.fit_pairs` and scores through
+:func:`fdrec.evalharness.dot_scores`.
 """
 
 from __future__ import annotations
@@ -14,16 +15,13 @@ from __future__ import annotations
 import numpy as np
 
 from . import diffcore as dc
-from . import evalharness, features
-from .training import TrainResult, TrainSettings, run_training
+from . import features
+from .training import TrainResult, TrainSettings, fit_pairs
 
 __all__ = [
     "reprec_build",
-    "reprec_profiles",
-    "reprec_batch_loss",
-    "reprec_queries",
+    "reprec_query",
     "reprec_train",
-    "reprec_scores",
 ]
 
 DEFAULT_WINDOW = 50
@@ -49,8 +47,11 @@ def reprec_build(data: features.Dataset, dim: int = 64, seed: int = 0,
     return state
 
 
-def reprec_profiles(state: dc.ModelState, win: features.Window) -> dc.Var:
-    """Situation-weighted history profiles [B, D]; differentiable end to end."""
+def reprec_query(state: dc.ModelState, data: features.Dataset,
+                 rows: np.ndarray) -> dc.Var:
+    """Situation-weighted history profiles [B, D] of the interactions at flat
+    ``rows``, over each one's trailing window; differentiable end to end."""
+    win = features.gather_window(data.seqs, rows, int(state.meta["window"]))
     B, L = win.store.shape
     mu = features.situation(state, win.hour, win.dow, win.loc)          # [B,L,D]
     mu_now = features.situation(state, win.now_hour, win.now_dow, win.now_loc)
@@ -65,31 +66,14 @@ def reprec_profiles(state: dc.ModelState, win: features.Window) -> dc.Var:
     return dc.sum_(dc.mul(dc.reshape(w, (B, L, 1)), hist_emb), axis=1)
 
 
-def reprec_batch_loss(state: dc.ModelState, win: features.Window,
-                      neg: np.ndarray) -> dc.Var:
-    """Pairwise ranking loss over one batch; differentiable end to end.
-
-    ``neg`` holds one negative store code per instance.  Deterministic given
-    its inputs, so it doubles as the target of gradient checks.
-    """
-    profile = reprec_profiles(state, win)
-    pos_e = dc.gather_rows(state.leaf("emb.store"), win.target)
-    neg_e = dc.gather_rows(state.leaf("emb.store"), neg)
-    s_pos = dc.sum_(dc.mul(profile, pos_e), axis=-1)
-    s_neg = dc.sum_(dc.mul(profile, neg_e), axis=-1)
-    return dc.mean_(dc.bpr_loss(s_pos, s_neg))
-
-
-def reprec_queries(state: dc.ModelState, data: features.Dataset,
-                   rows: np.ndarray) -> np.ndarray:
-    """Profiles [N, D] for the interactions at flat ``rows``, in chunks."""
-    window = int(state.meta["window"])
-    return features.query_rows(
-        lambda chunk: reprec_profiles(
-            state, features.gather_window(data.seqs, chunk, window)
-        ),
-        rows,
-    )
+def _prior_store_negatives(data: features.Dataset, rows: np.ndarray,
+                           rng: np.random.Generator) -> np.ndarray:
+    """One store code per row, uniform over the user's other prior stores."""
+    seqs = data.seqs
+    user_codes = np.searchsorted(seqs.offsets, rows, side="right") - 1
+    j = rng.integers(0, seqs.distinct_before[rows] - 1)
+    j = j + (j >= seqs.first_rank[rows])  # skip the target's rank
+    return seqs.first_stores[seqs.first_offsets[user_codes] + j]
 
 
 def reprec_train(
@@ -109,32 +93,6 @@ def reprec_train(
     rows = train_rows[keep]
     if len(rows) == 0:
         raise ValueError("no repeat training instances with enough history")
-
-    user_codes = np.searchsorted(seqs.offsets, rows, side="right") - 1
-    pool_base = seqs.first_offsets[user_codes]
-    pool_size = seqs.distinct_before[rows]
-    target_rank = seqs.first_rank[rows]
-
-    def batch_loss(st: dc.ModelState, chunk: np.ndarray, rng: np.random.Generator):
-        win = features.gather_window(seqs, rows[chunk], window)
-        # uniform over the user's other prior stores: skip the target's rank
-        j = rng.integers(0, pool_size[chunk] - 1)
-        j = j + (j >= target_rank[chunk])
-        neg = seqs.first_stores[pool_base[chunk] + j]
-        return reprec_batch_loss(st, win, neg)
-
-    val_metric = evalharness.validation_metric(
-        data, "repeat", settings, "reprec",
-        lambda cases: lambda st: reprec_scores(st, data, cases),
-    )
-    result = run_training(
-        state, len(rows), batch_loss, val_metric, settings, stream=102
-    )
+    result = fit_pairs(state, data, rows, reprec_query, _prior_store_negatives,
+                       "repeat", settings, stream=102)
     return state, result
-
-
-def reprec_scores(state: dc.ModelState, data: features.Dataset, cases) -> np.ndarray:
-    """[N, C] repeat-protocol scores for ``cases``; profiles use the trailing
-    history window and are computed up front, in chunks."""
-    profiles = reprec_queries(state, data, data.seqs.flat_of_global[cases.position])
-    return evalharness.dot_scores(cases, profiles, state.value("emb.store"))

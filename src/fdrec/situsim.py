@@ -87,15 +87,14 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
-def _histories_before(
-    log: InteractionLog, as_of: int
-) -> dict[int, np.ndarray]:
-    """User code -> positions strictly before ``as_of``."""
-    out = {}
-    for code, positions in log.per_user.items():
-        cut = int(np.searchsorted(log.times[positions], as_of, side="left"))
-        out[code] = positions[:cut]
-    return out
+def _counts_before(log: InteractionLog, as_of: int) -> np.ndarray:
+    """[U, S] float counts of each user's orders at each store strictly
+    before ``as_of``."""
+    n_users, n_stores = len(log.user_ids), len(log.store_ids)
+    seen = log.times < as_of
+    cells = log.users[seen].astype(np.int64) * n_stores + log.stores[seen]
+    return np.bincount(cells, minlength=n_users * n_stores).reshape(
+        n_users, n_stores).astype(np.float64)
 
 
 def neighbor_table(
@@ -114,12 +113,7 @@ def neighbor_table(
     if k <= 0:
         raise ValueError("k must be positive")
     n_users = len(log.user_ids)
-    n_stores = len(log.store_ids)
-    counts = np.zeros((n_users, n_stores), dtype=np.float64)
-    before = _histories_before(log, as_of)
-    for code, positions in before.items():
-        if len(positions):
-            np.add.at(counts[code], log.stores[positions], 1.0)
+    counts = _counts_before(log, as_of)
     totals = counts.sum(axis=1)
     active = totals > 0
     pref = np.zeros_like(counts)

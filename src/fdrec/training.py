@@ -1,4 +1,13 @@
-"""Shared mini-batch training loop with patience-based early stopping."""
+"""Shared mini-batch training: the loop with patience-based early stopping,
+its validation metric, and the pairwise fit SOnly, RepRec and ExpRec share.
+
+Each of those three models supplies only a query forward,
+``<model>_query(state, data, rows) -> Var [B, D]`` over flat sequence rows,
+its training rows and its negative sampler.  :func:`fit_pairs` trains the
+query against the store embeddings with the pairwise ranking loss
+:func:`pair_loss` (BPR; Rendle et al., UAI 2009), early-stopped on HR@3 of
+:func:`fdrec.evalharness.dot_scores` over validation cases.
+"""
 
 from __future__ import annotations
 
@@ -7,6 +16,8 @@ from typing import Callable
 
 import numpy as np
 
+from . import diffcore as dc
+from . import evalharness, features
 from .diffcore import ModelState, Var, adam_step, backward
 
 
@@ -97,3 +108,71 @@ def run_training(
         best_metric=best_metric,
         history=history,
     )
+
+
+def validation_metric(
+    data: features.Dataset,
+    protocol: str,
+    settings: TrainSettings,
+    model_id: str,
+    scores_for: Callable[[evalharness.CaseSet], Callable],
+) -> Callable:
+    """A trainer's ``val_metric``: HR@3 over ``protocol``'s validation cases,
+    drawn with ``settings.seed`` and capped at ``settings.val_max_cases``.
+
+    ``scores_for(cases)`` runs once and returns ``state -> [N, C] scores``;
+    the metric scores the same cases after every epoch.
+    """
+    cases = evalharness.validation_cases(data.split, protocol, settings.seed,
+                                         settings.val_max_cases, data.seqs, data.vocabs)
+    if not cases:
+        raise ValueError(f"validation partition has no {protocol} cases")
+    scores_of = scores_for(cases)
+
+    def val_metric(state) -> float:
+        report = evalharness.evaluate(lambda _: scores_of(state), cases, k=3,
+                                      model_id=model_id, seed=settings.seed)
+        return report.protocols[protocol]["hr@3"]
+
+    return val_metric
+
+
+def pair_loss(state: ModelState, queries: Var, pos: np.ndarray, neg: np.ndarray) -> Var:
+    """Mean pairwise ranking loss of queries [B, D] dotted with the store
+    embeddings of one positive and one negative code per row."""
+    pos_e = dc.gather_rows(state.leaf("emb.store"), pos)
+    neg_e = dc.gather_rows(state.leaf("emb.store"), neg)
+    s_pos = dc.sum_(dc.mul(queries, pos_e), axis=-1)
+    s_neg = dc.sum_(dc.mul(queries, neg_e), axis=-1)
+    return dc.mean_(dc.bpr_loss(s_pos, s_neg))
+
+
+def fit_pairs(
+    state: ModelState,
+    data: features.Dataset,
+    rows: np.ndarray,
+    query: features.Query,
+    negatives: Callable[[features.Dataset, np.ndarray, np.random.Generator], np.ndarray],
+    protocol: str,
+    settings: TrainSettings,
+    stream: int,
+) -> TrainResult:
+    """Train ``query`` with :func:`pair_loss` over the flat sequence ``rows``.
+
+    Each batch's positives are its rows' stores and its negatives come from
+    ``negatives(data, batch_rows, rng)``.  Early stopping tracks HR@3 on
+    ``protocol``'s validation cases, scored by
+    :func:`fdrec.evalharness.dot_scores` with the same ``query``.
+    """
+    store = data.seqs.store
+
+    def batch_loss(st: ModelState, chunk: np.ndarray, rng: np.random.Generator) -> Var:
+        batch = rows[chunk]
+        neg = negatives(data, batch, rng)
+        return pair_loss(st, query(st, data, batch), store[batch], neg)
+
+    val_metric = validation_metric(
+        data, protocol, settings, state.meta["model"],
+        lambda cases: lambda st: evalharness.dot_scores(st, data, cases, query),
+    )
+    return run_training(state, len(rows), batch_loss, val_metric, settings, stream=stream)

@@ -25,7 +25,7 @@ from fdrec.dataio import (SECONDS_PER_WEEK, InteractionLog, StoreMeta, label_rep
                           time_facets)
 from fdrec.ensemble import _item_weights_np
 from fdrec.exprec import TRIGGERS, _check_mask
-from fdrec.situsim import DATE_CAP_DAYS, _histories_before
+from fdrec.situsim import DATE_CAP_DAYS
 
 
 def _values(state: dc.ModelState) -> dict[str, np.ndarray]:
@@ -182,6 +182,27 @@ def _union_pearson(
         return 0.0
     r = (dot - 1.0 / m) / math.sqrt(vu * vv)
     return min(1.0, max(-1.0, r))
+
+
+def _histories_before(
+    log: InteractionLog, as_of: int
+) -> dict[int, np.ndarray]:
+    """User code -> positions strictly before ``as_of``."""
+    out = {}
+    for code, positions in log.per_user.items():
+        cut = int(np.searchsorted(log.times[positions], as_of, side="left"))
+        out[code] = positions[:cut]
+    return out
+
+
+def neighbor_counts_loop(log: InteractionLog, as_of: int) -> np.ndarray:
+    """The [U, S] count matrix of ``situsim.neighbor_table``, one user at a
+    time: each user's store counts strictly before ``as_of``."""
+    counts = np.zeros((len(log.user_ids), len(log.store_ids)), dtype=np.float64)
+    for code, positions in _histories_before(log, as_of).items():
+        if len(positions):
+            np.add.at(counts[code], log.stores[positions], 1.0)
+    return counts
 
 
 def collaborative_users(

@@ -4,8 +4,11 @@ oracles live only in ``tests/oracles.py``, and no module of ``src/fdrec`` or
 
 import ast
 import importlib
+import os
 import pathlib
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -41,6 +44,15 @@ def test_no_oracle_is_defined_or_exported_by_the_package(name):
     exported = set(getattr(module, "__all__", ()))
     left = [attr for attr in ORACLES if hasattr(module, attr) or attr in exported]
     assert not left, f"{name} still has {left}"
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_each_module_imports_alone(name):
+    """A module that only imports in some orders has an import cycle."""
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(fdrec.__file__).parent.parent))
+    done = subprocess.run([sys.executable, "-c", f"import {name}"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
 
 
 def test_interaction_log_has_no_string_id_views():

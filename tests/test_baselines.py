@@ -141,7 +141,8 @@ def test_sonly_scorer_covers_all_protocols(small_split, small_data, small_seqs):
         cases = evalharness.build_cases(small_split, protocol, seed=0,
                                         max_cases=10, seqs=seqs, vocabs=vocabs)
         report = evalharness.evaluate(
-            lambda cs: baselines.sonly_scores(state, small_data, cs), cases, k=3)
+            lambda cs: evalharness.dot_scores(state, small_data, cs, baselines.sonly_query),
+            cases, k=3)
         assert report.protocols[protocol]["n"] == len(cases)
 
 
@@ -151,7 +152,7 @@ def test_sonly_scorer_matches_public_op(small_split, small_data, small_seqs):
     state = baselines.sonly_build(small_data, dim=8, seed=2)
     cases = evalharness.build_cases(small_split, "exploration", seed=0,
                                     max_cases=8, seqs=seqs, vocabs=vocabs)
-    scores = baselines.sonly_scores(state, small_data, cases)
+    scores = evalharness.dot_scores(state, small_data, cases, baselines.sonly_query)
     for i, case in enumerate(cases):
         now = oracles.situation(log, case.position)
         want = oracles.sonly_score(state, now, list(case.candidates))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fdrec import diffcore as dc
-from fdrec.training import TrainSettings, run_training
+from fdrec.training import TrainSettings, pair_loss, run_training
 from conftest import rng
 
 
@@ -58,7 +58,6 @@ def test_arithmetic_matches_numpy():
     np.testing.assert_array_equal(dc.sub(var(a), var(b)).data, a - b)
     np.testing.assert_array_equal(dc.mul(var(a), var(b)).data, a * b)
     np.testing.assert_array_equal(dc.div(var(a), var(b)).data, a / b)
-    np.testing.assert_array_equal((-var(a)).data, -a)
 
 
 def test_matmul_batch_broadcasting():
@@ -115,16 +114,13 @@ def test_gradients_broadcasting_unbroadcasts():
     check_grads(lambda x, y: dc.mean_(dc.add(x, y)), a, b)
 
 
-def test_gradients_matmul_dot_transpose_reshape():
+def test_gradients_matmul_transpose_reshape():
     a = rng(11).normal(size=(2, 3, 4))
     b = rng(12).normal(size=(4, 5))
     check_grads(lambda x, y: dc.sum_(dc.matmul(x, y)), a, b)
-    u = rng(13).normal(size=7)
-    v = rng(14).normal(size=7)
-    check_grads(lambda x, y: dc.dot(x, y), u, v)
     m = rng(15).normal(size=(3, 5))
     check_grads(lambda x: dc.sum_(dc.mul(dc.transpose_last2(x), 2.0)), m)
-    check_grads(lambda x: dc.sum_(dc.exp(dc.reshape(x, (15,)))), m * 0.1)
+    check_grads(lambda x: dc.sum_(dc.tanh(dc.reshape(x, (15,)))), m * 0.1)
 
 
 def test_gather_rows_bincount_backward_matches_add_at():
@@ -142,7 +138,7 @@ def test_gradients_getitem_scatter_adds_duplicates():
     table = rng(16).normal(size=(5, 3))
     idx = np.array([1, 1, 4])  # duplicate rows must accumulate
     check_grads(lambda t: dc.sum_(dc.mul(dc.gather_rows(t, idx), idx[:, None] + 1.0)), table)
-    check_grads(lambda t: dc.sum_(dc.exp(dc.getitem(t, (slice(1, 3), slice(None))))), table)
+    check_grads(lambda t: dc.sum_(dc.tanh(dc.getitem(t, (slice(1, 3), slice(None))))), table)
 
 
 def test_gradients_concat_and_softmax():
@@ -157,9 +153,8 @@ def test_gradients_concat_and_softmax():
 
 def test_gradients_activations():
     x = rng(19).normal(size=(4, 3))
-    for op in (dc.tanh, dc.sigmoid, dc.softplus, dc.exp):
+    for op in (dc.tanh, dc.sigmoid, dc.softplus):
         check_grads(lambda v, op=op: dc.sum_(op(v)), x)
-    check_grads(lambda v: dc.sum_(dc.log(v)), np.abs(x) + 0.5)
     check_grads(lambda v: dc.sum_(dc.sqrt(v)), np.abs(x) + 0.5)
     # relu is kinked at 0: keep inputs away from it
     check_grads(lambda v: dc.sum_(dc.relu(v)), x + np.sign(x) * 0.1)
@@ -427,6 +422,20 @@ def test_adam_updates_in_place():
 
 # ---------------------------------------------------------------------------
 # training loop
+
+
+def test_pair_loss_is_mean_softplus_of_the_score_margin():
+    gen = rng(50)
+    state = dc.ModelState(seed=3)
+    state.add_embedding("emb.store", 9, 5)
+    q = gen.normal(size=(6, 5))
+    pos = np.array([0, 3, 3, 8, 1, 2])
+    neg = np.array([4, 3, 7, 0, 1, 5])
+    table = state.value("emb.store")
+    margin = (q * table[neg]).sum(axis=1) - (q * table[pos]).sum(axis=1)
+    want = np.mean(np.logaddexp(0.0, margin))
+    got = pair_loss(state, var(q), pos, neg).data
+    np.testing.assert_allclose(got, want, atol=1e-12, rtol=0)
 
 
 def test_run_training_rejects_non_finite_loss():

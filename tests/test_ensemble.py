@@ -69,7 +69,7 @@ def test_batched_intent_matches_single_op(small_split, small_data, small_seqs):
     state = build(small_data, dim=8, attn_dim=4, seed=7, window=5)
     values = {n: state.value(n) for n in state.params}
     rows = seqs.flat_of_global[small_split.test_idx[:6]]
-    probs = ensemble._intent_probs(state, seqs, rows)
+    probs = ensemble._intent_probs(state, small_data, rows)
     for i, row in enumerate(rows):
         row = int(row)
         ucode = int(np.searchsorted(seqs.offsets, row, side="right") - 1)
@@ -241,6 +241,19 @@ def frozen_bases(data, dim=6):
     return rep, exp
 
 
+@pytest.mark.parametrize("budget", [2, 3, 4, 30])
+def test_training_slates_stay_within_budget(small_data, budget):
+    seqs = small_data.seqs
+    rep, exp = frozen_bases(small_data, dim=8)
+    rows = seqs.flat_of_global[small_data.split.train_idx][:400]
+    slates = ensemble._build_training_slates(
+        small_data, rows, budget=budget, seed=0, rep_state=rep, exp_state=exp,
+    )
+    assert slates
+    assert max(len(sl.x_feats) for sl in slates) <= budget
+    assert max(sl.a for sl in slates) <= budget // 2
+
+
 def test_training_slate_construction(tiny_data):
     seqs = tiny_data.seqs
     rep, exp = frozen_bases(tiny_data)
@@ -356,9 +369,9 @@ def test_cases_across_chunks_score_as_each_case_alone(
     son = baselines.sonly_build(small_data, dim=8, seed=4)
     ens = build(small_data, dim=8, attn_dim=4, seed=43, window=5)
     scores = {
-        "sonly": lambda cs: baselines.sonly_scores(son, small_data, cs),
-        "reprec": lambda cs: reprec.reprec_scores(rep, small_data, cs),
-        "exprec": lambda cs: exprec.exprec_scores(exp, small_data, cs),
+        "sonly": lambda cs: evalharness.dot_scores(son, small_data, cs, baselines.sonly_query),
+        "reprec": lambda cs: evalharness.dot_scores(rep, small_data, cs, reprec.reprec_query),
+        "exprec": lambda cs: evalharness.dot_scores(exp, small_data, cs, exprec.exprec_query),
         "ensemble": lambda cs: ensemble.ensemble_scores(ens, rep, exp, small_data, cs),
     }
     monkeypatch.setattr(features, "QUERY_CHUNK", 4)

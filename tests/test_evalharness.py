@@ -353,7 +353,7 @@ def _unknown_candidate_scorer(model, data, code):
         return (lambda cs: baselines.hispop_scores(data, cs)), cases
     if model == "sonly":
         state = baselines.sonly_build(data, dim=4, seed=0)
-        return (lambda cs: baselines.sonly_scores(state, data, cs)), cases
+        return (lambda cs: evalharness.dot_scores(state, data, cs, baselines.sonly_query)), cases
     rep = reprec.reprec_build(data, dim=4, seed=1)
     exp = exprec.exprec_build(data, dim=4, seed=2, window=4, k_neighbors=3)
     return (lambda cs: ensemble.concat_scores(rep, exp, data, cs)), cases

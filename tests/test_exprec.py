@@ -5,7 +5,7 @@ import oracles
 from fdrec import diffcore as dc
 from fdrec import evalharness, exprec, features
 from fdrec.dataio import time_facets
-from fdrec.training import TrainSettings
+from fdrec.training import TrainSettings, pair_loss
 from conftest import DAY, make_log, rng
 
 
@@ -324,7 +324,7 @@ def test_neighbor_arrays_pad_users_without_history():
     np.testing.assert_array_equal(w, np.zeros((2, 3)))
 
 
-def batch_loss_fd_error(tiny_data, ablation_mask):
+def pair_loss_fd_error(tiny_data, ablation_mask):
     # exprec_build's parameter draws do not depend on the mask
     state = build(tiny_data, dim=6, seed=17, window=4, k_neighbors=3,
                   ablation_mask=ablation_mask)
@@ -339,26 +339,22 @@ def batch_loss_fd_error(tiny_data, ablation_mask):
             & (local >= 1))
     rows = train_rows[keep][:8]
     assert len(rows) >= 4
-    nb_ids, nb_w = exprec.neighbor_arrays(tiny_data.split.log, 3,
-                                          tiny_data.split.valid_boundary)
-    win = features.gather_window(seqs, rows, 4)
-    visited = exprec._visited_mask(seqs, rows, n_stores)
-    neg = exprec._sample_unvisited(rng(0), visited, win.target)
+    neg = exprec._unvisited_negatives(tiny_data, rows, rng(0))
 
     err = dc.finite_difference_check(
-        lambda s: exprec.exprec_batch_loss(s, win, (nb_ids, nb_w), neg),
+        lambda s: pair_loss(s, exprec.exprec_query(s, tiny_data, rows), seqs.store[rows], neg),
         state, num_coords=80, rng_seed=1,
     )
     return err
 
 
 def test_batch_loss_gradients_match_finite_differences(tiny_data):
-    assert batch_loss_fd_error(tiny_data, None) <= 1e-4
+    assert pair_loss_fd_error(tiny_data, None) <= 1e-4
 
 
 def test_masked_batch_loss_gradients_match_finite_differences(tiny_data):
     # the ablated trigger's -inf logit must leave every gradient finite
-    assert batch_loss_fd_error(tiny_data, (False, True, False, True)) <= 1e-4
+    assert pair_loss_fd_error(tiny_data, (False, True, False, True)) <= 1e-4
 
 
 MASKS = [None] + [tuple(i == j for i in range(4)) for j in range(4)]
@@ -375,7 +371,7 @@ def test_scorer_matches_public_op(small_split, small_data, small_seqs, mask):
     cases = evalharness.build_cases(small_split, "exploration", seed=0,
                                     max_cases=10, seqs=seqs, vocabs=vocabs)
     log = small_split.log
-    scores = exprec.exprec_scores(state, small_data, cases)
+    scores = evalharness.dot_scores(state, small_data, cases, exprec.exprec_query)
     for i, case in enumerate(cases):
         p = case.position
         u = int(log.users[p])
@@ -395,8 +391,9 @@ def test_scorer_ablation_mask_zeroes_trigger(small_split, small_data, small_seqs
         np.testing.assert_array_equal(plain.value(name), masked.value(name))
     cases = evalharness.build_cases(small_split, "exploration", seed=1,
                                     max_cases=5, seqs=seqs, vocabs=vocabs)
-    assert not np.allclose(exprec.exprec_scores(plain, small_data, cases),
-                           exprec.exprec_scores(masked, small_data, cases))
+    assert not np.allclose(
+        evalharness.dot_scores(plain, small_data, cases, exprec.exprec_query),
+        evalharness.dot_scores(masked, small_data, cases, exprec.exprec_query))
 
 
 def test_scorer_defaults_to_the_trained_mask(small_split, small_data, small_seqs, tmp_path):
@@ -412,7 +409,7 @@ def test_scorer_defaults_to_the_trained_mask(small_split, small_data, small_seqs
         small_split.log, int(state.meta["k_neighbors"]), int(state.meta["neighbor_as_of"])
     )
     log = small_split.log
-    scores = exprec.exprec_scores(state, small_data, cases)
+    scores = evalharness.dot_scores(state, small_data, cases, exprec.exprec_query)
     for i, case in enumerate(cases):
         p = case.position
         u = int(log.users[p])

@@ -5,7 +5,7 @@ import oracles
 from fdrec import diffcore as dc
 from fdrec import evalharness, features, reprec
 from fdrec.dataio import time_facets
-from fdrec.training import TrainSettings
+from fdrec.training import TrainSettings, pair_loss
 from oracles import Interaction, SituationFeatures
 from conftest import rng
 
@@ -141,12 +141,11 @@ def test_forward_input_validation(tiny_split, tiny_data):
 
 
 def test_batch_loss_gradients_match_finite_differences(tiny_data):
-    state = reprec.reprec_build(tiny_data, dim=6, seed=7)
+    state = reprec.reprec_build(tiny_data, dim=6, seed=7, window=10)
     seqs = tiny_data.seqs
     flags = seqs.repeat & (seqs.distinct_before >= 2)
     rows = np.nonzero(flags)[0][:8]
     assert len(rows) >= 4
-    win = features.gather_window(seqs, rows, 10)
     gen = rng(1)
     neg = np.zeros(len(rows), dtype=np.int64)
     for i, r in enumerate(rows):
@@ -156,7 +155,7 @@ def test_batch_loss_gradients_match_finite_differences(tiny_data):
         neg[i] = pool[int(gen.integers(len(pool)))]
 
     err = dc.finite_difference_check(
-        lambda s: reprec.reprec_batch_loss(s, win, neg),
+        lambda s: pair_loss(s, reprec.reprec_query(s, tiny_data, rows), seqs.store[rows], neg),
         state, num_coords=80, rng_seed=0,
     )
     assert err <= 1e-4
@@ -193,7 +192,7 @@ def test_scorer_matches_public_op_with_window(small_split, small_data, small_seq
     cases = evalharness.build_cases(small_split, "repeat", seed=0, max_cases=12,
                                     seqs=seqs, vocabs=vocabs)
     log = small_split.log
-    scores = reprec.reprec_scores(state, small_data, cases)
+    scores = evalharness.dot_scores(state, small_data, cases, reprec.reprec_query)
     for i, case in enumerate(cases):
         full = oracles.history_before(log, case.position)
         want = oracles.reprec_forward(

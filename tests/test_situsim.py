@@ -247,6 +247,14 @@ def test_collaborative_users_respects_as_of():
     assert sims["u2"] == 0.0  # disjoint support before the cutoff
 
 
+def test_count_matrix_matches_the_per_user_loop(small_split):
+    log = small_split.log
+    for as_of in (int(log.times.min()) + 1, small_split.valid_boundary,
+                  small_split.test_boundary, int(log.times.max()) + 1):
+        assert_array_equal(situsim._counts_before(log, as_of),
+                           oracles.neighbor_counts_loop(log, as_of))
+
+
 def test_neighbor_table_matches_pairwise_queries(tiny_split):
     log = tiny_split.log
     as_of = tiny_split.valid_boundary
