@@ -71,31 +71,33 @@ def repeat_ratio_by_order_index(log: InteractionLog, max_n: int) -> CurveSeries:
     Users with fewer than n orders do not contribute at n; the first order is
     never a repeat.
     """
-    if max_n <= 0:
-        raise ValueError("max_n must be positive")
-    flags = label_repeat_flags(log)
-    num = np.zeros(max_n, dtype=np.float64)
-    den = np.zeros(max_n, dtype=np.int64)
-    for positions in log.per_user.values():
-        m = min(len(positions), max_n)
-        den[:m] += 1
-        num[:m] += flags[positions[:m]]
-    y = np.divide(num, den, out=np.zeros(max_n), where=den > 0)
-    return CurveSeries(x=np.arange(1, max_n + 1), y=y, n=den)
+    first, index = _first_visits_by_user(log)
+    return _mean_by_order_index(index, ~first, max_n)
 
 
 def explored_store_counts(log: InteractionLog, max_n: int) -> CurveSeries:
     """Mean number of distinct stores seen within the first n orders."""
+    first, index = _first_visits_by_user(log)
+    seen = np.cumsum(first)  # first visits up to each row, over all users
+    start = np.arange(len(log)) - index  # the row of the user's first order
+    return _mean_by_order_index(index, seen - (seen - first)[start], max_n)
+
+
+def _first_visits_by_user(log: InteractionLog) -> tuple[np.ndarray, np.ndarray]:
+    """First-visit flags and each row's index in its user's history, both in
+    :attr:`InteractionLog.by_user` order."""
+    order, offsets = log.by_user
+    return ~label_repeat_flags(log)[order], np.arange(len(log)) - offsets[log.users[order]]
+
+
+def _mean_by_order_index(index: np.ndarray, values: np.ndarray, max_n: int) -> CurveSeries:
+    """Mean of ``values`` at each history index below ``max_n``; the sums are
+    of integers, exact in float64, so their order cannot change the result."""
     if max_n <= 0:
         raise ValueError("max_n must be positive")
-    flags = label_repeat_flags(log)
-    num = np.zeros(max_n, dtype=np.float64)
-    den = np.zeros(max_n, dtype=np.int64)
-    for positions in log.per_user.values():
-        m = min(len(positions), max_n)
-        distinct = np.cumsum(~flags[positions[:m]])
-        den[:m] += 1
-        num[:m] += distinct
+    keep = index < max_n
+    num = np.bincount(index[keep], weights=values[keep], minlength=max_n)
+    den = np.bincount(index[keep], minlength=max_n)
     y = np.divide(num, den, out=np.zeros(max_n), where=den > 0)
     return CurveSeries(x=np.arange(1, max_n + 1), y=y, n=den)
 
@@ -175,13 +177,6 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.repeat(starts - offsets, lengths) + np.arange(int(lengths.sum()))
 
 
-def _by_user(log: InteractionLog) -> tuple[np.ndarray, np.ndarray]:
-    """Positions grouped by user code, ascending within each user, and the
-    index in that order where each user's group starts."""
-    counts = np.bincount(log.users, minlength=len(log.user_ids))
-    return np.argsort(log.users, kind="stable"), np.cumsum(counts) - counts
-
-
 def _influence(
     log: InteractionLog, now: np.ndarray, order: np.ndarray,
     starts: np.ndarray, counts: np.ndarray,
@@ -225,11 +220,11 @@ def historical_influence(
     past store.  Records are in log order.
     """
     _check_minimum("min_history", min_history)
-    order, first = _by_user(log)
+    order, offsets = log.by_user
     index = np.empty(len(log), dtype=np.int64)  # place in the user's history
-    index[order] = np.arange(len(log)) - first[log.users[order]]
+    index[order] = np.arange(len(log)) - offsets[log.users[order]]
     now = np.flatnonzero(index >= min_history)
-    return _influence(log, now, order, first[log.users[now], None], index[now, None])
+    return _influence(log, now, order, offsets[log.users[now], None], index[now, None])
 
 
 def collaborative_influence(
@@ -251,7 +246,7 @@ def collaborative_influence(
     as_of = int(log.times[-1]) + 1 if len(log) else 1
     neighbors, _ = situsim.neighbor_table(log, k, as_of)
     n = len(log)
-    order, _ = _by_user(log)
+    order, _ = log.by_user
     # The log is time-sorted, so position i is in (t - t_delta_s, t) iff
     # after <= i < before; a (user, position) key finds every slot's window.
     after = np.searchsorted(log.times, log.times - t_delta_s, side="right")

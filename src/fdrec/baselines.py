@@ -28,13 +28,12 @@ __all__ = [
 
 def hispop_scores(data: features.Dataset, cases) -> np.ndarray:
     """[N, C] repeat-protocol scores for ``cases``."""
-    log, seqs = data.split.log, data.seqs
+    seqs = data.seqs
     n_stores = len(data.vocabs.store_ids)
 
     def row_scores(position: int, codes: np.ndarray) -> np.ndarray:
-        user_code = int(log.users[position])
         row = int(seqs.flat_of_global[position])
-        lo = int(seqs.offsets[user_code])
+        lo = int(seqs.offsets[seqs.user[row]])
         prior = slice(lo, row)
         sims = situsim.situation_similarity_arrays(
             seqs.day[prior], seqs.hour[prior], seqs.dow[prior],

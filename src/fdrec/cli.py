@@ -33,7 +33,7 @@ from . import analysis, baselines, dataio, ensemble, evalharness, exprec
 from . import features, reprec
 from .config import ConfigError, RunConfig, load_config, write_config
 from .dataio import SECONDS_PER_WEEK
-from .diffcore import ModelState
+from .diffcore import ModelState, load_checkpoint, save_checkpoint
 
 __all__ = ["main"]
 
@@ -185,7 +185,7 @@ def _load_checkpoint(run_dir: str, model: str, data: features.Dataset) -> ModelS
         raise RuntimeError(
             f"no {model} checkpoint at {path}; run `fdrec train --model {model}` first"
         )
-    state = ModelState.load(path)
+    state = load_checkpoint(path)
     want = {f: getattr(data.vocabs, f) for f in ("store_ids", "location_ids", "user_ids")
             if f in state.meta}
     want["data_fingerprint"] = data.fingerprint
@@ -308,7 +308,7 @@ def _cmd_train(args) -> int:
         state, result = _train_one(cfg, run_dir, args.model, data)
         state.meta["data_fingerprint"] = data.fingerprint
         ckpt = _checkpoint_path(run_dir, args.model)
-        state.save(ckpt)
+        save_checkpoint(state, ckpt)
         summary = {
             "config_hash": cfg.config_hash(),
             "model": args.model,

@@ -15,6 +15,7 @@ import json
 import os
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -162,7 +163,6 @@ class InteractionLog:
             missing = [s for s in store_ids if s not in catalog]
             if missing:
                 raise ValueError(f"stores missing from catalog: {missing[:5]}")
-        self._per_user: dict[int, np.ndarray] | None = None
         self._facets: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     @classmethod
@@ -198,16 +198,12 @@ class InteractionLog:
             self._facets = time_facets(self.times, self.tz_offset_minutes, self.epoch)
         return self._facets
 
-    @property
-    def per_user(self) -> dict[int, np.ndarray]:
-        """User code -> ascending positions of that user's interactions."""
-        if self._per_user is None:
-            order = np.argsort(self.users, kind="stable")
-            cuts = np.nonzero(np.diff(self.users[order]))[0] + 1
-            self._per_user = {
-                int(self.users[g[0]]): g for g in np.split(order, cuts) if len(g)
-            }
-        return self._per_user
+    @cached_property
+    def by_user(self) -> tuple[np.ndarray, np.ndarray]:
+        """Positions grouped by user code, ascending within each user, and CSR
+        offsets: user ``u``'s positions are ``order[offsets[u]:offsets[u + 1]]``."""
+        counts = np.bincount(self.users, minlength=len(self.user_ids))
+        return np.argsort(self.users, kind="stable"), np.concatenate([[0], np.cumsum(counts)])
 
     def with_catalog(self, catalog: dict[str, StoreMeta]) -> "InteractionLog":
         return InteractionLog(

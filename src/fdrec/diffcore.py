@@ -1,21 +1,21 @@
 """Minimal reverse-mode differentiation engine on float64 numpy arrays.
 
 Every primitive carries an exact analytic vector-Jacobian product, so any
-composition of these ops has exact gradients; an independent central-difference
-checker validates them.  The op set is deliberately small: enough for
+composition of these ops has exact gradients; the tests check them against
+central differences.  The op set is deliberately small: enough for
 embedding gathers, dense layers, attention, softmax heads, and pairwise
 ranking losses, all batched over leading axes.
 
 Recurrent history encoders use one fused op, :func:`gru_sequence`: a whole
 masked GRU run is a single tape node whose backward pass is hand-written
 backpropagation through time.  Training and inference run the same op; there
-is no tape-free twin.  :func:`gru_cell` (one step built from primitives)
-stays as the reference it is tested against.
+is no tape-free twin.  The tests check it against a reference GRU step
+built from the primitives.
 """
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -364,10 +364,6 @@ class ModelState:
     def value(self, name: str) -> Array:
         return self.params[name].values
 
-    def zero_grads(self) -> None:
-        for p in self.params.values():
-            p.grad[...] = 0.0
-
     def param_count(self) -> int:
         return sum(p.size for p in self.params.values())
 
@@ -377,13 +373,6 @@ class ModelState:
     def restore(self, snap: dict[str, Array]) -> None:
         for name, values in snap.items():
             self.params[name].values[...] = values
-
-    def save(self, path: str) -> None:
-        save_checkpoint(self, path)
-
-    @classmethod
-    def load(cls, path: str) -> "ModelState":
-        return load_checkpoint(path)
 
 
 class GRUParams(NamedTuple):
@@ -416,21 +405,12 @@ def dense(w: Var, b: Var | None, x: Var) -> Var:
     return out
 
 
-def gru_cell(p: GRUParams, x: Var, h: Var) -> Var:
-    """One GRU step: ``h' = (1 - z) * h + z * h_cand``.
-
-    With all-zero weights this collapses to ``0.5 * h`` (z = 0.5, candidate 0).
-    """
-    z = sigmoid(add(dense(p.wz, None, x), dense(p.uz, p.bz, h)))
-    r = sigmoid(add(dense(p.wr, None, x), dense(p.ur, p.br, h)))
-    cand = tanh(add(dense(p.wh, None, x), dense(p.uh, p.bh, mul(r, h))))
-    return add(mul(sub(1.0, z), h), mul(z, cand))
-
-
 def gru_sequence(p: GRUParams, xs, mask) -> Var:
     """Final hidden state [B,D] of a masked GRU run over ``xs`` [B,L,I].
 
-    Same cell as :func:`gru_cell`, starting from h = 0; where ``mask`` [B,L]
+    Each step is ``h' = (1 - z) * h + z * h_cand``, starting from h = 0, with
+    update gate ``z``, reset gate ``r`` and candidate
+    ``h_cand = tanh(W_h x + U_h (r * h) + b_h)``; where ``mask`` [B,L]
     is 0 the step keeps the row's previous h.  The whole run is one tape node
     used by training and inference alike.  The input projection of every
     step is one matmul and only the recurrence loops; the forward caches, per
@@ -516,56 +496,6 @@ def adam_step(
             p.values -= lr * weight_decay * p.values
         p.values -= lr * update
         p.grad[...] = 0.0
-
-
-def finite_difference_check(
-    forward: Callable[[ModelState], Var],
-    state: ModelState,
-    epsilon: float = 1e-5,
-    num_coords: int = 150,
-    rng_seed: int = 0,
-) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    ``forward`` must be a deterministic scalar function of the state.  Errors
-    are normalized by the largest sampled gradient magnitude so coordinates
-    with negligible gradient do not dominate through rounding noise.
-    """
-    state.zero_grads()
-    out = forward(state)
-    if out.data.shape != ():
-        raise ValueError("forward must return a scalar")
-    if not np.isfinite(out.data):
-        raise ValueError("forward produced a non-finite value")
-    backward(out)
-    analytic = {name: p.grad.copy() for name, p in state.params.items()}
-    state.zero_grads()
-
-    coords: list[tuple[str, int]] = []
-    for name, p in state.params.items():
-        coords.extend((name, i) for i in range(p.size))
-    rng = np.random.Generator(np.random.PCG64(rng_seed))
-    if len(coords) > num_coords:
-        chosen = rng.choice(len(coords), size=num_coords, replace=False)
-        coords = [coords[int(i)] for i in chosen]
-
-    flat = {name: p.values.reshape(-1) for name, p in state.params.items()}
-    denom = max(max(np.abs(a).max() for a in analytic.values()), 1e-12)
-    worst = 0.0
-    for name, i in coords:
-        theta = flat[name][i]
-        h = epsilon * max(1.0, abs(theta))
-        flat[name][i] = theta + h
-        f_plus = float(forward(state).data)
-        flat[name][i] = theta - h
-        f_minus = float(forward(state).data)
-        flat[name][i] = theta
-        if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
-            raise ValueError("forward produced a non-finite value during probing")
-        numeric = (f_plus - f_minus) / (2.0 * h)
-        a = analytic[name].reshape(-1)[i]
-        worst = max(worst, abs(a - numeric) / denom)
-    return worst
 
 
 _CKPT_MAGIC = b"FDRECKPT1\n"

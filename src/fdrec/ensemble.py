@@ -222,15 +222,12 @@ def _build_training_slates(
 ) -> list[_Slate]:
     seqs = data.seqs
     n_stores = len(data.vocabs.store_ids)
-    user_codes = np.searchsorted(seqs.offsets, rows, side="right") - 1
     bases = _frozen_bases(rep_state, exp_state, data, rows)
     rep_cap = budget // 2
     slates: list[_Slate] = []
-    for i, (row, ucode) in enumerate(zip(rows, user_codes)):
+    for i, row in enumerate(rows):
         row = int(row)
-        d = int(seqs.distinct_before[row])
-        fo = int(seqs.first_offsets[ucode])
-        priors = seqs.first_stores[fo : fo + d]
+        priors = seqs.priors(row)
         tc = int(seqs.store[row])
         is_rep = bool(seqs.repeat[row])
 
@@ -241,7 +238,7 @@ def _build_training_slates(
             keep = others[max(len(others) - (rep_cap - 1), 0):]
             rep_part = np.concatenate([[tc], keep]).astype(np.int64)
         else:
-            rep_part = (priors[-rep_cap:] if d > rep_cap else priors).astype(np.int64)
+            rep_part = (priors[-rep_cap:] if len(priors) > rep_cap else priors).astype(np.int64)
 
         visited = np.zeros(n_stores, dtype=bool)
         visited[priors] = True

@@ -23,7 +23,6 @@ candidate it ties with.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
@@ -104,9 +103,6 @@ class MetricsReport:
             "protocols": self.protocols,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ": "))
-
 
 def _case_rng(seed: int, position: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, position])))
@@ -140,8 +136,8 @@ def build_cases(
     target = seqs.store[seqs.flat_of_global[pos]]
 
     rows, n_prior = [], []
-    for p, user_code, tc in zip(pos.tolist(), users.tolist(), target.tolist()):
-        prior = seqs.prior_store_codes(user_code, int(seqs.local_of_global[p]))
+    for p, tc in zip(pos.tolist(), target.tolist()):
+        prior = seqs.priors(seqs.flat_of_global[p])
         n_prior.append(0 if protocol == "exploration" else len(prior))
         if protocol == "repeat":
             rows.append(prior)

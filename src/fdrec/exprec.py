@@ -157,8 +157,7 @@ def exprec_query(state: dc.ModelState, data: features.Dataset,
 def _visited_mask(seqs: features.UserSequences, rows: np.ndarray,
                   n_stores: int) -> np.ndarray:
     """Boolean [B,S]: stores each row's user visited before that row."""
-    user_codes = np.searchsorted(seqs.offsets, rows, side="right") - 1
-    starts = seqs.first_offsets[user_codes]
+    starts = seqs.first_offsets[seqs.user[rows]]
     lens = seqs.distinct_before[rows]
     out = np.zeros((len(rows), n_stores), dtype=bool)
     total = int(lens.sum())

@@ -11,6 +11,10 @@ never-visited stores are scoreable), users by log order, and delivery
 locations by train-partition order with row 0 reserved as a fallback for
 values unseen during training.
 
+The feature arrays (:class:`UserSequences`) lay the log out in
+:attr:`~fdrec.dataio.InteractionLog.by_user` order and read each user's first
+visits off the split's repeat flags, so no step walks a history in Python.
+
 The models' forward passes share the history-window gatherer, the situation
 embedding and :func:`query_rows`, which runs a model's query forward, the one
 its training loss uses, for inference.
@@ -63,49 +67,39 @@ def build_vocabs(split: DatasetSplit) -> Vocabs:
 class UserSequences:
     """Per-user chronological rows in model-vocabulary codes (CSR layout).
 
-    ``offsets[u] .. offsets[u + 1]`` bounds user ``u``'s rows.  ``first_*``
-    holds each user's distinct stores in first-visit order so the stores
-    available before local position ``j`` are
-    ``first_stores[first_offsets[u] : first_offsets[u] + distinct_before[row]]``.
+    Rows follow :attr:`fdrec.dataio.InteractionLog.by_user`: user ``u``'s are
+    ``offsets[u] .. offsets[u + 1]``, oldest first, and ``user`` maps each row
+    to its user.  A row is a first visit exactly when it is not a repeat, so
+    ``first_stores`` (the non-repeat rows' stores) holds each user's distinct
+    stores in first-visit order, user ``u``'s from ``first_offsets[u]``.
     """
 
     offsets: np.ndarray
-    position: np.ndarray  # flat row -> global log position
+    user: np.ndarray  # flat row -> user code
     store: np.ndarray
     hour: np.ndarray
     dow: np.ndarray
     day: np.ndarray
     loc: np.ndarray  # model location codes (0 = fallback)
     raw_loc: np.ndarray  # log location codes, for exact-match similarity
-    time: np.ndarray
     repeat: np.ndarray
     distinct_before: np.ndarray
     first_rank: np.ndarray  # rank of this row's store in the user's first-visit order
     first_stores: np.ndarray
     first_offsets: np.ndarray
     flat_of_global: np.ndarray  # global log position -> flat row
-    local_of_global: np.ndarray  # global log position -> user-local index
 
-    def prior_store_codes(self, user_code: int, local_pos: int) -> np.ndarray:
-        """Distinct stores visited before user-local position ``local_pos``,
-        in first-visit order; a position past the end means the full history."""
-        base = int(self.first_offsets[user_code])
-        length = int(self.offsets[user_code + 1] - self.offsets[user_code])
-        if local_pos >= length:
-            count = int(self.first_offsets[user_code + 1]) - base
-        else:
-            count = int(self.distinct_before[int(self.offsets[user_code]) + local_pos])
-        return self.first_stores[base : base + count]
+    def priors(self, row: int) -> np.ndarray:
+        """Distinct stores the user of flat ``row`` visited before it, in
+        first-visit order."""
+        start = self.first_offsets[self.user[row]]
+        return self.first_stores[start : start + self.distinct_before[row]]
 
 
 def build_sequences(split: DatasetSplit, vocabs: Vocabs) -> UserSequences:
     log = split.log
     n = len(log)
-    n_users = len(log.user_ids)
-    order = np.argsort(log.users, kind="stable")  # stable keeps time order per user
-    counts = np.bincount(log.users, minlength=n_users)
-    offsets = np.zeros(n_users + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
+    order, offsets = log.by_user
 
     store_map = np.array(
         [vocabs.store_index[s] for s in log.store_ids], dtype=np.int64
@@ -116,52 +110,38 @@ def build_sequences(split: DatasetSplit, vocabs: Vocabs) -> UserSequences:
     )
     day, hour, dow = log.facets
 
+    user = log.users[order].astype(np.int64)
     store = store_map[log.stores[order]]
+    repeat = split.repeat_flags[order]
     flat_of_global = np.empty(n, dtype=np.int64)
     flat_of_global[order] = np.arange(n)
-    local_of_global = np.empty(n, dtype=np.int64)
-    local_of_global[order] = np.arange(n) - offsets[:-1].repeat(counts)
 
-    distinct_before = np.zeros(n, dtype=np.int64)
-    first_rank = np.zeros(n, dtype=np.int64)
-    first_stores_parts: list[list[int]] = []
-    first_offsets = np.zeros(n_users + 1, dtype=np.int64)
-    for u in range(n_users):
-        lo, hi = int(offsets[u]), int(offsets[u + 1])
-        seen: dict[int, int] = {}
-        firsts: list[int] = []
-        for row in range(lo, hi):
-            s = int(store[row])
-            distinct_before[row] = len(seen)
-            rank = seen.get(s)
-            if rank is None:
-                rank = len(seen)
-                seen[s] = rank
-                firsts.append(s)
-            first_rank[row] = rank
-        first_stores_parts.append(firsts)
-        first_offsets[u + 1] = first_offsets[u] + len(firsts)
-    first_stores = np.array(
-        [s for part in first_stores_parts for s in part], dtype=np.int64
+    # firsts[r]: first visits in flat rows before r, over all users
+    firsts = np.concatenate([[0], np.cumsum(~repeat)])
+    first_offsets = firsts[offsets]
+    distinct_before = firsts[:-1] - first_offsets[user]
+    # a store's rank is distinct_before at the user's first visit to it,
+    # which is the first row of its (user, store) key
+    _, first_row, key_of_row = np.unique(
+        user * len(vocabs.store_ids) + store, return_index=True, return_inverse=True
     )
+    first_rank = distinct_before[first_row][key_of_row]
 
     return UserSequences(
         offsets=offsets,
-        position=order,
+        user=user,
         store=store,
         hour=hour[order].astype(np.int64),
         dow=dow[order].astype(np.int64),
         day=day[order].astype(np.int64),
         loc=loc_map[log.locs[order]],
         raw_loc=log.locs[order].astype(np.int64),
-        time=log.times[order],
-        repeat=split.repeat_flags[order],
+        repeat=repeat,
         distinct_before=distinct_before,
         first_rank=first_rank,
-        first_stores=first_stores,
+        first_stores=store[~repeat],
         first_offsets=first_offsets,
         flat_of_global=flat_of_global,
-        local_of_global=local_of_global,
     )
 
 
@@ -269,12 +249,11 @@ class Window:
     now_hour: np.ndarray  # [B]
     now_dow: np.ndarray   # [B]
     now_loc: np.ndarray   # [B]
-    target: np.ndarray    # [B] store codes
 
 
 def gather_window(seqs: UserSequences, flat_rows: np.ndarray, limit: int) -> Window:
     """Window of at most ``limit`` prior rows for each interaction at ``flat_rows``."""
-    user_codes = np.searchsorted(seqs.offsets, flat_rows, side="right") - 1
+    user_codes = seqs.user[flat_rows]
     local = flat_rows - seqs.offsets[user_codes]
     rows, mask = window_rows(seqs, user_codes, local, limit)
     return Window(
@@ -288,7 +267,6 @@ def gather_window(seqs: UserSequences, flat_rows: np.ndarray, limit: int) -> Win
         now_hour=seqs.hour[flat_rows],
         now_dow=seqs.dow[flat_rows],
         now_loc=seqs.loc[flat_rows],
-        target=seqs.store[flat_rows],
     )
 
 

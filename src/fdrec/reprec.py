@@ -70,10 +70,9 @@ def _prior_store_negatives(data: features.Dataset, rows: np.ndarray,
                            rng: np.random.Generator) -> np.ndarray:
     """One store code per row, uniform over the user's other prior stores."""
     seqs = data.seqs
-    user_codes = np.searchsorted(seqs.offsets, rows, side="right") - 1
     j = rng.integers(0, seqs.distinct_before[rows] - 1)
     j = j + (j >= seqs.first_rank[rows])  # skip the target's rank
-    return seqs.first_stores[seqs.first_offsets[user_codes] + j]
+    return seqs.first_stores[seqs.first_offsets[seqs.user[rows]] + j]
 
 
 def reprec_train(

@@ -79,6 +79,35 @@ def tiny_data(tiny_split):
     return features.Dataset(tiny_split)
 
 
+# Logs that stress how each user's history is laid out, for the parity tests
+# against the per-user loops in ``oracles``.
+LAYOUT_RECORDS = {
+    "timestamp-ties": [(f"u{u}", f"s{(u + k * k) % 4}", 100 * k, "l")
+                       for k in range(1, 9) for u in range(4)],
+    "one-order": [("u1", s, 100 * k, "l") for k, s in enumerate("abacbdab", 1)]
+    + [("u2", "b", 450, "l"), ("u3", "c", 800, "l")],
+    "one-store": [("u1", "a", 100 * k, "l1") for k in range(1, 9)]
+    + [("u2", s, 100 * k + 50, "l2") for k, s in enumerate("abcabcd", 1)],
+}
+
+
+@pytest.fixture(params=["conftest", "coupled", *LAYOUT_RECORDS])
+def layout_split(request):
+    """The session split, a strongly coupled synthetic split and the
+    hand-made :data:`LAYOUT_RECORDS` splits."""
+    if request.param == "conftest":
+        return request.getfixturevalue("small_split")
+    if request.param == "coupled":
+        cfg = dataio.SynthConfig(n_users=40, n_stores=20, n_orders_per_user=10,
+                                 situation_coupling=0.9, collab_coupling=0.9, seed=4)
+        log, _ = dataio.generate_synthetic(cfg)
+        return dataio.split_global_timeline(log, test_window_s=4 * DAY,
+                                            valid_window_s=4 * DAY)
+    log = make_log(LAYOUT_RECORDS[request.param])
+    quarter = (int(log.times[-1]) - int(log.times[0])) // 4
+    return dataio.split_global_timeline(log, test_window_s=quarter, valid_window_s=quarter)
+
+
 def rng(seed=0):
     return np.random.Generator(np.random.PCG64(seed))
 

@@ -7,22 +7,28 @@ written apart from that path.  The parity tests check each batched path
 against them, and the oracles themselves against hand-worked values, so a
 shared mistake has to be made twice to go unseen.  Nothing in ``src/fdrec``
 imports this module.
+
+It also keeps what only the tests run: the per-user loops that the
+sequence layout and the analysis curves replaced, a GRU step built from
+the autograd primitives, and the finite-difference gradient check.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from fdrec import diffcore as dc
 from fdrec import features, situsim
-from fdrec.analysis import (MIN_EVENTS, InfluenceRecord, _store_attr_codes,
+from fdrec.analysis import (MIN_EVENTS, CurveSeries, InfluenceRecord, _store_attr_codes,
                             _store_similarity_arrays)
-from fdrec.dataio import (SECONDS_PER_WEEK, InteractionLog, StoreMeta, label_repeat_flags,
-                          time_facets)
+from fdrec.dataio import (SECONDS_PER_WEEK, DatasetSplit, InteractionLog, StoreMeta,
+                          label_repeat_flags, time_facets)
+from fdrec.evalharness import MetricsReport
 from fdrec.ensemble import _item_weights_np
 from fdrec.exprec import TRIGGERS, _check_mask
 from fdrec.situsim import DATE_CAP_DAYS
@@ -79,6 +85,96 @@ def history_before(log: InteractionLog, position: int) -> list[Interaction]:
     return [interaction(log, p) for p in range(position) if log.users[p] == user]
 
 
+# ---------------------------------------------------------------- per-user loops
+
+
+def per_user(log: InteractionLog) -> dict[int, np.ndarray]:
+    """User code -> ascending positions of that user's interactions."""
+    order = np.argsort(log.users, kind="stable")
+    cuts = np.nonzero(np.diff(log.users[order]))[0] + 1
+    return {int(log.users[g[0]]): g for g in np.split(order, cuts) if len(g)}
+
+
+def sequences_loop(split: DatasetSplit, vocabs: features.Vocabs) -> features.UserSequences:
+    """``features.build_sequences``, walking each user's rows in turn and
+    tracking the stores seen so far."""
+    log = split.log
+    n = len(log)
+    n_users = len(log.user_ids)
+    order = np.argsort(log.users, kind="stable")  # stable keeps time order per user
+    counts = np.bincount(log.users, minlength=n_users)
+    offsets = np.zeros(n_users + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+
+    store_map = np.array([vocabs.store_index[s] for s in log.store_ids], dtype=np.int64)
+    loc_map = np.array(
+        [vocabs.location_index.get(l, features.FALLBACK) for l in log.location_ids],
+        dtype=np.int64,
+    )
+    day, hour, dow = log.facets
+    store = store_map[log.stores[order]]
+    flat_of_global = np.empty(n, dtype=np.int64)
+    flat_of_global[order] = np.arange(n)
+
+    distinct_before = np.zeros(n, dtype=np.int64)
+    first_rank = np.zeros(n, dtype=np.int64)
+    first_stores: list[int] = []
+    first_offsets = np.zeros(n_users + 1, dtype=np.int64)
+    for u in range(n_users):
+        seen: dict[int, int] = {}
+        for row in range(int(offsets[u]), int(offsets[u + 1])):
+            s = int(store[row])
+            distinct_before[row] = len(seen)
+            if s not in seen:
+                seen[s] = len(seen)
+                first_stores.append(s)
+            first_rank[row] = seen[s]
+        first_offsets[u + 1] = first_offsets[u] + len(seen)
+
+    return features.UserSequences(
+        offsets=offsets,
+        user=np.repeat(np.arange(n_users, dtype=np.int64), counts),
+        store=store,
+        hour=hour[order].astype(np.int64),
+        dow=dow[order].astype(np.int64),
+        day=day[order].astype(np.int64),
+        loc=loc_map[log.locs[order]],
+        raw_loc=log.locs[order].astype(np.int64),
+        repeat=split.repeat_flags[order],
+        distinct_before=distinct_before,
+        first_rank=first_rank,
+        first_stores=np.array(first_stores, dtype=np.int64),
+        first_offsets=first_offsets,
+        flat_of_global=flat_of_global,
+    )
+
+
+def repeat_ratio_loop(log: InteractionLog, max_n: int) -> CurveSeries:
+    """``analysis.repeat_ratio_by_order_index``, one user at a time."""
+    flags = label_repeat_flags(log)
+    num = np.zeros(max_n, dtype=np.float64)
+    den = np.zeros(max_n, dtype=np.int64)
+    for positions in per_user(log).values():
+        m = min(len(positions), max_n)
+        den[:m] += 1
+        num[:m] += flags[positions[:m]]
+    y = np.divide(num, den, out=np.zeros(max_n), where=den > 0)
+    return CurveSeries(x=np.arange(1, max_n + 1), y=y, n=den)
+
+
+def explored_store_counts_loop(log: InteractionLog, max_n: int) -> CurveSeries:
+    """``analysis.explored_store_counts``, one user at a time."""
+    flags = label_repeat_flags(log)
+    num = np.zeros(max_n, dtype=np.float64)
+    den = np.zeros(max_n, dtype=np.int64)
+    for positions in per_user(log).values():
+        m = min(len(positions), max_n)
+        den[:m] += 1
+        num[:m] += np.cumsum(~flags[positions[:m]])
+    y = np.divide(num, den, out=np.zeros(max_n), where=den > 0)
+    return CurveSeries(x=np.arange(1, max_n + 1), y=y, n=den)
+
+
 # ---------------------------------------------------------------- ranking
 
 
@@ -118,6 +214,11 @@ def rank_metrics(slate: ScoredSlate, target_id: str, k: int = 3) -> RankResult:
     hit = rank <= k
     ndcg = 1.0 / math.log2(rank + 1.0) if hit else 0.0
     return RankResult(rank, 1.0 if hit else 0.0, ndcg)
+
+
+def to_json(report: MetricsReport) -> str:
+    """``report.to_dict()`` as canonical JSON: sorted keys, fixed separators."""
+    return json.dumps(report.to_dict(), sort_keys=True, separators=(",", ": "))
 
 
 # ---------------------------------------------------------------- similarity
@@ -189,7 +290,7 @@ def _histories_before(
 ) -> dict[int, np.ndarray]:
     """User code -> positions strictly before ``as_of``."""
     out = {}
-    for code, positions in log.per_user.items():
+    for code, positions in per_user(log).items():
         cut = int(np.searchsorted(log.times[positions], as_of, side="left"))
         out[code] = positions[:cut]
     return out
@@ -331,7 +432,7 @@ def historical_influence_loop(
     brand, cuisine, sloc = _store_attr_codes(log)
     day, hour, dow = log.facets
     records: list[InfluenceRecord] = []
-    for positions in log.per_user.values():
+    for positions in per_user(log).values():
         for j in range(min_history, len(positions)):
             p = int(positions[j])
             prior = positions[:j]
@@ -369,13 +470,13 @@ def collaborative_influence_loop(
     day, hour, dow = log.facets
     as_of = int(log.times[-1]) + 1 if len(log) else 1
     neighbors, _ = situsim.neighbor_table(log, k, as_of)
-    per_user = log.per_user
-    user_times = {c: log.times[pos] for c, pos in per_user.items()}
+    by_code = per_user(log)
+    user_times = {c: log.times[pos] for c, pos in by_code.items()}
 
     records: list[InfluenceRecord] = []
-    for u, positions in per_user.items():
+    for u, positions in by_code.items():
         nb_codes = [c for c in neighbors[u].tolist() if c >= 0]
-        nb_pos = [per_user.get(c, np.empty(0, dtype=np.int64)) for c in nb_codes]
+        nb_pos = [by_code.get(c, np.empty(0, dtype=np.int64)) for c in nb_codes]
         nb_times = [user_times.get(c, np.empty(0, dtype=np.int64)) for c in nb_codes]
         for p in positions:
             p = int(p)
@@ -565,7 +666,7 @@ def encode_history(
     p = dc.gru_leaves(state, "gru.hist")
     h = dc.Var(np.zeros(int(state.meta["dim"])))
     for x in xs:
-        h = dc.gru_cell(p, x, h)
+        h = gru_cell(p, x, h)
     return h.data
 
 
@@ -729,7 +830,7 @@ def predict_intent(
     p = dc.gru_leaves(state, "gru.intent")
     h = dc.Var(np.zeros(int(meta["dim"])))
     for flag in list(intent_history)[-window:]:
-        h = dc.gru_cell(p, values["emb.flag"][int(bool(flag))], h)
+        h = gru_cell(p, values["emb.flag"][int(bool(flag))], h)
     h = h.data
     e_mu = _situation_np(values, now.hour, now.day_of_week,
                          loc_index.get(now.location_id, features.FALLBACK))
@@ -769,3 +870,72 @@ def combine(
         candidates=tuple(rep) + tuple(exp),
         a=a, b=b, base=base, weights=weights, scores=weights * base,
     )
+
+
+# ---------------------------------------------------------------- autograd references
+
+
+def gru_cell(p: dc.GRUParams, x: dc.Var, h: dc.Var) -> dc.Var:
+    """One GRU step: ``h' = (1 - z) * h + z * h_cand``.
+
+    With all-zero weights this collapses to ``0.5 * h`` (z = 0.5, candidate 0).
+    """
+    z = dc.sigmoid(dc.add(dc.dense(p.wz, None, x), dc.dense(p.uz, p.bz, h)))
+    r = dc.sigmoid(dc.add(dc.dense(p.wr, None, x), dc.dense(p.ur, p.br, h)))
+    cand = dc.tanh(dc.add(dc.dense(p.wh, None, x), dc.dense(p.uh, p.bh, dc.mul(r, h))))
+    return dc.add(dc.mul(dc.sub(1.0, z), h), dc.mul(z, cand))
+
+
+def zero_grads(state: dc.ModelState) -> None:
+    for p in state.params.values():
+        p.grad[...] = 0.0
+
+
+def finite_difference_check(
+    forward: Callable[[dc.ModelState], dc.Var],
+    state: dc.ModelState,
+    epsilon: float = 1e-5,
+    num_coords: int = 150,
+    rng_seed: int = 0,
+) -> float:
+    """Max relative error between analytic and central-difference gradients.
+
+    ``forward`` must be a deterministic scalar function of the state.  Errors
+    are normalized by the largest sampled gradient magnitude so coordinates
+    with negligible gradient do not dominate through rounding noise.
+    """
+    zero_grads(state)
+    out = forward(state)
+    if out.data.shape != ():
+        raise ValueError("forward must return a scalar")
+    if not np.isfinite(out.data):
+        raise ValueError("forward produced a non-finite value")
+    dc.backward(out)
+    analytic = {name: p.grad.copy() for name, p in state.params.items()}
+    zero_grads(state)
+
+    coords: list[tuple[str, int]] = []
+    for name, p in state.params.items():
+        coords.extend((name, i) for i in range(p.size))
+    rng = np.random.Generator(np.random.PCG64(rng_seed))
+    if len(coords) > num_coords:
+        chosen = rng.choice(len(coords), size=num_coords, replace=False)
+        coords = [coords[int(i)] for i in chosen]
+
+    flat = {name: p.values.reshape(-1) for name, p in state.params.items()}
+    denom = max(max(np.abs(a).max() for a in analytic.values()), 1e-12)
+    worst = 0.0
+    for name, i in coords:
+        theta = flat[name][i]
+        h = epsilon * max(1.0, abs(theta))
+        flat[name][i] = theta + h
+        f_plus = float(forward(state).data)
+        flat[name][i] = theta - h
+        f_minus = float(forward(state).data)
+        flat[name][i] = theta
+        if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
+            raise ValueError("forward produced a non-finite value during probing")
+        numeric = (f_plus - f_minus) / (2.0 * h)
+        a = analytic[name].reshape(-1)[i]
+        worst = max(worst, abs(a - numeric) / denom)
+    return worst

@@ -35,6 +35,18 @@ def test_explored_store_counts_mean_distinct():
     np.testing.assert_allclose(curve.y, [1.0, 1.5, 1.5], atol=1e-12, rtol=0)
 
 
+@pytest.mark.parametrize("max_n", [1, 6, 40])
+def test_order_index_curves_match_the_per_user_loops(layout_split, max_n):
+    log = layout_split.log
+    for curve, loop in ((analysis.repeat_ratio_by_order_index, oracles.repeat_ratio_loop),
+                        (analysis.explored_store_counts, oracles.explored_store_counts_loop)):
+        got, want = curve(log, max_n), loop(log, max_n)
+        assert got.y.tobytes() == want.y.tobytes()
+        for a, b in ((got.x, want.x), (got.n, want.n)):
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
+
+
 def test_repeat_exploration_cdf_tail_semantics():
     # within the window: u1 ratio 1.0 (2 repeats), u2 ratio 0.0, u3 ratio 0.5
     records = [

@@ -1,6 +1,7 @@
 """The package's public surface: every export resolves, the scalar string-id
-oracles live only in ``tests/oracles.py``, and no module of ``src/fdrec`` or
-``tests`` imports a name it never uses."""
+oracles live only in ``tests/oracles.py``, every definition in ``src/fdrec``
+is used there, and no module of ``src/fdrec`` or ``tests`` imports a name it
+never uses."""
 
 import ast
 import importlib
@@ -27,7 +28,9 @@ ORACLES = (
     "situation_similarity", "store_similarity", "preference_vector",
     "_union_pearson", "collaborative_users", "Interaction", "SituationFeatures",
     "top_neighbors_loop", "neighbor_weights", "pearson", "historical_influence_loop",
-    "collaborative_influence_loop",
+    "collaborative_influence_loop", "per_user", "sequences_loop", "repeat_ratio_loop",
+    "explored_store_counts_loop", "to_json", "gru_cell", "zero_grads",
+    "finite_difference_check",
 )
 
 
@@ -63,6 +66,12 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "fdrec").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
 
 
+def _exports(tree: ast.Module) -> set[str]:
+    return {name for node in tree.body if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+            for name in ast.literal_eval(node.value)}
+
+
 def unused_imports(tree: ast.Module) -> list[str]:
     """Names a module imports and never reads; ``__all__`` entries count as read."""
     imported = {}
@@ -72,11 +81,7 @@ def unused_imports(tree: ast.Module) -> list[str]:
             for alias in node.names:
                 name = alias.asname or alias.name.split(".")[0]
                 imported[name] = node.lineno
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in ast.walk(tree):
-        if (isinstance(node, ast.Assign)
-                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
-            used.update(ast.literal_eval(node.value))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | _exports(tree)
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
 
 
@@ -84,3 +89,48 @@ def unused_imports(tree: ast.Module) -> list[str]:
 def test_every_import_is_used(path):
     unused = unused_imports(ast.parse(path.read_text(encoding="utf-8")))
     assert not unused, f"{path.name} imports unused {unused}"
+
+
+def dead_definitions(trees: dict[str, ast.Module]) -> list[str]:
+    """Functions, classes and methods that no code in ``trees`` names outside
+    their own body, as ``file:line name``.  Dunders and names in their
+    module's ``__all__`` are exempt."""
+    refs = [(path, node.id if isinstance(node, ast.Name) else node.attr, node.lineno)
+            for path, tree in trees.items() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))]
+    dead = []
+    for path, tree in trees.items():
+        exempt = _exports(tree)
+        for node in ast.walk(tree):
+            if (not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    or node.name in exempt
+                    or node.name.startswith("__") and node.name.endswith("__")):
+                continue
+            if not any(name == node.name
+                       and not (where == path and node.lineno <= line <= node.end_lineno)
+                       for where, name, line in refs):
+                dead.append(f"{path}:{node.lineno} {node.name}")
+    return dead
+
+
+def test_every_definition_in_the_package_is_used_there():
+    """Code only tests call belongs in ``tests/``, code nothing calls nowhere."""
+    package = ROOT / "src" / "fdrec"
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"))
+             for p in sorted(package.glob("*.py"))}
+    assert not dead_definitions(trees)
+
+
+def test_dead_definition_scan_sees_attributes_exports_and_own_bodies():
+    trees = {"m.py": ast.parse(
+        "__all__ = ['exported']\n"
+        "def exported(): pass\n"
+        "def recursive(n): return recursive(n - 1)\n"
+        "def helper(): pass\n"
+        "class Box:\n"
+        "    def __len__(self): return 0\n"
+        "    def method(self): return helper()\n"
+        "    def unused(self): pass\n"
+        "Box().method()\n"
+    )}
+    assert dead_definitions(trees) == ["m.py:3 recursive", "m.py:8 unused"]

@@ -71,7 +71,7 @@ def test_hispop_is_deterministic(small_split, small_data, small_seqs):
 
     r1 = evalharness.evaluate(scorer, cases, k=3)
     r2 = evalharness.evaluate(scorer, cases, k=3)
-    assert r1.to_json() == r2.to_json()
+    assert oracles.to_json(r1) == oracles.to_json(r2)
 
 
 # ---------------------------------------------------------------------------

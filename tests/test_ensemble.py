@@ -292,7 +292,7 @@ def test_combined_loss_gradients_match_finite_differences(tiny_data):
         gen = np.random.Generator(np.random.PCG64(7))  # frozen draws per call
         return ensemble._combined_batch_loss(st, slates, seqs, chunk, gen, 1.0)
 
-    err = dc.finite_difference_check(forward, state, num_coords=80, rng_seed=2)
+    err = oracles.finite_difference_check(forward, state, num_coords=80, rng_seed=2)
     assert err <= 1e-4
 
 
@@ -404,8 +404,8 @@ def test_concat_scorer_returns_normalized_bases(small_split, small_data, small_s
 def test_checkpoint_roundtrip(tiny_data, tmp_path):
     state = build(tiny_data, dim=8, attn_dim=4, seed=9)
     path = tmp_path / "ensemble.ckpt"
-    state.save(str(path))
-    back = dc.ModelState.load(str(path))
+    dc.save_checkpoint(state, str(path))
+    back = dc.load_checkpoint(str(path))
     assert back.meta == state.meta
     for name in state.params:
         np.testing.assert_array_equal(back.value(name), state.value(name))

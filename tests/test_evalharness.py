@@ -16,7 +16,7 @@ from fdrec.evalharness import (
     evaluate,
     validation_cases,
 )
-from oracles import ScoredSlate, rank_metrics
+from oracles import ScoredSlate, rank_metrics, to_json
 
 
 def prior_stores_of(split, position):
@@ -317,8 +317,8 @@ def test_evaluate_ranks_every_row_as_scalar_rank_metrics(data):
 def test_metrics_report_json_deterministic():
     report = MetricsReport(model_id="m", seed=1, param_count=10, k=3)
     report.protocols["repeat"] = {"hr@3": 0.5, "ndcg@3": 0.25, "n": 8}
-    a = report.to_json()
-    assert a == report.to_json()
+    a = to_json(report)
+    assert a == to_json(report)
     payload = json.loads(a)
     assert payload["model"] == "m"
     assert payload["protocols"]["repeat"]["hr@3"] == 0.5

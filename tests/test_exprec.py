@@ -45,8 +45,9 @@ def values_of(state):
 
 def user_history(split, n=5):
     log = split.log
-    user_code = max(log.per_user, key=lambda c: len(log.per_user[c]))
-    positions = log.per_user[user_code]
+    by_code = oracles.per_user(log)
+    user_code = max(by_code, key=lambda c: len(by_code[c]))
+    positions = by_code[user_code]
     history = [oracles.interaction(log, int(p)) for p in positions[:n]]
     return log.user_ids[user_code], history, oracles.situation(log, int(positions[n]))
 
@@ -341,7 +342,7 @@ def pair_loss_fd_error(tiny_data, ablation_mask):
     assert len(rows) >= 4
     neg = exprec._unvisited_negatives(tiny_data, rows, rng(0))
 
-    err = dc.finite_difference_check(
+    err = oracles.finite_difference_check(
         lambda s: pair_loss(s, exprec.exprec_query(s, tiny_data, rows), seqs.store[rows], neg),
         state, num_coords=80, rng_seed=1,
     )
@@ -400,8 +401,8 @@ def test_scorer_defaults_to_the_trained_mask(small_split, small_data, small_seqs
     seqs, vocabs = small_seqs
     mask = (False, False, False, True)
     path = str(tmp_path / "exprec.ckpt")
-    build(small_data, dim=8, seed=23, ablation_mask=mask).save(path)
-    state = dc.ModelState.load(path)
+    dc.save_checkpoint(build(small_data, dim=8, seed=23, ablation_mask=mask), path)
+    state = dc.load_checkpoint(path)
     assert state.meta["ablate"] == list(mask)
     cases = evalharness.build_cases(small_split, "exploration", seed=1,
                                     max_cases=5, seqs=seqs, vocabs=vocabs)

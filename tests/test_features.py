@@ -1,5 +1,8 @@
+import dataclasses
+
 import numpy as np
 
+import oracles
 from fdrec import dataio, exprec, features
 from conftest import make_log
 
@@ -22,14 +25,30 @@ def test_sequences_mirror_log_rows():
     vocabs = features.build_vocabs(split)
     seqs = features.build_sequences(split, vocabs)
     log = split.log
+    time = np.empty(len(log), dtype=np.int64)  # flat row -> timestamp
+    time[seqs.flat_of_global] = log.times
     for pos in range(len(log)):
         row = int(seqs.flat_of_global[pos])
         assert vocabs.store_ids[seqs.store[row]] == log.store_ids[log.stores[pos]]
-        assert int(seqs.time[row]) == int(log.times[pos])
+        assert int(seqs.user[row]) == int(log.users[pos])
     # per-user rows are time-ordered and contiguous
     for code in range(len(log.user_ids)):
         lo, hi = int(seqs.offsets[code]), int(seqs.offsets[code + 1])
-        assert (np.diff(seqs.time[lo:hi]) >= 0).all()
+        assert (seqs.user[lo:hi] == code).all()
+        assert (np.diff(time[lo:hi]) >= 0).all()
+
+
+def test_sequences_match_the_per_user_loop(layout_split):
+    vocabs = features.build_vocabs(layout_split)
+    got = features.build_sequences(layout_split, vocabs)
+    want = oracles.sequences_loop(layout_split, vocabs)
+    for field in dataclasses.fields(features.UserSequences):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        assert a.dtype == b.dtype, field.name
+        np.testing.assert_array_equal(a, b, err_msg=field.name)
+    for row in range(len(got.store)):
+        earlier = got.store[got.offsets[got.user[row]] : row]
+        assert got.priors(row).tolist() == list(dict.fromkeys(earlier.tolist()))
 
 
 def test_distinct_before_and_repeat_flags():

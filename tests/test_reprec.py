@@ -50,8 +50,9 @@ def brute_force_scores(state, history, now, candidates):
 
 def sample_history(split, n=6, seed=0):
     log = split.log
-    user_code = max(log.per_user, key=lambda c: len(log.per_user[c]))
-    positions = log.per_user[user_code][: n + 1]
+    by_code = oracles.per_user(log)
+    user_code = max(by_code, key=lambda c: len(by_code[c]))
+    positions = by_code[user_code][: n + 1]
     history = [oracles.interaction(log, int(p)) for p in positions[:-1]]
     return history, oracles.situation(log, int(positions[-1]))
 
@@ -154,7 +155,7 @@ def test_batch_loss_gradients_match_finite_differences(tiny_data):
         pool = [s for s in seqs.first_stores[lo:hi] if s != seqs.store[r]]
         neg[i] = pool[int(gen.integers(len(pool)))]
 
-    err = dc.finite_difference_check(
+    err = oracles.finite_difference_check(
         lambda s: pair_loss(s, reprec.reprec_query(s, tiny_data, rows), seqs.store[rows], neg),
         state, num_coords=80, rng_seed=0,
     )
@@ -179,8 +180,8 @@ def test_checkpoint_roundtrip_preserves_scores(tiny_split, tiny_data, tmp_path):
     candidates = sorted({it.store_id for it in history})
     want = oracles.reprec_forward(state, history, now, candidates).scores
     path = tmp_path / "reprec.ckpt"
-    state.save(str(path))
-    back = dc.ModelState.load(str(path))
+    dc.save_checkpoint(state, str(path))
+    back = dc.load_checkpoint(str(path))
     got = oracles.reprec_forward(back, history, now, candidates).scores
     np.testing.assert_array_equal(got, want)
 
