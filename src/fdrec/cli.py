@@ -77,8 +77,29 @@ class _RunDirLock:
     ``pid host``; a lock whose owner on this host has exited is taken over."""
 
     def __init__(self, run_dir: str):
+        self.run_dir = run_dir
         self.path = os.path.join(run_dir, ".lock")
         self.fd: int | None = None
+
+    def _unlink_if_owned_by(self, owner: list[str]) -> None:
+        """Remove the lock file if it still names ``owner``.  An flock on the
+        run directory serializes takeovers, so of two commands that found the
+        same stale lock only one removes it, and a lock that a live command
+        took in the meantime stays.  POSIX only, like the takeover itself."""
+        import fcntl
+
+        dir_fd = os.open(self.run_dir, os.O_RDONLY)
+        try:
+            fcntl.flock(dir_fd, fcntl.LOCK_EX)
+            try:
+                with open(self.path, encoding="utf-8") as fh:
+                    same = fh.read().split() == owner
+            except FileNotFoundError:
+                same = False
+            if same:
+                os.unlink(self.path)
+        finally:
+            os.close(dir_fd)  # releases the flock
 
     def __enter__(self) -> "_RunDirLock":
         for retry in (False, True):
@@ -95,7 +116,7 @@ class _RunDirLock:
                         f"another command may be running against it — remove the "
                         f"file if it is stale"
                     ) from None
-                os.unlink(self.path)
+                self._unlink_if_owned_by(owner)
         os.write(self.fd, f"{os.getpid()} {platform.node()}\n".encode())
         return self
 

@@ -9,8 +9,13 @@ ranking losses, all batched over leading axes.
 Recurrent history encoders use one fused op, :func:`gru_sequence`: a whole
 masked GRU run is a single tape node whose backward pass is hand-written
 backpropagation through time.  Training and inference run the same op; there
-is no tape-free twin.  The tests check it against a reference GRU step
-built from the primitives.
+is no tape-free twin.  The run is packed: the models' windows are
+left-padded, so the rows are sorted by their first real step, each step
+works on the rows started so far, and only those slots are projected and
+cached.  The products whose rounding would change with a smaller row count
+or a shorter summed axis keep their full size, so the packed run gives the
+same bits as stepping every slot.  The tests check it against a reference
+GRU step built from the primitives.
 """
 
 from __future__ import annotations
@@ -134,10 +139,18 @@ def reshape(a: Var, shape: tuple[int, ...]) -> Var:
 
 def getitem(a: Var, key) -> Var:
     a = _as_var(a)
+    # ints and slices pick each element at most once, so a plain += scatters
+    # the gradient; an index array may repeat one, which np.add.at sums
+    keys = key if isinstance(key, tuple) else (key,)
+    basic = all(isinstance(k, (int, np.integer, slice)) and not isinstance(k, bool)
+                for k in keys)
 
     def vjp(g):
         out = np.zeros_like(a.data)
-        np.add.at(out, key, g)
+        if basic:
+            out[key] += g
+        else:
+            np.add.at(out, key, g)
         return (out,)
 
     return Var(a.data[key], (a,), vjp)
@@ -412,11 +425,32 @@ def gru_sequence(p: GRUParams, xs, mask) -> Var:
     update gate ``z``, reset gate ``r`` and candidate
     ``h_cand = tanh(W_h x + U_h (r * h) + b_h)``; where ``mask`` [B,L]
     is 0 the step keeps the row's previous h.  The whole run is one tape node
-    used by training and inference alike.  The input projection of every
-    step is one matmul and only the recurrence loops; the forward caches, per
-    step, h_prev, [z, r], r * h_prev and the candidate.  The VJP is
-    backpropagation through time; the gradients of each weight matrix and of
-    ``xs`` are one matmul each over all steps.
+    used by training and inference alike; the VJP is backpropagation through
+    time.
+
+    The run is packed.  A row's h stays exactly 0 until its first real step,
+    so the rows are stable-sorted by that step, and the rows started by step
+    ``t`` are a prefix ``[:n_t]``.  Step ``t`` computes its gates, update and
+    caches on that prefix only, and ``mask`` still decides which of those
+    rows it updates.  The packed slots, each row's steps from its first real
+    one on, sit time-major in ``[P, ·]`` arrays.  Only they are projected,
+    through a contiguous copy of ``W.T`` and with at least two rows, where
+    OpenBLAS rounds each row as it does in the full-size product.
+
+    Three products keep their full size, because OpenBLAS rounds a row
+    differently when the row count changes (gemv at one row, small-matrix
+    kernels at a few) or when zero rows leave the summed axis, but not when
+    rows are permuted:
+
+    * each step's recurrent products ``h @ U`` span all B rows, in sorted
+      order; the rows not yet started are 0, and rows past the prefix are
+      never read back;
+    * the gradients of W, U and b sum over all B·L slots in the original row
+      order, with zeros in the slots before a row's first step; h and
+      ``r * h`` are cached in that layout for them;
+    * the gradient of ``xs`` is one product over all B·L slots.
+
+    So h and every gradient are bit for bit those of stepping every slot.
     """
     xs = _as_var(xs)
     keep = np.asarray(mask, dtype=bool)
@@ -426,38 +460,57 @@ def gru_sequence(p: GRUParams, xs, mask) -> Var:
     w, u, b = (np.concatenate([getattr(p, t + g).data for g in "zrh"]) for t in "wub")
     B, L, I = xs.data.shape
     D = u.shape[1]
-    xp = (xs.data.reshape(B * L, I) @ w.T + b).reshape(B, L, 3 * D)
+    # first real step of each row (L if none); step t runs rows order[:n[t]],
+    # whose packed slots are off[t]:off[t + 1], at flat slots slot[...]
+    first = (~np.logical_or.accumulate(keep, axis=1)).sum(axis=1)
+    order = np.argsort(first, kind="stable")
+    n = np.searchsorted(first[order], np.arange(L), side="right")
+    off = np.concatenate(([0], np.cumsum(n)))
+    step = np.repeat(np.arange(L), n)
+    slot = order[np.arange(off[-1]) - off[step]] * L + step
+    x2 = xs.data.reshape(B * L, I)
+    # the spare row keeps a one-slot run off BLAS's gemv path
+    xp = x2[np.append(slot, slot[:1])] @ np.ascontiguousarray(w.T)
+    xp += b
     u_zr, u_h = u[: 2 * D].T, u[2 * D :].T
-    h = np.zeros((B, D))
-    hs, zrs, rhs, cs = (np.empty((B, L, k * D)) for k in (1, 2, 1, 1))
+    keep = keep[order]
+    h, rh = np.zeros((B, D)), np.zeros((B, D))
+    hs, rhs = np.zeros((B * L, D)), np.zeros((B * L, D))
+    zrs, cs = np.empty((len(slot), 2 * D)), np.empty((len(slot), D))
     for t in range(L):
-        zr = _sigmoid(xp[:, t, : 2 * D] + h @ u_zr)
-        z = zr[:, :D]
-        rh = zr[:, D:] * h
-        c = np.tanh(xp[:, t, 2 * D :] + rh @ u_h)
-        hs[:, t], zrs[:, t], rhs[:, t], cs[:, t] = h, zr, rh, c
-        h = np.where(keep[:, t, None], (1.0 - z) * h + z * c, h)
+        k, s = n[t], slice(off[t], off[t + 1])
+        zr = _sigmoid(xp[s, : 2 * D] + (h @ u_zr)[:k])
+        z, hp = zr[:, :D], h[:k]
+        rh[:k] = zr[:, D:] * hp
+        c = np.tanh(xp[s, 2 * D :] + (rh @ u_h)[:k])
+        hs[slot[s]], rhs[slot[s]], zrs[s], cs[s] = hp, rh[:k], zr, c
+        h[:k] = np.where(keep[:k, t, None], (1.0 - z) * hp + z * c, hp)
+    out = np.empty((B, D))
+    out[order] = h
 
     def vjp(g):
-        dxp = np.empty((B, L, 3 * D))
-        gh = g
+        gh = g[order]
+        flat = np.zeros((B * L, 3 * D))
+        dxp = np.zeros((B, 3 * D))  # this step's rows; the rest are stale
         for t in range(L - 1, -1, -1):
-            m = keep[:, t, None]
-            gn = np.where(m, gh, 0.0)
-            zr, c, hp = zrs[:, t], cs[:, t], hs[:, t]
+            k, s = n[t], slice(off[t], off[t + 1])
+            m = keep[:k, t, None]
+            gn = np.where(m, gh[:k], 0.0)
+            zr, c, hp = zrs[s], cs[s], hs[slot[s]]
             z, r = zr[:, :D], zr[:, D:]
             dcand = gn * z * (1.0 - c * c)
-            drh = dcand @ u[2 * D :]
-            dxp[:, t, :D] = gn * (c - hp)
-            dxp[:, t, D : 2 * D] = drh * hp
-            dxp[:, t, : 2 * D] *= zr * (1.0 - zr)
-            dxp[:, t, 2 * D :] = dcand
-            dprev = gn * (1.0 - z) + drh * r + dxp[:, t, : 2 * D] @ u[: 2 * D]
-            gh = np.where(m, dprev, gh)
-        flat = dxp.reshape(B * L, 3 * D)
-        dw = flat.T @ xs.data.reshape(B * L, I)
-        du_zr = flat[:, : 2 * D].T @ hs.reshape(B * L, D)
-        du_h = flat[:, 2 * D :].T @ rhs.reshape(B * L, D)
+            dxp[:k, 2 * D :] = dcand
+            drh = (dxp[:, 2 * D :] @ u[2 * D :])[:k]
+            dzr = dxp[:k, : 2 * D]
+            dzr[:, :D] = gn * (c - hp)
+            dzr[:, D:] = drh * hp
+            dzr *= zr * (1.0 - zr)
+            dprev = gn * (1.0 - z) + drh * r + (dxp[:, : 2 * D] @ u[: 2 * D])[:k]
+            gh[:k] = np.where(m, dprev, gh[:k])
+            flat[slot[s]] = dxp[:k]
+        dw = flat.T @ x2
+        du_zr = flat[:, : 2 * D].T @ hs
+        du_h = flat[:, 2 * D :].T @ rhs
         db = flat.sum(axis=0)
         dxs = (flat @ w).reshape(B, L, I)
         return (
@@ -467,7 +520,7 @@ def gru_sequence(p: GRUParams, xs, mask) -> Var:
             dw[2 * D :], du_h, db[2 * D :],
         )
 
-    return Var(h, (xs, *p), vjp)
+    return Var(out, (xs, *p), vjp)
 
 
 def adam_step(

@@ -440,6 +440,27 @@ def test_stale_lock_of_an_exited_process_is_taken_over(tmp_path):
     assert not lock.exists()
 
 
+def test_stale_lock_replaced_by_a_live_one_before_the_takeover_stays(tmp_path, monkeypatch):
+    """Another command may replace the stale lock between this command's read
+    and its takeover; the takeover then fails and leaves the live lock."""
+    lock = tmp_path / ".lock"
+    lock.write_text(f"{_dead_pid()} {platform.node()}\n")
+    live = f"{os.getpid()} {platform.node()}\n"
+    exited_here = cli._exited_here
+
+    def replaced_after_the_read(owner):
+        stale = exited_here(owner)
+        lock.write_text(live)
+        return stale
+
+    monkeypatch.setattr(cli, "_exited_here", replaced_after_the_read)
+    with pytest.raises(RuntimeError, match="run directory is locked"):
+        with cli._RunDirLock(str(tmp_path)):
+            pass
+    assert lock.read_text() == live
+    assert os.listdir(tmp_path) == [".lock"]
+
+
 @pytest.mark.parametrize("owner", ["live", "other-host"])
 def test_lock_of_a_live_or_foreign_owner_still_fails(tmp_path, owner):
     """A live pid holds its lock; a pid of another host cannot be checked."""

@@ -140,6 +140,25 @@ def test_gradients_getitem_scatter_adds_duplicates():
     idx = np.array([1, 1, 4])  # duplicate rows must accumulate
     check_grads(lambda t: dc.sum_(dc.mul(dc.gather_rows(t, idx), idx[:, None] + 1.0)), table)
     check_grads(lambda t: dc.sum_(dc.tanh(dc.getitem(t, (slice(1, 3), slice(None))))), table)
+    check_grads(lambda t: dc.sum_(dc.mul(dc.getitem(t, (idx, 2)), idx + 1.0)), table)
+
+
+@pytest.mark.parametrize("key", [
+    (slice(1, 4), slice(None)), (slice(None), slice(2, 3)), 2, (3, 1), (slice(None), -1),
+    np.array([1, 1, 4]), (np.array([0, 2, 0]), 1), (slice(None), np.array([2, 2])),
+])
+def test_getitem_vjp_equals_np_add_at(key):
+    """Ints and slices take a plain +=, index arrays np.add.at; both give the
+    bits np.add.at gives, and a repeated index still accumulates."""
+    table = rng(44).normal(size=(5, 3))
+    out = dc.getitem(var(table), key)
+    g = rng(45).normal(size=out.data.shape)
+    want = np.zeros_like(table)
+    np.add.at(want, key, g)
+    (got,) = out._vjp(g)
+    np.testing.assert_array_equal(got, want)
+    if isinstance(key, np.ndarray):
+        assert got[1].tolist() == (g[0] + g[1]).tolist()
 
 
 def test_gradients_concat_and_softmax():
@@ -279,27 +298,39 @@ def stepwise_gru(p, xs, mask):
     return h
 
 
-@pytest.mark.parametrize("B, L", [(5, 6), (3, 1)], ids=["mixed_masks", "one_step"])
-def test_gru_sequence_matches_stepwise_cells(B, L):
-    state = dc.ModelState(seed=6)
-    state.add_gru("g", in_dim=3, hidden=5)
+def gru_state(seed: int, in_dim: int, hidden: int) -> dc.ModelState:
+    state = dc.ModelState(seed=seed)
+    state.add_gru("g", in_dim=in_dim, hidden=hidden)
     for name in state.params:  # non-zero biases exercise every gradient
         state.value(name)[...] += rng(31).uniform(-0.3, 0.3, state.value(name).shape)
+    return state
+
+
+def run_gru(fn, state, xs, mask, target):
+    """h, the xs gradient and every weight gradient of ``sum(tanh(h) * target)``."""
+    oracles.zero_grads(state)
+    x = var(xs)
+    h = fn(dc.gru_leaves(state, "g"), x, mask)
+    dc.backward(dc.sum_(dc.mul(dc.tanh(h), target)))
+    return h.data, x.grad, {n: p.grad.copy() for n, p in state.params.items()}
+
+
+def left_padded(lengths, L: int) -> np.ndarray:
+    """Masks [B, L] of windows whose last ``lengths`` steps are real."""
+    return (np.arange(L) >= L - np.asarray(lengths)[:, None]).astype(np.float64)
+
+
+@pytest.mark.parametrize("B, L", [(5, 6), (3, 1)], ids=["mixed_masks", "one_step"])
+def test_gru_sequence_matches_stepwise_cells(B, L):
+    state = gru_state(6, in_dim=3, hidden=5)
     xs = rng(26).normal(size=(B, L, 3))
     mask = (rng(27).uniform(size=(B, L)) > 0.4).astype(np.float64)
     mask[0] = 1.0
     mask[1] = 0.0  # a fully masked row stays at h = 0
     target = rng(28).normal(size=(B, 5))
 
-    def run(fn):
-        oracles.zero_grads(state)
-        x = var(xs)
-        h = fn(dc.gru_leaves(state, "g"), x, mask)
-        dc.backward(dc.sum_(dc.mul(dc.tanh(h), target)))
-        return h.data, x.grad, {n: p.grad.copy() for n, p in state.params.items()}
-
-    h_ref, gx_ref, g_ref = run(stepwise_gru)
-    h_got, gx_got, g_got = run(dc.gru_sequence)
+    h_ref, gx_ref, g_ref = run_gru(stepwise_gru, state, xs, mask, target)
+    h_got, gx_got, g_got = run_gru(dc.gru_sequence, state, xs, mask, target)
     np.testing.assert_allclose(h_got, h_ref, atol=1e-12, rtol=0)
     np.testing.assert_array_equal(h_got[1], np.zeros(5))
     np.testing.assert_allclose(gx_got, gx_ref, atol=1e-12, rtol=0)
@@ -308,6 +339,53 @@ def test_gru_sequence_matches_stepwise_cells(B, L):
         unused = L == 1 and (".u" in name or name.endswith("r"))
         assert (np.abs(g_ref[name]).max() > 0.0) != unused
         np.testing.assert_allclose(g_got[name], g_ref[name], atol=1e-12, rtol=0)
+
+
+def test_gru_sequence_packs_left_padded_windows_of_every_length():
+    """Windows of every real length 0..L, in shuffled rows, as the models
+    build them: the packed run steps each row from its first real slot."""
+    L = 7
+    lengths = rng(46).permutation(np.repeat(np.arange(L + 1), 2))  # B = 2(L+1)
+    state = gru_state(12, in_dim=6, hidden=5)
+    xs = rng(47).normal(size=(len(lengths), L, 6))
+    mask = left_padded(lengths, L)
+    target = rng(48).normal(size=(len(lengths), 5))
+
+    h_ref, gx_ref, g_ref = run_gru(stepwise_gru, state, xs, mask, target)
+    h_got, gx_got, g_got = run_gru(dc.gru_sequence, state, xs, mask, target)
+    np.testing.assert_allclose(h_got, h_ref, atol=1e-12, rtol=0)
+    np.testing.assert_array_equal(h_got[lengths == 0], 0.0)
+    np.testing.assert_allclose(gx_got, gx_ref, atol=1e-12, rtol=0)
+    np.testing.assert_array_equal(gx_got[mask == 0.0], 0.0)
+    for name in g_ref:
+        assert np.abs(g_ref[name]).max() > 0.0
+        np.testing.assert_allclose(g_got[name], g_ref[name], atol=1e-12, rtol=0)
+
+
+def test_gru_sequence_permuting_rows_permutes_h_and_the_xs_gradient_exactly():
+    L = 9
+    lengths = rng(49).integers(0, L + 1, size=40)
+    perm = rng(50).permutation(len(lengths))
+    state = gru_state(13, in_dim=8, hidden=6)
+    xs = rng(51).normal(size=(len(lengths), L, 8))
+    mask = left_padded(lengths, L)
+    target = rng(52).normal(size=(len(lengths), 6))
+
+    h, gx, _ = run_gru(dc.gru_sequence, state, xs, mask, target)
+    h_p, gx_p, _ = run_gru(dc.gru_sequence, state, xs[perm], mask[perm], target[perm])
+    np.testing.assert_array_equal(h_p, h[perm])
+    np.testing.assert_array_equal(gx_p, gx[perm])
+
+
+def test_gru_sequence_fully_masked_batch_is_zero_with_zero_gradients():
+    state = gru_state(14, in_dim=4, hidden=3)
+    xs = rng(53).normal(size=(5, 6, 4))
+    target = rng(54).normal(size=(5, 3))
+    h, gx, grads = run_gru(dc.gru_sequence, state, xs, np.zeros((5, 6)), target)
+    np.testing.assert_array_equal(h, np.zeros((5, 3)))
+    np.testing.assert_array_equal(gx, np.zeros_like(xs))
+    for name, g in grads.items():
+        np.testing.assert_array_equal(g, np.zeros_like(g), err_msg=name)
 
 
 def test_gru_sequence_empty_run_and_mask_shape():
