@@ -1,0 +1,114 @@
+"""Compare two fdrec run directories file by file.
+
+Usage::
+
+    python3 scripts/compare_runs.py RUN_A RUN_B
+
+Prints one line per file found under either directory, in sorted order:
+its path relative to the run directory and ``identical``, ``differs`` or
+``only in`` the directory that holds it.  A ``*.ckpt`` that differs also shows
+its largest relative parameter difference: over every tensor, the largest
+``|a - b|`` divided by the largest ``|a|`` of that tensor, and the tensor's
+name.  A ``*.train.json`` that differs also shows the dotted keys whose
+values differ.
+
+Exits 1 when an ``eval.*.json`` differs or a file exists on one side only,
+and 0 otherwise, so checkpoints and training logs may differ while every
+evaluation stays byte-identical.  Uses the standard library, numpy and
+``fdrec`` (imported from this checkout's ``src/``).
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import sys
+
+import numpy as np
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
+
+from fdrec import diffcore  # noqa: E402
+
+
+def files_under(root: str) -> set[str]:
+    """Every file below ``root``, as a path relative to it."""
+    out = set()
+    for dirpath, _, names in os.walk(root):
+        for name in names:
+            out.add(os.path.relpath(os.path.join(dirpath, name), root))
+    return out
+
+
+def checkpoint_difference(path_a: str, path_b: str) -> str:
+    """The largest relative parameter difference of two checkpoints."""
+    a = diffcore.load_checkpoint(path_a).params
+    b = diffcore.load_checkpoint(path_b).params
+    if sorted(a) != sorted(b) or any(a[n].shape != b[n].shape for n in a):
+        return "parameters differ in name or shape"
+    worst, where = 0.0, "-"
+    for name in sorted(a):
+        x, y = a[name].values, b[name].values
+        scale = np.abs(x).max(initial=0.0)
+        rel = np.abs(x - y).max(initial=0.0) / scale if scale else float(np.any(x != y))
+        if rel > worst:
+            worst, where = rel, name
+    return f"max relative parameter difference {worst:.3g} ({where})"
+
+
+def _flatten(value, prefix: str = "") -> dict:
+    if not isinstance(value, dict):
+        return {prefix: value}
+    out = {}
+    for key, item in value.items():
+        out.update(_flatten(item, f"{prefix}.{key}" if prefix else key))
+    return out
+
+
+def json_keys_that_differ(path_a: str, path_b: str) -> list[str]:
+    """Dotted keys of two JSON files whose values differ or exist once."""
+    with open(path_a, encoding="utf-8") as fa, open(path_b, encoding="utf-8") as fb:
+        a, b = _flatten(json.load(fa)), _flatten(json.load(fb))
+    missing = object()
+    return sorted(k for k in a.keys() | b.keys() if a.get(k, missing) != b.get(k, missing))
+
+
+def compare(run_a: str, run_b: str) -> tuple[list[str], bool]:
+    """The report lines, and whether the runs agree where they must."""
+    in_a, in_b = files_under(run_a), files_under(run_b)
+    lines, ok = [], True
+    for rel in sorted(in_a | in_b):
+        if rel not in in_b or rel not in in_a:
+            lines.append(f"{rel} only in {run_a if rel in in_a else run_b}")
+            ok = False
+            continue
+        path_a, path_b = os.path.join(run_a, rel), os.path.join(run_b, rel)
+        with open(path_a, "rb") as fa, open(path_b, "rb") as fb:
+            if fa.read() == fb.read():
+                lines.append(f"{rel} identical")
+                continue
+        name = os.path.basename(rel)
+        detail = ""
+        if name.endswith(".ckpt"):
+            detail = " " + checkpoint_difference(path_a, path_b)
+        elif name.endswith(".train.json"):
+            detail = " keys " + ", ".join(json_keys_that_differ(path_a, path_b))
+        elif name.startswith("eval.") and name.endswith(".json"):
+            ok = False
+        lines.append(f"{rel} differs{detail}")
+    return lines, ok
+
+
+def main(argv: list[str] | None = None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    p.add_argument("run_a", help="first run directory")
+    p.add_argument("run_b", help="second run directory")
+    args = p.parse_args(argv)
+    lines, ok = compare(args.run_a, args.run_b)
+    print("\n".join(lines))
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -74,7 +74,8 @@ def _exited_here(owner: list[str]) -> bool:
 
 class _RunDirLock:
     """Exclusive lock on a run directory via an O_EXCL-created file holding
-    ``pid host``; a lock whose owner on this host has exited is taken over."""
+    ``pid host``; a lock whose owner on this host has exited is taken over,
+    and one that vanishes before it can be read is free."""
 
     def __init__(self, run_dir: str):
         self.run_dir = run_dir
@@ -107,8 +108,11 @@ class _RunDirLock:
                 self.fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
                 break
             except FileExistsError:
-                with open(self.path, encoding="utf-8") as fh:
-                    owner = fh.read().split()
+                try:
+                    with open(self.path, encoding="utf-8") as fh:
+                        owner = fh.read().split()
+                except FileNotFoundError:  # the holder let go in between
+                    continue
                 if retry or not _exited_here(owner):
                     who = " on host ".join(owner) or "?"
                     raise RuntimeError(
@@ -117,6 +121,8 @@ class _RunDirLock:
                         f"file if it is stale"
                     ) from None
                 self._unlink_if_owned_by(owner)
+        else:
+            raise RuntimeError(f"run directory lock {self.path} keeps changing hands")
         os.write(self.fd, f"{os.getpid()} {platform.node()}\n".encode())
         return self
 

@@ -10,12 +10,12 @@ Recurrent history encoders use one fused op, :func:`gru_sequence`: a whole
 masked GRU run is a single tape node whose backward pass is hand-written
 backpropagation through time.  Training and inference run the same op; there
 is no tape-free twin.  The run is packed: the models' windows are
-left-padded, so the rows are sorted by their first real step, each step
-works on the rows started so far, and only those slots are projected and
-cached.  The products whose rounding would change with a smaller row count
-or a shorter summed axis keep their full size, so the packed run gives the
-same bits as stepping every slot.  The tests check it against a reference
-GRU step built from the primitives.
+left-padded, so the rows are sorted by their first real step, and each step
+projects, caches and backpropagates only the rows started so far.  Only the
+forward's recurrent products keep all rows, so that a row's hidden state does
+not depend on how many of its batch mates have started; the gradients equal
+those of stepping every slot up to rounding.  The tests check the op against
+a reference GRU step built from the primitives.
 """
 
 from __future__ import annotations
@@ -437,20 +437,15 @@ def gru_sequence(p: GRUParams, xs, mask) -> Var:
     through a contiguous copy of ``W.T`` and with at least two rows, where
     OpenBLAS rounds each row as it does in the full-size product.
 
-    Three products keep their full size, because OpenBLAS rounds a row
-    differently when the row count changes (gemv at one row, small-matrix
-    kernels at a few) or when zero rows leave the summed axis, but not when
-    rows are permuted:
-
-    * each step's recurrent products ``h @ U`` span all B rows, in sorted
-      order; the rows not yet started are 0, and rows past the prefix are
-      never read back;
-    * the gradients of W, U and b sum over all B·L slots in the original row
-      order, with zeros in the slots before a row's first step; h and
-      ``r * h`` are cached in that layout for them;
-    * the gradient of ``xs`` is one product over all B·L slots.
-
-    So h and every gradient are bit for bit those of stepping every slot.
+    Only the forward's recurrent products ``h @ U`` span all B rows, in
+    sorted order; the rows not yet started are 0 and are never read back.
+    OpenBLAS rounds a row differently when the row count changes, so a
+    prefix product would make a row's h depend on how many of its batch
+    mates have started, and a query would score differently in another
+    chunk.  The backward is packed throughout: each step's products run on
+    its prefix, and the gradients of W, U, b and ``xs`` are products over
+    the P packed slots.  They equal those of stepping every slot up to
+    rounding; the ``xs`` gradient is exactly 0 before a row's first step.
     """
     xs = _as_var(xs)
     keep = np.asarray(mask, dtype=bool)
@@ -470,51 +465,50 @@ def gru_sequence(p: GRUParams, xs, mask) -> Var:
     slot = order[np.arange(off[-1]) - off[step]] * L + step
     x2 = xs.data.reshape(B * L, I)
     # the spare row keeps a one-slot run off BLAS's gemv path
-    xp = x2[np.append(slot, slot[:1])] @ np.ascontiguousarray(w.T)
+    xg = x2[np.append(slot, slot[:1])]
+    xp = xg @ np.ascontiguousarray(w.T)
     xp += b
     u_zr, u_h = u[: 2 * D].T, u[2 * D :].T
     keep = keep[order]
     h, rh = np.zeros((B, D)), np.zeros((B, D))
-    hs, rhs = np.zeros((B * L, D)), np.zeros((B * L, D))
-    zrs, cs = np.empty((len(slot), 2 * D)), np.empty((len(slot), D))
+    P = len(slot)
+    hs, rhs, cs = np.empty((3, P, D))
+    zrs = np.empty((P, 2 * D))
     for t in range(L):
         k, s = n[t], slice(off[t], off[t + 1])
         zr = _sigmoid(xp[s, : 2 * D] + (h @ u_zr)[:k])
         z, hp = zr[:, :D], h[:k]
         rh[:k] = zr[:, D:] * hp
         c = np.tanh(xp[s, 2 * D :] + (rh @ u_h)[:k])
-        hs[slot[s]], rhs[slot[s]], zrs[s], cs[s] = hp, rh[:k], zr, c
+        hs[s], rhs[s], zrs[s], cs[s] = hp, rh[:k], zr, c
         h[:k] = np.where(keep[:k, t, None], (1.0 - z) * hp + z * c, hp)
     out = np.empty((B, D))
     out[order] = h
 
     def vjp(g):
         gh = g[order]
-        flat = np.zeros((B * L, 3 * D))
-        dxp = np.zeros((B, 3 * D))  # this step's rows; the rest are stale
+        dxp = np.empty((P, 3 * D))
         for t in range(L - 1, -1, -1):
             k, s = n[t], slice(off[t], off[t + 1])
             m = keep[:k, t, None]
             gn = np.where(m, gh[:k], 0.0)
-            zr, c, hp = zrs[s], cs[s], hs[slot[s]]
+            zr, c, hp, d = zrs[s], cs[s], hs[s], dxp[s]
             z, r = zr[:, :D], zr[:, D:]
-            dcand = gn * z * (1.0 - c * c)
-            dxp[:k, 2 * D :] = dcand
-            drh = (dxp[:, 2 * D :] @ u[2 * D :])[:k]
-            dzr = dxp[:k, : 2 * D]
-            dzr[:, :D] = gn * (c - hp)
-            dzr[:, D:] = drh * hp
-            dzr *= zr * (1.0 - zr)
-            dprev = gn * (1.0 - z) + drh * r + (dxp[:, : 2 * D] @ u[: 2 * D])[:k]
+            d[:, 2 * D :] = gn * z * (1.0 - c * c)
+            drh = d[:, 2 * D :] @ u[2 * D :]
+            d[:, :D] = gn * (c - hp)
+            d[:, D : 2 * D] = drh * hp
+            d[:, : 2 * D] *= zr * (1.0 - zr)
+            dprev = gn * (1.0 - z) + drh * r + d[:, : 2 * D] @ u[: 2 * D]
             gh[:k] = np.where(m, dprev, gh[:k])
-            flat[slot[s]] = dxp[:k]
-        dw = flat.T @ x2
-        du_zr = flat[:, : 2 * D].T @ hs
-        du_h = flat[:, 2 * D :].T @ rhs
-        db = flat.sum(axis=0)
-        dxs = (flat @ w).reshape(B, L, I)
+        dw = dxp.T @ xg[:P]
+        du_zr = dxp[:, : 2 * D].T @ hs
+        du_h = dxp[:, 2 * D :].T @ rhs
+        db = dxp.sum(axis=0)
+        dxs = np.zeros((B * L, I))
+        dxs[slot] = dxp @ w
         return (
-            dxs,
+            dxs.reshape(B, L, I),
             dw[:D], du_zr[:D], db[:D],
             dw[D : 2 * D], du_zr[D:], db[D : 2 * D],
             dw[2 * D :], du_h, db[2 * D :],

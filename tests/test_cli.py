@@ -461,6 +461,46 @@ def test_stale_lock_replaced_by_a_live_one_before_the_takeover_stays(tmp_path, m
     assert os.listdir(tmp_path) == [".lock"]
 
 
+def test_lock_removed_by_its_holder_as_the_create_fails_is_taken(tmp_path, monkeypatch):
+    """The holder may exit and remove its lock between this command's failed
+    O_EXCL create and its read of the owner; the lock is then free."""
+    lock = tmp_path / ".lock"
+    lock.write_text(f"{os.getpid()} {platform.node()}-holder\n")
+    real_open, failed = os.open, []
+
+    def released_as_the_create_fails(path, flags, *args):
+        try:
+            return real_open(path, flags, *args)
+        except FileExistsError:
+            failed.append(path)
+            os.unlink(path)
+            raise
+
+    monkeypatch.setattr(os, "open", released_as_the_create_fails)
+    with cli._RunDirLock(str(tmp_path)):
+        assert lock.read_text() == f"{os.getpid()} {platform.node()}\n"
+    assert failed == [str(lock)]
+    assert not lock.exists()
+
+
+def test_lock_that_vanishes_at_both_attempts_fails_cleanly(tmp_path, monkeypatch):
+    """Holders that take and release the lock around both creates leave
+    nothing to read or write: the command fails with a clear error."""
+    lock = tmp_path / ".lock"
+    real_open = os.open
+
+    def taken_and_released(path, flags, *args):
+        if path == str(lock):
+            raise FileExistsError(path)
+        return real_open(path, flags, *args)
+
+    monkeypatch.setattr(os, "open", taken_and_released)
+    with pytest.raises(RuntimeError, match="keeps changing hands"):
+        with cli._RunDirLock(str(tmp_path)):
+            pass
+    assert not lock.exists()
+
+
 @pytest.mark.parametrize("owner", ["live", "other-host"])
 def test_lock_of_a_live_or_foreign_owner_still_fails(tmp_path, owner):
     """A live pid holds its lock; a pid of another host cannot be checked."""

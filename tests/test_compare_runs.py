@@ -1,0 +1,72 @@
+"""``scripts/compare_runs.py`` on two small synthetic run directories."""
+
+import importlib.util
+import json
+import pathlib
+
+import numpy as np
+
+from fdrec import diffcore as dc
+
+SCRIPT = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "compare_runs.py"
+
+
+def load_script():
+    spec = importlib.util.spec_from_file_location("compare_runs", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def write_run(root, nudge=0.0, intent_ll=-0.41951831392982525, hr=0.37):
+    root.mkdir()
+    state = dc.ModelState(seed=3)
+    state.add_dense("head", 2, 3)
+    state.add_embedding("emb", 4, 2)
+    state.value("emb")[1, 0] += nudge
+    dc.save_checkpoint(state, str(root / "exprec.ckpt"))
+    train = {"model": "exprec", "stages": {"intent": {"history": [intent_ll], "epochs": 1},
+                                            "combine": {"best_metric": 0.37}}}
+    (root / "exprec.train.json").write_text(json.dumps(train))
+    (root / "eval.exprec.exploration.json").write_text(json.dumps({"hr@3": hr}))
+    (root / "analysis").mkdir()
+    (root / "analysis" / "summary.csv").write_text("a,b\n1,2\n")
+    return state
+
+
+def test_identical_runs_report_every_file_identical(tmp_path, capsys):
+    write_run(tmp_path / "a")
+    write_run(tmp_path / "b")
+    assert load_script().main([str(tmp_path / "a"), str(tmp_path / "b")]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "analysis/summary.csv identical",
+        "eval.exprec.exploration.json identical",
+        "exprec.ckpt identical",
+        "exprec.train.json identical",
+    ]
+
+
+def test_checkpoint_and_train_log_may_differ_with_their_figures(tmp_path):
+    state = write_run(tmp_path / "a")
+    write_run(tmp_path / "b", nudge=1e-13, intent_ll=-0.4195183139298253)
+    lines, ok = load_script().compare(str(tmp_path / "a"), str(tmp_path / "b"))
+    assert ok
+    rel = 1e-13 / np.abs(state.value("emb")).max()
+    assert lines[1:] == [
+        "eval.exprec.exploration.json identical",
+        f"exprec.ckpt differs max relative parameter difference {rel:.3g} (emb)",
+        "exprec.train.json differs keys stages.intent.history",
+    ]
+
+
+def test_a_differing_eval_or_a_one_sided_file_fails(tmp_path, capsys):
+    write_run(tmp_path / "a")
+    write_run(tmp_path / "b", hr=0.38)
+    script = load_script()
+    assert script.main([str(tmp_path / "a"), str(tmp_path / "b")]) == 1
+    assert "eval.exprec.exploration.json differs" in capsys.readouterr().out
+    write_run(tmp_path / "c")
+    (tmp_path / "c" / "eval.sonly.repeat.json").write_text("{}")
+    lines, ok = script.compare(str(tmp_path / "a"), str(tmp_path / "c"))
+    assert not ok
+    assert f"eval.sonly.repeat.json only in {tmp_path / 'c'}" in lines

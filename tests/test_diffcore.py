@@ -377,6 +377,46 @@ def test_gru_sequence_permuting_rows_permutes_h_and_the_xs_gradient_exactly():
     np.testing.assert_array_equal(gx_p, gx[perm])
 
 
+def test_gru_sequence_backward_matches_stepwise_cells_at_larger_shapes():
+    """Left-padded windows at every fill from empty to full: the packed
+    backward's gradients match stepping every slot up to rounding, are 0
+    before each row's first step, and repeat bit for bit."""
+    B, L, D, I = 64, 20, 16, 24
+    lengths = rng(55).permutation(np.rint(np.linspace(0, L, B)).astype(int))
+    state = gru_state(15, in_dim=I, hidden=D)
+    xs = rng(56).normal(size=(B, L, I))
+    mask = left_padded(lengths, L)
+    target = rng(57).normal(size=(B, D))
+
+    h_ref, gx_ref, g_ref = run_gru(stepwise_gru, state, xs, mask, target)
+    h_got, gx_got, g_got = run_gru(dc.gru_sequence, state, xs, mask, target)
+    _, gx_again, g_again = run_gru(dc.gru_sequence, state, xs, mask, target)
+    np.testing.assert_allclose(h_got, h_ref, atol=1e-12 * np.abs(h_ref).max(), rtol=0)
+    for got, ref in [(gx_got, gx_ref)] + [(g_got[n], g_ref[n]) for n in g_ref]:
+        np.testing.assert_allclose(got, ref, atol=1e-12 * np.abs(ref).max(), rtol=0)
+    np.testing.assert_array_equal(gx_got[mask == 0.0], 0.0)
+    np.testing.assert_array_equal(gx_again, gx_got)
+    for name in g_got:
+        np.testing.assert_array_equal(g_again[name], g_got[name], err_msg=name)
+
+
+@pytest.mark.parametrize("D, I", [(32, 64), (64, 128)])
+def test_gru_sequence_h_of_a_row_does_not_depend_on_its_batch_mates(D, I):
+    """A row alone among empty windows, as a padded query chunk holds it,
+    gets bit for bit the h it gets among windows of every length."""
+    B, L = 128, 20
+    lengths = rng(58).integers(0, L + 1, size=B)
+    state = gru_state(16, in_dim=I, hidden=D)
+    p = dc.gru_leaves(state, "g")
+    xs = rng(59).normal(size=(B, L, I))
+    mask = left_padded(lengths, L)
+    h = dc.gru_sequence(p, xs, mask).data
+    for j in rng(60).choice(np.flatnonzero(lengths), size=19, replace=False):
+        alone = np.zeros_like(mask)
+        alone[j] = mask[j]
+        np.testing.assert_array_equal(dc.gru_sequence(p, xs, alone).data[j], h[j])
+
+
 def test_gru_sequence_fully_masked_batch_is_zero_with_zero_gradients():
     state = gru_state(14, in_dim=4, hidden=3)
     xs = rng(53).normal(size=(5, 6, 4))
