@@ -6,14 +6,16 @@ central differences.  The op set is deliberately small: enough for
 embedding gathers, dense layers, attention, softmax heads, and pairwise
 ranking losses, all batched over leading axes.
 
-Recurrent history encoders use one fused op, :func:`gru_sequence`: a whole
-masked GRU run is a single tape node whose backward pass is hand-written
-backpropagation through time.  Training and inference run the same op; there
-is no tape-free twin.  The run is packed: the models' windows are
-left-padded, so the rows are sorted by their first real step, and each step
-projects, caches and backpropagates only the rows started so far.  Only the
-forward's recurrent products keep all rows, so that a row's hidden state does
-not depend on how many of its batch mates have started; the gradients equal
+History windows are packed: ops read a batch's N real window slots as rows,
+and :func:`segment_sum` adds them back into their batch rows.  Recurrent
+history encoders use one fused op, :func:`gru_sequence`: a whole masked GRU
+run over packed slots is a single tape node whose backward pass is
+hand-written backpropagation through time.  Training and inference run the
+same op; there is no tape-free twin.  The models' windows are left-padded,
+so the rows are sorted by their first real step, and each step projects,
+caches and backpropagates only the rows started so far.  Only the forward's
+recurrent products keep all rows, so that a row's hidden state does not
+depend on how many of its batch mates have started; the gradients equal
 those of stepping every slot up to rounding.  The tests check the op against
 a reference GRU step built from the primitives.
 """
@@ -170,6 +172,14 @@ def concat(parts: Sequence[Var], axis: int = -1) -> Var:
     return Var(np.concatenate([p.data for p in parts], axis=axis), tuple(parts), vjp)
 
 
+def _scatter_rows(idx: Array, g: Array, shape: tuple[int, ...]) -> Array:
+    """Rows of ``g`` added into ``zeros(shape)`` at rows ``idx``; bincount adds
+    in input order, exactly like np.add.at, but faster."""
+    d = int(np.prod(shape[1:]))
+    flat = (idx.reshape(-1, 1) * d + np.arange(d)).ravel()
+    return np.bincount(flat, weights=g.reshape(-1), minlength=shape[0] * d).reshape(shape)
+
+
 def gather_rows(table: Var, indices) -> Var:
     """Row lookup ``table[indices]`` with scatter-add backward."""
     table = _as_var(table)
@@ -178,16 +188,17 @@ def gather_rows(table: Var, indices) -> Var:
         raise ValueError(
             f"index out of range for table with {table.data.shape[0]} rows"
         )
+    return Var(table.data[idx], (table,),
+               lambda g: (_scatter_rows(idx, g, table.data.shape),))
 
-    def vjp(g):
-        # bincount adds in input order, exactly like np.add.at, but faster
-        n = table.data.shape[0]
-        d = table.data.size // n
-        flat = (idx.reshape(-1, 1) * d + np.arange(d)).ravel()
-        out = np.bincount(flat, weights=g.reshape(-1), minlength=n * d)
-        return (out.reshape(table.data.shape),)
 
-    return Var(table.data[idx], (table,), vjp)
+def segment_sum(a: Var, segments, n: int) -> Var:
+    """Sums [n, ...] of the rows of ``a`` [N, ...] that ``segments`` [N]
+    assigns to each of n segments, added in row order; empty segments are 0."""
+    a = _as_var(a)
+    seg = np.asarray(segments)
+    return Var(_scatter_rows(seg, a.data, (n,) + a.data.shape[1:]), (a,),
+               lambda g: (g[seg],))
 
 
 def sum_(a: Var, axis=None, keepdims: bool = False) -> Var:
@@ -419,23 +430,24 @@ def dense(w: Var, b: Var | None, x: Var) -> Var:
 
 
 def gru_sequence(p: GRUParams, xs, mask) -> Var:
-    """Final hidden state [B,D] of a masked GRU run over ``xs`` [B,L,I].
+    """Final hidden state [B,D] of a masked GRU run over ``xs`` [N,I], the
+    inputs at the N real slots of ``mask`` [B,L] in row-major order.
 
     Each step is ``h' = (1 - z) * h + z * h_cand``, starting from h = 0, with
     update gate ``z``, reset gate ``r`` and candidate
-    ``h_cand = tanh(W_h x + U_h (r * h) + b_h)``; where ``mask`` [B,L]
-    is 0 the step keeps the row's previous h.  The whole run is one tape node
-    used by training and inference alike; the VJP is backpropagation through
-    time.
+    ``h_cand = tanh(W_h x + U_h (r * h) + b_h)``; where ``mask`` is 0 the
+    step keeps the row's previous h.  The whole run is one tape node used by
+    training and inference alike; the VJP is backpropagation through time.
 
     The run is packed.  A row's h stays exactly 0 until its first real step,
     so the rows are stable-sorted by that step, and the rows started by step
     ``t`` are a prefix ``[:n_t]``.  Step ``t`` computes its gates, update and
     caches on that prefix only, and ``mask`` still decides which of those
     rows it updates.  The packed slots, each row's steps from its first real
-    one on, sit time-major in ``[P, ·]`` arrays.  Only they are projected,
-    through a contiguous copy of ``W.T`` and with at least two rows, where
-    OpenBLAS rounds each row as it does in the full-size product.
+    one on, sit time-major in ``[P, ·]`` arrays; a masked one reads a zero
+    input.  Only they are projected, through a contiguous copy of ``W.T`` and
+    with at least two rows, where OpenBLAS rounds each row as it does in the
+    full-size product.
 
     Only the forward's recurrent products ``h @ U`` span all B rows, in
     sorted order; the rows not yet started are 0 and are never read back.
@@ -445,15 +457,15 @@ def gru_sequence(p: GRUParams, xs, mask) -> Var:
     chunk.  The backward is packed throughout: each step's products run on
     its prefix, and the gradients of W, U, b and ``xs`` are products over
     the P packed slots.  They equal those of stepping every slot up to
-    rounding; the ``xs`` gradient is exactly 0 before a row's first step.
+    rounding.
     """
     xs = _as_var(xs)
     keep = np.asarray(mask, dtype=bool)
-    if xs.data.ndim != 3 or keep.shape != xs.data.shape[:2]:
-        raise ValueError("a GRU run expects xs [B,L,I] and mask [B,L]")
+    if keep.ndim != 2 or xs.data.ndim != 2 or len(xs.data) != keep.sum():
+        raise ValueError("a GRU run expects mask [B,L] and xs [mask.sum(),I]")
     # gates stacked z, r, h: w [3D,I], u [3D,D], b [3D]
     w, u, b = (np.concatenate([getattr(p, t + g).data for g in "zrh"]) for t in "wub")
-    B, L, I = xs.data.shape
+    (B, L), (N, I) = keep.shape, xs.data.shape
     D = u.shape[1]
     # first real step of each row (L if none); step t runs rows order[:n[t]],
     # whose packed slots are off[t]:off[t + 1], at flat slots slot[...]
@@ -463,9 +475,15 @@ def gru_sequence(p: GRUParams, xs, mask) -> Var:
     off = np.concatenate(([0], np.cumsum(n)))
     step = np.repeat(np.arange(L), n)
     slot = order[np.arange(off[-1]) - off[step]] * L + step
-    x2 = xs.data.reshape(B * L, I)
+    # xs row of each packed slot; a masked one reads a zero row and writes
+    # its (zero) gradient to an extra row N, which is dropped
+    real = keep.ravel()
+    src = (np.cumsum(real) - 1)[slot]
+    hole = np.flatnonzero(~real[slot])
     # the spare row keeps a one-slot run off BLAS's gemv path
-    xg = x2[np.append(slot, slot[:1])]
+    xg = xs.data[np.append(src, src[:1])]
+    xg[hole] = 0.0
+    src[hole] = N
     xp = xg @ np.ascontiguousarray(w.T)
     xp += b
     u_zr, u_h = u[: 2 * D].T, u[2 * D :].T
@@ -505,10 +523,10 @@ def gru_sequence(p: GRUParams, xs, mask) -> Var:
         du_zr = dxp[:, : 2 * D].T @ hs
         du_h = dxp[:, 2 * D :].T @ rhs
         db = dxp.sum(axis=0)
-        dxs = np.zeros((B * L, I))
-        dxs[slot] = dxp @ w
+        dxs = np.empty((N + 1, I))
+        dxs[src] = dxp @ w
         return (
-            dxs.reshape(B, L, I),
+            dxs[:N],
             dw[:D], du_zr[:D], db[:D],
             dw[D : 2 * D], du_zr[D:], db[D : 2 * D],
             dw[2 * D :], du_h, db[2 * D :],

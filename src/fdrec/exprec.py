@@ -115,15 +115,15 @@ def exprec_query(state: dc.ModelState, data: features.Dataset,
     meta = state.meta
     mask = _check_mask(meta["ablate"])
     win = features.gather_window(data.seqs, rows, int(meta["window"]))
-    B = win.store.shape[0]
+    B = len(win.user)
     dim = int(meta["dim"])
 
     e_mu = features.situation(state, win.now_hour, win.now_dow, win.now_loc)
 
-    # history GRU over the window, masked steps keep the previous hidden state
+    # history GRU over the window's real slots
     situ_w = features.situation(state, win.hour, win.dow, win.loc)
     store_w = dc.gather_rows(state.leaf("emb.store"), win.store)
-    xs = dc.concat([store_w, situ_w], axis=-1)          # [B,L,2D]
+    xs = dc.concat([store_w, situ_w], axis=-1)          # [N,2D]
     e_h = dc.gru_sequence(dc.gru_leaves(state, "gru.hist"), xs, win.mask)
 
     # situation-conditioned activation mix, shared by user and neighbors

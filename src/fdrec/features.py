@@ -15,9 +15,9 @@ The feature arrays (:class:`UserSequences`) lay the log out in
 :attr:`~fdrec.dataio.InteractionLog.by_user` order and read each user's first
 visits off the split's repeat flags, so no step walks a history in Python.
 
-The models' forward passes share the history-window gatherer, the situation
-embedding and :func:`query_rows`, which runs a model's query forward, the one
-its training loss uses, for inference.
+The models' forward passes share the packed history-window gatherer, the
+situation embedding and :func:`query_rows`, which runs a model's query
+forward, the one its training loss uses, for inference.
 """
 
 from __future__ import annotations
@@ -235,17 +235,20 @@ def window_rows(
 class Window:
     """Code arrays for a batch of interactions and the rows before each.
 
-    ``[B, L]`` fields hold the ``L`` most recent prior rows (see
-    :func:`window_rows`); ``[B]`` fields describe the interactions themselves.
+    ``mask`` [B, L] marks the real slots among the ``L`` most recent prior
+    rows (see :func:`window_rows`); only those N slots are gathered, into
+    ``[N]`` fields in row-major order.  ``[B]`` fields describe the
+    interactions themselves.
     """
 
     user: np.ndarray      # [B]
-    store: np.ndarray     # [B, L]
-    hour: np.ndarray      # [B, L]
-    dow: np.ndarray       # [B, L]
-    loc: np.ndarray       # [B, L]
-    repeat: np.ndarray    # [B, L] int flags
-    mask: np.ndarray      # [B, L] floats, 1 = real slot
+    mask: np.ndarray      # [B, L] bools, True = real slot
+    row: np.ndarray       # [N] batch row of each slot
+    store: np.ndarray     # [N]
+    hour: np.ndarray      # [N]
+    dow: np.ndarray       # [N]
+    loc: np.ndarray       # [N]
+    repeat: np.ndarray    # [N] int flags
     now_hour: np.ndarray  # [B]
     now_dow: np.ndarray   # [B]
     now_loc: np.ndarray   # [B]
@@ -256,14 +259,16 @@ def gather_window(seqs: UserSequences, flat_rows: np.ndarray, limit: int) -> Win
     user_codes = seqs.user[flat_rows]
     local = flat_rows - seqs.offsets[user_codes]
     rows, mask = window_rows(seqs, user_codes, local, limit)
+    real = rows[mask]
     return Window(
         user=user_codes,
-        store=seqs.store[rows],
-        hour=seqs.hour[rows],
-        dow=seqs.dow[rows],
-        loc=seqs.loc[rows],
-        repeat=seqs.repeat[rows].astype(np.int64),
-        mask=mask.astype(np.float64),
+        mask=mask,
+        row=np.nonzero(mask)[0],
+        store=seqs.store[real],
+        hour=seqs.hour[real],
+        dow=seqs.dow[real],
+        loc=seqs.loc[real],
+        repeat=seqs.repeat[real].astype(np.int64),
         now_hour=seqs.hour[flat_rows],
         now_dow=seqs.dow[flat_rows],
         now_loc=seqs.loc[flat_rows],

@@ -5,8 +5,8 @@ Each past interaction is weighted by the cosine between its embedded situation
 weighted sum of the visited stores' embeddings scores previously visited
 candidates by dot product.  Weights are raw cosines, not softmax-normalized,
 so they may be negative and the sum is unnormalized.  The profile is the
-model's query forward, :func:`reprec_query`, over integer history windows;
-it trains through :func:`fdrec.training.fit_pairs` and scores through
+model's query forward, :func:`reprec_query`, over packed integer history
+windows; it trains through :func:`fdrec.training.fit_pairs` and scores through
 :func:`fdrec.evalharness.dot_scores`.
 """
 
@@ -50,20 +50,22 @@ def reprec_build(data: features.Dataset, dim: int = 64, seed: int = 0,
 def reprec_query(state: dc.ModelState, data: features.Dataset,
                  rows: np.ndarray) -> dc.Var:
     """Situation-weighted history profiles [B, D] of the interactions at flat
-    ``rows``, over each one's trailing window; differentiable end to end."""
+    ``rows``, over the real slots of each one's trailing window;
+    differentiable end to end.  ``‖μ_now‖`` reaches the slots through the
+    [B, L] grid, so that numpy sums its gradient over L in the grid's order."""
     win = features.gather_window(data.seqs, rows, int(state.meta["window"]))
-    B, L = win.store.shape
-    mu = features.situation(state, win.hour, win.dow, win.loc)          # [B,L,D]
+    B, L = win.mask.shape
+    mu = features.situation(state, win.hour, win.dow, win.loc)          # [N,D]
     mu_now = features.situation(state, win.now_hour, win.now_dow, win.now_loc)
-    mu_now3 = dc.reshape(mu_now, (B, 1, mu_now.data.shape[-1]))
 
-    num = dc.sum_(dc.mul(mu, mu_now3), axis=-1)                         # [B,L]
+    num = dc.sum_(dc.mul(mu, dc.gather_rows(mu_now, win.row)), axis=-1)  # [N]
     n_hist = dc.sqrt(dc.add(dc.sum_(dc.mul(mu, mu), axis=-1), _NORM_EPS_SQ))
     n_now = dc.sqrt(dc.add(dc.sum_(dc.mul(mu_now, mu_now), axis=-1), _NORM_EPS_SQ))
-    w = dc.mul(dc.div(num, dc.mul(n_hist, dc.reshape(n_now, (B, 1)))), win.mask)
+    n_now = dc.getitem(dc.mul(dc.reshape(n_now, (B, 1)), np.ones((B, L))), win.mask)
+    w = dc.div(num, dc.mul(n_hist, n_now))                              # [N]
 
-    hist_emb = dc.gather_rows(state.leaf("emb.store"), win.store)       # [B,L,D]
-    return dc.sum_(dc.mul(dc.reshape(w, (B, L, 1)), hist_emb), axis=1)
+    hist_emb = dc.gather_rows(state.leaf("emb.store"), win.store)       # [N,D]
+    return dc.segment_sum(dc.mul(dc.reshape(w, (len(w.data), 1)), hist_emb), win.row, B)
 
 
 def _prior_store_negatives(data: features.Dataset, rows: np.ndarray,

@@ -1,6 +1,6 @@
 """Scalar string-id transcriptions of what ``fdrec`` computes in batches.
 
-``src/fdrec`` scores a whole protocol's cases at once: integer codes, padded
+``src/fdrec`` scores a whole protocol's cases at once: integer codes, packed
 history windows and one batched forward pass per model.  The functions here
 compute the same numbers one case at a time, from string ids and plain numpy,
 written apart from that path.  The parity tests check each batched path
@@ -9,8 +9,9 @@ shared mistake has to be made twice to go unseen.  Nothing in ``src/fdrec``
 imports this module.
 
 It also keeps what only the tests run: the per-user loops that the
-sequence layout and the analysis curves replaced, a GRU step built from
-the autograd primitives, and the finite-difference gradient check.
+sequence layout and the analysis curves replaced, the padded history
+windows that the packed ones replaced, a GRU step built from the autograd
+primitives, and the finite-difference gradient check.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from fdrec.dataio import (SECONDS_PER_WEEK, DatasetSplit, InteractionLog, StoreM
 from fdrec.evalharness import MetricsReport
 from fdrec.ensemble import _item_weights_np
 from fdrec.exprec import TRIGGERS, _check_mask
+from fdrec.reprec import _NORM_EPS_SQ
 from fdrec.situsim import DATE_CAP_DAYS
 
 
@@ -884,6 +886,55 @@ def gru_cell(p: dc.GRUParams, x: dc.Var, h: dc.Var) -> dc.Var:
     r = dc.sigmoid(dc.add(dc.dense(p.wr, None, x), dc.dense(p.ur, p.br, h)))
     cand = dc.tanh(dc.add(dc.dense(p.wh, None, x), dc.dense(p.uh, p.bh, dc.mul(r, h))))
     return dc.add(dc.mul(dc.sub(1.0, z), h), dc.mul(z, cand))
+
+
+# The history windows as the query forwards laid them out before packing:
+# every slot of the [B, L] grid gathered, the masked ones zeroed or dropped.
+# The op is kept here so that padded_gru_sequence still reaches it while a
+# test has put padded_gru_sequence in its place.
+_packed_gru_sequence = dc.gru_sequence
+
+
+def padded_window(seqs: features.UserSequences, flat_rows: np.ndarray,
+                  limit: int) -> features.Window:
+    """:func:`fdrec.features.gather_window` with its slot fields gathered at
+    every slot of the [B, L] grid; masked slots point at the user's first row."""
+    user_codes = seqs.user[flat_rows]
+    local = flat_rows - seqs.offsets[user_codes]
+    rows, mask = features.window_rows(seqs, user_codes, local, limit)
+    return features.Window(
+        user=user_codes, mask=mask, row=None,
+        store=seqs.store[rows], hour=seqs.hour[rows], dow=seqs.dow[rows],
+        loc=seqs.loc[rows], repeat=seqs.repeat[rows].astype(np.int64),
+        now_hour=seqs.hour[flat_rows], now_dow=seqs.dow[flat_rows],
+        now_loc=seqs.loc[flat_rows],
+    )
+
+
+def padded_gru_sequence(p: dc.GRUParams, xs, mask) -> dc.Var:
+    """:func:`fdrec.diffcore.gru_sequence` over padded inputs [B, L, I]: the
+    real slots are picked on the tape, so their gradient lands in the grid
+    with zeros at the masked slots."""
+    return _packed_gru_sequence(p, dc.getitem(xs, np.asarray(mask, dtype=bool)), mask)
+
+
+def reprec_query_padded(state: dc.ModelState, data: features.Dataset,
+                        rows: np.ndarray) -> dc.Var:
+    """:func:`fdrec.reprec.reprec_query` over the padded [B, L] grid, the
+    masked slots' cosines zeroed by the mask."""
+    win = padded_window(data.seqs, rows, int(state.meta["window"]))
+    B, L = win.store.shape
+    mu = features.situation(state, win.hour, win.dow, win.loc)          # [B,L,D]
+    mu_now = features.situation(state, win.now_hour, win.now_dow, win.now_loc)
+    mu_now3 = dc.reshape(mu_now, (B, 1, mu_now.data.shape[-1]))
+
+    num = dc.sum_(dc.mul(mu, mu_now3), axis=-1)                         # [B,L]
+    n_hist = dc.sqrt(dc.add(dc.sum_(dc.mul(mu, mu), axis=-1), _NORM_EPS_SQ))
+    n_now = dc.sqrt(dc.add(dc.sum_(dc.mul(mu_now, mu_now), axis=-1), _NORM_EPS_SQ))
+    w = dc.mul(dc.div(num, dc.mul(n_hist, dc.reshape(n_now, (B, 1)))), win.mask)
+
+    hist_emb = dc.gather_rows(state.leaf("emb.store"), win.store)       # [B,L,D]
+    return dc.sum_(dc.mul(dc.reshape(w, (B, L, 1)), hist_emb), axis=1)
 
 
 def zero_grads(state: dc.ModelState) -> None:

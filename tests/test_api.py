@@ -30,7 +30,8 @@ ORACLES = (
     "top_neighbors_loop", "neighbor_weights", "pearson", "historical_influence_loop",
     "collaborative_influence_loop", "per_user", "sequences_loop", "repeat_ratio_loop",
     "explored_store_counts_loop", "to_json", "gru_cell", "zero_grads",
-    "finite_difference_check",
+    "finite_difference_check", "padded_window", "padded_gru_sequence",
+    "reprec_query_padded",
 )
 
 

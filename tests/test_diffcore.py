@@ -307,12 +307,22 @@ def gru_state(seed: int, in_dim: int, hidden: int) -> dc.ModelState:
 
 
 def run_gru(fn, state, xs, mask, target):
-    """h, the xs gradient and every weight gradient of ``sum(tanh(h) * target)``."""
+    """h, the gradient of ``xs`` [B, L, I] at the real slots [N, I] and every
+    weight gradient of ``sum(tanh(h) * target)``.
+
+    ``gru_sequence`` reads the real slots packed; the stepwise reference
+    reads every slot, and its gradient must be exactly 0 at the masked ones.
+    """
     oracles.zero_grads(state)
-    x = var(xs)
+    real = np.asarray(mask, dtype=bool)
+    x = var(xs if fn is stepwise_gru else xs[real])
     h = fn(dc.gru_leaves(state, "g"), x, mask)
     dc.backward(dc.sum_(dc.mul(dc.tanh(h), target)))
-    return h.data, x.grad, {n: p.grad.copy() for n, p in state.params.items()}
+    gx = x.grad
+    if fn is stepwise_gru:
+        np.testing.assert_array_equal(gx[~real], 0.0)
+        gx = gx[real]
+    return h.data, gx, {n: p.grad.copy() for n, p in state.params.items()}
 
 
 def left_padded(lengths, L: int) -> np.ndarray:
@@ -356,7 +366,6 @@ def test_gru_sequence_packs_left_padded_windows_of_every_length():
     np.testing.assert_allclose(h_got, h_ref, atol=1e-12, rtol=0)
     np.testing.assert_array_equal(h_got[lengths == 0], 0.0)
     np.testing.assert_allclose(gx_got, gx_ref, atol=1e-12, rtol=0)
-    np.testing.assert_array_equal(gx_got[mask == 0.0], 0.0)
     for name in g_ref:
         assert np.abs(g_ref[name]).max() > 0.0
         np.testing.assert_allclose(g_got[name], g_ref[name], atol=1e-12, rtol=0)
@@ -374,13 +383,15 @@ def test_gru_sequence_permuting_rows_permutes_h_and_the_xs_gradient_exactly():
     h, gx, _ = run_gru(dc.gru_sequence, state, xs, mask, target)
     h_p, gx_p, _ = run_gru(dc.gru_sequence, state, xs[perm], mask[perm], target[perm])
     np.testing.assert_array_equal(h_p, h[perm])
-    np.testing.assert_array_equal(gx_p, gx[perm])
+    gx_full = np.zeros_like(xs)
+    gx_full[mask == 1.0] = gx
+    np.testing.assert_array_equal(gx_p, gx_full[perm][mask[perm] == 1.0])
 
 
 def test_gru_sequence_backward_matches_stepwise_cells_at_larger_shapes():
     """Left-padded windows at every fill from empty to full: the packed
-    backward's gradients match stepping every slot up to rounding, are 0
-    before each row's first step, and repeat bit for bit."""
+    backward's gradients match stepping every slot up to rounding, and
+    repeat bit for bit."""
     B, L, D, I = 64, 20, 16, 24
     lengths = rng(55).permutation(np.rint(np.linspace(0, L, B)).astype(int))
     state = gru_state(15, in_dim=I, hidden=D)
@@ -394,7 +405,6 @@ def test_gru_sequence_backward_matches_stepwise_cells_at_larger_shapes():
     np.testing.assert_allclose(h_got, h_ref, atol=1e-12 * np.abs(h_ref).max(), rtol=0)
     for got, ref in [(gx_got, gx_ref)] + [(g_got[n], g_ref[n]) for n in g_ref]:
         np.testing.assert_allclose(got, ref, atol=1e-12 * np.abs(ref).max(), rtol=0)
-    np.testing.assert_array_equal(gx_got[mask == 0.0], 0.0)
     np.testing.assert_array_equal(gx_again, gx_got)
     for name in g_got:
         np.testing.assert_array_equal(g_again[name], g_got[name], err_msg=name)
@@ -410,11 +420,12 @@ def test_gru_sequence_h_of_a_row_does_not_depend_on_its_batch_mates(D, I):
     p = dc.gru_leaves(state, "g")
     xs = rng(59).normal(size=(B, L, I))
     mask = left_padded(lengths, L)
-    h = dc.gru_sequence(p, xs, mask).data
+    h = dc.gru_sequence(p, xs[mask == 1.0], mask).data
     for j in rng(60).choice(np.flatnonzero(lengths), size=19, replace=False):
         alone = np.zeros_like(mask)
         alone[j] = mask[j]
-        np.testing.assert_array_equal(dc.gru_sequence(p, xs, alone).data[j], h[j])
+        h_alone = dc.gru_sequence(p, xs[alone == 1.0], alone).data
+        np.testing.assert_array_equal(h_alone[j], h[j])
 
 
 def test_gru_sequence_fully_masked_batch_is_zero_with_zero_gradients():
@@ -423,7 +434,7 @@ def test_gru_sequence_fully_masked_batch_is_zero_with_zero_gradients():
     target = rng(54).normal(size=(5, 3))
     h, gx, grads = run_gru(dc.gru_sequence, state, xs, np.zeros((5, 6)), target)
     np.testing.assert_array_equal(h, np.zeros((5, 3)))
-    np.testing.assert_array_equal(gx, np.zeros_like(xs))
+    assert gx.shape == (0, 4)
     for name, g in grads.items():
         np.testing.assert_array_equal(g, np.zeros_like(g), err_msg=name)
 
@@ -432,18 +443,23 @@ def test_gru_sequence_empty_run_and_mask_shape():
     state = dc.ModelState(seed=7)
     state.add_gru("g", in_dim=4, hidden=3)
     p = dc.gru_leaves(state, "g")
-    empty = dc.gru_sequence(p, np.zeros((2, 0, 4)), np.ones((2, 0))).data
+    empty = dc.gru_sequence(p, np.zeros((0, 4)), np.ones((2, 0))).data
     np.testing.assert_array_equal(empty, np.zeros((2, 3)))
-    xs = rng(32).normal(size=(6, 5, 4))
-    with pytest.raises(ValueError, match="mask"):
-        dc.gru_sequence(p, xs, np.ones((6, 4)))
+    mask = np.ones((6, 5))
+    mask[2, :3] = 0.0
+    xs = rng(32).normal(size=(27, 4))
+    assert dc.gru_sequence(p, xs, mask).shape == (6, 3)
+    for bad_xs, bad_mask in [(xs.reshape(27, 2, 2), mask), (xs, mask[:, :, None]),
+                             (xs[:-1], mask), (np.vstack([xs, xs[:1]]), mask)]:
+        with pytest.raises(ValueError, match="mask"):
+            dc.gru_sequence(p, bad_xs, bad_mask)
 
 
 def test_gru_sequence_gradient_check():
     state = dc.ModelState(seed=10)
     state.add_gru("g", in_dim=3, hidden=4)
-    state.add_param("xs", (3, 4, 3), scale=1.0)  # probes the xs gradient too
     mask = np.array([[1, 1, 1, 1], [0, 0, 1, 1], [0, 0, 0, 0]], dtype=np.float64)
+    state.add_param("xs", (6, 3), scale=1.0)  # the real slots; probes their gradient
     target = rng(34).normal(size=(3, 4))
 
     def forward(s):

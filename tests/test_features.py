@@ -4,7 +4,7 @@ import numpy as np
 
 import oracles
 from fdrec import dataio, exprec, features
-from conftest import make_log
+from conftest import make_log, rng
 
 
 def split_of(records):
@@ -118,6 +118,26 @@ def test_window_rows_right_aligned_with_mask():
     rows2, mask2 = features.window_rows(seqs, np.array([0]), np.array([2]), limit=5)
     assert rows2.shape == (1, 2)
     assert mask2.all()
+
+
+def test_gather_window_packs_the_real_slots_row_major(small_data):
+    """The slot fields equal the [B, L] gathers of ``window_rows`` at the
+    mask, in row-major order, and ``row`` names each slot's batch row."""
+    seqs = small_data.seqs
+    local = np.arange(len(seqs.user)) - seqs.offsets[seqs.user]
+    rows = np.concatenate([[0], rng(40).permutation(len(local))[:40], [0]])
+    assert (local[rows] == 0).sum() >= 3  # rows with no real slot, first and last
+    win = features.gather_window(seqs, rows, 6)
+    grid, mask = features.window_rows(seqs, seqs.user[rows], local[rows], 6)
+    assert win.mask.dtype == bool
+    np.testing.assert_array_equal(win.mask, mask)
+    np.testing.assert_array_equal(win.row, np.repeat(np.arange(len(rows)), mask.sum(axis=1)))
+    for name in ("store", "hour", "dow", "loc"):
+        np.testing.assert_array_equal(getattr(win, name), getattr(seqs, name)[grid][mask])
+    np.testing.assert_array_equal(win.repeat, seqs.repeat[grid][mask].astype(np.int64))
+    np.testing.assert_array_equal(win.user, seqs.user[rows])
+    np.testing.assert_array_equal(win.now_hour, seqs.hour[rows])
+    assert len(win.store) == mask.sum() < mask.size
 
 
 def test_prepared_neighbors_are_memoized_neighbor_arrays(small_split):
