@@ -16,7 +16,7 @@ import numpy as np
 
 from . import diffcore as dc
 from . import evalharness, features, situsim
-from .training import TrainResult, TrainSettings, fit_pairs
+from .training import ModelSection, TrainResult, TrainSettings, fit_pairs
 
 __all__ = [
     "hispop_scores",
@@ -54,19 +54,10 @@ def hispop_scores(data: features.Dataset, cases) -> np.ndarray:
     )
 
 
-def sonly_build(data: features.Dataset, dim: int = 64, seed: int = 0) -> dc.ModelState:
-    vocabs, log = data.vocabs, data.split.log
-    state = dc.ModelState(seed=seed)
-    state.add_embedding("emb.store", len(vocabs.store_ids), dim)
-    features.add_situation_tables(state, dim, len(vocabs.location_ids))
-    state.meta = {
-        "model": "sonly",
-        "dim": dim,
-        "store_ids": vocabs.store_ids,
-        "location_ids": vocabs.location_ids,
-        "tz_offset_minutes": log.tz_offset_minutes,
-        "epoch": log.epoch,
-    }
+def sonly_build(data: features.Dataset, model: ModelSection, seed: int) -> dc.ModelState:
+    state = features.new_state(data, "sonly", seed, dim=model.dim)
+    state.add_embedding("emb.store", len(data.vocabs.store_ids), model.dim)
+    features.add_situation_tables(state, model.dim, len(data.vocabs.location_ids))
     return state
 
 
@@ -88,17 +79,14 @@ def _uniform_negatives(data: features.Dataset, rows: np.ndarray,
     return neg + (neg >= pos)
 
 
-def sonly_train(
-    data: features.Dataset,
-    settings: TrainSettings = TrainSettings(),
-    dim: int = 64,
-) -> tuple[dc.ModelState, TrainResult]:
+def sonly_train(data: features.Dataset, settings: TrainSettings,
+                model: ModelSection) -> tuple[dc.ModelState, TrainResult]:
     """Pairwise-ranking training over all train interactions.
 
     Negatives are uniform over the catalog (excluding the target).  Early
     stopping tracks HR@3 on validation exploration cases.
     """
-    state = sonly_build(data, dim=dim, seed=settings.seed)
+    state = sonly_build(data, model, settings.seed)
     rows = data.seqs.flat_of_global[data.split.train_idx]
     result = fit_pairs(state, data, rows, sonly_query, _uniform_negatives,
                        "exploration", settings, stream=101)

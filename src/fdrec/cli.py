@@ -38,7 +38,10 @@ from .diffcore import ModelState, load_checkpoint, save_checkpoint
 __all__ = ["main"]
 
 DATA_FILE = "data.bin"  # what ingest writes into the run directory
-TRAINABLE = ("sonly", "reprec", "exprec", "ensemble")
+# each trainable model's module, which defines <model>_train and, for every
+# model but the ensemble, the <model>_query forward that scores it
+MODULES = {"sonly": baselines, "reprec": reprec, "exprec": exprec, "ensemble": ensemble}
+TRAINABLE = tuple(MODULES)
 EVALUABLE = ("hispop",) + TRAINABLE
 
 # Which protocols each model can answer for.  HisPop and RepRec only rank
@@ -212,7 +215,11 @@ def _load_checkpoint(run_dir: str, model: str, data: features.Dataset) -> ModelS
         raise RuntimeError(
             f"no {model} checkpoint at {path}; run `fdrec train --model {model}` first"
         )
-    state = load_checkpoint(path)
+    try:
+        state = load_checkpoint(path)
+    except (OSError, ValueError) as err:
+        raise RuntimeError(f"cannot read the {model} checkpoint at {path}; "
+                           f"retrain with `fdrec train --model {model}`") from err
     want = {f: getattr(data.vocabs, f) for f in ("store_ids", "location_ids", "user_ids")
             if f in state.meta}
     want["data_fingerprint"] = data.fingerprint
@@ -308,23 +315,11 @@ def _cmd_analyze(args) -> int:
 
 
 def _train_one(cfg: RunConfig, run_dir: str, model: str, data: features.Dataset):
-    m = cfg.model
-    if model == "sonly":
-        return baselines.sonly_train(data, cfg.train, dim=m.dim)
-    if model == "reprec":
-        return reprec.reprec_train(data, cfg.train, dim=m.dim, window=m.repeat_window)
-    if model == "exprec":
-        return exprec.exprec_train(
-            data, cfg.train, dim=m.dim, window=m.history_window,
-            k_neighbors=m.k_neighbors, ablation_mask=cfg.ablation_mask(),
-        )
-    # ensemble: both base checkpoints must exist already
-    rep = _load_checkpoint(run_dir, "reprec", data)
-    exp = _load_checkpoint(run_dir, "exprec", data)
-    return ensemble.ensemble_train(
-        data, rep, exp, cfg.train, dim=m.dim, attn_dim=m.attn_dim,
-        window=m.history_window, budget=m.budget, lam=m.intent_weight,
-    )
+    # the ensemble trains against both base checkpoints, which must exist
+    frozen = ([_load_checkpoint(run_dir, m, data) for m in ("reprec", "exprec")]
+              if model == "ensemble" else [])
+    train = getattr(MODULES[model], f"{model}_train")
+    return train(data, cfg.train, cfg.model, *frozen)
 
 
 def _cmd_train(args) -> int:
@@ -357,10 +352,9 @@ def _make_scorer(run_dir: str, model: str, data: features.Dataset):
     """Returns (cases -> [N, C] scores, parameter count) for an evaluable model."""
     if model == "hispop":
         return (lambda cases: baselines.hispop_scores(data, cases)), 0
-    if model in ("sonly", "reprec", "exprec"):
+    if model != "ensemble":
         state = _load_checkpoint(run_dir, model, data)
-        query = {"sonly": baselines.sonly_query, "reprec": reprec.reprec_query,
-                 "exprec": exprec.exprec_query}[model]
+        query = getattr(MODULES[model], f"{model}_query")
         return ((lambda cases: evalharness.dot_scores(state, data, cases, query)),
                 state.param_count())
     ens = _load_checkpoint(run_dir, "ensemble", data)

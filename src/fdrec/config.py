@@ -5,8 +5,9 @@ value is validated up front, and relative paths are resolved against the
 directory containing the file, so a config can travel with its data.  The
 content hash (12 hex chars) names the run directory together with the
 training seed, which keeps artifacts from different configurations apart.
-The ``[synth]`` and ``[train]`` sections parse straight into
-:class:`~fdrec.dataio.SynthConfig` and :class:`~fdrec.training.TrainSettings`.
+The ``[synth]``, ``[model]`` and ``[train]`` sections parse straight into
+:class:`~fdrec.dataio.SynthConfig`, :class:`~fdrec.training.ModelSection` and
+:class:`~fdrec.training.TrainSettings`.  Each key's type is its default's.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 from .dataio import SECONDS_PER_DAY, SynthConfig, atomic_open
 from .exprec import TRIGGERS
-from .training import TrainSettings
+from .training import ModelSection, TrainSettings
 
 __all__ = [
     "ConfigError",
@@ -46,18 +47,6 @@ class DataSection:
     min_orders: int = 10
     valid_window_days: float = 4.0
     test_window_days: float = 4.0
-
-
-@dataclass(frozen=True)
-class ModelSection:
-    dim: int = 64
-    repeat_window: int = 50
-    history_window: int = 20
-    k_neighbors: int = 10
-    attn_dim: int = 32
-    budget: int = 30
-    intent_weight: float = 1.0
-    ablate: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -144,12 +133,6 @@ class RunConfig:
     def test_window_s(self) -> int:
         return int(round(self.data.test_window_days * SECONDS_PER_DAY))
 
-    def ablation_mask(self) -> tuple[bool, ...] | None:
-        """Ablated triggers as flags in ``TRIGGERS`` order; None if none."""
-        if not self.model.ablate:
-            return None
-        return tuple(t in self.model.ablate for t in TRIGGERS)
-
 
 def _validate(cfg: RunConfig) -> None:
     d, s, m, t, e = cfg.data, cfg.synth, cfg.model, cfg.train, cfg.eval
@@ -228,10 +211,7 @@ def load_config(path: str) -> RunConfig:
                         f"unknown key {key!r} in [{name}]; "
                         f"valid: {', '.join(fields)}"
                     )
-                kind = {"int": int, "float": float, "str": str}.get(
-                    fields[key].type.split("[")[0].strip(), tuple
-                )
-                values[key] = _parse_value(name, key, raw, kind)
+                values[key] = _parse_value(name, key, raw, type(fields[key].default))
         sections[name] = cls(**values)
 
     cfg = RunConfig(path=os.path.abspath(path), **sections)

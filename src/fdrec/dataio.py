@@ -64,23 +64,31 @@ def write_tensors(path: str, magic: bytes, header: dict, tensors: dict) -> None:
         fh.write(b"".join([magic, struct.pack("<Q", len(text)), text, *blobs]))
 
 
-def read_tensors(path: str, magic: bytes) -> tuple[dict, dict[str, np.ndarray]]:
+def read_tensors(path: str, magic: bytes,
+                 keys: tuple[str, ...] = ()) -> tuple[dict, dict[str, np.ndarray]]:
     """``(header, tensors)`` of a :func:`write_tensors` file; raises
-    ``ValueError`` on a wrong magic string or a truncated file."""
+    ``ValueError`` naming ``path`` on a wrong magic string, a truncated file
+    or a header without ``tensors`` or one of ``keys``."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if not blob.startswith(magic):
         raise ValueError(f"{path}: not a {magic.decode().strip()} file")
     try:
         at = len(magic) + 8 + struct.unpack_from("<Q", blob, len(magic))[0]
-        header, tensors = json.loads(blob[len(magic) + 8 : at]), {}
-        for spec in header["tensors"]:
-            dtype, shape = np.dtype(spec.get("dtype", "<f8")), tuple(spec["shape"])
-            count = int(np.prod(shape))
-            tensors[spec["name"]] = np.frombuffer(blob, dtype, count, at).reshape(shape).copy()
-            at += count * dtype.itemsize
+        header = json.loads(blob[len(magic) + 8 : at])
     except (ValueError, struct.error) as err:
         raise ValueError(f"{path}: truncated ({err})") from None
+    missing = [key for key in ("tensors", *keys) if key not in header]
+    if missing:
+        raise ValueError(f"{path}: damaged header, without {', '.join(missing)}")
+    tensors = {}
+    for spec in header["tensors"]:
+        dtype, shape = np.dtype(spec.get("dtype", "<f8")), tuple(spec["shape"])
+        count = int(np.prod(shape))
+        if at + count * dtype.itemsize > len(blob):
+            raise ValueError(f"{path}: truncated in tensor {spec['name']!r}")
+        tensors[spec["name"]] = np.frombuffer(blob, dtype, count, at).reshape(shape).copy()
+        at += count * dtype.itemsize
     return header, tensors
 
 

@@ -575,7 +575,7 @@ def save_checkpoint(state: ModelState, path: str) -> None:
 
 
 def load_checkpoint(path: str) -> ModelState:
-    header, tensors = read_tensors(path, _CKPT_MAGIC)
+    header, tensors = read_tensors(path, _CKPT_MAGIC, ("meta", "seed", "step"))
     state = ModelState(seed=header["seed"])
     state.step = header["step"]
     state.meta = header["meta"]

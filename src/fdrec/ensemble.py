@@ -22,7 +22,8 @@ import numpy as np
 
 from . import diffcore as dc
 from . import evalharness, exprec, features, reprec
-from .training import TrainResult, TrainSettings, run_training, validation_metric
+from .training import (ModelSection, TrainResult, TrainSettings, run_training,
+                       validation_metric)
 
 __all__ = [
     "ensemble_build",
@@ -32,25 +33,17 @@ __all__ = [
     "concat_scores",
 ]
 
-DEFAULT_ATTN_DIM = 32
-DEFAULT_WINDOW = 20
-DEFAULT_BUDGET = 30
-DEFAULT_LAMBDA = 1.0
 # rows per block of _item_weights_np's self-attention: a 1000-item slate's
 # block buffer is 1 MB where one C x C array is 8 MB
 ROW_BLOCK = 128
 
 
-def ensemble_build(
-    data: features.Dataset,
-    dim: int = 64,
-    attn_dim: int = DEFAULT_ATTN_DIM,
-    seed: int = 0,
-    window: int = DEFAULT_WINDOW,
-    budget: int = DEFAULT_BUDGET,
-) -> dc.ModelState:
-    vocabs, log = data.vocabs, data.split.log
-    state = dc.ModelState(seed=seed)
+def ensemble_build(data: features.Dataset, model: ModelSection, seed: int) -> dc.ModelState:
+    vocabs, dim, attn_dim = data.vocabs, model.dim, model.attn_dim
+    state = features.new_state(
+        data, "ensemble", seed, dim=dim, attn_dim=attn_dim,
+        window=model.history_window, budget=model.budget, user_ids=vocabs.user_ids,
+    )
     features.add_situation_tables(state, dim, len(vocabs.location_ids))
     state.add_embedding("emb.user", len(vocabs.user_ids), dim)
     state.add_embedding("emb.flag", 2, dim)
@@ -62,18 +55,6 @@ def ensemble_build(
         state.add_param(name, (attn_dim, attn_dim), scale)
     state.add_dense("cq", attn_dim, 2)
     state.add_dense("proj", 1, 2 * attn_dim)
-    state.meta = {
-        "model": "ensemble",
-        "dim": dim,
-        "attn_dim": attn_dim,
-        "window": window,
-        "budget": budget,
-        "store_ids": vocabs.store_ids,
-        "location_ids": vocabs.location_ids,
-        "user_ids": vocabs.user_ids,
-        "tz_offset_minutes": log.tz_offset_minutes,
-        "epoch": log.epoch,
-    }
     return state
 
 
@@ -307,21 +288,16 @@ def _combined_batch_loss(
 
 def ensemble_train(
     data: features.Dataset,
+    settings: TrainSettings,
+    model: ModelSection,
     frozen_reprec: dc.ModelState,
     frozen_exprec: dc.ModelState,
-    settings: TrainSettings = TrainSettings(),
-    dim: int = 64,
-    attn_dim: int = DEFAULT_ATTN_DIM,
-    window: int = DEFAULT_WINDOW,
-    budget: int = DEFAULT_BUDGET,
-    lam: float = DEFAULT_LAMBDA,
 ) -> tuple[dc.ModelState, dict[str, TrainResult]]:
     """Two-stage training against frozen base models."""
     if frozen_reprec is None or frozen_exprec is None:
         raise ValueError("ensemble training needs both frozen base models")
     seqs = data.seqs
-    state = ensemble_build(data, dim=dim, attn_dim=attn_dim, seed=settings.seed,
-                           window=window, budget=budget)
+    state = ensemble_build(data, model, settings.seed)
 
     train_rows = seqs.flat_of_global[data.split.train_idx]
     valid_rows = seqs.flat_of_global[data.split.valid_idx]
@@ -350,7 +326,7 @@ def ensemble_train(
         keep = np.unique(np.linspace(0, len(rows) - 1, cap).astype(np.int64))
         rows = rows[keep]
     slates = _build_training_slates(
-        data, rows, budget, settings.seed, frozen_reprec, frozen_exprec,
+        data, rows, model.budget, settings.seed, frozen_reprec, frozen_exprec,
     )
     if not slates:
         raise ValueError("no combined training slates could be built")
@@ -364,7 +340,7 @@ def ensemble_train(
     )
 
     def combined_loss(st, chunk, rng):
-        return _combined_batch_loss(st, slates, seqs, chunk, rng, lam)
+        return _combined_batch_loss(st, slates, seqs, chunk, rng, model.intent_weight)
 
     result_combine = run_training(
         state, len(slates), combined_loss, combined_val, settings, stream=105

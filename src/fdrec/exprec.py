@@ -16,11 +16,13 @@ the stage data's ``neighbors(meta["k_neighbors"], meta["neighbor_as_of"])``.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from . import diffcore as dc
 from . import features, situsim
-from .training import TrainResult, TrainSettings, fit_pairs
+from .training import ModelSection, TrainResult, TrainSettings, fit_pairs
 
 __all__ = [
     "TRIGGERS",
@@ -31,50 +33,32 @@ __all__ = [
 ]
 
 TRIGGERS = ("situation", "history", "user", "collab")
-DEFAULT_WINDOW = 20
-DEFAULT_NEIGHBORS = 10
 
 # ordered activation set for the conditioned user encoder
 _ACTIVATIONS_VAR = (lambda x: x, dc.tanh, dc.sigmoid, dc.relu)
 M = len(_ACTIVATIONS_VAR)
 
 
-def exprec_build(
-    data: features.Dataset,
-    dim: int = 64,
-    seed: int = 0,
-    window: int = DEFAULT_WINDOW,
-    k_neighbors: int = DEFAULT_NEIGHBORS,
-    ablation_mask=None,
-) -> dc.ModelState:
-    vocabs, split = data.vocabs, data.split
-    log = split.log
-    state = dc.ModelState(seed=seed)
+def exprec_build(data: features.Dataset, model: ModelSection, seed: int) -> dc.ModelState:
+    """An untrained ExpRec; ``model.ablate``'s triggers become
+    ``meta["ablate"]``'s flags, in ``TRIGGERS`` order."""
+    vocabs, dim = data.vocabs, model.dim
+    state = features.new_state(
+        data, "exprec", seed, dim=dim, window=model.history_window,
+        k_neighbors=model.k_neighbors, neighbor_as_of=data.split.valid_boundary,
+        ablate=_check_mask([t in model.ablate for t in TRIGGERS]).tolist(),
+        user_ids=vocabs.user_ids,
+    )
     state.add_embedding("emb.store", len(vocabs.store_ids), dim)
     features.add_situation_tables(state, dim, len(vocabs.location_ids))
     state.add_embedding("emb.user", len(vocabs.user_ids), dim)
     state.add_gru("gru.hist", 2 * dim, dim)
     state.add_dense("cond", M, dim)
     state.add_dense("fuse", len(TRIGGERS), 2 * dim)
-    state.meta = {
-        "model": "exprec",
-        "dim": dim,
-        "window": window,
-        "k_neighbors": k_neighbors,
-        "neighbor_as_of": split.valid_boundary,
-        "ablate": _check_mask(ablation_mask).tolist(),
-        "store_ids": vocabs.store_ids,
-        "location_ids": vocabs.location_ids,
-        "user_ids": vocabs.user_ids,
-        "tz_offset_minutes": log.tz_offset_minutes,
-        "epoch": log.epoch,
-    }
     return state
 
 
 def _check_mask(ablation_mask) -> np.ndarray:
-    if ablation_mask is None:
-        return np.zeros(len(TRIGGERS), dtype=bool)
     mask = np.asarray(ablation_mask, dtype=bool)
     if mask.shape != (len(TRIGGERS),):
         raise ValueError(f"ablation mask must have {len(TRIGGERS)} entries")
@@ -99,8 +83,11 @@ def _neighbor_weights(ids: np.ndarray, sims: np.ndarray) -> np.ndarray:
     return np.divide(w, total, out=np.zeros_like(w), where=total > 0)
 
 
-def _col(x: dc.Var, j: int) -> dc.Var:
-    return dc.getitem(x, (slice(None), slice(j, j + 1)))
+def _mix(weights: dc.Var, parts, lift=lambda col: col) -> dc.Var:
+    """Σ_j lift(weights[:, j:j+1]) * parts[j], summed from the first term on."""
+    terms = [dc.mul(lift(dc.getitem(weights, (slice(None), slice(j, j + 1)))), part)
+             for j, part in enumerate(parts)]
+    return functools.reduce(dc.add, terms)
 
 
 def exprec_query(state: dc.ModelState, data: features.Dataset,
@@ -116,7 +103,6 @@ def exprec_query(state: dc.ModelState, data: features.Dataset,
     mask = _check_mask(meta["ablate"])
     win = features.gather_window(data.seqs, rows, int(meta["window"]))
     B = len(win.user)
-    dim = int(meta["dim"])
 
     e_mu = features.situation(state, win.now_hour, win.now_dow, win.now_loc)
 
@@ -129,16 +115,12 @@ def exprec_query(state: dc.ModelState, data: features.Dataset,
     # situation-conditioned activation mix, shared by user and neighbors
     a = dc.softmax(dc.dense(state.leaf("cond.w"), state.leaf("cond.b"), e_mu))
     u_emb = dc.gather_rows(state.leaf("emb.user"), win.user)
-    e_u = dc.Var(np.zeros((B, dim)))
-    for j, act in enumerate(_ACTIVATIONS_VAR):
-        e_u = dc.add(e_u, dc.mul(_col(a, j), act(u_emb)))
+    e_u = _mix(a, [act(u_emb) for act in _ACTIVATIONS_VAR])
 
     nb_ids, nb_w = data.neighbors(meta["k_neighbors"], meta["neighbor_as_of"])
     nb_emb = dc.gather_rows(state.leaf("emb.user"), np.maximum(nb_ids[win.user], 0))
-    cond_nb = dc.Var(np.zeros(nb_emb.data.shape))       # [B,K,D]
-    for j, act in enumerate(_ACTIVATIONS_VAR):
-        aj = dc.reshape(_col(a, j), (B, 1, 1))
-        cond_nb = dc.add(cond_nb, dc.mul(aj, act(nb_emb)))
+    cond_nb = _mix(a, [act(nb_emb) for act in _ACTIVATIONS_VAR],
+                   lambda col: dc.reshape(col, (B, 1, 1)))      # [B,K,D]
     e_cu = dc.sum_(dc.mul(cond_nb, nb_w[win.user][:, :, None]), axis=1)
 
     logits = dc.dense(
@@ -147,11 +129,7 @@ def exprec_query(state: dc.ModelState, data: features.Dataset,
     if mask.any():
         logits = dc.add(logits, np.where(mask, -np.inf, 0.0))
     w = dc.softmax(logits, axis=-1)
-    triggers = (e_mu, e_h, e_u, e_cu)
-    s_e = dc.Var(np.zeros((B, dim)))
-    for j, trig in enumerate(triggers):
-        s_e = dc.add(s_e, dc.mul(_col(w, j), trig))
-    return s_e
+    return _mix(w, (e_mu, e_h, e_u, e_cu))
 
 
 def _visited_mask(seqs: features.UserSequences, rows: np.ndarray,
@@ -190,21 +168,14 @@ def _unvisited_negatives(data: features.Dataset, rows: np.ndarray,
     return neg
 
 
-def exprec_train(
-    data: features.Dataset,
-    settings: TrainSettings = TrainSettings(),
-    dim: int = 64,
-    window: int = DEFAULT_WINDOW,
-    k_neighbors: int = DEFAULT_NEIGHBORS,
-    ablation_mask=None,
-) -> tuple[dc.ModelState, TrainResult]:
+def exprec_train(data: features.Dataset, settings: TrainSettings,
+                 model: ModelSection) -> tuple[dc.ModelState, TrainResult]:
     """Train on exploration-flagged interactions with unvisited negatives.
 
-    Triggers set in ``ablation_mask`` are dropped from training and scoring.
+    Triggers named in ``model.ablate`` are dropped from training and scoring.
     """
     seqs, split = data.seqs, data.split
-    state = exprec_build(data, dim=dim, seed=settings.seed, window=window,
-                         k_neighbors=k_neighbors, ablation_mask=ablation_mask)
+    state = exprec_build(data, model, settings.seed)
     n_stores = len(data.vocabs.store_ids)
 
     train_rows = seqs.flat_of_global[split.train_idx]

@@ -15,9 +15,10 @@ The feature arrays (:class:`UserSequences`) lay the log out in
 :attr:`~fdrec.dataio.InteractionLog.by_user` order and read each user's first
 visits off the split's repeat flags, so no step walks a history in Python.
 
-The models' forward passes share the packed history-window gatherer, the
-situation embedding and :func:`query_rows`, which runs a model's query
-forward, the one its training loss uses, for inference.
+Every model builder starts from :func:`new_state`.  The models' forward
+passes share the packed history-window gatherer, the situation embedding and
+:func:`query_rows`, which runs a model's query forward, the one its training
+loss uses, for inference.
 """
 
 from __future__ import annotations
@@ -148,6 +149,8 @@ def build_sequences(split: DatasetSplit, vocabs: Vocabs) -> UserSequences:
 DATA_MAGIC = b"FDRECDATA1\n"
 _LOG_ARRAYS = ("users", "stores", "times", "locs")
 _SPLIT_ARRAYS = ("repeat_flags", "train_idx", "valid_idx", "test_idx")
+_HEADER_KEYS = ("fingerprint", "ids", "catalog", "tz_offset_minutes", "boundaries",
+                "neighbors")
 
 
 @dataclass(eq=False)
@@ -198,7 +201,7 @@ class Dataset:
 
 def load(path: str) -> Dataset:
     """What :meth:`Dataset.save` wrote, neighbours memoized; ``ValueError`` if damaged."""
-    header, tensors = read_tensors(path, DATA_MAGIC)
+    header, tensors = read_tensors(path, DATA_MAGIC, _HEADER_KEYS)
     log = InteractionLog(
         *header["ids"], *(tensors[name] for name in _LOG_ARRAYS),
         tz_offset_minutes=header["tz_offset_minutes"],
@@ -273,6 +276,25 @@ def gather_window(seqs: UserSequences, flat_rows: np.ndarray, limit: int) -> Win
         now_dow=seqs.dow[flat_rows],
         now_loc=seqs.loc[flat_rows],
     )
+
+
+def new_state(data: Dataset, name: str, seed: int, **meta) -> dc.ModelState:
+    """An empty ``name`` model drawing its parameters from ``seed``.
+
+    Its ``meta`` holds what every checkpoint records, the model name, the
+    store and location vocabularies and the log's time frame, plus the
+    builder's own ``meta`` keys."""
+    log = data.split.log
+    state = dc.ModelState(seed=seed)
+    state.meta = {
+        "model": name,
+        "store_ids": data.vocabs.store_ids,
+        "location_ids": data.vocabs.location_ids,
+        "tz_offset_minutes": log.tz_offset_minutes,
+        "epoch": log.epoch,
+        **meta,
+    }
+    return state
 
 
 def add_situation_tables(state: dc.ModelState, dim: int, n_locations: int) -> None:

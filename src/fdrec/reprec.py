@@ -16,7 +16,7 @@ import numpy as np
 
 from . import diffcore as dc
 from . import features
-from .training import TrainResult, TrainSettings, fit_pairs
+from .training import ModelSection, TrainResult, TrainSettings, fit_pairs
 
 __all__ = [
     "reprec_build",
@@ -24,26 +24,15 @@ __all__ = [
     "reprec_train",
 ]
 
-DEFAULT_WINDOW = 50
 # keeps cosine gradients finite when a situation vector underflows to zero
 _NORM_EPS_SQ = 1e-24
 
 
-def reprec_build(data: features.Dataset, dim: int = 64, seed: int = 0,
-                 window: int = DEFAULT_WINDOW) -> dc.ModelState:
-    vocabs, log = data.vocabs, data.split.log
-    state = dc.ModelState(seed=seed)
-    state.add_embedding("emb.store", len(vocabs.store_ids), dim)
-    features.add_situation_tables(state, dim, len(vocabs.location_ids))
-    state.meta = {
-        "model": "reprec",
-        "dim": dim,
-        "window": window,
-        "store_ids": vocabs.store_ids,
-        "location_ids": vocabs.location_ids,
-        "tz_offset_minutes": log.tz_offset_minutes,
-        "epoch": log.epoch,
-    }
+def reprec_build(data: features.Dataset, model: ModelSection, seed: int) -> dc.ModelState:
+    state = features.new_state(data, "reprec", seed, dim=model.dim,
+                               window=model.repeat_window)
+    state.add_embedding("emb.store", len(data.vocabs.store_ids), model.dim)
+    features.add_situation_tables(state, model.dim, len(data.vocabs.location_ids))
     return state
 
 
@@ -77,17 +66,13 @@ def _prior_store_negatives(data: features.Dataset, rows: np.ndarray,
     return seqs.first_stores[seqs.first_offsets[seqs.user[rows]] + j]
 
 
-def reprec_train(
-    data: features.Dataset,
-    settings: TrainSettings = TrainSettings(),
-    dim: int = 64,
-    window: int = DEFAULT_WINDOW,
-) -> tuple[dc.ModelState, TrainResult]:
+def reprec_train(data: features.Dataset, settings: TrainSettings,
+                 model: ModelSection) -> tuple[dc.ModelState, TrainResult]:
     """Train on repeat-flagged interactions; negatives from the user's own
     other prior stores (instances with fewer than 2 distinct priors skipped).
     """
     seqs = data.seqs
-    state = reprec_build(data, dim=dim, seed=settings.seed, window=window)
+    state = reprec_build(data, model, settings.seed)
 
     train_rows = seqs.flat_of_global[data.split.train_idx]
     keep = seqs.repeat[train_rows] & (seqs.distinct_before[train_rows] >= 2)

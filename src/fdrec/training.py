@@ -1,5 +1,10 @@
-"""Shared mini-batch training: the loop with patience-based early stopping,
-its validation metric, and the pairwise fit SOnly, RepRec and ExpRec share.
+"""Shared mini-batch training: the hyperparameter sections, the loop with
+patience-based early stopping, its validation metric, and the pairwise fit
+SOnly, RepRec and ExpRec share.
+
+:class:`ModelSection` (the ``[model]`` section) is the one source of model
+hyperparameters: every ``<model>_build(data, model, seed)`` and
+``<model>_train(data, settings, model)`` reads its fields from it.
 
 Each of those three models supplies only a query forward,
 ``<model>_query(state, data, rows) -> Var [B, D]`` over flat sequence rows,
@@ -19,6 +24,18 @@ import numpy as np
 from . import diffcore as dc
 from . import evalharness, features
 from .diffcore import ModelState, Var, adam_step, backward
+
+
+@dataclass(frozen=True)
+class ModelSection:
+    dim: int = 64
+    repeat_window: int = 50  # RepRec's history window
+    history_window: int = 20  # ExpRec's GRU and the ensemble's intent window
+    k_neighbors: int = 10
+    attn_dim: int = 32
+    budget: int = 30  # ensemble training slate size
+    intent_weight: float = 1.0  # weight of the ensemble's intent loss
+    ablate: tuple[str, ...] = ()  # ExpRec triggers to drop
 
 
 @dataclass(frozen=True)

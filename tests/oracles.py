@@ -722,7 +722,7 @@ def fusion_weights(
     ablation_mask=None,
 ) -> np.ndarray:
     """Softmax trigger weights; ablated entries are exactly 0."""
-    mask = _check_mask(ablation_mask)
+    mask = _check_mask([False] * len(TRIGGERS) if ablation_mask is None else ablation_mask)
     values = _values(state)
     logits = np.concatenate([e_mu, e_u_mu]) @ values["fuse.w"].T + values["fuse.b"]
     w = np.zeros(len(TRIGGERS))

@@ -3,7 +3,7 @@ import pytest
 
 import oracles
 from fdrec import baselines, evalharness, features
-from fdrec.training import TrainSettings
+from fdrec.training import ModelSection, TrainSettings
 from oracles import Interaction, SituationFeatures
 
 
@@ -79,7 +79,7 @@ def test_hispop_is_deterministic(small_split, small_data, small_seqs):
 
 
 def test_sonly_build_shapes(small_split, small_data):
-    state = baselines.sonly_build(small_data, dim=16, seed=0)
+    state = baselines.sonly_build(small_data, ModelSection(dim=16), seed=0)
     n_stores = len(small_split.log.store_ids)
     assert state.value("emb.store").shape == (n_stores, 16)
     assert state.value("emb.hour").shape == (24, 16)
@@ -89,7 +89,7 @@ def test_sonly_build_shapes(small_split, small_data):
 
 
 def test_sonly_score_is_dot_of_situation_and_store(small_split, small_data):
-    state = baselines.sonly_build(small_data, dim=8, seed=1)
+    state = baselines.sonly_build(small_data, ModelSection(dim=8), seed=1)
     log = small_split.log
     now = SituationFeatures(2, 13, 4, log.location_ids[0])
     candidates = log.store_ids[:5]
@@ -107,7 +107,7 @@ def test_sonly_score_is_dot_of_situation_and_store(small_split, small_data):
 
 
 def test_sonly_score_unseen_location_uses_fallback(small_split, small_data):
-    state = baselines.sonly_build(small_data, dim=8, seed=1)
+    state = baselines.sonly_build(small_data, ModelSection(dim=8), seed=1)
     now_known = SituationFeatures(0, 9, 2, "no-such-location")
     scores = oracles.sonly_score(state, now_known, small_split.log.store_ids[:3]).scores
     situ = (
@@ -123,12 +123,12 @@ def test_sonly_score_unseen_location_uses_fallback(small_split, small_data):
 def test_sonly_training_improves_validation_metric(small_data):
     settings = TrainSettings(lr=0.05, batch_size=128, patience=3, max_epochs=8,
                              seed=0)
-    state, result = baselines.sonly_train(small_data, settings, dim=16)
+    state, result = baselines.sonly_train(small_data, settings, ModelSection(dim=16))
     assert result.epochs >= 1
     assert result.best_metric == max(result.history)
     assert state.meta["model"] == "sonly"
     # training must be reproducible
-    state2, result2 = baselines.sonly_train(small_data, settings, dim=16)
+    state2, result2 = baselines.sonly_train(small_data, settings, ModelSection(dim=16))
     assert result2.history == result.history
     for name in state.params:
         np.testing.assert_array_equal(state.value(name), state2.value(name))
@@ -136,7 +136,7 @@ def test_sonly_training_improves_validation_metric(small_data):
 
 def test_sonly_scorer_covers_all_protocols(small_split, small_data, small_seqs):
     seqs, vocabs = small_seqs
-    state = baselines.sonly_build(small_data, dim=8, seed=0)
+    state = baselines.sonly_build(small_data, ModelSection(dim=8), seed=0)
     for protocol in ("repeat", "exploration", "combined"):
         cases = evalharness.build_cases(small_split, protocol, seed=0,
                                         max_cases=10, seqs=seqs, vocabs=vocabs)
@@ -149,7 +149,7 @@ def test_sonly_scorer_covers_all_protocols(small_split, small_data, small_seqs):
 def test_sonly_scorer_matches_public_op(small_split, small_data, small_seqs):
     seqs, vocabs = small_seqs
     log = small_split.log
-    state = baselines.sonly_build(small_data, dim=8, seed=2)
+    state = baselines.sonly_build(small_data, ModelSection(dim=8), seed=2)
     cases = evalharness.build_cases(small_split, "exploration", seed=0,
                                     max_cases=8, seqs=seqs, vocabs=vocabs)
     scores = evalharness.dot_scores(state, small_data, cases, baselines.sonly_query)

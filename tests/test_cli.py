@@ -100,8 +100,19 @@ def test_analyze_outputs(pipeline):
 
 def test_train_artifacts(pipeline):
     _, run_dir = pipeline
-    for model in ("sonly", "reprec", "exprec", "ensemble"):
-        assert os.path.isfile(os.path.join(run_dir, f"{model}.ckpt"))
+    m = SMALL["model"]
+    # every [model] key SMALL sets away from its default, as each model records it
+    recorded = {
+        "sonly": {"dim": m["dim"]},
+        "reprec": {"dim": m["dim"], "window": m["repeat_window"]},
+        "exprec": {"dim": m["dim"], "window": m["history_window"],
+                   "k_neighbors": m["k_neighbors"]},
+        "ensemble": {"dim": m["dim"], "window": m["history_window"],
+                     "attn_dim": m["attn_dim"], "budget": m["budget"]},
+    }
+    for model, want in recorded.items():
+        meta = load_checkpoint(os.path.join(run_dir, f"{model}.ckpt")).meta
+        assert {key: meta[key] for key in want} == want, model
         with open(os.path.join(run_dir, f"{model}.train.json")) as fh:
             payload = json.load(fh)
         if model == "ensemble":
@@ -268,7 +279,15 @@ def test_edited_data_needs_ingest_then_retraining(pipeline, tmp_path, capsys):
             f"differ; retrain with `fdrec train --model reprec`") in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("damage", ["missing", "header", "tensors"])
+def damaged(blob: bytes, damage: str, key: bytes) -> bytes:
+    """``blob`` cut inside its header or its last tensor, or with the header
+    entry ``key`` renamed."""
+    if damage == "key":
+        return blob.replace(b'"%s"' % key, b'"%sz"' % key[:-1], 1)
+    return blob[:30] if damage == "header" else blob[:-1]
+
+
+@pytest.mark.parametrize("damage", ["missing", "header", "tensors", "key"])
 def test_missing_or_truncated_data_fails_naming_it(pipeline, tmp_path, capsys, damage):
     cfg = copy_run(pipeline, tmp_path)
     path = os.path.join(load_config(cfg).run_dir(), cli.DATA_FILE)
@@ -277,11 +296,26 @@ def test_missing_or_truncated_data_fails_naming_it(pipeline, tmp_path, capsys, d
     os.unlink(path)
     if damage != "missing":
         with open(path, "wb") as fh:
-            fh.write(blob[:30] if damage == "header" else blob[:-1])
+            fh.write(damaged(blob, damage, b"tensors"))
     assert cli.main(["train", "--config", cfg, "--model", "reprec"]) == 1
     err = capsys.readouterr().err
     assert path in err
     assert f"run `fdrec ingest --config {cfg}`" in err
+
+
+@pytest.mark.parametrize("damage", ["tensors", "key"])
+def test_truncated_or_damaged_checkpoint_fails_naming_it(pipeline, tmp_path, capsys, damage):
+    cfg = copy_run(pipeline, tmp_path)
+    path = os.path.join(load_config(cfg).run_dir(), "reprec.ckpt")
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    with open(path, "wb") as fh:
+        fh.write(damaged(blob, damage, b"meta"))
+    assert cli.main(["eval", "--config", cfg, "--model", "reprec",
+                     "--protocol", "repeat"]) == 1
+    err = capsys.readouterr().err
+    assert path in err
+    assert "retrain with `fdrec train --model reprec`" in err
 
 
 def test_ingest_rewrites_identical_data(pipeline):

@@ -135,17 +135,17 @@ def test_run_dir_combines_hash_and_seed(tmp_path):
     assert cfg.run_dir() == want
 
 
-def test_ablate_accepts_commas_and_whitespace(tmp_path):
+def test_ablate_accepts_commas_and_whitespace(tmp_path, small_data):
     a = load_config(write(tmp_path, "[model]\nablate = situation, collab\n",
                           "a.cfg"))
     b = load_config(write(tmp_path, "[model]\nablate = situation collab\n",
                           "b.cfg"))
     assert a.model.ablate == b.model.ablate == ("situation", "collab")
-    mask = a.ablation_mask()
-    assert mask == (True, False, False, True)
-    assert len(mask) == len(TRIGGERS)
+    flags = exprec.exprec_build(small_data, a.model, seed=0).meta["ablate"]
+    assert flags == [True, False, False, True]
+    assert len(flags) == len(TRIGGERS)
     plain = load_config(write(tmp_path, "[model]\ndim = 8\n", "c.cfg"))
-    assert plain.ablation_mask() is None
+    assert exprec.exprec_build(small_data, plain.model, seed=0).meta["ablate"] == [False] * 4
 
 
 def test_write_config_applies_overrides(tmp_path):
@@ -263,7 +263,8 @@ def test_every_synth_and_train_key_reaches_the_generator_and_trainers(
         monkeypatch.setattr(module, name, lambda *args, **kwargs: args)
     for model in cli.TRAINABLE:
         got = cli._train_one(load_config(path), "run", model, "data")
-        assert got[-1] == TrainSettings(**train)
+        assert got[1] == TrainSettings(**train)
+        assert got[2] == load_config(path).model
 
 
 CLAIMS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),

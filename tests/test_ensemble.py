@@ -4,14 +4,14 @@ import pytest
 import oracles
 from fdrec import diffcore as dc
 from fdrec import baselines, ensemble, evalharness, exprec, features, reprec
-from fdrec.training import TrainSettings
+from fdrec.training import ModelSection, TrainSettings
 from oracles import ScoredSlate, SituationFeatures
 from conftest import rng, take
 from test_exprec import manual_gru, np_softmax
 
 
-def build(data, **kw):
-    return ensemble.ensemble_build(data, **kw)
+def build(data, seed=0, **model):
+    return ensemble.ensemble_build(data, ModelSection(**model), seed)
 
 
 def test_intent_estimate_validation():
@@ -42,7 +42,7 @@ def test_predict_intent_unknown_user(tiny_data):
 
 
 def test_predict_intent_matches_manual_transcription(tiny_data):
-    state = build(tiny_data, dim=8, attn_dim=4, seed=5, window=3)
+    state = build(tiny_data, dim=8, attn_dim=4, seed=5, history_window=3)
     values = {n: state.value(n) for n in state.params}
     meta = state.meta
     user = meta["user_ids"][1]
@@ -66,7 +66,7 @@ def test_predict_intent_matches_manual_transcription(tiny_data):
 
 def test_batched_intent_matches_single_op(small_split, small_data, small_seqs):
     seqs, vocabs = small_seqs
-    state = build(small_data, dim=8, attn_dim=4, seed=7, window=5)
+    state = build(small_data, dim=8, attn_dim=4, seed=7, history_window=5)
     values = {n: state.value(n) for n in state.params}
     rows = seqs.flat_of_global[small_split.test_idx[:6]]
     probs = ensemble._intent_probs(state, small_data, rows)
@@ -236,8 +236,9 @@ def test_item_weights_factorized_attention_matches_plain_expression(tiny_data, s
 
 
 def frozen_bases(data, dim=6):
-    rep = reprec.reprec_build(data, dim=dim, seed=31)
-    exp = exprec.exprec_build(data, dim=dim, seed=32, window=4, k_neighbors=3)
+    rep = reprec.reprec_build(data, ModelSection(dim=dim), seed=31)
+    exp = exprec.exprec_build(data, ModelSection(dim=dim, history_window=4, k_neighbors=3),
+                              seed=32)
     return rep, exp
 
 
@@ -279,7 +280,7 @@ def test_training_slate_construction(tiny_data):
 
 def test_combined_loss_gradients_match_finite_differences(tiny_data):
     seqs = tiny_data.seqs
-    state = build(tiny_data, dim=6, attn_dim=4, seed=33, window=4, budget=6)
+    state = build(tiny_data, dim=6, attn_dim=4, seed=33, history_window=4, budget=6)
     rep, exp = frozen_bases(tiny_data)
     rows = seqs.flat_of_global[tiny_data.split.train_idx]
     rows = rows[seqs.distinct_before[rows] >= 1][:8]
@@ -300,24 +301,21 @@ def test_train_runs_two_stages_and_is_deterministic(small_data):
     rep, exp = frozen_bases(small_data, dim=8)
     settings = TrainSettings(lr=0.05, batch_size=64, patience=2, max_epochs=2,
                              seed=3, max_instances=300, val_max_cases=40)
-    state, results = ensemble.ensemble_train(
-        small_data, rep, exp, settings, dim=8, attn_dim=4, window=5, budget=6,
-    )
+    model = ModelSection(dim=8, attn_dim=4, history_window=5, budget=6)
+    state, results = ensemble.ensemble_train(small_data, settings, model, rep, exp)
     assert set(results) == {"intent", "combine"}
     assert state.meta["model"] == "ensemble"
-    state2, results2 = ensemble.ensemble_train(
-        small_data, rep, exp, settings, dim=8, attn_dim=4, window=5, budget=6,
-    )
+    state2, results2 = ensemble.ensemble_train(small_data, settings, model, rep, exp)
     assert results["combine"].history == results2["combine"].history
     for name in state.params:
         np.testing.assert_array_equal(state.value(name), state2.value(name))
     with pytest.raises(ValueError, match="both frozen base models"):
-        ensemble.ensemble_train(small_data, None, exp, settings)
+        ensemble.ensemble_train(small_data, settings, model, None, exp)
 
 
 def test_scorer_composes_public_pieces(small_split, small_data, small_seqs):
     seqs, vocabs = small_seqs
-    state = build(small_data, dim=8, attn_dim=4, seed=41, window=5)
+    state = build(small_data, dim=8, attn_dim=4, seed=41, history_window=5)
     rep, exp = frozen_bases(small_data, dim=8)
     nb_ids, nb_w = exprec.neighbor_arrays(
         small_split.log, int(exp.meta["k_neighbors"]), int(exp.meta["neighbor_as_of"])
@@ -366,8 +364,8 @@ def test_cases_across_chunks_score_as_each_case_alone(
 ):
     seqs, vocabs = small_seqs
     rep, exp = frozen_bases(small_data, dim=8)
-    son = baselines.sonly_build(small_data, dim=8, seed=4)
-    ens = build(small_data, dim=8, attn_dim=4, seed=43, window=5)
+    son = baselines.sonly_build(small_data, ModelSection(dim=8), seed=4)
+    ens = build(small_data, dim=8, attn_dim=4, seed=43, history_window=5)
     scores = {
         "sonly": lambda cs: evalharness.dot_scores(son, small_data, cs, baselines.sonly_query),
         "reprec": lambda cs: evalharness.dot_scores(rep, small_data, cs, reprec.reprec_query),

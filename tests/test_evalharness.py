@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fdrec import baselines, ensemble, evalharness, exprec, reprec
+from fdrec.training import ModelSection
 from fdrec.evalharness import (
     MAX_CANDIDATES,
     CaseSet,
@@ -352,10 +353,10 @@ def _unknown_candidate_scorer(model, data, code):
     if model == "hispop":
         return (lambda cs: baselines.hispop_scores(data, cs)), cases
     if model == "sonly":
-        state = baselines.sonly_build(data, dim=4, seed=0)
+        state = baselines.sonly_build(data, ModelSection(dim=4), seed=0)
         return (lambda cs: evalharness.dot_scores(state, data, cs, baselines.sonly_query)), cases
-    rep = reprec.reprec_build(data, dim=4, seed=1)
-    exp = exprec.exprec_build(data, dim=4, seed=2, window=4, k_neighbors=3)
+    rep = reprec.reprec_build(data, ModelSection(dim=4), seed=1)
+    exp = exprec.exprec_build(data, ModelSection(dim=4, history_window=4, k_neighbors=3), seed=2)
     return (lambda cs: ensemble.concat_scores(rep, exp, data, cs)), cases
 
 

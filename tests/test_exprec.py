@@ -5,7 +5,7 @@ import oracles
 from fdrec import diffcore as dc
 from fdrec import evalharness, exprec, features
 from fdrec.dataio import time_facets
-from fdrec.training import TrainSettings, pair_loss
+from fdrec.training import ModelSection, TrainSettings, pair_loss
 from conftest import DAY, make_log, rng
 
 
@@ -35,8 +35,11 @@ def manual_gru(values, prefix, x, h):
     return (1.0 - z) * h + z * cand
 
 
-def build(data, **kw):
-    return exprec.exprec_build(data, **kw)
+def build(data, seed=0, ablation_mask=None, **model):
+    """``exprec_build`` with ``model``'s ``ModelSection`` keys; the triggers
+    set in ``ablation_mask`` (flags in ``TRIGGERS`` order) are ablated."""
+    ablate = tuple(t for t, off in zip(exprec.TRIGGERS, ablation_mask or ()) if off)
+    return exprec.exprec_build(data, ModelSection(ablate=ablate, **model), seed)
 
 
 def values_of(state):
@@ -69,7 +72,7 @@ def test_encode_history_zero_gru_stays_zero(tiny_split, tiny_data):
 
 
 def test_encode_history_respects_window(tiny_split, tiny_data):
-    state = build(tiny_data, dim=8, seed=2, window=3)
+    state = build(tiny_data, dim=8, seed=2, history_window=3)
     _, history, _ = user_history(tiny_split, n=6)
     full = oracles.encode_history(state, history)
     tail = oracles.encode_history(state, history[-3:])
@@ -81,7 +84,7 @@ def test_encode_history_respects_window(tiny_split, tiny_data):
 
 
 def test_encode_history_matches_manual_gru(tiny_split, tiny_data):
-    state = build(tiny_data, dim=6, seed=3, window=10)
+    state = build(tiny_data, dim=6, seed=3, history_window=10)
     values = values_of(state)
     meta = state.meta
     _, history, _ = user_history(tiny_split, n=4)
@@ -223,7 +226,7 @@ def test_trigger_fusion_is_weighted_sum(tiny_data):
 
 
 def test_score_matches_manual_transcription(tiny_split, tiny_data):
-    state = build(tiny_data, dim=8, seed=11, window=4)
+    state = build(tiny_data, dim=8, seed=11, history_window=4)
     values = values_of(state)
     meta = state.meta
     user, history, now = user_history(tiny_split, n=6)
@@ -327,7 +330,7 @@ def test_neighbor_arrays_pad_users_without_history():
 
 def pair_loss_fd_error(tiny_data, ablation_mask):
     # exprec_build's parameter draws do not depend on the mask
-    state = build(tiny_data, dim=6, seed=17, window=4, k_neighbors=3,
+    state = build(tiny_data, dim=6, seed=17, history_window=4, k_neighbors=3,
                   ablation_mask=ablation_mask)
     seqs = tiny_data.seqs
     n_stores = len(tiny_data.vocabs.store_ids)
@@ -364,7 +367,7 @@ MASKS = [None] + [tuple(i == j for i in range(4)) for j in range(4)]
 @pytest.mark.parametrize("mask", MASKS, ids=["none", *exprec.TRIGGERS])
 def test_scorer_matches_public_op(small_split, small_data, small_seqs, mask):
     seqs, vocabs = small_seqs
-    state = build(small_data, dim=8, seed=19, window=6, k_neighbors=4,
+    state = build(small_data, dim=8, seed=19, history_window=6, k_neighbors=4,
                   ablation_mask=mask)
     nb_ids, nb_w = exprec.neighbor_arrays(
         small_split.log, int(state.meta["k_neighbors"]), int(state.meta["neighbor_as_of"])
@@ -425,10 +428,9 @@ def test_scorer_defaults_to_the_trained_mask(small_split, small_data, small_seqs
 def test_training_is_deterministic(small_data):
     settings = TrainSettings(lr=0.05, batch_size=64, patience=2, max_epochs=3,
                              seed=2, val_max_cases=50)
-    state, result = exprec.exprec_train(small_data, settings, dim=8, window=6,
-                                        k_neighbors=4)
-    state2, result2 = exprec.exprec_train(small_data, settings, dim=8,
-                                          window=6, k_neighbors=4)
+    model = ModelSection(dim=8, history_window=6, k_neighbors=4)
+    state, result = exprec.exprec_train(small_data, settings, model)
+    state2, result2 = exprec.exprec_train(small_data, settings, model)
     assert result.history == result2.history
     assert state.meta["model"] == "exprec"
     for name in state.params:

@@ -12,6 +12,7 @@ import pytest
 import oracles
 from fdrec import dataio, ensemble, exprec, features, reprec
 from fdrec import diffcore as dc
+from fdrec.training import ModelSection
 from conftest import DAY, rng
 
 
@@ -68,7 +69,7 @@ CASES = [(50, "full"), (50, "mixed"), (20, "full"), (20, "mixed")]
 @pytest.mark.parametrize("window, fill", CASES)
 def test_reprec_query_matches_the_padded_form_bit_for_bit(long_data, window, fill):
     rows = batch(long_data, window, fill, seed=70 + window)
-    state = reprec.reprec_build(long_data, dim=32, seed=3, window=window)
+    state = reprec.reprec_build(long_data, ModelSection(dim=32, repeat_window=window), seed=3)
     grads = assert_same_bits(
         forward_and_grads(state, lambda s: reprec.reprec_query(s, long_data, rows), 71),
         forward_and_grads(state, lambda s: oracles.reprec_query_padded(s, long_data, rows), 71),
@@ -88,7 +89,8 @@ def padded_forms(monkeypatch):
 def test_exprec_query_matches_the_padded_form_bit_for_bit(long_data, monkeypatch,
                                                           window, fill):
     rows = batch(long_data, window, fill, seed=80 + window)
-    state = exprec.exprec_build(long_data, dim=32, seed=4, window=window, k_neighbors=4)
+    state = exprec.exprec_build(long_data, ModelSection(dim=32, history_window=window,
+                                                      k_neighbors=4), seed=4)
 
     def forward(s):
         return exprec.exprec_query(s, long_data, rows)
@@ -106,7 +108,8 @@ def test_exprec_query_matches_the_padded_form_bit_for_bit(long_data, monkeypatch
 def test_intent_logits_match_the_padded_form_bit_for_bit(long_data, monkeypatch,
                                                          window, fill):
     rows = batch(long_data, window, fill, seed=90 + window)
-    state = ensemble.ensemble_build(long_data, dim=32, attn_dim=8, seed=5, window=window)
+    state = ensemble.ensemble_build(
+        long_data, ModelSection(dim=32, attn_dim=8, history_window=window), seed=5)
 
     def forward(s):
         return ensemble._intent_logits(s, long_data.seqs, rows)

@@ -5,7 +5,7 @@ import oracles
 from fdrec import diffcore as dc
 from fdrec import evalharness, features, reprec
 from fdrec.dataio import time_facets
-from fdrec.training import TrainSettings, pair_loss
+from fdrec.training import ModelSection, TrainSettings, pair_loss
 from oracles import Interaction, SituationFeatures
 from conftest import rng
 
@@ -58,7 +58,7 @@ def sample_history(split, n=6, seed=0):
 
 
 def test_forward_matches_brute_force(tiny_split, tiny_data):
-    state = reprec.reprec_build(tiny_data, dim=12, seed=3)
+    state = reprec.reprec_build(tiny_data, ModelSection(dim=12), seed=3)
     history, now = sample_history(tiny_split)
     candidates = sorted({it.store_id for it in history})
     slate = oracles.reprec_forward(state, history, now, candidates)
@@ -68,7 +68,7 @@ def test_forward_matches_brute_force(tiny_split, tiny_data):
 
 
 def test_forward_identical_situation_scores_self_similarity(tiny_split, tiny_data):
-    state = reprec.reprec_build(tiny_data, dim=8, seed=0)
+    state = reprec.reprec_build(tiny_data, ModelSection(dim=8), seed=0)
     log = tiny_split.log
     sid = log.store_ids[0]
     meta = state.meta
@@ -85,7 +85,7 @@ def test_forward_identical_situation_scores_self_similarity(tiny_split, tiny_dat
 
 
 def test_forward_history_permutation_invariant(tiny_split, tiny_data):
-    state = reprec.reprec_build(tiny_data, dim=10, seed=1)
+    state = reprec.reprec_build(tiny_data, ModelSection(dim=10), seed=1)
     history, now = sample_history(tiny_split)
     candidates = sorted({it.store_id for it in history})
     base = oracles.reprec_forward(state, history, now, candidates).scores
@@ -95,7 +95,7 @@ def test_forward_history_permutation_invariant(tiny_split, tiny_data):
 
 
 def test_forward_duplicated_entry_doubles_its_weight(tiny_split, tiny_data):
-    state = reprec.reprec_build(tiny_data, dim=10, seed=2)
+    state = reprec.reprec_build(tiny_data, ModelSection(dim=10), seed=2)
     history, now = sample_history(tiny_split, n=3)
     sid = history[0].store_id
     single = oracles.reprec_forward(state, history, now, [sid]).scores[0]
@@ -108,7 +108,7 @@ def test_forward_duplicated_entry_doubles_its_weight(tiny_split, tiny_data):
 
 def test_forward_situation_scale_invariance(tiny_split, tiny_data):
     """Cosine weights ignore positive rescaling of the situation tables."""
-    state = reprec.reprec_build(tiny_data, dim=10, seed=5)
+    state = reprec.reprec_build(tiny_data, ModelSection(dim=10), seed=5)
     history, now = sample_history(tiny_split)
     candidates = sorted({it.store_id for it in history})
     base = oracles.reprec_forward(state, history, now, candidates).scores
@@ -119,7 +119,7 @@ def test_forward_situation_scale_invariance(tiny_split, tiny_data):
 
 
 def test_forward_zero_situation_gets_exactly_zero_weight(tiny_split, tiny_data):
-    state = reprec.reprec_build(tiny_data, dim=6, seed=6)
+    state = reprec.reprec_build(tiny_data, ModelSection(dim=6), seed=6)
     for name in ("emb.hour", "emb.dow", "emb.loc"):
         state.value(name)[...] = 0.0
     history, now = sample_history(tiny_split, n=4)
@@ -129,7 +129,7 @@ def test_forward_zero_situation_gets_exactly_zero_weight(tiny_split, tiny_data):
 
 
 def test_forward_input_validation(tiny_split, tiny_data):
-    state = reprec.reprec_build(tiny_data, dim=6, seed=0)
+    state = reprec.reprec_build(tiny_data, ModelSection(dim=6), seed=0)
     history, now = sample_history(tiny_split, n=3)
     with pytest.raises(ValueError, match="non-empty"):
         oracles.reprec_forward(state, [], now, ["s0000"])
@@ -142,7 +142,7 @@ def test_forward_input_validation(tiny_split, tiny_data):
 
 
 def test_batch_loss_gradients_match_finite_differences(tiny_data):
-    state = reprec.reprec_build(tiny_data, dim=6, seed=7, window=10)
+    state = reprec.reprec_build(tiny_data, ModelSection(dim=6, repeat_window=10), seed=7)
     seqs = tiny_data.seqs
     flags = seqs.repeat & (seqs.distinct_before >= 2)
     rows = np.nonzero(flags)[0][:8]
@@ -165,8 +165,8 @@ def test_batch_loss_gradients_match_finite_differences(tiny_data):
 def test_training_is_deterministic_and_improves(small_data):
     settings = TrainSettings(lr=0.05, batch_size=128, patience=3, max_epochs=6,
                              seed=1)
-    state, result = reprec.reprec_train(small_data, settings, dim=16)
-    state2, result2 = reprec.reprec_train(small_data, settings, dim=16)
+    state, result = reprec.reprec_train(small_data, settings, ModelSection(dim=16))
+    state2, result2 = reprec.reprec_train(small_data, settings, ModelSection(dim=16))
     assert result.history == result2.history
     assert result.best_metric >= result.history[0] - 1e-12
     assert state.meta["model"] == "reprec"
@@ -175,7 +175,7 @@ def test_training_is_deterministic_and_improves(small_data):
 
 
 def test_checkpoint_roundtrip_preserves_scores(tiny_split, tiny_data, tmp_path):
-    state = reprec.reprec_build(tiny_data, dim=8, seed=4)
+    state = reprec.reprec_build(tiny_data, ModelSection(dim=8), seed=4)
     history, now = sample_history(tiny_split)
     candidates = sorted({it.store_id for it in history})
     want = oracles.reprec_forward(state, history, now, candidates).scores
@@ -188,7 +188,7 @@ def test_checkpoint_roundtrip_preserves_scores(tiny_split, tiny_data, tmp_path):
 
 def test_scorer_matches_public_op_with_window(small_split, small_data, small_seqs):
     seqs, vocabs = small_seqs
-    state = reprec.reprec_build(small_data, dim=8, seed=8)
+    state = reprec.reprec_build(small_data, ModelSection(dim=8), seed=8)
     window = int(state.meta["window"])
     cases = evalharness.build_cases(small_split, "repeat", seed=0, max_cases=12,
                                     seqs=seqs, vocabs=vocabs)
