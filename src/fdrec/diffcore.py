@@ -89,13 +89,15 @@ def sub(a, b) -> Var:
 
 
 def mul(a, b) -> Var:
+    """Elementwise product; a plain array or scalar operand gets no gradient."""
+    grad_a, grad_b = isinstance(a, Var), isinstance(b, Var)
     a, b = _as_var(a), _as_var(b)
     return Var(
         a.data * b.data,
         (a, b),
         lambda g: (
-            _unbroadcast(g * b.data, a.data.shape),
-            _unbroadcast(g * a.data, b.data.shape),
+            _unbroadcast(g * b.data, a.data.shape) if grad_a else None,
+            _unbroadcast(g * a.data, b.data.shape) if grad_b else None,
         ),
     )
 
@@ -113,15 +115,16 @@ def div(a, b) -> Var:
 
 
 def matmul(a, b) -> Var:
-    """Matrix product; both operands at least 2-d (batch axes broadcast)."""
+    """Matrix product, batch axes broadcast; a plain array operand gets no gradient."""
+    grad_a, grad_b = isinstance(a, Var), isinstance(b, Var)
     a, b = _as_var(a), _as_var(b)
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ValueError("matmul operands must be at least 2-d")
 
     def vjp(g):
-        ga = g @ np.swapaxes(b.data, -1, -2)
-        gb = np.swapaxes(a.data, -1, -2) @ g
-        return _unbroadcast(ga, a.data.shape), _unbroadcast(gb, b.data.shape)
+        ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape) if grad_a else None
+        gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape) if grad_b else None
+        return ga, gb
 
     return Var(a.data @ b.data, (a, b), vjp)
 

@@ -16,7 +16,7 @@ query against the store embeddings with the pairwise ranking loss
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -58,12 +58,7 @@ class TrainResult:
     history: list[float] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "epochs": self.epochs,
-            "best_epoch": self.best_epoch,
-            "best_metric": self.best_metric,
-            "history": self.history,
-        }
+        return asdict(self)
 
 
 def run_training(
@@ -90,9 +85,7 @@ def run_training(
     best_snap = state.snapshot()
     bad = 0
     history: list[float] = []
-    epochs_run = 0
     for epoch in range(1, settings.max_epochs + 1):
-        epochs_run = epoch
         order = rng.permutation(n_instances)
         for start in range(0, n_instances, settings.batch_size):
             chunk = order[start : start + settings.batch_size]
@@ -120,7 +113,7 @@ def run_training(
                 break
     state.restore(best_snap)
     return TrainResult(
-        epochs=epochs_run,
+        epochs=len(history),
         best_epoch=best_epoch,
         best_metric=best_metric,
         history=history,

@@ -10,12 +10,14 @@ imports this module.
 
 It also keeps what only the tests run: the per-user loops that the
 sequence layout and the analysis curves replaced, the padded history
-windows that the packed ones replaced, a GRU step built from the autograd
-primitives, and the finite-difference gradient check.
+windows that the packed ones replaced, ExpRec's neighbour trigger as it ran
+before pooling, a GRU step built from the autograd primitives, and the
+finite-difference gradient check.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -31,7 +33,7 @@ from fdrec.dataio import (SECONDS_PER_WEEK, DatasetSplit, InteractionLog, StoreM
                           label_repeat_flags, time_facets)
 from fdrec.evalharness import MetricsReport
 from fdrec.ensemble import _item_weights_np
-from fdrec.exprec import TRIGGERS, _check_mask
+from fdrec.exprec import _ACTIVATIONS_VAR, TRIGGERS, _check_mask, _mix
 from fdrec.reprec import _NORM_EPS_SQ
 from fdrec.situsim import DATE_CAP_DAYS
 
@@ -935,6 +937,45 @@ def reprec_query_padded(state: dc.ModelState, data: features.Dataset,
 
     hist_emb = dc.gather_rows(state.leaf("emb.store"), win.store)       # [B,L,D]
     return dc.sum_(dc.mul(dc.reshape(w, (B, L, 1)), hist_emb), axis=1)
+
+
+def collab_trigger_dense(table: dc.Var, a: dc.Var, ids: np.ndarray,
+                         weights: np.ndarray) -> dc.Var:
+    """ExpRec's neighbour trigger [B, D] before pooling: every slot of the
+    neighbour codes ``ids`` [B, K] (pad -1, read as row 0) activated, mixed by
+    the row's ``a`` [B, M] and weighted by ``weights`` [B, K] at [B, K, D]."""
+    B = len(ids)
+    nb_emb = dc.gather_rows(table, np.maximum(ids, 0))                 # [B,K,D]
+    terms = [dc.mul(dc.reshape(dc.getitem(a, (slice(None), slice(j, j + 1))), (B, 1, 1)),
+                    act(nb_emb))
+             for j, act in enumerate(_ACTIVATIONS_VAR)]
+    cond = functools.reduce(dc.add, terms)
+    return dc.sum_(dc.mul(cond, weights[:, :, None]), axis=1)
+
+
+def exprec_query_dense(state: dc.ModelState, data: features.Dataset,
+                       rows: np.ndarray) -> dc.Var:
+    """:func:`fdrec.exprec.exprec_query` with :func:`collab_trigger_dense` as
+    its neighbour trigger."""
+    meta = state.meta
+    mask = _check_mask(meta["ablate"])
+    win = features.gather_window(data.seqs, rows, int(meta["window"]))
+    e_mu = features.situation(state, win.now_hour, win.now_dow, win.now_loc)
+    situ_w = features.situation(state, win.hour, win.dow, win.loc)
+    store_w = dc.gather_rows(state.leaf("emb.store"), win.store)
+    xs = dc.concat([store_w, situ_w], axis=-1)
+    e_h = dc.gru_sequence(dc.gru_leaves(state, "gru.hist"), xs, win.mask)
+    a = dc.softmax(dc.dense(state.leaf("cond.w"), state.leaf("cond.b"), e_mu))
+    u_emb = dc.gather_rows(state.leaf("emb.user"), win.user)
+    e_u = _mix(a, [act(u_emb) for act in _ACTIVATIONS_VAR])
+    nb_ids, nb_w = data.neighbors(meta["k_neighbors"], meta["neighbor_as_of"])
+    e_cu = collab_trigger_dense(state.leaf("emb.user"), a, nb_ids[win.user], nb_w[win.user])
+    logits = dc.dense(
+        state.leaf("fuse.w"), state.leaf("fuse.b"), dc.concat([e_mu, e_u], axis=-1)
+    )
+    if mask.any():
+        logits = dc.add(logits, np.where(mask, -np.inf, 0.0))
+    return _mix(dc.softmax(logits, axis=-1), (e_mu, e_h, e_u, e_cu))
 
 
 def zero_grads(state: dc.ModelState) -> None:

@@ -31,7 +31,7 @@ ORACLES = (
     "collaborative_influence_loop", "per_user", "sequences_loop", "repeat_ratio_loop",
     "explored_store_counts_loop", "to_json", "gru_cell", "zero_grads",
     "finite_difference_check", "padded_window", "padded_gru_sequence",
-    "reprec_query_padded",
+    "reprec_query_padded", "collab_trigger_dense", "exprec_query_dense",
 )
 
 

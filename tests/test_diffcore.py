@@ -219,6 +219,21 @@ def test_backward_node_shared_by_two_consumers():
                                atol=1e-15, rtol=0)
 
 
+@pytest.mark.parametrize("op", [dc.mul, dc.matmul])
+def test_a_plain_array_operand_gets_no_gradient_slot(op):
+    x, c = rng(40).normal(size=(3, 3)), rng(41).normal(size=(3, 3))
+    g = rng(42).normal(size=(3, 3))
+    for a, b in ((var(x), c), (c, var(x)), (var(x), var(c))):
+        slots = op(a, b)._vjp(g)
+        assert [s is None for s in slots] == [not isinstance(v, dc.Var) for v in (a, b)]
+        if isinstance(a, dc.Var):  # a Var leaf still gets its gradient
+            a.grad = None
+            dc.backward(op(a, b), g)
+            want = g * c if op is dc.mul else g @ c.T
+            np.testing.assert_array_equal(a.grad, want)
+    assert dc.mul(var(x), 2.0)._vjp(g)[1] is None
+
+
 def test_sigmoid_saturates_exactly_without_warnings():
     with np.errstate(all="raise"):
         out = dc.sigmoid(var([-1000.0, 0.0, 1000.0])).data

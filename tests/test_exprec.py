@@ -435,3 +435,65 @@ def test_training_is_deterministic(small_data):
     assert state.meta["model"] == "exprec"
     for name in state.params:
         np.testing.assert_array_equal(state.value(name), state2.value(name))
+
+
+# ---------------------------------------------------------------- pooled neighbour trigger
+
+
+def neighbour_batch(data, k=4):
+    """A neighbour table [U, k] and 40 flat rows over which ``exprec_query``
+    pools: users 1 and 2 share neighbours 3 and 7, user 4 has none, and user
+    5 has the real neighbour 0 next to pads, which also read as code 0."""
+    seqs = data.seqs
+    ids, w = exprec.neighbor_arrays(data.split.log, k, data.split.valid_boundary)
+    for user, nb, wk in ((1, [3, 5, 7, -1], [0.5, 0.3, 0.2, 0.0]),
+                         (2, [7, 3, 0, 9], [0.4, 0.3, 0.2, 0.1]),
+                         (4, [-1] * 4, [0.0] * 4),
+                         (5, [0, -1, -1, -1], [1.0, 0.0, 0.0, 0.0])):
+        ids[user], w[user] = nb, wk
+    picked = [seqs.offsets[u] + j for u in (1, 2, 4, 5) for j in (3, 6)]
+    assert list(seqs.user[picked]) == [1, 1, 2, 2, 4, 4, 5, 5]
+    rows = np.concatenate([picked, rng(5).choice(len(seqs.user), size=32)])
+    return (ids, w), rows
+
+
+@pytest.mark.parametrize("mask", [None, (False, True, False, False)], ids=["none", "history"])
+def test_pooled_neighbour_trigger_matches_the_dense_form(small_data, monkeypatch, mask):
+    table, rows = neighbour_batch(small_data)
+    monkeypatch.setattr(small_data, "neighbors", lambda k, as_of: table)
+    state = build(small_data, dim=8, seed=29, history_window=6, k_neighbors=4,
+                  ablation_mask=mask)
+    target = rng(30).normal(size=(len(rows), 8))
+
+    def forward_and_grads(query):
+        oracles.zero_grads(state)
+        q = query(state, small_data, rows)
+        dc.backward(dc.sum_(dc.mul(q, target)))
+        return {"query": q.data, **{n: p.grad.copy() for n, p in state.params.items()}}
+
+    got = forward_and_grads(exprec.exprec_query)
+    want = forward_and_grads(oracles.exprec_query_dense)
+    for name in want:
+        np.testing.assert_allclose(got[name], want[name], rtol=1e-12, atol=0, err_msg=name)
+    assert np.abs(want["emb.user"]).max() > 0.0
+
+
+def test_a_row_keeps_its_bits_in_chunks_with_different_neighbour_unions(small_data):
+    """Two 128-row chunks: one of four users with few distinct neighbours,
+    one of rows drawn over all users; the shared row sits at different
+    positions and scores bit for bit the same."""
+    seqs = small_data.seqs
+    state = build(small_data, dim=8, seed=31, history_window=6, k_neighbors=10)
+    ids, _ = small_data.neighbors(10, small_data.split.valid_boundary)
+    few = np.flatnonzero(seqs.user < 4)
+    row = few[5]
+    small = np.concatenate([[row], rng(32).choice(few, size=127)])
+    wide = rng(33).choice(len(seqs.user), size=128)
+    wide[77] = row
+
+    def union(chunk):
+        return len(np.unique(np.maximum(ids[seqs.user[chunk]], 0)))
+
+    assert 2 * union(small) < union(wide)
+    np.testing.assert_array_equal(exprec.exprec_query(state, small_data, small).data[0],
+                                  exprec.exprec_query(state, small_data, wide).data[77])
