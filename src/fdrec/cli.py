@@ -42,17 +42,20 @@ DATA_FILE = "data.bin"  # what ingest writes into the run directory
 # model but the ensemble, the <model>_query forward that scores it
 MODULES = {"sonly": baselines, "reprec": reprec, "exprec": exprec, "ensemble": ensemble}
 TRAINABLE = tuple(MODULES)
-EVALUABLE = ("hispop",) + TRAINABLE
+# concat, the ensemble's unit-weight reference, scores from the two base
+# checkpoints alone
+EVALUABLE = ("hispop",) + TRAINABLE + ("concat",)
 
 # Which protocols each model can answer for.  HisPop and RepRec only rank
 # previously-visited stores; ExpRec only ranks unvisited ones; the ensemble
-# needs both kinds in one slate; SOnly scores any store.
+# and concat need both kinds in one slate; SOnly scores any store.
 COMPATIBLE = {
     "hispop": ("repeat",),
     "reprec": ("repeat",),
     "sonly": ("repeat", "exploration", "combined"),
     "exprec": ("exploration",),
     "ensemble": ("combined",),
+    "concat": ("combined",),
 }
 
 
@@ -352,16 +355,19 @@ def _make_scorer(run_dir: str, model: str, data: features.Dataset):
     """Returns (cases -> [N, C] scores, parameter count) for an evaluable model."""
     if model == "hispop":
         return (lambda cases: baselines.hispop_scores(data, cases)), 0
-    if model != "ensemble":
+    if model not in ("ensemble", "concat"):
         state = _load_checkpoint(run_dir, model, data)
         query = getattr(MODULES[model], f"{model}_query")
         return ((lambda cases: evalharness.dot_scores(state, data, cases, query)),
                 state.param_count())
-    ens = _load_checkpoint(run_dir, "ensemble", data)
     rep = _load_checkpoint(run_dir, "reprec", data)
     exp = _load_checkpoint(run_dir, "exprec", data)
-    params = ens.param_count() + rep.param_count() + exp.param_count()
-    return (lambda cases: ensemble.ensemble_scores(ens, rep, exp, data, cases)), params
+    params = rep.param_count() + exp.param_count()
+    if model == "concat":
+        return (lambda cases: ensemble.concat_scores(rep, exp, data, cases)), params
+    ens = _load_checkpoint(run_dir, "ensemble", data)
+    return ((lambda cases: ensemble.ensemble_scores(ens, rep, exp, data, cases)),
+            ens.param_count() + params)
 
 
 def _cmd_eval(args) -> int:

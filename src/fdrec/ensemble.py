@@ -2,16 +2,23 @@
 
 A small intent network (GRU over the user's past repeat/explore flags,
 concatenated with situation and user embeddings) predicts how likely the next
-order is a repeat.  Both base models' slates are min-max normalized, lifted to
-(score, origin) features, passed through one residual self-attention block and
-one intent-queried cross-attention, and projected to a per-item weight in
-(0,1).  The final score of every item is exactly ``weight * normalized score``.
+order is a repeat.  Both base models' slates are min-max normalized, and the
+final score is RepeatNet's mixture (Ren et al., AAAI 2019)
+``P(i) = P(repeat) P(i | repeat) + P(explore) P(i | explore)``: an item of
+part ``k`` (repeat or explore) scores ``p_k * softmax_{j in part k}(b_j / tau_k)``.
+
+The softmax runs within each part, not over the whole slate, so each part is
+a distribution that sums to its intent probability.  A short repeat part
+thus keeps its share next to a long explore part, which would drown it under
+one softmax over both.  Within a part the order is the base model's.
 
 Training is two-stage on frozen base models: the intent head first (binary
-cross-entropy on repeat flags), then the whole network with a pairwise
-ranking loss over fixed-size training slates plus the intent loss as an
-auxiliary term.  Training runs the attention on the tape in its direct form;
-scoring runs an exact factorized numpy form of it over each case's slate.
+cross-entropy on repeat flags), then the two temperatures ``tau_k`` (and the
+intent head with them) by a pairwise ranking loss on the mixture over
+fixed-size training slates plus the intent loss as an auxiliary term,
+early-stopped on combined validation HR@3.  Each ``1 / tau_k`` is the
+softplus of a parameter that starts at 0, so both temperatures start at
+``1 / ln 2``.  Training and scoring run the same mixture forward.
 """
 
 from __future__ import annotations
@@ -33,15 +40,10 @@ __all__ = [
     "concat_scores",
 ]
 
-# rows per block of _item_weights_np's self-attention: a 1000-item slate's
-# block buffer is 1 MB where one C x C array is 8 MB
-ROW_BLOCK = 128
-
-
 def ensemble_build(data: features.Dataset, model: ModelSection, seed: int) -> dc.ModelState:
-    vocabs, dim, attn_dim = data.vocabs, model.dim, model.attn_dim
+    vocabs, dim = data.vocabs, model.dim
     state = features.new_state(
-        data, "ensemble", seed, dim=dim, attn_dim=attn_dim,
+        data, "ensemble", seed, dim=dim,
         window=model.history_window, budget=model.budget, user_ids=vocabs.user_ids,
     )
     features.add_situation_tables(state, dim, len(vocabs.location_ids))
@@ -49,12 +51,9 @@ def ensemble_build(data: features.Dataset, model: ModelSection, seed: int) -> dc
     state.add_embedding("emb.flag", 2, dim)
     state.add_gru("gru.intent", dim, dim)
     state.add_dense("intent", 2, 3 * dim)
-    state.add_dense("lift", attn_dim, 2)
-    scale = 1.0 / np.sqrt(attn_dim)
-    for name in ("attn.wq", "attn.wk", "attn.wv", "cross.wk", "cross.wv"):
-        state.add_param(name, (attn_dim, attn_dim), scale)
-    state.add_dense("cq", attn_dim, 2)
-    state.add_dense("proj", 1, 2 * attn_dim)
+    # softplus of these is 1 / tau of the repeat and explore parts (ln 2 at
+    # 0); a zero init draws nothing from the state's generator
+    state.add_param("inv_temp", (2,), 0.0)
     return state
 
 
@@ -102,71 +101,22 @@ def normalize_slate(scores) -> np.ndarray:
     return (arr - lo) / (hi - lo)
 
 
-def _item_weights_np(values: dict, base: np.ndarray, origin: np.ndarray,
-                     probs: np.ndarray) -> np.ndarray:
-    """Per-item weights in (0,1) from one attention pass (single slate)."""
-    # Every lifted row is affine in u = (base, origin, 1): X = u @ P with
-    # P = [lift.w^T; lift.b].  So the C x C self-attention logits are
-    # u @ M @ u^T with the 3 x 3 M = (P Wq)(P Wk)^T / sqrt(A), and
-    # att @ V = (att @ u) @ (P Wv), where att @ u's ones column is the softmax
-    # denominator.  The only C x C work left is one K=3 matmul, one exp and
-    # one product with u, done ROW_BLOCK rows at a time in one buffer.  At
-    # C=1000, A=32 a slate takes 1.7-2.7 ms against 7.5-9 ms for the direct
-    # form (2-vCPU Xeon VM, 1 BLAS thread); _item_weights_var keeps that form
-    # for training and as the reference.
-    A = values["attn.wq"].shape[0]
-    C = len(base)
-    u = np.ones((C, 3))
-    u[:, 0], u[:, 1] = base, origin
-    P = np.vstack([values["lift.w"].T, values["lift.b"]])
-    M = (P @ values["attn.wq"]) @ (P @ values["attn.wk"]).T / np.sqrt(A)
-    R = u @ M  # row i's logits are R[i] @ u[j]
-    # logits are linear in base within an origin group, so each row's max is
-    # at one of the groups' extreme bases
-    ends = []
-    rep = origin == 1.0
-    for g, b in ((1.0, base[rep]), (0.0, base[~rep])):
-        if b.size:
-            ends += [(b.min(), g, 1.0), (b.max(), g, 1.0)]
-    R[:, 2] -= (R @ np.array(ends).T).max(axis=-1)
-    att = np.empty((min(C, ROW_BLOCK), C))
-    att_u = np.empty((C, 3))
-    for lo in range(0, C, ROW_BLOCK):
-        blk = att[: min(C - lo, ROW_BLOCK)]
-        np.matmul(R[lo : lo + ROW_BLOCK], u.T, out=blk)  # logits minus row max
-        np.exp(blk, out=blk)
-        np.matmul(blk, u, out=att_u[lo : lo + ROW_BLOCK])
-    att_u /= att_u[:, 2:]
-    H = u @ P + att_u @ (P @ values["attn.wv"])
-    q = probs @ values["cq.w"].T + values["cq.b"]
-    att2 = dc._softmax(q @ (H @ values["cross.wk"]).T / np.sqrt(A), axis=-1)
-    c = att2 @ (H @ values["cross.wv"])
-    feats = np.concatenate([H, np.broadcast_to(c, H.shape)], axis=-1)
-    logits = (feats @ values["proj.w"].T + values["proj.b"])[:, 0]
-    return dc._sigmoid(logits)
-
-
-def _item_weights_var(state: dc.ModelState, x_feats: np.ndarray,
-                      probs: dc.Var) -> dc.Var:
-    """Item weights over [G, n, 2] slates in the direct attention form, on
-    the tape; training runs it, and it is the reference that
-    :func:`_item_weights_np`'s factorized form is tested against."""
-    G, n, _ = x_feats.shape
-    A = int(state.meta["attn_dim"])
-    X = dc.dense(state.leaf("lift.w"), state.leaf("lift.b"), dc.Var(x_feats))
-    Q = dc.matmul(X, state.leaf("attn.wq"))
-    K = dc.matmul(X, state.leaf("attn.wk"))
-    V = dc.matmul(X, state.leaf("attn.wv"))
-    att = dc.softmax(dc.mul(dc.matmul(Q, dc.transpose_last2(K)), 1.0 / np.sqrt(A)))
-    H = dc.add(X, dc.matmul(att, V))
-    q = dc.reshape(dc.dense(state.leaf("cq.w"), state.leaf("cq.b"), probs), (G, 1, A))
-    K2 = dc.matmul(H, state.leaf("cross.wk"))
-    att2 = dc.softmax(dc.mul(dc.matmul(q, dc.transpose_last2(K2)), 1.0 / np.sqrt(A)))
-    c = dc.matmul(att2, dc.matmul(H, state.leaf("cross.wv")))       # [G,1,A]
-    c_n = dc.mul(c, np.ones((1, n, 1)))
-    feats = dc.concat([H, c_n], axis=-1)
-    logits = dc.dense(state.leaf("proj.w"), state.leaf("proj.b"), feats)
-    return dc.sigmoid(dc.reshape(logits, (G, n)))
+def _mixture(state: dc.ModelState, probs: dc.Var, base: np.ndarray,
+             rep: np.ndarray) -> dc.Var:
+    """Scores [G, n] of slates with normalized base scores ``base`` [G, n],
+    whose repeat items are where ``rep`` [G, n] is 1: each part's softmax of
+    ``base / tau_part``, times that part's probability in ``probs`` [G, 2].
+    An empty part adds nothing."""
+    inv_tau = dc.softplus(state.leaf("inv_temp"))
+    total = None
+    for k, in_part in enumerate((rep, 1.0 - rep)):
+        # the other part's items sit 1e9 lower, so their exp is exactly 0
+        logits = dc.add(dc.mul(dc.getitem(inv_tau, slice(k, k + 1)), base),
+                        (in_part - 1.0) * 1e9)
+        term = dc.mul(dc.mul(dc.softmax(logits), in_part),
+                      dc.getitem(probs, (slice(None), slice(k, k + 1))))
+        total = term if total is None else dc.add(total, term)
+    return total
 
 
 # ---------------------------------------------------------------- training
@@ -270,9 +220,7 @@ def _combined_batch_loss(
         tgt = np.array([sl.tgt for sl in group])
 
         logits = _intent_logits(state, seqs, rows)
-        probs = dc.softmax(logits)
-        weights = _item_weights_var(state, x_feats, probs)
-        p = dc.mul(weights, x_feats[:, :, 0])
+        p = _mixture(state, dc.softmax(logits), x_feats[:, :, 0], x_feats[:, :, 1])
 
         ar = np.arange(G)
         j = rng.integers(0, n - 1, size=G)
@@ -319,7 +267,7 @@ def ensemble_train(
         state, len(train_rows), intent_loss, intent_val, settings, stream=104
     )
 
-    # stage 2: item weighting over fixed-size slates, frozen base scores
+    # stage 2: the mixture over fixed-size slates, frozen base scores
     rows = train_rows
     cap = settings.max_instances
     if cap and len(rows) > cap:
@@ -333,7 +281,7 @@ def ensemble_train(
 
     def scores_for(cases):
         bases = _case_bases(frozen_reprec, frozen_exprec, data, cases)
-        return lambda st: _weighted_scores(st, data, cases, bases)
+        return lambda st: _mixture_scores(st, data, cases, bases)
 
     combined_val = validation_metric(
         data, "combined", settings, "ensemble", scores_for,
@@ -357,17 +305,15 @@ def _case_bases(rep_state, exp_state, data: features.Dataset, cases):
     return _frozen_bases(rep_state, exp_state, data, rows)
 
 
-def _weighted_scores(state: dc.ModelState, data: features.Dataset, cases,
-                     bases) -> np.ndarray:
-    """[N, C] scores weighting each case's base slate by the intent-queried
-    attention."""
+def _mixture_scores(state: dc.ModelState, data: features.Dataset, cases,
+                    bases) -> np.ndarray:
+    """[N, C] mixture scores of each case's base slate."""
     probs = _intent_probs(state, data, data.seqs.flat_of_global[cases.position])
-    values = {name: state.value(name) for name in state.params}
 
     def row_scores(i: int, codes: np.ndarray, a: int) -> np.ndarray:
         base = bases(i, codes, a)
-        origin = np.concatenate([np.ones(a), np.zeros(len(base) - a)])
-        return _item_weights_np(values, base, origin, probs[i]) * base
+        rep = (np.arange(len(base)) < a).astype(np.float64)
+        return _mixture(state, dc.Var(probs[i : i + 1]), base[None], rep[None]).data[0]
 
     return evalharness.score_rows(cases, row_scores)
 
@@ -375,10 +321,10 @@ def _weighted_scores(state: dc.ModelState, data: features.Dataset, cases,
 def ensemble_scores(state: dc.ModelState, rep_state: dc.ModelState,
                     exp_state: dc.ModelState, data: features.Dataset,
                     cases) -> np.ndarray:
-    """[N, C] combined-protocol scores for ``cases`` from the full weighting
+    """[N, C] combined-protocol scores for ``cases`` from the full mixture
     pipeline."""
-    return _weighted_scores(state, data, cases,
-                            _case_bases(rep_state, exp_state, data, cases))
+    return _mixture_scores(state, data, cases,
+                           _case_bases(rep_state, exp_state, data, cases))
 
 
 def concat_scores(rep_state: dc.ModelState, exp_state: dc.ModelState,

@@ -32,6 +32,8 @@ class ModelSection:
     repeat_window: int = 50  # RepRec's history window
     history_window: int = 20  # ExpRec's GRU and the ensemble's intent window
     k_neighbors: int = 10
+    # read by nothing since the ensemble lost its attention; still accepted
+    # and validated so that existing configs load and hash as before
     attn_dim: int = 32
     budget: int = 30  # ensemble training slate size
     intent_weight: float = 1.0  # weight of the ensemble's intent loss

@@ -32,7 +32,6 @@ from fdrec.analysis import (MIN_EVENTS, CurveSeries, InfluenceRecord, _store_att
 from fdrec.dataio import (SECONDS_PER_WEEK, DatasetSplit, InteractionLog, StoreMeta,
                           label_repeat_flags, time_facets)
 from fdrec.evalharness import MetricsReport
-from fdrec.ensemble import _item_weights_np
 from fdrec.exprec import _ACTIVATIONS_VAR, TRIGGERS, _check_mask, _mix
 from fdrec.reprec import _NORM_EPS_SQ
 from fdrec.situsim import DATE_CAP_DAYS
@@ -799,20 +798,21 @@ class IntentEstimate:
 class CombinedSlate:
     """Final slate: ``a`` repeat items followed by ``b`` exploration items.
 
-    ``scores == weights * base`` holds exactly, element by element.
+    ``scores == weights * within`` holds exactly, element by element.
     """
 
     candidates: tuple[str, ...]
     a: int
     b: int
     base: np.ndarray     # normalized input scores, repeat part first
-    weights: np.ndarray  # per-item sigmoid weights in (0, 1)
+    weights: np.ndarray  # each item's part's intent probability
+    within: np.ndarray   # each item's probability within its part
     scores: np.ndarray
 
     def __post_init__(self):
         n = self.a + self.b
         if not (len(self.candidates) == len(self.base) == len(self.weights)
-                == len(self.scores) == n):
+                == len(self.within) == len(self.scores) == n):
             raise ValueError("slate arrays must all have length a + b")
 
 
@@ -850,7 +850,9 @@ def combine(
     exploration_slate: ScoredSlate | None,
     intent: IntentEstimate,
 ) -> CombinedSlate:
-    """Weight two normalized, disjoint slates into one final ranking."""
+    """Mix two normalized, disjoint slates into one final ranking: an item
+    scores its part's intent probability times its softmax probability,
+    at the part's temperature, among that part's items."""
     parts = [s for s in (repeat_slate, exploration_slate) if s is not None
              and len(s.candidates)]
     if not parts:
@@ -862,17 +864,25 @@ def combine(
     exp = exploration_slate.candidates if exploration_slate else ()
     if set(rep) & set(exp):
         raise ValueError("repeat and exploration slates overlap")
-    a, b = len(rep), len(exp)
-    base = np.concatenate([
-        repeat_slate.scores if a else np.empty(0),
-        exploration_slate.scores if b else np.empty(0),
-    ])
-    origin = np.concatenate([np.ones(a), np.zeros(b)])
-    probs = np.array([intent.repeat_prob, intent.explore_prob])
-    weights = _item_weights_np(_values(state), base, origin, probs)
+
+    theta = state.value("inv_temp")
+    candidates, base, weights, within = [], [], [], []
+    for slate, prob, t in ((repeat_slate, intent.repeat_prob, theta[0]),
+                           (exploration_slate, intent.explore_prob, theta[1])):
+        if slate is None or not len(slate.candidates):
+            continue
+        inv_tau = max(t, 0.0) + math.log1p(math.exp(-abs(t)))  # softplus
+        top = max(slate.scores)
+        e = [math.exp(inv_tau * (b - top)) for b in slate.scores]
+        total = sum(e)
+        candidates += slate.candidates
+        base += list(slate.scores)
+        weights += [prob] * len(e)
+        within += [x / total for x in e]
+    weights, within = np.array(weights), np.array(within)
     return CombinedSlate(
-        candidates=tuple(rep) + tuple(exp),
-        a=a, b=b, base=base, weights=weights, scores=weights * base,
+        candidates=tuple(candidates), a=len(rep), b=len(exp), base=np.array(base),
+        weights=weights, within=within, scores=weights * within,
     )
 
 
@@ -989,10 +999,12 @@ def finite_difference_check(
     epsilon: float = 1e-5,
     num_coords: int = 150,
     rng_seed: int = 0,
+    names: Sequence[str] | None = None,
 ) -> float:
     """Max relative error between analytic and central-difference gradients.
 
-    ``forward`` must be a deterministic scalar function of the state.  Errors
+    ``forward`` must be a deterministic scalar function of the state.  With
+    ``names``, only those parameters' coordinates are sampled.  Errors
     are normalized by the largest sampled gradient magnitude so coordinates
     with negligible gradient do not dominate through rounding noise.
     """
@@ -1008,7 +1020,8 @@ def finite_difference_check(
 
     coords: list[tuple[str, int]] = []
     for name, p in state.params.items():
-        coords.extend((name, i) for i in range(p.size))
+        if names is None or name in names:
+            coords.extend((name, i) for i in range(p.size))
     rng = np.random.Generator(np.random.PCG64(rng_seed))
     if len(coords) > num_coords:
         chosen = rng.choice(len(coords), size=num_coords, replace=False)

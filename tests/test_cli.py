@@ -35,6 +35,7 @@ SMALL = {
 }
 
 EVAL_FILES = (
+    "eval.concat.combined.json",
     "eval.ensemble.combined.json",
     "eval.exprec.exploration.json",
     "eval.hispop.repeat.json",
@@ -61,7 +62,7 @@ def pipeline(tmp_path_factory):
         assert cli.main(["train", "--config", cfg_path, "--model", model]) == 0
     for model, protocol in (("hispop", "repeat"), ("sonly", "all"),
                             ("reprec", "repeat"), ("exprec", "exploration"),
-                            ("ensemble", "combined")):
+                            ("ensemble", "combined"), ("concat", "combined")):
         assert cli.main(["eval", "--config", cfg_path, "--model", model,
                          "--protocol", protocol]) == 0
     assert cli.main(["report", "--config", cfg_path]) == 0
@@ -108,11 +109,12 @@ def test_train_artifacts(pipeline):
         "exprec": {"dim": m["dim"], "window": m["history_window"],
                    "k_neighbors": m["k_neighbors"]},
         "ensemble": {"dim": m["dim"], "window": m["history_window"],
-                     "attn_dim": m["attn_dim"], "budget": m["budget"]},
+                     "budget": m["budget"]},
     }
     for model, want in recorded.items():
         meta = load_checkpoint(os.path.join(run_dir, f"{model}.ckpt")).meta
         assert {key: meta[key] for key in want} == want, model
+        assert "attn_dim" not in meta, model
         with open(os.path.join(run_dir, f"{model}.train.json")) as fh:
             payload = json.load(fh)
         if model == "ensemble":
@@ -159,7 +161,24 @@ def test_report_table_and_csv(pipeline, capsys):
     assert body == sorted(body)
     assert len(body) == len(EVAL_FILES)
     models = {r[0] for r in body}
-    assert models == {"hispop", "sonly", "reprec", "exprec", "ensemble"}
+    assert models == {"hispop", "sonly", "reprec", "exprec", "ensemble", "concat"}
+
+
+def test_concat_scores_the_base_checkpoints_alone(pipeline, capsys):
+    cfg_path, run_dir = pipeline
+    with open(os.path.join(run_dir, "eval.concat.combined.json")) as fh:
+        payload = json.load(fh)
+    params = [load_checkpoint(os.path.join(run_dir, f"{m}.ckpt")).param_count()
+              for m in ("reprec", "exprec")]
+    assert payload["model"] == "concat"
+    assert payload["parameters"] == sum(params)
+    with open(os.path.join(run_dir, "eval.ensemble.combined.json")) as fh:
+        ens = json.load(fh)
+    assert ens["protocols"]["combined"]["n"] == payload["protocols"]["combined"]["n"]
+    for protocol in ("repeat", "exploration"):
+        assert cli.main(["eval", "--config", cfg_path, "--model", "concat",
+                         "--protocol", protocol]) == 2
+        assert "does not support" in capsys.readouterr().err
 
 
 def test_incompatible_protocol_is_usage_error(pipeline, capsys):

@@ -70,3 +70,33 @@ def test_a_differing_eval_or_a_one_sided_file_fails(tmp_path, capsys):
     lines, ok = script.compare(str(tmp_path / "a"), str(tmp_path / "c"))
     assert not ok
     assert f"eval.sonly.repeat.json only in {tmp_path / 'c'}" in lines
+
+
+def test_a_differing_eval_shows_each_differing_key_with_both_values(tmp_path):
+    for side, hr, params in (("a", 0.40384615384615385, 120), ("b", 0.4075, 96)):
+        write_run(tmp_path / side)
+        report = {"model": "exprec", "parameters": params,
+                  "protocols": {"exploration": {"hr@3": hr, "ndcg@3": 0.3, "n": 52}}}
+        if side == "b":
+            report["protocols"]["exploration"]["ndcg@3"] = 0.30000000000000004
+            report["seed"] = 0
+        (tmp_path / side / "eval.exprec.exploration.json").write_text(json.dumps(report))
+    lines, ok = load_script().compare(str(tmp_path / "a"), str(tmp_path / "b"))
+    assert not ok
+    assert lines[1] == (
+        "eval.exprec.exploration.json differs parameters 120 -> 96, "
+        "protocols.exploration.hr@3 0.4038 -> 0.4075, "
+        "protocols.exploration.ndcg@3 0.3 -> 0.30000000000000004, seed absent -> 0"
+    )
+
+
+def test_checkpoints_with_other_parameters_name_them(tmp_path):
+    write_run(tmp_path / "a")
+    state = write_run(tmp_path / "b")
+    state.add_param("inv_temp", (2,), 0.0)
+    del state.params["head.b"]
+    dc.save_checkpoint(state, str(tmp_path / "b" / "exprec.ckpt"))
+    lines, ok = load_script().compare(str(tmp_path / "a"), str(tmp_path / "b"))
+    assert ok
+    assert lines[2] == ("exprec.ckpt differs parameters only in the first run: head.b; "
+                        "only in the second run: inv_temp")

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,7 @@ def test_intent_estimate_validation():
 
 
 def test_predict_intent_zero_state_is_even_split(tiny_data):
-    state = build(tiny_data, dim=8, attn_dim=4)
+    state = build(tiny_data, dim=8)
     for name in state.params:
         state.value(name)[...] = 0.0
     user = state.meta["user_ids"][0]
@@ -35,14 +37,14 @@ def test_predict_intent_zero_state_is_even_split(tiny_data):
 
 
 def test_predict_intent_unknown_user(tiny_data):
-    state = build(tiny_data, dim=8, attn_dim=4)
+    state = build(tiny_data, dim=8)
     now = SituationFeatures(0, 12, 2, state.meta["location_ids"][0])
     with pytest.raises(ValueError, match="unknown user"):
         oracles.predict_intent(state, "nobody", [True], now)
 
 
 def test_predict_intent_matches_manual_transcription(tiny_data):
-    state = build(tiny_data, dim=8, attn_dim=4, seed=5, history_window=3)
+    state = build(tiny_data, dim=8, seed=5, history_window=3)
     values = {n: state.value(n) for n in state.params}
     meta = state.meta
     user = meta["user_ids"][1]
@@ -66,7 +68,7 @@ def test_predict_intent_matches_manual_transcription(tiny_data):
 
 def test_batched_intent_matches_single_op(small_split, small_data, small_seqs):
     seqs, vocabs = small_seqs
-    state = build(small_data, dim=8, attn_dim=4, seed=7, history_window=5)
+    state = build(small_data, dim=8, seed=7, history_window=5)
     values = {n: state.value(n) for n in state.params}
     rows = seqs.flat_of_global[small_split.test_idx[:6]]
     probs = ensemble._intent_probs(state, small_data, rows)
@@ -112,59 +114,35 @@ def slates_for(state, seed=0):
 
 
 def test_combine_is_exact_elementwise_product(tiny_data):
-    state = build(tiny_data, dim=8, attn_dim=4, seed=1)
+    state = build(tiny_data, dim=8, seed=1)
     rep, exp = slates_for(state)
     out = oracles.combine(state, rep, exp, oracles.IntentEstimate(0.7, 0.3))
     assert out.a == 3 and out.b == 4
     assert out.candidates == rep.candidates + exp.candidates
     np.testing.assert_array_equal(out.base,
                                   np.concatenate([rep.scores, exp.scores]))
-    np.testing.assert_array_equal(out.scores, out.weights * out.base)
-    assert ((out.weights > 0) & (out.weights < 1)).all()
-
-
-def test_combine_weights_match_attention_oracle(tiny_data):
-    state = build(tiny_data, dim=8, attn_dim=4, seed=2)
-    values = {n: state.value(n) for n in state.params}
-    rep, exp = slates_for(state, seed=9)
-    intent = oracles.IntentEstimate(0.25, 0.75)
-    out = oracles.combine(state, rep, exp, intent)
-
-    base = np.concatenate([rep.scores, exp.scores])
-    origin = np.concatenate([np.ones(3), np.zeros(4)])
-    A = 4
-    X = np.stack([base, origin], axis=-1) @ values["lift.w"].T + values["lift.b"]
-    att = np_softmax_rows((X @ values["attn.wq"]) @ (X @ values["attn.wk"]).T
-                          / np.sqrt(A))
-    H = X + att @ (X @ values["attn.wv"])
-    q = np.array([0.25, 0.75]) @ values["cq.w"].T + values["cq.b"]
-    att2 = np_softmax(q @ (H @ values["cross.wk"]).T / np.sqrt(A))
-    c = att2 @ (H @ values["cross.wv"])
-    feats = np.concatenate([H, np.tile(c, (len(H), 1))], axis=-1)
-    logits = (feats @ values["proj.w"].T + values["proj.b"])[:, 0]
-    want = 1.0 / (1.0 + np.exp(-logits))
-    np.testing.assert_allclose(out.weights, want, atol=1e-12, rtol=0)
-
-
-def np_softmax_rows(z):
-    e = np.exp(z - z.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    np.testing.assert_array_equal(out.weights, [0.7] * 3 + [0.3] * 4)
+    np.testing.assert_array_equal(out.scores, out.weights * out.within)
+    # both temperatures start at 1 / ln 2, so within a part exp(b / tau) = 2**b
+    for part, slate in ((slice(0, 3), rep), (slice(3, 7), exp)):
+        want = 2.0 ** slate.scores / (2.0 ** slate.scores).sum()
+        np.testing.assert_allclose(out.within[part], want, rtol=1e-13, atol=0)
 
 
 def test_combine_single_sided_slates(tiny_data):
-    state = build(tiny_data, dim=8, attn_dim=4, seed=3)
+    state = build(tiny_data, dim=8, seed=3)
     rep, exp = slates_for(state, seed=4)
     intent = oracles.IntentEstimate(0.5, 0.5)
     only_rep = oracles.combine(state, rep, None, intent)
     assert only_rep.a == 3 and only_rep.b == 0
     only_exp = oracles.combine(state, None, exp, intent)
     assert only_exp.a == 0 and only_exp.b == 4
-    np.testing.assert_array_equal(only_exp.scores,
-                                  only_exp.weights * exp.scores)
+    np.testing.assert_array_equal(only_exp.base, exp.scores)
+    assert only_exp.scores.sum() == pytest.approx(0.5, abs=1e-12)
 
 
 def test_combine_input_validation(tiny_data):
-    state = build(tiny_data, dim=8, attn_dim=4, seed=0)
+    state = build(tiny_data, dim=8, seed=0)
     stores = state.meta["store_ids"]
     intent = oracles.IntentEstimate(0.5, 0.5)
     with pytest.raises(ValueError, match="both slates are empty"):
@@ -178,61 +156,50 @@ def test_combine_input_validation(tiny_data):
         oracles.combine(state, rep, raw, intent)
 
 
-def test_item_weights_var_matches_numpy_path(tiny_data):
-    state = build(tiny_data, dim=8, attn_dim=4, seed=6)
-    values = {n: state.value(n) for n in state.params}
-    gen = rng(11)
-    G, n = 3, 5
-    base = gen.uniform(size=(G, n))
-    origin = (gen.uniform(size=(G, n)) > 0.5).astype(np.float64)
-    probs_np = np_softmax_rows(gen.normal(size=(G, 2)))
-    x_feats = np.stack([base, origin], axis=-1)
-    out = ensemble._item_weights_var(state, x_feats, dc.Var(probs_np))
-    for g in range(G):
-        want = ensemble._item_weights_np(values, base[g], origin[g], probs_np[g])
-        np.testing.assert_allclose(out.data[g], want, atol=1e-12, rtol=0)
+def mixture(state, probs, base, rep):
+    return ensemble._mixture(state, dc.Var(np.asarray(probs, dtype=np.float64)),
+                             np.asarray(base, dtype=np.float64),
+                             np.asarray(rep, dtype=np.float64)).data
 
 
-ITEM_WEIGHT_SLATES = {
-    # name: (C, leading repeat items a, constant base, Wq/Wk scale);
-    # C=1000 and C=300 span several ROW_BLOCK blocks, the last one partial
-    "C1000-a0": (1000, 0, False, 1.0),
-    "C1000-a7": (1000, 7, False, 1.0),
-    "C1000-a1000": (1000, 1000, False, 1.0),
-    "C1": (1, 1, False, 1.0),
-    "constant-base": (50, 10, True, 1.0),
-    "large-logits": (300, 40, False, 150.0),
-}
+def test_mixture_parts_are_intent_weighted_distributions_in_base_order(tiny_data):
+    state = build(tiny_data, dim=8, seed=2)
+    state.value("inv_temp")[...] = [0.4, -0.7]
+    gen = rng(13)
+    a = np.array([1, 3, 4, 6])
+    n = 7
+    base = gen.uniform(size=(len(a), n))
+    rep = np.arange(n) < a[:, None]
+    probs = dc._softmax(gen.normal(size=(len(a), 2)), axis=-1)
+    out = mixture(state, probs, base, rep)
+    for g in range(len(a)):
+        for k, part in enumerate((rep[g], ~rep[g])):
+            assert abs(out[g, part].sum() - probs[g, k]) <= 1e-12
+            np.testing.assert_array_equal(np.argsort(out[g, part]),
+                                          np.argsort(base[g, part]))
 
 
-@pytest.mark.parametrize("slate", ITEM_WEIGHT_SLATES.values(),
-                         ids=ITEM_WEIGHT_SLATES.keys())
-def test_item_weights_factorized_attention_matches_plain_expression(tiny_data, slate):
-    C, a, constant, scale = slate
-    state = build(tiny_data, dim=8, attn_dim=4, seed=7)
-    values = {n: state.value(n) for n in state.params}
-    values["attn.wq"] = values["attn.wq"] * scale
-    values["attn.wk"] = values["attn.wk"] * scale
-    gen = rng(12)
-    base = ensemble.normalize_slate(np.ones(C) if constant else gen.normal(size=C))
-    origin = (np.arange(C) < a).astype(np.float64)
-    probs = np.array([0.35, 0.65])
+def test_mixture_of_a_one_item_or_constant_part(tiny_data):
+    state = build(tiny_data, dim=8, seed=2)
+    state.value("inv_temp")[...] = [1.5, -0.3]
+    probs = [[0.3, 0.7], [0.8, 0.2]]
+    base = [[0.4, 0.0, 0.5, 1.0, 0.2], [0.5, 0.5, 0.5, 0.5, 0.9]]
+    rep = [[1, 0, 0, 0, 0], [1, 1, 1, 1, 0]]
+    out = mixture(state, probs, base, rep)
+    assert out[0, 0] == 0.3 and out[1, 4] == 0.2
+    np.testing.assert_allclose(out[1, :4], 0.8 / 4, rtol=0, atol=1e-15)
 
-    A = 4
-    with np.errstate(over="raise", invalid="raise", divide="raise"):
-        got = ensemble._item_weights_np(values, base, origin, probs)
-        X = np.stack([base, origin], axis=-1) @ values["lift.w"].T + values["lift.b"]
-        logits = (X @ values["attn.wq"]) @ (X @ values["attn.wk"]).T / np.sqrt(A)
-        att = dc._softmax(logits, axis=-1)
-        H = X + att @ (X @ values["attn.wv"])
-        q = probs @ values["cq.w"].T + values["cq.b"]
-        att2 = dc._softmax(q @ (H @ values["cross.wk"]).T / np.sqrt(A), axis=-1)
-        c = att2 @ (H @ values["cross.wv"])
-        feats = np.concatenate([H, np.broadcast_to(c, H.shape)], axis=-1)
-        want = dc._sigmoid((feats @ values["proj.w"].T + values["proj.b"])[:, 0])
-    if scale > 1.0:
-        assert np.ptp(logits, axis=-1).max() > 1000.0  # exp overflows unshifted
-    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+@pytest.mark.parametrize("a", [0, 5])
+def test_mixture_with_an_empty_part_is_finite_and_warns_nothing(tiny_data, a):
+    state = build(tiny_data, dim=8, seed=2)
+    base = ensemble.normalize_slate(rng(14).normal(size=5))[None]
+    rep = (np.arange(5) < a)[None]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        out = mixture(state, [[0.35, 0.65]], base, rep)
+    assert np.isfinite(out).all()
+    assert out.sum() == pytest.approx(0.35 if a else 0.65, abs=1e-12)
 
 
 def frozen_bases(data, dim=6):
@@ -280,7 +247,7 @@ def test_training_slate_construction(tiny_data):
 
 def test_combined_loss_gradients_match_finite_differences(tiny_data):
     seqs = tiny_data.seqs
-    state = build(tiny_data, dim=6, attn_dim=4, seed=33, history_window=4, budget=6)
+    state = build(tiny_data, dim=6, seed=33, history_window=4, budget=6)
     rep, exp = frozen_bases(tiny_data)
     rows = seqs.flat_of_global[tiny_data.split.train_idx]
     rows = rows[seqs.distinct_before[rows] >= 1][:8]
@@ -293,7 +260,11 @@ def test_combined_loss_gradients_match_finite_differences(tiny_data):
         gen = np.random.Generator(np.random.PCG64(7))  # frozen draws per call
         return ensemble._combined_batch_loss(st, slates, seqs, chunk, gen, 1.0)
 
+    state.value("inv_temp")[...] = [0.4, -0.7]
     err = oracles.finite_difference_check(forward, state, num_coords=80, rng_seed=2)
+    assert err <= 1e-4
+    # both temperatures, whichever coordinates the sample above drew
+    err = oracles.finite_difference_check(forward, state, names=("inv_temp",))
     assert err <= 1e-4
 
 
@@ -301,10 +272,11 @@ def test_train_runs_two_stages_and_is_deterministic(small_data):
     rep, exp = frozen_bases(small_data, dim=8)
     settings = TrainSettings(lr=0.05, batch_size=64, patience=2, max_epochs=2,
                              seed=3, max_instances=300, val_max_cases=40)
-    model = ModelSection(dim=8, attn_dim=4, history_window=5, budget=6)
+    model = ModelSection(dim=8, history_window=5, budget=6)
     state, results = ensemble.ensemble_train(small_data, settings, model, rep, exp)
     assert set(results) == {"intent", "combine"}
     assert state.meta["model"] == "ensemble"
+    assert (state.value("inv_temp") != 0.0).all()  # stage 2 fits both
     state2, results2 = ensemble.ensemble_train(small_data, settings, model, rep, exp)
     assert results["combine"].history == results2["combine"].history
     for name in state.params:
@@ -315,7 +287,8 @@ def test_train_runs_two_stages_and_is_deterministic(small_data):
 
 def test_scorer_composes_public_pieces(small_split, small_data, small_seqs):
     seqs, vocabs = small_seqs
-    state = build(small_data, dim=8, attn_dim=4, seed=41, history_window=5)
+    state = build(small_data, dim=8, seed=41, history_window=5)
+    state.value("inv_temp")[...] = [0.9, -0.4]
     rep, exp = frozen_bases(small_data, dim=8)
     nb_ids, nb_w = exprec.neighbor_arrays(
         small_split.log, int(exp.meta["k_neighbors"]), int(exp.meta["neighbor_as_of"])
@@ -365,7 +338,7 @@ def test_cases_across_chunks_score_as_each_case_alone(
     seqs, vocabs = small_seqs
     rep, exp = frozen_bases(small_data, dim=8)
     son = baselines.sonly_build(small_data, ModelSection(dim=8), seed=4)
-    ens = build(small_data, dim=8, attn_dim=4, seed=43, history_window=5)
+    ens = build(small_data, dim=8, seed=43, history_window=5)
     scores = {
         "sonly": lambda cs: evalharness.dot_scores(son, small_data, cs, baselines.sonly_query),
         "reprec": lambda cs: evalharness.dot_scores(rep, small_data, cs, reprec.reprec_query),
@@ -400,7 +373,7 @@ def test_concat_scorer_returns_normalized_bases(small_split, small_data, small_s
 
 
 def test_checkpoint_roundtrip(tiny_data, tmp_path):
-    state = build(tiny_data, dim=8, attn_dim=4, seed=9)
+    state = build(tiny_data, dim=8, seed=9)
     path = tmp_path / "ensemble.ckpt"
     dc.save_checkpoint(state, str(path))
     back = dc.load_checkpoint(str(path))
