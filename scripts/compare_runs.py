@@ -11,8 +11,10 @@ its largest relative parameter difference: over every tensor, the largest
 ``|a - b|`` divided by the largest ``|a|`` of that tensor, and the tensor's
 name; or, when the two hold different parameters, the names found on one side
 only.  A ``*.train.json`` that differs also shows the dotted keys whose
-values differ, and an ``eval.*.json`` each such key with both values, as in
-``protocols.combined.hr@3 0.4038 -> 0.4075``.
+values differ, each numeric one with its largest relative difference
+``|a - b| / max(|a|, |b|)``, lists compared element by element, as in
+``stages.intent.history max rel 2.0e-16``; an ``eval.*.json`` shows each
+such key with both values, as in ``protocols.combined.hr@3 0.4038 -> 0.4075``.
 
 Exits 1 when an ``eval.*.json`` differs or a file exists on one side only,
 and 0 otherwise, so checkpoints and training logs may differ while every
@@ -86,6 +88,20 @@ def json_differences(path_a: str, path_b: str) -> list[tuple[str, object, object
             if a.get(k, MISSING) != b.get(k, MISSING)]
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _max_relative(x, y) -> float | None:
+    """The largest relative difference of two numbers, or of two equally
+    long lists of numbers element by element; None for anything else."""
+    xs, ys = (x, y) if isinstance(x, list) and isinstance(y, list) else ([x], [y])
+    if len(xs) != len(ys) or not all(map(_is_number, xs + ys)):
+        return None
+    return max((abs(a - b) / max(abs(a), abs(b)) if a != b else 0.0
+                for a, b in zip(xs, ys)), default=0.0)
+
+
 def _shown(x, y) -> str:
     """``x -> y``, floats to four decimals where those tell them apart."""
     if isinstance(x, float) and isinstance(y, float) and f"{x:.4f}" != f"{y:.4f}":
@@ -112,7 +128,9 @@ def compare(run_a: str, run_b: str) -> tuple[list[str], bool]:
         if name.endswith(".ckpt"):
             detail = " " + checkpoint_difference(path_a, path_b)
         elif name.endswith(".train.json"):
-            detail = " keys " + ", ".join(k for k, _, _ in json_differences(path_a, path_b))
+            detail = " keys " + ", ".join(
+                k if (most := _max_relative(x, y)) is None else f"{k} max rel {most:.1e}"
+                for k, x, y in json_differences(path_a, path_b))
         elif name.startswith("eval.") and name.endswith(".json"):
             detail = " " + ", ".join(f"{k} {_shown(x, y)}"
                                      for k, x, y in json_differences(path_a, path_b))

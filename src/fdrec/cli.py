@@ -210,10 +210,13 @@ def _checkpoint_path(run_dir: str, model: str) -> str:
     return os.path.join(run_dir, f"{model}.ckpt")
 
 
-def _load_checkpoint(run_dir: str, model: str, data: features.Dataset) -> ModelState:
+def _load_checkpoint(cfg: RunConfig, model: str, data: features.Dataset) -> ModelState:
     """The ``model`` checkpoint, which must have been trained on ``data``: a
-    model indexes its tables by the codes of that data's vocabularies."""
-    path = _checkpoint_path(run_dir, model)
+    model indexes its tables by the codes of that data's vocabularies.  It
+    must also hold the parameters, by name and shape, that this version's
+    ``<model>_build`` registers for ``cfg``."""
+    path = _checkpoint_path(cfg.run_dir(), model)
+    retrain = f"retrain with `fdrec train --model {model}`"
     if not os.path.isfile(path):
         raise RuntimeError(
             f"no {model} checkpoint at {path}; run `fdrec train --model {model}` first"
@@ -221,8 +224,7 @@ def _load_checkpoint(run_dir: str, model: str, data: features.Dataset) -> ModelS
     try:
         state = load_checkpoint(path)
     except (OSError, ValueError) as err:
-        raise RuntimeError(f"cannot read the {model} checkpoint at {path}; "
-                           f"retrain with `fdrec train --model {model}`") from err
+        raise RuntimeError(f"cannot read the {model} checkpoint at {path}; {retrain}") from err
     want = {f: getattr(data.vocabs, f) for f in ("store_ids", "location_ids", "user_ids")
             if f in state.meta}
     want["data_fingerprint"] = data.fingerprint
@@ -230,7 +232,18 @@ def _load_checkpoint(run_dir: str, model: str, data: features.Dataset) -> ModelS
     if differ:
         raise RuntimeError(
             f"checkpoint {path} does not match this run's data: its "
-            f"{' and '.join(differ)} differ; retrain with `fdrec train --model {model}`"
+            f"{' and '.join(differ)} differ; {retrain}"
+        )
+    built = getattr(MODULES[model], f"{model}_build")(data, cfg.model, cfg.train.seed).params
+    have = state.params
+    stale = ([f"missing {n}" for n in built if n not in have]
+             + [f"extra {n}" for n in have if n not in built]
+             + [f"{n} shaped {have[n].shape} where {built[n].shape} is built"
+                for n in built if n in have and have[n].shape != built[n].shape])
+    if stale:
+        raise RuntimeError(
+            f"checkpoint {path} does not hold the parameters this version builds "
+            f"for {model}: {'; '.join(stale)}; {retrain}"
         )
     return state
 
@@ -317,9 +330,9 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _train_one(cfg: RunConfig, run_dir: str, model: str, data: features.Dataset):
+def _train_one(cfg: RunConfig, model: str, data: features.Dataset):
     # the ensemble trains against both base checkpoints, which must exist
-    frozen = ([_load_checkpoint(run_dir, m, data) for m in ("reprec", "exprec")]
+    frozen = ([_load_checkpoint(cfg, m, data) for m in ("reprec", "exprec")]
               if model == "ensemble" else [])
     train = getattr(MODULES[model], f"{model}_train")
     return train(data, cfg.train, cfg.model, *frozen)
@@ -330,7 +343,7 @@ def _cmd_train(args) -> int:
     run_dir = _prepare_run_dir(cfg)
     with _RunDirLock(run_dir):
         data = _load_data(cfg, run_dir)
-        state, result = _train_one(cfg, run_dir, args.model, data)
+        state, result = _train_one(cfg, args.model, data)
         state.meta["data_fingerprint"] = data.fingerprint
         ckpt = _checkpoint_path(run_dir, args.model)
         save_checkpoint(state, ckpt)
@@ -351,21 +364,21 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _make_scorer(run_dir: str, model: str, data: features.Dataset):
+def _make_scorer(cfg: RunConfig, model: str, data: features.Dataset):
     """Returns (cases -> [N, C] scores, parameter count) for an evaluable model."""
     if model == "hispop":
         return (lambda cases: baselines.hispop_scores(data, cases)), 0
     if model not in ("ensemble", "concat"):
-        state = _load_checkpoint(run_dir, model, data)
+        state = _load_checkpoint(cfg, model, data)
         query = getattr(MODULES[model], f"{model}_query")
         return ((lambda cases: evalharness.dot_scores(state, data, cases, query)),
                 state.param_count())
-    rep = _load_checkpoint(run_dir, "reprec", data)
-    exp = _load_checkpoint(run_dir, "exprec", data)
+    rep = _load_checkpoint(cfg, "reprec", data)
+    exp = _load_checkpoint(cfg, "exprec", data)
     params = rep.param_count() + exp.param_count()
     if model == "concat":
         return (lambda cases: ensemble.concat_scores(rep, exp, data, cases)), params
-    ens = _load_checkpoint(run_dir, "ensemble", data)
+    ens = _load_checkpoint(cfg, "ensemble", data)
     return ((lambda cases: ensemble.ensemble_scores(ens, rep, exp, data, cases)),
             ens.param_count() + params)
 
@@ -386,7 +399,7 @@ def _cmd_eval(args) -> int:
     lines = []
     with _RunDirLock(run_dir):
         data = _load_data(cfg, run_dir)
-        scorer, params = _make_scorer(run_dir, args.model, data)
+        scorer, params = _make_scorer(cfg, args.model, data)
         for protocol in protocols:
             cases = evalharness.build_cases(
                 data.split, protocol, seed=cfg.eval.seed,

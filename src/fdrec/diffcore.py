@@ -183,14 +183,16 @@ def _scatter_rows(idx: Array, g: Array, shape: tuple[int, ...]) -> Array:
     return np.bincount(flat, weights=g.reshape(-1), minlength=shape[0] * d).reshape(shape)
 
 
+def _check_indices(idx: Array, rows: int) -> None:
+    if idx.size and (idx.min() < 0 or idx.max() >= rows):
+        raise ValueError(f"index out of range for table with {rows} rows")
+
+
 def gather_rows(table: Var, indices) -> Var:
     """Row lookup ``table[indices]`` with scatter-add backward."""
     table = _as_var(table)
     idx = np.asarray(indices)
-    if idx.size and (idx.min() < 0 or idx.max() >= table.data.shape[0]):
-        raise ValueError(
-            f"index out of range for table with {table.data.shape[0]} rows"
-        )
+    _check_indices(idx, table.data.shape[0])
     return Var(table.data[idx], (table,),
                lambda g: (_scatter_rows(idx, g, table.data.shape),))
 
@@ -434,7 +436,9 @@ def dense(w: Var, b: Var | None, x: Var) -> Var:
 
 def gru_sequence(p: GRUParams, xs, mask) -> Var:
     """Final hidden state [B,D] of a masked GRU run over ``xs`` [N,I], the
-    inputs at the N real slots of ``mask`` [B,L] in row-major order.
+    inputs at the N real slots of ``mask`` [B,L] in row-major order.  Or
+    ``xs`` is ``(table, codes)``, an embedding-fed run: the real slot j
+    reads row ``codes[j]`` of ``table`` [M,I].
 
     Each step is ``h' = (1 - z) * h + z * h_cand``, starting from h = 0, with
     update gate ``z``, reset gate ``r`` and candidate
@@ -452,23 +456,38 @@ def gru_sequence(p: GRUParams, xs, mask) -> Var:
     with at least two rows, where OpenBLAS rounds each row as it does in the
     full-size product.
 
+    The embedding-fed form projects the table instead, once, with a zero row
+    appended for the masked slots to read, and gathers the packed slots'
+    rows of ``table @ W.T``.  Each row of that product has the bits of the
+    same row in the product over the gathered slots, so the run keeps the
+    bits of the rows form over ``gather_rows(table, codes)``.  Its backward
+    sums each code's packed input gradients into ``S`` [M, 3D], by a one-hot
+    product sized for small tables such as a flag table, and takes
+    ``dW = S.T @ table`` and ``d table = S @ W``: the same sums in another
+    order, so only these two gradients move, in their last bits.
+
     Only the forward's recurrent products ``h @ U`` span all B rows, in
     sorted order; the rows not yet started are 0 and are never read back.
     OpenBLAS rounds a row differently when the row count changes, so a
     prefix product would make a row's h depend on how many of its batch
     mates have started, and a query would score differently in another
     chunk.  The backward is packed throughout: each step's products run on
-    its prefix, and the gradients of W, U, b and ``xs`` are products over
-    the P packed slots.  They equal those of stepping every slot up to
+    its prefix, and the gradients of W, U, b and the input are products
+    over the P packed slots.  They equal those of stepping every slot up to
     rounding.
     """
-    xs = _as_var(xs)
+    codes = np.asarray(xs[1]) if isinstance(xs, tuple) else None
+    x = _as_var(xs if codes is None else xs[0])
     keep = np.asarray(mask, dtype=bool)
-    if keep.ndim != 2 or xs.data.ndim != 2 or len(xs.data) != keep.sum():
-        raise ValueError("a GRU run expects mask [B,L] and xs [mask.sum(),I]")
+    if (keep.ndim != 2 or x.data.ndim != 2 or (codes is not None and codes.ndim != 1)
+            or len(x.data if codes is None else codes) != keep.sum()):
+        raise ValueError("a GRU run expects mask [B,L] and xs [mask.sum(),I] "
+                         "or (table [M,I], codes [mask.sum()])")
+    if codes is not None:
+        _check_indices(codes, len(x.data))
     # gates stacked z, r, h: w [3D,I], u [3D,D], b [3D]
     w, u, b = (np.concatenate([getattr(p, t + g).data for g in "zrh"]) for t in "wub")
-    (B, L), (N, I) = keep.shape, xs.data.shape
+    (B, L), (M, I) = keep.shape, x.data.shape
     D = u.shape[1]
     # first real step of each row (L if none); step t runs rows order[:n[t]],
     # whose packed slots are off[t]:off[t + 1], at flat slots slot[...]
@@ -478,17 +497,24 @@ def gru_sequence(p: GRUParams, xs, mask) -> Var:
     off = np.concatenate(([0], np.cumsum(n)))
     step = np.repeat(np.arange(L), n)
     slot = order[np.arange(off[-1]) - off[step]] * L + step
-    # xs row of each packed slot; a masked one reads a zero row and writes
+    # input row of each packed slot; a masked one reads a zero row and writes
     # its (zero) gradient to an extra row N, which is dropped
     real = keep.ravel()
+    N = int(real.sum())
     src = (np.cumsum(real) - 1)[slot]
     hole = np.flatnonzero(~real[slot])
-    # the spare row keeps a one-slot run off BLAS's gemv path
-    xg = xs.data[np.append(src, src[:1])]
-    xg[hole] = 0.0
+    if codes is None:
+        # the spare row keeps a one-slot run off BLAS's gemv path
+        feed = x.data[np.append(src, src[:1])]
+        feed[hole] = 0.0
+    else:
+        feed = np.vstack([x.data, np.zeros((1, I))])
     src[hole] = N
-    xp = xg @ np.ascontiguousarray(w.T)
+    xp = feed @ np.ascontiguousarray(w.T)
     xp += b
+    if codes is not None:
+        code = np.append(codes, M)[src]
+        xp = xp[code]
     u_zr, u_h = u[: 2 * D].T, u[2 * D :].T
     keep = keep[order]
     h, rh = np.zeros((B, D)), np.zeros((B, D))
@@ -522,20 +548,27 @@ def gru_sequence(p: GRUParams, xs, mask) -> Var:
             d[:, : 2 * D] *= zr * (1.0 - zr)
             dprev = gn * (1.0 - z) + drh * r + d[:, : 2 * D] @ u[: 2 * D]
             gh[:k] = np.where(m, dprev, gh[:k])
-        dw = dxp.T @ xg[:P]
+        if codes is None:
+            dw = dxp.T @ feed[:P]
+            dx = np.empty((N + 1, I))
+            dx[src] = dxp @ w
+            dx = dx[:N]
+        else:
+            # the masked slots read code M, which no row of the one-hot picks
+            sums = (code == np.arange(M)[:, None]).astype(np.float64) @ dxp
+            dw = sums.T @ x.data
+            dx = sums @ w
         du_zr = dxp[:, : 2 * D].T @ hs
         du_h = dxp[:, 2 * D :].T @ rhs
         db = dxp.sum(axis=0)
-        dxs = np.empty((N + 1, I))
-        dxs[src] = dxp @ w
         return (
-            dxs[:N],
+            dx,
             dw[:D], du_zr[:D], db[:D],
             dw[D : 2 * D], du_zr[D:], db[D : 2 * D],
             dw[2 * D :], du_h, db[2 * D :],
         )
 
-    return Var(out, (xs, *p), vjp)
+    return Var(out, (x, *p), vjp)
 
 
 def adam_step(

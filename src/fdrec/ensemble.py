@@ -63,8 +63,8 @@ def _intent_logits(state: dc.ModelState, seqs: features.UserSequences,
                    rows: np.ndarray) -> dc.Var:
     """Intent logits [B,2] (repeat, explore) for the interactions at ``rows``."""
     win = features.gather_window(seqs, rows, int(state.meta["window"]))
-    femb = dc.gather_rows(state.leaf("emb.flag"), win.repeat)
-    h = dc.gru_sequence(dc.gru_leaves(state, "gru.intent"), femb, win.mask)
+    h = dc.gru_sequence(dc.gru_leaves(state, "gru.intent"),
+                        (state.leaf("emb.flag"), win.repeat), win.mask)
     e_mu = features.situation(state, win.now_hour, win.now_dow, win.now_loc)
     u = dc.gather_rows(state.leaf("emb.user"), win.user)
     feats = dc.concat([h, e_mu, u], axis=-1)
@@ -329,5 +329,11 @@ def ensemble_scores(state: dc.ModelState, rep_state: dc.ModelState,
 
 def concat_scores(rep_state: dc.ModelState, exp_state: dc.ModelState,
                   data: features.Dataset, cases) -> np.ndarray:
-    """Unit-weight reference: normalized base slates concatenated as-is."""
+    """Unit-weight reference: normalized base slates concatenated as-is.
+
+    Min-max normalization puts the top item of each part at exactly 1.0, and
+    ranking is pessimistic, so a target at the top of its part ties with the
+    other part's top and ranks 2, never 1.  Its HR@3 is unaffected, but its
+    NDCG@3 reads low against a model that breaks the tie: compare ``concat``
+    with other models on HR@3."""
     return evalharness.score_rows(cases, _case_bases(rep_state, exp_state, data, cases))

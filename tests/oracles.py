@@ -924,9 +924,12 @@ def padded_window(seqs: features.UserSequences, flat_rows: np.ndarray,
 
 
 def padded_gru_sequence(p: dc.GRUParams, xs, mask) -> dc.Var:
-    """:func:`fdrec.diffcore.gru_sequence` over padded inputs [B, L, I]: the
-    real slots are picked on the tape, so their gradient lands in the grid
-    with zeros at the masked slots."""
+    """:func:`fdrec.diffcore.gru_sequence` over padded inputs [B, L, I], or
+    ``(table, codes)`` with codes [B, L] gathered into them: the real slots
+    are picked on the tape, so their gradient lands in the grid with zeros
+    at the masked slots."""
+    if isinstance(xs, tuple):
+        xs = dc.gather_rows(*xs)
     return _packed_gru_sequence(p, dc.getitem(xs, np.asarray(mask, dtype=bool)), mask)
 
 

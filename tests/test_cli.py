@@ -13,7 +13,7 @@ from numpy.testing import assert_array_equal
 
 from fdrec import cli, exprec, features
 from fdrec.config import load_config, write_config
-from fdrec.diffcore import load_checkpoint
+from fdrec.diffcore import ParamTensor, load_checkpoint, save_checkpoint
 
 SMALL = {
     "data": {"min_orders": 6},
@@ -335,6 +335,40 @@ def test_truncated_or_damaged_checkpoint_fails_naming_it(pipeline, tmp_path, cap
     err = capsys.readouterr().err
     assert path in err
     assert "retrain with `fdrec train --model reprec`" in err
+
+
+def restale(state, stale: str) -> None:
+    """``state`` as a checkpoint of another version would hold it."""
+    if stale == "missing":
+        del state.params["inv_temp"]
+    elif stale == "extra":
+        state.add_param("attn.w", (4, 8), 0.0)
+    else:
+        state.params["fuse.w"] = ParamTensor("fuse.w", np.zeros((4, 8)))
+
+
+@pytest.mark.parametrize("stale, model, detail", [
+    ("missing", "ensemble", "missing inv_temp"),
+    ("extra", "reprec", "extra attn.w"),
+    ("shape", "exprec", "fuse.w shaped (4, 8) where (4, 16) is built"),
+])
+def test_checkpoint_of_another_version_fails_naming_its_parameters(
+        pipeline, tmp_path, capsys, stale, model, detail):
+    """The config hash and the data still match, so only the parameters can
+    tell that the checkpoint is not what this version builds."""
+    cfg = copy_run(pipeline, tmp_path)
+    path = os.path.join(load_config(cfg).run_dir(), f"{model}.ckpt")
+    state = load_checkpoint(path)
+    restale(state, stale)
+    save_checkpoint(state, path)
+    protocol = cli.COMPATIBLE[model][0]
+    assert cli.main(["eval", "--config", cfg, "--model", "ensemble",
+                     "--protocol", "combined"]) == 1
+    assert (f"checkpoint {path} does not hold the parameters this version builds for "
+            f"{model}: {detail}; retrain with `fdrec train --model {model}`"
+            ) in capsys.readouterr().err
+    assert cli.main(["eval", "--config", cfg, "--model", model, "--protocol", protocol]) == 1
+    assert f"{detail}; retrain" in capsys.readouterr().err
 
 
 def test_ingest_rewrites_identical_data(pipeline):

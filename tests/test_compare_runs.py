@@ -55,7 +55,7 @@ def test_checkpoint_and_train_log_may_differ_with_their_figures(tmp_path):
     assert lines[1:] == [
         "eval.exprec.exploration.json identical",
         f"exprec.ckpt differs max relative parameter difference {rel:.3g} (emb)",
-        "exprec.train.json differs keys stages.intent.history",
+        "exprec.train.json differs keys stages.intent.history max rel 1.3e-16",
     ]
 
 
@@ -100,3 +100,23 @@ def test_checkpoints_with_other_parameters_name_them(tmp_path):
     assert ok
     assert lines[2] == ("exprec.ckpt differs parameters only in the first run: head.b; "
                         "only in the second run: inv_temp")
+
+
+def test_a_differing_train_log_shows_each_numeric_keys_largest_relative_difference(tmp_path):
+    for side, history, epochs, stop in (("a", [0.5, -0.25, 0.125], 3, "patience"),
+                                        ("b", [0.5, -0.2500000001, 0.125], 4, "max_epochs")):
+        write_run(tmp_path / side)
+        train = {"stages": {"intent": {"history": history, "epochs": epochs,
+                                       "stopped": stop, "grid": [[1.0], [2.0]]},
+                            "combine": {"history": [0.3], "best": 0.0}}}
+        if side == "b":
+            train["stages"]["combine"].update(history=[0.3, 0.4], best=1e-300)
+            train["stages"]["intent"]["grid"] = [[1.0], [3.0]]
+        (tmp_path / side / "exprec.train.json").write_text(json.dumps(train))
+    lines, ok = load_script().compare(str(tmp_path / "a"), str(tmp_path / "b"))
+    assert ok
+    assert lines[3] == (
+        "exprec.train.json differs keys stages.combine.best max rel 1.0e+00, "
+        "stages.combine.history, stages.intent.epochs max rel 2.5e-01, "
+        "stages.intent.grid, stages.intent.history max rel 4.0e-10, stages.intent.stopped"
+    )

@@ -257,12 +257,12 @@ def test_every_synth_and_train_key_reaches_the_generator_and_trainers(
     assert cli.main(["synth", "--out", str(tmp_path / "d"), "--config", path]) == 1
     assert seen == [SynthConfig(**synth)]
 
-    monkeypatch.setattr(cli, "_load_checkpoint", lambda run_dir, model, data: model)
+    monkeypatch.setattr(cli, "_load_checkpoint", lambda cfg, model, data: model)
     for module, name in ((baselines, "sonly_train"), (reprec, "reprec_train"),
                          (exprec, "exprec_train"), (ensemble, "ensemble_train")):
         monkeypatch.setattr(module, name, lambda *args, **kwargs: args)
     for model in cli.TRAINABLE:
-        got = cli._train_one(load_config(path), "run", model, "data")
+        got = cli._train_one(load_config(path), model, "data")
         assert got[1] == TrainSettings(**train)
         assert got[2] == load_config(path).model
 

@@ -425,22 +425,138 @@ def test_gru_sequence_backward_matches_stepwise_cells_at_larger_shapes():
         np.testing.assert_array_equal(g_again[name], g_got[name], err_msg=name)
 
 
-@pytest.mark.parametrize("D, I", [(32, 64), (64, 128)])
-def test_gru_sequence_h_of_a_row_does_not_depend_on_its_batch_mates(D, I):
+@pytest.mark.parametrize("D, I, form", [
+    pytest.param(D, I, form, id=f"{D}-{I}" + ("-table" if form == "table" else ""))
+    for form in ("rows", "table") for D, I in ((32, 64), (64, 128))
+])
+def test_gru_sequence_h_of_a_row_does_not_depend_on_its_batch_mates(D, I, form):
     """A row alone among empty windows, as a padded query chunk holds it,
     gets bit for bit the h it gets among windows of every length."""
     B, L = 128, 20
     lengths = rng(58).integers(0, L + 1, size=B)
     state = gru_state(16, in_dim=I, hidden=D)
     p = dc.gru_leaves(state, "g")
+    table = rng(71).normal(size=(2, I))
+    codes = rng(61).integers(0, 2, size=(B, L))
     xs = rng(59).normal(size=(B, L, I))
     mask = left_padded(lengths, L)
-    h = dc.gru_sequence(p, xs[mask == 1.0], mask).data
+
+    def feed(m):
+        real = m == 1.0
+        return xs[real] if form == "rows" else (table, codes[real])
+
+    h = dc.gru_sequence(p, feed(mask), mask).data
     for j in rng(60).choice(np.flatnonzero(lengths), size=19, replace=False):
         alone = np.zeros_like(mask)
         alone[j] = mask[j]
-        h_alone = dc.gru_sequence(p, xs[alone == 1.0], alone).data
+        h_alone = dc.gru_sequence(p, feed(alone), alone).data
         np.testing.assert_array_equal(h_alone[j], h[j])
+
+
+def run_table_gru(state, table, codes, mask, target, fed=True):
+    """h and the table and weight gradients of ``sum(tanh(h) * target)``
+    for the embedding-fed run, or with ``fed=False`` for the rows form over
+    ``gather_rows(table, codes)``."""
+    oracles.zero_grads(state)
+    t = var(table)
+    xs = (t, codes) if fed else dc.gather_rows(t, codes)
+    h = dc.gru_sequence(dc.gru_leaves(state, "g"), xs, mask)
+    dc.backward(dc.sum_(dc.mul(dc.tanh(h), target)))
+    return h.data, t.grad, {n: p.grad.copy() for n, p in state.params.items()}
+
+
+def holed_windows(L: int, seed: int) -> np.ndarray:
+    """Left-padded windows of every length 0..L in shuffled rows, and one
+    more with a hole: masked slots between its first and last real ones."""
+    lengths = rng(seed).permutation(np.repeat(np.arange(L + 1), 2))
+    mask = np.vstack([left_padded(lengths, L), np.zeros((1, L))])
+    mask[-1, [1, 2, L - 1]] = 1.0
+    return mask
+
+
+@pytest.mark.parametrize("M", [2, 3, 4])
+@pytest.mark.parametrize("D, I", [(5, 6), (16, 24), (32, 32), (64, 64)])
+def test_gru_sequence_fed_by_a_table_keeps_the_bits_of_the_gathered_rows(M, D, I):
+    """Projecting the table once gives every slot the bits of projecting
+    the gathered slots, so h, U's and b's gradients are bit-equal; only the
+    table's and W's gradients are added in another order."""
+    L = 9
+    mask = holed_windows(L, 62 + M)
+    state = gru_state(17, in_dim=I, hidden=D)
+    table = rng(63).normal(size=(M, I))
+    codes = rng(64).integers(0, M, size=int(mask.sum()))
+    target = rng(65).normal(size=(len(mask), D))
+
+    h, gt, g = run_table_gru(state, table, codes, mask, target)
+    h_ref, gt_ref, g_ref = run_table_gru(state, table, codes, mask, target, fed=False)
+    np.testing.assert_array_equal(h, h_ref)
+    np.testing.assert_array_equal(h[mask.sum(axis=1) == 0], 0.0)
+    np.testing.assert_allclose(gt, gt_ref, atol=1e-12 * np.abs(gt_ref).max(), rtol=0)
+    for name in g_ref:
+        assert np.abs(g_ref[name]).max() > 0.0, name
+        if ".w" in name:
+            np.testing.assert_allclose(g[name], g_ref[name], rtol=0, err_msg=name,
+                                       atol=1e-12 * np.abs(g_ref[name]).max())
+        else:
+            np.testing.assert_array_equal(g[name], g_ref[name], err_msg=name)
+
+
+def test_gru_sequence_fed_by_a_table_on_an_empty_window_is_zero():
+    state = gru_state(18, in_dim=4, hidden=3)
+    table = rng(66).normal(size=(2, 4))
+    codes = np.zeros(0, dtype=np.int64)
+    h, gt, grads = run_table_gru(state, table, codes, np.zeros((3, 5)),
+                                 rng(67).normal(size=(3, 3)))
+    np.testing.assert_array_equal(h, 0.0)
+    np.testing.assert_array_equal(gt, np.zeros((2, 4)))
+    for name, g in grads.items():
+        np.testing.assert_array_equal(g, np.zeros_like(g), err_msg=name)
+
+
+def test_gru_sequence_table_gradient_check():
+    state = dc.ModelState(seed=11)
+    state.add_gru("g", in_dim=3, hidden=4)
+    state.add_param("t", (3, 3), scale=1.0)  # the table; probes its gradient
+    mask = np.array([[1, 1, 1, 1], [0, 1, 0, 1], [0, 0, 1, 1], [0, 0, 0, 0]],
+                    dtype=np.float64)
+    codes = np.array([0, 2, 1, 0, 2, 2, 1, 0])
+    target = rng(68).normal(size=(4, 4))
+
+    def forward(s):
+        h = dc.gru_sequence(dc.gru_leaves(s, "g"), (s.leaf("t"), codes), mask)
+        diff = dc.sub(h, target)
+        return dc.mean_(dc.mul(diff, diff))
+
+    # every coordinate, the table's 9 and the 96 of W, U and b
+    err = oracles.finite_difference_check(forward, state, num_coords=200, rng_seed=0)
+    assert err <= 1e-4
+
+
+def test_gru_sequence_a_hole_adds_nothing_to_the_table_gradient():
+    """A masked slot inside a window reads a zero row, which is no row of
+    the table: a row that no real slot reads gets exactly no gradient."""
+    state = gru_state(19, in_dim=4, hidden=3)
+    table = rng(69).normal(size=(3, 4))
+    mask = np.array([[1, 0, 0, 1], [0, 1, 0, 1]], dtype=np.float64)
+    codes = np.array([0, 1, 1, 0])  # row 2 is read by no real slot
+    target = rng(70).normal(size=(2, 3))
+    _, gt, _ = run_table_gru(state, table, codes, mask, target)
+    _, gt_ref, _ = run_table_gru(state, table, codes, mask, target, fed=False)
+    np.testing.assert_array_equal(gt[2], 0.0)
+    assert np.abs(gt[:2]).min() > 0.0
+    np.testing.assert_allclose(gt, gt_ref, atol=1e-12 * np.abs(gt_ref).max(), rtol=0)
+
+
+@pytest.mark.parametrize("code", [-1, 2])
+def test_gru_sequence_rejects_a_code_outside_the_table(code):
+    state = gru_state(20, in_dim=4, hidden=3)
+    codes = np.array([0, 1, code])
+    with pytest.raises(ValueError, match="out of range for table with 2 rows"):
+        dc.gru_sequence(dc.gru_leaves(state, "g"), (np.zeros((2, 4)), codes),
+                        np.ones((1, 3)))
+    with pytest.raises(ValueError, match="codes"):
+        dc.gru_sequence(dc.gru_leaves(state, "g"), (np.zeros((2, 4)), codes[:2]),
+                        np.ones((1, 3)))
 
 
 def test_gru_sequence_fully_masked_batch_is_zero_with_zero_gradients():

@@ -54,12 +54,18 @@ def forward_and_grads(state, forward, seed):
     return out.data, {name: p.grad.copy() for name, p in state.params.items()}
 
 
-def assert_same_bits(packed, padded):
+def assert_same_bits(packed, padded, near=()):
+    """Bit-equal outputs and gradients, but for the gradients named in
+    ``near``: those within 1e-12 of each array's largest magnitude."""
     (out, grads), (out_ref, grads_ref) = packed, padded
     np.testing.assert_array_equal(out, out_ref)
     assert grads.keys() == grads_ref.keys()
     for name in grads_ref:
-        np.testing.assert_array_equal(grads[name], grads_ref[name], err_msg=name)
+        if name in near:
+            np.testing.assert_allclose(grads[name], grads_ref[name], rtol=0, err_msg=name,
+                                       atol=1e-12 * np.abs(grads_ref[name]).max())
+        else:
+            np.testing.assert_array_equal(grads[name], grads_ref[name], err_msg=name)
     return grads_ref
 
 
@@ -118,6 +124,9 @@ def test_intent_logits_match_the_padded_form_bit_for_bit(long_data, monkeypatch,
     with monkeypatch.context() as m:
         padded_forms(m)
         padded = forward_and_grads(state, forward, 91)
-    grads = assert_same_bits(packed, padded)
+    # the flag table is projected once, so its gradient and W's are the
+    # same sums as the padded form's, added in another order
+    grads = assert_same_bits(packed, padded, near=(
+        "emb.flag", "gru.intent.wz", "gru.intent.wr", "gru.intent.wh"))
     for name in ("emb.flag", "gru.intent.wz", "gru.intent.uh"):
         assert np.abs(grads[name]).max() > 0.0, name
