@@ -343,6 +343,7 @@ class ParamTensor:
 class ModelState:
     """Ordered parameter collection plus optimizer slots and metadata.
 
+    The first :func:`adam_step` allocates Adam's slots ``m`` and ``v``.
     ``meta`` must stay JSON-serializable; it travels with checkpoints (model
     identity, vocabularies, hyperparameters needed to score).
     """
@@ -366,8 +367,6 @@ class ModelState:
             values = self.rng.uniform(-scale, scale, size=shape)
         p = ParamTensor(name, values)
         self.params[name] = p
-        self.m[name] = np.zeros(shape, dtype=np.float64)
-        self.v[name] = np.zeros(shape, dtype=np.float64)
         return p
 
     def add_embedding(self, name: str, rows: int, dim: int) -> ParamTensor:
@@ -586,6 +585,8 @@ def adam_step(
     c2 = 1.0 - beta2**t
     for name, p in state.params.items():
         g = p.grad
+        if name not in state.m:
+            state.m[name], state.v[name] = np.zeros_like(g), np.zeros_like(g)
         m = state.m[name]
         v = state.v[name]
         m *= beta1
@@ -617,5 +618,4 @@ def load_checkpoint(path: str) -> ModelState:
     state.meta = header["meta"]
     for name, values in tensors.items():
         state.params[name] = ParamTensor(name, values)
-        state.m[name], state.v[name] = np.zeros_like(values), np.zeros_like(values)
     return state

@@ -304,15 +304,27 @@ def add_situation_tables(state: dc.ModelState, dim: int, n_locations: int) -> No
     state.add_embedding("emb.loc", n_locations, dim)
 
 
+def situations(state: dc.ModelState, hours, dows, locs) -> tuple[dc.Var, np.ndarray]:
+    """Each distinct (hour, weekday, location) of the codes embedded once:
+    vectors [U, D] and ``inverse``, of the codes' shape, such that
+    ``vectors[inverse]`` is :func:`situation`.  A vector's values have the
+    bits of the per-slot sum, since each row's adds are row-local; the
+    tables' gradients are reassociated, summed per distinct row first."""
+    tables = [state.leaf(name) for name in ("emb.hour", "emb.dow", "emb.loc")]
+    codes = [np.asarray(c, dtype=np.int64) for c in (hours, dows, locs)]
+    # key (h·n_dow + d)·n_loc + l; a code outside its table raises ValueError
+    key = np.ravel_multi_index(codes, [len(t.data) for t in tables])
+    # unique on the raveled key: numpy 1.24 and 2 then shape ``inverse`` alike
+    _, first, inverse = np.unique(key.ravel(), return_index=True, return_inverse=True)
+    hour, dow, loc = (dc.gather_rows(t, c.ravel()[first]) for t, c in zip(tables, codes))
+    return dc.add(dc.add(hour, dow), loc), inverse.reshape(key.shape)
+
+
 def situation(state: dc.ModelState, hours, dows, locs) -> dc.Var:
-    """Embedded situation: hour + weekday + location vectors, any index shape."""
-    return dc.add(
-        dc.add(
-            dc.gather_rows(state.leaf("emb.hour"), hours),
-            dc.gather_rows(state.leaf("emb.dow"), dows),
-        ),
-        dc.gather_rows(state.leaf("emb.loc"), locs),
-    )
+    """Embedded situation: hour + weekday + location vectors, any index shape.
+    Its values have the bits of the three-table sum at each slot; see
+    :func:`situations` for the gradients."""
+    return dc.gather_rows(*situations(state, hours, dows, locs))
 
 
 # a model's query forward: flat sequence rows [B] -> query vectors [B, D]

@@ -41,14 +41,18 @@ def reprec_query(state: dc.ModelState, data: features.Dataset,
     """Situation-weighted history profiles [B, D] of the interactions at flat
     ``rows``, over the real slots of each one's trailing window;
     differentiable end to end.  ``‖μ_now‖`` reaches the slots through the
-    [B, L] grid, so that numpy sums its gradient over L in the grid's order."""
+    [B, L] grid, so that numpy sums its gradient over L in the grid's order.
+    ``‖μ‖`` is taken once per distinct situation: values keep their per-slot
+    bits, the situation tables' gradients are reassociated (``situations``)."""
     win = features.gather_window(data.seqs, rows, int(state.meta["window"]))
     B, L = win.mask.shape
-    mu = features.situation(state, win.hour, win.dow, win.loc)          # [N,D]
+    mu_u, slot_u = features.situations(state, win.hour, win.dow, win.loc)  # [U,D]
+    mu = dc.gather_rows(mu_u, slot_u)                                   # [N,D]
     mu_now = features.situation(state, win.now_hour, win.now_dow, win.now_loc)
 
     num = dc.sum_(dc.mul(mu, dc.gather_rows(mu_now, win.row)), axis=-1)  # [N]
-    n_hist = dc.sqrt(dc.add(dc.sum_(dc.mul(mu, mu), axis=-1), _NORM_EPS_SQ))
+    n_u = dc.sqrt(dc.add(dc.sum_(dc.mul(mu_u, mu_u), axis=-1), _NORM_EPS_SQ))
+    n_hist = dc.gather_rows(n_u, slot_u)                                # [N]
     n_now = dc.sqrt(dc.add(dc.sum_(dc.mul(mu_now, mu_now), axis=-1), _NORM_EPS_SQ))
     n_now = dc.getitem(dc.mul(dc.reshape(n_now, (B, 1)), np.ones((B, L))), win.mask)
     w = dc.div(num, dc.mul(n_hist, n_now))                              # [N]

@@ -907,6 +907,19 @@ def gru_cell(p: dc.GRUParams, x: dc.Var, h: dc.Var) -> dc.Var:
 _packed_gru_sequence = dc.gru_sequence
 
 
+def situation_per_slot(state: dc.ModelState, hours, dows, locs) -> dc.Var:
+    """:func:`fdrec.features.situation` computed per slot: the three tables
+    gathered and added at every slot, so each table's gradient is scattered
+    from every slot rather than from each distinct situation's row."""
+    return dc.add(
+        dc.add(
+            dc.gather_rows(state.leaf("emb.hour"), hours),
+            dc.gather_rows(state.leaf("emb.dow"), dows),
+        ),
+        dc.gather_rows(state.leaf("emb.loc"), locs),
+    )
+
+
 def padded_window(seqs: features.UserSequences, flat_rows: np.ndarray,
                   limit: int) -> features.Window:
     """:func:`fdrec.features.gather_window` with its slot fields gathered at
@@ -936,15 +949,20 @@ def padded_gru_sequence(p: dc.GRUParams, xs, mask) -> dc.Var:
 def reprec_query_padded(state: dc.ModelState, data: features.Dataset,
                         rows: np.ndarray) -> dc.Var:
     """:func:`fdrec.reprec.reprec_query` over the padded [B, L] grid, the
-    masked slots' cosines zeroed by the mask."""
+    masked slots' cosines zeroed by the mask.  The history norms are taken
+    over :func:`fdrec.features.situations` of the whole grid, as the packed
+    form takes them over its N slots; a masked slot's gradient is an exact
+    zero, so the extra distinct rows it may add change no sum."""
     win = padded_window(data.seqs, rows, int(state.meta["window"]))
     B, L = win.store.shape
-    mu = features.situation(state, win.hour, win.dow, win.loc)          # [B,L,D]
+    mu_u, slot_u = features.situations(state, win.hour, win.dow, win.loc)  # [U,D]
+    mu = dc.gather_rows(mu_u, slot_u)                                   # [B,L,D]
     mu_now = features.situation(state, win.now_hour, win.now_dow, win.now_loc)
     mu_now3 = dc.reshape(mu_now, (B, 1, mu_now.data.shape[-1]))
 
     num = dc.sum_(dc.mul(mu, mu_now3), axis=-1)                         # [B,L]
-    n_hist = dc.sqrt(dc.add(dc.sum_(dc.mul(mu, mu), axis=-1), _NORM_EPS_SQ))
+    n_u = dc.sqrt(dc.add(dc.sum_(dc.mul(mu_u, mu_u), axis=-1), _NORM_EPS_SQ))
+    n_hist = dc.gather_rows(n_u, slot_u)                                # [B,L]
     n_now = dc.sqrt(dc.add(dc.sum_(dc.mul(mu_now, mu_now), axis=-1), _NORM_EPS_SQ))
     w = dc.mul(dc.div(num, dc.mul(n_hist, dc.reshape(n_now, (B, 1)))), win.mask)
 

@@ -51,3 +51,60 @@ def test_one_run_is_its_own_median_and_quartiles():
     series = load_script().summarize([result(None, 1.5, 90.0)])
     wall = series["metrics"]["wall_s"]
     assert (wall["q1"], wall["median"], wall["q3"]) == (1.5, 1.5, 1.5)
+
+
+def write_series(tmp_path, name, walls, rates):
+    """A series file of runs with these ``wall_s`` and ``eval_cases_per_s``."""
+    records = []
+    for wall, rate in zip(walls, rates):
+        res = result("abc", wall, 100.0)
+        res["line"]["metrics"]["eval_cases_per_s"] = {"value": rate, "unit": "1/s"}
+        records.append(res)
+    path = tmp_path / name
+    path.write_text(json.dumps(load_script().summarize(records)))
+    return path
+
+
+def test_against_prints_medians_change_parent_iqr_and_wins_in_run_order(tmp_path, capsys):
+    parent = write_series(tmp_path, "p.json", [2.0, 2.2, 2.4, 2.6, 2.8],
+                          [100.0, 100.0, 100.0, 100.0, 100.0])
+    change = write_series(tmp_path, "c.json", [1.0, 2.3, 1.2, 2.6, 1.4],
+                          [110.0, 90.0, 100.0, 120.0, 130.0])
+    assert load_script().main(["--against", str(parent), str(change)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["metric", "parent", "change", "relative", "parent",
+                                "IQR", "wins"]
+    rows = {line.split()[0]: line.split()[1:] for line in lines[1:]}
+    # wall_s: medians 2.4 and 1.4, IQR 2.6 - 2.2; lower wins in pairs 1, 3 and 5,
+    # and the tie of pair 4 counts for neither side
+    assert rows["wall_s"] == ["2.4", "1.4", "−41.7", "%", "0.4", "3/5"]
+    # eval_cases_per_s is higher-better in BENCHMARK.json
+    assert rows["eval_cases_per_s"] == ["100", "110", "+10.0", "%", "0", "3/5"]
+    assert rows["peak_rss_mb"][-1] == "0/5"
+
+
+def test_against_takes_one_series_file_and_writes_nothing(tmp_path):
+    parent = write_series(tmp_path, "p.json", [2.0, 3.0], [1.0, 1.0])
+    run = tmp_path / "r.json"
+    run.write_text(json.dumps(result("def", 1.0, 90.0)))
+    script = load_script()
+    for argv in ([str(run)], [str(parent), str(parent)]):
+        with pytest.raises(SystemExit):
+            script.main(["--against", str(parent), *argv])
+    with pytest.raises(SystemExit):  # one mode at a time
+        script.main(["--against", str(parent), "--out", str(tmp_path / "o.json"), str(parent)])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["p.json", "r.json"]
+
+
+def test_against_refuses_series_of_different_lengths(tmp_path, capsys):
+    parent = write_series(tmp_path, "p.json", [2.0, 2.1, 2.2], [1.0] * 3)
+    change = write_series(tmp_path, "c.json", [1.0, 1.1], [1.0] * 2)
+    assert load_script().main(["--against", str(parent), str(change)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "3 runs" in captured.err and "2" in captured.err
+
+
+def test_a_mode_is_required(tmp_path):
+    parent = write_series(tmp_path, "p.json", [2.0], [1.0])
+    with pytest.raises(SystemExit):
+        load_script().main([str(parent)])

@@ -677,6 +677,29 @@ def test_adam_weight_decay_is_decoupled():
     np.testing.assert_allclose(p.values, [2.0 * 0.95, -2.0 * 0.95], atol=1e-12, rtol=0)
 
 
+def test_adam_slots_are_allocated_at_the_first_step(tmp_path):
+    """Building or loading a state allocates no optimizer slots; the first
+    step allocates each parameter's, and they carry over to the next."""
+    state = dc.ModelState(seed=0)
+    state.add_embedding("emb", 5, 3)
+    state.add_dense("head", 2, 3)
+    path = str(tmp_path / "s.ckpt")
+    dc.save_checkpoint(state, path)
+    for s in (state, dc.load_checkpoint(path)):
+        assert s.step == 0 and s.m == {} and s.v == {}
+    state.params["emb"].grad[...] = 1.0
+    dc.adam_step(state, lr=0.1)
+    assert list(state.m) == list(state.v) == list(state.params)
+    for name, p in state.params.items():
+        assert state.m[name].shape == state.v[name].shape == p.shape
+    np.testing.assert_allclose(state.m["emb"], 0.1, rtol=0, atol=1e-15)
+    assert not state.m["head.w"].any()
+    m = state.m["emb"]
+    dc.adam_step(state, lr=0.1)
+    assert state.m["emb"] is m and state.step == 2
+    np.testing.assert_allclose(m, 0.09, rtol=0, atol=1e-15)
+
+
 def test_adam_updates_in_place():
     state = dc.ModelState(seed=0)
     p = state.add_param("w", (2,), scale=0.0)
@@ -716,7 +739,7 @@ def test_run_training_rejects_non_finite_loss():
         run_training(state, 4, batch_loss, lambda s: 0.0,
                      TrainSettings(batch_size=2, max_epochs=1))
     np.testing.assert_array_equal(state.value("w"), before)
-    assert not state.m["w"].any()
+    assert state.step == 0 and state.m == {} and state.v == {}
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 import dataclasses
 
 import numpy as np
+import pytest
 
 import oracles
 from fdrec import dataio, exprec, features
+from fdrec import diffcore as dc
 from conftest import make_log, rng
 
 
@@ -149,3 +151,77 @@ def test_prepared_neighbors_are_memoized_neighbor_arrays(small_split):
         np.testing.assert_array_equal(got, exp)
     assert data.neighbors(4, as_of) is first
     assert data.neighbors(3, as_of)[0].shape[1] == 3
+
+
+def situation_state():
+    """Situation tables of dimension 8 with 5 locations."""
+    state = dc.ModelState(seed=4)
+    features.add_situation_tables(state, 8, 5)
+    return state
+
+
+def situation_codes(kind):
+    """(hours, dows, locs) code arrays of one shape, for 5 locations."""
+    gen = rng(60)
+    if kind == "batch":  # [B], 40 codes over at most 30 triples
+        return gen.integers(0, 3, 40), gen.integers(5, 7, 40), gen.integers(0, 5, 40)
+    if kind == "grid":  # [B, L], few distinct triples
+        return (gen.choice([3, 20], (6, 9)), gen.choice([0, 6], (6, 9)),
+                gen.integers(0, 2, (6, 9)))
+    if kind == "single":
+        return np.array([23]), np.array([6]), np.array([4])
+    if kind == "distinct":  # every triple differs
+        return np.arange(24), np.arange(24) % 7, np.arange(24) % 5
+    if kind == "empty-grid":
+        return (np.zeros((3, 0), dtype=np.int64),) * 3
+    return (np.zeros(0, dtype=np.int64),) * 3
+
+
+SITUATION_KINDS = ["batch", "grid", "single", "distinct", "empty", "empty-grid"]
+
+
+@pytest.mark.parametrize("kind", SITUATION_KINDS)
+def test_situations_gathered_back_are_the_three_table_sum_bit_for_bit(kind):
+    state = situation_state()
+    codes = situation_codes(kind)
+    vectors, inverse = features.situations(state, *codes)
+    want = oracles.situation_per_slot(state, *codes).data
+    triples = set(zip(*(c.ravel().tolist() for c in codes)))
+    assert inverse.shape == codes[0].shape
+    assert vectors.data.shape == (len(triples), 8)
+    got = vectors.data[inverse]
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert features.situation(state, *codes).data.tobytes() == want.tobytes()
+    if kind in ("batch", "grid"):
+        assert len(triples) < codes[0].size  # repeated triples share a row
+
+
+@pytest.mark.parametrize("kind", ["batch", "grid", "distinct"])
+def test_situation_table_gradients_match_the_per_slot_form(kind):
+    """Summing each distinct row's gradient first reassociates the tables'
+    sums: within 1e-12 of the largest magnitude of the per-slot form."""
+    state = situation_state()
+    codes = situation_codes(kind)
+    grads = []
+    for forward in (features.situation, oracles.situation_per_slot):
+        oracles.zero_grads(state)
+        out = forward(state, *codes)
+        dc.backward(dc.sum_(dc.mul(out, rng(61).normal(size=out.data.shape))))
+        grads.append({name: p.grad.copy() for name, p in state.params.items()})
+    got, want = grads
+    for name in ("emb.hour", "emb.dow", "emb.loc"):
+        assert np.abs(want[name]).max() > 0.0, name
+        np.testing.assert_allclose(got[name], want[name], rtol=0, err_msg=name,
+                                   atol=1e-12 * np.abs(want[name]).max())
+
+
+@pytest.mark.parametrize("hours, dows, locs", [
+    ([1, 0], [0, 7], [0, 0]),    # weekday 7 would alias hour 1's key
+    ([0, 0], [0, 0], [0, 5]),    # a location past the table
+    ([24], [0], [0]),
+    ([0], [-1], [0]),
+])
+def test_situations_reject_a_code_outside_its_table(hours, dows, locs):
+    with pytest.raises(ValueError):
+        features.situations(situation_state(), np.array(hours), np.array(dows),
+                            np.array(locs))

@@ -155,10 +155,14 @@ def test_batch_loss_gradients_match_finite_differences(tiny_data):
         pool = [s for s in seqs.first_stores[lo:hi] if s != seqs.store[r]]
         neg[i] = pool[int(gen.integers(len(pool)))]
 
-    err = oracles.finite_difference_check(
-        lambda s: pair_loss(s, reprec.reprec_query(s, tiny_data, rows), seqs.store[rows], neg),
-        state, num_coords=80, rng_seed=0,
-    )
+    def loss(s):
+        return pair_loss(s, reprec.reprec_query(s, tiny_data, rows), seqs.store[rows], neg)
+
+    err = oracles.finite_difference_check(loss, state, num_coords=80, rng_seed=0)
+    assert err <= 1e-4
+    # the situation tables reach the loss through the distinct situations
+    err = oracles.finite_difference_check(loss, state, num_coords=80, rng_seed=1,
+                                          names=("emb.hour", "emb.dow", "emb.loc"))
     assert err <= 1e-4
 
 
