@@ -13,11 +13,12 @@ run over packed slots is a single tape node whose backward pass is
 hand-written backpropagation through time.  Training and inference run the
 same op; there is no tape-free twin.  The models' windows are left-padded,
 so the rows are sorted by their first real step, and each step projects,
-caches and backpropagates only the rows started so far.  Only the forward's
-recurrent products keep all rows, so that a row's hidden state does not
-depend on how many of its batch mates have started; the gradients equal
-those of stepping every slot up to rounding.  The tests check the op against
-a reference GRU step built from the primitives.
+multiplies, caches and backpropagates only the rows started so far.  Its
+recurrent products take contiguous weights and at least two rows, where
+OpenBLAS rounds a row the same whatever the row count, so a row's hidden
+state does not depend on its batch mates or on the batch size; the
+gradients equal those of stepping every slot up to rounding.  The tests
+check the op against a reference GRU step built from the primitives.
 """
 
 from __future__ import annotations
@@ -237,9 +238,13 @@ def tanh(a: Var) -> Var:
     return Var(out, (a,), lambda g: (g * (1.0 - out * out),))
 
 
-def _sigmoid(x: Array) -> Array:
+def _sigmoid(x: Array, out: Array | None = None) -> Array:
     # tanh form: one ufunc, no overflow, exactly 0 and 1 far from the origin
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
+    out = np.multiply(x, 0.5, out=np.empty(np.shape(x)) if out is None else out)
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5
+    return out
 
 
 def sigmoid(a: Var) -> Var:
@@ -456,7 +461,7 @@ def gru_sequence(p: GRUParams, xs, mask) -> Var:
     full-size product.
 
     The embedding-fed form projects the table instead, once, with a zero row
-    appended for the masked slots to read, and gathers the packed slots'
+    appended for the masked slots to read, and each step gathers its slots'
     rows of ``table @ W.T``.  Each row of that product has the bits of the
     same row in the product over the gathered slots, so the run keeps the
     bits of the rows form over ``gather_rows(table, codes)``.  Its backward
@@ -465,15 +470,17 @@ def gru_sequence(p: GRUParams, xs, mask) -> Var:
     ``dW = S.T @ table`` and ``d table = S @ W``: the same sums in another
     order, so only these two gradients move, in their last bits.
 
-    Only the forward's recurrent products ``h @ U`` span all B rows, in
-    sorted order; the rows not yet started are 0 and are never read back.
-    OpenBLAS rounds a row differently when the row count changes, so a
-    prefix product would make a row's h depend on how many of its batch
-    mates have started, and a query would score differently in another
-    chunk.  The backward is packed throughout: each step's products run on
-    its prefix, and the gradients of W, U, b and the input are products
-    over the P packed slots.  They equal those of stepping every slot up to
-    rounding.
+    The recurrent products ``h @ U`` run on the step's prefix too, through
+    contiguous copies of ``U.T`` and with at least two rows: a one-row step
+    also reads the next row, which is 0 or unused.  With contiguous operands
+    and two or more rows, OpenBLAS rounds a row as it does at any other row
+    count, so a row's h depends neither on how many of its batch mates have
+    started nor on the batch size, and a query scores the same in any chunk.
+    The steps write their gates, candidate and new h in place into the
+    packed caches, and keep a masked row's h only on steps with a hole.  The
+    backward is packed throughout: each step's products run on its prefix,
+    and the gradients of W, U, b and the input are products over the P
+    packed slots.  They equal those of stepping every slot up to rounding.
     """
     codes = np.asarray(xs[1]) if isinstance(xs, tuple) else None
     x = _as_var(xs if codes is None else xs[0])
@@ -513,40 +520,79 @@ def gru_sequence(p: GRUParams, xs, mask) -> Var:
     xp += b
     if codes is not None:
         code = np.append(codes, M)[src]
-        xp = xp[code]
-    u_zr, u_h = u[: 2 * D].T, u[2 * D :].T
+        xt = np.empty((B, 3 * D))
+    u_zr, u_h = (np.ascontiguousarray(u[g].T) for g in (slice(2 * D), slice(2 * D, None)))
     keep = keep[order]
-    h, rh = np.zeros((B, D)), np.zeros((B, D))
-    P = len(slot)
-    hs, rhs, cs = np.empty((3, P, D))
-    zrs = np.empty((P, 2 * D))
+    # steps whose started rows include a masked one: a hole in a window
+    holed = ((np.arange(B)[:, None] < n) & ~keep).any(axis=0)
+    # hs[off[t]:off[t + 1]] is h before step t, and step t writes its new h
+    # to the first n[t] rows of the next slice; the rows' final h end up at
+    # hs[P:P + B].  The rows past a slice are 0 or unused when a one-row step
+    # reads two; the product buffers pz and ph hold R rows for the same reason.
+    P, R = len(slot), max(B, 2)
+    hs, rhs = np.zeros((P + R, D)), np.zeros((P + 1, D))
+    zrs, cs = np.empty((P, 2 * D)), np.empty((P, D))
+    pz, ph = np.empty((R, 2 * D)), np.empty((R, D))
     for t in range(L):
-        k, s = n[t], slice(off[t], off[t + 1])
-        zr = _sigmoid(xp[s, : 2 * D] + (h @ u_zr)[:k])
-        z, hp = zr[:, :D], h[:k]
-        rh[:k] = zr[:, D:] * hp
-        c = np.tanh(xp[s, 2 * D :] + (rh @ u_h)[:k])
-        hs[s], rhs[s], zrs[s], cs[s] = hp, rh[:k], zr, c
-        h[:k] = np.where(keep[:k, t, None], (1.0 - z) * hp + z * c, hp)
+        k, a, e = n[t], off[t], off[t + 1]
+        if k == 0:
+            continue
+        kk = max(k, 2)
+        xa = xp[a:e] if codes is None else np.take(xp, code[a:e], axis=0, out=xt[:k])
+        hp, zr, rh, c, hn = hs[a:e], zrs[a:e], rhs[a:e], cs[a:e], hs[e : e + k]
+        # zr = sigmoid(x W_zr + h U_zr), c = tanh(x W_h + (r * h) U_h)
+        np.add(xa[:, : 2 * D], np.matmul(hs[a : a + kk], u_zr, out=pz[:kk])[:k], out=zr)
+        _sigmoid(zr, out=zr)
+        z = zr[:, :D]
+        np.multiply(zr[:, D:], hp, out=rh)
+        np.add(xa[:, 2 * D :], np.matmul(rhs[a : a + kk], u_h, out=ph[:kk])[:k], out=c)
+        np.tanh(c, out=c)
+        # h' = (1 - z) * h + z * c, or h where the step is masked
+        np.subtract(1.0, z, out=hn)
+        hn *= hp
+        hn += np.multiply(z, c, out=ph[:k])
+        if holed[t]:
+            np.copyto(hn, hp, where=~keep[:k, t, None])
     out = np.empty((B, D))
-    out[order] = h
+    out[order] = hs[P : P + B]
+    hs, rhs = hs[:P], rhs[:P]
 
     def vjp(g):
         gh = g[order]
         dxp = np.empty((P, 3 * D))
+        v1, v2 = np.empty((B, D)), np.empty((B, 2 * D))
+        drh_, pu = np.empty((B, D)), np.empty((B, D))
         for t in range(L - 1, -1, -1):
-            k, s = n[t], slice(off[t], off[t + 1])
+            k, a, e = n[t], off[t], off[t + 1]
+            if k == 0:
+                continue
             m = keep[:k, t, None]
-            gn = np.where(m, gh[:k], 0.0)
-            zr, c, hp, d = zrs[s], cs[s], hs[s], dxp[s]
-            z, r = zr[:, :D], zr[:, D:]
-            d[:, 2 * D :] = gn * z * (1.0 - c * c)
-            drh = d[:, 2 * D :] @ u[2 * D :]
-            d[:, :D] = gn * (c - hp)
-            d[:, D : 2 * D] = drh * hp
-            d[:, : 2 * D] *= zr * (1.0 - zr)
-            dprev = gn * (1.0 - z) + drh * r + d[:, : 2 * D] @ u[: 2 * D]
-            gh[:k] = np.where(m, dprev, gh[:k])
+            # gn is gh[:k] itself, and becomes the gradient of h before step
+            # t in place, unless a started row is masked at step t
+            gn = np.where(m, gh[:k], 0.0) if holed[t] else gh[:k]
+            zr, c, hp, d = zrs[a:e], cs[a:e], hs[a:e], dxp[a:e]
+            z, r, drh = zr[:, :D], zr[:, D:], drh_[:k]
+            # d_h = gn * z * (1 - c * c), drh = d_h U_h
+            np.multiply(gn, z, out=d[:, 2 * D :])
+            np.multiply(c, c, out=v1[:k])
+            np.subtract(1.0, v1[:k], out=v1[:k])
+            d[:, 2 * D :] *= v1[:k]
+            np.matmul(d[:, 2 * D :], u[2 * D :], out=drh)
+            # d_z = gn * (c - h), d_r = drh * h, both times zr * (1 - zr)
+            np.subtract(c, hp, out=d[:, :D])
+            d[:, :D] *= gn
+            np.multiply(drh, hp, out=d[:, D : 2 * D])
+            np.subtract(1.0, zr, out=v2[:k])
+            v2[:k] *= zr
+            d[:, : 2 * D] *= v2[:k]
+            # gn * (1 - z) + drh * r + d_zr U_zr
+            np.subtract(1.0, z, out=v1[:k])
+            gn *= v1[:k]
+            drh *= r
+            gn += drh
+            gn += np.matmul(d[:, : 2 * D], u[: 2 * D], out=pu[:k])
+            if holed[t]:
+                np.copyto(gh[:k], gn, where=m)
         if codes is None:
             dw = dxp.T @ feed[:P]
             dx = np.empty((N + 1, I))

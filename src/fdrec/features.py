@@ -338,8 +338,10 @@ def query_rows(state: dc.ModelState, data: Dataset, rows: np.ndarray,
 
     ``query`` maps flat rows [B] to per-row vectors [B, ...]; it is the
     same forward pass a model's training loss uses.  The last chunk is padded
-    with row 0, so every pass has the same shape: BLAS rounding depends on
-    matrix shapes, and a row's vector must not depend on its chunk mates.
+    with row 0, so every pass has the same shape and a row's vector does not
+    depend on its chunk mates: the GRU keeps a row's bits at any row count,
+    but the dense heads' products do not (the intent head's two-output
+    layer rounds a row differently at most row counts).
     """
     n = len(rows)
     padded = np.zeros(-(-max(n, 1) // QUERY_CHUNK) * QUERY_CHUNK, dtype=np.int64)

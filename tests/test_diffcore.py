@@ -431,7 +431,8 @@ def test_gru_sequence_backward_matches_stepwise_cells_at_larger_shapes():
 ])
 def test_gru_sequence_h_of_a_row_does_not_depend_on_its_batch_mates(D, I, form):
     """A row alone among empty windows, as a padded query chunk holds it,
-    gets bit for bit the h it gets among windows of every length."""
+    gets bit for bit the h it gets among windows of every length; and the
+    first rows of a batch get the h they get in a batch of any size."""
     B, L = 128, 20
     lengths = rng(58).integers(0, L + 1, size=B)
     state = gru_state(16, in_dim=I, hidden=D)
@@ -441,16 +442,23 @@ def test_gru_sequence_h_of_a_row_does_not_depend_on_its_batch_mates(D, I, form):
     xs = rng(59).normal(size=(B, L, I))
     mask = left_padded(lengths, L)
 
-    def feed(m):
+    def run(m, xs=xs, codes=codes):
         real = m == 1.0
-        return xs[real] if form == "rows" else (table, codes[real])
+        return dc.gru_sequence(p, xs[real] if form == "rows" else (table, codes[real]), m).data
 
-    h = dc.gru_sequence(p, feed(mask), mask).data
+    h = run(mask)
     for j in rng(60).choice(np.flatnonzero(lengths), size=19, replace=False):
         alone = np.zeros_like(mask)
         alone[j] = mask[j]
-        h_alone = dc.gru_sequence(p, feed(alone), alone).data
-        np.testing.assert_array_equal(h_alone[j], h[j])
+        np.testing.assert_array_equal(run(alone)[j], h[j])
+
+    big_mask = left_padded(rng(72).integers(0, L + 1, size=256), L)
+    big_xs = rng(73).normal(size=(256, L, I))
+    big_codes = rng(74).integers(0, 2, size=(256, L))
+    h = run(big_mask, big_xs, big_codes)
+    for size in (2, 3, 7, 33, 149, 256):
+        h_first = run(big_mask[:size], big_xs[:size], big_codes[:size])
+        np.testing.assert_array_equal(h_first, h[:size], err_msg=f"batch of {size}")
 
 
 def run_table_gru(state, table, codes, mask, target, fed=True):

@@ -3,7 +3,7 @@ import pytest
 
 import oracles
 from fdrec import diffcore as dc
-from fdrec import evalharness, exprec, features
+from fdrec import dataio, evalharness, exprec, features
 from fdrec.dataio import time_facets
 from fdrec.training import ModelSection, TrainSettings, pair_loss
 from conftest import DAY, make_log, rng
@@ -497,3 +497,31 @@ def test_a_row_keeps_its_bits_in_chunks_with_different_neighbour_unions(small_da
     assert 2 * union(small) < union(wide)
     np.testing.assert_array_equal(exprec.exprec_query(state, small_data, small).data[0],
                                   exprec.exprec_query(state, small_data, wide).data[77])
+
+
+@pytest.fixture(scope="module")
+def many_users_data():
+    """800 users, so that a chunk's rows bring more than 384 distinct neighbours."""
+    cfg = dataio.SynthConfig(n_users=800, n_stores=40, n_orders_per_user=4,
+                             n_locations=4, seed=12)
+    log, _ = dataio.generate_synthetic(cfg)
+    return features.Dataset(dataio.split_global_timeline(
+        log, test_window_s=4 * DAY, valid_window_s=4 * DAY))
+
+
+def test_a_row_keeps_its_bits_among_more_than_384_distinct_neighbours(many_users_data):
+    """Rows of a 128-row chunk whose neighbours span more codes than one BLAS
+    k-block holds score bit for bit as each row does beside row 0 only.  At
+    dims 8 and 16 one product over all the codes keeps the rows' bits too,
+    so the test runs at dim 32, where it does not."""
+    data, seqs = many_users_data, many_users_data.seqs
+    state = build(data, dim=32, seed=34, history_window=4, k_neighbors=20)
+    ids, _ = data.neighbors(20, data.split.valid_boundary)
+    wide = rng(35).choice(len(seqs.user), size=128, replace=False)
+    assert len(np.unique(np.maximum(ids[seqs.user[wide]], 0))) > 384
+    q = exprec.exprec_query(state, data, wide).data
+    for j in range(0, 128, 8):
+        alone = np.zeros(128, dtype=np.int64)
+        alone[0] = wide[j]
+        np.testing.assert_array_equal(exprec.exprec_query(state, data, alone).data[0], q[j],
+                                      err_msg=f"row {j}")
