@@ -15,15 +15,15 @@ one softmax over both.  Within a part the order is the base model's.
 Training is two-stage on frozen base models: the intent head first (binary
 cross-entropy on repeat flags), then the two temperatures ``tau_k`` (and the
 intent head with them) by a pairwise ranking loss on the mixture over
-fixed-size training slates plus the intent loss as an auxiliary term,
-early-stopped on combined validation HR@3.  Each ``1 / tau_k`` is the
-softplus of a parameter that starts at 0, so both temperatures start at
-``1 / ln 2``.  Training and scoring run the same mixture forward.
+training slates of up to ``budget`` items plus the intent loss as an
+auxiliary term, early-stopped on combined validation HR@3.  Each
+``1 / tau_k`` is the softplus of a parameter that starts at 0, so both
+temperatures start at ``1 / ln 2``.  Training slates, validation and test
+cases share one padded layout, :class:`fdrec.evalharness.CaseSet`, and run
+the same mixture forward over all their rows at once.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,27 +90,40 @@ def _intent_ce(logits: dc.Var, repeat: np.ndarray) -> dc.Var:
 
 # ---------------------------------------------------------------- combine
 
+def _normalized(raw: np.ndarray, parts) -> np.ndarray:
+    """Each row of ``raw`` [S, C] min-max normalized to [0, 1] within each of
+    the disjoint boolean masks ``parts`` [S, C]; a constant part maps to all
+    0.5, and an item in no part to 0."""
+    out = np.zeros(raw.shape)
+    for part in parts:
+        lo = raw.min(axis=1, initial=np.inf, where=part, keepdims=True)
+        hi = raw.max(axis=1, initial=-np.inf, where=part, keepdims=True)
+        span = hi - lo  # -inf on an empty part, where nothing is written
+        np.divide(raw - lo, span, out=out, where=part & (span > 0))
+        out[part & (span == 0)] = 0.5
+    return out
+
+
 def normalize_slate(scores) -> np.ndarray:
     """Min-max normalization to [0, 1]; a constant slate maps to all 0.5."""
     arr = np.asarray(scores, dtype=np.float64)
     if arr.size == 0:
         raise ValueError("cannot normalize an empty slate")
-    lo, hi = float(arr.min()), float(arr.max())
-    if hi == lo:
-        return np.full(arr.shape, 0.5)
-    return (arr - lo) / (hi - lo)
+    return _normalized(arr[None], [np.ones((1, arr.size), dtype=bool)])[0]
 
 
 def _mixture(state: dc.ModelState, probs: dc.Var, base: np.ndarray,
-             rep: np.ndarray) -> dc.Var:
-    """Scores [G, n] of slates with normalized base scores ``base`` [G, n],
-    whose repeat items are where ``rep`` [G, n] is 1: each part's softmax of
-    ``base / tau_part``, times that part's probability in ``probs`` [G, 2].
-    An empty part adds nothing."""
+             rep: np.ndarray, real: np.ndarray) -> dc.Var:
+    """Scores [G, C] of padded slates with normalized base scores ``base``
+    [G, C], whose repeat items are where ``rep`` [G, C] is 1 and whose items
+    are where ``real`` [G, C] is 1: each part's softmax of ``base / tau_part``,
+    times that part's probability in ``probs`` [G, 2].  An empty part adds
+    nothing, and a pad scores 0."""
     inv_tau = dc.softplus(state.leaf("inv_temp"))
+    rep, real = np.asarray(rep, dtype=np.float64), np.asarray(real, dtype=np.float64)
     total = None
-    for k, in_part in enumerate((rep, 1.0 - rep)):
-        # the other part's items sit 1e9 lower, so their exp is exactly 0
+    for k, in_part in enumerate((rep, real - rep)):
+        # the other part's items and the pads sit 1e9 lower, so their exp is 0
         logits = dc.add(dc.mul(dc.getitem(inv_tau, slice(k, k + 1)), base),
                         (in_part - 1.0) * 1e9)
         term = dc.mul(dc.mul(dc.softmax(logits), in_part),
@@ -119,45 +132,44 @@ def _mixture(state: dc.ModelState, probs: dc.Var, base: np.ndarray,
     return total
 
 
-# ---------------------------------------------------------------- training
-
-@dataclass(frozen=True)
-class _Slate:
-    row: int          # flat sequence row of the target interaction
-    a: int
-    x_feats: np.ndarray   # [n, 2] (normalized base score, origin flag)
-    tgt: int              # target index within the slate
-
-
-def _frozen_bases(rep_state, exp_state, data: features.Dataset, rows):
-    """``bases(i, codes, a)``: normalized frozen base scores of store
-    ``codes`` for the ``i``-th of ``rows``; RepRec scores the first ``a``,
-    ExpRec the rest.  Both models' queries come from one chunked forward."""
+def _case_bases(rep_state, exp_state, data: features.Dataset,
+                cases: evalharness.CaseSet):
+    """(base, rep, real) [N, C]: each case's normalized frozen base scores,
+    with its repeat and real-item masks.  RepRec scores a row's first
+    ``n_prior`` candidates and ExpRec the rest, each part normalized on its
+    own; pads hold 0.  Both models' queries come from one chunked forward."""
+    rows = data.seqs.flat_of_global[cases.position]
     rep_q = features.query_rows(rep_state, data, rows, reprec.reprec_query)
     exp_q = features.query_rows(exp_state, data, rows, exprec.exprec_query)
     rep_store, exp_store = rep_state.value("emb.store"), exp_state.value("emb.store")
+    raw = np.zeros(cases.cand.shape)
+    for i, (a, n) in enumerate(zip(cases.n_prior.tolist(), cases.length.tolist())):
+        # one product per part: a row's bits do not depend on its width
+        codes = cases.cand[i]
+        raw[i, :a] = rep_store[codes[:a]] @ rep_q[i]
+        raw[i, a:n] = exp_store[codes[a:n]] @ exp_q[i]
+    real = cases.mask
+    rep = np.arange(raw.shape[1]) < cases.n_prior[:, None]
+    return _normalized(raw, (rep, real & ~rep)), rep, real
 
-    def bases(i: int, codes: np.ndarray, a: int) -> np.ndarray:
-        base = np.empty(len(codes))
-        if a:
-            base[:a] = normalize_slate(rep_store[codes[:a]] @ rep_q[i])
-        if len(codes) > a:
-            base[a:] = normalize_slate(exp_store[codes[a:]] @ exp_q[i])
-        return base
 
-    return bases
-
+# ---------------------------------------------------------------- training
 
 def _build_training_slates(
-    data: features.Dataset, rows, budget, seed, rep_state, exp_state
-) -> list[_Slate]:
+    data: features.Dataset, rows, budget, seed
+) -> evalharness.CaseSet:
+    """Combined training slates of up to ``budget`` stores for the flat
+    ``rows``, as one padded case set: each row's repeat part (its latest
+    prior stores, the target first when it is a repeat) then its exploration
+    part (an unvisited target first, then sampled unvisited fillers).  A row
+    with fewer than two items is dropped."""
     seqs = data.seqs
     n_stores = len(data.vocabs.store_ids)
-    bases = _frozen_bases(rep_state, exp_state, data, rows)
     rep_cap = budget // 2
-    slates: list[_Slate] = []
-    for i, row in enumerate(rows):
-        row = int(row)
+    rows = np.asarray(rows, dtype=np.int64)
+    cand = np.zeros((len(rows), budget), dtype=np.int64)
+    length, n_prior, tcol = (np.zeros(len(rows), dtype=np.int64) for _ in range(3))
+    for i, row in enumerate(rows.tolist()):
         priors = seqs.priors(row)
         tc = int(seqs.store[row])
         is_rep = bool(seqs.repeat[row])
@@ -167,9 +179,9 @@ def _build_training_slates(
             # the target plus the rep_cap - 1 latest others; others[-0:]
             # would keep them all when rep_cap is 1
             keep = others[max(len(others) - (rep_cap - 1), 0):]
-            rep_part = np.concatenate([[tc], keep]).astype(np.int64)
+            rep_part = np.concatenate([[tc], keep])
         else:
-            rep_part = (priors[-rep_cap:] if len(priors) > rep_cap else priors).astype(np.int64)
+            rep_part = priors[-rep_cap:] if len(priors) > rep_cap else priors
 
         visited = np.zeros(n_stores, dtype=bool)
         visited[priors] = True
@@ -179,59 +191,50 @@ def _build_training_slates(
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, row])))
         take = min(max(want, 0), len(pool))
         picked = pool[rng.permutation(len(pool))[:take]]
-        if is_rep:
-            exp_part = picked
-            tgt = 0
-        else:
-            exp_part = np.concatenate([[tc], picked]).astype(np.int64)
-            tgt = len(rep_part)
-        n = len(rep_part) + len(exp_part)
-        if n < 2:
-            continue  # a ranking pair needs at least two items
+        codes = np.concatenate([rep_part, picked] if is_rep else [rep_part, [tc], picked])
+        cand[i, : len(codes)] = codes
+        length[i], n_prior[i] = len(codes), len(rep_part)
+        tcol[i] = 0 if is_rep else len(rep_part)
 
-        a = len(rep_part)
-        base = bases(i, np.concatenate([rep_part, exp_part]), a)
-        origin = np.concatenate([np.ones(a), np.zeros(len(exp_part))])
-        slates.append(_Slate(
-            row=row, a=a, x_feats=np.stack([base, origin], axis=-1), tgt=tgt,
-        ))
-    return slates
+    kept = length >= 2  # a ranking pair needs at least two items
+    rows, length = rows[kept], length[kept]
+    return evalharness.CaseSet(
+        "combined", data.split.log.by_user[0][rows], seqs.user[rows], seqs.store[rows],
+        cand[kept, : length.max(initial=1)], length, n_prior[kept], tcol[kept],
+        data.vocabs.store_ids, data.split.log.user_ids,
+    )
 
 
 def _combined_batch_loss(
     state: dc.ModelState,
-    slates: list[_Slate],
+    slates: evalharness.CaseSet,
+    bases: tuple[np.ndarray, np.ndarray, np.ndarray],
     seqs: features.UserSequences,
     chunk: np.ndarray,
     rng: np.random.Generator,
     lam: float,
 ) -> dc.Var:
-    by_size: dict[int, list[int]] = {}
-    for i in chunk:
-        sl = slates[int(i)]
-        by_size.setdefault(len(sl.x_feats), []).append(int(i))
+    """Mean pairwise ranking loss of the mixture, plus ``lam`` times the
+    intent cross-entropy, over the slates at ``chunk`` with their ``bases``.
 
-    total: dc.Var | None = None
-    for n, idx in by_size.items():
-        group = [slates[i] for i in idx]
-        G = len(group)
-        rows = np.array([sl.row for sl in group])
-        x_feats = np.stack([sl.x_feats for sl in group])
-        tgt = np.array([sl.tgt for sl in group])
+    Each target's negative is drawn among its slate's real items, one draw
+    per slate length in the order the lengths first appear in the chunk."""
+    length, tgt = slates.length[chunk], slates.tcol[chunk]
+    j = np.empty(len(chunk), dtype=np.int64)
+    for n in dict.fromkeys(length.tolist()):
+        at = length == n
+        j[at] = rng.integers(0, n - 1, size=int(at.sum()))
+    j += j >= tgt
 
-        logits = _intent_logits(state, seqs, rows)
-        p = _mixture(state, dc.softmax(logits), x_feats[:, :, 0], x_feats[:, :, 1])
-
-        ar = np.arange(G)
-        j = rng.integers(0, n - 1, size=G)
-        j = j + (j >= tgt)
-        rank = dc.sum_(dc.bpr_loss(
-            dc.getitem(p, (ar, tgt)), dc.getitem(p, (ar, j))
-        ))
-        ce = dc.sum_(_intent_ce(logits, seqs.repeat[rows]))
-        term = dc.add(rank, dc.mul(ce, lam))
-        total = term if total is None else dc.add(total, term)
-    return dc.mul(total, 1.0 / len(chunk))
+    width = int(length.max())
+    base, rep, real = (x[chunk, :width] for x in bases)
+    rows = seqs.flat_of_global[slates.position[chunk]]
+    logits = _intent_logits(state, seqs, rows)
+    p = _mixture(state, dc.softmax(logits), base, rep, real)
+    ar = np.arange(len(chunk))
+    rank = dc.sum_(dc.bpr_loss(dc.getitem(p, (ar, tgt)), dc.getitem(p, (ar, j))))
+    ce = dc.sum_(_intent_ce(logits, seqs.repeat[rows]))
+    return dc.mul(dc.add(rank, dc.mul(ce, lam)), 1.0 / len(chunk))
 
 
 def ensemble_train(
@@ -267,28 +270,28 @@ def ensemble_train(
         state, len(train_rows), intent_loss, intent_val, settings, stream=104
     )
 
-    # stage 2: the mixture over fixed-size slates, frozen base scores
+    # stage 2: the mixture over padded slates, frozen base scores
     rows = train_rows
     cap = settings.max_instances
     if cap and len(rows) > cap:
         keep = np.unique(np.linspace(0, len(rows) - 1, cap).astype(np.int64))
         rows = rows[keep]
-    slates = _build_training_slates(
-        data, rows, model.budget, settings.seed, frozen_reprec, frozen_exprec,
-    )
-    if not slates:
+    slates = _build_training_slates(data, rows, model.budget, settings.seed)
+    if not len(slates):
         raise ValueError("no combined training slates could be built")
+    bases = _case_bases(frozen_reprec, frozen_exprec, data, slates)
 
     def scores_for(cases):
-        bases = _case_bases(frozen_reprec, frozen_exprec, data, cases)
-        return lambda st: _mixture_scores(st, data, cases, bases)
+        case_bases = _case_bases(frozen_reprec, frozen_exprec, data, cases)
+        return lambda st: _mixture_scores(st, data, cases, case_bases)
 
     combined_val = validation_metric(
         data, "combined", settings, "ensemble", scores_for,
     )
 
     def combined_loss(st, chunk, rng):
-        return _combined_batch_loss(st, slates, seqs, chunk, rng, model.intent_weight)
+        return _combined_batch_loss(st, slates, bases, seqs, chunk, rng,
+                                    model.intent_weight)
 
     result_combine = run_training(
         state, len(slates), combined_loss, combined_val, settings, stream=105
@@ -298,24 +301,18 @@ def ensemble_train(
 
 # ---------------------------------------------------------------- scoring
 
-def _case_bases(rep_state, exp_state, data: features.Dataset, cases):
-    """``bases(i, codes, a)``: case ``i``'s normalized frozen base scores
-    (see :func:`_frozen_bases`)."""
-    rows = data.seqs.flat_of_global[cases.position]
-    return _frozen_bases(rep_state, exp_state, data, rows)
-
-
 def _mixture_scores(state: dc.ModelState, data: features.Dataset, cases,
                     bases) -> np.ndarray:
-    """[N, C] mixture scores of each case's base slate."""
+    """[N, C] mixture scores of each case's base slate ``bases``
+    (see :func:`_case_bases`); pads score 0.  Rows go through the mixture in
+    blocks of at most 2**15 slots, which bounds the tape's arrays on
+    1000-wide slates; a row's scores do not depend on its block."""
     probs = _intent_probs(state, data, data.seqs.flat_of_global[cases.position])
-
-    def row_scores(i: int, codes: np.ndarray, a: int) -> np.ndarray:
-        base = bases(i, codes, a)
-        rep = (np.arange(len(base)) < a).astype(np.float64)
-        return _mixture(state, dc.Var(probs[i : i + 1]), base[None], rep[None]).data[0]
-
-    return evalharness.score_rows(cases, row_scores)
+    step = max((1 << 15) // cases.cand.shape[1], 1)
+    return np.concatenate([
+        _mixture(state, dc.Var(probs[i : i + step]), *(b[i : i + step] for b in bases)).data
+        for i in range(0, max(len(cases), 1), step)
+    ])
 
 
 def ensemble_scores(state: dc.ModelState, rep_state: dc.ModelState,
@@ -336,4 +333,4 @@ def concat_scores(rep_state: dc.ModelState, exp_state: dc.ModelState,
     other part's top and ranks 2, never 1.  Its HR@3 is unaffected, but its
     NDCG@3 reads low against a model that breaks the tie: compare ``concat``
     with other models on HR@3."""
-    return evalharness.score_rows(cases, _case_bases(rep_state, exp_state, data, cases))
+    return _case_bases(rep_state, exp_state, data, cases)[0]

@@ -16,9 +16,9 @@ only the cases ``max_cases`` keeps are sampled.  A protocol's cases form one
 :class:`CaseSet` of store codes.  A scorer maps the set to its [N, C] score
 array, row ``i`` for case ``i``, and :func:`evaluate` ranks it at once.
 SOnly, RepRec and ExpRec all score through :func:`dot_scores` with their
-``<model>_query``; HisPop and the ensemble score each row through
-:func:`score_rows`.  Ranking is pessimistic: the target ranks below every
-candidate it ties with.
+``<model>_query``; it and HisPop score each row through :func:`score_rows`,
+while the ensemble and ``concat`` score the padded set at once.  Ranking is
+pessimistic: the target ranks below every candidate it ties with.
 """
 
 from __future__ import annotations

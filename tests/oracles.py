@@ -11,8 +11,9 @@ imports this module.
 It also keeps what only the tests run: the per-user loops that the
 sequence layout and the analysis curves replaced, the padded history
 windows that the packed ones replaced, ExpRec's neighbour trigger as it ran
-before pooling, a GRU step built from the autograd primitives, and the
-finite-difference gradient check.
+before pooling, the ensemble's per-row slate bases and per-length training
+loss as they ran before its slates were padded, a GRU step built from the
+autograd primitives, and the finite-difference gradient check.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from fdrec import diffcore as dc
-from fdrec import features, situsim
+from fdrec import ensemble, exprec, features, reprec, situsim
 from fdrec.analysis import (MIN_EVENTS, CurveSeries, InfluenceRecord, _store_attr_codes,
                             _store_similarity_arrays)
 from fdrec.dataio import (SECONDS_PER_WEEK, DatasetSplit, InteractionLog, StoreMeta,
@@ -884,6 +885,62 @@ def combine(
         candidates=tuple(candidates), a=len(rep), b=len(exp), base=np.array(base),
         weights=weights, within=within, scores=weights * within,
     )
+
+
+def _minmax(x: np.ndarray) -> np.ndarray:
+    lo, hi = float(x.min()), float(x.max())
+    return np.full(x.shape, 0.5) if hi == lo else (x - lo) / (hi - lo)
+
+
+def slate_bases_loop(rep_state: dc.ModelState, exp_state: dc.ModelState,
+                     data: features.Dataset, cases) -> list[np.ndarray]:
+    """Each case's normalized frozen base scores over its real candidates,
+    one row at a time: RepRec scores the first ``n_prior`` and ExpRec the
+    rest, and each non-empty part is min-max normalized alone."""
+    rows = data.seqs.flat_of_global[cases.position]
+    rep_q = features.query_rows(rep_state, data, rows, reprec.reprec_query)
+    exp_q = features.query_rows(exp_state, data, rows, exprec.exprec_query)
+    rep_store, exp_store = rep_state.value("emb.store"), exp_state.value("emb.store")
+    out = []
+    for i in range(len(cases)):
+        a, n = int(cases.n_prior[i]), int(cases.length[i])
+        codes = cases.cand[i, :n]
+        base = np.empty(n)
+        if a:
+            base[:a] = _minmax(rep_store[codes[:a]] @ rep_q[i])
+        if n > a:
+            base[a:] = _minmax(exp_store[codes[a:]] @ exp_q[i])
+        out.append(base)
+    return out
+
+
+def combined_loss_by_length(state: dc.ModelState, slates, bases, seqs, chunk,
+                            rng: np.random.Generator, lam: float) -> dc.Var:
+    """The ensemble's combined training loss, one intent forward and one
+    unpadded mixture per slate length, in the order each length first appears
+    in ``chunk``: the rank loss of each target against one uniformly drawn
+    other item of its slate, plus ``lam`` times the intent cross-entropy,
+    summed over groups and divided by the chunk size."""
+    base, rep = bases[0], bases[1]
+    by_length: dict[int, list[int]] = {}
+    for i in np.asarray(chunk).tolist():
+        by_length.setdefault(int(slates.length[i]), []).append(i)
+    total = None
+    for n, idx in by_length.items():
+        g = len(idx)
+        rows = seqs.flat_of_global[slates.position[idx]]
+        tgt = slates.tcol[idx]
+        logits = ensemble._intent_logits(state, seqs, rows)
+        p = ensemble._mixture(state, dc.softmax(logits), base[idx, :n], rep[idx, :n],
+                              np.ones((g, n)))
+        ar = np.arange(g)
+        j = rng.integers(0, n - 1, size=g)
+        j = j + (j >= tgt)
+        rank = dc.sum_(dc.bpr_loss(dc.getitem(p, (ar, tgt)), dc.getitem(p, (ar, j))))
+        ce = dc.sum_(ensemble._intent_ce(logits, seqs.repeat[rows]))
+        term = dc.add(rank, dc.mul(ce, lam))
+        total = term if total is None else dc.add(total, term)
+    return dc.mul(total, 1.0 / len(chunk))
 
 
 # ---------------------------------------------------------------- autograd references

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -5,10 +6,10 @@ import pytest
 
 import oracles
 from fdrec import diffcore as dc
-from fdrec import baselines, ensemble, evalharness, exprec, features, reprec
+from fdrec import baselines, dataio, ensemble, evalharness, exprec, features, reprec
 from fdrec.training import ModelSection, TrainSettings
 from oracles import ScoredSlate, SituationFeatures
-from conftest import rng, take
+from conftest import DAY, LAYOUT_RECORDS, make_log, rng, take
 from test_exprec import manual_gru, np_softmax
 
 
@@ -156,10 +157,11 @@ def test_combine_input_validation(tiny_data):
         oracles.combine(state, rep, raw, intent)
 
 
-def mixture(state, probs, base, rep):
-    return ensemble._mixture(state, dc.Var(np.asarray(probs, dtype=np.float64)),
-                             np.asarray(base, dtype=np.float64),
-                             np.asarray(rep, dtype=np.float64)).data
+def mixture(state, probs, base, rep, real=None):
+    base = np.asarray(base, dtype=np.float64)
+    real = np.ones(base.shape) if real is None else real
+    return ensemble._mixture(state, dc.Var(np.asarray(probs, dtype=np.float64)), base,
+                             np.asarray(rep, dtype=np.float64), real).data
 
 
 def test_mixture_parts_are_intent_weighted_distributions_in_base_order(tiny_data):
@@ -202,6 +204,53 @@ def test_mixture_with_an_empty_part_is_finite_and_warns_nothing(tiny_data, a):
     assert out.sum() == pytest.approx(0.35 if a else 0.65, abs=1e-12)
 
 
+def test_padded_mixture_rows_match_each_slate_alone(tiny_data):
+    state = build(tiny_data, dim=8, seed=2)
+    state.value("inv_temp")[...] = [0.8, -0.5]
+    gen = rng(15)
+    # lengths and repeat parts: a full row, an empty repeat part, an empty
+    # explore part, a one-item part beside a constant one
+    length, a = np.array([9, 4, 3, 5]), np.array([3, 0, 3, 1])
+    width = 9
+    real = np.arange(width) < length[:, None]
+    rep = np.arange(width) < a[:, None]
+    base = np.where(real, gen.uniform(size=(4, width)), 0.0)
+    base[3, 1:5] = 0.5
+    probs = dc._softmax(gen.normal(size=(4, 2)), axis=-1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        out = mixture(state, probs, base, rep, real)
+        for g in range(4):
+            n = length[g]
+            alone = mixture(state, probs[g : g + 1], base[g : g + 1, :n], rep[g : g + 1, :n])
+            np.testing.assert_allclose(out[g, :n], alone[0], rtol=0, atol=1e-15)
+    assert (out[~real] == 0.0).all()
+    assert np.isfinite(out).all()
+
+
+@pytest.fixture(scope="module")
+def crowded_data():
+    """Eight stores and fourteen orders per user: many users have visited
+    most stores, so a six-item training slate often runs out of fillers."""
+    cfg = dataio.SynthConfig(n_users=10, n_stores=8, n_orders_per_user=14,
+                             situation_coupling=0.5, collab_coupling=0.5, n_locations=4,
+                             n_brands=4, n_cuisines=3, span_days=28, seed=6)
+    log, _ = dataio.generate_synthetic(cfg)
+    return features.Dataset(dataio.split_global_timeline(
+        log, test_window_s=4 * DAY, valid_window_s=4 * DAY))
+
+
+def mixed_chunk(slates, per_length=2):
+    """Up to ``per_length`` slates of each length, the lengths interleaved so
+    that they first appear out of sorted order."""
+    picks = [np.flatnonzero(slates.length == n)[:per_length]
+             for n in np.unique(slates.length)[::-1]]
+    chunk = [int(p[k]) for k in range(per_length) for p in picks[1:] + picks[:1]
+             if k < len(p)]
+    assert len(np.unique(slates.length[chunk])) >= 2
+    return np.array(chunk)
+
+
 def frozen_bases(data, dim=6):
     rep = reprec.reprec_build(data, ModelSection(dim=dim), seed=31)
     exp = exprec.exprec_build(data, ModelSection(dim=dim, history_window=4, k_neighbors=3),
@@ -214,51 +263,117 @@ def test_training_slates_stay_within_budget(small_data, budget):
     seqs = small_data.seqs
     rep, exp = frozen_bases(small_data, dim=8)
     rows = seqs.flat_of_global[small_data.split.train_idx][:400]
-    slates = ensemble._build_training_slates(
-        small_data, rows, budget=budget, seed=0, rep_state=rep, exp_state=exp,
-    )
-    assert slates
-    assert max(len(sl.x_feats) for sl in slates) <= budget
-    assert max(sl.a for sl in slates) <= budget // 2
+    slates = ensemble._build_training_slates(small_data, rows, budget=budget, seed=0)
+    assert len(slates) == len(rows)  # every row here has two items or more
+    assert slates.length.max() <= budget and slates.cand.shape[1] == slates.length.max()
+    assert slates.n_prior.max() <= budget // 2
+    base, rep_mask, real = ensemble._case_bases(rep, exp, small_data, slates)
+    np.testing.assert_array_equal(real, slates.mask)
+    np.testing.assert_array_equal(rep_mask, np.arange(slates.cand.shape[1])
+                                  < slates.n_prior[:, None])
+    assert (slates.cand[~real] == 0).all() and (base[~real] == 0.0).all()
+    assert base.min() >= 0.0 and base.max() <= 1.0
 
 
-def test_training_slate_construction(tiny_data):
-    seqs = tiny_data.seqs
-    rep, exp = frozen_bases(tiny_data)
-    rows = seqs.flat_of_global[tiny_data.split.train_idx]
-    rows = rows[seqs.distinct_before[rows] >= 1][:12]
-    slates = ensemble._build_training_slates(
-        tiny_data, rows, budget=6, seed=0, rep_state=rep, exp_state=exp,
-    )
-    assert slates
-    for sl in slates:
-        n = len(sl.x_feats)
-        assert n <= 6 and 0 <= sl.tgt < n
-        base, origin = sl.x_feats[:, 0], sl.x_feats[:, 1]
-        assert base.min() >= 0.0 and base.max() <= 1.0
-        np.testing.assert_array_equal(origin[: sl.a], 1.0)
-        np.testing.assert_array_equal(origin[sl.a:], 0.0)
-        # the target sits in the part matching its repeat flag
-        if seqs.repeat[sl.row]:
-            assert sl.tgt == 0 and sl.a >= 1
+def test_training_slate_construction(crowded_data):
+    seqs = crowded_data.seqs
+    rows = seqs.flat_of_global[crowded_data.split.train_idx]
+    slates = ensemble._build_training_slates(crowded_data, rows, budget=6, seed=0)
+    assert len(np.unique(slates.length)) >= 2
+    assert len(slates) == len(rows)
+    kept = seqs.flat_of_global[slates.position]
+    np.testing.assert_array_equal(kept, rows)
+    np.testing.assert_array_equal(slates.target, seqs.store[kept])
+    np.testing.assert_array_equal(slates.user, seqs.user[kept])
+    at = np.arange(len(slates))
+    np.testing.assert_array_equal(slates.cand[at, slates.tcol], slates.target)
+    for i, row in enumerate(kept.tolist()):
+        n, a = slates.length[i], slates.n_prior[i]
+        codes = slates.cand[i, :n]
+        assert 2 <= n <= 6 and a <= 3 and len(set(codes.tolist())) == n
+        assert (slates.cand[i, n:] == 0).all()
+        # the target sits in the part matching its repeat flag; the repeat
+        # part holds visited stores only, the explore part unvisited ones
+        visited = set(seqs.priors(row).tolist())
+        if seqs.repeat[row]:
+            assert slates.tcol[i] == 0 and a >= 1
         else:
-            assert sl.tgt == sl.a
+            assert slates.tcol[i] == a
+        assert set(codes[:a].tolist()) <= visited
+        assert not set(codes[a:].tolist()) & visited
 
 
-def test_combined_loss_gradients_match_finite_differences(tiny_data):
-    seqs = tiny_data.seqs
-    state = build(tiny_data, dim=6, seed=33, history_window=4, budget=6)
-    rep, exp = frozen_bases(tiny_data)
-    rows = seqs.flat_of_global[tiny_data.split.train_idx]
-    rows = rows[seqs.distinct_before[rows] >= 1][:8]
-    slates = ensemble._build_training_slates(
-        tiny_data, rows, budget=6, seed=1, rep_state=rep, exp_state=exp,
-    )
-    chunk = np.arange(len(slates))
+def test_training_slates_drop_rows_with_fewer_than_two_items():
+    # u1's last two orders come after it visited every store, so at budget 2
+    # each keeps only its repeat target and no unvisited filler
+    log = make_log(LAYOUT_RECORDS["one-order"])
+    quarter = (int(log.times[-1]) - int(log.times[0])) // 4
+    data = features.Dataset(dataio.split_global_timeline(
+        log, test_window_s=quarter, valid_window_s=quarter))
+    rows = np.arange(len(log))
+    slates = ensemble._build_training_slates(data, rows, budget=2, seed=0)
+    dropped = set(rows.tolist()) - set(data.seqs.flat_of_global[slates.position].tolist())
+    assert dropped == {6, 7}
+    assert len(slates) == len(rows) - 2 and (slates.length == 2).all()
+    assert ensemble._build_training_slates(data, rows[[6, 7]], budget=2, seed=0).cand.shape == (0, 1)
+
+
+def test_case_bases_match_the_per_row_loop(small_split, small_data, small_seqs,
+                                           crowded_data):
+    seqs, vocabs = small_seqs
+    rep, exp = frozen_bases(small_data, dim=8)
+    cases = evalharness.build_cases(small_split, "combined", seed=1, max_cases=4,
+                                    seqs=seqs, vocabs=vocabs)
+    # a constant repeat part (one store twice), a one-item repeat part, an
+    # empty repeat part and a one-item explore part
+    cand = np.zeros((4, 7), dtype=np.int64)
+    cand[0, :5] = [5, 5, 1, 2, 3]
+    cand[1, :3] = [7, 8, 9]
+    cand[2, :4] = [4, 9, 11, 12]
+    cand[3, :4] = [1, 6, 2, 20]
+    cases = dataclasses.replace(cases, cand=cand, length=np.array([5, 3, 4, 4]),
+                                n_prior=np.array([2, 1, 0, 3]))
+    crowded = ensemble._build_training_slates(
+        crowded_data, crowded_data.seqs.flat_of_global[crowded_data.split.train_idx],
+        budget=6, seed=0)
+    for data, cs, models in ((small_data, cases, (rep, exp)),
+                             (crowded_data, crowded, frozen_bases(crowded_data))):
+        base, _, real = ensemble._case_bases(*models, data, cs)
+        for i, want in enumerate(oracles.slate_bases_loop(*models, data, cs)):
+            np.testing.assert_array_equal(base[i, : len(want)], want)
+        assert (base[~real] == 0.0).all()
+    # a constant or one-item part maps to 0.5
+    base = ensemble._case_bases(rep, exp, small_data, cases)[0]
+    assert base[0, 0] == base[0, 1] == base[1, 0] == base[3, 3] == 0.5
+
+
+def test_combined_loss_matches_the_per_length_loss(crowded_data):
+    seqs = crowded_data.seqs
+    state = build(crowded_data, dim=6, seed=33, history_window=4, budget=6)
+    state.value("inv_temp")[...] = [0.4, -0.7]
+    rows = seqs.flat_of_global[crowded_data.split.train_idx]
+    slates = ensemble._build_training_slates(crowded_data, rows, budget=6, seed=1)
+    bases = ensemble._case_bases(*frozen_bases(crowded_data), crowded_data, slates)
+    chunk = mixed_chunk(slates, per_length=3)
+    gens = [np.random.Generator(np.random.PCG64(7)) for _ in range(2)]
+    got = ensemble._combined_batch_loss(state, slates, bases, seqs, chunk, gens[0], 0.5)
+    want = oracles.combined_loss_by_length(state, slates, bases, seqs, chunk, gens[1], 0.5)
+    assert abs(got.data - want.data) <= 1e-12 * abs(want.data)
+    # both drew the same negatives, so the generators stay in step
+    assert gens[0].integers(1 << 62) == gens[1].integers(1 << 62)
+
+
+def test_combined_loss_gradients_match_finite_differences(crowded_data):
+    seqs = crowded_data.seqs
+    state = build(crowded_data, dim=6, seed=33, history_window=4, budget=6)
+    rows = seqs.flat_of_global[crowded_data.split.train_idx]
+    slates = ensemble._build_training_slates(crowded_data, rows, budget=6, seed=1)
+    bases = ensemble._case_bases(*frozen_bases(crowded_data), crowded_data, slates)
+    chunk = mixed_chunk(slates)
 
     def forward(st):
         gen = np.random.Generator(np.random.PCG64(7))  # frozen draws per call
-        return ensemble._combined_batch_loss(st, slates, seqs, chunk, gen, 1.0)
+        return ensemble._combined_batch_loss(st, slates, bases, seqs, chunk, gen, 1.0)
 
     state.value("inv_temp")[...] = [0.4, -0.7]
     err = oracles.finite_difference_check(forward, state, num_coords=80, rng_seed=2)
@@ -330,7 +445,7 @@ def test_scorer_composes_public_pieces(small_split, small_data, small_seqs):
 
 @pytest.mark.parametrize("model, protocol", [
     ("sonly", "combined"), ("reprec", "repeat"), ("exprec", "exploration"),
-    ("ensemble", "combined"),
+    ("ensemble", "combined"), ("concat", "combined"),
 ])
 def test_cases_across_chunks_score_as_each_case_alone(
     small_split, small_data, small_seqs, monkeypatch, model, protocol
@@ -344,6 +459,7 @@ def test_cases_across_chunks_score_as_each_case_alone(
         "reprec": lambda cs: evalharness.dot_scores(rep, small_data, cs, reprec.reprec_query),
         "exprec": lambda cs: evalharness.dot_scores(exp, small_data, cs, exprec.exprec_query),
         "ensemble": lambda cs: ensemble.ensemble_scores(ens, rep, exp, small_data, cs),
+        "concat": lambda cs: ensemble.concat_scores(rep, exp, small_data, cs),
     }
     monkeypatch.setattr(features, "QUERY_CHUNK", 4)
     cases = evalharness.build_cases(small_split, protocol, seed=3, max_cases=11,
