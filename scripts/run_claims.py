@@ -5,9 +5,9 @@ Usage::
     python3 scripts/run_claims.py --config configs/claims.cfg --seed 1 --out claims-s1
 
 Runs, in one process, the sequence that ``configs/claims.cfg``'s header
-lists: ``fdrec synth`` into ``--out``, ``ingest``, ``train`` of sonly,
-reprec, exprec and ensemble in that order, ``eval --protocol all`` of every
-evaluable model (``concat`` included), then ``report``.  Stops at the first
+lists: ``fdrec synth`` into ``--out``, ``ingest``, ``analyze``, ``train`` of
+sonly, reprec, exprec and ensemble in that order, ``eval --protocol all`` of
+every evaluable model (``concat`` included), then ``report``.  Stops at the first
 stage that fails, with its exit code.  The last line printed is the run
 directory, which ``scripts/compare_runs.py`` compares with another run's.
 ``fdrec`` is imported from this checkout's ``src/``.
@@ -29,7 +29,8 @@ def stages(config: str, seed: int, out: str) -> list[list[str]]:
     """The ``fdrec`` command lines of the claims pipeline, in order."""
     cfg = os.path.join(out, "cfg")
     return ([["synth", "--out", out, "--config", config, "--seed", str(seed)],
-             ["ingest", "--config", cfg]]
+             ["ingest", "--config", cfg],
+             ["analyze", "--config", cfg]]
             + [["train", "--config", cfg, "--model", m] for m in cli.TRAINABLE]
             + [["eval", "--config", cfg, "--model", m, "--protocol", "all"]
                for m in cli.EVALUABLE]

@@ -171,12 +171,6 @@ def _check_minimum(name: str, value: int) -> None:
                          f"got {value}")
 
 
-def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """``starts[i] + arange(lengths[i])`` for every ``i``, concatenated."""
-    offsets = np.cumsum(lengths) - lengths
-    return np.repeat(starts - offsets, lengths) + np.arange(int(lengths.sum()))
-
-
 def _influence(
     log: InteractionLog, now: np.ndarray, order: np.ndarray,
     starts: np.ndarray, counts: np.ndarray,
@@ -192,7 +186,7 @@ def _influence(
     bounds = [0, *cuts.tolist(), len(now)]
 
     def block(a: int, b: int) -> np.ndarray:
-        events = order[_ranges(starts[a:b].ravel(), counts[a:b].ravel())]
+        events = order[situsim.ranges(starts[a:b].ravel(), counts[a:b].ravel())]
         at = np.repeat(now[a:b], lengths[a:b])  # each pair's "now"
         sim_situ = situsim.situation_similarity_arrays(
             day[events], hour[events], dow[events], log.locs[events] == log.locs[at],

@@ -2,12 +2,13 @@
 
 HisPop scores each previously visited store by the summed situation similarity
 of its past orders to the current situation; it cannot score unvisited stores.
-The situation-only model (SOnly) learns store embeddings against a situation
+It scores a whole case set of integer store codes at once, in the segment
+form that :mod:`fdrec.analysis` uses for its influence studies.  The
+situation-only model (SOnly) learns store embeddings against a situation
 vector (hour + weekday + location embeddings) and scores any store, visited
 or not.  Its query forward is :func:`sonly_query`; it trains through
 :func:`fdrec.training.fit_pairs` and scores through
-:func:`fdrec.evalharness.dot_scores`, like RepRec and ExpRec.  Both models
-score a whole case set of integer store codes at once.
+:func:`fdrec.evalharness.dot_scores`, like RepRec and ExpRec.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import diffcore as dc
-from . import evalharness, features, situsim
+from . import features, situsim
 from .training import ModelSection, TrainResult, TrainSettings, fit_pairs
 
 __all__ = [
@@ -27,31 +28,35 @@ __all__ = [
 
 
 def hispop_scores(data: features.Dataset, cases) -> np.ndarray:
-    """[N, C] repeat-protocol scores for ``cases``."""
+    """[N, C] repeat-protocol scores for ``cases``; pads score 0.
+
+    Scored in segment form: every case's earlier rows are laid end to end,
+    their similarities to the case's situation are computed elementwise, and
+    one ``bincount`` sums them per (case, store).  It adds each bin's terms
+    in input order, so a total has the bits of that case's own sum.  A real
+    candidate the user never visited fails with its case's log position.
+    """
     seqs = data.seqs
     n_stores = len(data.vocabs.store_ids)
-
-    def row_scores(position: int, codes: np.ndarray) -> np.ndarray:
-        row = int(seqs.flat_of_global[position])
-        lo = int(seqs.offsets[seqs.user[row]])
-        prior = slice(lo, row)
-        sims = situsim.situation_similarity_arrays(
-            seqs.day[prior], seqs.hour[prior], seqs.dow[prior],
-            seqs.raw_loc[prior] == seqs.raw_loc[row],
-            int(seqs.day[row]), int(seqs.hour[row]), int(seqs.dow[row]),
-        )
-        totals = np.bincount(
-            seqs.store[prior], weights=sims, minlength=n_stores
-        )
-        visited = np.zeros(n_stores, dtype=bool)
-        visited[seqs.store[prior]] = True
-        if not visited[codes].all():
-            raise ValueError("history-popularity scoring needs visited candidates")
-        return totals[codes]
-
-    return evalharness.score_rows(
-        cases, lambda i, codes, a: row_scores(int(cases.position[i]), codes)
+    now = seqs.flat_of_global[cases.position]
+    first = seqs.offsets[seqs.user[now]]
+    past = situsim.ranges(first, now - first)
+    case = np.repeat(np.arange(len(now)), now - first)  # each past row's case
+    at = now[case]
+    sims = situsim.situation_similarity_arrays(
+        seqs.day[past], seqs.hour[past], seqs.dow[past],
+        seqs.raw_loc[past] == seqs.raw_loc[at], seqs.day[at], seqs.hour[at], seqs.dow[at],
     )
+    keys, inverse = np.unique(case * n_stores + seqs.store[past], return_inverse=True)
+    keys = np.append(keys, len(now) * n_stores)  # above every key: misses land here
+    totals = np.bincount(inverse.ravel(), weights=sims, minlength=len(keys))
+    want = np.arange(len(now))[:, None] * n_stores + cases.cand
+    slot = np.searchsorted(keys, want)
+    visited = (keys[slot] == want) | ~cases.mask
+    if not visited.all():
+        raise ValueError("history-popularity scoring needs visited candidates: case at "
+                         f"log position {cases.position[np.argmin(visited.all(axis=1))]}")
+    return np.where(cases.mask, totals[slot], 0.0)
 
 
 def sonly_build(data: features.Dataset, model: ModelSection, seed: int) -> dc.ModelState:

@@ -34,7 +34,6 @@ from .training import (ModelSection, TrainResult, TrainSettings, run_training,
 
 __all__ = [
     "ensemble_build",
-    "normalize_slate",
     "ensemble_train",
     "ensemble_scores",
     "concat_scores",
@@ -104,14 +103,6 @@ def _normalized(raw: np.ndarray, parts) -> np.ndarray:
     return out
 
 
-def normalize_slate(scores) -> np.ndarray:
-    """Min-max normalization to [0, 1]; a constant slate maps to all 0.5."""
-    arr = np.asarray(scores, dtype=np.float64)
-    if arr.size == 0:
-        raise ValueError("cannot normalize an empty slate")
-    return _normalized(arr[None], [np.ones((1, arr.size), dtype=bool)])[0]
-
-
 def _mixture(state: dc.ModelState, probs: dc.Var, base: np.ndarray,
              rep: np.ndarray, real: np.ndarray) -> dc.Var:
     """Scores [G, C] of padded slates with normalized base scores ``base``
@@ -141,13 +132,10 @@ def _case_bases(rep_state, exp_state, data: features.Dataset,
     rows = data.seqs.flat_of_global[cases.position]
     rep_q = features.query_rows(rep_state, data, rows, reprec.reprec_query)
     exp_q = features.query_rows(exp_state, data, rows, exprec.exprec_query)
-    rep_store, exp_store = rep_state.value("emb.store"), exp_state.value("emb.store")
-    raw = np.zeros(cases.cand.shape)
-    for i, (a, n) in enumerate(zip(cases.n_prior.tolist(), cases.length.tolist())):
-        # one product per part: a row's bits do not depend on its width
-        codes = cases.cand[i]
-        raw[i, :a] = rep_store[codes[:a]] @ rep_q[i]
-        raw[i, a:n] = exp_store[codes[a:n]] @ exp_q[i]
+    raw = evalharness.row_dots(rep_state.value("emb.store"), rep_q, cases,
+                               np.zeros_like(cases.n_prior), cases.n_prior)
+    evalharness.row_dots(exp_state.value("emb.store"), exp_q, cases,
+                         cases.n_prior, cases.length, out=raw)
     real = cases.mask
     rep = np.arange(raw.shape[1]) < cases.n_prior[:, None]
     return _normalized(raw, (rep, real & ~rep)), rep, real

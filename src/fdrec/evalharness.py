@@ -16,9 +16,10 @@ only the cases ``max_cases`` keeps are sampled.  A protocol's cases form one
 :class:`CaseSet` of store codes.  A scorer maps the set to its [N, C] score
 array, row ``i`` for case ``i``, and :func:`evaluate` ranks it at once.
 SOnly, RepRec and ExpRec all score through :func:`dot_scores` with their
-``<model>_query``; it and HisPop score each row through :func:`score_rows`,
-while the ensemble and ``concat`` score the padded set at once.  Ranking is
-pessimistic: the target ranks below every candidate it ties with.
+``<model>_query``, which takes one product per row through :func:`row_dots`;
+the ensemble and ``concat`` take their base scores through it too, and HisPop
+scores the set in segment form.  Ranking is pessimistic: the target ranks
+below every candidate it ties with.
 """
 
 from __future__ import annotations
@@ -181,20 +182,17 @@ def validation_cases(
                        max_cases=max_cases, seqs=seqs, vocabs=vocabs)
 
 
-def score_rows(
-    cases: CaseSet, row_scores: Callable[[int, np.ndarray, int], np.ndarray]
-) -> np.ndarray:
-    """[N, C] scores whose row ``i`` is ``row_scores(i, codes, n_prior)`` over
-    that case's real candidate codes; pad slots hold 0.  A failing row raises
-    with its case's log position."""
-    out = np.zeros(cases.cand.shape)
-    for i, (n, a) in enumerate(zip(cases.length.tolist(), cases.n_prior.tolist())):
-        try:
-            out[i, :n] = row_scores(i, cases.cand[i, :n], a)
-        except Exception as e:
-            raise RuntimeError(
-                f"scorer failed on case at log position {cases.position[i]}"
-            ) from e
+def row_dots(table: np.ndarray, queries: np.ndarray, cases: CaseSet,
+             lo: np.ndarray, hi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """[N, C] ``out`` (zeros if None) with ``table[cand[i, lo[i]:hi[i]]] @
+    queries[i]`` written into row ``i``; every other slot is left as it is.
+
+    One product per row: OpenBLAS rounds a row of a product by the call's row
+    count, so a row keeps its bits whatever cases share the set."""
+    cand = cases.cand
+    out = np.zeros(cand.shape) if out is None else out
+    for i, (a, b) in enumerate(zip(lo.tolist(), hi.tolist())):
+        out[i, a:b] = table[cand[i, a:b]] @ queries[i]
     return out
 
 
@@ -207,8 +205,8 @@ def dot_scores(state: ModelState, data: features.Dataset, cases: CaseSet,
     """
     queries = features.query_rows(state, data, data.seqs.flat_of_global[cases.position],
                                   query)
-    table = state.value("emb.store")
-    return score_rows(cases, lambda i, codes, a: table[codes] @ queries[i])
+    return row_dots(state.value("emb.store"), queries, cases,
+                    np.zeros_like(cases.length), cases.length)
 
 
 def _require(cases: CaseSet, ok: np.ndarray, what: str) -> None:

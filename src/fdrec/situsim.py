@@ -40,6 +40,13 @@ def situation_similarity_arrays(
     return 1.0 - (d_date + d_hour + d_dow + mismatch) / 4.0
 
 
+def ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``starts[i] + arange(lengths[i])`` for every ``i``, concatenated: the
+    segments of a CSR layout, end to end."""
+    offsets = np.cumsum(lengths) - lengths
+    return np.repeat(starts - offsets, lengths) + np.arange(int(lengths.sum()))
+
+
 def segment_pearson(x, y, lengths) -> np.ndarray:
     """Sample Pearson correlation of each segment of ``x`` against ``y``.
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -50,15 +52,30 @@ def test_hispop_scorer_matches_public_op(small_split, small_data, small_seqs):
     cases = evalharness.build_cases(small_split, "repeat", seed=0, seqs=seqs,
                                     vocabs=vocabs)
     scores = baselines.hispop_scores(small_data, cases)
-    for i, case in zip(range(20), cases):
+    for i, case in enumerate(cases):
         want = oracles.hispop_score(
             oracles.history_before(log, case.position),
             oracles.situation(log, case.position), list(case.candidates),
             tz_offset_minutes=log.tz_offset_minutes, epoch=log.epoch,
         )
-        np.testing.assert_allclose(scores[i, : len(want.scores)], want.scores,
-                                   atol=1e-9, rtol=0)
+        # bit-equal: each total sums its store's similarities in history order
+        np.testing.assert_array_equal(scores[i, : len(want.scores)], want.scores)
         assert not scores[i, len(want.scores):].any()
+
+
+def test_hispop_scorer_names_the_case_of_an_unvisited_candidate(small_split, small_data,
+                                                                small_seqs):
+    seqs, vocabs = small_seqs
+    cases = evalharness.build_cases(small_split, "repeat", seed=0, max_cases=5, seqs=seqs,
+                                    vocabs=vocabs)
+    row = seqs.flat_of_global[cases.position[2]]
+    visited = seqs.store[seqs.offsets[seqs.user[row]] : row]
+    unvisited = np.setdiff1d(np.arange(len(vocabs.store_ids)), visited)
+    cand = cases.cand.copy()
+    cand[2, cases.length[2] - 1] = unvisited[0]
+    with pytest.raises(ValueError, match="visited candidates: case at log position "
+                       f"{cases.position[2]}$"):
+        baselines.hispop_scores(small_data, dataclasses.replace(cases, cand=cand))
 
 
 def test_hispop_is_deterministic(small_split, small_data, small_seqs):

@@ -84,33 +84,30 @@ def test_batched_intent_matches_single_op(small_split, small_data, small_seqs):
         assert probs[i, 1] == pytest.approx(est.explore_prob, abs=1e-12)
 
 
+def normalize_slate(scores) -> np.ndarray:
+    """One slate min-max normalized as one row and one part of ``_normalized``."""
+    row = np.asarray(scores, dtype=np.float64)[None]
+    return ensemble._normalized(row, [np.ones(row.shape, dtype=bool)])[0]
+
+
 def test_normalize_slate_reference_values():
-    np.testing.assert_allclose(
-        ensemble.normalize_slate([-2.0, 0.0, 2.0]), [0.0, 0.5, 1.0]
-    )
-    np.testing.assert_array_equal(
-        ensemble.normalize_slate([3.0, 3.0, 3.0]), [0.5, 0.5, 0.5]
-    )
-    np.testing.assert_array_equal(ensemble.normalize_slate([7.0]), [0.5])
-    with pytest.raises(ValueError, match="empty"):
-        ensemble.normalize_slate([])
+    np.testing.assert_allclose(normalize_slate([-2.0, 0.0, 2.0]), [0.0, 0.5, 1.0])
+    np.testing.assert_array_equal(normalize_slate([3.0, 3.0, 3.0]), [0.5, 0.5, 0.5])
+    np.testing.assert_array_equal(normalize_slate([7.0]), [0.5])
 
 
 def test_normalize_slate_affine_invariance():
     x = rng(3).normal(size=12)
-    base = ensemble.normalize_slate(x)
-    np.testing.assert_allclose(ensemble.normalize_slate(4.0 * x - 7.0), base,
-                               atol=1e-12, rtol=0)
+    base = normalize_slate(x)
+    np.testing.assert_allclose(normalize_slate(4.0 * x - 7.0), base, atol=1e-12, rtol=0)
     assert base.min() == 0.0 and base.max() == 1.0
 
 
 def slates_for(state, seed=0):
     stores = state.meta["store_ids"]
     gen = rng(seed)
-    rep = ScoredSlate(tuple(stores[:3]),
-                      ensemble.normalize_slate(gen.normal(size=3)), "reprec")
-    exp = ScoredSlate(tuple(stores[3:7]),
-                      ensemble.normalize_slate(gen.normal(size=4)), "exprec")
+    rep = ScoredSlate(tuple(stores[:3]), normalize_slate(gen.normal(size=3)), "reprec")
+    exp = ScoredSlate(tuple(stores[3:7]), normalize_slate(gen.normal(size=4)), "exprec")
     return rep, exp
 
 
@@ -195,7 +192,7 @@ def test_mixture_of_a_one_item_or_constant_part(tiny_data):
 @pytest.mark.parametrize("a", [0, 5])
 def test_mixture_with_an_empty_part_is_finite_and_warns_nothing(tiny_data, a):
     state = build(tiny_data, dim=8, seed=2)
-    base = ensemble.normalize_slate(rng(14).normal(size=5))[None]
+    base = normalize_slate(rng(14).normal(size=5))[None]
     rep = (np.arange(5) < a)[None]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -424,7 +421,7 @@ def test_scorer_composes_public_pieces(small_split, small_data, small_seqs):
             raw = oracles.reprec_forward(rep, history[-rep_window:], now,
                                         list(case.candidates[:a])).scores
             rep_slate = ScoredSlate(case.candidates[:a],
-                                    ensemble.normalize_slate(raw), "reprec")
+                                    normalize_slate(raw), "reprec")
         exp_slate = None
         if len(case.candidates) > a:
             neighbors = [(vocabs.user_ids[int(i)], float(wk))
@@ -433,7 +430,7 @@ def test_scorer_composes_public_pieces(small_split, small_data, small_seqs):
                                       case.candidates[a:],
                                       neighbors=neighbors).scores
             exp_slate = ScoredSlate(case.candidates[a:],
-                                    ensemble.normalize_slate(raw), "exprec")
+                                    normalize_slate(raw), "exprec")
         lo = int(seqs.offsets[u])
         flags = [bool(f) for f in seqs.repeat[lo : lo + len(history)]]
         intent = oracles.predict_intent(state, case.user_id, flags, now)
@@ -445,7 +442,7 @@ def test_scorer_composes_public_pieces(small_split, small_data, small_seqs):
 
 @pytest.mark.parametrize("model, protocol", [
     ("sonly", "combined"), ("reprec", "repeat"), ("exprec", "exploration"),
-    ("ensemble", "combined"), ("concat", "combined"),
+    ("ensemble", "combined"), ("concat", "combined"), ("hispop", "repeat"),
 ])
 def test_cases_across_chunks_score_as_each_case_alone(
     small_split, small_data, small_seqs, monkeypatch, model, protocol
@@ -460,6 +457,7 @@ def test_cases_across_chunks_score_as_each_case_alone(
         "exprec": lambda cs: evalharness.dot_scores(exp, small_data, cs, exprec.exprec_query),
         "ensemble": lambda cs: ensemble.ensemble_scores(ens, rep, exp, small_data, cs),
         "concat": lambda cs: ensemble.concat_scores(rep, exp, small_data, cs),
+        "hispop": lambda cs: baselines.hispop_scores(small_data, cs),
     }
     monkeypatch.setattr(features, "QUERY_CHUNK", 4)
     cases = evalharness.build_cases(small_split, protocol, seed=3, max_cases=11,

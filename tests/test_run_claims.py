@@ -30,12 +30,12 @@ def load_script():
 def test_stages_follow_the_claims_config_header():
     stages = load_script().stages("c.cfg", 2, "out")
     assert stages[0] == ["synth", "--out", "out", "--config", "c.cfg", "--seed", "2"]
-    assert [s[0] for s in stages] == ["synth", "ingest"] + ["train"] * 4 + ["eval"] * 6 + [
-        "report"]
-    assert [s[-1] for s in stages[2:6]] == ["sonly", "reprec", "exprec", "ensemble"]
-    assert [s[4] for s in stages[6:12]] == ["hispop", "sonly", "reprec", "exprec",
+    assert [s[0] for s in stages] == ["synth", "ingest", "analyze"] + ["train"] * 4 + [
+        "eval"] * 6 + ["report"]
+    assert [s[-1] for s in stages[3:7]] == ["sonly", "reprec", "exprec", "ensemble"]
+    assert [s[4] for s in stages[7:13]] == ["hispop", "sonly", "reprec", "exprec",
                                              "ensemble", "concat"]
-    assert all(s[-2:] == ["--protocol", "all"] for s in stages[6:12])
+    assert all(s[-2:] == ["--protocol", "all"] for s in stages[7:13])
     assert all(s[1:3] == ["--config", os.path.join("out", "cfg")] for s in stages[1:])
 
 
@@ -51,6 +51,7 @@ def test_the_script_runs_every_stage_and_prints_the_run_directory(tmp_path, caps
     assert {"eval.concat.combined.json", "eval.ensemble.combined.json",
             "eval.exprec.exploration.json", "eval.hispop.repeat.json",
             "eval.reprec.repeat.json", "eval.sonly.repeat.json", "summary.csv"} <= files
+    assert os.path.isfile(os.path.join(run_dir, "analysis", "summary.csv"))
 
 
 def test_a_failing_stage_stops_the_script_with_its_exit_code(tmp_path, capsys):
