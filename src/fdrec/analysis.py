@@ -31,7 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import situsim
-from .dataio import SECONDS_PER_WEEK, InteractionLog, atomic_open, label_repeat_flags
+from .dataio import (SECONDS_PER_WEEK, InteractionLog, _encode, atomic_open,
+                     label_repeat_flags)
 
 HISTOGRAM_BINS = 41
 CDF_GRID_POINTS = 101
@@ -142,16 +143,8 @@ def _store_attr_codes(log: InteractionLog) -> tuple[np.ndarray, np.ndarray, np.n
     """Brand/cuisine/store-location codes aligned with the log's store codes."""
     if log.catalog is None:
         raise ValueError("influence analyses need a store catalog")
-
-    def encode(attr: str) -> np.ndarray:
-        vocab: dict[str, int] = {}
-        out = np.empty(len(log.store_ids), dtype=np.int64)
-        for i, sid in enumerate(log.store_ids):
-            v = getattr(log.catalog[sid], attr)
-            out[i] = vocab.setdefault(v, len(vocab))
-        return out
-
-    return encode("brand_id"), encode("cuisine_id"), encode("store_location_id")
+    return tuple(_encode(getattr(log.catalog[sid], attr) for sid in log.store_ids)[1]
+                 for attr in ("brand_id", "cuisine_id", "store_location_id"))
 
 
 def _store_similarity_arrays(

@@ -69,8 +69,7 @@ def sonly_build(data: features.Dataset, model: ModelSection, seed: int) -> dc.Mo
 def sonly_query(state: dc.ModelState, data: features.Dataset,
                 rows: np.ndarray) -> dc.Var:
     """SOnly's query: the embedded situation [B, D] of each flat row."""
-    seqs = data.seqs
-    return features.situation(state, seqs.hour[rows], seqs.dow[rows], seqs.loc[rows])
+    return features.situation(state, data.seqs, rows)
 
 
 def _uniform_negatives(data: features.Dataset, rows: np.ndarray,

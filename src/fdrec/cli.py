@@ -46,14 +46,15 @@ TRAINABLE = tuple(MODULES)
 # checkpoints alone
 EVALUABLE = ("hispop",) + TRAINABLE + ("concat",)
 
-# Which protocols each model can answer for.  HisPop and RepRec only rank
-# previously-visited stores; ExpRec only ranks unvisited ones; the ensemble
-# and concat need both kinds in one slate; SOnly scores any store.
+# Which protocols each model can answer for, its own task's first.  HisPop
+# only scores previously-visited stores; the ensemble and concat need both
+# kinds in one slate.  SOnly, RepRec and ExpRec score any store, so each
+# task's model is also measured on the other tasks.
 COMPATIBLE = {
     "hispop": ("repeat",),
-    "reprec": ("repeat",),
+    "reprec": ("repeat", "exploration", "combined"),
     "sonly": ("repeat", "exploration", "combined"),
-    "exprec": ("exploration",),
+    "exprec": ("exploration", "repeat", "combined"),
     "ensemble": ("combined",),
     "concat": ("combined",),
 }

@@ -171,7 +171,6 @@ class InteractionLog:
             missing = [s for s in store_ids if s not in catalog]
             if missing:
                 raise ValueError(f"stores missing from catalog: {missing[:5]}")
-        self._facets: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     @classmethod
     def from_records(
@@ -199,12 +198,10 @@ class InteractionLog:
         """Earliest interaction time (0 for an empty log)."""
         return int(self.times[0]) if len(self.times) else 0
 
-    @property
+    @cached_property
     def facets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(day_index, hour, day_of_week) arrays aligned with the log."""
-        if self._facets is None:
-            self._facets = time_facets(self.times, self.tz_offset_minutes, self.epoch)
-        return self._facets
+        return time_facets(self.times, self.tz_offset_minutes, self.epoch)
 
     @cached_property
     def by_user(self) -> tuple[np.ndarray, np.ndarray]:

@@ -62,9 +62,10 @@ def _intent_logits(state: dc.ModelState, seqs: features.UserSequences,
                    rows: np.ndarray) -> dc.Var:
     """Intent logits [B,2] (repeat, explore) for the interactions at ``rows``."""
     win = features.gather_window(seqs, rows, int(state.meta["window"]))
+    flags = seqs.repeat[win.slot].astype(np.int64)
     h = dc.gru_sequence(dc.gru_leaves(state, "gru.intent"),
-                        (state.leaf("emb.flag"), win.repeat), win.mask)
-    e_mu = features.situation(state, win.now_hour, win.now_dow, win.now_loc)
+                        (state.leaf("emb.flag"), flags), win.mask)
+    e_mu = features.situation(state, seqs, rows)
     u = dc.gather_rows(state.leaf("emb.user"), win.user)
     feats = dc.concat([h, e_mu, u], axis=-1)
     return dc.dense(state.leaf("intent.w"), state.leaf("intent.b"), feats)

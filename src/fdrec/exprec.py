@@ -118,14 +118,17 @@ def exprec_query(state: dc.ModelState, data: features.Dataset,
     """
     meta = state.meta
     mask = _check_mask(meta["ablate"])
-    win = features.gather_window(data.seqs, rows, int(meta["window"]))
-    B = len(win.user)
+    seqs = data.seqs
+    win = features.gather_window(seqs, rows, int(meta["window"]))
+    B, N = len(rows), len(win.slot)
 
-    e_mu = features.situation(state, win.now_hour, win.now_dow, win.now_loc)
+    # the window's slots and the rows themselves, embedded in one pass
+    mu_u, idx = features.situations(state, seqs, np.concatenate([win.slot, rows]))
+    e_mu = dc.gather_rows(mu_u, idx[N:])
 
     # history GRU over the window's real slots
-    situ_w = features.situation(state, win.hour, win.dow, win.loc)
-    store_w = dc.gather_rows(state.leaf("emb.store"), win.store)
+    situ_w = dc.gather_rows(mu_u, idx[:N])
+    store_w = dc.gather_rows(state.leaf("emb.store"), seqs.store[win.slot])
     xs = dc.concat([store_w, situ_w], axis=-1)          # [N,2D]
     e_h = dc.gru_sequence(dc.gru_leaves(state, "gru.hist"), xs, win.mask)
 

@@ -236,25 +236,18 @@ def window_rows(
 
 @dataclass(frozen=True)
 class Window:
-    """Code arrays for a batch of interactions and the rows before each.
+    """Index arrays for a batch of interactions and the rows before each.
 
     ``mask`` [B, L] marks the real slots among the ``L`` most recent prior
-    rows (see :func:`window_rows`); only those N slots are gathered, into
-    ``[N]`` fields in row-major order.  ``[B]`` fields describe the
-    interactions themselves.
+    rows (see :func:`window_rows`).  The N real slots, in row-major order,
+    are the flat sequence rows ``slot``; models read their codes off
+    :class:`UserSequences` there.
     """
 
-    user: np.ndarray      # [B]
-    mask: np.ndarray      # [B, L] bools, True = real slot
-    row: np.ndarray       # [N] batch row of each slot
-    store: np.ndarray     # [N]
-    hour: np.ndarray      # [N]
-    dow: np.ndarray       # [N]
-    loc: np.ndarray       # [N]
-    repeat: np.ndarray    # [N] int flags
-    now_hour: np.ndarray  # [B]
-    now_dow: np.ndarray   # [B]
-    now_loc: np.ndarray   # [B]
+    user: np.ndarray  # [B]
+    mask: np.ndarray  # [B, L] bools, True = real slot
+    row: np.ndarray   # [N] batch row of each slot
+    slot: np.ndarray  # [N] flat sequence row of each slot
 
 
 def gather_window(seqs: UserSequences, flat_rows: np.ndarray, limit: int) -> Window:
@@ -262,20 +255,7 @@ def gather_window(seqs: UserSequences, flat_rows: np.ndarray, limit: int) -> Win
     user_codes = seqs.user[flat_rows]
     local = flat_rows - seqs.offsets[user_codes]
     rows, mask = window_rows(seqs, user_codes, local, limit)
-    real = rows[mask]
-    return Window(
-        user=user_codes,
-        mask=mask,
-        row=np.nonzero(mask)[0],
-        store=seqs.store[real],
-        hour=seqs.hour[real],
-        dow=seqs.dow[real],
-        loc=seqs.loc[real],
-        repeat=seqs.repeat[real].astype(np.int64),
-        now_hour=seqs.hour[flat_rows],
-        now_dow=seqs.dow[flat_rows],
-        now_loc=seqs.loc[flat_rows],
-    )
+    return Window(user=user_codes, mask=mask, row=np.nonzero(mask)[0], slot=rows[mask])
 
 
 def new_state(data: Dataset, name: str, seed: int, **meta) -> dc.ModelState:
@@ -304,14 +284,15 @@ def add_situation_tables(state: dc.ModelState, dim: int, n_locations: int) -> No
     state.add_embedding("emb.loc", n_locations, dim)
 
 
-def situations(state: dc.ModelState, hours, dows, locs) -> tuple[dc.Var, np.ndarray]:
-    """Each distinct (hour, weekday, location) of the codes embedded once:
-    vectors [U, D] and ``inverse``, of the codes' shape, such that
-    ``vectors[inverse]`` is :func:`situation`.  A vector's values have the
-    bits of the per-slot sum, since each row's adds are row-local; the
+def situations(state: dc.ModelState, seqs: UserSequences,
+               rows: np.ndarray) -> tuple[dc.Var, np.ndarray]:
+    """Each distinct (hour, weekday, location) of the flat sequence ``rows``
+    embedded once: vectors [U, D] and ``inverse``, of ``rows``' shape, such
+    that ``vectors[inverse]`` is :func:`situation`.  A vector's values have
+    the bits of the per-row sum, since each row's adds are row-local; the
     tables' gradients are reassociated, summed per distinct row first."""
     tables = [state.leaf(name) for name in ("emb.hour", "emb.dow", "emb.loc")]
-    codes = [np.asarray(c, dtype=np.int64) for c in (hours, dows, locs)]
+    codes = [seqs.hour[rows], seqs.dow[rows], seqs.loc[rows]]
     # key (h·n_dow + d)·n_loc + l; a code outside its table raises ValueError
     key = np.ravel_multi_index(codes, [len(t.data) for t in tables])
     # unique on the raveled key: numpy 1.24 and 2 then shape ``inverse`` alike
@@ -320,11 +301,11 @@ def situations(state: dc.ModelState, hours, dows, locs) -> tuple[dc.Var, np.ndar
     return dc.add(dc.add(hour, dow), loc), inverse.reshape(key.shape)
 
 
-def situation(state: dc.ModelState, hours, dows, locs) -> dc.Var:
-    """Embedded situation: hour + weekday + location vectors, any index shape.
-    Its values have the bits of the three-table sum at each slot; see
-    :func:`situations` for the gradients."""
-    return dc.gather_rows(*situations(state, hours, dows, locs))
+def situation(state: dc.ModelState, seqs: UserSequences, rows: np.ndarray) -> dc.Var:
+    """Embedded situation of the flat sequence ``rows``, any index shape:
+    hour + weekday + location vectors.  Its values have the bits of the
+    three-table sum at each row; see :func:`situations` for the gradients."""
+    return dc.gather_rows(*situations(state, seqs, rows))
 
 
 # a model's query forward: flat sequence rows [B] -> query vectors [B, D]
@@ -339,9 +320,11 @@ def query_rows(state: dc.ModelState, data: Dataset, rows: np.ndarray,
     ``query`` maps flat rows [B] to per-row vectors [B, ...]; it is the
     same forward pass a model's training loss uses.  The last chunk is padded
     with row 0, so every pass has the same shape and a row's vector does not
-    depend on its chunk mates: the GRU keeps a row's bits at any row count,
-    but the dense heads' products do not (the intent head's two-output
-    layer rounds a row differently at most row counts).
+    depend on its chunk mates.  Of the query products only the intent head's
+    two-output layer needs that: it rounds a row differently at about two
+    thirds of the row counts up to 256.  ExpRec's heads, its pooled
+    neighbour product and the GRU's recurrent products keep a row's bits at
+    any count of two or more rows.
     """
     n = len(rows)
     padded = np.zeros(-(-max(n, 1) // QUERY_CHUNK) * QUERY_CHUNK, dtype=np.int64)

@@ -40,25 +40,27 @@ def reprec_query(state: dc.ModelState, data: features.Dataset,
                  rows: np.ndarray) -> dc.Var:
     """Situation-weighted history profiles [B, D] of the interactions at flat
     ``rows``, over the real slots of each one's trailing window;
-    differentiable end to end.  ``‖μ_now‖`` reaches the slots through the
-    [B, L] grid, so that numpy sums its gradient over L in the grid's order.
-    ``‖μ‖`` is taken once per distinct situation: values keep their per-slot
-    bits, the situation tables' gradients are reassociated (``situations``)."""
-    win = features.gather_window(data.seqs, rows, int(state.meta["window"]))
-    B, L = win.mask.shape
-    mu_u, slot_u = features.situations(state, win.hour, win.dow, win.loc)  # [U,D]
-    mu = dc.gather_rows(mu_u, slot_u)                                   # [N,D]
-    mu_now = features.situation(state, win.now_hour, win.now_dow, win.now_loc)
+    differentiable end to end.  The slots and the rows themselves are
+    embedded in one :func:`fdrec.features.situations` pass, and ``‖μ‖`` is
+    taken once per distinct situation: values keep their per-slot bits, the
+    situation tables' gradients are reassociated."""
+    seqs = data.seqs
+    win = features.gather_window(seqs, rows, int(state.meta["window"]))
+    N = len(win.slot)
+    mu_u, idx = features.situations(state, seqs, np.concatenate([win.slot, rows]))  # [U,D]
+    slot_u, now_u = idx[:N], idx[N:][win.row]                           # [N], [N]
 
-    num = dc.sum_(dc.mul(mu, dc.gather_rows(mu_now, win.row)), axis=-1)  # [N]
+    mu = dc.gather_rows(mu_u, slot_u)                                   # [N,D]
+    mu_now = dc.gather_rows(mu_u, now_u)                                # [N,D]
+
+    num = dc.sum_(dc.mul(mu, mu_now), axis=-1)                          # [N]
     n_u = dc.sqrt(dc.add(dc.sum_(dc.mul(mu_u, mu_u), axis=-1), _NORM_EPS_SQ))
     n_hist = dc.gather_rows(n_u, slot_u)                                # [N]
-    n_now = dc.sqrt(dc.add(dc.sum_(dc.mul(mu_now, mu_now), axis=-1), _NORM_EPS_SQ))
-    n_now = dc.getitem(dc.mul(dc.reshape(n_now, (B, 1)), np.ones((B, L))), win.mask)
+    n_now = dc.gather_rows(n_u, now_u)                                  # [N]
     w = dc.div(num, dc.mul(n_hist, n_now))                              # [N]
 
-    hist_emb = dc.gather_rows(state.leaf("emb.store"), win.store)       # [N,D]
-    return dc.segment_sum(dc.mul(dc.reshape(w, (len(w.data), 1)), hist_emb), win.row, B)
+    hist_emb = dc.gather_rows(state.leaf("emb.store"), seqs.store[win.slot])  # [N,D]
+    return dc.segment_sum(dc.mul(dc.reshape(w, (N, 1)), hist_emb), win.row, len(rows))
 
 
 def _prior_store_negatives(data: features.Dataset, rows: np.ndarray,

@@ -979,51 +979,51 @@ def situation_per_slot(state: dc.ModelState, hours, dows, locs) -> dc.Var:
 
 def padded_window(seqs: features.UserSequences, flat_rows: np.ndarray,
                   limit: int) -> features.Window:
-    """:func:`fdrec.features.gather_window` with its slot fields gathered at
-    every slot of the [B, L] grid; masked slots point at the user's first row."""
+    """:func:`fdrec.features.gather_window` with a slot at every cell of the
+    [B, L] grid, row-major; masked cells point at the user's first row."""
     user_codes = seqs.user[flat_rows]
     local = flat_rows - seqs.offsets[user_codes]
     rows, mask = features.window_rows(seqs, user_codes, local, limit)
-    return features.Window(
-        user=user_codes, mask=mask, row=None,
-        store=seqs.store[rows], hour=seqs.hour[rows], dow=seqs.dow[rows],
-        loc=seqs.loc[rows], repeat=seqs.repeat[rows].astype(np.int64),
-        now_hour=seqs.hour[flat_rows], now_dow=seqs.dow[flat_rows],
-        now_loc=seqs.loc[flat_rows],
-    )
+    return features.Window(user=user_codes, mask=mask, row=None, slot=rows.ravel())
 
 
 def padded_gru_sequence(p: dc.GRUParams, xs, mask) -> dc.Var:
-    """:func:`fdrec.diffcore.gru_sequence` over padded inputs [B, L, I], or
-    ``(table, codes)`` with codes [B, L] gathered into them: the real slots
-    are picked on the tape, so their gradient lands in the grid with zeros
-    at the masked slots."""
+    """:func:`fdrec.diffcore.gru_sequence` over padded inputs [B·L, I], one
+    per grid cell in row-major order, or ``(table, codes)`` with codes [B·L]
+    gathered into them: the real slots are picked on the tape by the raveled
+    mask, so their gradient lands in the grid with zeros at the masked cells."""
     if isinstance(xs, tuple):
         xs = dc.gather_rows(*xs)
-    return _packed_gru_sequence(p, dc.getitem(xs, np.asarray(mask, dtype=bool)), mask)
+    return _packed_gru_sequence(p, dc.getitem(xs, np.asarray(mask, dtype=bool).ravel()),
+                                mask)
 
 
 def reprec_query_padded(state: dc.ModelState, data: features.Dataset,
                         rows: np.ndarray) -> dc.Var:
     """:func:`fdrec.reprec.reprec_query` over the padded [B, L] grid, the
-    masked slots' cosines zeroed by the mask.  The history norms are taken
-    over :func:`fdrec.features.situations` of the whole grid, as the packed
-    form takes them over its N slots; a masked slot's gradient is an exact
-    zero, so the extra distinct rows it may add change no sum."""
-    win = padded_window(data.seqs, rows, int(state.meta["window"]))
-    B, L = win.store.shape
-    mu_u, slot_u = features.situations(state, win.hour, win.dow, win.loc)  # [U,D]
-    mu = dc.gather_rows(mu_u, slot_u)                                   # [B,L,D]
-    mu_now = features.situation(state, win.now_hour, win.now_dow, win.now_loc)
-    mu_now3 = dc.reshape(mu_now, (B, 1, mu_now.data.shape[-1]))
+    masked cells' cosines zeroed by the mask.  The grid's cells and the rows
+    are embedded in one :func:`fdrec.features.situations` call, as the packed
+    form embeds its N slots and the rows, and each cell reads its row's
+    current situation and norm; a masked cell's gradient is an exact zero, so
+    the extra distinct rows it may add change no sum."""
+    seqs = data.seqs
+    win = padded_window(seqs, rows, int(state.meta["window"]))
+    B, L = win.mask.shape
+    mu_u, idx = features.situations(state, seqs, np.concatenate([win.slot, rows]))
+    slot_u = idx[: B * L].reshape(B, L)
+    now_u = np.repeat(idx[B * L :], L).reshape(B, L)                    # [B,L]
 
-    num = dc.sum_(dc.mul(mu, mu_now3), axis=-1)                         # [B,L]
+    mu = dc.gather_rows(mu_u, slot_u)                                   # [B,L,D]
+    mu_now = dc.gather_rows(mu_u, now_u)                                # [B,L,D]
+
+    num = dc.sum_(dc.mul(mu, mu_now), axis=-1)                          # [B,L]
     n_u = dc.sqrt(dc.add(dc.sum_(dc.mul(mu_u, mu_u), axis=-1), _NORM_EPS_SQ))
     n_hist = dc.gather_rows(n_u, slot_u)                                # [B,L]
-    n_now = dc.sqrt(dc.add(dc.sum_(dc.mul(mu_now, mu_now), axis=-1), _NORM_EPS_SQ))
-    w = dc.mul(dc.div(num, dc.mul(n_hist, dc.reshape(n_now, (B, 1)))), win.mask)
+    n_now = dc.gather_rows(n_u, now_u)                                  # [B,L]
+    w = dc.mul(dc.div(num, dc.mul(n_hist, n_now)), win.mask)
 
-    hist_emb = dc.gather_rows(state.leaf("emb.store"), win.store)       # [B,L,D]
+    hist_emb = dc.gather_rows(state.leaf("emb.store"),
+                              seqs.store[win.slot].reshape(B, L))       # [B,L,D]
     return dc.sum_(dc.mul(dc.reshape(w, (B, L, 1)), hist_emb), axis=1)
 
 
@@ -1047,10 +1047,13 @@ def exprec_query_dense(state: dc.ModelState, data: features.Dataset,
     its neighbour trigger."""
     meta = state.meta
     mask = _check_mask(meta["ablate"])
-    win = features.gather_window(data.seqs, rows, int(meta["window"]))
-    e_mu = features.situation(state, win.now_hour, win.now_dow, win.now_loc)
-    situ_w = features.situation(state, win.hour, win.dow, win.loc)
-    store_w = dc.gather_rows(state.leaf("emb.store"), win.store)
+    seqs = data.seqs
+    win = features.gather_window(seqs, rows, int(meta["window"]))
+    N = len(win.slot)
+    mu_u, idx = features.situations(state, seqs, np.concatenate([win.slot, rows]))
+    e_mu = dc.gather_rows(mu_u, idx[N:])
+    situ_w = dc.gather_rows(mu_u, idx[:N])
+    store_w = dc.gather_rows(state.leaf("emb.store"), seqs.store[win.slot])
     xs = dc.concat([store_w, situ_w], axis=-1)
     e_h = dc.gru_sequence(dc.gru_leaves(state, "gru.hist"), xs, win.mask)
     a = dc.softmax(dc.dense(state.leaf("cond.w"), state.leaf("cond.b"), e_mu))

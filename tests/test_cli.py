@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from fdrec import cli, exprec, features
+from fdrec import cli, evalharness, exprec, features
 from fdrec.config import load_config, write_config
 from fdrec.diffcore import ParamTensor, load_checkpoint, save_checkpoint
 
@@ -187,6 +187,21 @@ def test_incompatible_protocol_is_usage_error(pipeline, capsys):
                      "--protocol", "exploration"]) == 2
     err = capsys.readouterr().err
     assert "does not support" in err
+
+
+@pytest.mark.parametrize("model, protocol", [("reprec", "exploration"),
+                                             ("exprec", "repeat")])
+def test_each_task_model_evaluates_on_the_other_task(pipeline, tmp_path, model, protocol):
+    cfg_path = copy_run(pipeline, tmp_path)
+    assert cli.main(["eval", "--config", cfg_path, "--model", model,
+                     "--protocol", protocol]) == 0
+    cfg = load_config(cfg_path)
+    data = features.load(os.path.join(cfg.run_dir(), cli.DATA_FILE))
+    cases = evalharness.build_cases(data.split, protocol, seed=cfg.eval.seed,
+                                    max_cases=cfg.eval.max_cases, seqs=data.seqs,
+                                    vocabs=data.vocabs)
+    with open(os.path.join(cfg.run_dir(), f"eval.{model}.{protocol}.json")) as fh:
+        assert json.load(fh)["protocols"][protocol]["n"] == len(cases) > 0
 
 
 def test_ablated_exprec_trains_and_evaluates(tmp_path):

@@ -1,4 +1,5 @@
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -123,23 +124,21 @@ def test_window_rows_right_aligned_with_mask():
 
 
 def test_gather_window_packs_the_real_slots_row_major(small_data):
-    """The slot fields equal the [B, L] gathers of ``window_rows`` at the
-    mask, in row-major order, and ``row`` names each slot's batch row."""
+    """The window holds index arrays only: ``slot`` is ``window_rows``' grid
+    at the mask, in row-major order, and ``row`` names each slot's batch row."""
     seqs = small_data.seqs
     local = np.arange(len(seqs.user)) - seqs.offsets[seqs.user]
     rows = np.concatenate([[0], rng(40).permutation(len(local))[:40], [0]])
     assert (local[rows] == 0).sum() >= 3  # rows with no real slot, first and last
     win = features.gather_window(seqs, rows, 6)
     grid, mask = features.window_rows(seqs, seqs.user[rows], local[rows], 6)
+    assert [f.name for f in dataclasses.fields(win)] == ["user", "mask", "row", "slot"]
     assert win.mask.dtype == bool
     np.testing.assert_array_equal(win.mask, mask)
     np.testing.assert_array_equal(win.row, np.repeat(np.arange(len(rows)), mask.sum(axis=1)))
-    for name in ("store", "hour", "dow", "loc"):
-        np.testing.assert_array_equal(getattr(win, name), getattr(seqs, name)[grid][mask])
-    np.testing.assert_array_equal(win.repeat, seqs.repeat[grid][mask].astype(np.int64))
+    np.testing.assert_array_equal(win.slot, grid[mask])
     np.testing.assert_array_equal(win.user, seqs.user[rows])
-    np.testing.assert_array_equal(win.now_hour, seqs.hour[rows])
-    assert len(win.store) == mask.sum() < mask.size
+    assert len(win.slot) == mask.sum() < mask.size
 
 
 def test_prepared_neighbors_are_memoized_neighbor_arrays(small_split):
@@ -177,6 +176,15 @@ def situation_codes(kind):
     return (np.zeros(0, dtype=np.int64),) * 3
 
 
+def code_rows(codes):
+    """A stand-in for :class:`fdrec.features.UserSequences` that holds the
+    (hours, dows, locs) ``codes`` flat, and the rows, of the codes' shape,
+    that read them back."""
+    hours, dows, locs = (np.asarray(c).ravel() for c in codes)
+    rows = np.arange(hours.size).reshape(np.shape(codes[0]))
+    return SimpleNamespace(hour=hours, dow=dows, loc=locs), rows
+
+
 SITUATION_KINDS = ["batch", "grid", "single", "distinct", "empty", "empty-grid"]
 
 
@@ -184,14 +192,14 @@ SITUATION_KINDS = ["batch", "grid", "single", "distinct", "empty", "empty-grid"]
 def test_situations_gathered_back_are_the_three_table_sum_bit_for_bit(kind):
     state = situation_state()
     codes = situation_codes(kind)
-    vectors, inverse = features.situations(state, *codes)
+    vectors, inverse = features.situations(state, *code_rows(codes))
     want = oracles.situation_per_slot(state, *codes).data
     triples = set(zip(*(c.ravel().tolist() for c in codes)))
     assert inverse.shape == codes[0].shape
     assert vectors.data.shape == (len(triples), 8)
     got = vectors.data[inverse]
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
-    assert features.situation(state, *codes).data.tobytes() == want.tobytes()
+    assert features.situation(state, *code_rows(codes)).data.tobytes() == want.tobytes()
     if kind in ("batch", "grid"):
         assert len(triples) < codes[0].size  # repeated triples share a row
 
@@ -203,7 +211,8 @@ def test_situation_table_gradients_match_the_per_slot_form(kind):
     state = situation_state()
     codes = situation_codes(kind)
     grads = []
-    for forward in (features.situation, oracles.situation_per_slot):
+    for forward in (lambda s, *c: features.situation(s, *code_rows(c)),
+                    oracles.situation_per_slot):
         oracles.zero_grads(state)
         out = forward(state, *codes)
         dc.backward(dc.sum_(dc.mul(out, rng(61).normal(size=out.data.shape))))
@@ -223,5 +232,4 @@ def test_situation_table_gradients_match_the_per_slot_form(kind):
 ])
 def test_situations_reject_a_code_outside_its_table(hours, dows, locs):
     with pytest.raises(ValueError):
-        features.situations(situation_state(), np.array(hours), np.array(dows),
-                            np.array(locs))
+        features.situations(situation_state(), *code_rows((hours, dows, locs)))

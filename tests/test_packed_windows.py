@@ -130,3 +130,23 @@ def test_intent_logits_match_the_padded_form_bit_for_bit(long_data, monkeypatch,
         "emb.flag", "gru.intent.wz", "gru.intent.wr", "gru.intent.wh"))
     for name in ("emb.flag", "gru.intent.wz", "gru.intent.uh"):
         assert np.abs(grads[name]).max() > 0.0, name
+
+
+@pytest.mark.parametrize("model", ["reprec", "exprec"])
+def test_a_query_forward_embeds_its_slots_and_rows_in_one_situation_pass(
+        long_data, monkeypatch, model):
+    rows = batch(long_data, 20, "mixed", seed=95)
+    section = ModelSection(dim=16, repeat_window=20, history_window=20, k_neighbors=4)
+    module = {"reprec": reprec, "exprec": exprec}[model]
+    state = getattr(module, f"{model}_build")(long_data, section, seed=6)
+    calls = []
+    situations = features.situations
+
+    def counted(*args):
+        calls.append(args)
+        return situations(*args)
+
+    monkeypatch.setattr(features, "situations", counted)
+    getattr(module, f"{model}_query")(state, long_data, rows)
+    assert len(calls) == 1
+    np.testing.assert_array_equal(calls[0][2][-len(rows):], rows)
