@@ -67,8 +67,8 @@ def write_tensors(path: str, magic: bytes, header: dict, tensors: dict) -> None:
 def read_tensors(path: str, magic: bytes,
                  keys: tuple[str, ...] = ()) -> tuple[dict, dict[str, np.ndarray]]:
     """``(header, tensors)`` of a :func:`write_tensors` file; raises
-    ``ValueError`` naming ``path`` on a wrong magic string, a truncated file
-    or a header without ``tensors`` or one of ``keys``."""
+    ``ValueError`` naming ``path`` on a wrong magic string, a truncated or
+    overlong file, or a header without ``tensors`` or one of ``keys``."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if not blob.startswith(magic):
@@ -89,6 +89,8 @@ def read_tensors(path: str, magic: bytes,
             raise ValueError(f"{path}: truncated in tensor {spec['name']!r}")
         tensors[spec["name"]] = np.frombuffer(blob, dtype, count, at).reshape(shape).copy()
         at += count * dtype.itemsize
+    if at < len(blob):
+        raise ValueError(f"{path}: {len(blob) - at} trailing bytes after the last tensor")
     return header, tensors
 
 

@@ -348,7 +348,8 @@ class ParamTensor:
 class ModelState:
     """Ordered parameter collection plus optimizer slots and metadata.
 
-    The first :func:`adam_step` allocates Adam's slots ``m`` and ``v``.
+    The first :func:`adam_step` allocates Adam's slots ``m`` and ``v`` and
+    its ``scratch`` buffers.
     ``meta`` must stay JSON-serializable; it travels with checkpoints (model
     identity, vocabularies, hyperparameters needed to score).
     """
@@ -359,6 +360,7 @@ class ModelState:
         self.params: dict[str, ParamTensor] = {}
         self.m: dict[str, Array] = {}
         self.v: dict[str, Array] = {}
+        self.scratch: dict[str, tuple[Array, Array]] = {}
         self.step = 0
         self.meta: dict = {}
 
@@ -624,7 +626,9 @@ def adam_step(
     eps: float = 1e-8,
     weight_decay: float = 0.0,
 ) -> None:
-    """Bias-corrected Adam with decoupled weight decay; zeroes grads after."""
+    """Bias-corrected Adam with decoupled weight decay; zeroes grads after.
+    Works in place in two scratch buffers per parameter, with the operands
+    of ``update = (m / c1) / (sqrt(v / c2) + eps)`` in that order."""
     state.step += 1
     t = state.step
     c1 = 1.0 - beta1**t
@@ -633,16 +637,18 @@ def adam_step(
         g = p.grad
         if name not in state.m:
             state.m[name], state.v[name] = np.zeros_like(g), np.zeros_like(g)
-        m = state.m[name]
-        v = state.v[name]
+            state.scratch[name] = np.empty_like(g), np.empty_like(g)
+        m, v, (a, b) = state.m[name], state.v[name], state.scratch[name]
         m *= beta1
-        m += (1.0 - beta1) * g
+        m += np.multiply(g, 1.0 - beta1, out=a)
         v *= beta2
-        v += (1.0 - beta2) * (g * g)
-        update = (m / c1) / (np.sqrt(v / c2) + eps)
+        v += np.multiply(np.multiply(g, g, out=a), 1.0 - beta2, out=a)
+        np.sqrt(np.divide(v, c2, out=b), out=b)
+        b += eps
+        update = np.divide(np.divide(m, c1, out=a), b, out=a)
         if weight_decay:
-            p.values -= lr * weight_decay * p.values
-        p.values -= lr * update
+            p.values -= np.multiply(p.values, lr * weight_decay, out=b)
+        p.values -= np.multiply(update, lr, out=a)
         p.grad[...] = 0.0
 
 

@@ -4,7 +4,10 @@ Each past interaction is weighted by the cosine between its embedded situation
 (hour + weekday + location vectors) and the embedded current situation; the
 weighted sum of the visited stores' embeddings scores previously visited
 candidates by dot product.  Weights are raw cosines, not softmax-normalized,
-so they may be negative and the sum is unnormalized.  The profile is the
+so they may be negative and the sum is unnormalized.  Each cosine is taken
+once per distinct (past situation, current situation) pair of a batch and
+gathered back to its slots: values keep their per-slot bits, and the situation
+tables' gradients are reassociated.  The profile is the
 model's query forward, :func:`reprec_query`, over packed integer history
 windows; it trains through :func:`fdrec.training.fit_pairs` and scores through
 :func:`fdrec.evalharness.dot_scores`.
@@ -41,23 +44,27 @@ def reprec_query(state: dc.ModelState, data: features.Dataset,
     """Situation-weighted history profiles [B, D] of the interactions at flat
     ``rows``, over the real slots of each one's trailing window;
     differentiable end to end.  The slots and the rows themselves are
-    embedded in one :func:`fdrec.features.situations` pass, and ``‖μ‖`` is
-    taken once per distinct situation: values keep their per-slot bits, the
+    embedded in one :func:`fdrec.features.situations` pass, ``‖μ‖`` is taken
+    once per distinct situation and the weight once per distinct (slot
+    situation, current situation) pair: values keep their per-slot bits, the
     situation tables' gradients are reassociated."""
     seqs = data.seqs
     win = features.gather_window(seqs, rows, int(state.meta["window"]))
     N = len(win.slot)
     mu_u, idx = features.situations(state, seqs, np.concatenate([win.slot, rows]))  # [U,D]
-    slot_u, now_u = idx[:N], idx[N:][win.row]                           # [N], [N]
+    U = len(mu_u.data)
+    # a weight per distinct (slot, current) situation pair; raveled for numpy 1.24
+    pairs, inverse = np.unique(idx[:N] * U + idx[N:][win.row], return_inverse=True)
+    slot_u, now_u = np.divmod(pairs, U)                                 # [Q], [Q]
 
-    mu = dc.gather_rows(mu_u, slot_u)                                   # [N,D]
-    mu_now = dc.gather_rows(mu_u, now_u)                                # [N,D]
+    mu = dc.gather_rows(mu_u, slot_u)                                   # [Q,D]
+    mu_now = dc.gather_rows(mu_u, now_u)                                # [Q,D]
 
-    num = dc.sum_(dc.mul(mu, mu_now), axis=-1)                          # [N]
+    num = dc.sum_(dc.mul(mu, mu_now), axis=-1)                          # [Q]
     n_u = dc.sqrt(dc.add(dc.sum_(dc.mul(mu_u, mu_u), axis=-1), _NORM_EPS_SQ))
-    n_hist = dc.gather_rows(n_u, slot_u)                                # [N]
-    n_now = dc.gather_rows(n_u, now_u)                                  # [N]
-    w = dc.div(num, dc.mul(n_hist, n_now))                              # [N]
+    n_hist = dc.gather_rows(n_u, slot_u)                                # [Q]
+    n_now = dc.gather_rows(n_u, now_u)                                  # [Q]
+    w = dc.gather_rows(dc.div(num, dc.mul(n_hist, n_now)), inverse.ravel())  # [N]
 
     hist_emb = dc.gather_rows(state.leaf("emb.store"), seqs.store[win.slot])  # [N,D]
     return dc.segment_sum(dc.mul(dc.reshape(w, (N, 1)), hist_emb), win.row, len(rows))

@@ -998,29 +998,60 @@ def padded_gru_sequence(p: dc.GRUParams, xs, mask) -> dc.Var:
                                 mask)
 
 
+def reprec_query_per_slot(state: dc.ModelState, data: features.Dataset,
+                          rows: np.ndarray) -> dc.Var:
+    """:func:`fdrec.reprec.reprec_query` with the cosine taken at every slot
+    of the packed window rather than once per distinct (slot situation,
+    current situation) pair: the same values and ``emb.store`` gradient, with
+    each pair's gradient into the situation tables summed per slot."""
+    seqs = data.seqs
+    win = features.gather_window(seqs, rows, int(state.meta["window"]))
+    N = len(win.slot)
+    mu_u, idx = features.situations(state, seqs, np.concatenate([win.slot, rows]))
+    slot_u, now_u = idx[:N], idx[N:][win.row]                           # [N], [N]
+
+    mu = dc.gather_rows(mu_u, slot_u)                                   # [N,D]
+    mu_now = dc.gather_rows(mu_u, now_u)                                # [N,D]
+
+    num = dc.sum_(dc.mul(mu, mu_now), axis=-1)                          # [N]
+    n_u = dc.sqrt(dc.add(dc.sum_(dc.mul(mu_u, mu_u), axis=-1), _NORM_EPS_SQ))
+    n_hist = dc.gather_rows(n_u, slot_u)                                # [N]
+    n_now = dc.gather_rows(n_u, now_u)                                  # [N]
+    w = dc.div(num, dc.mul(n_hist, n_now))                              # [N]
+
+    hist_emb = dc.gather_rows(state.leaf("emb.store"), seqs.store[win.slot])  # [N,D]
+    return dc.segment_sum(dc.mul(dc.reshape(w, (N, 1)), hist_emb), win.row, len(rows))
+
+
 def reprec_query_padded(state: dc.ModelState, data: features.Dataset,
                         rows: np.ndarray) -> dc.Var:
     """:func:`fdrec.reprec.reprec_query` over the padded [B, L] grid, the
     masked cells' cosines zeroed by the mask.  The grid's cells and the rows
     are embedded in one :func:`fdrec.features.situations` call, as the packed
     form embeds its N slots and the rows, and each cell reads its row's
-    current situation and norm; a masked cell's gradient is an exact zero, so
-    the extra distinct rows it may add change no sum."""
+    current situation.  The cosine is taken once per distinct (cell
+    situation, current situation) pair of the grid and gathered back to the
+    cells in row-major order, as the packed form gathers it to its slots; a
+    masked cell's gradient is an exact zero, so the extra distinct situations
+    and pairs it may add change no sum."""
     seqs = data.seqs
     win = padded_window(seqs, rows, int(state.meta["window"]))
     B, L = win.mask.shape
     mu_u, idx = features.situations(state, seqs, np.concatenate([win.slot, rows]))
-    slot_u = idx[: B * L].reshape(B, L)
-    now_u = np.repeat(idx[B * L :], L).reshape(B, L)                    # [B,L]
+    U = len(mu_u.data)
+    key = idx[: B * L] * U + np.repeat(idx[B * L :], L)                 # [B·L]
+    pairs, inverse = np.unique(key, return_inverse=True)
+    slot_u, now_u = np.divmod(pairs, U)                                 # [Q], [Q]
 
-    mu = dc.gather_rows(mu_u, slot_u)                                   # [B,L,D]
-    mu_now = dc.gather_rows(mu_u, now_u)                                # [B,L,D]
+    mu = dc.gather_rows(mu_u, slot_u)                                   # [Q,D]
+    mu_now = dc.gather_rows(mu_u, now_u)                                # [Q,D]
 
-    num = dc.sum_(dc.mul(mu, mu_now), axis=-1)                          # [B,L]
+    num = dc.sum_(dc.mul(mu, mu_now), axis=-1)                          # [Q]
     n_u = dc.sqrt(dc.add(dc.sum_(dc.mul(mu_u, mu_u), axis=-1), _NORM_EPS_SQ))
-    n_hist = dc.gather_rows(n_u, slot_u)                                # [B,L]
-    n_now = dc.gather_rows(n_u, now_u)                                  # [B,L]
-    w = dc.mul(dc.div(num, dc.mul(n_hist, n_now)), win.mask)
+    n_hist = dc.gather_rows(n_u, slot_u)                                # [Q]
+    n_now = dc.gather_rows(n_u, now_u)                                  # [Q]
+    cos = dc.div(num, dc.mul(n_hist, n_now))                            # [Q]
+    w = dc.mul(dc.gather_rows(cos, inverse.reshape(B, L)), win.mask)    # [B,L]
 
     hist_emb = dc.gather_rows(state.leaf("emb.store"),
                               seqs.store[win.slot].reshape(B, L))       # [B,L,D]
@@ -1067,6 +1098,32 @@ def exprec_query_dense(state: dc.ModelState, data: features.Dataset,
     if mask.any():
         logits = dc.add(logits, np.where(mask, -np.inf, 0.0))
     return _mix(dc.softmax(logits, axis=-1), (e_mu, e_h, e_u, e_cu))
+
+
+def adam_step_expression(state: dc.ModelState, lr: float, beta1: float = 0.9,
+                         beta2: float = 0.999, eps: float = 1e-8,
+                         weight_decay: float = 0.0) -> None:
+    """:func:`fdrec.diffcore.adam_step` as whole-array expressions, each
+    allocating its result, in the operand order the in-place form keeps."""
+    state.step += 1
+    t = state.step
+    c1 = 1.0 - beta1**t
+    c2 = 1.0 - beta2**t
+    for name, p in state.params.items():
+        g = p.grad
+        if name not in state.m:
+            state.m[name], state.v[name] = np.zeros_like(g), np.zeros_like(g)
+        m = state.m[name]
+        v = state.v[name]
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * (g * g)
+        update = (m / c1) / (np.sqrt(v / c2) + eps)
+        if weight_decay:
+            p.values -= lr * weight_decay * p.values
+        p.values -= lr * update
+        p.grad[...] = 0.0
 
 
 def zero_grads(state: dc.ModelState) -> None:

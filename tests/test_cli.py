@@ -314,14 +314,16 @@ def test_edited_data_needs_ingest_then_retraining(pipeline, tmp_path, capsys):
 
 
 def damaged(blob: bytes, damage: str, key: bytes) -> bytes:
-    """``blob`` cut inside its header or its last tensor, or with the header
-    entry ``key`` renamed."""
+    """``blob`` cut inside its header or its last tensor, with bytes after
+    its last tensor, or with the header entry ``key`` renamed."""
     if damage == "key":
         return blob.replace(b'"%s"' % key, b'"%sz"' % key[:-1], 1)
+    if damage == "trailing":
+        return blob + bytes(8)
     return blob[:30] if damage == "header" else blob[:-1]
 
 
-@pytest.mark.parametrize("damage", ["missing", "header", "tensors", "key"])
+@pytest.mark.parametrize("damage", ["missing", "header", "tensors", "key", "trailing"])
 def test_missing_or_truncated_data_fails_naming_it(pipeline, tmp_path, capsys, damage):
     cfg = copy_run(pipeline, tmp_path)
     path = os.path.join(load_config(cfg).run_dir(), cli.DATA_FILE)
@@ -335,9 +337,10 @@ def test_missing_or_truncated_data_fails_naming_it(pipeline, tmp_path, capsys, d
     err = capsys.readouterr().err
     assert path in err
     assert f"run `fdrec ingest --config {cfg}`" in err
+    assert ("8 trailing bytes" in err) == (damage == "trailing")
 
 
-@pytest.mark.parametrize("damage", ["tensors", "key"])
+@pytest.mark.parametrize("damage", ["tensors", "key", "trailing"])
 def test_truncated_or_damaged_checkpoint_fails_naming_it(pipeline, tmp_path, capsys, damage):
     cfg = copy_run(pipeline, tmp_path)
     path = os.path.join(load_config(cfg).run_dir(), "reprec.ckpt")
@@ -350,6 +353,7 @@ def test_truncated_or_damaged_checkpoint_fails_naming_it(pipeline, tmp_path, cap
     err = capsys.readouterr().err
     assert path in err
     assert "retrain with `fdrec train --model reprec`" in err
+    assert ("8 trailing bytes" in err) == (damage == "trailing")
 
 
 def restale(state, stale: str) -> None:

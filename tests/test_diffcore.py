@@ -708,6 +708,34 @@ def test_adam_slots_are_allocated_at_the_first_step(tmp_path):
     np.testing.assert_allclose(m, 0.09, rtol=0, atol=1e-15)
 
 
+@pytest.mark.parametrize("weight_decay", [0.0, 1e-3])
+def test_adam_step_matches_the_expression_form_bit_for_bit(weight_decay):
+    """Several steps of the in-place update against the whole-array
+    expressions it replaced: weights and both slots keep their bits."""
+    states = []
+    for _ in range(2):
+        state = dc.ModelState(seed=12)
+        state.add_embedding("emb", 40, 16)
+        state.add_dense("head", 3, 16)
+        state.add_param("zero", (5,), scale=0.0)
+        states.append(state)
+    got, want = states
+    gen = rng(13)
+    for step in range(6):
+        for name in got.params:
+            g = gen.normal(scale=10.0 ** gen.integers(-6, 2), size=got.params[name].shape)
+            g[gen.random(g.shape) < 0.3] = 0.0  # rows a batch does not reach
+            got.params[name].grad[...] = want.params[name].grad[...] = g
+        dc.adam_step(got, lr=0.05, weight_decay=weight_decay)
+        oracles.adam_step_expression(want, lr=0.05, weight_decay=weight_decay)
+        for name in want.params:
+            for a, b in ((got.value(name), want.value(name)),
+                         (got.m[name], want.m[name]), (got.v[name], want.v[name])):
+                assert a.tobytes() == b.tobytes(), (step, name)
+            assert not got.params[name].grad.any()
+    assert got.step == want.step == 6
+
+
 def test_adam_updates_in_place():
     state = dc.ModelState(seed=0)
     p = state.add_param("w", (2,), scale=0.0)

@@ -84,6 +84,30 @@ def test_reprec_query_matches_the_padded_form_bit_for_bit(long_data, window, fil
         assert np.abs(grads[name]).max() > 0.0, name
 
 
+@pytest.mark.parametrize("window, fill", CASES)
+def test_reprec_pair_weights_match_the_per_slot_form(long_data, window, fill):
+    """A cosine per distinct (slot situation, current situation) pair keeps
+    the per-slot values and ``emb.store`` gradient bit for bit; only the
+    situation tables' gradients are reassociated, within 1e-12 of each
+    array's largest magnitude."""
+    rows = batch(long_data, window, fill, seed=75 + window)
+    seqs = long_data.seqs
+    win = features.gather_window(seqs, rows, window)
+    codes = [np.stack([c[win.slot], c[rows][win.row]], axis=1)
+             for c in (seqs.hour, seqs.dow, seqs.loc)]
+    pairs = np.unique(np.concatenate(codes, axis=1), axis=0)
+    assert len(pairs) < len(win.slot)  # repeated pairs share one weight
+    state = reprec.reprec_build(long_data, ModelSection(dim=32, repeat_window=window), seed=3)
+    tables = ("emb.hour", "emb.dow", "emb.loc")
+    grads = assert_same_bits(
+        forward_and_grads(state, lambda s: reprec.reprec_query(s, long_data, rows), 76),
+        forward_and_grads(state, lambda s: oracles.reprec_query_per_slot(s, long_data, rows),
+                          76),
+        near=tables)
+    for name in ("emb.store", *tables):
+        assert np.abs(grads[name]).max() > 0.0, name
+
+
 def padded_forms(monkeypatch):
     """The query forwards as they ran on padded windows: every history input
     gathered over [B, L], and the real slots picked out at the GRU."""

@@ -166,6 +166,31 @@ def test_batch_loss_gradients_match_finite_differences(tiny_data):
     assert err <= 1e-4
 
 
+def test_duplicated_rows_get_the_profile_of_the_row_alone(small_data):
+    """Batch mates that share situation pairs with a row, or are that row
+    again, leave its profile's bits as they are on its own."""
+    state = reprec.reprec_build(small_data, ModelSection(dim=8, repeat_window=20), seed=9)
+    seqs = small_data.seqs
+    pool = np.flatnonzero(seqs.distinct_before >= 2)
+    some = rng(5).choice(pool, size=4, replace=False)
+    rows = np.concatenate([some, some[[0, 2, 0]], [0], some[[1, 3]]])
+    out = reprec.reprec_query(state, small_data, rows).data
+    for i, row in enumerate(rows):
+        alone = reprec.reprec_query(state, small_data, np.array([row])).data[0]
+        assert out[i].tobytes() == alone.tobytes(), i
+    assert np.abs(out[: len(some)]).max() > 0.0
+
+
+def test_all_empty_windows_give_zero_profiles_and_gradients(small_data):
+    state = reprec.reprec_build(small_data, ModelSection(dim=8), seed=10)
+    oracles.zero_grads(state)
+    out = reprec.reprec_query(state, small_data, np.array([0, 0]))
+    assert out.data.shape == (2, 8) and not out.data.any()
+    dc.backward(dc.sum_(dc.mul(out, rng(11).normal(size=out.data.shape))))
+    for name, p in state.params.items():
+        assert not p.grad.any(), name
+
+
 def test_training_is_deterministic_and_improves(small_data):
     settings = TrainSettings(lr=0.05, batch_size=128, patience=3, max_epochs=6,
                              seed=1)
