@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import operator
 import os
 import struct
 from dataclasses import dataclass
@@ -68,7 +69,7 @@ def read_tensors(path: str, magic: bytes,
                  keys: tuple[str, ...] = ()) -> tuple[dict, dict[str, np.ndarray]]:
     """``(header, tensors)`` of a :func:`write_tensors` file; raises
     ``ValueError`` naming ``path`` on a wrong magic string, a truncated or
-    overlong file, or a header without ``tensors`` or one of ``keys``."""
+    overlong file, a header without ``tensors`` or one of ``keys``, or a bad spec."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if not blob.startswith(magic):
@@ -82,12 +83,17 @@ def read_tensors(path: str, magic: bytes,
     if missing:
         raise ValueError(f"{path}: damaged header, without {', '.join(missing)}")
     tensors = {}
-    for spec in header["tensors"]:
-        dtype, shape = np.dtype(spec.get("dtype", "<f8")), tuple(spec["shape"])
+    try:
+        specs = [(spec["name"], np.dtype(spec.get("dtype", "<f8")),
+                  tuple(operator.index(d) for d in spec["shape"]))
+                 for spec in header["tensors"]]
+    except (KeyError, TypeError) as err:
+        raise ValueError(f"{path}: damaged tensor spec ({err!r})") from None
+    for name, dtype, shape in specs:
         count = int(np.prod(shape))
         if at + count * dtype.itemsize > len(blob):
-            raise ValueError(f"{path}: truncated in tensor {spec['name']!r}")
-        tensors[spec["name"]] = np.frombuffer(blob, dtype, count, at).reshape(shape).copy()
+            raise ValueError(f"{path}: truncated in tensor {name!r}")
+        tensors[name] = np.frombuffer(blob, dtype, count, at).reshape(shape).copy()
         at += count * dtype.itemsize
     if at < len(blob):
         raise ValueError(f"{path}: {len(blob) - at} trailing bytes after the last tensor")

@@ -427,17 +427,9 @@ def gru_leaves(state: ModelState, name: str) -> GRUParams:
 
 
 def dense(w: Var, b: Var | None, x: Var) -> Var:
-    """Affine map ``x @ w.T + b`` for ``x`` shaped [..., in_dim]."""
-    x = _as_var(x)
-    squeeze = x.data.ndim == 1
-    if squeeze:
-        x = reshape(x, (1, x.data.shape[0]))
+    """Affine map ``x @ w.T + b`` for ``x`` shaped [..., in_dim], at least 2-d."""
     out = matmul(x, transpose_last2(w))
-    if b is not None:
-        out = add(out, b)
-    if squeeze:
-        out = reshape(out, (out.data.shape[-1],))
-    return out
+    return out if b is None else add(out, b)
 
 
 def gru_sequence(p: GRUParams, xs, mask) -> Var:

@@ -18,7 +18,8 @@ visits off the split's repeat flags, so no step walks a history in Python.
 Every model builder starts from :func:`new_state`.  The models' forward
 passes share the packed history-window gatherer, the situation embedding and
 :func:`query_rows`, which runs a model's query forward, the one its training
-loss uses, for inference.
+loss uses, for inference: in near-equal chunks of 2 to ``QUERY_CHUNK`` rows,
+nothing padded, since every query rounds a row alike at any such row count.
 """
 
 from __future__ import annotations
@@ -314,21 +315,18 @@ Query = Callable[[dc.ModelState, Dataset, np.ndarray], dc.Var]
 
 def query_rows(state: dc.ModelState, data: Dataset, rows: np.ndarray,
                query: Query) -> np.ndarray:
-    """``query(state, data, chunk).data`` over ``rows``, in chunks of
-    ``QUERY_CHUNK`` rows.
+    """``query(state, data, chunk).data`` over the ``n`` ``rows``, in
+    ``ceil(n / QUERY_CHUNK)`` near-equal chunks, nothing padded.
 
-    ``query`` maps flat rows [B] to per-row vectors [B, ...]; it is the
-    same forward pass a model's training loss uses.  The last chunk is padded
-    with row 0, so every pass has the same shape and a row's vector does not
-    depend on its chunk mates.  Of the query products only the intent head's
-    two-output layer needs that: it rounds a row differently at about two
-    thirds of the row counts up to 256.  ExpRec's heads, its pooled
-    neighbour product and the GRU's recurrent products keep a row's bits at
-    any count of two or more rows.
+    ``query`` maps flat rows [B] to per-row vectors [B, ...]; it is the same
+    forward pass a model's training loss uses.  A single row runs beside
+    row 0, since a one-row product takes BLAS's gemv path and rounds its own
+    way.  From two rows on, every query's products round a row alike at any
+    row count (the intent head by its zero-padded width), so a row's vector
+    does not depend on its chunk mates.
     """
     n = len(rows)
-    padded = np.zeros(-(-max(n, 1) // QUERY_CHUNK) * QUERY_CHUNK, dtype=np.int64)
-    padded[:n] = rows
-    parts = [query(state, data, padded[i : i + QUERY_CHUNK]).data
-             for i in range(0, len(padded), QUERY_CHUNK)]
+    rows = np.concatenate([rows, np.zeros(max(2 - n, 0), dtype=np.int64)])
+    parts = [query(state, data, chunk).data
+             for chunk in np.array_split(rows, -(-len(rows) // QUERY_CHUNK))]
     return np.concatenate(parts)[:n]

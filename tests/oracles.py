@@ -668,10 +668,10 @@ def encode_history(
     situ = _situation_np(values, hours, dows, locs)
     xs = np.concatenate([values["emb.store"][stores], situ], axis=-1)
     p = dc.gru_leaves(state, "gru.hist")
-    h = dc.Var(np.zeros(int(state.meta["dim"])))
+    h = dc.Var(np.zeros((1, int(state.meta["dim"]))))
     for x in xs:
-        h = gru_cell(p, x, h)
-    return h.data
+        h = gru_cell(p, x[None], h)
+    return h.data[0]
 
 
 def _mix_weights_np(values, situation_vec: np.ndarray) -> np.ndarray:
@@ -833,10 +833,10 @@ def predict_intent(
         raise ValueError(f"unknown user {user!r}")
 
     p = dc.gru_leaves(state, "gru.intent")
-    h = dc.Var(np.zeros(int(meta["dim"])))
+    h = dc.Var(np.zeros((1, int(meta["dim"]))))
     for flag in list(intent_history)[-window:]:
-        h = gru_cell(p, values["emb.flag"][int(bool(flag))], h)
-    h = h.data
+        h = gru_cell(p, values["emb.flag"][[int(bool(flag))]], h)
+    h = h.data[0]
     e_mu = _situation_np(values, now.hour, now.day_of_week,
                          loc_index.get(now.location_id, features.FALLBACK))
     u = values["emb.user"][user_index[user]]

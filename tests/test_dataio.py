@@ -1,6 +1,9 @@
 import configparser
 import dataclasses
+import json
 import os
+import re
+import struct
 
 import numpy as np
 import pytest
@@ -271,3 +274,17 @@ def test_writer_failing_midway_keeps_the_old_file(tmp_path, monkeypatch, kind):
         _write_failing_midway(kind, str(path), monkeypatch)
     assert path.read_text() == "old\n"
     assert sorted(os.listdir(tmp_path)) == ["out"]
+
+
+@pytest.mark.parametrize("specs", [
+    [{"shape": [2]}], [{"name": "a"}], [{"name": "a", "shape": [1.5, 2]}],
+    [{"name": "a", "shape": "2"}], [{"name": "a", "shape": [2], "dtype": "<zz"}],
+    {"a": [2]}, 5,
+], ids=["no-name", "no-shape", "float-shape", "str-shape", "dtype", "dict", "int"])
+def test_a_malformed_tensor_spec_fails_naming_the_file(tmp_path, specs):
+    path = str(tmp_path / "t.bin")
+    text = json.dumps({"tensors": specs}).encode()
+    with open(path, "wb") as fh:
+        fh.write(b"MAGIC\n" + struct.pack("<Q", len(text)) + text + bytes(16))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: damaged tensor spec")):
+        dataio.read_tensors(path, b"MAGIC\n")

@@ -447,6 +447,8 @@ def test_scorer_composes_public_pieces(small_split, small_data, small_seqs):
 def test_cases_across_chunks_score_as_each_case_alone(
     small_split, small_data, small_seqs, monkeypatch, model, protocol
 ):
+    """With chunks of 4, 11 cases split 4, 4, 3 and 9 split 3, 3, 3, where
+    slicing would leave a one-row tail; a case alone runs beside row 0."""
     seqs, vocabs = small_seqs
     rep, exp = frozen_bases(small_data, dim=8)
     son = baselines.sonly_build(small_data, ModelSection(dim=8), seed=4)
@@ -460,12 +462,13 @@ def test_cases_across_chunks_score_as_each_case_alone(
         "hispop": lambda cs: baselines.hispop_scores(small_data, cs),
     }
     monkeypatch.setattr(features, "QUERY_CHUNK", 4)
-    cases = evalharness.build_cases(small_split, protocol, seed=3, max_cases=11,
-                                    seqs=seqs, vocabs=vocabs)
-    assert len(cases) > 2 * features.QUERY_CHUNK
-    together = scores[model](cases)
-    for i in range(len(cases)):
-        np.testing.assert_array_equal(together[i], scores[model](take(cases, [i]))[0])
+    for max_cases in (11, 9):
+        cases = evalharness.build_cases(small_split, protocol, seed=3,
+                                        max_cases=max_cases, seqs=seqs, vocabs=vocabs)
+        assert len(cases) == max_cases
+        together = scores[model](cases)
+        for i in range(len(cases)):
+            np.testing.assert_array_equal(together[i], scores[model](take(cases, [i]))[0])
 
 
 def test_concat_scorer_returns_normalized_bases(small_split, small_data, small_seqs):

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 import oracles
-from fdrec import dataio, exprec, features
+from fdrec import baselines, dataio, ensemble, exprec, features, reprec
 from fdrec import diffcore as dc
+from fdrec.training import ModelSection
 from conftest import make_log, rng
 
 
@@ -233,3 +234,25 @@ def test_situation_table_gradients_match_the_per_slot_form(kind):
 def test_situations_reject_a_code_outside_its_table(hours, dows, locs):
     with pytest.raises(ValueError):
         features.situations(situation_state(), *code_rows((hours, dows, locs)))
+
+
+@pytest.mark.parametrize("model", ["sonly", "reprec", "exprec", "intent"])
+def test_a_query_row_keeps_its_bits_at_every_row_count(small_data, model):
+    """The rows of an n-row forward equal the first n rows of a
+    ``QUERY_CHUNK``-row one for every n from 2, so the near-equal chunks of
+    :func:`features.query_rows` need no padding.  The intent head's
+    two-output product alone would round rows by the row count."""
+    section = ModelSection(dim=64, repeat_window=20, history_window=10, k_neighbors=5)
+    builders = {"sonly": (baselines.sonly_build, baselines.sonly_query),
+                "reprec": (reprec.reprec_build, reprec.reprec_query),
+                "exprec": (exprec.exprec_build, exprec.exprec_query),
+                "intent": (ensemble.ensemble_build,
+                           lambda st, d, r: ensemble._intent_logits(st, d.seqs, r))}
+    build, query = builders[model]
+    state = build(small_data, section, seed=41)
+    rows = rng(42).choice(len(small_data.seqs.user), size=features.QUERY_CHUNK,
+                          replace=False)
+    full = query(state, small_data, rows).data
+    for n in range(2, len(rows)):
+        np.testing.assert_array_equal(query(state, small_data, rows[:n]).data, full[:n],
+                                      err_msg=f"{n} rows")
