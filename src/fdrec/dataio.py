@@ -90,6 +90,8 @@ def read_tensors(path: str, magic: bytes,
     except (KeyError, TypeError) as err:
         raise ValueError(f"{path}: damaged tensor spec ({err!r})") from None
     for name, dtype, shape in specs:
+        if min(shape, default=0) < 0:
+            raise ValueError(f"{path}: damaged tensor spec (negative dimension in {name!r})")
         count = int(np.prod(shape))
         if at + count * dtype.itemsize > len(blob):
             raise ValueError(f"{path}: truncated in tensor {name!r}")

@@ -14,15 +14,24 @@ hand-written backpropagation through time.  Training and inference run the
 same op; there is no tape-free twin.  The models' windows are left-padded,
 so the rows are sorted by their first real step, and each step projects,
 multiplies, caches and backpropagates only the rows started so far.  Its
-recurrent products take contiguous weights and at least two rows, where
-OpenBLAS rounds a row the same whatever the row count, so a row's hidden
-state does not depend on its batch mates or on the batch size; the
-gradients equal those of stepping every slot up to rounding.  The tests
-check the op against a reference GRU step built from the primitives.
+products keep the row rule below, so a row's hidden state does not depend
+on its batch mates or on the batch size; the gradients equal those of
+stepping every slot up to rounding.  The tests check the op against a
+reference GRU step built from the primitives.
+
+The row rule.  OpenBLAS rounds a row of a product alike at any row count
+if the product has two or more rows and four or more output columns, keeps
+the operand layouts used here and adds its inner sum within one k-block (384
+terms with the SkylakeX kernels); a one-row product takes the gemv path.  So
+each product op keeps the rule in its one tape node, and a query row scores
+the same whatever its batch mates: :func:`dense` appends zero rows up to two
+rows and four outputs, :func:`pooled` also sums over ascending ranges of 256
+codes, and :func:`gru_sequence` steps on at least two rows in place.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -33,8 +42,7 @@ Array = np.ndarray
 
 
 def _f64(x) -> Array:
-    a = np.asarray(x, dtype=np.float64)
-    return a
+    return np.asarray(x, dtype=np.float64)
 
 
 class Var:
@@ -112,28 +120,6 @@ def div(a, b) -> Var:
             _unbroadcast(g / b.data, a.data.shape),
             _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape),
         ),
-    )
-
-
-def matmul(a, b) -> Var:
-    """Matrix product, batch axes broadcast; a plain array operand gets no gradient."""
-    grad_a, grad_b = isinstance(a, Var), isinstance(b, Var)
-    a, b = _as_var(a), _as_var(b)
-    if a.data.ndim < 2 or b.data.ndim < 2:
-        raise ValueError("matmul operands must be at least 2-d")
-
-    def vjp(g):
-        ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape) if grad_a else None
-        gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape) if grad_b else None
-        return ga, gb
-
-    return Var(a.data @ b.data, (a, b), vjp)
-
-
-def transpose_last2(a: Var) -> Var:
-    a = _as_var(a)
-    return Var(
-        np.swapaxes(a.data, -1, -2), (a,), lambda g: (np.swapaxes(g, -1, -2),)
     )
 
 
@@ -426,10 +412,42 @@ def gru_leaves(state: ModelState, name: str) -> GRUParams:
     return GRUParams(*(state.leaf(f"{name}.{t}{g}") for g in "zrh" for t in ("w", "u", "b")))
 
 
-def dense(w: Var, b: Var | None, x: Var) -> Var:
-    """Affine map ``x @ w.T + b`` for ``x`` shaped [..., in_dim], at least 2-d."""
-    out = matmul(x, transpose_last2(w))
-    return out if b is None else add(out, b)
+def _pad_rows(a: Array, rows: int) -> Array:
+    """``a`` with zero rows appended up to ``rows`` rows."""
+    return a if len(a) >= rows else np.vstack([a, np.zeros((rows - len(a),) + a.shape[1:])])
+
+
+def dense(w: Var, b: Var, x: Var) -> Var:
+    """``x @ w.T + b`` of ``x`` [B, I] and ``w`` [O, I] as one tape node, its
+    products on zero rows appended up to 2 rows and 4 outputs (the row rule)."""
+    w, b, x = _as_var(w), _as_var(b), _as_var(x)
+    (n, _), m = x.data.shape, len(w.data)
+    xp, wp = _pad_rows(x.data, 2), _pad_rows(w.data, 4)
+    out = (xp @ wp.T)[:n, :m] + b.data
+
+    def vjp(g):
+        gp = np.pad(g, [(0, len(xp) - n), (0, len(wp) - m)])
+        return (xp.T @ gp).T[:m], _unbroadcast(g, b.data.shape), (gp @ wp)[:n]
+
+    return Var(out, (w, b, x), vjp)
+
+
+def pooled(pool, emb: Var, codes) -> Var:
+    """``pool @ emb`` [B, D] of a plain ``pool`` [B, U], which gets no
+    gradient, and ``emb`` [U, D], whose rows are the ascending ``codes``.  By
+    the row rule, one product per range of 256 codes, added in ascending
+    order; the products, backward ones too, run on at least 2 rows."""
+    emb, pp = _as_var(emb), _pad_rows(pool, 2)
+    cuts = [0, *(np.flatnonzero(np.diff(np.asarray(codes) // 256)) + 1), len(codes)]
+    spans = [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+    parts = [np.ascontiguousarray(pp[:, s]) for s in spans]
+    out = functools.reduce(np.add, [p @ emb.data[s] for p, s in zip(parts, spans)])
+
+    def vjp(g):
+        gp = _pad_rows(g, 2)
+        return (np.concatenate([p.T @ gp for p in parts]),)
+
+    return Var(out[: len(pool)], (emb,), vjp)
 
 
 def gru_sequence(p: GRUParams, xs, mask) -> Var:
@@ -451,8 +469,7 @@ def gru_sequence(p: GRUParams, xs, mask) -> Var:
     rows it updates.  The packed slots, each row's steps from its first real
     one on, sit time-major in ``[P, ·]`` arrays; a masked one reads a zero
     input.  Only they are projected, through a contiguous copy of ``W.T`` and
-    with at least two rows, where OpenBLAS rounds each row as it does in the
-    full-size product.
+    with at least two rows, by the row rule.
 
     The embedding-fed form projects the table instead, once, with a zero row
     appended for the masked slots to read, and each step gathers its slots'
@@ -465,11 +482,10 @@ def gru_sequence(p: GRUParams, xs, mask) -> Var:
     order, so only these two gradients move, in their last bits.
 
     The recurrent products ``h @ U`` run on the step's prefix too, through
-    contiguous copies of ``U.T`` and with at least two rows: a one-row step
-    also reads the next row, which is 0 or unused.  With contiguous operands
-    and two or more rows, OpenBLAS rounds a row as it does at any other row
-    count, so a row's h depends neither on how many of its batch mates have
-    started nor on the batch size, and a query scores the same in any chunk.
+    contiguous copies of ``U.T`` and with at least two rows, by the row rule:
+    a one-row step also reads the next row, which is 0 or unused.  So a row's
+    h depends neither on how many of its batch mates have started nor on the
+    batch size, and a query scores the same in any chunk.
     The steps write their gates, candidate and new h in place into the
     packed caches, and keep a masked row's h only on steps with a hole.  The
     backward is packed throughout: each step's products run on its prefix,

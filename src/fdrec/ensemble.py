@@ -68,10 +68,7 @@ def _intent_logits(state: dc.ModelState, seqs: features.UserSequences,
     e_mu = features.situation(state, seqs, rows)
     u = dc.gather_rows(state.leaf("emb.user"), win.user)
     feats = dc.concat([h, e_mu, u], axis=-1)
-    # two zero outputs: BLAS rounds a 2-wide row by the row count, a 4-wide one not
-    w = dc.concat([state.leaf("intent.w"), np.zeros((2, feats.shape[1]))], axis=0)
-    wide = dc.dense(w, None, feats)
-    return dc.add(dc.getitem(wide, (slice(None), slice(2))), state.leaf("intent.b"))
+    return dc.dense(state.leaf("intent.w"), state.leaf("intent.b"), feats)
 
 
 def _intent_probs(state: dc.ModelState, data: features.Dataset,

@@ -37,10 +37,6 @@ TRIGGERS = ("situation", "history", "user", "collab")
 # ordered activation set for the conditioned user encoder
 _ACTIVATIONS_VAR = (lambda x: x, dc.tanh, dc.sigmoid, dc.relu)
 
-# the neighbour trigger's products each span one range of this many user
-# codes, so that BLAS adds each row's neighbours within one k-block
-_CODE_RANGE = 256
-
 
 def exprec_build(data: features.Dataset, model: ModelSection, seed: int) -> dc.ModelState:
     """An untrained ExpRec; ``model.ablate``'s triggers become
@@ -93,14 +89,6 @@ def _mix(weights: dc.Var, parts) -> dc.Var:
     return functools.reduce(dc.add, terms)
 
 
-def _pooled(pool: np.ndarray, emb: dc.Var, spans) -> dc.Var:
-    """``pool @ emb`` as one product per span of ``emb``'s rows, added in span order."""
-    if len(spans) == 1:
-        return dc.matmul(pool, emb)
-    return functools.reduce(dc.add, [
-        dc.matmul(np.ascontiguousarray(pool[:, s]), dc.getitem(emb, s)) for s in spans])
-
-
 def exprec_query(state: dc.ModelState, data: features.Dataset,
                  rows: np.ndarray) -> dc.Var:
     """Fused trigger vectors [B, D] of the interactions at flat ``rows``, the
@@ -109,12 +97,9 @@ def exprec_query(state: dc.ModelState, data: features.Dataset,
     The neighbours are the frozen per-user tables from :func:`neighbor_arrays`
     that ``state.meta`` names; the mix weights ``a`` do not depend on the
     neighbour, so their trigger is ``Σ_j a_j · (W @ act_j(E[n]))`` over the
-    batch's distinct codes n, ``W`` [B, |n|] holding each row's weights.  The
-    product is split over fixed ranges of 256 user codes and the ranges are
-    added in ascending order: each range's codes fit one BLAS k-block (384
-    codes with OpenBLAS's SkylakeX kernels), so a row does not depend on its
-    batch mates however many distinct neighbours they bring.  The triggers set
-    in ``state.meta["ablate"]`` get a -inf logit, so they get exactly zero weight.
+    batch's distinct codes n, ``W`` [B, |n|] holding each row's weights, by
+    :func:`fdrec.diffcore.pooled`.  The triggers set in
+    ``state.meta["ablate"]`` get a -inf logit, so they get exactly zero weight.
     """
     meta = state.meta
     mask = _check_mask(meta["ablate"])
@@ -142,9 +127,7 @@ def exprec_query(state: dc.ModelState, data: features.Dataset,
     pool = np.zeros((B, len(codes)))  # add.at: a pad (code 0, weight 0) may share code 0
     np.add.at(pool, (np.arange(B).repeat(nb_ids.shape[1]), inv.ravel()), nb_w[win.user].ravel())
     nb_emb = dc.gather_rows(state.leaf("emb.user"), codes)
-    cuts = [0, *(np.flatnonzero(np.diff(codes // _CODE_RANGE)) + 1), len(codes)]
-    spans = [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
-    e_cu = _mix(a, [_pooled(pool, act(nb_emb), spans) for act in _ACTIVATIONS_VAR])
+    e_cu = _mix(a, [dc.pooled(pool, act(nb_emb), codes) for act in _ACTIVATIONS_VAR])
 
     logits = dc.dense(
         state.leaf("fuse.w"), state.leaf("fuse.b"), dc.concat([e_mu, e_u], axis=-1)

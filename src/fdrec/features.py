@@ -18,8 +18,8 @@ visits off the split's repeat flags, so no step walks a history in Python.
 Every model builder starts from :func:`new_state`.  The models' forward
 passes share the packed history-window gatherer, the situation embedding and
 :func:`query_rows`, which runs a model's query forward, the one its training
-loss uses, for inference: in near-equal chunks of 2 to ``QUERY_CHUNK`` rows,
-nothing padded, since every query rounds a row alike at any such row count.
+loss uses, for inference: in near-equal chunks of at most ``QUERY_CHUNK``
+rows, nothing padded.
 """
 
 from __future__ import annotations
@@ -203,17 +203,23 @@ class Dataset:
 def load(path: str) -> Dataset:
     """What :meth:`Dataset.save` wrote, neighbours memoized; ``ValueError`` if damaged."""
     header, tensors = read_tensors(path, DATA_MAGIC, _HEADER_KEYS)
+
+    def tensor(name: str) -> np.ndarray:
+        if name not in tensors:
+            raise ValueError(f"{path}: no tensor {name!r}; run `fdrec ingest` again")
+        return tensors[name]
+
     log = InteractionLog(
-        *header["ids"], *(tensors[name] for name in _LOG_ARRAYS),
+        *header["ids"], *(tensor(name) for name in _LOG_ARRAYS),
         tz_offset_minutes=header["tz_offset_minutes"],
         catalog={row[0]: StoreMeta(*row) for row in header["catalog"]},
     )
     split = DatasetSplit(log, *header["boundaries"],
-                         *(tensors[name] for name in _SPLIT_ARRAYS))
+                         *(tensor(name) for name in _SPLIT_ARRAYS))
     data = Dataset(split, header["fingerprint"])
     for i, key in enumerate(header["neighbors"]):
-        data._neighbors[tuple(key)] = (tensors[f"neighbors.{i}.ids"],
-                                       tensors[f"neighbors.{i}.weights"])
+        data._neighbors[tuple(key)] = (tensor(f"neighbors.{i}.ids"),
+                                       tensor(f"neighbors.{i}.weights"))
     return data
 
 
@@ -319,14 +325,10 @@ def query_rows(state: dc.ModelState, data: Dataset, rows: np.ndarray,
     ``ceil(n / QUERY_CHUNK)`` near-equal chunks, nothing padded.
 
     ``query`` maps flat rows [B] to per-row vectors [B, ...]; it is the same
-    forward pass a model's training loss uses.  A single row runs beside
-    row 0, since a one-row product takes BLAS's gemv path and rounds its own
-    way.  From two rows on, every query's products round a row alike at any
-    row count (the intent head by its zero-padded width), so a row's vector
-    does not depend on its chunk mates.
+    forward pass a model's training loss uses.  Its products keep
+    :mod:`fdrec.diffcore`'s row rule, so a row's vector does not depend on
+    its chunk mates.
     """
-    n = len(rows)
-    rows = np.concatenate([rows, np.zeros(max(2 - n, 0), dtype=np.int64)])
     parts = [query(state, data, chunk).data
-             for chunk in np.array_split(rows, -(-len(rows) // QUERY_CHUNK))]
-    return np.concatenate(parts)[:n]
+             for chunk in np.array_split(rows, max(-(-len(rows) // QUERY_CHUNK), 1))]
+    return np.concatenate(parts)

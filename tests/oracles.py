@@ -951,9 +951,9 @@ def gru_cell(p: dc.GRUParams, x: dc.Var, h: dc.Var) -> dc.Var:
 
     With all-zero weights this collapses to ``0.5 * h`` (z = 0.5, candidate 0).
     """
-    z = dc.sigmoid(dc.add(dc.dense(p.wz, None, x), dc.dense(p.uz, p.bz, h)))
-    r = dc.sigmoid(dc.add(dc.dense(p.wr, None, x), dc.dense(p.ur, p.br, h)))
-    cand = dc.tanh(dc.add(dc.dense(p.wh, None, x), dc.dense(p.uh, p.bh, dc.mul(r, h))))
+    z = dc.sigmoid(dc.add(dc.dense(p.wz, 0.0, x), dc.dense(p.uz, p.bz, h)))
+    r = dc.sigmoid(dc.add(dc.dense(p.wr, 0.0, x), dc.dense(p.ur, p.br, h)))
+    cand = dc.tanh(dc.add(dc.dense(p.wh, 0.0, x), dc.dense(p.uh, p.bh, dc.mul(r, h))))
     return dc.add(dc.mul(dc.sub(1.0, z), h), dc.mul(z, cand))
 
 

@@ -94,11 +94,13 @@ def test_every_import_is_used(path):
 
 def dead_definitions(trees: dict[str, ast.Module]) -> list[str]:
     """Functions, classes and methods that no code in ``trees`` names outside
-    their own body, as ``file:line name``.  Dunders and names in their
-    module's ``__all__`` are exempt."""
+    their own body, as ``file:line name``; ``np.name`` and ``numpy.name``
+    name numpy's, not the package's.  Dunders and names in their module's
+    ``__all__`` are exempt."""
     refs = [(path, node.id if isinstance(node, ast.Name) else node.attr, node.lineno)
             for path, tree in trees.items() for node in ast.walk(tree)
-            if isinstance(node, (ast.Name, ast.Attribute))]
+            if isinstance(node, ast.Name) or isinstance(node, ast.Attribute)
+            and not (isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"))]
     dead = []
     for path, tree in trees.items():
         exempt = _exports(tree)
@@ -133,5 +135,8 @@ def test_dead_definition_scan_sees_attributes_exports_and_own_bodies():
         "    def method(self): return helper()\n"
         "    def unused(self): pass\n"
         "Box().method()\n"
+        "def matmul(a, b): pass\n"
+        "def take(a): pass\n"
+        "np.matmul(1, 2), numpy.take(3), Box().take\n"
     )}
-    assert dead_definitions(trees) == ["m.py:3 recursive", "m.py:8 unused"]
+    assert dead_definitions(trees) == ["m.py:3 recursive", "m.py:10 matmul", "m.py:8 unused"]

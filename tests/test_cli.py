@@ -315,10 +315,10 @@ def test_edited_data_needs_ingest_then_retraining(pipeline, tmp_path, capsys):
 
 def damaged(blob: bytes, damage: str, key: bytes) -> bytes:
     """``blob`` cut inside its header or its last tensor, with bytes after
-    its last tensor, or with the header entry ``key`` or a tensor spec's
-    ``shape`` renamed."""
-    if damage in ("key", "spec"):
-        key = key if damage == "key" else b"shape"
+    its last tensor, or with the header entry ``key``, a tensor spec's
+    ``shape`` or the ``users`` tensor renamed."""
+    if damage in ("key", "spec", "tensor"):
+        key = {"key": key, "spec": b"shape", "tensor": b"users"}[damage]
         return blob.replace(b'"%s"' % key, b'"%sz"' % key[:-1], 1)
     if damage == "trailing":
         return blob + bytes(8)
@@ -326,7 +326,7 @@ def damaged(blob: bytes, damage: str, key: bytes) -> bytes:
 
 
 @pytest.mark.parametrize("damage", ["missing", "header", "tensors", "key", "spec",
-                                    "trailing"])
+                                    "tensor", "trailing"])
 def test_missing_or_truncated_data_fails_naming_it(pipeline, tmp_path, capsys, damage):
     cfg = copy_run(pipeline, tmp_path)
     path = os.path.join(load_config(cfg).run_dir(), cli.DATA_FILE)
@@ -341,6 +341,7 @@ def test_missing_or_truncated_data_fails_naming_it(pipeline, tmp_path, capsys, d
     assert path in err
     assert f"run `fdrec ingest --config {cfg}`" in err
     assert ("8 trailing bytes" in err) == (damage == "trailing")
+    assert (f"{path}: no tensor 'users'; run `fdrec ingest` again" in err) == (damage == "tensor")
 
 
 @pytest.mark.parametrize("damage", ["tensors", "key", "spec", "trailing"])

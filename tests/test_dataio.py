@@ -279,12 +279,15 @@ def test_writer_failing_midway_keeps_the_old_file(tmp_path, monkeypatch, kind):
 @pytest.mark.parametrize("specs", [
     [{"shape": [2]}], [{"name": "a"}], [{"name": "a", "shape": [1.5, 2]}],
     [{"name": "a", "shape": "2"}], [{"name": "a", "shape": [2], "dtype": "<zz"}],
-    {"a": [2]}, 5,
-], ids=["no-name", "no-shape", "float-shape", "str-shape", "dtype", "dict", "int"])
+    [{"name": "a", "shape": [-1]}], {"a": [2]}, 5,
+], ids=["no-name", "no-shape", "float-shape", "str-shape", "dtype", "negative", "dict",
+        "int"])
 def test_a_malformed_tensor_spec_fails_naming_the_file(tmp_path, specs):
     path = str(tmp_path / "t.bin")
     text = json.dumps({"tensors": specs}).encode()
     with open(path, "wb") as fh:
         fh.write(b"MAGIC\n" + struct.pack("<Q", len(text)) + text + bytes(16))
-    with pytest.raises(ValueError, match=re.escape(f"{path}: damaged tensor spec")):
+    with pytest.raises(ValueError, match=re.escape(f"{path}: damaged tensor spec")) as err:
         dataio.read_tensors(path, b"MAGIC\n")
+    negative = specs == [{"name": "a", "shape": [-1]}]
+    assert ("negative dimension in 'a'" in str(err.value)) == negative

@@ -61,13 +61,6 @@ def test_arithmetic_matches_numpy():
     np.testing.assert_array_equal(dc.div(var(a), var(b)).data, a / b)
 
 
-def test_matmul_batch_broadcasting():
-    a = rng(3).normal(size=(5, 2, 3))
-    b = rng(4).normal(size=(3, 4))
-    got = dc.matmul(var(a), var(b)).data
-    np.testing.assert_allclose(got, np.einsum("bij,jk->bik", a, b), atol=1e-12, rtol=0)
-
-
 def test_softmax_known_value_and_normalization():
     out = dc.softmax(var([0.0, math.log(3.0)])).data
     np.testing.assert_allclose(out, [0.25, 0.75], atol=1e-12, rtol=0)
@@ -115,13 +108,61 @@ def test_gradients_broadcasting_unbroadcasts():
     check_grads(lambda x, y: dc.mean_(dc.add(x, y)), a, b)
 
 
-def test_gradients_matmul_transpose_reshape():
-    a = rng(11).normal(size=(2, 3, 4))
-    b = rng(12).normal(size=(4, 5))
-    check_grads(lambda x, y: dc.sum_(dc.matmul(x, y)), a, b)
+def test_gradients_dense_and_reshape():
+    """One row and two outputs run on zero rows appended to both operands;
+    the zeros take no part in any gradient."""
+    for rows, outputs in ((1, 2), (3, 5)):
+        w = rng(11).normal(size=(outputs, 4))
+        b = rng(12).normal(size=(outputs,))
+        x = rng(13).normal(size=(rows, 4))
+        t = rng(14).normal(size=(rows, outputs))
+        check_grads(lambda w, b, x: dc.sum_(dc.mul(dc.dense(w, b, x), t)), w, b, x)
     m = rng(15).normal(size=(3, 5))
-    check_grads(lambda x: dc.sum_(dc.mul(dc.transpose_last2(x), 2.0)), m)
     check_grads(lambda x: dc.sum_(dc.tanh(dc.reshape(x, (15,)))), m * 0.1)
+
+
+@pytest.mark.parametrize("rows, codes, ranges", [
+    (1, [0, 5, 17, 255], 1),                # its last code at a range boundary
+    (1, [3, 255, 256, 511, 512, 700], 3),   # codes on both sides of each cut
+    (4, [1, 256, 700], 3),
+], ids=["one-range", "three-ranges", "three-ranges-4-rows"])
+def test_gradients_pooled(rows, codes, ranges):
+    assert len(np.unique(np.asarray(codes) // 256)) == ranges
+    pool = rng(16).uniform(size=(rows, len(codes)))
+    emb = rng(17).normal(size=(len(codes), 3))
+    t = rng(18).normal(size=(rows, 3))
+    check_grads(lambda e: dc.sum_(dc.mul(dc.pooled(pool, e, codes), t)), emb)
+    np.testing.assert_allclose(dc.pooled(pool, var(emb), codes).data, pool @ emb,
+                               atol=1e-12, rtol=0)
+
+
+def product_call(op: str, size: int, dim: int):
+    """A 256-row problem at one of the models' product shapes, as a function
+    of the row count n: ``dense`` with ``size`` inputs and ``dim`` outputs,
+    or ``pooled`` over ``size`` ascending codes spread over several ranges
+    and a ``dim``-wide table."""
+    gen = rng(60 + size + dim)
+    if op == "dense":
+        w, b, x = (gen.normal(size=s) for s in ((dim, size), (dim,), (256, size)))
+        return lambda n: dc.dense(var(w), var(b), var(x[:n])).data
+    codes = np.sort(gen.choice(2 * size, size=size, replace=False))
+    pool, emb = gen.uniform(size=(256, size)), gen.normal(size=(size, dim))
+    return lambda n: dc.pooled(pool[:n], var(emb), codes).data
+
+
+# dense: cond [D, 4], fuse [2D, 4] and the intent head [3D, 2] at the models'
+# dims; pooled: up to 1024 distinct neighbour codes at dims 8 and 64
+@pytest.mark.parametrize("op, size, dim", [
+    *(("dense", k * d, out) for d in (8, 16, 32, 64) for k, out in ((1, 4), (2, 4), (3, 2))),
+    *(("pooled", u, d) for u in (1, 2, 255, 256, 257, 385, 1024) for d in (8, 64)),
+])
+def test_a_product_row_keeps_its_bits_at_every_row_count(op, size, dim):
+    """Each row of an n-row call, n = 1 to 256, equals that row of the
+    256-row call bit for bit, so no row depends on its batch mates."""
+    call = product_call(op, size, dim)
+    full = call(256)
+    for n in range(1, 256):
+        np.testing.assert_array_equal(call(n), full[:n], err_msg=f"{n} rows")
 
 
 def test_gather_rows_bincount_backward_matches_add_at():
@@ -219,18 +260,24 @@ def test_backward_node_shared_by_two_consumers():
                                atol=1e-15, rtol=0)
 
 
-@pytest.mark.parametrize("op", [dc.mul, dc.matmul])
+@pytest.mark.parametrize("op", [dc.mul, dc.pooled])
 def test_a_plain_array_operand_gets_no_gradient_slot(op):
     x, c = rng(40).normal(size=(3, 3)), rng(41).normal(size=(3, 3))
     g = rng(42).normal(size=(3, 3))
+    if op is dc.pooled:  # the pool is always plain: the table is the one parent
+        node = dc.pooled(c, var(x), np.arange(3))
+        assert len(node._parents) == len(node._vjp(g)) == 1
+        x_var = node._parents[0]
+        dc.backward(node, g)
+        np.testing.assert_array_equal(x_var.grad, c.T @ g)
+        return
     for a, b in ((var(x), c), (c, var(x)), (var(x), var(c))):
         slots = op(a, b)._vjp(g)
         assert [s is None for s in slots] == [not isinstance(v, dc.Var) for v in (a, b)]
         if isinstance(a, dc.Var):  # a Var leaf still gets its gradient
             a.grad = None
             dc.backward(op(a, b), g)
-            want = g * c if op is dc.mul else g @ c.T
-            np.testing.assert_array_equal(a.grad, want)
+            np.testing.assert_array_equal(a.grad, g * c)
     assert dc.mul(var(x), 2.0)._vjp(g)[1] is None
 
 
@@ -280,12 +327,14 @@ def test_model_state_seed_determinism():
 
 
 def test_dense_handles_vectors_and_batches():
+    """A lone row [1, I] and a batch, each one tape node, as numpy computes them."""
     state = dc.ModelState(seed=1)
     state.add_dense("d", out_dim=3, in_dim=4)
     w, b = state.value("d.w"), state.value("d.b")
-    xb = rng(23).normal(size=(6, 2, 4))
-    outb = dc.dense(state.leaf("d.w"), state.leaf("d.b"), var(xb)).data
-    np.testing.assert_allclose(outb, xb @ w.T + b, atol=1e-12, rtol=0)
+    for x in (rng(23).normal(size=(1, 4)), rng(24).normal(size=(6, 4))):
+        out = dc.dense(state.leaf("d.w"), state.leaf("d.b"), var(x))
+        assert out.shape == (len(x), 3) and all(p._parents == () for p in out._parents)
+        np.testing.assert_allclose(out.data, x @ w.T + b, atol=1e-12, rtol=0)
 
 
 def test_gru_zero_weights_halve_state():

@@ -352,6 +352,40 @@ def pair_loss_fd_error(tiny_data, ablation_mask):
     return err
 
 
+class CountingRng:
+    """A generator that counts its ``choice`` calls, the dense fallback's draws."""
+
+    def __init__(self, seed):
+        self.gen, self.choices = rng(seed), 0
+
+    def integers(self, *args, **kwargs):
+        return self.gen.integers(*args, **kwargs)
+
+    def choice(self, *args, **kwargs):
+        self.choices += 1
+        return self.gen.choice(*args, **kwargs)
+
+
+def test_unvisited_negatives_fall_back_to_the_unvisited_stores_of_heavy_visitors():
+    """Users who visit all but two of 400 stores leave a late row two to a
+    dozen unvisited stores besides its target; 64 uniform redraws often miss
+    them all, and the dense fallback then draws among them."""
+    stores = [f"s{i:03d}" for i in range(400)]
+    catalog = {s: dataio.StoreMeta(s, "b0", "c0", "l0") for s in stores}
+    records = [(f"u{u}", stores[j], 1000 * t + u, "l0")
+               for u in range(6) for t, j in enumerate(rng(70 + u).permutation(400)[:398])]
+    data = features.Dataset(dataio.split_global_timeline(
+        make_log(records, catalog), test_window_s=20_000, valid_window_s=20_000))
+    seqs = data.seqs
+    rows = np.flatnonzero(seqs.distinct_before >= 388)
+    assert len(rows) == 60 and not seqs.repeat[rows].any()
+    counting = CountingRng(71)
+    neg = exprec._unvisited_negatives(data, rows, counting)
+    assert counting.choices > 0
+    for row, store in zip(rows, neg):
+        assert store != seqs.store[row] and store not in seqs.priors(row)
+
+
 def test_batch_loss_gradients_match_finite_differences(tiny_data):
     assert pair_loss_fd_error(tiny_data, None) <= 1e-4
 

@@ -239,9 +239,8 @@ def test_situations_reject_a_code_outside_its_table(hours, dows, locs):
 @pytest.mark.parametrize("model", ["sonly", "reprec", "exprec", "intent"])
 def test_a_query_row_keeps_its_bits_at_every_row_count(small_data, model):
     """The rows of an n-row forward equal the first n rows of a
-    ``QUERY_CHUNK``-row one for every n from 2, so the near-equal chunks of
-    :func:`features.query_rows` need no padding.  The intent head's
-    two-output product alone would round rows by the row count."""
+    ``QUERY_CHUNK``-row one for every n from 1, so the near-equal chunks of
+    :func:`features.query_rows` need no padding, not even for a lone row."""
     section = ModelSection(dim=64, repeat_window=20, history_window=10, k_neighbors=5)
     builders = {"sonly": (baselines.sonly_build, baselines.sonly_query),
                 "reprec": (reprec.reprec_build, reprec.reprec_query),
@@ -253,6 +252,7 @@ def test_a_query_row_keeps_its_bits_at_every_row_count(small_data, model):
     rows = rng(42).choice(len(small_data.seqs.user), size=features.QUERY_CHUNK,
                           replace=False)
     full = query(state, small_data, rows).data
-    for n in range(2, len(rows)):
+    for n in range(1, len(rows)):
         np.testing.assert_array_equal(query(state, small_data, rows[:n]).data, full[:n],
                                       err_msg=f"{n} rows")
+    assert features.query_rows(state, small_data, rows[:0], query).shape == (0, full.shape[1])
