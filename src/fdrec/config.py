@@ -16,6 +16,7 @@ import configparser
 import dataclasses
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -136,6 +137,10 @@ class RunConfig:
 
 def _validate(cfg: RunConfig) -> None:
     d, s, m, t, e = cfg.data, cfg.synth, cfg.model, cfg.train, cfg.eval
+    for name in _SECTIONS:
+        for key, v in dataclasses.asdict(getattr(cfg, name)).items():
+            _require(not isinstance(v, float) or math.isfinite(v),
+                     f"[{name}] {key} must be finite")
 
     _require(d.min_orders >= 1, "[data] min_orders must be >= 1")
     _require(d.valid_window_days > 0, "[data] valid_window_days must be positive")

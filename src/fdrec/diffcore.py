@@ -9,15 +9,15 @@ ranking losses, all batched over leading axes.
 History windows are packed: ops read a batch's N real window slots as rows,
 and :func:`segment_sum` adds them back into their batch rows.  Recurrent
 history encoders use one fused op, :func:`gru_sequence`: a whole masked GRU
-run over packed slots is a single tape node whose backward pass is
-hand-written backpropagation through time.  Training and inference run the
-same op; there is no tape-free twin.  The models' windows are left-padded,
-so the rows are sorted by their first real step, and each step projects,
-multiplies, caches and backpropagates only the rows started so far.  Its
-products keep the row rule below, so a row's hidden state does not depend
-on its batch mates or on the batch size; the gradients equal those of
-stepping every slot up to rounding.  The tests check the op against a
-reference GRU step built from the primitives.
+run is a single tape node whose backward pass is hand-written
+backpropagation through time.  Training and inference run the same op;
+there is no tape-free twin.  It is fed by a table and one code per real
+slot, and a row's h depends only on its codes, so the op steps each
+distinct prefix of the rows' codes once, as the nodes of a prefix trie, and
+a masked slot is skipped.  Its products keep the row rule below, so a row's
+hidden state does not depend on its batch mates or on the batch size; the
+gradients equal those of stepping every slot up to rounding.  The tests
+check the op against a reference GRU step built from the primitives.
 
 The row rule.  OpenBLAS rounds a row of a product alike at any row count
 if the product has two or more rows and four or more output columns, keeps
@@ -26,7 +26,7 @@ terms with the SkylakeX kernels); a one-row product takes the gemv path.  So
 each product op keeps the rule in its one tape node, and a query row scores
 the same whatever its batch mates: :func:`dense` appends zero rows up to two
 rows and four outputs, :func:`pooled` also sums over ascending ranges of 256
-codes, and :func:`gru_sequence` steps on at least two rows in place.
+codes, and :func:`gru_sequence` runs its products on at least two rows.
 """
 
 from __future__ import annotations
@@ -451,105 +451,89 @@ def pooled(pool, emb: Var, codes) -> Var:
 
 
 def gru_sequence(p: GRUParams, xs, mask) -> Var:
-    """Final hidden state [B,D] of a masked GRU run over ``xs`` [N,I], the
-    inputs at the N real slots of ``mask`` [B,L] in row-major order.  Or
-    ``xs`` is ``(table, codes)``, an embedding-fed run: the real slot j
-    reads row ``codes[j]`` of ``table`` [M,I].
+    """Final hidden state [B,D] of a masked GRU run over ``mask`` [B,L] fed
+    by ``xs = (table, codes)``: the real slot j, in row-major order, reads
+    row ``codes[j]`` of ``table`` [M,I].
 
     Each step is ``h' = (1 - z) * h + z * h_cand``, starting from h = 0, with
     update gate ``z``, reset gate ``r`` and candidate
     ``h_cand = tanh(W_h x + U_h (r * h) + b_h)``; where ``mask`` is 0 the
-    step keeps the row's previous h.  The whole run is one tape node used by
-    training and inference alike; the VJP is backpropagation through time.
+    step keeps the row's previous h, so a masked slot is the same as no slot.
+    The whole run is one tape node used by training and inference alike; the
+    VJP is backpropagation through time.
 
-    The run is packed.  A row's h stays exactly 0 until its first real step,
-    so the rows are stable-sorted by that step, and the rows started by step
-    ``t`` are a prefix ``[:n_t]``.  Step ``t`` computes its gates, update and
-    caches on that prefix only, and ``mask`` still decides which of those
-    rows it updates.  The packed slots, each row's steps from its first real
-    one on, sit time-major in ``[P, ·]`` arrays; a masked one reads a zero
-    input.  Only they are projected, through a contiguous copy of ``W.T`` and
-    with at least two rows, by the row rule.
+    The run steps each distinct input prefix once.  A row's h depends only
+    on the codes of its real slots, so the rows are lexsorted by those codes,
+    left-aligned, and the distinct prefixes of length t + 1 are the depth-t
+    nodes of a trie: the rows through a node are contiguous, and each node
+    records its code and its parent, the root (h = 0) for depth 0.  Depth t
+    gathers its nodes' h from their parents and runs the gates and products
+    on those nodes only; a row's output is the h of the node where its codes
+    end.  The table is projected once, through a contiguous copy of ``W.T``,
+    and each node reads its code's row of ``table @ W.T + b``.  That product
+    and the recurrent products ``h @ U`` run on at least two rows, by the row
+    rule: a one-node depth also reads the next row, which is 0 or unused.  So
+    a row's h has the bits of that row run alone, whatever its batch mates.
 
-    The embedding-fed form projects the table instead, once, with a zero row
-    appended for the masked slots to read, and each step gathers its slots'
-    rows of ``table @ W.T``.  Each row of that product has the bits of the
-    same row in the product over the gathered slots, so the run keeps the
-    bits of the rows form over ``gather_rows(table, codes)``.  Its backward
-    sums each code's packed input gradients into ``S`` [M, 3D], by a one-hot
-    product sized for small tables such as a flag table, and takes
-    ``dW = S.T @ table`` and ``d table = S @ W``: the same sums in another
-    order, so only these two gradients move, in their last bits.
-
-    The recurrent products ``h @ U`` run on the step's prefix too, through
-    contiguous copies of ``U.T`` and with at least two rows, by the row rule:
-    a one-row step also reads the next row, which is 0 or unused.  So a row's
-    h depends neither on how many of its batch mates have started nor on the
-    batch size, and a query scores the same in any chunk.
-    The steps write their gates, candidate and new h in place into the
-    packed caches, and keep a masked row's h only on steps with a hole.  The
-    backward is packed throughout: each step's products run on its prefix,
-    and the gradients of W, U, b and the input are products over the P
-    packed slots.  They equal those of stepping every slot up to rounding.
+    The backward runs depth by depth on the nodes, the deepest first.  A
+    node's children are contiguous, so their h gradients are added into it
+    with ``np.add.reduceat``.  U's and b's gradients are products and sums
+    over the nodes.  Each code's input gradients are summed into ``S``
+    [M, 3D], by a one-hot product for tables under 64 rows such as a flag
+    table and by a scatter for larger ones, and ``dW = S.T @ table`` and
+    ``d table = S @ W``.  These equal the gradients of stepping every slot
+    up to rounding: they add the same terms in another order.
     """
-    codes = np.asarray(xs[1]) if isinstance(xs, tuple) else None
-    x = _as_var(xs if codes is None else xs[0])
+    table, codes = _as_var(xs[0]), np.asarray(xs[1])
     keep = np.asarray(mask, dtype=bool)
-    if (keep.ndim != 2 or x.data.ndim != 2 or (codes is not None and codes.ndim != 1)
-            or len(x.data if codes is None else codes) != keep.sum()):
-        raise ValueError("a GRU run expects mask [B,L] and xs [mask.sum(),I] "
-                         "or (table [M,I], codes [mask.sum()])")
-    if codes is not None:
-        _check_indices(codes, len(x.data))
+    if (keep.ndim != 2 or table.data.ndim != 2 or codes.ndim != 1
+            or len(codes) != keep.sum()):
+        raise ValueError("a GRU run expects mask [B,L], table [M,I] and codes [mask.sum()]")
+    _check_indices(codes, len(table.data))
     # gates stacked z, r, h: w [3D,I], u [3D,D], b [3D]
     w, u, b = (np.concatenate([getattr(p, t + g).data for g in "zrh"]) for t in "wub")
-    (B, L), (M, I) = keep.shape, x.data.shape
+    (B, L), M = keep.shape, len(table.data)
     D = u.shape[1]
-    # first real step of each row (L if none); step t runs rows order[:n[t]],
-    # whose packed slots are off[t]:off[t + 1], at flat slots slot[...]
-    first = (~np.logical_or.accumulate(keep, axis=1)).sum(axis=1)
-    order = np.argsort(first, kind="stable")
-    n = np.searchsorted(first[order], np.arange(L), side="right")
+    # each row's codes left-aligned and -1 past its end, rows in lexical order
+    lens = keep.sum(axis=1)
+    seq = np.full((B, L), -1)
+    seq[np.arange(L) < lens[:, None]] = codes
+    order = np.lexsort(seq.T[::-1]) if L else np.arange(B)
+    seq, lens = seq[order], lens[order]
+    # a row starts a depth-t node where its first t + 1 codes differ from the
+    # previous row's.  Nodes get ids 1..P depth by depth, and node id j + 1
+    # sits at index j of code and parent; up[i, t] is row i's node at depth
+    # t - 1, the root 0 at t = 0, so a row ends at up[i, lens[i]]
+    new = np.ones((B, L), dtype=bool)
+    new[1:] = seq[1:] != seq[:-1]
+    new = np.logical_or.accumulate(new, axis=1) & (seq >= 0)
+    up = np.hstack([np.zeros((B, 1), dtype=np.int64), np.cumsum(new.T).reshape(L, B).T])
+    code, parent, end = seq.T[new.T], up[:, :-1].T[new.T], up[np.arange(B), lens]
+    n = new.sum(axis=0)
     off = np.concatenate(([0], np.cumsum(n)))
-    step = np.repeat(np.arange(L), n)
-    slot = order[np.arange(off[-1]) - off[step]] * L + step
-    # input row of each packed slot; a masked one reads a zero row and writes
-    # its (zero) gradient to an extra row N, which is dropped
-    real = keep.ravel()
-    N = int(real.sum())
-    src = (np.cumsum(real) - 1)[slot]
-    hole = np.flatnonzero(~real[slot])
-    if codes is None:
-        # the spare row keeps a one-slot run off BLAS's gemv path
-        feed = x.data[np.append(src, src[:1])]
-        feed[hole] = 0.0
-    else:
-        feed = np.vstack([x.data, np.zeros((1, I))])
-    src[hole] = N
-    xp = feed @ np.ascontiguousarray(w.T)
+    P, T, R = off[-1], int(lens.max(initial=0)), max(int(n.max(initial=0)), 2)
+    # the first child of each parent, where each depth's firsts begin, and
+    # the first of the rows that end at each node: equal rows are contiguous
+    first = np.flatnonzero(np.diff(parent, prepend=-1))
+    cut = np.searchsorted(first, off)
+    tie = np.flatnonzero(np.diff(end, prepend=-1))
+    xp = _pad_rows(table.data, 2) @ np.ascontiguousarray(w.T)
     xp += b
-    if codes is not None:
-        code = np.append(codes, M)[src]
-        xt = np.empty((B, 3 * D))
+    xn = xp[code]
     u_zr, u_h = (np.ascontiguousarray(u[g].T) for g in (slice(2 * D), slice(2 * D, None)))
-    keep = keep[order]
-    # steps whose started rows include a masked one: a hole in a window
-    holed = ((np.arange(B)[:, None] < n) & ~keep).any(axis=0)
-    # hs[off[t]:off[t + 1]] is h before step t, and step t writes its new h
-    # to the first n[t] rows of the next slice; the rows' final h end up at
-    # hs[P:P + B].  The rows past a slice are 0 or unused when a one-row step
-    # reads two; the product buffers pz and ph hold R rows for the same reason.
-    P, R = len(slot), max(B, 2)
-    hs, rhs = np.zeros((P + R, D)), np.zeros((P + 1, D))
+    # hn[j] is the h of node id j, 0 for the root; hs[j] is node id j + 1's
+    # h before its step, its parent's, and rhs[j] its r * h.  The rows past
+    # a depth are 0 or unused when a one-node depth reads two, and the
+    # product buffers pz and ph hold R rows for the same reason.
+    hn = np.zeros((P + 1, D))
+    hs, rhs = np.zeros((P + 1, D)), np.zeros((P + 1, D))
     zrs, cs = np.empty((P, 2 * D)), np.empty((P, D))
     pz, ph = np.empty((R, 2 * D)), np.empty((R, D))
-    for t in range(L):
-        k, a, e = n[t], off[t], off[t + 1]
-        if k == 0:
-            continue
-        kk = max(k, 2)
-        xa = xp[a:e] if codes is None else np.take(xp, code[a:e], axis=0, out=xt[:k])
-        hp, zr, rh, c, hn = hs[a:e], zrs[a:e], rhs[a:e], cs[a:e], hs[e : e + k]
+    for t in range(T):
+        a, e = off[t], off[t + 1]
+        k, kk = e - a, max(e - a, 2)
+        xa, hp, zr, rh, c, h = xn[a:e], hs[a:e], zrs[a:e], rhs[a:e], cs[a:e], hn[1 + a : 1 + e]
+        np.take(hn, parent[a:e], axis=0, out=hp)
         # zr = sigmoid(x W_zr + h U_zr), c = tanh(x W_h + (r * h) U_h)
         np.add(xa[:, : 2 * D], np.matmul(hs[a : a + kk], u_zr, out=pz[:kk])[:k], out=zr)
         _sigmoid(zr, out=zr)
@@ -557,30 +541,26 @@ def gru_sequence(p: GRUParams, xs, mask) -> Var:
         np.multiply(zr[:, D:], hp, out=rh)
         np.add(xa[:, 2 * D :], np.matmul(rhs[a : a + kk], u_h, out=ph[:kk])[:k], out=c)
         np.tanh(c, out=c)
-        # h' = (1 - z) * h + z * c, or h where the step is masked
-        np.subtract(1.0, z, out=hn)
-        hn *= hp
-        hn += np.multiply(z, c, out=ph[:k])
-        if holed[t]:
-            np.copyto(hn, hp, where=~keep[:k, t, None])
+        # h' = (1 - z) * h + z * c
+        np.subtract(1.0, z, out=h)
+        h *= hp
+        h += np.multiply(z, c, out=ph[:k])
     out = np.empty((B, D))
-    out[order] = hs[P : P + B]
+    out[order] = hn[end]
     hs, rhs = hs[:P], rhs[:P]
 
     def vjp(g):
-        gh = g[order]
+        # gh[j] is the gradient of node id j's h; the root's is dropped
+        gh = np.zeros((P + 1, D))
+        gh[end[tie]] = np.add.reduceat(g[order], tie, axis=0)
         dxp = np.empty((P, 3 * D))
-        v1, v2 = np.empty((B, D)), np.empty((B, 2 * D))
-        drh_, pu = np.empty((B, D)), np.empty((B, D))
-        for t in range(L - 1, -1, -1):
-            k, a, e = n[t], off[t], off[t + 1]
-            if k == 0:
-                continue
-            m = keep[:k, t, None]
-            # gn is gh[:k] itself, and becomes the gradient of h before step
-            # t in place, unless a started row is masked at step t
-            gn = np.where(m, gh[:k], 0.0) if holed[t] else gh[:k]
-            zr, c, hp, d = zrs[a:e], cs[a:e], hs[a:e], dxp[a:e]
+        v1, v2 = np.empty((R, D)), np.empty((R, 2 * D))
+        drh_, pu = np.empty((R, D)), np.empty((R, D))
+        for t in range(T - 1, -1, -1):
+            a, e = off[t], off[t + 1]
+            k = e - a
+            # gn becomes the gradient of each node's h before its step in place
+            gn, zr, c, hp, d = gh[1 + a : 1 + e], zrs[a:e], cs[a:e], hs[a:e], dxp[a:e]
             z, r, drh = zr[:, :D], zr[:, D:], drh_[:k]
             # d_h = gn * z * (1 - c * c), drh = d_h U_h
             np.multiply(gn, z, out=d[:, 2 * D :])
@@ -595,35 +575,30 @@ def gru_sequence(p: GRUParams, xs, mask) -> Var:
             np.subtract(1.0, zr, out=v2[:k])
             v2[:k] *= zr
             d[:, : 2 * D] *= v2[:k]
-            # gn * (1 - z) + drh * r + d_zr U_zr
+            # gn * (1 - z) + drh * r + d_zr U_zr, summed over each parent's children
             np.subtract(1.0, z, out=v1[:k])
             gn *= v1[:k]
             drh *= r
             gn += drh
             gn += np.matmul(d[:, : 2 * D], u[: 2 * D], out=pu[:k])
-            if holed[t]:
-                np.copyto(gh[:k], gn, where=m)
-        if codes is None:
-            dw = dxp.T @ feed[:P]
-            dx = np.empty((N + 1, I))
-            dx[src] = dxp @ w
-            dx = dx[:N]
-        else:
-            # the masked slots read code M, which no row of the one-hot picks
+            s = first[cut[t] : cut[t + 1]] - a
+            gh[parent[a:e][s]] += np.add.reduceat(gn, s, axis=0)
+        if M < 64:
             sums = (code == np.arange(M)[:, None]).astype(np.float64) @ dxp
-            dw = sums.T @ x.data
-            dx = sums @ w
+        else:
+            sums = _scatter_rows(code, dxp, (M, 3 * D))
+        dw = sums.T @ table.data
         du_zr = dxp[:, : 2 * D].T @ hs
         du_h = dxp[:, 2 * D :].T @ rhs
         db = dxp.sum(axis=0)
         return (
-            dx,
+            sums @ w,
             dw[:D], du_zr[:D], db[:D],
             dw[D : 2 * D], du_zr[D:], db[D : 2 * D],
             dw[2 * D :], du_h, db[2 * D :],
         )
 
-    return Var(out, (x, *p), vjp)
+    return Var(out, (table, *p), vjp)
 
 
 def adam_step(

@@ -94,6 +94,10 @@ def exprec_query(state: dc.ModelState, data: features.Dataset,
     """Fused trigger vectors [B, D] of the interactions at flat ``rows``, the
     queries every ExpRec score dots with.
 
+    The history GRU is fed by a table of each distinct window slot's
+    ``store ⊕ situation`` row, embedded once, and by each real slot's code
+    into it, the ``np.unique`` inverse; :func:`fdrec.diffcore.gru_sequence`
+    then steps each distinct prefix of those codes once.
     The neighbours are the frozen per-user tables from :func:`neighbor_arrays`
     that ``state.meta`` names; the mix weights ``a`` do not depend on the
     neighbour, so their trigger is ``Σ_j a_j · (W @ act_j(E[n]))`` over the
@@ -105,17 +109,18 @@ def exprec_query(state: dc.ModelState, data: features.Dataset,
     mask = _check_mask(meta["ablate"])
     seqs = data.seqs
     win = features.gather_window(seqs, rows, int(meta["window"]))
-    B, N = len(rows), len(win.slot)
+    slots, inv = np.unique(win.slot, return_inverse=True)
+    B, S = len(rows), len(slots)
 
-    # the window's slots and the rows themselves, embedded in one pass
-    mu_u, idx = features.situations(state, seqs, np.concatenate([win.slot, rows]))
-    e_mu = dc.gather_rows(mu_u, idx[N:])
+    # the window's distinct slots and the rows themselves, embedded in one pass
+    mu_u, idx = features.situations(state, seqs, np.concatenate([slots, rows]))
+    e_mu = dc.gather_rows(mu_u, idx[S:])
 
-    # history GRU over the window's real slots
-    situ_w = dc.gather_rows(mu_u, idx[:N])
-    store_w = dc.gather_rows(state.leaf("emb.store"), seqs.store[win.slot])
-    xs = dc.concat([store_w, situ_w], axis=-1)          # [N,2D]
-    e_h = dc.gru_sequence(dc.gru_leaves(state, "gru.hist"), xs, win.mask)
+    # history GRU over the window's real slots, each distinct slot's input once
+    situ_w = dc.gather_rows(mu_u, idx[:S])
+    store_w = dc.gather_rows(state.leaf("emb.store"), seqs.store[slots])
+    xs = dc.concat([store_w, situ_w], axis=-1)          # [S,2D]
+    e_h = dc.gru_sequence(dc.gru_leaves(state, "gru.hist"), (xs, inv), win.mask)
 
     # situation-conditioned activation mix, shared by user and neighbors
     a = dc.softmax(dc.dense(state.leaf("cond.w"), state.leaf("cond.b"), e_mu))

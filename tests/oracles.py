@@ -988,14 +988,13 @@ def padded_window(seqs: features.UserSequences, flat_rows: np.ndarray,
 
 
 def padded_gru_sequence(p: dc.GRUParams, xs, mask) -> dc.Var:
-    """:func:`fdrec.diffcore.gru_sequence` over padded inputs [B·L, I], one
-    per grid cell in row-major order, or ``(table, codes)`` with codes [B·L]
-    gathered into them: the real slots are picked on the tape by the raveled
-    mask, so their gradient lands in the grid with zeros at the masked cells."""
-    if isinstance(xs, tuple):
-        xs = dc.gather_rows(*xs)
-    return _packed_gru_sequence(p, dc.getitem(xs, np.asarray(mask, dtype=bool).ravel()),
-                                mask)
+    """:func:`fdrec.diffcore.gru_sequence` fed by ``xs = (table, codes)``
+    with codes [B·L], one per grid cell in row-major order: the table's rows
+    are gathered at every cell on the tape, and the run reads the real
+    cells, picked by the raveled mask, so the table's gradient is scattered
+    from the grid with zeros at the masked cells."""
+    real = np.flatnonzero(np.asarray(mask, dtype=bool).ravel())
+    return _packed_gru_sequence(p, (dc.gather_rows(*xs), real), mask)
 
 
 def reprec_query_per_slot(state: dc.ModelState, data: features.Dataset,
@@ -1086,7 +1085,7 @@ def exprec_query_dense(state: dc.ModelState, data: features.Dataset,
     situ_w = dc.gather_rows(mu_u, idx[:N])
     store_w = dc.gather_rows(state.leaf("emb.store"), seqs.store[win.slot])
     xs = dc.concat([store_w, situ_w], axis=-1)
-    e_h = dc.gru_sequence(dc.gru_leaves(state, "gru.hist"), xs, win.mask)
+    e_h = dc.gru_sequence(dc.gru_leaves(state, "gru.hist"), (xs, np.arange(N)), win.mask)
     a = dc.softmax(dc.dense(state.leaf("cond.w"), state.leaf("cond.b"), e_mu))
     u_emb = dc.gather_rows(state.leaf("emb.user"), win.user)
     e_u = _mix(a, [act(u_emb) for act in _ACTIVATIONS_VAR])

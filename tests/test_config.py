@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from fdrec import baselines, cli, dataio, ensemble, exprec, reprec
+from fdrec import baselines, cli, config, dataio, ensemble, exprec, reprec
 from fdrec.config import ConfigError, load_config, write_config
 from fdrec.dataio import SECONDS_PER_DAY, SynthConfig
 from fdrec.exprec import TRIGGERS
@@ -95,6 +95,19 @@ def test_bad_value_type_rejected(tmp_path):
 def test_validation_errors(tmp_path, body, needle):
     path = write(tmp_path, body)
     with pytest.raises(ConfigError, match=needle):
+        load_config(path)
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "-inf"])
+@pytest.mark.parametrize("section, key", [
+    (name, f.name) for name, cls in config._SECTIONS.items()
+    for f in dataclasses.fields(cls) if isinstance(f.default, float)
+])
+def test_a_non_finite_float_is_rejected_naming_its_key(tmp_path, section, key, value):
+    """Every float key: ``inf`` would otherwise fail later without naming
+    the key (a window of days cast to int, or a loss that is not finite)."""
+    path = write(tmp_path, f"[{section}]\n{key} = {value}\n")
+    with pytest.raises(ConfigError, match=rf"^\[{section}\] {key} must be finite$"):
         load_config(path)
 
 

@@ -371,13 +371,15 @@ def run_gru(fn, state, xs, mask, target):
     """h, the gradient of ``xs`` [B, L, I] at the real slots [N, I] and every
     weight gradient of ``sum(tanh(h) * target)``.
 
-    ``gru_sequence`` reads the real slots packed; the stepwise reference
-    reads every slot, and its gradient must be exactly 0 at the masked ones.
+    ``gru_sequence`` reads the real slots from a table of one row per slot;
+    the stepwise reference reads every slot, and its gradient must be
+    exactly 0 at the masked ones.
     """
     oracles.zero_grads(state)
     real = np.asarray(mask, dtype=bool)
     x = var(xs if fn is stepwise_gru else xs[real])
-    h = fn(dc.gru_leaves(state, "g"), x, mask)
+    h = fn(dc.gru_leaves(state, "g"), x if fn is stepwise_gru else (x, np.arange(real.sum())),
+           mask)
     dc.backward(dc.sum_(dc.mul(dc.tanh(h), target)))
     gx = x.grad
     if fn is stepwise_gru:
@@ -478,7 +480,9 @@ def test_gru_sequence_backward_matches_stepwise_cells_at_larger_shapes():
 def test_gru_sequence_h_of_a_row_does_not_depend_on_its_batch_mates(D, I, form):
     """A row alone among empty windows, as a padded query chunk holds it,
     gets bit for bit the h it gets among windows of every length; and the
-    first rows of a batch get the h they get in a batch of any size."""
+    first rows of a batch get the h they get in a batch of any size.  The
+    run is fed by a two-row table, whose codes share prefixes, or by a table
+    of one row per real slot."""
     B, L = 128, 20
     lengths = rng(58).integers(0, L + 1, size=B)
     state = gru_state(16, in_dim=I, hidden=D)
@@ -490,7 +494,8 @@ def test_gru_sequence_h_of_a_row_does_not_depend_on_its_batch_mates(D, I, form):
 
     def run(m, xs=xs, codes=codes):
         real = m == 1.0
-        return dc.gru_sequence(p, xs[real] if form == "rows" else (table, codes[real]), m).data
+        fed = (xs[real], np.arange(real.sum())) if form == "rows" else (table, codes[real])
+        return dc.gru_sequence(p, fed, m).data
 
     h = run(mask)
     for j in rng(60).choice(np.flatnonzero(lengths), size=19, replace=False):
@@ -509,11 +514,11 @@ def test_gru_sequence_h_of_a_row_does_not_depend_on_its_batch_mates(D, I, form):
 
 def run_table_gru(state, table, codes, mask, target, fed=True):
     """h and the table and weight gradients of ``sum(tanh(h) * target)``
-    for the embedding-fed run, or with ``fed=False`` for the rows form over
-    ``gather_rows(table, codes)``."""
+    for the run fed by ``table``, or with ``fed=False`` by a table of the
+    rows ``gather_rows(table, codes)``, one per real slot."""
     oracles.zero_grads(state)
     t = var(table)
-    xs = (t, codes) if fed else dc.gather_rows(t, codes)
+    xs = (t, codes) if fed else (dc.gather_rows(t, codes), np.arange(len(codes)))
     h = dc.gru_sequence(dc.gru_leaves(state, "g"), xs, mask)
     dc.backward(dc.sum_(dc.mul(dc.tanh(h), target)))
     return h.data, t.grad, {n: p.grad.copy() for n, p in state.params.items()}
@@ -532,8 +537,9 @@ def holed_windows(L: int, seed: int) -> np.ndarray:
 @pytest.mark.parametrize("D, I", [(5, 6), (16, 24), (32, 32), (64, 64)])
 def test_gru_sequence_fed_by_a_table_keeps_the_bits_of_the_gathered_rows(M, D, I):
     """Projecting the table once gives every slot the bits of projecting
-    the gathered slots, so h, U's and b's gradients are bit-equal; only the
-    table's and W's gradients are added in another order."""
+    the gathered slots, so h is bit-equal.  The slots that share a code
+    prefix are stepped once, so every gradient adds the same terms in
+    another order, within 1e-12 of each array's largest magnitude."""
     L = 9
     mask = holed_windows(L, 62 + M)
     state = gru_state(17, in_dim=I, hidden=D)
@@ -548,11 +554,8 @@ def test_gru_sequence_fed_by_a_table_keeps_the_bits_of_the_gathered_rows(M, D, I
     np.testing.assert_allclose(gt, gt_ref, atol=1e-12 * np.abs(gt_ref).max(), rtol=0)
     for name in g_ref:
         assert np.abs(g_ref[name]).max() > 0.0, name
-        if ".w" in name:
-            np.testing.assert_allclose(g[name], g_ref[name], rtol=0, err_msg=name,
-                                       atol=1e-12 * np.abs(g_ref[name]).max())
-        else:
-            np.testing.assert_array_equal(g[name], g_ref[name], err_msg=name)
+        np.testing.assert_allclose(g[name], g_ref[name], rtol=0, err_msg=name,
+                                   atol=1e-12 * np.abs(g_ref[name]).max())
 
 
 def test_gru_sequence_fed_by_a_table_on_an_empty_window_is_zero():
@@ -587,8 +590,8 @@ def test_gru_sequence_table_gradient_check():
 
 
 def test_gru_sequence_a_hole_adds_nothing_to_the_table_gradient():
-    """A masked slot inside a window reads a zero row, which is no row of
-    the table: a row that no real slot reads gets exactly no gradient."""
+    """A masked slot inside a window is skipped and reads no row of the
+    table: a row that no real slot reads gets exactly no gradient."""
     state = gru_state(19, in_dim=4, hidden=3)
     table = rng(69).normal(size=(3, 4))
     mask = np.array([[1, 0, 0, 1], [0, 1, 0, 1]], dtype=np.float64)
@@ -628,16 +631,18 @@ def test_gru_sequence_empty_run_and_mask_shape():
     state = dc.ModelState(seed=7)
     state.add_gru("g", in_dim=4, hidden=3)
     p = dc.gru_leaves(state, "g")
-    empty = dc.gru_sequence(p, np.zeros((0, 4)), np.ones((2, 0))).data
-    np.testing.assert_array_equal(empty, np.zeros((2, 3)))
+    empty = dc.gru_sequence(p, (np.zeros((2, 4)), np.zeros(0, dtype=int)), np.ones((2, 0)))
+    np.testing.assert_array_equal(empty.data, np.zeros((2, 3)))
     mask = np.ones((6, 5))
     mask[2, :3] = 0.0
-    xs = rng(32).normal(size=(27, 4))
-    assert dc.gru_sequence(p, xs, mask).shape == (6, 3)
-    for bad_xs, bad_mask in [(xs.reshape(27, 2, 2), mask), (xs, mask[:, :, None]),
-                             (xs[:-1], mask), (np.vstack([xs, xs[:1]]), mask)]:
+    xs, codes = rng(32).normal(size=(27, 4)), np.arange(27)
+    assert dc.gru_sequence(p, (xs, codes), mask).shape == (6, 3)
+    for bad_xs, bad_codes, bad_mask in [
+            (xs.reshape(27, 2, 2), codes, mask), (xs, codes, mask[:, :, None]),
+            (xs, codes[:-1], mask), (xs, np.append(codes, 0), mask),
+            (xs, codes[:, None], mask)]:
         with pytest.raises(ValueError, match="mask"):
-            dc.gru_sequence(p, bad_xs, bad_mask)
+            dc.gru_sequence(p, (bad_xs, bad_codes), bad_mask)
 
 
 def test_gru_sequence_gradient_check():
@@ -648,11 +653,101 @@ def test_gru_sequence_gradient_check():
     target = rng(34).normal(size=(3, 4))
 
     def forward(s):
-        h = dc.gru_sequence(dc.gru_leaves(s, "g"), s.leaf("xs"), mask)
+        h = dc.gru_sequence(dc.gru_leaves(s, "g"), (s.leaf("xs"), np.arange(6)), mask)
         diff = dc.sub(h, target)
         return dc.mean_(dc.mul(diff, diff))
 
     err = oracles.finite_difference_check(forward, state, num_coords=80, rng_seed=0)
+    assert err <= 1e-4
+
+
+# windows of codes into a 5-row table, stepped as one prefix trie: duplicate
+# rows, a window that is a prefix of others, the codes 1, 2 from depth 0 and
+# from depth 1, an empty window, and depths 4 and 5 with a single node
+TRIE_WINDOWS = [[0, 1, 2], [0, 1, 2], [0, 1], [0, 1, 2, 3], [1, 2], [1, 2, 3], [3], [],
+                [4, 4, 4, 4, 4, 4], [0, 1, 2]]
+
+
+def trie_batch(windows, L: int, holes: bool = False):
+    """Left-padded masks [B, L] and codes of ``windows``; with ``holes``,
+    each window's masked slots are spread between its real ones instead."""
+    mask = np.zeros((len(windows), L))
+    for i, w in enumerate(windows):
+        cols = L - len(w) + np.arange(len(w))
+        if holes and 1 < len(w) < L:
+            cols = np.rint(np.linspace(0, L - 1, len(w))).astype(int)
+        mask[i, cols] = 1.0
+    return mask, np.array([c for w in windows for c in w], dtype=np.int64)
+
+
+@pytest.mark.parametrize("D, I", [(5, 6), (32, 64)])
+def test_gru_sequence_a_row_in_a_prefix_trie_gets_its_bits_alone(D, I):
+    """Every row's h is bit for bit the h of that row run alone, whatever
+    prefixes, duplicates and depths it shares with its batch mates."""
+    prefixes = [{tuple(w[: t + 1]) for w in TRIE_WINDOWS if len(w) > t} for t in range(6)]
+    assert [len(p) for p in prefixes] == [4, 3, 3, 2, 1, 1]  # nodes per depth
+    state = gru_state(21, in_dim=I, hidden=D)
+    p = dc.gru_leaves(state, "g")
+    table = rng(75).normal(size=(5, I))
+    mask, codes = trie_batch(TRIE_WINDOWS, 8)
+    h = dc.gru_sequence(p, (table, codes), mask).data
+    starts = np.concatenate(([0], np.cumsum(mask.sum(axis=1)))).astype(int)
+    for j in range(len(mask)):
+        alone = dc.gru_sequence(p, (table, codes[starts[j] : starts[j + 1]]), mask[j : j + 1])
+        np.testing.assert_array_equal(alone.data[0], h[j], err_msg=f"row {j}")
+    np.testing.assert_array_equal(h[7], 0.0)
+    assert len({tuple(r) for r in h}) == len({tuple(w) for w in TRIE_WINDOWS})
+
+
+def test_gru_sequence_a_window_with_holes_is_the_window_without_them():
+    """A masked slot keeps h, so holes change neither h nor any gradient."""
+    state = gru_state(22, in_dim=6, hidden=5)
+    table = rng(76).normal(size=(5, 6))
+    target = rng(77).normal(size=(len(TRIE_WINDOWS), 5))
+    holed, _ = trie_batch(TRIE_WINDOWS, 8, holes=True)
+    assert (np.diff(holed, axis=1) < 0).any(axis=1).sum() == 8  # masked after real
+    runs = [run_table_gru(state, table, *trie_batch(TRIE_WINDOWS, 8, holes)[::-1], target)
+            for holes in (False, True)]
+    (h, gt, g), (h_holed, gt_holed, g_holed) = runs
+    np.testing.assert_array_equal(h_holed, h)
+    np.testing.assert_array_equal(gt_holed, gt)
+    for name in g:
+        assert np.abs(g[name]).max() > 0.0, name
+        np.testing.assert_array_equal(g_holed[name], g[name], err_msg=name)
+
+
+def test_gru_sequence_on_shared_prefixes_matches_stepwise_cells():
+    """The trie's gradients, its children's sums added into their parents,
+    match stepping every slot of the gathered windows up to rounding."""
+    state = gru_state(23, in_dim=6, hidden=5)
+    table = rng(78).normal(size=(5, 6))
+    mask, codes = trie_batch(TRIE_WINDOWS, 8, holes=True)
+    target = rng(79).normal(size=(len(mask), 5))
+    xs = np.zeros(mask.shape + (6,))
+    xs[mask == 1.0] = table[codes]
+    h_ref, gx_ref, g_ref = run_gru(stepwise_gru, state, xs, mask, target)
+    h, gt, g = run_table_gru(state, table, codes, mask, target)
+    np.testing.assert_allclose(h, h_ref, atol=1e-12, rtol=0)
+    gt_ref = np.zeros_like(table)
+    np.add.at(gt_ref, codes, gx_ref)
+    for got, ref in [(gt, gt_ref)] + [(g[n], g_ref[n]) for n in g_ref]:
+        np.testing.assert_allclose(got, ref, atol=1e-12 * np.abs(ref).max(), rtol=0)
+
+
+def test_gru_sequence_gradient_check_on_shared_prefixes():
+    state = dc.ModelState(seed=12)
+    state.add_gru("g", in_dim=3, hidden=4)
+    state.add_param("t", (5, 3), scale=1.0)  # the table; probes its gradient
+    mask, codes = trie_batch(TRIE_WINDOWS, 8, holes=True)
+    target = rng(80).normal(size=(len(mask), 4))
+
+    def forward(s):
+        h = dc.gru_sequence(dc.gru_leaves(s, "g"), (s.leaf("t"), codes), mask)
+        diff = dc.sub(h, target)
+        return dc.mean_(dc.mul(diff, diff))
+
+    # every coordinate, the table's 15 and the 96 of W, U and b
+    err = oracles.finite_difference_check(forward, state, num_coords=200, rng_seed=0)
     assert err <= 1e-4
 
 
