@@ -20,7 +20,7 @@ import math
 import os
 from dataclasses import dataclass
 
-from .dataio import SECONDS_PER_DAY, SynthConfig, atomic_open
+from .dataio import SECONDS_PER_DAY, SynthConfig, _check_synth, atomic_open
 from .exprec import TRIGGERS
 from .training import ModelSection, TrainSettings
 
@@ -147,15 +147,10 @@ def _validate(cfg: RunConfig) -> None:
     _require(d.test_window_days > 0, "[data] test_window_days must be positive")
     _require(bool(d.out), "[data] out must be a non-empty path")
 
-    for key in ("n_users", "n_stores", "n_orders_per_user", "n_locations",
-                "n_brands", "n_cuisines", "span_days", "modes_per_user",
-                "n_clusters"):
-        _require(getattr(s, key) >= 1, f"[synth] {key} must be >= 1")
-    for key in ("repeat_prob", "situation_coupling", "collab_coupling"):
-        v = getattr(s, key)
-        _require(0.0 <= v <= 1.0, f"[synth] {key} must be within [0, 1]")
-    _require(s.start_time >= 0, "[synth] start_time must be >= 0")
-    _require(s.seed >= 0, "[synth] seed must be >= 0")
+    try:
+        _check_synth(s)
+    except ValueError as err:
+        raise ConfigError(str(err)) from None
 
     for key in ("dim", "repeat_window", "history_window", "k_neighbors",
                 "attn_dim"):

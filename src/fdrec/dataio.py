@@ -12,10 +12,11 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
 import operator
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -292,14 +293,17 @@ def parse_stores(path: str, raw: bytes | None = None) -> dict[str, StoreMeta]:
     return catalog
 
 
+def _records(log: InteractionLog, keep=slice(None)) -> list[tuple[str, str, int, str]]:
+    """The ``keep`` rows of ``log`` as (user_id, store_id, unix_time_s, location_id)."""
+    u, s, loc = log.user_ids, log.store_ids, log.location_ids
+    columns = (log.users, log.stores, log.times, log.locs)
+    return [(u[a], s[b], t, loc[c]) for a, b, t, c in zip(*(x[keep].tolist() for x in columns))]
+
+
 def write_interactions_tsv(log: InteractionLog, path: str) -> None:
     with atomic_open(path) as fh:
         fh.write("\t".join(INTERACTIONS_HEADER) + "\n")
-        for i in range(len(log)):
-            fh.write(
-                f"{log.user_ids[log.users[i]]}\t{log.store_ids[log.stores[i]]}"
-                f"\t{int(log.times[i])}\t{log.location_ids[log.locs[i]]}\n"
-            )
+        fh.writelines(f"{u}\t{s}\t{t}\t{loc}\n" for u, s, t, loc in _records(log))
 
 
 def write_stores_tsv(catalog: dict[str, StoreMeta], path: str) -> None:
@@ -318,15 +322,7 @@ def filter_users(log: InteractionLog, min_orders: int) -> InteractionLog:
         raise ValueError("min_orders must be non-negative")
     counts = np.bincount(log.users, minlength=len(log.user_ids))
     keep = counts[log.users] >= min_orders
-    records = [
-        (
-            log.user_ids[log.users[i]],
-            log.store_ids[log.stores[i]],
-            int(log.times[i]),
-            log.location_ids[log.locs[i]],
-        )
-        for i in np.nonzero(keep)[0]
-    ]
+    records = _records(log, keep)
     catalog = None
     if log.catalog is not None:
         kept_stores = {r[1] for r in records}
@@ -431,7 +427,27 @@ class SynthConfig:
     seed: int = 0
 
 
-def _circular(a: np.ndarray, b: int, period: int) -> np.ndarray:
+def _check_synth(cfg: SynthConfig) -> None:
+    """Raise ``ValueError`` naming the first ``[synth]`` key that
+    :func:`generate_synthetic` cannot take: a non-finite float, a count below 1,
+    a probability or coupling outside [0, 1], or a negative start time or seed."""
+    for key, v in asdict(cfg).items():
+        if isinstance(v, float) and not math.isfinite(v):
+            raise ValueError(f"[synth] {key} must be finite")
+    for key in ("n_users", "n_stores", "n_orders_per_user", "n_locations",
+                "n_brands", "n_cuisines", "span_days", "modes_per_user",
+                "n_clusters"):
+        if getattr(cfg, key) < 1:
+            raise ValueError(f"[synth] {key} must be >= 1")
+    for key in ("repeat_prob", "situation_coupling", "collab_coupling"):
+        if not 0.0 <= getattr(cfg, key) <= 1.0:
+            raise ValueError(f"[synth] {key} must be within [0, 1]")
+    for key in ("start_time", "seed"):
+        if getattr(cfg, key) < 0:
+            raise ValueError(f"[synth] {key} must be >= 0")
+
+
+def _circular(a: np.ndarray, b: np.ndarray | int, period: int) -> np.ndarray:
     d = np.abs(a - b)
     return np.minimum(d, period - d)
 
@@ -439,20 +455,21 @@ def _circular(a: np.ndarray, b: int, period: int) -> np.ndarray:
 def generate_synthetic(cfg: SynthConfig) -> tuple[InteractionLog, dict[str, StoreMeta]]:
     """Generate a deterministic synthetic log with plantable regularities.
 
-    Raises for infeasible configurations (cannot explore enough distinct
-    stores when repeats are disabled).
+    Raises ``ValueError`` for a config that :func:`_check_synth` rejects or that
+    cannot explore enough distinct stores when repeats are disabled.
+
+    A seed's log is fixed by the order and arguments of the scalar draws
+    below, so none may be batched, reordered, added or skipped: a size-n
+    ``integers`` call does not consume the stream like n scalar calls.  What
+    draws nothing is computed once per user.  ``generate_synthetic_loop`` in
+    ``tests/oracles.py``, the per-order scans this replaced, gives the same log.
     """
-    if cfg.n_users <= 0 or cfg.n_stores <= 0 or cfg.n_orders_per_user <= 0:
-        raise ValueError("n_users, n_stores, n_orders_per_user must be positive")
-    if not (0.0 <= cfg.repeat_prob <= 1.0):
-        raise ValueError("repeat_prob must be within [0, 1]")
+    _check_synth(cfg)
     if cfg.repeat_prob == 0.0 and cfg.n_orders_per_user > cfg.n_stores:
         raise ValueError(
             "infeasible: repeat_prob=0 needs at least as many stores as orders per user"
         )
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
-    sc = float(cfg.situation_coupling)
-    cc = float(cfg.collab_coupling)
 
     width = max(4, len(str(cfg.n_stores - 1)))
     store_ids = [f"s{i:0{width}d}" for i in range(cfg.n_stores)]
@@ -466,7 +483,7 @@ def generate_synthetic(cfg: SynthConfig) -> tuple[InteractionLog, dict[str, Stor
         for i in range(cfg.n_stores)
     }
 
-    n_clusters = max(1, min(cfg.n_clusters, cfg.n_users))
+    n_clusters = min(cfg.n_clusters, cfg.n_users)
     # Each cluster is a community with a pool of favored stores and its own
     # situational convention: prototype situations are derived from store
     # attributes (cuisine sets the hour and weekday, the store's area the
@@ -495,7 +512,7 @@ def generate_synthetic(cfg: SynthConfig) -> tuple[InteractionLog, dict[str, Stor
         match = all_days[(start_day + all_days + _EPOCH_WEEKDAY_SHIFT) % 7 == dow]
         days_by_dow.append(match if len(match) else all_days)
 
-    n_modes = max(1, cfg.modes_per_user)
+    n_modes = cfg.modes_per_user
 
     uw = max(5, len(str(cfg.n_users - 1)))
     records: list[tuple[str, str, int, str]] = []
@@ -515,16 +532,12 @@ def generate_synthetic(cfg: SynthConfig) -> tuple[InteractionLog, dict[str, Stor
              int(rng.integers(cfg.n_locations)))
             for _ in range(n_modes)
         ]
-        if len(pool):
-            # anchors concentrate on a handful of pool stores so cluster-mates'
-            # explorations overlap enough to make the community discoverable
-            # from preferences alone
-            s = int(pool[rng.integers(min(3, len(pool)))])
-            shared_modes = [(int(proto_hour[cluster, s]), int(proto_dow[cluster, s]),
-                             int(proto_loc[cluster, s]))]
-        else:
-            shared_modes = [(int(rng.integers(24)), int(rng.integers(7)),
-                             int(rng.integers(cfg.n_locations)))]
+        # anchors concentrate on a handful of pool stores so cluster-mates'
+        # explorations overlap enough to make the community discoverable
+        # from preferences alone
+        s = int(pool[rng.integers(min(3, len(pool)))])
+        shared_modes = [(int(proto_hour[cluster, s]), int(proto_dow[cluster, s]),
+                         int(proto_loc[cluster, s]))]
 
         wants_repeat = rng.random(cfg.n_orders_per_user) < cfg.repeat_prob
         times = np.empty(cfg.n_orders_per_user, dtype=np.int64)
@@ -545,65 +558,52 @@ def generate_synthetic(cfg: SynthConfig) -> tuple[InteractionLog, dict[str, Stor
         times, locs, wants_repeat = times[order], locs[order], wants_repeat[order]
         hours = (times // 3600) % 24
         dows = ((times // SECONDS_PER_DAY) + _EPOCH_WEEKDAY_SHIFT) % 7
+        # sim[k, i]: how well order i's situation matches order k's, in the
+        # float operations of the scalar rule 1 - (d_hour + d_dow + miss) / 3
+        sim = 1.0 - (_circular(hours[:, None], hours, 24) / 12.0
+                     + _circular(dows[:, None], dows, 7) / 3.0
+                     + (locs[:, None] != locs).astype(float)) / 3.0
+        # aff[k, p]: the crowd affinity of order k to pool store p
+        dh = _circular(proto_hour[cluster, pool], hours[:, None], 24) / 12.0
+        dw = _circular(proto_dow[cluster, pool], dows[:, None], 7) / 3.0
+        miss = (proto_loc[cluster, pool] != locs[:, None]).astype(float)
+        aff = np.clip(1.0 - (dh + dw + miss) / 3.0, 0.0, 1.0) ** 8
 
         visited: list[int] = []  # first-visit order
-        visited_set: set[int] = set()
-        # per visited store: past (hour, dow, loc) situations
-        past: dict[int, list[tuple[int, int, int]]] = {}
-        for k in range(cfg.n_orders_per_user):
-            can_repeat = bool(visited)
-            can_explore = len(visited_set) < cfg.n_stores
-            if can_repeat and can_explore:
-                is_repeat = bool(wants_repeat[k])
-            else:
-                is_repeat = can_repeat
-            if is_repeat:
-                # with probability sc return to the store whose past
-                # situation best matches now; otherwise revisit uniformly
-                if rng.random() < sc:
-                    best_j = 0
-                    best = -1.0
-                    for j, s in enumerate(visited):
-                        for (h0, w0, l0) in past[s]:
-                            dh = abs(int(hours[k]) - h0)
-                            d_hour = min(dh, 24 - dh) / 12.0
-                            dw = abs(int(dows[k]) - w0)
-                            d_dow = min(dw, 7 - dw) / 3.0
-                            miss = 0.0 if int(locs[k]) == l0 else 1.0
-                            sim = 1.0 - (d_hour + d_dow + miss) / 3.0
-                            if sim > best:
-                                best = sim
-                                best_j = j
-                    store = visited[best_j]
+        rank = np.empty(cfg.n_orders_per_user, dtype=np.int64)  # each order's index in visited
+        pool_left = np.ones(pool_size, dtype=bool)  # unvisited pool stores
+        for k, (t, loc) in enumerate(zip(times.tolist(), locs.tolist())):
+            # the first order explores; once every store is visited, all repeat
+            if visited and (wants_repeat[k] or len(visited) == cfg.n_stores):
+                # with probability situation_coupling return to the store whose
+                # past situation best matches now, the earliest visited on a
+                # tie; otherwise revisit uniformly
+                if rng.random() < cfg.situation_coupling:
+                    past = sim[k, :k]
+                    j = int(rank[:k][past == past.max()].min())
                 else:
-                    store = visited[int(rng.integers(len(visited)))]
+                    j = int(rng.integers(len(visited)))
             else:
-                mask = np.ones(cfg.n_stores, dtype=bool)
-                if visited_set:
-                    mask[list(visited_set)] = False
-                cand = np.nonzero(mask)[0]
                 store = -1
-                # with probability cc follow the crowd affinity between the
-                # current situation and store prototypes; otherwise wander
-                if rng.random() < cc:
-                    in_pool = np.isin(cand, pool)
-                    if in_pool.any():
-                        ps = cand[in_pool]
-                        dh = _circular(proto_hour[cluster, ps], int(hours[k]), 24) / 12.0
-                        dw = _circular(proto_dow[cluster, ps], int(dows[k]), 7) / 3.0
-                        miss = (proto_loc[cluster, ps] != int(locs[k])).astype(float)
-                        aff = np.clip(1.0 - (dh + dw + miss) / 3.0, 0.0, 1.0) ** 8
-                        total = aff.sum()
-                        if total > 0:
-                            pick = int(rng.choice(len(ps), p=aff / total))
-                            store = int(ps[pick])
+                # with probability collab_coupling follow the crowd affinity of
+                # the current situation to the unvisited pool stores; else wander
+                if rng.random() < cfg.collab_coupling and pool_left.any():
+                    w = aff[k, pool_left]
+                    total = w.sum()
+                    if total > 0:
+                        store = int(pool[pool_left][int(rng.choice(len(w), p=w / total))])
                 if store < 0:
-                    store = int(cand[rng.integers(len(cand))])
+                    # the store-th unvisited store, in store order
+                    store = int(rng.integers(cfg.n_stores - len(visited)))
+                    for v in sorted(visited):
+                        if v > store:
+                            break
+                        store += 1
+                j = len(visited)
                 visited.append(store)
-                visited_set.add(store)
-                past[store] = []
-            past[store].append((int(hours[k]), int(dows[k]), int(locs[k])))
-            records.append((user_id, store_ids[store], int(times[k]), f"l{locs[k]:03d}"))
+                pool_left &= pool != store
+            rank[k] = j
+            records.append((user_id, store_ids[visited[j]], t, f"l{loc:03d}"))
 
     log = InteractionLog.from_records(records, tz_offset_minutes=0, catalog=catalog)
     return log, catalog

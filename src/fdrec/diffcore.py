@@ -163,8 +163,13 @@ def concat(parts: Sequence[Var], axis: int = -1) -> Var:
 
 
 def _scatter_rows(idx: Array, g: Array, shape: tuple[int, ...]) -> Array:
-    """Rows of ``g`` added into ``zeros(shape)`` at rows ``idx``; bincount adds
-    in input order, exactly like np.add.at, but faster."""
+    """Rows of ``g`` added into ``zeros(shape)`` at rows ``idx``, with np.add.at's
+    bits: distinct indices are set to ``g + 0.0`` (-0.0 becomes 0.0, as in a
+    sum), repeated ones take a flat bincount, which adds in input order."""
+    if np.bincount(idx.ravel(), minlength=shape[0]).max(initial=0) <= 1:
+        out = np.zeros(shape)
+        out[idx.ravel()] = g.reshape((-1,) + shape[1:]) + 0.0
+        return out
     d = int(np.prod(shape[1:]))
     flat = (idx.reshape(-1, 1) * d + np.arange(d)).ravel()
     return np.bincount(flat, weights=g.reshape(-1), minlength=shape[0] * d).reshape(shape)

@@ -13,7 +13,8 @@ sequence layout and the analysis curves replaced, the padded history
 windows that the packed ones replaced, ExpRec's neighbour trigger as it ran
 before pooling, the ensemble's per-row slate bases and per-length training
 loss as they ran before its slates were padded, a GRU step built from the
-autograd primitives, and the finite-difference gradient check.
+autograd primitives, the synthetic generator's per-order scans, and the
+finite-difference gradient check.
 """
 
 from __future__ import annotations
@@ -30,8 +31,9 @@ from fdrec import diffcore as dc
 from fdrec import ensemble, exprec, features, reprec, situsim
 from fdrec.analysis import (MIN_EVENTS, CurveSeries, InfluenceRecord, _store_attr_codes,
                             _store_similarity_arrays)
-from fdrec.dataio import (SECONDS_PER_WEEK, DatasetSplit, InteractionLog, StoreMeta,
-                          label_repeat_flags, time_facets)
+from fdrec.dataio import (_EPOCH_WEEKDAY_SHIFT, INTERACTIONS_HEADER, SECONDS_PER_DAY,
+                          SECONDS_PER_WEEK, DatasetSplit, InteractionLog, StoreMeta,
+                          SynthConfig, label_repeat_flags, time_facets)
 from fdrec.evalharness import MetricsReport
 from fdrec.exprec import _ACTIVATIONS_VAR, TRIGGERS, _check_mask, _mix
 from fdrec.reprec import _NORM_EPS_SQ
@@ -1181,3 +1183,195 @@ def finite_difference_check(
         a = analytic[name].reshape(-1)[i]
         worst = max(worst, abs(a - numeric) / denom)
     return worst
+
+
+def _circular(a: np.ndarray, b: int, period: int) -> np.ndarray:
+    d = np.abs(a - b)
+    return np.minimum(d, period - d)
+
+
+def generate_synthetic_loop(cfg: SynthConfig) -> tuple[InteractionLog, dict[str, StoreMeta]]:
+    """``dataio.generate_synthetic`` as it ran with per-order scans: each
+    situation-matched repeat scans every past order of the user, and each
+    exploration rebuilds the unvisited stores and tests them against the pool.
+    It makes the same random draws in the same order.
+
+    Raises for infeasible configurations (cannot explore enough distinct
+    stores when repeats are disabled).
+    """
+    if cfg.n_users <= 0 or cfg.n_stores <= 0 or cfg.n_orders_per_user <= 0:
+        raise ValueError("n_users, n_stores, n_orders_per_user must be positive")
+    if not (0.0 <= cfg.repeat_prob <= 1.0):
+        raise ValueError("repeat_prob must be within [0, 1]")
+    if cfg.repeat_prob == 0.0 and cfg.n_orders_per_user > cfg.n_stores:
+        raise ValueError(
+            "infeasible: repeat_prob=0 needs at least as many stores as orders per user"
+        )
+    rng = np.random.Generator(np.random.PCG64(cfg.seed))
+    sc = float(cfg.situation_coupling)
+    cc = float(cfg.collab_coupling)
+
+    width = max(4, len(str(cfg.n_stores - 1)))
+    store_ids = [f"s{i:0{width}d}" for i in range(cfg.n_stores)]
+    brands = rng.integers(0, cfg.n_brands, size=cfg.n_stores)
+    cuisines = rng.integers(0, cfg.n_cuisines, size=cfg.n_stores)
+    store_locs = rng.integers(0, cfg.n_locations, size=cfg.n_stores)
+    catalog = {
+        store_ids[i]: StoreMeta(
+            store_ids[i], f"b{brands[i]:03d}", f"c{cuisines[i]:03d}", f"sl{store_locs[i]:03d}"
+        )
+        for i in range(cfg.n_stores)
+    }
+
+    n_clusters = max(1, min(cfg.n_clusters, cfg.n_users))
+    # Each cluster is a community with a pool of favored stores and its own
+    # situational convention: prototype situations are derived from store
+    # attributes (cuisine sets the hour and weekday, the store's area the
+    # delivery location) and then shifted by a per-cluster offset.  Within a
+    # community, situations therefore predict store attributes — that is what
+    # makes collab_coupling measurable — while the situation-to-store mapping
+    # stays community-specific rather than global.
+    pool_size = max(1, min(cfg.n_stores, round(cfg.n_stores * 0.035)))
+    pool_members = [
+        np.sort(rng.choice(cfg.n_stores, size=pool_size, replace=False))
+        for _ in range(n_clusters)
+    ]
+    hour_off = rng.integers(0, 24, size=n_clusters)
+    dow_off = rng.integers(0, 7, size=n_clusters)
+    loc_off = rng.integers(0, cfg.n_locations, size=n_clusters)
+    base_hour = (24 * cuisines) // cfg.n_cuisines
+    base_dow = (7 * cuisines) // cfg.n_cuisines
+    proto_hour = (base_hour[None, :] + hour_off[:, None]) % 24
+    proto_dow = (base_dow[None, :] + dow_off[:, None]) % 7
+    proto_loc = (store_locs[None, :] + loc_off[:, None]) % cfg.n_locations
+
+    start_day = cfg.start_time // SECONDS_PER_DAY
+    days_by_dow: list[np.ndarray] = []
+    all_days = np.arange(cfg.span_days)
+    for dow in range(7):
+        match = all_days[(start_day + all_days + _EPOCH_WEEKDAY_SHIFT) % 7 == dow]
+        days_by_dow.append(match if len(match) else all_days)
+
+    n_modes = max(1, cfg.modes_per_user)
+
+    uw = max(5, len(str(cfg.n_users - 1)))
+    records: list[tuple[str, str, int, str]] = []
+    for u in range(cfg.n_users):
+        user_id = f"u{u:0{uw}d}"
+        cluster = u % n_clusters
+        pool = pool_members[cluster]
+        # Personal modes are private habit situations; shared modes copy pool
+        # store prototypes, so cluster-mates explore in overlapping
+        # situations.  Repeat orders happen in personal modes and exploration
+        # orders in shared ones, which keeps repeat habits decoupled from the
+        # crowd pattern while explorations follow it.  One user sticks to few
+        # shared modes (situational diversity lives across the community, not
+        # within one user's own exploration history).
+        personal_modes = [
+            (int(rng.integers(24)), int(rng.integers(7)),
+             int(rng.integers(cfg.n_locations)))
+            for _ in range(n_modes)
+        ]
+        if len(pool):
+            # anchors concentrate on a handful of pool stores so cluster-mates'
+            # explorations overlap enough to make the community discoverable
+            # from preferences alone
+            s = int(pool[rng.integers(min(3, len(pool)))])
+            shared_modes = [(int(proto_hour[cluster, s]), int(proto_dow[cluster, s]),
+                             int(proto_loc[cluster, s]))]
+        else:
+            shared_modes = [(int(rng.integers(24)), int(rng.integers(7)),
+                             int(rng.integers(cfg.n_locations)))]
+
+        wants_repeat = rng.random(cfg.n_orders_per_user) < cfg.repeat_prob
+        times = np.empty(cfg.n_orders_per_user, dtype=np.int64)
+        locs = np.empty(cfg.n_orders_per_user, dtype=np.int64)
+        for k in range(cfg.n_orders_per_user):
+            if wants_repeat[k]:
+                hour_m, dow_m, loc_m = personal_modes[int(rng.integers(n_modes))]
+            else:
+                hour_m, dow_m, loc_m = shared_modes[int(rng.integers(len(shared_modes)))]
+            day_choices = days_by_dow[dow_m]
+            day = int(day_choices[rng.integers(len(day_choices))])
+            hour = int((hour_m + rng.integers(-1, 2)) % 24)
+            times[k] = cfg.start_time + day * SECONDS_PER_DAY + hour * 3600 + int(
+                rng.integers(3600)
+            )
+            locs[k] = loc_m
+        order = np.argsort(times, kind="stable")
+        times, locs, wants_repeat = times[order], locs[order], wants_repeat[order]
+        hours = (times // 3600) % 24
+        dows = ((times // SECONDS_PER_DAY) + _EPOCH_WEEKDAY_SHIFT) % 7
+
+        visited: list[int] = []  # first-visit order
+        visited_set: set[int] = set()
+        # per visited store: past (hour, dow, loc) situations
+        past: dict[int, list[tuple[int, int, int]]] = {}
+        for k in range(cfg.n_orders_per_user):
+            can_repeat = bool(visited)
+            can_explore = len(visited_set) < cfg.n_stores
+            if can_repeat and can_explore:
+                is_repeat = bool(wants_repeat[k])
+            else:
+                is_repeat = can_repeat
+            if is_repeat:
+                # with probability sc return to the store whose past
+                # situation best matches now; otherwise revisit uniformly
+                if rng.random() < sc:
+                    best_j = 0
+                    best = -1.0
+                    for j, s in enumerate(visited):
+                        for (h0, w0, l0) in past[s]:
+                            dh = abs(int(hours[k]) - h0)
+                            d_hour = min(dh, 24 - dh) / 12.0
+                            dw = abs(int(dows[k]) - w0)
+                            d_dow = min(dw, 7 - dw) / 3.0
+                            miss = 0.0 if int(locs[k]) == l0 else 1.0
+                            sim = 1.0 - (d_hour + d_dow + miss) / 3.0
+                            if sim > best:
+                                best = sim
+                                best_j = j
+                    store = visited[best_j]
+                else:
+                    store = visited[int(rng.integers(len(visited)))]
+            else:
+                mask = np.ones(cfg.n_stores, dtype=bool)
+                if visited_set:
+                    mask[list(visited_set)] = False
+                cand = np.nonzero(mask)[0]
+                store = -1
+                # with probability cc follow the crowd affinity between the
+                # current situation and store prototypes; otherwise wander
+                if rng.random() < cc:
+                    in_pool = np.isin(cand, pool)
+                    if in_pool.any():
+                        ps = cand[in_pool]
+                        dh = _circular(proto_hour[cluster, ps], int(hours[k]), 24) / 12.0
+                        dw = _circular(proto_dow[cluster, ps], int(dows[k]), 7) / 3.0
+                        miss = (proto_loc[cluster, ps] != int(locs[k])).astype(float)
+                        aff = np.clip(1.0 - (dh + dw + miss) / 3.0, 0.0, 1.0) ** 8
+                        total = aff.sum()
+                        if total > 0:
+                            pick = int(rng.choice(len(ps), p=aff / total))
+                            store = int(ps[pick])
+                if store < 0:
+                    store = int(cand[rng.integers(len(cand))])
+                visited.append(store)
+                visited_set.add(store)
+                past[store] = []
+            past[store].append((int(hours[k]), int(dows[k]), int(locs[k])))
+            records.append((user_id, store_ids[store], int(times[k]), f"l{locs[k]:03d}"))
+
+    log = InteractionLog.from_records(records, tz_offset_minutes=0, catalog=catalog)
+    return log, catalog
+
+
+def write_interactions_tsv_loop(log: InteractionLog, path: str) -> None:
+    """``dataio.write_interactions_tsv`` as it ran, one numpy lookup per cell."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("\t".join(INTERACTIONS_HEADER) + "\n")
+        for i in range(len(log)):
+            fh.write(
+                f"{log.user_ids[log.users[i]]}\t{log.store_ids[log.stores[i]]}"
+                f"\t{int(log.times[i])}\t{log.location_ids[log.locs[i]]}\n"
+            )

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from fdrec import dataio
-from fdrec.config import write_config
+from fdrec.config import ConfigError, load_config, write_config
 from fdrec.dataio import (
     SECONDS_PER_DAY,
     InteractionLog,
@@ -27,7 +27,8 @@ from fdrec.dataio import (
     write_stores_tsv,
 )
 from conftest import make_log
-from oracles import interactions, per_user
+from oracles import (generate_synthetic_loop, interactions, per_user,
+                     write_interactions_tsv_loop)
 
 # 2020-09-14 00:00:00 UTC, a Monday.
 MONDAY = 1_600_041_600
@@ -225,6 +226,68 @@ def test_synthetic_time_span_and_store_ids():
     assert span <= 10 * SECONDS_PER_DAY
     assert log.times[0] >= cfg.start_time
     assert list(catalog) == [f"s{i:04d}" for i in range(40)]
+
+
+_SYNTH_BASE = SynthConfig(n_users=6, n_stores=200, n_orders_per_user=20, span_days=14,
+                          situation_coupling=0.6, collab_coupling=0.6)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("overrides", [
+    {"situation_coupling": 0.0, "collab_coupling": 0.0},
+    {},
+    {"situation_coupling": 1.0, "collab_coupling": 1.0},
+    {"situation_coupling": 1.0, "collab_coupling": 0.0},
+    {"situation_coupling": 0.0, "collab_coupling": 1.0},
+    {"repeat_prob": 0.0, "collab_coupling": 1.0},
+    {"repeat_prob": 1.0, "situation_coupling": 1.0},
+    {"n_stores": 8, "repeat_prob": 0.3, "situation_coupling": 1.0, "collab_coupling": 1.0},
+    {"n_stores": 1},
+    {"n_clusters": 10},
+    {"modes_per_user": 1, "situation_coupling": 1.0},
+    {"span_days": 3, "situation_coupling": 1.0, "collab_coupling": 1.0},
+], ids=["uncoupled", "coupled", "fully-coupled", "situation-only", "collab-only",
+        "no-repeats", "all-repeats", "forced-repeats", "one-store", "more-clusters-than-users",
+        "one-mode", "short-span"])
+def test_synthetic_log_equals_the_per_order_scan(tmp_path, overrides, seed):
+    """The generator draws the reference's random numbers in the same order,
+    so every seed gives the same log, catalog and TSV bytes."""
+    cfg = dataclasses.replace(_SYNTH_BASE, seed=seed, **overrides)
+    log, catalog = generate_synthetic(cfg)
+    ref, ref_catalog = generate_synthetic_loop(cfg)
+    for name in ("users", "stores", "times", "locs"):
+        np.testing.assert_array_equal(getattr(log, name), getattr(ref, name), err_msg=name)
+    assert (log.user_ids, log.store_ids, log.location_ids) == (
+        ref.user_ids, ref.store_ids, ref.location_ids)
+    assert catalog == ref_catalog == log.catalog
+    write_interactions_tsv(log, str(tmp_path / "new.tsv"))
+    write_interactions_tsv_loop(ref, str(tmp_path / "ref.tsv"))
+    assert (tmp_path / "new.tsv").read_bytes() == (tmp_path / "ref.tsv").read_bytes()
+
+
+@pytest.mark.parametrize("key, value, needle", [
+    ("situation_coupling", 1.5, "must be within [0, 1]"),
+    ("collab_coupling", -0.5, "must be within [0, 1]"),
+    ("repeat_prob", float("nan"), "must be finite"),
+    ("situation_coupling", float("inf"), "must be finite"),
+    *[(key, 0, "must be >= 1") for key in (
+        "n_users", "n_stores", "n_orders_per_user", "n_locations", "n_brands",
+        "n_cuisines", "span_days", "modes_per_user", "n_clusters")],
+    ("start_time", -1, "must be >= 0"),
+    ("seed", -1, "must be >= 0"),
+])
+def test_generate_synthetic_rejects_what_fdrec_synth_rejects(tmp_path, key, value, needle):
+    """A direct call fails with the message the config loader gives, naming
+    the key, before numpy sees the value."""
+    message = f"[synth] {key} {needle}"
+    with pytest.raises(ValueError) as direct:
+        generate_synthetic(dataclasses.replace(_SYNTH_BASE, **{key: value}))
+    assert str(direct.value) == message
+    path = str(tmp_path / "run.cfg")
+    write_config(path, {"synth": {key: value}})
+    with pytest.raises(ConfigError) as loaded:
+        load_config(path)
+    assert str(loaded.value) == message
 
 
 def test_atomic_open_error_midway_keeps_the_old_file(tmp_path):

@@ -166,14 +166,28 @@ def test_a_product_row_keeps_its_bits_at_every_row_count(op, size, dim):
 
 
 def test_gather_rows_bincount_backward_matches_add_at():
+    """Repeated indices take the bincount and distinct ones the fast path, in
+    gather_rows' backward and segment_sum's forward; both give np.add.at's
+    bytes, signed zeros included, which assert_array_equal would not tell apart."""
     gen = rng(40)
     table = gen.normal(size=(20, 6))
-    for idx in (np.array([3, 3, 0, 19, 3]), gen.integers(0, 20, size=(7, 11))):
+    for idx in (np.array([3, 3, 0, 19, 3]), gen.integers(0, 20, size=(7, 11)),
+                gen.permutation(20), np.array([17, 2, 9, 0]),
+                np.zeros(0, dtype=np.int64), gen.permutation(20)[:12].reshape(3, 4),
+                np.array([[5, 5], [1, 5]])):
         g = gen.normal(size=idx.shape + (6,))
+        g[..., ::2] = -0.0
         want = np.zeros_like(table)
         np.add.at(want, idx, g)
         (got,) = dc.gather_rows(var(table), idx)._vjp(g)
-        np.testing.assert_array_equal(got, want)
+        assert got.tobytes() == want.tobytes()
+        assert not np.signbit(got[got == 0]).any()  # 0.0 + -0.0 is 0.0
+    a = gen.normal(size=(5, 6))
+    a[1] = -0.0
+    for seg, n in ((gen.permutation(5), 5), (np.array([6, 0, 3, 1, 4]), 8)):  # one row each
+        want = np.zeros((n, 6))
+        np.add.at(want, seg, a)
+        assert dc.segment_sum(var(a), seg, n).data.tobytes() == want.tobytes()
 
 
 def test_gradients_getitem_scatter_adds_duplicates():
