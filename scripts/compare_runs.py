@@ -10,11 +10,15 @@ its path relative to the run directory and ``identical``, ``differs`` or
 its largest relative parameter difference: over every tensor, the largest
 ``|a - b|`` divided by the largest ``|a|`` of that tensor, and the tensor's
 name; or, when the two hold different parameters, the names found on one side
-only.  A ``*.train.json`` that differs also shows the dotted keys whose
-values differ, each numeric one with its largest relative difference
-``|a - b| / max(|a|, |b|)``, lists compared element by element, as in
-``stages.intent.history max rel 2.0e-16``; an ``eval.*.json`` shows each
-such key with both values, as in ``protocols.combined.hr@3 0.4038 -> 0.4075``.
+only.  A ``data.bin`` that differs also names the header keys and the tensors
+found on one side only, and those whose values, dtypes or shapes differ, as
+in ``header keys only in the second run: cases; tensors only in the second
+run: cases.0.cand, cases.0.rows``.  A ``*.train.json`` that differs also
+shows the dotted keys whose values differ, each numeric one with its largest
+relative difference ``|a - b| / max(|a|, |b|)``, lists compared element by
+element, as in ``stages.intent.history max rel 2.0e-16``; an
+``eval.*.json`` shows each such key with both values, as in
+``protocols.combined.hr@3 0.4038 -> 0.4075``.
 
 Exits 1 when an ``eval.*.json`` differs or a file exists on one side only,
 and 0 otherwise, so checkpoints and training logs may differ while every
@@ -33,7 +37,7 @@ import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
-from fdrec import diffcore  # noqa: E402
+from fdrec import dataio, diffcore, features  # noqa: E402
 
 
 def files_under(root: str) -> set[str]:
@@ -45,15 +49,19 @@ def files_under(root: str) -> set[str]:
     return out
 
 
+def one_sided(a: dict, b: dict) -> list[str]:
+    """The keys of ``a`` or of ``b`` alone, as ``only in the first run: ...``."""
+    return [f"only in the {side} run: {', '.join(sorted(names))}"
+            for side, names in (("first", a.keys() - b.keys()),
+                                ("second", b.keys() - a.keys())) if names]
+
+
 def checkpoint_difference(path_a: str, path_b: str) -> str:
     """The largest relative parameter difference of two checkpoints."""
     a = diffcore.load_checkpoint(path_a).params
     b = diffcore.load_checkpoint(path_b).params
-    one_sided = [f"only in the {side} run: {', '.join(sorted(names))}"
-                 for side, names in (("first", a.keys() - b.keys()),
-                                     ("second", b.keys() - a.keys())) if names]
-    if one_sided:
-        return "parameters " + "; ".join(one_sided)
+    if sides := one_sided(a, b):
+        return "parameters " + "; ".join(sides)
     if any(a[n].shape != b[n].shape for n in a):
         return "parameters differ in shape"
     worst, where = 0.0, "-"
@@ -64,6 +72,23 @@ def checkpoint_difference(path_a: str, path_b: str) -> str:
         if rel > worst:
             worst, where = rel, name
     return f"max relative parameter difference {worst:.3g} ({where})"
+
+
+def data_difference(path_a: str, path_b: str) -> str:
+    """The header keys and tensors in which two ``data.bin`` files differ."""
+    (ha, ta), (hb, tb) = (dataio.read_tensors(p, features.DATA_MAGIC)
+                          for p in (path_a, path_b))
+    del ha["tensors"], hb["tensors"]  # the tensors' layout, compared below
+    parts = []
+    for what, a, b, same in (
+            ("header keys", ha, hb, lambda x, y: x == y),
+            ("tensors", ta, tb, lambda x, y: x.dtype == y.dtype and np.array_equal(x, y))):
+        lines = one_sided(a, b)
+        differ = sorted(n for n in a.keys() & b.keys() if not same(a[n], b[n]))
+        if differ:
+            lines.append(f"differ: {', '.join(differ)}")
+        parts += [f"{what} {line}" for line in lines]
+    return "; ".join(parts)
 
 
 def _flatten(value, prefix: str = "") -> dict:
@@ -127,6 +152,8 @@ def compare(run_a: str, run_b: str) -> tuple[list[str], bool]:
         detail = ""
         if name.endswith(".ckpt"):
             detail = " " + checkpoint_difference(path_a, path_b)
+        elif name == "data.bin":
+            detail = " " + data_difference(path_a, path_b)
         elif name.endswith(".train.json"):
             detail = " keys " + ", ".join(
                 k if (most := _max_relative(x, y)) is None else f"{k} max rel {most:.1e}"

@@ -9,9 +9,11 @@ Conventions shared by every subcommand:
   rerunning the same one reproduces byte-identical files.
 * A ``.lock`` file guards the run directory against concurrent commands.
 * ``ingest`` parses and splits the TSVs into ``data.bin``, with the neighbour
-  table and a fingerprint of the TSVs and ``[data]``.  Later stages load it as
-  the :class:`fdrec.features.Dataset` every model reads, and fail, saying to
-  run ``ingest`` again, if it is missing or damaged or the TSVs have changed.
+  table, the three protocols' test case sets for ``[eval] seed`` and
+  ``max_cases``, and a fingerprint of the TSVs and ``[data]``.  Later stages
+  load it as the :class:`fdrec.features.Dataset` every model reads, and
+  fail, saying to run ``ingest`` again, if it is missing or damaged or the
+  TSVs have changed.
 * A checkpoint must match the data's fingerprint, which it records, and its
   vocabularies, or the stage fails and says to retrain.
 * Exit codes: 0 success, 2 usage or configuration error (message on
@@ -258,6 +260,8 @@ def _cmd_ingest(args) -> int:
     split, fingerprint = _load_split(cfg)
     data = features.Dataset(split, fingerprint)
     data.neighbors(cfg.model.k_neighbors, split.valid_boundary)
+    for protocol in evalharness.PROTOCOLS:
+        data.cases(protocol, cfg.eval.seed, cfg.eval.max_cases)
     run_dir = _prepare_run_dir(cfg)
     with _RunDirLock(run_dir):
         data.save(os.path.join(run_dir, DATA_FILE))
@@ -402,10 +406,7 @@ def _cmd_eval(args) -> int:
         data = _load_data(cfg, run_dir)
         scorer, params = _make_scorer(cfg, args.model, data)
         for protocol in protocols:
-            cases = evalharness.build_cases(
-                data.split, protocol, seed=cfg.eval.seed,
-                max_cases=cfg.eval.max_cases, seqs=data.seqs, vocabs=data.vocabs,
-            )
+            cases = data.cases(protocol, cfg.eval.seed, cfg.eval.max_cases)
             report = evalharness.evaluate(
                 scorer, cases, k=cfg.eval.k, model_id=args.model,
                 seed=cfg.eval.seed, param_count=params,

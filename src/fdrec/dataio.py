@@ -293,11 +293,11 @@ def parse_stores(path: str, raw: bytes | None = None) -> dict[str, StoreMeta]:
     return catalog
 
 
-def _records(log: InteractionLog, keep=slice(None)) -> list[tuple[str, str, int, str]]:
-    """The ``keep`` rows of ``log`` as (user_id, store_id, unix_time_s, location_id)."""
+def _records(log: InteractionLog) -> list[tuple[str, str, int, str]]:
+    """The rows of ``log`` as (user_id, store_id, unix_time_s, location_id)."""
     u, s, loc = log.user_ids, log.store_ids, log.location_ids
     columns = (log.users, log.stores, log.times, log.locs)
-    return [(u[a], s[b], t, loc[c]) for a, b, t, c in zip(*(x[keep].tolist() for x in columns))]
+    return [(u[a], s[b], t, loc[c]) for a, b, t, c in zip(*(x.tolist() for x in columns))]
 
 
 def write_interactions_tsv(log: InteractionLog, path: str) -> None:
@@ -316,20 +316,31 @@ def write_stores_tsv(catalog: dict[str, StoreMeta], path: str) -> None:
             )
 
 
+def _recode(ids: list[str], codes: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """The ``ids`` that ``codes`` use and the codes renumbered, both by first
+    appearance, as :func:`_encode` numbers them."""
+    values, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    order = np.argsort(first)  # new code -> index into values
+    new_code = np.argsort(order).astype(np.int32)
+    return [ids[c] for c in values[order].tolist()], new_code[inverse]
+
+
 def filter_users(log: InteractionLog, min_orders: int) -> InteractionLog:
-    """Keep users with at least ``min_orders`` interactions in the full log."""
+    """Keep users with at least ``min_orders`` interactions in the full log.
+    The kept rows' users, stores and locations are coded by first appearance
+    among them, and the catalog keeps their stores in its own order."""
     if min_orders < 0:
         raise ValueError("min_orders must be non-negative")
     counts = np.bincount(log.users, minlength=len(log.user_ids))
     keep = counts[log.users] >= min_orders
-    records = _records(log, keep)
-    catalog = None
-    if log.catalog is not None:
-        kept_stores = {r[1] for r in records}
-        catalog = {s: m for s, m in log.catalog.items() if s in kept_stores}
-    return InteractionLog.from_records(
-        records, tz_offset_minutes=log.tz_offset_minutes, catalog=catalog
-    )
+    (user_ids, users), (store_ids, stores), (location_ids, locs) = (
+        _recode(ids, codes[keep]) for ids, codes in
+        ((log.user_ids, log.users), (log.store_ids, log.stores), (log.location_ids, log.locs)))
+    kept = set(store_ids)
+    catalog = (None if log.catalog is None
+               else {s: m for s, m in log.catalog.items() if s in kept})
+    return InteractionLog(user_ids, store_ids, location_ids, users, stores, log.times[keep],
+                          locs, tz_offset_minutes=log.tz_offset_minutes, catalog=catalog)
 
 
 def label_repeat_flags(log: InteractionLog) -> np.ndarray:

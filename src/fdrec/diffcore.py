@@ -20,13 +20,18 @@ gradients equal those of stepping every slot up to rounding.  The tests
 check the op against a reference GRU step built from the primitives.
 
 The row rule.  OpenBLAS rounds a row of a product alike at any row count
-if the product has two or more rows and four or more output columns, keeps
-the operand layouts used here and adds its inner sum within one k-block (384
-terms with the SkylakeX kernels); a one-row product takes the gemv path.  So
-each product op keeps the rule in its one tape node, and a query row scores
-the same whatever its batch mates: :func:`dense` appends zero rows up to two
-rows and four outputs, :func:`pooled` also sums over ascending ranges of 256
-codes, and :func:`gru_sequence` runs its products on at least two rows.
+from 2 to 256 if the product has four or more output columns, keeps the
+operand layouts used here and adds its inner sum within one k-block (384
+terms with the SkylakeX kernels); a one-row product takes the gemv path.
+The bound is measured, not derived: with OpenBLAS 0.3.31 and one thread,
+:func:`dense` at every head shape the models use (outputs × inputs 2×192,
+4×128, 4×64 and 2×96) keeps row 0's bits up to 300 rows and changes them
+at 301, and the tests sweep 1 to 256 rows.  So each product op keeps the
+rule in its one tape node, and a query row scores the same whatever its
+batch mates, in calls of at most 256 rows: :func:`dense` appends zero rows
+up to two rows and four outputs, :func:`pooled` also sums over ascending
+ranges of 256 codes, and :func:`gru_sequence` runs its products on at least
+two rows.
 """
 
 from __future__ import annotations

@@ -13,13 +13,16 @@ Three protocols per test interaction:
 interaction, regardless of partition boundaries.  Candidate sampling is
 deterministic: each case's generator is derived from (seed, log position), and
 only the cases ``max_cases`` keeps are sampled.  A protocol's cases form one
-:class:`CaseSet` of store codes.  A scorer maps the set to its [N, C] score
-array, row ``i`` for case ``i``, and :func:`evaluate` ranks it at once.
-SOnly, RepRec and ExpRec all score through :func:`dot_scores` with their
-``<model>_query``, which takes one product per row through :func:`row_dots`;
-the ensemble and ``concat`` take their base scores through it too, and HisPop
-scores the set in segment form.  Ranking is pessimistic: the target ranks
-below every candidate it ties with.
+:class:`CaseSet` of store codes.  ``fdrec ingest`` builds each protocol's
+test set for ``[eval]`` once and stores it in ``data.bin``, and ``eval``
+reads it through :meth:`fdrec.features.Dataset.cases`; the trainers build
+their validation sets with :func:`validation_cases`.  A scorer maps the set
+to its [N, C] score array, row ``i`` for case ``i``, and :func:`evaluate`
+ranks it at once.  SOnly, RepRec and ExpRec all score through
+:func:`dot_scores` with their ``<model>_query``, which takes one product per
+row through :func:`row_dots`; the ensemble and ``concat`` take their base
+scores through it too, and HisPop scores the set in segment form.  Ranking
+is pessimistic: the target ranks below every candidate it ties with.
 """
 
 from __future__ import annotations

@@ -1,15 +1,16 @@
 """Shared model plumbing: one stage's data view and the forward-pass helpers.
 
 A :class:`Dataset` holds the split, its vocabularies, per-user chronological
-feature arrays, memoized frozen neighbour tables and the fingerprint of the
-files it came from.  ``ingest`` writes one with :meth:`Dataset.save`; every
-later stage reads it back with :func:`load`.  The vocabularies and sequences
-are not stored: a dataset builds them on first use, so a stage that reads
-only the split (``analyze``) never builds them.  Every builder, trainer and
-scorer takes that one object.  Models index stores by catalog order (so
-never-visited stores are scoreable), users by log order, and delivery
-locations by train-partition order with row 0 reserved as a fallback for
-values unseen during training.
+feature arrays, memoized frozen neighbour tables and test case sets, and the
+fingerprint of the files it came from.  ``ingest`` writes one with
+:meth:`Dataset.save`, the case sets for ``[eval]`` included; every later
+stage reads it back with :func:`load`.  The vocabularies and sequences are
+not stored: a dataset builds them on first use, so a stage that reads only
+the split (``analyze``) never builds them, nor unpacks a stored case set.
+Every builder, trainer and scorer takes that one object.  Models index
+stores by catalog order (so never-visited stores are scoreable), users by
+log order, and delivery locations by train-partition order with row 0
+reserved as a fallback for values unseen during training.
 
 The feature arrays (:class:`UserSequences`) lay the log out in
 :attr:`~fdrec.dataio.InteractionLog.by_user` order and read each user's first
@@ -53,8 +54,8 @@ def build_vocabs(split: DatasetSplit) -> Vocabs:
     if log.catalog is None:
         raise ValueError("split log has no store catalog attached")
     store_ids = list(log.catalog)
-    train_locs = sorted({log.location_ids[log.locs[i]] for i in split.train_idx})
-    location_ids = ["<other>"] + train_locs
+    train_locs = np.unique(log.locs[split.train_idx]).tolist()
+    location_ids = ["<other>"] + sorted(log.location_ids[c] for c in train_locs)
     user_ids = list(log.user_ids)
     return Vocabs(
         store_ids=store_ids,
@@ -151,17 +152,19 @@ DATA_MAGIC = b"FDRECDATA1\n"
 _LOG_ARRAYS = ("users", "stores", "times", "locs")
 _SPLIT_ARRAYS = ("repeat_flags", "train_idx", "valid_idx", "test_idx")
 _HEADER_KEYS = ("fingerprint", "ids", "catalog", "tz_offset_minutes", "boundaries",
-                "neighbors")
+                "neighbors", "cases")
 
 
 @dataclass(eq=False)
 class Dataset:
-    """One stage's data: the split and fingerprint, and the vocabularies and
-    sequences, which are built on first use."""
+    """One stage's data: the split and fingerprint, and the vocabularies,
+    sequences, neighbour tables and test case sets, each built on first use
+    unless :func:`load` restored it."""
 
     split: DatasetSplit
     fingerprint: str = ""
     _neighbors: dict = field(default_factory=dict, init=False, repr=False)
+    _cases: dict = field(default_factory=dict, init=False, repr=False)
 
     @cached_property
     def vocabs(self) -> Vocabs:
@@ -181,8 +184,32 @@ class Dataset:
             self._neighbors[key] = exprec.neighbor_arrays(self.split.log, *key)
         return self._neighbors[key]
 
+    def cases(self, protocol: str, seed: int, max_cases: int = 0):
+        """The test :class:`~fdrec.evalharness.CaseSet` that
+        :func:`fdrec.evalharness.build_cases` gives, built once per ``(protocol,
+        seed, max_cases)`` unless :func:`load` restored it."""
+        from . import evalharness  # evalharness imports this module
+
+        key = (protocol, int(seed), int(max_cases))
+        got = self._cases.get(key)
+        if got is None:
+            got = evalharness.build_cases(self.split, *key, seqs=self.seqs, vocabs=self.vocabs)
+        elif isinstance(got, tuple):  # as load read it: see save
+            (position, length, n_prior, tcol), real = got
+            cand = np.zeros((len(position), int(length.max(initial=1))), dtype=np.int64)
+            cand[np.arange(cand.shape[1]) < length[:, None]] = real
+            log = self.split.log
+            got = evalharness.CaseSet(protocol, position, log.users[position],
+                                      cand[np.arange(len(cand)), tcol], cand, length, n_prior,
+                                      tcol, self.vocabs.store_ids, log.user_ids)
+        self._cases[key] = got
+        return got
+
     def save(self, path: str) -> None:
-        """Write the split, fingerprint and memoized neighbours for :func:`load`."""
+        """Write the split, fingerprint and memoized neighbours and case sets
+        for :func:`load`.  A case set is stored as its [4, N] position,
+        length, n_prior and tcol rows and its real candidates, in the
+        narrowest integer dtype that holds every store code."""
         split, log = self.split, self.split.log
         header = {
             "fingerprint": self.fingerprint,
@@ -191,17 +218,24 @@ class Dataset:
             "tz_offset_minutes": log.tz_offset_minutes,
             "boundaries": [split.valid_boundary, split.test_boundary],
             "neighbors": list(self._neighbors),
+            "cases": list(self._cases),
         }
         tensors = {name: getattr(log, name) for name in _LOG_ARRAYS}
         tensors.update((name, getattr(split, name)) for name in _SPLIT_ARRAYS)
         for i, (ids, weights) in enumerate(self._neighbors.values()):
             tensors[f"neighbors.{i}.ids"] = ids
             tensors[f"neighbors.{i}.weights"] = weights
+        code = np.min_scalar_type(len(self.vocabs.store_ids) - 1)
+        for i, key in enumerate(list(self._cases)):
+            c = self.cases(*key)
+            tensors[f"cases.{i}.rows"] = np.stack([c.position, c.length, c.n_prior, c.tcol])
+            tensors[f"cases.{i}.cand"] = c.cand[c.mask].astype(code)
         write_tensors(path, DATA_MAGIC, header, tensors)
 
 
 def load(path: str) -> Dataset:
-    """What :meth:`Dataset.save` wrote, neighbours memoized; ``ValueError`` if damaged."""
+    """What :meth:`Dataset.save` wrote, neighbours and case sets memoized;
+    ``ValueError`` if damaged."""
     header, tensors = read_tensors(path, DATA_MAGIC, _HEADER_KEYS)
 
     def tensor(name: str) -> np.ndarray:
@@ -220,6 +254,12 @@ def load(path: str) -> Dataset:
     for i, key in enumerate(header["neighbors"]):
         data._neighbors[tuple(key)] = (tensor(f"neighbors.{i}.ids"),
                                        tensor(f"neighbors.{i}.weights"))
+    for i, key in enumerate(header["cases"]):
+        rows, real = tensor(f"cases.{i}.rows"), tensor(f"cases.{i}.cand")
+        if (rows.dtype != np.int64 or rows.ndim != 2 or len(rows) != 4
+                or real.dtype.kind not in "iu" or real.shape != (rows[1].sum(),)):
+            raise ValueError(f"{path}: damaged case set {i}; run `fdrec ingest` again")
+        data._cases[tuple(key)] = (rows, real)
     return data
 
 
@@ -327,7 +367,9 @@ def query_rows(state: dc.ModelState, data: Dataset, rows: np.ndarray,
     ``query`` maps flat rows [B] to per-row vectors [B, ...]; it is the same
     forward pass a model's training loss uses.  Its products keep
     :mod:`fdrec.diffcore`'s row rule, so a row's vector does not depend on
-    its chunk mates.
+    its chunk mates.  The rule holds up to 256 rows, and OpenBLAS rounds a
+    dense head's row differently at 301: 512-row chunks gave ExpRec and
+    intent outputs other than 128-row ones.  So ``QUERY_CHUNK`` stays <= 256.
     """
     parts = [query(state, data, chunk).data
              for chunk in np.array_split(rows, max(-(-len(rows) // QUERY_CHUNK), 1))]

@@ -13,8 +13,9 @@ sequence layout and the analysis curves replaced, the padded history
 windows that the packed ones replaced, ExpRec's neighbour trigger as it ran
 before pooling, the ensemble's per-row slate bases and per-length training
 loss as they ran before its slates were padded, a GRU step built from the
-autograd primitives, the synthetic generator's per-order scans, and the
-finite-difference gradient check.
+autograd primitives, the synthetic generator's per-order scans, the user
+filter's round trip through string records, and the finite-difference
+gradient check.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from fdrec.analysis import (MIN_EVENTS, CurveSeries, InfluenceRecord, _store_att
                             _store_similarity_arrays)
 from fdrec.dataio import (_EPOCH_WEEKDAY_SHIFT, INTERACTIONS_HEADER, SECONDS_PER_DAY,
                           SECONDS_PER_WEEK, DatasetSplit, InteractionLog, StoreMeta,
-                          SynthConfig, label_repeat_flags, time_facets)
+                          SynthConfig, _records, label_repeat_flags, time_facets)
 from fdrec.evalharness import MetricsReport
 from fdrec.exprec import _ACTIVATIONS_VAR, TRIGGERS, _check_mask, _mix
 from fdrec.reprec import _NORM_EPS_SQ
@@ -1375,3 +1376,20 @@ def write_interactions_tsv_loop(log: InteractionLog, path: str) -> None:
                 f"{log.user_ids[log.users[i]]}\t{log.store_ids[log.stores[i]]}"
                 f"\t{int(log.times[i])}\t{log.location_ids[log.locs[i]]}\n"
             )
+
+
+def filter_users_records(log: InteractionLog, min_orders: int) -> InteractionLog:
+    """``dataio.filter_users`` as it ran, through string records and a
+    second ``from_records``."""
+    if min_orders < 0:
+        raise ValueError("min_orders must be non-negative")
+    counts = np.bincount(log.users, minlength=len(log.user_ids))
+    keep = counts[log.users] >= min_orders
+    records = [r for r, k in zip(_records(log), keep.tolist()) if k]
+    catalog = None
+    if log.catalog is not None:
+        kept_stores = {r[1] for r in records}
+        catalog = {s: m for s, m in log.catalog.items() if s in kept_stores}
+    return InteractionLog.from_records(
+        records, tz_offset_minutes=log.tz_offset_minutes, catalog=catalog
+    )

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from fdrec import cli, evalharness, exprec, features
+from fdrec import cli, dataio, evalharness, exprec, features
 from fdrec.config import load_config, write_config
 from fdrec.diffcore import ParamTensor, load_checkpoint, save_checkpoint
 
@@ -342,6 +342,70 @@ def test_missing_or_truncated_data_fails_naming_it(pipeline, tmp_path, capsys, d
     assert f"run `fdrec ingest --config {cfg}`" in err
     assert ("8 trailing bytes" in err) == (damage == "trailing")
     assert (f"{path}: no tensor 'users'; run `fdrec ingest` again" in err) == (damage == "tensor")
+
+
+@pytest.mark.parametrize("damage", ["none stored", "renamed", "cut short"])
+def test_data_with_damaged_case_sets_fails_naming_it(pipeline, tmp_path, capsys, damage):
+    """A data.bin without case sets, as ingest wrote it before it stored
+    them, or with a damaged case tensor, asks for ``ingest`` again."""
+    cfg = copy_run(pipeline, tmp_path)
+    path = os.path.join(load_config(cfg).run_dir(), cli.DATA_FILE)
+    header, tensors = dataio.read_tensors(path, features.DATA_MAGIC)
+    del header["tensors"]
+    name = "cases.1.cand"
+    if damage == "none stored":
+        del header["cases"]
+        tensors = {k: v for k, v in tensors.items() if not k.startswith("cases.")}
+    elif damage == "renamed":
+        tensors["cases.1.kand"] = tensors.pop(name)
+    else:
+        tensors[name] = tensors[name][:-1]
+    dataio.write_tensors(path, features.DATA_MAGIC, header, tensors)
+    assert cli.main(["eval", "--config", cfg, "--model", "sonly", "--protocol", "all"]) == 1
+    err = capsys.readouterr().err
+    again = f"run `fdrec ingest --config {cfg}`"
+    assert f"cannot read the ingested data at {path}; {again}" in err
+    detail = {"none stored": "damaged header, without cases",
+              "renamed": f"no tensor {name!r}; run `fdrec ingest` again",
+              "cut short": "damaged case set 1; run `fdrec ingest` again"}[damage]
+    assert f"{path}: {detail}" in err
+
+
+def test_eval_reports_keep_their_bytes_when_case_sets_are_built_on_a_miss(
+        pipeline, tmp_path, monkeypatch):
+    """``eval`` reads the sets ``ingest`` stored for ``[eval]``; with none
+    stored it builds each set on first use, and every report is the same."""
+    cfg = copy_run(pipeline, tmp_path)
+    run_dir = load_config(cfg).run_dir()
+    path = os.path.join(run_dir, cli.DATA_FILE)
+    data = features.load(path)
+    c = load_config(cfg).eval
+    assert list(data._cases) == [(p, c.seed, c.max_cases) for p in evalharness.PROTOCOLS]
+    built, build = [], evalharness.build_cases
+
+    def counting(split, protocol, *args, **kwargs):
+        built.append(protocol)
+        return build(split, protocol, *args, **kwargs)
+
+    monkeypatch.setattr(evalharness, "build_cases", counting)
+    evals = (("hispop", "repeat"), ("sonly", "all"), ("ensemble", "combined"))
+    names = ["eval.hispop.repeat.json", "eval.ensemble.combined.json",
+             *(f"eval.sonly.{p}.json" for p in evalharness.PROTOCOLS)]
+    reports = []
+    for stored in (True, False):
+        if not stored:
+            data._cases.clear()
+            data.save(path)
+        for name in names:
+            os.unlink(os.path.join(run_dir, name))
+        for model, protocol in evals:
+            assert cli.main(["eval", "--config", cfg, "--model", model,
+                             "--protocol", protocol]) == 0
+        reports.append([open(os.path.join(run_dir, n), "rb").read() for n in names])
+    assert built == ["repeat", "repeat", "exploration", "combined", "combined"]
+    assert reports[0] == reports[1]
+    with open(os.path.join(pipeline[1], names[1]), "rb") as fh:
+        assert fh.read() == reports[0][1]
 
 
 @pytest.mark.parametrize("damage", ["tensors", "key", "spec", "trailing"])

@@ -6,6 +6,7 @@ import pathlib
 
 import numpy as np
 
+from fdrec import dataio, features
 from fdrec import diffcore as dc
 
 SCRIPT = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "compare_runs.py"
@@ -119,4 +120,31 @@ def test_a_differing_train_log_shows_each_numeric_keys_largest_relative_differen
         "exprec.train.json differs keys stages.combine.best max rel 1.0e+00, "
         "stages.combine.history, stages.intent.epochs max rel 2.5e-01, "
         "stages.intent.grid, stages.intent.history max rel 4.0e-10, stages.intent.stopped"
+    )
+
+
+def test_a_differing_data_file_names_its_header_keys_and_tensors(tmp_path):
+    """As when a data.bin gains case sets: new header keys and tensors, and
+    an old tensor whose dtype or values moved."""
+    users = np.arange(4, dtype=np.int32)
+    for side in ("a", "b"):
+        header = {"fingerprint": "f", "neighbors": [[4, 9]]}
+        tensors = {"users": users, "valid_idx": np.arange(2), "neighbors.0.ids": users}
+        if side == "b":
+            header.update(cases=[["repeat", 0, 5]], fingerprint="g")
+            tensors.update({"cases.0.rows": np.zeros((4, 1), dtype=np.int64),
+                            "cases.0.cand": np.zeros(1, dtype=np.uint8),
+                            "valid_idx": np.arange(2, dtype=np.int32),
+                            "neighbors.0.ids": users + 1})
+            del tensors["users"]
+        write_run(tmp_path / side)
+        dataio.write_tensors(str(tmp_path / side / "data.bin"), features.DATA_MAGIC,
+                             header, tensors)
+    lines, ok = load_script().compare(str(tmp_path / "a"), str(tmp_path / "b"))
+    assert ok
+    assert lines[1] == (
+        "data.bin differs header keys only in the second run: cases; "
+        "header keys differ: fingerprint; tensors only in the first run: users; "
+        "tensors only in the second run: cases.0.cand, cases.0.rows; "
+        "tensors differ: neighbors.0.ids, valid_idx"
     )

@@ -27,7 +27,7 @@ from fdrec.dataio import (
     write_stores_tsv,
 )
 from conftest import make_log
-from oracles import (generate_synthetic_loop, interactions, per_user,
+from oracles import (filter_users_records, generate_synthetic_loop, interactions, per_user,
                      write_interactions_tsv_loop)
 
 # 2020-09-14 00:00:00 UTC, a Monday.
@@ -126,6 +126,56 @@ def test_filter_users_keeps_full_histories():
     assert set(i.user_id for i in interactions(kept)) == {"u1"}
     assert len(kept) == 5
     assert kept.catalog is not None and set(kept.catalog) == {"a"}
+
+
+# u2's rows hold the only visit to store "b" and the only location "l9";
+# u5's one row is the first to "c" and "l2", so dropping u5 moves them
+# behind "a" and "l1"; "z" is in the catalog but never visited
+_FILTER_LOG = [("u5", "c", 0, "l2"), ("u1", "a", 1, "l1"), ("u2", "b", 2, "l9"),
+               ("u3", "c", 3, "l2"), ("u1", "c", 4, "l2"), ("u3", "a", 4, "l1"),
+               ("u1", "a", 6, "l3"), ("u2", "a", 7, "l1"), ("u3", "c", 8, "l3"),
+               ("u4", "d", 9, "l4")]
+
+
+@pytest.mark.parametrize("records", [_FILTER_LOG, _FILTER_LOG[::-1], []],
+                         ids=["time-sorted", "reversed-input", "empty"])
+@pytest.mark.parametrize("min_orders", [0, 1, 2, 3, 4])
+def test_filter_users_equals_the_record_round_trip(records, min_orders):
+    """Re-coding by first appearance keeps the ids, codes, dtypes and catalog
+    order that parsing the kept rows as records gives."""
+    stores = ["z", "d", "c", "b", "a"]
+    catalog = {s: StoreMeta(s, f"b{i}", "c", "sl") for i, s in enumerate(stores)}
+    log = make_log(records, catalog=catalog, tz_offset_minutes=90)
+    got, want = filter_users(log, min_orders), filter_users_records(log, min_orders)
+    for name in ("users", "stores", "times", "locs"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        np.testing.assert_array_equal(a, b, err_msg=name)
+    assert (got.user_ids, got.store_ids, got.location_ids) == (
+        want.user_ids, want.store_ids, want.location_ids)
+    assert list(got.catalog.items()) == list(want.catalog.items())
+    assert got.tz_offset_minutes == 90
+    assert filter_users(log.with_catalog(None), min_orders).catalog is None
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_filter_users_equals_the_record_round_trip_on_a_random_log(seed):
+    """40 users with 1-12 orders each over 60 stores, 9 locations and tied
+    times: each threshold drops some users, and with them stores and
+    locations that only they used."""
+    gen = np.random.default_rng(seed)
+    records = [(f"u{u}", f"s{gen.integers(60)}", int(gen.integers(50)), f"l{gen.integers(9)}")
+               for u in range(40) for _ in range(gen.integers(1, 13))]
+    catalog = {f"s{i}": StoreMeta(f"s{i}", "b", "c", "sl") for i in gen.permutation(70)}
+    log = make_log(records, catalog=catalog)
+    for min_orders in (0, 4, 8, 12, 13):
+        got, want = filter_users(log, min_orders), filter_users_records(log, min_orders)
+        assert len(got) == len(want)
+        for name in ("users", "stores", "times", "locs"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+        assert (got.user_ids, got.store_ids, got.location_ids) == (
+            want.user_ids, want.store_ids, want.location_ids)
+        assert list(got.catalog) == list(want.catalog)
 
 
 def test_repeat_flags_first_visit_is_exploration():

@@ -6,6 +6,7 @@ import pytest
 
 import oracles
 from fdrec import diffcore as dc
+from fdrec import features
 from fdrec.training import TrainSettings, pair_loss, run_training
 from conftest import rng
 
@@ -136,17 +137,22 @@ def test_gradients_pooled(rows, codes, ranges):
                                atol=1e-12, rtol=0)
 
 
+# the largest row count the row-rule sweep checks; at 301 rows OpenBLAS
+# rounds a row of a dense head's product differently
+SWEEP_ROWS = 256
+
+
 def product_call(op: str, size: int, dim: int):
-    """A 256-row problem at one of the models' product shapes, as a function
-    of the row count n: ``dense`` with ``size`` inputs and ``dim`` outputs,
-    or ``pooled`` over ``size`` ascending codes spread over several ranges
-    and a ``dim``-wide table."""
+    """A ``SWEEP_ROWS``-row problem at one of the models' product shapes, as
+    a function of the row count n: ``dense`` with ``size`` inputs and
+    ``dim`` outputs, or ``pooled`` over ``size`` ascending codes spread over
+    several ranges and a ``dim``-wide table."""
     gen = rng(60 + size + dim)
     if op == "dense":
-        w, b, x = (gen.normal(size=s) for s in ((dim, size), (dim,), (256, size)))
+        w, b, x = (gen.normal(size=s) for s in ((dim, size), (dim,), (SWEEP_ROWS, size)))
         return lambda n: dc.dense(var(w), var(b), var(x[:n])).data
     codes = np.sort(gen.choice(2 * size, size=size, replace=False))
-    pool, emb = gen.uniform(size=(256, size)), gen.normal(size=(size, dim))
+    pool, emb = gen.uniform(size=(SWEEP_ROWS, size)), gen.normal(size=(size, dim))
     return lambda n: dc.pooled(pool[:n], var(emb), codes).data
 
 
@@ -157,12 +163,18 @@ def product_call(op: str, size: int, dim: int):
     *(("pooled", u, d) for u in (1, 2, 255, 256, 257, 385, 1024) for d in (8, 64)),
 ])
 def test_a_product_row_keeps_its_bits_at_every_row_count(op, size, dim):
-    """Each row of an n-row call, n = 1 to 256, equals that row of the
-    256-row call bit for bit, so no row depends on its batch mates."""
+    """Each row of an n-row call, n = 1 to ``SWEEP_ROWS``, equals that row of
+    the full call bit for bit, so no row depends on its batch mates."""
     call = product_call(op, size, dim)
-    full = call(256)
-    for n in range(1, 256):
+    full = call(SWEEP_ROWS)
+    for n in range(1, SWEEP_ROWS):
         np.testing.assert_array_equal(call(n), full[:n], err_msg=f"{n} rows")
+
+
+def test_query_chunks_stay_within_the_swept_row_counts():
+    """``features.query_rows`` relies on the row rule for whole chunks, and
+    the rule is checked, and holds, only up to ``SWEEP_ROWS`` rows."""
+    assert 1 <= features.QUERY_CHUNK <= SWEEP_ROWS
 
 
 def test_gather_rows_bincount_backward_matches_add_at():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
-from fdrec import baselines, dataio, ensemble, exprec, features, reprec
+from fdrec import baselines, dataio, ensemble, evalharness, exprec, features, reprec
 from fdrec import diffcore as dc
 from fdrec.training import ModelSection
 from conftest import make_log, rng
@@ -151,6 +151,45 @@ def test_prepared_neighbors_are_memoized_neighbor_arrays(small_split):
         np.testing.assert_array_equal(got, exp)
     assert data.neighbors(4, as_of) is first
     assert data.neighbors(3, as_of)[0].shape[1] == 3
+
+
+@pytest.mark.parametrize("max_cases", [0, 7])
+def test_saved_case_sets_load_as_build_cases_builds_them(small_split, tmp_path,
+                                                         monkeypatch, max_cases):
+    """A loaded set equals the built one in every field and dtype; it is
+    stored with its real candidates only, as the narrowest integers that
+    hold every store code, and a loaded dataset saves the same bytes."""
+    data = features.Dataset(small_split)
+    want = {p: evalharness.build_cases(small_split, p, 5, max_cases, seqs=data.seqs,
+                                       vocabs=data.vocabs) for p in evalharness.PROTOCOLS}
+    for protocol in evalharness.PROTOCOLS:
+        assert data.cases(protocol, 5, max_cases) is data.cases(protocol, 5, max_cases)
+    path, again = str(tmp_path / "data.bin"), str(tmp_path / "again.bin")
+    data.save(path)
+    header, tensors = dataio.read_tensors(path, features.DATA_MAGIC)
+    assert header["cases"] == [[p, 5, max_cases] for p in evalharness.PROTOCOLS]
+    for i, protocol in enumerate(evalharness.PROTOCOLS):
+        assert tensors[f"cases.{i}.cand"].dtype == np.uint8  # 30 stores
+        assert len(tensors[f"cases.{i}.cand"]) == want[protocol].length.sum()
+
+    def unused(*args, **kwargs):
+        raise AssertionError("a stored case set is not built again")
+
+    monkeypatch.setattr(evalharness, "build_cases", unused)
+    got = features.load(path)
+    got.save(again)
+    assert open(again, "rb").read() == open(path, "rb").read()
+    for protocol, cases in want.items():
+        loaded = got.cases(protocol, 5, max_cases)
+        assert got.cases(protocol, 5, max_cases) is loaded
+        assert len(loaded) == (min(len(cases), max_cases) if max_cases else len(cases)) > 0
+        for f in dataclasses.fields(evalharness.CaseSet):
+            a, b = getattr(loaded, f.name), getattr(cases, f.name)
+            if isinstance(b, np.ndarray):
+                assert a.dtype == b.dtype, f.name
+                np.testing.assert_array_equal(a, b, err_msg=f.name)
+            else:
+                assert a == b, f.name
 
 
 def situation_state():
