@@ -344,8 +344,7 @@ class ParamTensor:
 class ModelState:
     """Ordered parameter collection plus optimizer slots and metadata.
 
-    The first :func:`adam_step` allocates Adam's slots ``m`` and ``v`` and
-    its ``scratch`` buffers.
+    The first :func:`adam_step` allocates Adam's slots ``m`` and ``v``.
     ``meta`` must stay JSON-serializable; it travels with checkpoints (model
     identity, vocabularies, hyperparameters needed to score).
     """
@@ -356,7 +355,6 @@ class ModelState:
         self.params: dict[str, ParamTensor] = {}
         self.m: dict[str, Array] = {}
         self.v: dict[str, Array] = {}
-        self.scratch: dict[str, tuple[Array, Array]] = {}
         self.step = 0
         self.meta: dict = {}
 
@@ -484,6 +482,8 @@ def gru_sequence(p: GRUParams, xs, mask) -> Var:
     and the recurrent products ``h @ U`` run on at least two rows, by the row
     rule: a one-node depth also reads the next row, which is 0 or unused.  So
     a row's h has the bits of that row run alone, whatever its batch mates.
+    Each depth runs as whole-array expressions, which write its parent h,
+    gates, candidate and ``r * h`` into the arrays the backward reads.
 
     The backward runs depth by depth on the nodes, the deepest first.  A
     node's children are contiguous, so their h gradients are added into it
@@ -521,76 +521,48 @@ def gru_sequence(p: GRUParams, xs, mask) -> Var:
     code, parent, end = seq.T[new.T], up[:, :-1].T[new.T], up[np.arange(B), lens]
     n = new.sum(axis=0)
     off = np.concatenate(([0], np.cumsum(n)))
-    P, T, R = off[-1], int(lens.max(initial=0)), max(int(n.max(initial=0)), 2)
+    P, T = off[-1], int(lens.max(initial=0))
     # the first child of each parent, where each depth's firsts begin, and
     # the first of the rows that end at each node: equal rows are contiguous
     first = np.flatnonzero(np.diff(parent, prepend=-1))
     cut = np.searchsorted(first, off)
     tie = np.flatnonzero(np.diff(end, prepend=-1))
-    xp = _pad_rows(table.data, 2) @ np.ascontiguousarray(w.T)
-    xp += b
-    xn = xp[code]
+    xn = (_pad_rows(table.data, 2) @ np.ascontiguousarray(w.T) + b)[code]
     u_zr, u_h = (np.ascontiguousarray(u[g].T) for g in (slice(2 * D), slice(2 * D, None)))
     # hn[j] is the h of node id j, 0 for the root; hs[j] is node id j + 1's
     # h before its step, its parent's, and rhs[j] its r * h.  The rows past
-    # a depth are 0 or unused when a one-node depth reads two, and the
-    # product buffers pz and ph hold R rows for the same reason.
+    # a depth are 0 or unused when a one-node depth reads two
     hn = np.zeros((P + 1, D))
     hs, rhs = np.zeros((P + 1, D)), np.zeros((P + 1, D))
     zrs, cs = np.empty((P, 2 * D)), np.empty((P, D))
-    pz, ph = np.empty((R, 2 * D)), np.empty((R, D))
     for t in range(T):
         a, e = off[t], off[t + 1]
         k, kk = e - a, max(e - a, 2)
-        xa, hp, zr, rh, c, h = xn[a:e], hs[a:e], zrs[a:e], rhs[a:e], cs[a:e], hn[1 + a : 1 + e]
-        np.take(hn, parent[a:e], axis=0, out=hp)
+        h = np.take(hn, parent[a:e], axis=0, out=hs[a:e])
         # zr = sigmoid(x W_zr + h U_zr), c = tanh(x W_h + (r * h) U_h)
-        np.add(xa[:, : 2 * D], np.matmul(hs[a : a + kk], u_zr, out=pz[:kk])[:k], out=zr)
-        _sigmoid(zr, out=zr)
+        zr = _sigmoid(xn[a:e, : 2 * D] + (hs[a : a + kk] @ u_zr)[:k], out=zrs[a:e])
         z = zr[:, :D]
-        np.multiply(zr[:, D:], hp, out=rh)
-        np.add(xa[:, 2 * D :], np.matmul(rhs[a : a + kk], u_h, out=ph[:kk])[:k], out=c)
-        np.tanh(c, out=c)
-        # h' = (1 - z) * h + z * c
-        np.subtract(1.0, z, out=h)
-        h *= hp
-        h += np.multiply(z, c, out=ph[:k])
-    out = np.empty((B, D))
-    out[order] = hn[end]
-    hs, rhs = hs[:P], rhs[:P]
+        np.multiply(zr[:, D:], h, out=rhs[a:e])
+        c = np.tanh(xn[a:e, 2 * D :] + (rhs[a : a + kk] @ u_h)[:k], out=cs[a:e])
+        hn[1 + a : 1 + e] = (1 - z) * h + z * c
+    out = hn[end[np.argsort(order)]]
 
     def vjp(g):
         # gh[j] is the gradient of node id j's h; the root's is dropped
         gh = np.zeros((P + 1, D))
         gh[end[tie]] = np.add.reduceat(g[order], tie, axis=0)
         dxp = np.empty((P, 3 * D))
-        v1, v2 = np.empty((R, D)), np.empty((R, 2 * D))
-        drh_, pu = np.empty((R, D)), np.empty((R, D))
         for t in range(T - 1, -1, -1):
             a, e = off[t], off[t + 1]
-            k = e - a
-            # gn becomes the gradient of each node's h before its step in place
-            gn, zr, c, hp, d = gh[1 + a : 1 + e], zrs[a:e], cs[a:e], hs[a:e], dxp[a:e]
-            z, r, drh = zr[:, :D], zr[:, D:], drh_[:k]
-            # d_h = gn * z * (1 - c * c), drh = d_h U_h
-            np.multiply(gn, z, out=d[:, 2 * D :])
-            np.multiply(c, c, out=v1[:k])
-            np.subtract(1.0, v1[:k], out=v1[:k])
-            d[:, 2 * D :] *= v1[:k]
-            np.matmul(d[:, 2 * D :], u[2 * D :], out=drh)
-            # d_z = gn * (c - h), d_r = drh * h, both times zr * (1 - zr)
-            np.subtract(c, hp, out=d[:, :D])
-            d[:, :D] *= gn
-            np.multiply(drh, hp, out=d[:, D : 2 * D])
-            np.subtract(1.0, zr, out=v2[:k])
-            v2[:k] *= zr
-            d[:, : 2 * D] *= v2[:k]
-            # gn * (1 - z) + drh * r + d_zr U_zr, summed over each parent's children
-            np.subtract(1.0, z, out=v1[:k])
-            gn *= v1[:k]
-            drh *= r
-            gn += drh
-            gn += np.matmul(d[:, : 2 * D], u[: 2 * D], out=pu[:k])
+            gn, h, c, d = gh[1 + a : 1 + e], hs[a:e], cs[a:e], dxp[a:e]
+            z, r = zrs[a:e, :D], zrs[a:e, D:]
+            # d_h = gn * z * (1 - c * c); d_z = gn * (c - h) and d_r = (d_h U_h) * h
+            d[:, 2 * D :] = gn * z * (1 - c * c)
+            drh = d[:, 2 * D :] @ u[2 * D :]
+            d[:, :D] = (c - h) * gn * ((1 - z) * z)
+            d[:, D : 2 * D] = drh * h * ((1 - r) * r)
+            # the gradient of h before the step, summed over each parent's children
+            gn = gn * (1 - z) + drh * r + d[:, : 2 * D] @ u[: 2 * D]
             s = first[cut[t] : cut[t + 1]] - a
             gh[parent[a:e][s]] += np.add.reduceat(gn, s, axis=0)
         if M < 64:
@@ -598,8 +570,8 @@ def gru_sequence(p: GRUParams, xs, mask) -> Var:
         else:
             sums = _scatter_rows(code, dxp, (M, 3 * D))
         dw = sums.T @ table.data
-        du_zr = dxp[:, : 2 * D].T @ hs
-        du_h = dxp[:, 2 * D :].T @ rhs
+        du_zr = dxp[:, : 2 * D].T @ hs[:P]
+        du_h = dxp[:, 2 * D :].T @ rhs[:P]
         db = dxp.sum(axis=0)
         return (
             sums @ w,
@@ -619,9 +591,8 @@ def adam_step(
     eps: float = 1e-8,
     weight_decay: float = 0.0,
 ) -> None:
-    """Bias-corrected Adam with decoupled weight decay; zeroes grads after.
-    Works in place in two scratch buffers per parameter, with the operands
-    of ``update = (m / c1) / (sqrt(v / c2) + eps)`` in that order."""
+    """Bias-corrected Adam with decoupled weight decay, in place; zeroes grads
+    after.  ``update = (m / c1) / (sqrt(v / c2) + eps)``, operands in that order."""
     state.step += 1
     t = state.step
     c1 = 1.0 - beta1**t
@@ -630,18 +601,15 @@ def adam_step(
         g = p.grad
         if name not in state.m:
             state.m[name], state.v[name] = np.zeros_like(g), np.zeros_like(g)
-            state.scratch[name] = np.empty_like(g), np.empty_like(g)
-        m, v, (a, b) = state.m[name], state.v[name], state.scratch[name]
+        m, v = state.m[name], state.v[name]
         m *= beta1
-        m += np.multiply(g, 1.0 - beta1, out=a)
+        m += (1.0 - beta1) * g
         v *= beta2
-        v += np.multiply(np.multiply(g, g, out=a), 1.0 - beta2, out=a)
-        np.sqrt(np.divide(v, c2, out=b), out=b)
-        b += eps
-        update = np.divide(np.divide(m, c1, out=a), b, out=a)
+        v += (1.0 - beta2) * (g * g)
+        update = (m / c1) / (np.sqrt(v / c2) + eps)
         if weight_decay:
-            p.values -= np.multiply(p.values, lr * weight_decay, out=b)
-        p.values -= np.multiply(update, lr, out=a)
+            p.values -= lr * weight_decay * p.values
+        p.values -= lr * update
         p.grad[...] = 0.0
 
 

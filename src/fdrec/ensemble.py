@@ -177,9 +177,8 @@ def _build_training_slates(
         visited[tc] = True  # target never doubles as a sampled filler
         pool = np.nonzero(~visited)[0]
         want = budget - len(rep_part) - (0 if is_rep else 1)
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, row])))
         take = min(max(want, 0), len(pool))
-        picked = pool[rng.permutation(len(pool))[:take]]
+        picked = pool[evalharness._case_rng(seed, row).permutation(len(pool))[:take]]
         codes = np.concatenate([rep_part, picked] if is_rep else [rep_part, [tc], picked])
         cand[i, : len(codes)] = codes
         length[i], n_prior[i] = len(codes), len(rep_part)

@@ -235,30 +235,43 @@ class Dataset:
 
 def load(path: str) -> Dataset:
     """What :meth:`Dataset.save` wrote, neighbours and case sets memoized;
-    ``ValueError`` if damaged."""
+    ``ValueError`` naming any tensor missing or of another dtype kind, shape or range."""
     header, tensors = read_tensors(path, DATA_MAGIC, _HEADER_KEYS)
+    again = "run `fdrec ingest` again"
 
-    def tensor(name: str) -> np.ndarray:
+    # tensors[name] of dtype ``kind`` and ``shape`` (None: any size), values in [lo, hi)
+    def tensor(name: str, kind: str, shape: tuple, lo: int = 0, hi: int | None = None):
         if name not in tensors:
-            raise ValueError(f"{path}: no tensor {name!r}; run `fdrec ingest` again")
-        return tensors[name]
+            raise ValueError(f"{path}: no tensor {name!r}; {again}")
+        t = tensors[name]
+        if (t.dtype.kind not in kind or t.ndim != len(shape)
+                or any(want not in (None, got) for want, got in zip(shape, t.shape))
+                or hi is not None and t.size and (t.min() < lo or t.max() >= hi)):
+            raise ValueError(f"{path}: damaged tensor {name!r}; {again}")
+        return t
 
+    n, n_users = len(tensor("times", "i", (None,))), len(header["ids"][0])
+    users, stores, locs = (tensor(name, "iu", (n,), 0, len(ids))
+                           for name, ids in zip(("users", "stores", "locs"), header["ids"]))
     log = InteractionLog(
-        *header["ids"], *(tensor(name) for name in _LOG_ARRAYS),
+        *header["ids"], users, stores, tensors["times"], locs,
         tz_offset_minutes=header["tz_offset_minutes"],
         catalog={row[0]: StoreMeta(*row) for row in header["catalog"]},
     )
-    split = DatasetSplit(log, *header["boundaries"],
-                         *(tensor(name) for name in _SPLIT_ARRAYS))
+    split = DatasetSplit(log, *header["boundaries"], tensor("repeat_flags", "b", (n,)),
+                         *(tensor(name, "iu", (None,), 0, n) for name in _SPLIT_ARRAYS[1:]))
     data = Dataset(split, header["fingerprint"])
     for i, key in enumerate(header["neighbors"]):
-        data._neighbors[tuple(key)] = (tensor(f"neighbors.{i}.ids"),
-                                       tensor(f"neighbors.{i}.weights"))
+        ids = tensor(f"neighbors.{i}.ids", "i", (n_users, None), -1, n_users)
+        data._neighbors[tuple(key)] = (ids, tensor(f"neighbors.{i}.weights", "f", ids.shape))
     for i, key in enumerate(header["cases"]):
-        rows, real = tensor(f"cases.{i}.rows"), tensor(f"cases.{i}.cand")
-        if (rows.dtype != np.int64 or rows.ndim != 2 or len(rows) != 4
-                or real.dtype.kind not in "iu" or real.shape != (rows[1].sum(),)):
-            raise ValueError(f"{path}: damaged case set {i}; run `fdrec ingest` again")
+        rows = tensor(f"cases.{i}.rows", "i", (4, None))
+        real = tensor(f"cases.{i}.cand", "iu", (None,), 0, len(header["catalog"]))
+        position, length, n_prior, tcol = rows
+        if (rows.dtype != np.int64 or real.shape != (length.sum(),)
+                or not ((0 <= position) & (position < n) & (0 <= n_prior)
+                        & (n_prior <= length) & (0 <= tcol) & (tcol < length)).all()):
+            raise ValueError(f"{path}: damaged case set {i}; {again}")
         data._cases[tuple(key)] = (rows, real)
     return data
 

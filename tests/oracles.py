@@ -13,9 +13,9 @@ sequence layout and the analysis curves replaced, the padded history
 windows that the packed ones replaced, ExpRec's neighbour trigger as it ran
 before pooling, the ensemble's per-row slate bases and per-length training
 loss as they ran before its slates were padded, a GRU step built from the
-autograd primitives, the synthetic generator's per-order scans, the user
-filter's round trip through string records, and the finite-difference
-gradient check.
+autograd primitives, the GRU op's loops as they ran in preallocated
+buffers, the synthetic generator's per-order scans, the user filter's round
+trip through string records, and the finite-difference gradient check.
 """
 
 from __future__ import annotations
@@ -960,6 +960,131 @@ def gru_cell(p: dc.GRUParams, x: dc.Var, h: dc.Var) -> dc.Var:
     return dc.add(dc.mul(dc.sub(1.0, z), h), dc.mul(z, cand))
 
 
+
+def gru_sequence_in_place(p: dc.GRUParams, xs, mask) -> dc.Var:
+    """:func:`fdrec.diffcore.gru_sequence` as it ran before its loops became
+    whole-array expressions: each depth's gates and products written into
+    views of preallocated buffers (``pz``, ``ph``, ``v1``, ``v2``, ``drh_``
+    and ``pu``) through ``out=`` arguments and in-place operators.  The
+    expression form keeps every operand order, so h and every gradient are
+    bit-equal to this."""
+    table, codes = dc._as_var(xs[0]), np.asarray(xs[1])
+    keep = np.asarray(mask, dtype=bool)
+    if (keep.ndim != 2 or table.data.ndim != 2 or codes.ndim != 1
+            or len(codes) != keep.sum()):
+        raise ValueError("a GRU run expects mask [B,L], table [M,I] and codes [mask.sum()]")
+    dc._check_indices(codes, len(table.data))
+    # gates stacked z, r, h: w [3D,I], u [3D,D], b [3D]
+    w, u, b = (np.concatenate([getattr(p, t + g).data for g in "zrh"]) for t in "wub")
+    (B, L), M = keep.shape, len(table.data)
+    D = u.shape[1]
+    # each row's codes left-aligned and -1 past its end, rows in lexical order
+    lens = keep.sum(axis=1)
+    seq = np.full((B, L), -1)
+    seq[np.arange(L) < lens[:, None]] = codes
+    order = np.lexsort(seq.T[::-1]) if L else np.arange(B)
+    seq, lens = seq[order], lens[order]
+    # a row starts a depth-t node where its first t + 1 codes differ from the
+    # previous row's.  Nodes get ids 1..P depth by depth, and node id j + 1
+    # sits at index j of code and parent; up[i, t] is row i's node at depth
+    # t - 1, the root 0 at t = 0, so a row ends at up[i, lens[i]]
+    new = np.ones((B, L), dtype=bool)
+    new[1:] = seq[1:] != seq[:-1]
+    new = np.logical_or.accumulate(new, axis=1) & (seq >= 0)
+    up = np.hstack([np.zeros((B, 1), dtype=np.int64), np.cumsum(new.T).reshape(L, B).T])
+    code, parent, end = seq.T[new.T], up[:, :-1].T[new.T], up[np.arange(B), lens]
+    n = new.sum(axis=0)
+    off = np.concatenate(([0], np.cumsum(n)))
+    P, T, R = off[-1], int(lens.max(initial=0)), max(int(n.max(initial=0)), 2)
+    # the first child of each parent, where each depth's firsts begin, and
+    # the first of the rows that end at each node: equal rows are contiguous
+    first = np.flatnonzero(np.diff(parent, prepend=-1))
+    cut = np.searchsorted(first, off)
+    tie = np.flatnonzero(np.diff(end, prepend=-1))
+    xp = dc._pad_rows(table.data, 2) @ np.ascontiguousarray(w.T)
+    xp += b
+    xn = xp[code]
+    u_zr, u_h = (np.ascontiguousarray(u[g].T) for g in (slice(2 * D), slice(2 * D, None)))
+    # hn[j] is the h of node id j, 0 for the root; hs[j] is node id j + 1's
+    # h before its step, its parent's, and rhs[j] its r * h.  The rows past
+    # a depth are 0 or unused when a one-node depth reads two, and the
+    # product buffers pz and ph hold R rows for the same reason.
+    hn = np.zeros((P + 1, D))
+    hs, rhs = np.zeros((P + 1, D)), np.zeros((P + 1, D))
+    zrs, cs = np.empty((P, 2 * D)), np.empty((P, D))
+    pz, ph = np.empty((R, 2 * D)), np.empty((R, D))
+    for t in range(T):
+        a, e = off[t], off[t + 1]
+        k, kk = e - a, max(e - a, 2)
+        xa, hp, zr, rh, c, h = xn[a:e], hs[a:e], zrs[a:e], rhs[a:e], cs[a:e], hn[1 + a : 1 + e]
+        np.take(hn, parent[a:e], axis=0, out=hp)
+        # zr = sigmoid(x W_zr + h U_zr), c = tanh(x W_h + (r * h) U_h)
+        np.add(xa[:, : 2 * D], np.matmul(hs[a : a + kk], u_zr, out=pz[:kk])[:k], out=zr)
+        dc._sigmoid(zr, out=zr)
+        z = zr[:, :D]
+        np.multiply(zr[:, D:], hp, out=rh)
+        np.add(xa[:, 2 * D :], np.matmul(rhs[a : a + kk], u_h, out=ph[:kk])[:k], out=c)
+        np.tanh(c, out=c)
+        # h' = (1 - z) * h + z * c
+        np.subtract(1.0, z, out=h)
+        h *= hp
+        h += np.multiply(z, c, out=ph[:k])
+    out = np.empty((B, D))
+    out[order] = hn[end]
+    hs, rhs = hs[:P], rhs[:P]
+
+    def vjp(g):
+        # gh[j] is the gradient of node id j's h; the root's is dropped
+        gh = np.zeros((P + 1, D))
+        gh[end[tie]] = np.add.reduceat(g[order], tie, axis=0)
+        dxp = np.empty((P, 3 * D))
+        v1, v2 = np.empty((R, D)), np.empty((R, 2 * D))
+        drh_, pu = np.empty((R, D)), np.empty((R, D))
+        for t in range(T - 1, -1, -1):
+            a, e = off[t], off[t + 1]
+            k = e - a
+            # gn becomes the gradient of each node's h before its step in place
+            gn, zr, c, hp, d = gh[1 + a : 1 + e], zrs[a:e], cs[a:e], hs[a:e], dxp[a:e]
+            z, r, drh = zr[:, :D], zr[:, D:], drh_[:k]
+            # d_h = gn * z * (1 - c * c), drh = d_h U_h
+            np.multiply(gn, z, out=d[:, 2 * D :])
+            np.multiply(c, c, out=v1[:k])
+            np.subtract(1.0, v1[:k], out=v1[:k])
+            d[:, 2 * D :] *= v1[:k]
+            np.matmul(d[:, 2 * D :], u[2 * D :], out=drh)
+            # d_z = gn * (c - h), d_r = drh * h, both times zr * (1 - zr)
+            np.subtract(c, hp, out=d[:, :D])
+            d[:, :D] *= gn
+            np.multiply(drh, hp, out=d[:, D : 2 * D])
+            np.subtract(1.0, zr, out=v2[:k])
+            v2[:k] *= zr
+            d[:, : 2 * D] *= v2[:k]
+            # gn * (1 - z) + drh * r + d_zr U_zr, summed over each parent's children
+            np.subtract(1.0, z, out=v1[:k])
+            gn *= v1[:k]
+            drh *= r
+            gn += drh
+            gn += np.matmul(d[:, : 2 * D], u[: 2 * D], out=pu[:k])
+            s = first[cut[t] : cut[t + 1]] - a
+            gh[parent[a:e][s]] += np.add.reduceat(gn, s, axis=0)
+        if M < 64:
+            sums = (code == np.arange(M)[:, None]).astype(np.float64) @ dxp
+        else:
+            sums = dc._scatter_rows(code, dxp, (M, 3 * D))
+        dw = sums.T @ table.data
+        du_zr = dxp[:, : 2 * D].T @ hs
+        du_h = dxp[:, 2 * D :].T @ rhs
+        db = dxp.sum(axis=0)
+        return (
+            sums @ w,
+            dw[:D], du_zr[:D], db[:D],
+            dw[D : 2 * D], du_zr[D:], db[D : 2 * D],
+            dw[2 * D :], du_h, db[2 * D :],
+        )
+
+    return dc.Var(out, (table, *p), vjp)
+
+
 # The history windows as the query forwards laid them out before packing:
 # every slot of the [B, L] grid gathered, the masked ones zeroed or dropped.
 # The op is kept here so that padded_gru_sequence still reaches it while a
@@ -1105,8 +1230,9 @@ def exprec_query_dense(state: dc.ModelState, data: features.Dataset,
 def adam_step_expression(state: dc.ModelState, lr: float, beta1: float = 0.9,
                          beta2: float = 0.999, eps: float = 1e-8,
                          weight_decay: float = 0.0) -> None:
-    """:func:`fdrec.diffcore.adam_step` as whole-array expressions, each
-    allocating its result, in the operand order the in-place form keeps."""
+    """:func:`fdrec.diffcore.adam_step` written apart from it, as whole-array
+    expressions, each allocating its result, in the operand order whose bits
+    the optimizer keeps."""
     state.step += 1
     t = state.step
     c1 = 1.0 - beta1**t

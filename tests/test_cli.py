@@ -371,6 +371,46 @@ def test_data_with_damaged_case_sets_fails_naming_it(pipeline, tmp_path, capsys,
     assert f"{path}: {detail}" in err
 
 
+
+def _damage_tensor(tensors: dict, damage: str) -> str:
+    """Damage one of the ``data.bin`` ``tensors`` in place; the name it damaged."""
+    name = damage.split(" ")[-1]
+    t = tensors[name]
+    if damage == "float users":
+        tensors[name] = t.astype(np.float64)
+    elif damage == "2-d users":
+        tensors[name] = t[:, None]
+    elif damage in ("short users", "truncated neighbors.0.ids"):
+        tensors[name] = t[:-1]
+    elif damage == "int64 repeat_flags":
+        tensors[name] = t.astype(np.int64)
+    elif damage == "out of range train_idx":
+        tensors[name] = np.append(t, len(tensors["times"]))
+    else:  # a case whose target column is its row's length
+        t[3, 0] = t[1, 0]
+    return name
+
+
+@pytest.mark.parametrize("damage", ["float users", "2-d users", "short users",
+                                    "out of range train_idx", "truncated neighbors.0.ids",
+                                    "int64 repeat_flags", "tcol past length cases.0.rows"])
+def test_data_with_a_damaged_tensor_fails_naming_it(pipeline, tmp_path, capsys, damage):
+    """A tensor of another dtype kind or shape, or with a code outside its
+    range, fails at load, naming the file and the tensor, not later."""
+    cfg = copy_run(pipeline, tmp_path)
+    path = os.path.join(load_config(cfg).run_dir(), cli.DATA_FILE)
+    header, tensors = dataio.read_tensors(path, features.DATA_MAGIC)
+    del header["tensors"]
+    assert header["neighbors"] and header["cases"]
+    name = _damage_tensor(tensors, damage)
+    dataio.write_tensors(path, features.DATA_MAGIC, header, tensors)
+    assert cli.main(["analyze", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert f"cannot read the ingested data at {path}; run `fdrec ingest --config {cfg}`" in err
+    detail = ("damaged case set 0" if name.startswith("cases.")
+              else f"damaged tensor {name!r}")
+    assert f"{path}: {detail}; run `fdrec ingest` again" in err
+
 def test_eval_reports_keep_their_bytes_when_case_sets_are_built_on_a_miss(
         pipeline, tmp_path, monkeypatch):
     """``eval`` reads the sets ``ingest`` stored for ``[eval]``; with none

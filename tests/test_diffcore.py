@@ -777,6 +777,43 @@ def test_gru_sequence_gradient_check_on_shared_prefixes():
     assert err <= 1e-4
 
 
+def gru_bit_batches(I: int):
+    """(table, codes, mask) batches for the in-place reference: a flag-sized
+    table under 64 rows fed the trie windows, with one-node depths, equal
+    windows and holes; a table of one row per real slot, 64 rows or more,
+    fed windows of every length and a holed one; and a fully masked batch."""
+    mask, codes = trie_batch(TRIE_WINDOWS, 8, holes=True)
+    slots = holed_windows(9, 81)
+    n = int(slots.sum())
+    assert n >= 64
+    return {
+        "flag-table": (rng(82).normal(size=(5, I)), codes, mask),
+        "slot-table": (rng(83).normal(size=(n, I)), np.arange(n), slots),
+        "all-masked": (rng(84).normal(size=(2, I)), np.zeros(0, dtype=np.int64),
+                       np.zeros((4, 6))),
+    }
+
+
+@pytest.mark.parametrize("batch", ["flag-table", "slot-table", "all-masked"])
+@pytest.mark.parametrize("D, I", [(8, 12), (32, 40), (64, 96)])
+def test_gru_sequence_keeps_the_bits_of_the_in_place_loops(D, I, batch):
+    """The whole-array loops give h and all ten VJP outputs, the table's
+    gradient and the nine weight gradients, bit for bit as the in-place
+    loops they replaced."""
+    state = gru_state(24, in_dim=I, hidden=D)
+    p = dc.gru_leaves(state, "g")
+    table, codes, mask = gru_bit_batches(I)[batch]
+    g = rng(85).normal(size=(len(mask), D))
+    got = dc.gru_sequence(p, (table, codes), mask)
+    want = oracles.gru_sequence_in_place(p, (table, codes), mask)
+    assert got.data.tobytes() == want.data.tobytes()
+    outs = list(zip(got._vjp(g), want._vjp(g)))
+    assert len(outs) == 10
+    for i, (a, b) in enumerate(outs):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), i
+        assert (np.abs(a).max(initial=0.0) > 0.0) != (batch == "all-masked"), i
+
+
 def test_gru_gradient_check():
     state = dc.ModelState(seed=8)
     state.add_gru("g", in_dim=3, hidden=4)
@@ -877,8 +914,8 @@ def test_adam_slots_are_allocated_at_the_first_step(tmp_path):
 
 @pytest.mark.parametrize("weight_decay", [0.0, 1e-3])
 def test_adam_step_matches_the_expression_form_bit_for_bit(weight_decay):
-    """Several steps of the in-place update against the whole-array
-    expressions it replaced: weights and both slots keep their bits."""
+    """Several steps of ``adam_step`` against the same update written apart
+    in ``oracles``: weights and both slots keep their bits."""
     states = []
     for _ in range(2):
         state = dc.ModelState(seed=12)
