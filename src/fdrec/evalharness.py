@@ -20,9 +20,18 @@ their validation sets with :func:`validation_cases`.  A scorer maps the set
 to its [N, C] score array, row ``i`` for case ``i``, and :func:`evaluate`
 ranks it at once.  SOnly, RepRec and ExpRec all score through
 :func:`dot_scores` with their ``<model>_query``, which takes one product per
-row through :func:`row_dots`; the ensemble and ``concat`` take their base
+case through :func:`row_dots`; the ensemble and ``concat`` take their base
 scores through it too, and HisPop scores the set in segment form.  Ranking
 is pessimistic: the target ranks below every candidate it ties with.
+
+:func:`row_dots` scores a case against the whole store table, as unsampled
+metrics do, and picks its candidates out, so a candidate's score depends
+only on its case's query and the table, never on its slate's order, width
+or padding.  That is one O(S·D) gemv per case, for S stores of width D,
+however short the slate: on wide-catalog data (789 stores, D = 32, one BLAS
+thread) 357 repeat cases of about 5 candidates took 1.7 ms against 1.0 ms
+for a gather, and 419 exploration cases of about 784 took 2.6 against
+8.5 ms.  A catalog much wider than its slates would lose.
 """
 
 from __future__ import annotations
@@ -187,15 +196,18 @@ def validation_cases(
 
 def row_dots(table: np.ndarray, queries: np.ndarray, cases: CaseSet,
              lo: np.ndarray, hi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """[N, C] ``out`` (zeros if None) with ``table[cand[i, lo[i]:hi[i]]] @
-    queries[i]`` written into row ``i``; every other slot is left as it is.
+    """[N, C] ``out`` (zeros if None) with ``(table @ queries[i])[cand[i,
+    lo[i]:hi[i]]]`` written into row ``i``; every other slot is left as it is.
 
-    One product per row: OpenBLAS rounds a row of a product by the call's row
-    count, so a row keeps its bits whatever cases share the set."""
+    One gemv over the whole table per non-empty part, O(S·D) whatever the
+    part's length: OpenBLAS rounds a product's row by where it sits in the
+    call, so a product over the gathered candidates would score each by its
+    slate's order and width."""
     cand = cases.cand
     out = np.zeros(cand.shape) if out is None else out
     for i, (a, b) in enumerate(zip(lo.tolist(), hi.tolist())):
-        out[i, a:b] = table[cand[i, a:b]] @ queries[i]
+        if a < b:
+            out[i, a:b] = (table @ queries[i])[cand[i, a:b]]
     return out
 
 

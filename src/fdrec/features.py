@@ -20,7 +20,9 @@ Every model builder starts from :func:`new_state`.  The models' forward
 passes share the packed history-window gatherer, the situation embedding and
 :func:`query_rows`, which runs a model's query forward, the one its training
 loss uses, for inference: in near-equal chunks of at most ``QUERY_CHUNK``
-rows, nothing padded.
+(256) rows, nothing padded.  256 is the largest row count the tests sweep
+:mod:`fdrec.diffcore`'s row rule at, below its measured 300-row bound, so
+a set of up to 256 cases takes one forward.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .dataio import (DatasetSplit, InteractionLog, StoreMeta, read_tensors,
 
 FALLBACK = 0  # reserved location row
 # rows per inference forward pass; bounds the tape a scorer builds at once
-QUERY_CHUNK = 128
+QUERY_CHUNK = 256
 
 
 @dataclass
@@ -380,9 +382,12 @@ def query_rows(state: dc.ModelState, data: Dataset, rows: np.ndarray,
     ``query`` maps flat rows [B] to per-row vectors [B, ...]; it is the same
     forward pass a model's training loss uses.  Its products keep
     :mod:`fdrec.diffcore`'s row rule, so a row's vector does not depend on
-    its chunk mates.  The rule holds up to 256 rows, and OpenBLAS rounds a
-    dense head's row differently at 301: 512-row chunks gave ExpRec and
-    intent outputs other than 128-row ones.  So ``QUERY_CHUNK`` stays <= 256.
+    its chunk mates.  The tests sweep the rule from 1 to 256 rows, and
+    OpenBLAS keeps a dense head's row up to 300 rows and rounds it
+    differently at 301: 512-row chunks gave ExpRec and intent outputs other
+    than 128-row ones, while 256-row ones gave the same bytes.  So
+    ``QUERY_CHUNK`` is 256, the sweep's largest row count, and goes no
+    higher without a wider sweep.
     """
     parts = [query(state, data, chunk).data
              for chunk in np.array_split(rows, max(-(-len(rows) // QUERY_CHUNK), 1))]

@@ -899,7 +899,9 @@ def slate_bases_loop(rep_state: dc.ModelState, exp_state: dc.ModelState,
                      data: features.Dataset, cases) -> list[np.ndarray]:
     """Each case's normalized frozen base scores over its real candidates,
     one row at a time: RepRec scores the first ``n_prior`` and ExpRec the
-    rest, and each non-empty part is min-max normalized alone."""
+    rest, each part as its model's whole store table dotted with the case's
+    query at the part's codes, and each non-empty part is min-max normalized
+    alone."""
     rows = data.seqs.flat_of_global[cases.position]
     rep_q = features.query_rows(rep_state, data, rows, reprec.reprec_query)
     exp_q = features.query_rows(exp_state, data, rows, exprec.exprec_query)
@@ -910,9 +912,9 @@ def slate_bases_loop(rep_state: dc.ModelState, exp_state: dc.ModelState,
         codes = cases.cand[i, :n]
         base = np.empty(n)
         if a:
-            base[:a] = _minmax(rep_store[codes[:a]] @ rep_q[i])
+            base[:a] = _minmax((rep_store @ rep_q[i])[codes[:a]])
         if n > a:
-            base[a:] = _minmax(exp_store[codes[a:]] @ exp_q[i])
+            base[a:] = _minmax((exp_store @ exp_q[i])[codes[a:]])
         out.append(base)
     return out
 

@@ -471,6 +471,53 @@ def test_cases_across_chunks_score_as_each_case_alone(
             np.testing.assert_array_equal(together[i], scores[model](take(cases, [i]))[0])
 
 
+def reshaped_slates(cases, reverse, halve):
+    """``cases`` with each row's repeat part (its first ``n_prior``
+    candidates) and its other part each reversed if ``reverse``, and cut to
+    its first half, rounded up, if ``halve``; ``target`` and ``tcol`` go
+    stale, which no scorer reads."""
+    cand, length, n_prior = np.zeros_like(cases.cand), cases.length.copy(), cases.n_prior.copy()
+    for i in range(len(cases)):
+        a, n = int(cases.n_prior[i]), int(cases.length[i])
+        parts = [cases.cand[i, :a], cases.cand[i, a:n]]
+        parts = [p[::-1] if reverse else p for p in parts]
+        parts = [p[: -(-len(p) // 2)] if halve else p for p in parts]
+        n_prior[i], length[i] = len(parts[0]), len(parts[0]) + len(parts[1])
+        cand[i, : length[i]] = np.concatenate(parts)
+    return dataclasses.replace(cases, cand=cand, length=length, n_prior=n_prior)
+
+
+def test_a_candidates_score_does_not_depend_on_its_slate(small_split, small_data,
+                                                         small_seqs, monkeypatch):
+    """Each case scores the same store to the same bits whether its slate is
+    whole, reversed or cut to its first half, through ``dot_scores`` and
+    through the raw base scores of ``_case_bases``."""
+    seqs, vocabs = small_seqs
+    rep, exp = frozen_bases(small_data, dim=32)
+    son = baselines.sonly_build(small_data, ModelSection(dim=32), seed=4)
+    # the raw products, before each part's min-max depends on its members
+    monkeypatch.setattr(ensemble, "_normalized", lambda raw, parts: raw)
+    scorers = {
+        "sonly": lambda cs: evalharness.dot_scores(son, small_data, cs, baselines.sonly_query),
+        "reprec": lambda cs: evalharness.dot_scores(rep, small_data, cs, reprec.reprec_query),
+        "exprec": lambda cs: evalharness.dot_scores(exp, small_data, cs, exprec.exprec_query),
+        "bases": lambda cs: ensemble._case_bases(rep, exp, small_data, cs)[0],
+    }
+    cases = evalharness.build_cases(small_split, "combined", seed=5, max_cases=24,
+                                    seqs=seqs, vocabs=vocabs)
+    assert cases.length.min() >= 8 and (cases.n_prior > 1).any()
+    variants = [cases, reshaped_slates(cases, True, False), reshaped_slates(cases, True, True)]
+    for name, score in scorers.items():
+        by_store = []
+        for cs in variants:
+            scores = score(cs)
+            by_store.append({(i, int(cs.cand[i, j])): scores[i, j].tobytes()
+                             for i in range(len(cs)) for j in range(cs.length[i])})
+        whole, reversed_, half = by_store
+        assert reversed_ == whole, name
+        assert half == {key: whole[key] for key in half}, name
+
+
 def test_concat_scorer_returns_normalized_bases(small_split, small_data, small_seqs):
     seqs, vocabs = small_seqs
     rep, exp = frozen_bases(small_data, dim=8)
