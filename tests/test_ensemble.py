@@ -1,4 +1,8 @@
 import dataclasses
+import os
+import signal
+import sys
+import time
 import warnings
 
 import numpy as np
@@ -380,11 +384,14 @@ def test_combined_loss_gradients_match_finite_differences(crowded_data):
     assert err <= 1e-4
 
 
+TRAIN_ARGS = (TrainSettings(lr=0.05, batch_size=64, patience=2, max_epochs=2,
+                            seed=3, max_instances=300, val_max_cases=40),
+              ModelSection(dim=8, history_window=5, budget=6))
+
+
 def test_train_runs_two_stages_and_is_deterministic(small_data):
     rep, exp = frozen_bases(small_data, dim=8)
-    settings = TrainSettings(lr=0.05, batch_size=64, patience=2, max_epochs=2,
-                             seed=3, max_instances=300, val_max_cases=40)
-    model = ModelSection(dim=8, history_window=5, budget=6)
+    settings, model = TRAIN_ARGS
     state, results = ensemble.ensemble_train(small_data, settings, model, rep, exp)
     assert set(results) == {"intent", "combine"}
     assert state.meta["model"] == "ensemble"
@@ -395,6 +402,91 @@ def test_train_runs_two_stages_and_is_deterministic(small_data):
         np.testing.assert_array_equal(state.value(name), state2.value(name))
     with pytest.raises(ValueError, match="both frozen base models"):
         ensemble.ensemble_train(small_data, settings, model, None, exp)
+
+
+linux_only = pytest.mark.skipif(sys.platform != "linux",
+                                reason="the stage-2 bases are forked on Linux only")
+
+
+def counted_forks(monkeypatch) -> list:
+    """Patch ``os.fork`` to record each fork's child pid in the list returned."""
+    pids, fork = [], os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return pids
+
+
+@linux_only
+def test_training_forked_or_in_process_gives_the_same_bytes(small_data, monkeypatch):
+    rep, exp = frozen_bases(small_data, dim=8)
+    pids = counted_forks(monkeypatch)
+    state, results = ensemble.ensemble_train(small_data, *TRAIN_ARGS, rep, exp)
+    assert len(pids) == 1
+    monkeypatch.delattr(os, "fork")
+    state2, results2 = ensemble.ensemble_train(small_data, *TRAIN_ARGS, rep, exp)
+    assert list(state.params) == list(state2.params)
+    for name in state.params:
+        assert state.value(name).tobytes() == state2.value(name).tobytes(), name
+    for stage in ("intent", "combine"):
+        a, b = results[stage], results2[stage]
+        assert (a.epochs, a.best_epoch) == (b.epochs, b.best_epoch)
+        for x, y in ((a.best_metric, b.best_metric), (a.history, b.history)):
+            assert np.array(x).tobytes() == np.array(y).tobytes(), stage
+
+
+@linux_only
+def test_an_exception_in_the_child_is_raised_again_with_its_message(small_data,
+                                                                     monkeypatch):
+    rep, exp = frozen_bases(small_data, dim=8)
+    pids = counted_forks(monkeypatch)
+
+    def boom(*args):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(ensemble, "_case_bases", boom)
+    with pytest.raises(ValueError) as err:
+        ensemble.ensemble_train(small_data, *TRAIN_ARGS, rep, exp)
+    assert (type(err.value), str(err.value)) == (ValueError, "boom")
+    assert len(pids) == 1
+
+
+@linux_only
+def test_a_failed_stage_one_kills_and_reaps_the_child(small_data, monkeypatch):
+    rep, exp = frozen_bases(small_data, dim=8)
+    counted_forks(monkeypatch)
+    intent_ce = ensemble._intent_ce
+    monkeypatch.setattr(ensemble, "_intent_ce",
+                        lambda logits, repeat: dc.mul(intent_ce(logits, repeat), np.nan))
+    # a child left to finish would take a minute
+    monkeypatch.setattr(ensemble, "_case_bases", lambda *args: time.sleep(60))
+    start = time.monotonic()
+    with pytest.raises(ValueError, match="non-finite loss"):
+        ensemble.ensemble_train(small_data, *TRAIN_ARGS, rep, exp)
+    assert time.monotonic() - start < 30
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@linux_only
+def test_a_child_killed_without_a_result_names_its_signal(small_data, monkeypatch):
+    rep, exp = frozen_bases(small_data, dim=8)
+    parent = os.getpid()
+
+    def die(*args):
+        assert os.getpid() != parent, "the bases ran in this process"
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    monkeypatch.setattr(ensemble, "_case_bases", die)
+    with pytest.raises(RuntimeError, match="SIGKILL"):
+        ensemble.ensemble_train(small_data, *TRAIN_ARGS, rep, exp)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_scorer_composes_public_pieces(small_split, small_data, small_seqs):

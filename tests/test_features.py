@@ -275,6 +275,32 @@ def test_situations_reject_a_code_outside_its_table(hours, dows, locs):
         features.situations(situation_state(), *code_rows((hours, dows, locs)))
 
 
+@pytest.mark.parametrize("model", ["reprec", "exprec", "intent"])
+def test_query_rows_runs_sorted_chunks_and_returns_the_callers_order(small_data, model):
+    """Shuffled rows go through the query in chunks of ascending flat row,
+    and come back in the caller's order with the bytes of the sorted call."""
+    section = ModelSection(dim=16, repeat_window=20, history_window=10, k_neighbors=5)
+    build, query = {"reprec": (reprec.reprec_build, reprec.reprec_query),
+                    "exprec": (exprec.exprec_build, exprec.exprec_query),
+                    "intent": (ensemble.ensemble_build,
+                               lambda st, d, r: ensemble._intent_logits(st, d.seqs, r))}[model]
+    state = build(small_data, section, seed=43)
+    ordered = np.sort(rng(44).choice(len(small_data.seqs.user), size=600, replace=False))
+    perm = rng(45).permutation(len(ordered))
+    chunks = []
+
+    def recording(st, d, chunk):
+        chunks.append(chunk.copy())
+        return query(st, d, chunk)
+
+    shuffled = features.query_rows(state, small_data, ordered[perm], recording)
+    assert len(chunks) == 3 and sum(map(len, chunks)) == len(ordered)
+    for chunk in chunks:
+        assert (np.diff(chunk) > 0).all()
+    expected = features.query_rows(state, small_data, ordered, query)[perm]
+    assert shuffled.tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize("model", ["sonly", "reprec", "exprec", "intent"])
 def test_a_query_row_keeps_its_bits_at_every_row_count(small_data, model):
     """The rows of an n-row forward equal the first n rows of a
