@@ -288,7 +288,10 @@ def bpr_loss(pos, neg) -> Var:
 
 
 def backward(out: Var, seed: Array | None = None) -> None:
-    """Accumulate gradients of ``out`` into every reachable parameter."""
+    """Accumulate gradients of ``out`` into every reachable parameter.
+
+    Every node's gradient stays on its tape node, beside its data and VJP
+    closure, until the caller drops the last reference to ``out``."""
     topo: list[Var] = []
     seen: set[int] = set()
     stack: list[tuple[Var, bool]] = [(out, False)]

@@ -246,12 +246,24 @@ def _forked(fn: Callable[[], object]) -> Callable[..., object]:
     large result; an idle forked child costs the parent copy-on-write faults.
     ``join`` reaps the child (killing it first if ``kill``) and raises
     ``RuntimeError`` naming the wait status of a child that left no result.
-    Without ``os.fork``, or off Linux, where a BLAS such as macOS's
-    Accelerate is not fork-safe, ``join()`` calls ``fn`` in process."""
+    Without ``os.fork``, off Linux, where a BLAS such as macOS's Accelerate is
+    not fork-safe, or when the file or the fork fails with ``OSError`` (say
+    EAGAIN under a process limit, or ENOMEM), ``join()`` calls ``fn`` in
+    process, which gives the same bytes."""
+
+    def in_process(kill: bool = False):
+        return None if kill else fn()
+
     if not hasattr(os, "fork") or sys.platform != "linux":
-        return lambda kill=False: None if kill else fn()
-    out = tempfile.TemporaryFile()
-    pid = os.fork()
+        return in_process
+    out = None
+    try:
+        out = tempfile.TemporaryFile()
+        pid = os.fork()
+    except OSError:
+        if out is not None:
+            out.close()
+        return in_process
     if pid == 0:
         code = 1
         try:

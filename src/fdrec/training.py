@@ -76,6 +76,10 @@ def run_training(
     ``batch_loss`` gets instance indices plus the epoch's generator (for
     negative sampling) and returns a scalar loss node.  The metric is
     higher-is-better; the best parameters are restored before returning.
+
+    Each batch's loss node is dropped right after its Adam step, so the tape
+    it roots (every intermediate array, VJP closure and node gradient) is
+    freed before the next ``batch_loss`` and before ``val_metric`` run.
     """
     if n_instances <= 0:
         raise ValueError("no training instances")
@@ -102,6 +106,7 @@ def run_training(
                 lr=settings.lr,
                 weight_decay=settings.weight_decay,
             )
+            del loss
         metric = float(val_metric(state))
         history.append(metric)
         if metric > best_metric:

@@ -1,7 +1,9 @@
 import dataclasses
+import errno
 import os
 import signal
 import sys
+import tempfile
 import time
 import warnings
 
@@ -422,14 +424,8 @@ def counted_forks(monkeypatch) -> list:
     return pids
 
 
-@linux_only
-def test_training_forked_or_in_process_gives_the_same_bytes(small_data, monkeypatch):
-    rep, exp = frozen_bases(small_data, dim=8)
-    pids = counted_forks(monkeypatch)
-    state, results = ensemble.ensemble_train(small_data, *TRAIN_ARGS, rep, exp)
-    assert len(pids) == 1
-    monkeypatch.delattr(os, "fork")
-    state2, results2 = ensemble.ensemble_train(small_data, *TRAIN_ARGS, rep, exp)
+def assert_same_training(state, results, state2, results2):
+    """Both ensemble trainings' parameters and stage results are byte-equal."""
     assert list(state.params) == list(state2.params)
     for name in state.params:
         assert state.value(name).tobytes() == state2.value(name).tobytes(), name
@@ -438,6 +434,37 @@ def test_training_forked_or_in_process_gives_the_same_bytes(small_data, monkeypa
         assert (a.epochs, a.best_epoch) == (b.epochs, b.best_epoch)
         for x, y in ((a.best_metric, b.best_metric), (a.history, b.history)):
             assert np.array(x).tobytes() == np.array(y).tobytes(), stage
+
+
+@linux_only
+def test_training_forked_or_in_process_gives_the_same_bytes(small_data, monkeypatch):
+    rep, exp = frozen_bases(small_data, dim=8)
+    pids = counted_forks(monkeypatch)
+    forked = ensemble.ensemble_train(small_data, *TRAIN_ARGS, rep, exp)
+    assert len(pids) == 1
+    monkeypatch.delattr(os, "fork")
+    assert_same_training(*forked, *ensemble.ensemble_train(small_data, *TRAIN_ARGS, rep, exp))
+
+
+@linux_only
+def test_a_failed_fork_trains_in_process_and_closes_its_file(small_data, monkeypatch):
+    rep, exp = frozen_bases(small_data, dim=8)
+    files, temporary_file = [], tempfile.TemporaryFile
+
+    def recorded_file(*args, **kwargs):
+        files.append(temporary_file(*args, **kwargs))
+        return files[-1]
+
+    def failed_fork():
+        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", recorded_file)
+    monkeypatch.setattr(os, "fork", failed_fork)
+    fallen_back = ensemble.ensemble_train(small_data, *TRAIN_ARGS, rep, exp)
+    assert len(files) == 1 and files[0].closed
+    monkeypatch.delattr(os, "fork")
+    assert_same_training(*fallen_back,
+                         *ensemble.ensemble_train(small_data, *TRAIN_ARGS, rep, exp))
 
 
 @linux_only
