@@ -4,15 +4,16 @@ Usage::
 
     python3 scripts/compare_runs.py RUN_A RUN_B
 
-Prints one line per file found under either directory, in sorted order:
-its path relative to the run directory and ``identical``, ``differs`` or
-``only in`` the directory that holds it.  A ``*.ckpt`` that differs also shows
-its largest relative parameter difference: over every tensor, the largest
-``|a - b|`` divided by the largest ``|a|`` of that tensor, and the tensor's
-name; or, when the two hold different parameters, the names found on one side
-only.  A ``data.bin`` that differs also names the header keys and the tensors
-found on one side only, and those whose values, dtypes or shapes differ, as
-in ``header keys only in the second run: cases; tensors only in the second
+Prints one line per file found under either directory, in sorted order,
+but for the ``.lock`` that every command leaves behind: its path relative
+to the run directory and ``identical``, ``differs`` or ``only in`` the
+directory that holds it.  A ``*.ckpt`` that differs also shows its largest
+relative parameter difference: over every tensor, the largest ``|a - b|``
+divided by the largest ``|a|`` of that tensor, and the tensor's name; or,
+when the two hold different parameters, the names found on one side only.
+A ``data.bin`` that differs also names the header keys and the tensors found
+on one side only, and those whose values, dtypes or shapes differ, as in
+``header keys only in the second run: cases; tensors only in the second
 run: cases.0.cand, cases.0.rows``.  A ``*.train.json`` that differs also
 shows the dotted keys whose values differ, each numeric one with its largest
 relative difference ``|a - b| / max(|a|, |b|)``, lists compared element by
@@ -41,11 +42,12 @@ from fdrec import dataio, diffcore, features  # noqa: E402
 
 
 def files_under(root: str) -> set[str]:
-    """Every file below ``root``, as a path relative to it."""
+    """Every file below ``root`` but ``.lock``, as a path relative to it."""
     out = set()
     for dirpath, _, names in os.walk(root):
         for name in names:
-            out.add(os.path.relpath(os.path.join(dirpath, name), root))
+            if name != ".lock":
+                out.add(os.path.relpath(os.path.join(dirpath, name), root))
     return out
 
 

@@ -7,7 +7,8 @@ Conventions shared by every subcommand:
 * Artifacts land in a run directory named ``<config-hash>-s<train-seed>``
   under ``[data] out``, so different configurations never collide and
   rerunning the same one reproduces byte-identical files.
-* A ``.lock`` file guards the run directory against concurrent commands.
+* Each command but ``synth`` holds an ``flock`` on the run directory's
+  ``.lock``, so two never run against it at once (see :class:`_RunDirLock`).
 * ``ingest`` parses and splits the TSVs into ``data.bin``, with the neighbour
   table, the three protocols' test case sets for ``[eval] seed`` and
   ``max_cases``, and a fingerprint of the TSVs and ``[data]``.  Later stages
@@ -23,10 +24,10 @@ Conventions shared by every subcommand:
 from __future__ import annotations
 
 import argparse
+import fcntl
 import hashlib
 import json
 import os
-import platform
 import sys
 
 import numpy as np
@@ -66,79 +67,33 @@ class UsageError(Exception):
     """Bad invocation or configuration: exit code 2."""
 
 
-def _exited_here(owner: list[str]) -> bool:
-    """Whether a lock's ``[pid, host]`` names an exited process of this host.
-    Only POSIX can probe a pid: elsewhere ``os.kill`` would end the process."""
-    if (os.name != "posix" or len(owner) != 2 or not owner[0].isdigit()
-            or owner[1] != platform.node()):
-        return False
-    try:
-        os.kill(int(owner[0]), 0)
-    except ProcessLookupError:
-        return True
-    except PermissionError:  # alive, but not ours to signal
-        pass
-    return False
-
-
 class _RunDirLock:
-    """Exclusive lock on a run directory via an O_EXCL-created file holding
-    ``pid host``; a lock whose owner on this host has exited is taken over,
-    and one that vanishes before it can be read is free."""
+    """Exclusive, non-blocking ``flock`` on ``<run_dir>/.lock`` for one command.
+
+    The kernel releases the lock when its holder exits, however it exits, so
+    it never goes stale; a ``.lock`` no process holds, such as one an older
+    fdrec left holding ``pid host``, is free.  The file stays behind: removing
+    a file another command has already opened would let two commands lock two
+    files of one name.  A child forked under the lock shares it until it exits.
+    POSIX only and advisory; some network file systems do not honour it."""
 
     def __init__(self, run_dir: str):
-        self.run_dir = run_dir
         self.path = os.path.join(run_dir, ".lock")
-        self.fd: int | None = None
-
-    def _unlink_if_owned_by(self, owner: list[str]) -> None:
-        """Remove the lock file if it still names ``owner``.  An flock on the
-        run directory serializes takeovers, so of two commands that found the
-        same stale lock only one removes it, and a lock that a live command
-        took in the meantime stays.  POSIX only, like the takeover itself."""
-        import fcntl
-
-        dir_fd = os.open(self.run_dir, os.O_RDONLY)
-        try:
-            fcntl.flock(dir_fd, fcntl.LOCK_EX)
-            try:
-                with open(self.path, encoding="utf-8") as fh:
-                    same = fh.read().split() == owner
-            except FileNotFoundError:
-                same = False
-            if same:
-                os.unlink(self.path)
-        finally:
-            os.close(dir_fd)  # releases the flock
 
     def __enter__(self) -> "_RunDirLock":
-        for retry in (False, True):
-            try:
-                self.fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-                break
-            except FileExistsError:
-                try:
-                    with open(self.path, encoding="utf-8") as fh:
-                        owner = fh.read().split()
-                except FileNotFoundError:  # the holder let go in between
-                    continue
-                if retry or not _exited_here(owner):
-                    who = " on host ".join(owner) or "?"
-                    raise RuntimeError(
-                        f"run directory is locked by pid {who} ({self.path} exists); "
-                        f"another command may be running against it — remove the "
-                        f"file if it is stale"
-                    ) from None
-                self._unlink_if_owned_by(owner)
-        else:
-            raise RuntimeError(f"run directory lock {self.path} keeps changing hands")
-        os.write(self.fd, f"{os.getpid()} {platform.node()}\n".encode())
+        fd = os.open(self.path, os.O_RDWR | os.O_CREAT, 0o644)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            os.close(fd)
+            raise RuntimeError(
+                f"run directory is locked: another command holds {self.path}"
+            ) from None
+        self.fd = fd
         return self
 
     def __exit__(self, *exc) -> None:
-        if self.fd is not None:
-            os.close(self.fd)
-            os.unlink(self.path)
+        os.close(self.fd)  # releases the lock
 
 
 def _prepare_run_dir(cfg: RunConfig) -> str:
@@ -429,29 +384,28 @@ def _cmd_report(args) -> int:
     run_dir = cfg.run_dir()
     if not os.path.isdir(run_dir):
         raise RuntimeError(f"run directory {run_dir} does not exist; nothing to report")
-    names = sorted(
-        n for n in os.listdir(run_dir)
-        if n.startswith("eval.") and n.endswith(".json")
-    )
-    if not names:
-        raise RuntimeError(
-            f"no evaluation reports in {run_dir}; run `fdrec eval` first"
-        )
-    rows = []
-    for name in names:
-        with open(os.path.join(run_dir, name), "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        k = payload["k"]
-        for protocol, stats in sorted(payload["protocols"].items()):
-            rows.append((
-                payload["model"], protocol, k,
-                stats[f"hr@{k}"], stats[f"ndcg@{k}"], stats["n"],
-                payload["parameters"],
-            ))
-    rows.sort(key=lambda r: (r[0], r[1]))
-
-    summary_path = os.path.join(run_dir, "summary.csv")
     with _RunDirLock(run_dir):
+        names = sorted(
+            n for n in os.listdir(run_dir)
+            if n.startswith("eval.") and n.endswith(".json")
+        )
+        if not names:
+            raise RuntimeError(
+                f"no evaluation reports in {run_dir}; run `fdrec eval` first"
+            )
+        rows = []
+        for name in names:
+            with open(os.path.join(run_dir, name), "r", encoding="utf-8") as fh:
+                payload = json.load(fh)
+            k = payload["k"]
+            for protocol, stats in sorted(payload["protocols"].items()):
+                rows.append((
+                    payload["model"], protocol, k,
+                    stats[f"hr@{k}"], stats[f"ndcg@{k}"], stats["n"],
+                    payload["parameters"],
+                ))
+        rows.sort(key=lambda r: (r[0], r[1]))
+        summary_path = os.path.join(run_dir, "summary.csv")
         with dataio.atomic_open(summary_path) as fh:
             fh.write("model,protocol,k,hr,ndcg,n,parameters\n")
             for model, protocol, k, hr, ndcg, n, params in rows:

@@ -1,9 +1,11 @@
+import contextlib
 import dataclasses
 import json
 import os
 import platform
 import re
 import shutil
+import signal
 import subprocess
 import sys
 
@@ -563,17 +565,42 @@ def test_ingested_data_is_the_parsed_data(pipeline):
         assert_array_equal(a, b)
 
 
+def artifacts(run_dir) -> dict:
+    """Each file's bytes and inode: a rewrite replaces the inode."""
+    out = {}
+    for base, _, names in os.walk(run_dir):
+        for name in names:
+            if name != ".lock":
+                path = os.path.join(base, name)
+                with open(path, "rb") as fh:
+                    out[path] = (fh.read(), os.stat(path).st_ino)
+    return out
+
+
 def test_locked_run_dir_fails_cleanly(pipeline, capsys):
     cfg_path, run_dir = pipeline
-    lock = os.path.join(run_dir, ".lock")
-    with open(lock, "w") as fh:
-        fh.write("12345\n")
-    try:
+    before = artifacts(run_dir)
+    with cli._RunDirLock(run_dir):
         assert cli.main(["ingest", "--config", cfg_path]) == 1
-        assert "locked" in capsys.readouterr().err
-    finally:
-        os.unlink(lock)
+        err = capsys.readouterr().err
+        assert f"run directory is locked: another command holds {run_dir}/.lock" in err
+        assert artifacts(run_dir) == before
     assert cli.main(["ingest", "--config", cfg_path]) == 0
+
+
+def test_report_reads_the_eval_reports_under_the_lock(tmp_path, capsys):
+    """``report`` takes the lock before it lists the reports, so a run
+    directory that an ``eval`` holds gives no summary at all."""
+    base = tmp_path / "base.cfg"
+    write_config(str(base), SMALL)
+    assert cli.main(["synth", "--out", str(tmp_path / "d"), "--config", str(base)]) == 0
+    cfg_path = str(tmp_path / "d" / "cfg")
+    assert cli.main(["ingest", "--config", cfg_path]) == 0
+    run_dir = load_config(cfg_path).run_dir()
+    with cli._RunDirLock(run_dir):
+        assert cli.main(["report", "--config", cfg_path]) == 1
+        assert f"another command holds {run_dir}/.lock" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(run_dir, "summary.csv"))
 
 
 def test_report_without_evals_is_runtime_error(tmp_path, capsys):
@@ -640,91 +667,67 @@ def test_synth_infeasible_settings_fail(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-def _dead_pid() -> int:
-    child = subprocess.Popen([sys.executable, "-c", "pass"])
-    child.wait()  # exited and reaped: its pid names no process
-    return child.pid
+HOLDER = """
+import sys, time
+from fdrec import cli
+with cli._RunDirLock(sys.argv[1]):
+    print("held", flush=True)
+    time.sleep(120)
+"""
 
 
-def test_stale_lock_of_an_exited_process_is_taken_over(tmp_path):
-    lock = tmp_path / ".lock"
-    lock.write_text(f"{_dead_pid()} {platform.node()}\n")
+def run_holder(run_dir, **kw):
+    """A Python process that takes ``run_dir``'s lock and holds it for 2 min."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    return subprocess.Popen([sys.executable, "-c", HOLDER, str(run_dir)], env=env,
+                            stdout=subprocess.PIPE, text=True, **kw)
+
+
+@contextlib.contextmanager
+def holder(run_dir):
+    """The holder process, once it holds the lock; killed on the way out."""
+    proc = run_holder(run_dir)
+    try:
+        assert proc.stdout.readline() == "held\n"
+        yield proc
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+
+
+def assert_locked(run_dir):
+    with pytest.raises(RuntimeError, match=re.escape(
+            f"run directory is locked: another command holds {run_dir}/.lock")):
+        with cli._RunDirLock(str(run_dir)):
+            pass
+
+
+def test_a_killed_holder_leaves_the_lock_free(tmp_path):
+    with holder(tmp_path) as proc:
+        assert_locked(tmp_path)
+        os.kill(proc.pid, signal.SIGKILL)
+        assert proc.wait() == -signal.SIGKILL
+        with cli._RunDirLock(str(tmp_path)):
+            assert_locked(tmp_path)
+
+
+def test_two_commands_never_hold_the_lock_at_once(tmp_path):
+    with holder(tmp_path):
+        assert_locked(tmp_path)
     with cli._RunDirLock(str(tmp_path)):
-        assert lock.read_text() == f"{os.getpid()} {platform.node()}\n"
-    assert not lock.exists()
+        assert_locked(tmp_path)  # a second descriptor of this process
+        proc = run_holder(tmp_path, stderr=subprocess.PIPE)
+        out, err = proc.communicate(timeout=60)
+        assert (proc.returncode, out) == (1, "")
+        assert f"another command holds {tmp_path}/.lock" in err
 
 
-def test_stale_lock_replaced_by_a_live_one_before_the_takeover_stays(tmp_path, monkeypatch):
-    """Another command may replace the stale lock between this command's read
-    and its takeover; the takeover then fails and leaves the live lock."""
+def test_a_leftover_lock_file_that_no_process_holds_is_free(tmp_path):
+    """An older fdrec wrote ``pid host`` into ``.lock``; with no flock on it,
+    the file is free even when it names a live process of this host."""
     lock = tmp_path / ".lock"
-    lock.write_text(f"{_dead_pid()} {platform.node()}\n")
-    live = f"{os.getpid()} {platform.node()}\n"
-    exited_here = cli._exited_here
-
-    def replaced_after_the_read(owner):
-        stale = exited_here(owner)
-        lock.write_text(live)
-        return stale
-
-    monkeypatch.setattr(cli, "_exited_here", replaced_after_the_read)
-    with pytest.raises(RuntimeError, match="run directory is locked"):
-        with cli._RunDirLock(str(tmp_path)):
-            pass
-    assert lock.read_text() == live
-    assert os.listdir(tmp_path) == [".lock"]
-
-
-def test_lock_removed_by_its_holder_as_the_create_fails_is_taken(tmp_path, monkeypatch):
-    """The holder may exit and remove its lock between this command's failed
-    O_EXCL create and its read of the owner; the lock is then free."""
-    lock = tmp_path / ".lock"
-    lock.write_text(f"{os.getpid()} {platform.node()}-holder\n")
-    real_open, failed = os.open, []
-
-    def released_as_the_create_fails(path, flags, *args):
-        try:
-            return real_open(path, flags, *args)
-        except FileExistsError:
-            failed.append(path)
-            os.unlink(path)
-            raise
-
-    monkeypatch.setattr(os, "open", released_as_the_create_fails)
+    lock.write_text(f"{os.getpid()} {platform.node()}\n")
     with cli._RunDirLock(str(tmp_path)):
-        assert lock.read_text() == f"{os.getpid()} {platform.node()}\n"
-    assert failed == [str(lock)]
-    assert not lock.exists()
-
-
-def test_lock_that_vanishes_at_both_attempts_fails_cleanly(tmp_path, monkeypatch):
-    """Holders that take and release the lock around both creates leave
-    nothing to read or write: the command fails with a clear error."""
-    lock = tmp_path / ".lock"
-    real_open = os.open
-
-    def taken_and_released(path, flags, *args):
-        if path == str(lock):
-            raise FileExistsError(path)
-        return real_open(path, flags, *args)
-
-    monkeypatch.setattr(os, "open", taken_and_released)
-    with pytest.raises(RuntimeError, match="keeps changing hands"):
-        with cli._RunDirLock(str(tmp_path)):
-            pass
-    assert not lock.exists()
-
-
-@pytest.mark.parametrize("owner", ["live", "other-host"])
-def test_lock_of_a_live_or_foreign_owner_still_fails(tmp_path, owner):
-    """A live pid holds its lock; a pid of another host cannot be checked."""
-    pid, host = os.getpid(), platform.node()
-    if owner == "other-host":
-        pid, host = _dead_pid(), host + "-other"
-    lock = tmp_path / ".lock"
-    lock.write_text(f"{pid} {host}\n")
-    want = re.escape(f"locked by pid {pid} on host {host}")
-    with pytest.raises(RuntimeError, match=want):
-        with cli._RunDirLock(str(tmp_path)):
-            pass
-    assert lock.read_text() == f"{pid} {host}\n"
+        assert_locked(tmp_path)
+    assert lock.read_text() == f"{os.getpid()} {platform.node()}\n"

@@ -73,6 +73,19 @@ def test_a_differing_eval_or_a_one_sided_file_fails(tmp_path, capsys):
     assert f"eval.sonly.repeat.json only in {tmp_path / 'c'}" in lines
 
 
+def test_a_lock_file_on_one_side_is_not_compared(tmp_path, capsys):
+    """Every fdrec command leaves its run directory's ``.lock`` behind, and an
+    older fdrec removed it, so the file says nothing about the run."""
+    write_run(tmp_path / "a")
+    write_run(tmp_path / "b")
+    (tmp_path / "b" / ".lock").write_text("")
+    (tmp_path / "b" / "analysis" / ".lock").write_text("123 host\n")
+    assert load_script().main([str(tmp_path / "a"), str(tmp_path / "b")]) == 0
+    out = capsys.readouterr().out
+    assert ".lock" not in out
+    assert len(out.splitlines()) == 4
+
+
 def test_a_differing_eval_shows_each_differing_key_with_both_values(tmp_path):
     for side, hr, params in (("a", 0.40384615384615385, 120), ("b", 0.4075, 96)):
         write_run(tmp_path / side)

@@ -1,13 +1,15 @@
 """End-to-end properties of the shared training loop across all four trainers:
-each batch's tape is freed before the next forward, and training reads no
-test-window label."""
+each batch's tape is freed before the next forward, training reads no
+test-window label, and no test case's rank reads a later order."""
 
+import functools
 import weakref
 
 import numpy as np
 import pytest
 
-from fdrec import baselines, dataio, ensemble, exprec, features, reprec, training
+from fdrec import baselines, dataio, ensemble, evalharness, exprec, features, reprec, training
+from fdrec.cli import COMPATIBLE
 from fdrec.training import ModelSection, TrainSettings
 from conftest import DAY, rng
 
@@ -81,10 +83,12 @@ def test_each_batch_tape_is_freed_before_the_next_forward_and_validation(
     assert refs and calls["batch"] > calls["val"] >= 2
 
 
-def with_test_stores_permuted(split, seed):
-    """``split`` with the stores of its test-window orders permuted among
-    themselves; users, times, locations and the catalog stay the same."""
+def with_test_stores_permuted(split, seed, since=0):
+    """``split`` with the stores of its test-window orders at or after time
+    ``since`` permuted among themselves; users, times, locations and the
+    catalog stay the same."""
     log, test = split.log, split.test_idx
+    test = test[log.times[test] >= since]
     stores = log.stores.copy()
     stores[test] = stores[test[rng(seed).permutation(len(test))]]
     assert (stores != log.stores).any()
@@ -113,3 +117,42 @@ def test_training_reads_no_test_window_store(small_split):
             assert (a.epochs, a.best_epoch) == (b.epochs, b.best_epoch), (model, stage)
             for x, y in ((a.best_metric, b.best_metric), (a.history, b.history)):
                 assert np.array(x).tobytes() == np.array(y).tobytes(), (model, stage)
+
+
+def ranks_of_every_model(data):
+    """``{(model, protocol): (cases, ranks)}`` for each model that ``fdrec
+    eval`` scores, trained on ``data``, over all test cases of each protocol
+    it answers (``max_cases = 0``)."""
+    trained = {m: state for m, (state, _) in train_all(data).items()}
+    rep, exp, ens = trained["reprec"], trained["exprec"], trained["ensemble"]
+    scorers = {"hispop": functools.partial(baselines.hispop_scores, data),
+               "concat": functools.partial(ensemble.concat_scores, rep, exp, data),
+               "ensemble": functools.partial(ensemble.ensemble_scores, ens, rep, exp, data)}
+    for m, module in (("sonly", baselines), ("reprec", reprec), ("exprec", exprec)):
+        scorers[m] = functools.partial(evalharness.dot_scores, trained[m], data,
+                                       query=getattr(module, f"{m}_query"))
+    out = {}
+    for m, protocols in COMPATIBLE.items():
+        for protocol in protocols:
+            cases = data.cases(protocol, SETTINGS.seed, 0)
+            out[m, protocol] = cases, evalharness.evaluate(scorers[m], cases).ranks
+    return out
+
+
+def test_no_test_case_rank_reads_a_later_order(small_split):
+    """Permuting the stores of the test-window orders from a time T on, and
+    training and scoring again, leaves every earlier test case's rank the
+    same for every model and protocol."""
+    times, test = small_split.log.times, small_split.test_idx
+    since = int(np.sort(times[test])[len(test) // 2])
+    moved = with_test_stores_permuted(small_split, seed=5, since=since)
+    got = ranks_of_every_model(features.Dataset(moved))
+    later_moved = 0
+    for key, (cases, ranks) in ranks_of_every_model(features.Dataset(small_split)).items():
+        cases2, ranks2 = got[key]
+        before, before2 = times[cases.position] < since, times[cases2.position] < since
+        assert 0 < before.sum() < len(cases), key
+        np.testing.assert_array_equal(cases.position[before], cases2.position[before2])
+        np.testing.assert_array_equal(ranks[before], ranks2[before2], err_msg=str(key))
+        later_moved += not np.array_equal(ranks[~before], ranks2[~before2])
+    assert later_moved  # the permutation reaches the later cases' ranks
