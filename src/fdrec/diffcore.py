@@ -6,8 +6,10 @@ central differences.  The op set is deliberately small: enough for
 embedding gathers, dense layers, attention, softmax heads, and pairwise
 ranking losses, all batched over leading axes.
 
-History windows are packed: ops read a batch's N real window slots as rows,
-and :func:`segment_sum` adds them back into their batch rows.  Recurrent
+History windows are packed: ops read a batch's N real window slots as rows.
+:func:`segment_sum` adds them back into their batch rows, or into one cell
+per (batch row, distinct code) that :func:`pooled` then multiplies by the
+distinct codes' table rows, so work over repeated codes is done once.  Recurrent
 history encoders use one fused op, :func:`gru_sequence`: a whole masked GRU
 run is a single tape node whose backward pass is hand-written
 backpropagation through time.  Training and inference run the same op;
@@ -169,14 +171,15 @@ def concat(parts: Sequence[Var], axis: int = -1) -> Var:
 
 def _scatter_rows(idx: Array, g: Array, shape: tuple[int, ...]) -> Array:
     """Rows of ``g`` added into ``zeros(shape)`` at rows ``idx``, with np.add.at's
-    bits: distinct indices are set to ``g + 0.0`` (-0.0 becomes 0.0, as in a
-    sum), repeated ones take a flat bincount, which adds in input order."""
-    if np.bincount(idx.ravel(), minlength=shape[0]).max(initial=0) <= 1:
+    bits: a flat bincount, which adds in input order.  Rows of more than one
+    element at distinct indices are set to ``g + 0.0`` instead (-0.0 becomes
+    0.0, as in a sum); a 1-D scatter's bincount costs what that check would."""
+    d = int(np.prod(shape[1:]))
+    if d > 1 and np.bincount(idx.ravel(), minlength=shape[0]).max(initial=0) <= 1:
         out = np.zeros(shape)
         out[idx.ravel()] = g.reshape((-1,) + shape[1:]) + 0.0
         return out
-    d = int(np.prod(shape[1:]))
-    flat = (idx.reshape(-1, 1) * d + np.arange(d)).ravel()
+    flat = idx.ravel() if d == 1 else (idx.reshape(-1, 1) * d + np.arange(d)).ravel()
     return np.bincount(flat, weights=g.reshape(-1), minlength=shape[0] * d).reshape(shape)
 
 
@@ -444,11 +447,15 @@ def dense(w: Var, b: Var, x: Var) -> Var:
 
 
 def pooled(pool, emb: Var, codes) -> Var:
-    """``pool @ emb`` [B, D] of a plain ``pool`` [B, U], which gets no
-    gradient, and ``emb`` [U, D], whose rows are the ascending ``codes``.  By
-    the row rule, one product per range of 256 codes, added in ascending
-    order; the products, backward ones too, run on at least 2 rows."""
-    emb, pp = _as_var(emb), _pad_rows(pool, 2)
+    """``pool @ emb`` [B, D] of ``pool`` [B, U] and ``emb`` [U, D], whose rows
+    are the ascending ``codes``.  By the row rule, one product per range of
+    256 codes, added in ascending order; the products, backward ones too, run
+    on at least 2 rows.  A plain ``pool`` gets no gradient and ``emb`` is the
+    node's one parent; a ``Var`` pool gets ``d pool = g @ emb.T``, in one
+    product, since each of its cells is one dot over the D columns."""
+    emb, var_pool = _as_var(emb), isinstance(pool, Var)
+    a = pool.data if var_pool else pool
+    n, pp = len(a), _pad_rows(a, 2)
     cuts = [0, *(np.flatnonzero(np.diff(np.asarray(codes) // 256)) + 1), len(codes)]
     spans = [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
     parts = [np.ascontiguousarray(pp[:, s]) for s in spans]
@@ -456,9 +463,10 @@ def pooled(pool, emb: Var, codes) -> Var:
 
     def vjp(g):
         gp = _pad_rows(g, 2)
-        return (np.concatenate([p.T @ gp for p in parts]),)
+        d_emb = np.concatenate([p.T @ gp for p in parts])
+        return ((gp @ emb.data.T)[:n], d_emb) if var_pool else (d_emb,)
 
-    return Var(out[: len(pool)], (emb,), vjp)
+    return Var(out[:n], (pool, emb) if var_pool else (emb,), vjp)
 
 
 def gru_sequence(p: GRUParams, xs, mask) -> Var:

@@ -6,10 +6,14 @@ weighted sum of the visited stores' embeddings scores previously visited
 candidates by dot product.  Weights are raw cosines, not softmax-normalized,
 so they may be negative and the sum is unnormalized.  Each cosine is taken
 once per distinct (past situation, current situation) pair of a batch and
-gathered back to its slots: values keep their per-slot bits, and the situation
-tables' gradients are reassociated.  The profile is the
-model's query forward, :func:`reprec_query`, over packed integer history
-windows; it trains through :func:`fdrec.training.fit_pairs` and scores through
+gathered back to its slots: the weights keep their per-slot bits, and the
+situation tables' gradients are reassociated.  The profile is then one
+pooled product over the batch's distinct stores: each row's slot weights
+are summed per store first, in slot order, and that [B, C] pool is
+multiplied by the C distinct store rows, so the profile's values are the
+per-slot sum reassociated.  The profile is the model's query forward,
+:func:`reprec_query`, over packed integer history windows; it trains
+through :func:`fdrec.training.fit_pairs` and scores through
 :func:`fdrec.evalharness.dot_scores`.
 """
 
@@ -46,8 +50,16 @@ def reprec_query(state: dc.ModelState, data: features.Dataset,
     differentiable end to end.  The slots and the rows themselves are
     embedded in one :func:`fdrec.features.situations` pass, ``‖μ‖`` is taken
     once per distinct situation and the weight once per distinct (slot
-    situation, current situation) pair: values keep their per-slot bits, the
-    situation tables' gradients are reassociated."""
+    situation, current situation) pair: the weights keep their per-slot bits,
+    the situation tables' gradients are reassociated.
+
+    The profile ``Σ_j w_j · E[s_j]`` is :func:`_profile`'s pooled product: a
+    store's slot weights are summed first and then multiplied by its
+    embedding, so values are reassociated against a sum over the slots.  A
+    row's bits still do not depend on its batch mates: its pool row holds
+    only its own slots' sums, and :func:`fdrec.diffcore.pooled` runs one
+    product per fixed range of 256 store codes, added in ascending order, so
+    the codes a chunk mate brings only add zero terms to a row's sums."""
     seqs = data.seqs
     win = features.gather_window(seqs, rows, int(state.meta["window"]))
     N = len(win.slot)
@@ -66,8 +78,20 @@ def reprec_query(state: dc.ModelState, data: features.Dataset,
     n_now = dc.gather_rows(n_u, now_u)                                  # [Q]
     w = dc.gather_rows(dc.div(num, dc.mul(n_hist, n_now)), inverse.ravel())  # [N]
 
-    hist_emb = dc.gather_rows(state.leaf("emb.store"), seqs.store[win.slot])  # [N,D]
-    return dc.segment_sum(dc.mul(dc.reshape(w, (N, 1)), hist_emb), win.row, len(rows))
+    return _profile(state, seqs.store[win.slot], w, win.row, len(rows))
+
+
+def _profile(state: dc.ModelState, stores: np.ndarray, w: dc.Var, row: np.ndarray,
+             n: int) -> dc.Var:
+    """``Σ_j w_j · E[stores_j]`` [n, D] over the slots j of each batch row
+    ``row[j]``.  The slot weights are summed into a pool [n, C] over the C
+    distinct ``stores``, one cell per (row, store) in slot order, and the pool
+    is multiplied by those stores' rows of ``emb.store`` by
+    :func:`fdrec.diffcore.pooled`, which differentiates both."""
+    codes, at = np.unique(stores, return_inverse=True)
+    C = len(codes)
+    pool = dc.reshape(dc.segment_sum(w, row * C + at.ravel(), n * C), (n, C))  # [n,C]
+    return dc.pooled(pool, dc.gather_rows(state.leaf("emb.store"), codes), codes)
 
 
 def _prior_store_negatives(data: features.Dataset, rows: np.ndarray,

@@ -10,7 +10,8 @@ imports this module.
 
 It also keeps what only the tests run: the per-user loops that the
 sequence layout and the analysis curves replaced, the padded history
-windows that the packed ones replaced, ExpRec's neighbour trigger as it ran
+windows that the packed ones replaced, RepRec's profile as a sum over the
+slots before its stores were pooled, ExpRec's neighbour trigger as it ran
 before pooling, the ensemble's per-row slate bases and per-length training
 loss as they ran before its slates were padded, a GRU step built from the
 autograd primitives, the GRU op's loops as they ran in preallocated
@@ -1132,7 +1133,9 @@ def reprec_query_per_slot(state: dc.ModelState, data: features.Dataset,
     """:func:`fdrec.reprec.reprec_query` with the cosine taken at every slot
     of the packed window rather than once per distinct (slot situation,
     current situation) pair: the same values and ``emb.store`` gradient, with
-    each pair's gradient into the situation tables summed per slot."""
+    each pair's gradient into the situation tables summed per slot.  The
+    profile is the same :func:`fdrec.reprec._profile`, so only the pair
+    weights differ from the model's forward."""
     seqs = data.seqs
     win = features.gather_window(seqs, rows, int(state.meta["window"]))
     N = len(win.slot)
@@ -1147,9 +1150,16 @@ def reprec_query_per_slot(state: dc.ModelState, data: features.Dataset,
     n_hist = dc.gather_rows(n_u, slot_u)                                # [N]
     n_now = dc.gather_rows(n_u, now_u)                                  # [N]
     w = dc.div(num, dc.mul(n_hist, n_now))                              # [N]
+    return reprec._profile(state, seqs.store[win.slot], w, win.row, len(rows))
 
-    hist_emb = dc.gather_rows(state.leaf("emb.store"), seqs.store[win.slot])  # [N,D]
-    return dc.segment_sum(dc.mul(dc.reshape(w, (N, 1)), hist_emb), win.row, len(rows))
+
+def reprec_profile_per_slot(state: dc.ModelState, stores: np.ndarray, w: dc.Var,
+                            row: np.ndarray, n: int) -> dc.Var:
+    """:func:`fdrec.reprec._profile` as a sum over the slots: each slot's
+    store row gathered, weighted by its ``w`` and added into its batch row, at
+    [N, D].  The same sums, with no slot weights added per store first."""
+    hist_emb = dc.gather_rows(state.leaf("emb.store"), stores)          # [N,D]
+    return dc.segment_sum(dc.mul(dc.reshape(w, (len(stores), 1)), hist_emb), row, n)
 
 
 def reprec_query_padded(state: dc.ModelState, data: features.Dataset,
@@ -1160,9 +1170,11 @@ def reprec_query_padded(state: dc.ModelState, data: features.Dataset,
     form embeds its N slots and the rows, and each cell reads its row's
     current situation.  The cosine is taken once per distinct (cell
     situation, current situation) pair of the grid and gathered back to the
-    cells in row-major order, as the packed form gathers it to its slots; a
-    masked cell's gradient is an exact zero, so the extra distinct situations
-    and pairs it may add change no sum."""
+    cells in row-major order, as the packed form gathers it to its slots.
+    The profile is the model's :func:`fdrec.reprec._profile` over every cell,
+    a masked one weighted 0.  A masked cell's gradient is an exact zero and a
+    zero weight adds nothing to a pool cell, so the extra distinct
+    situations, pairs and stores it may add change no sum."""
     seqs = data.seqs
     win = padded_window(seqs, rows, int(state.meta["window"]))
     B, L = win.mask.shape
@@ -1180,11 +1192,8 @@ def reprec_query_padded(state: dc.ModelState, data: features.Dataset,
     n_hist = dc.gather_rows(n_u, slot_u)                                # [Q]
     n_now = dc.gather_rows(n_u, now_u)                                  # [Q]
     cos = dc.div(num, dc.mul(n_hist, n_now))                            # [Q]
-    w = dc.mul(dc.gather_rows(cos, inverse.reshape(B, L)), win.mask)    # [B,L]
-
-    hist_emb = dc.gather_rows(state.leaf("emb.store"),
-                              seqs.store[win.slot].reshape(B, L))       # [B,L,D]
-    return dc.sum_(dc.mul(dc.reshape(w, (B, L, 1)), hist_emb), axis=1)
+    w = dc.mul(dc.gather_rows(cos, inverse), win.mask.ravel())          # [B·L]
+    return reprec._profile(state, seqs.store[win.slot], w, np.repeat(np.arange(B), L), B)
 
 
 def collab_trigger_dense(table: dc.Var, a: dc.Var, ids: np.ndarray,

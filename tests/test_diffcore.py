@@ -137,6 +137,35 @@ def test_gradients_pooled(rows, codes, ranges):
                                atol=1e-12, rtol=0)
 
 
+@pytest.mark.parametrize("rows, codes, ranges", [
+    (3, [0, 5, 17, 255], 1),
+    (2, np.sort(rng(19).choice(768, size=600, replace=False)), 3),
+], ids=["one-range", "600-codes-three-ranges"])
+def test_gradients_pooled_with_a_var_pool(rows, codes, ranges):
+    """A ``Var`` pool gets ``g @ emb.T``, and the table its plain-pool gradient."""
+    codes = np.asarray(codes)
+    assert len(np.unique(codes // 256)) == ranges
+    pool = rng(16).uniform(size=(rows, len(codes)))
+    emb = rng(17).normal(size=(len(codes), 3))
+    t = rng(18).normal(size=(rows, 3))
+    check_grads(lambda p, e: dc.sum_(dc.mul(dc.pooled(p, e, codes), t)), pool, emb)
+    node = dc.pooled(var(pool), var(emb), codes)
+    assert len(node._parents) == 2
+
+
+@pytest.mark.parametrize("rows, n_codes", [(0, 5), (3, 0)], ids=["0-rows", "0-codes"])
+def test_pooled_of_an_empty_var_pool(rows, n_codes):
+    """A pool of no rows or of no codes gives zero profiles and gradients of
+    its operands' shapes."""
+    pool = var(rng(20).uniform(size=(rows, n_codes)))
+    emb = var(rng(21).normal(size=(n_codes, 3)))
+    out = dc.pooled(pool, emb, np.arange(n_codes))
+    np.testing.assert_array_equal(out.data, np.zeros((rows, 3)))
+    dc.backward(out, rng(22).normal(size=(rows, 3)))
+    assert pool.grad.shape == (rows, n_codes) and emb.grad.shape == (n_codes, 3)
+    assert not emb.grad.any()
+
+
 # the largest row count the row-rule sweep checks; at 301 rows OpenBLAS
 # rounds a row of a dense head's product differently
 SWEEP_ROWS = 256

@@ -4,7 +4,11 @@ Every query forward that reads a window computes over its real slots only.
 On batches with empty, full and mixed windows, each must give bit for bit
 the output and parameter gradients of the padded [B, L] form kept in
 ``tests/oracles.py``, but for the gradients that the GRU's prefix trie adds
-in another order.
+in another order.  RepRec's padded and per-slot-cosine forms read their
+profile through the same pooled :func:`fdrec.reprec._profile`, so they
+check the padding and the pair weights bit for bit; the pooled profile
+itself is checked against the per-slot sum it reassociates, within 1e-12 of
+each array's largest magnitude.
 """
 
 import numpy as np
@@ -107,6 +111,32 @@ def test_reprec_pair_weights_match_the_per_slot_form(long_data, window, fill):
         near=tables)
     for name in ("emb.store", *tables):
         assert np.abs(grads[name]).max() > 0.0, name
+
+
+@pytest.mark.parametrize("window, fill", CASES)
+def test_reprec_pooled_profile_matches_the_per_slot_sum(long_data, monkeypatch,
+                                                        window, fill):
+    """Each row's slot weights summed per distinct store, then one product
+    with the batch's distinct store rows: the per-slot sum's values and every
+    gradient, reassociated, within 1e-12 of each array's largest magnitude."""
+    rows = batch(long_data, window, fill, seed=85 + window)
+    seqs = long_data.seqs
+    win = features.gather_window(seqs, rows, window)
+    pairs = np.unique(win.row * len(seqs.store) + seqs.store[win.slot])
+    assert len(pairs) < len(win.slot)  # rows order some stores more than once
+    state = reprec.reprec_build(long_data, ModelSection(dim=32, repeat_window=window), seed=3)
+
+    def forward(s):
+        return reprec.reprec_query(s, long_data, rows)
+
+    got = forward_and_grads(state, forward, 86)
+    with monkeypatch.context() as m:
+        m.setattr(reprec, "_profile", oracles.reprec_profile_per_slot)
+        want = forward_and_grads(state, forward, 86)
+    for name, a, b in [("profile", got[0], want[0]),
+                       *((n, got[1][n], want[1][n]) for n in want[1])]:
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-12 * np.abs(b).max(), err_msg=name)
+        assert np.abs(b).max() > 0.0, name
 
 
 def padded_forms(monkeypatch):

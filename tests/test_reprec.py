@@ -3,11 +3,11 @@ import pytest
 
 import oracles
 from fdrec import diffcore as dc
-from fdrec import evalharness, features, reprec
+from fdrec import dataio, evalharness, features, reprec
 from fdrec.dataio import time_facets
 from fdrec.training import ModelSection, TrainSettings, pair_loss
 from oracles import Interaction, SituationFeatures
-from conftest import rng
+from conftest import DAY, rng
 
 
 def situation_vec(state, hour, dow, loc_idx):
@@ -179,6 +179,40 @@ def test_duplicated_rows_get_the_profile_of_the_row_alone(small_data):
         alone = reprec.reprec_query(state, small_data, np.array([row])).data[0]
         assert out[i].tobytes() == alone.tobytes(), i
     assert np.abs(out[: len(some)]).max() > 0.0
+
+
+@pytest.fixture(scope="module")
+def many_stores_data():
+    """600 stores, so that a chunk's window stores span several ranges of 256
+    codes and more than one BLAS k-block holds."""
+    cfg = dataio.SynthConfig(n_users=100, n_stores=600, n_orders_per_user=24,
+                             n_locations=4, seed=13)
+    log, _ = dataio.generate_synthetic(cfg)
+    return features.Dataset(dataio.split_global_timeline(
+        log, test_window_s=4 * DAY, valid_window_s=4 * DAY))
+
+
+def test_a_row_keeps_its_bits_in_chunks_with_different_store_unions(many_stores_data):
+    """Two ``QUERY_CHUNK``-row chunks: one of four users' rows, with few
+    distinct window stores, and one of rows drawn over all users, with at
+    least twice as many, more than 384.  A row whose own stores span two
+    ranges of 256 codes sits at different positions in them and scores bit
+    for bit the same."""
+    data, seqs = many_stores_data, many_stores_data.seqs
+    state = reprec.reprec_build(data, ModelSection(dim=32, repeat_window=20), seed=36)
+
+    def stores(chunk):
+        return np.unique(seqs.store[features.gather_window(seqs, chunk, 20).slot])
+
+    few = np.flatnonzero(seqs.user < 4)
+    row = next(r for r in few if len(np.unique(stores([r]) // 256)) >= 2)
+    narrow = np.concatenate([rng(37).choice(few, size=features.QUERY_CHUNK - 1), [row]])
+    wide = rng(38).choice(len(seqs.user), size=features.QUERY_CHUNK)
+    wide[100] = row
+    assert 2 * len(stores(narrow)) <= len(stores(wide)) and len(stores(wide)) > 384
+    got = reprec.reprec_query(state, data, narrow).data[-1]
+    np.testing.assert_array_equal(got, reprec.reprec_query(state, data, wide).data[100])
+    assert np.abs(got).max() > 0.0
 
 
 def test_all_empty_windows_give_zero_profiles_and_gradients(small_data):
