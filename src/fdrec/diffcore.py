@@ -25,14 +25,20 @@ The row rule.  OpenBLAS rounds a row of a product alike at any row count
 from 2 to 256 if the product has four or more output columns, keeps the
 operand layouts used here and adds its inner sum within one k-block (384
 terms with the SkylakeX kernels); a one-row product takes the gemv path.
-The bound is measured, not derived: with OpenBLAS 0.3.31 and one thread,
-:func:`dense` at every head shape the models use (outputs × inputs 2×192,
-4×128, 4×64 and 2×96) keeps row 0's bits up to 300 rows and changes them
-at 301, and the tests sweep 1 to 256 rows.  So each product op keeps the
-rule in its one tape node, and a query row scores the same whatever its
-batch mates, in calls of at most 256 rows: :func:`dense` appends zero rows
-up to two rows and four outputs, :func:`pooled` also sums over ascending
-ranges of 256 codes, and :func:`gru_sequence` runs its products on at least
+The bound is measured, not derived, with OpenBLAS 0.3.31 and one thread,
+and it depends on the layout.  :func:`dense` multiplies through a
+transposed view of ``w``, and that layout was measured row-stable only at
+four outputs: at every head shape the models use (outputs × inputs 2×192,
+4×128, 4×64 and 2×96, padded to four outputs) it keeps row 0's bits up to
+300 rows and changes them at 301, but at 64 to 192 outputs it changed a
+row's bits at row counts from 2 up to 5-18.  The contiguous ``x @ C``
+layout of :func:`gru_sequence` held at 2 to 256 rows at those wider shapes
+too.  The tests sweep 1 to 256 rows at the head shapes.  So each product op
+keeps the rule in its one tape node, and a query row scores the same
+whatever its batch mates, in calls of at most 256 rows: :func:`dense`
+appends zero rows up to two rows and four outputs, and no model's
+:func:`dense` has more than four; :func:`pooled` also sums over ascending
+ranges of 256 codes; and :func:`gru_sequence` runs its products on at least
 two rows.
 """
 
@@ -500,10 +506,19 @@ def gru_sequence(p: GRUParams, xs, mask) -> Var:
     node's children are contiguous, so their h gradients are added into it
     with ``np.add.reduceat``.  U's and b's gradients are products and sums
     over the nodes.  Each code's input gradients are summed into ``S``
-    [M, 3D], by a one-hot product for tables under 64 rows such as a flag
-    table and by a scatter for larger ones, and ``dW = S.T @ table`` and
-    ``d table = S @ W``.  These equal the gradients of stepping every slot
-    up to rounding: they add the same terms in another order.
+    [M, 3D], and ``dW = S.T @ table`` and ``d table = S @ W``.  A table under
+    64 rows, such as a flag table, sums them by a one-hot product.  A larger
+    table adds each code's rows in node order, from 0.0, as the flat
+    bincount of :func:`_scatter_rows` does.  Where a code repeats, but never
+    within a depth, one ``+=`` per depth, depths ascending, adds them in
+    that order with the same bits and without the flat index of P·3D
+    entries.  A slot table such as ExpRec's meets this: a slot sits at one
+    position of its user's sequence, so it fixes the prefix that ends at it.
+    One ``np.bincount`` over the (depth, code) pairs checks it per call.
+    Distinct codes, which :func:`_scatter_rows` sets, and a code that
+    repeats within a depth, which it bincounts, go to :func:`_scatter_rows`.
+    These equal the gradients of stepping every slot up to rounding: they
+    add the same terms in another order.
     """
     table, codes = _as_var(xs[0]), np.asarray(xs[1])
     keep = np.asarray(mask, dtype=bool)
@@ -578,8 +593,15 @@ def gru_sequence(p: GRUParams, xs, mask) -> Var:
             gh[parent[a:e][s]] += np.add.reduceat(gn, s, axis=0)
         if M < 64:
             sums = (code == np.arange(M)[:, None]).astype(np.float64) @ dxp
-        else:
+        elif (np.bincount(code).max(initial=0) <= 1
+              or np.bincount(np.repeat(np.arange(L) * M, n) + code).max() > 1):
             sums = _scatter_rows(code, dxp, (M, 3 * D))
+        else:
+            # node order is depth order, so each code's rows add as in a bincount
+            sums = np.zeros((M, 3 * D))
+            for t in range(T):
+                a, e = off[t], off[t + 1]
+                sums[code[a:e]] += dxp[a:e]
         dw = sums.T @ table.data
         du_zr = dxp[:, : 2 * D].T @ hs[:P]
         du_h = dxp[:, 2 * D :].T @ rhs[:P]

@@ -806,24 +806,57 @@ def test_gru_sequence_gradient_check_on_shared_prefixes():
     assert err <= 1e-4
 
 
+def sliding_windows(n: int, L: int) -> list[list[int]]:
+    """The windows of up to ``L`` slots before each slot 1..n of one
+    sequence whose slot j reads code j: a code sits at one depth per
+    window start, so it repeats across depths but never within one."""
+    return [list(range(max(e - L, 0), e)) for e in range(1, n + 1)]
+
+
 def gru_bit_batches(I: int):
     """(table, codes, mask) batches for the in-place reference: a flag-sized
     table under 64 rows fed the trie windows, with one-node depths, equal
     windows and holes; a table of one row per real slot, 64 rows or more,
-    fed windows of every length and a holed one; and a fully masked batch."""
+    fed windows of every length and a holed one; a 70-row table fed the
+    sliding windows over one sequence, as ExpRec's slot table is, which sum
+    their input gradients one depth at a time; the same with one more
+    window that repeats code 5 at depth 1, which takes the flat bincount;
+    and a fully masked batch."""
     mask, codes = trie_batch(TRIE_WINDOWS, 8, holes=True)
     slots = holed_windows(9, 81)
     n = int(slots.sum())
     assert n >= 64
+    windows = sliding_windows(70, 6)
     return {
         "flag-table": (rng(82).normal(size=(5, I)), codes, mask),
         "slot-table": (rng(83).normal(size=(n, I)), np.arange(n), slots),
+        "sliding": (rng(86).normal(size=(70, I)), *trie_batch(windows, 6)[::-1]),
+        "sliding-repeat": (rng(87).normal(size=(70, I)),
+                           *trie_batch(windows + [[1, 5, 9]], 6)[::-1]),
         "all-masked": (rng(84).normal(size=(2, I)), np.zeros(0, dtype=np.int64),
                        np.zeros((4, 6))),
     }
 
 
-@pytest.mark.parametrize("batch", ["flag-table", "slot-table", "all-masked"])
+@pytest.mark.parametrize("batch, scatters", [("flag-table", 0), ("slot-table", 1),
+                                             ("sliding", 0), ("sliding-repeat", 1)])
+def test_gru_input_gradients_sum_by_depth_where_codes_repeat_only_across_depths(
+        batch, scatters, monkeypatch):
+    """A table of 64 rows or more whose codes repeat across depths but never
+    within one sums its input gradients one depth at a time; distinct codes
+    and a repeat within a depth go to ``_scatter_rows``, and a table under
+    64 rows uses neither."""
+    state = gru_state(24, in_dim=12, hidden=8)
+    table, codes, mask = gru_bit_batches(12)[batch]
+    out = dc.gru_sequence(dc.gru_leaves(state, "g"), (table, codes), mask)
+    calls, scatter = [], dc._scatter_rows
+    monkeypatch.setattr(dc, "_scatter_rows", lambda *a: calls.append(1) or scatter(*a))
+    out._vjp(rng(85).normal(size=(len(mask), 8)))
+    assert len(calls) == scatters
+
+
+@pytest.mark.parametrize("batch", ["flag-table", "slot-table", "sliding", "sliding-repeat",
+                                   "all-masked"])
 @pytest.mark.parametrize("D, I", [(8, 12), (32, 40), (64, 96)])
 def test_gru_sequence_keeps_the_bits_of_the_in_place_loops(D, I, batch):
     """The whole-array loops give h and all ten VJP outputs, the table's
