@@ -20,10 +20,23 @@ each run.  A train stage rewrites its checkpoint, with the same bytes.
 
 It prints, for each side, every process's minimum in milliseconds, in round
 order, and then the median and the quartiles of those minimums
-(``statistics.quantiles``, inclusive method).  A stage whose speed depends
-on the process it lands in shows as a spread of minimums that more runs in
-one process do not close.  Standard library only; exit code 2 means a
-checkout lacks the run directory or the stage, and 1 that a run failed.
+(``statistics.quantiles``, inclusive method), and the median, minimum and
+maximum of the minor page faults (``ru_minflt``) that each run of the side
+took.  A stage whose speed depends on the process it lands in shows as a
+spread of minimums that more runs in one process do not close.  Standard
+library only; exit code 2 means a checkout lacks the run directory or the
+stage, and 1 that a run failed.
+
+A stage alone in a fresh process is not the stage as perfbench's worker
+times it, after the stages before it in one process.  On a 2-vCPU VM
+(OpenBLAS 0.3.31, one thread), long-history ``train.ensemble`` at seed 1
+took 71.7k-77.8k minor faults a run here, with per-process minimums of
+474-516 ms.  With glibc's mmap, trim and top-pad thresholds raised
+(``MALLOC_MMAP_THRESHOLD_=33554432``, ``MALLOC_TRIM_THRESHOLD_=268435456``,
+``MALLOC_TOP_PAD_=67108864``) it took 5.7k-6.2k faults and 384-423 ms, and
+after the timed stages before it in one process, in perfbench's order,
+5.3k-5.5k faults and 455-481 ms.  So compare this tool's times between its
+two sides, and read a gap to perfbench against the fault counts.
 """
 
 from __future__ import annotations
@@ -37,7 +50,7 @@ import sys
 
 # runs in the fresh process: root, stage argv (JSON) and run count in argv
 _CHILD = r"""
-import contextlib, gc, io, json, os, sys, time
+import contextlib, gc, io, json, os, resource, sys, time
 root, argv, runs = sys.argv[1], json.loads(sys.argv[2]), int(sys.argv[3])
 src = os.path.join(root, "src")
 sys.path.insert(0, src)
@@ -46,17 +59,19 @@ from fdrec import cli
 where = os.path.realpath(os.path.dirname(fdrec.__file__))
 if not where.startswith(os.path.realpath(src) + os.sep):
     sys.exit(f"fdrec imported from {where}, not from {src}")
-times = []
+times, faults = [], []
 for _ in range(runs):
     gc.collect()
     out = io.StringIO()
+    f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     t0 = time.perf_counter()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
         rc = cli.main(argv)
     times.append(time.perf_counter() - t0)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0)
     if rc != 0:
         sys.exit(f"{' '.join(argv)} exited {rc}:\n{out.getvalue()[-2000:]}")
-print(json.dumps(times))
+print(json.dumps([times, faults]))
 """
 
 
@@ -92,9 +107,10 @@ def stage(checkout: str, workload: str, seed: int, name: str) -> list[str]:
     raise LookupError(f"{spec_path} has no stage labelled {name!r}")
 
 
-def time_process(checkout: str, work: str, argv: list[str], runs: int) -> list[float]:
-    """Seconds of each of ``runs`` runs of ``argv`` in one fresh process
-    started in the run directory ``work``."""
+def time_process(checkout: str, work: str, argv: list[str],
+                 runs: int) -> tuple[list[float], list[int]]:
+    """Seconds and minor page faults of each of ``runs`` runs of ``argv`` in
+    one fresh process started in the run directory ``work``."""
     env = dict(os.environ)
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
@@ -106,7 +122,8 @@ def time_process(checkout: str, work: str, argv: list[str], runs: int) -> list[f
         cwd=work, env=env, capture_output=True, text=True, check=False)
     if proc.returncode != 0:
         raise RuntimeError(f"{checkout}: {proc.stderr.strip()[-2000:]}")
-    return json.loads(proc.stdout.splitlines()[-1])
+    times, faults = json.loads(proc.stdout.splitlines()[-1])
+    return times, faults
 
 
 def schedule(rounds: int) -> list[tuple[int, int]]:
@@ -134,30 +151,36 @@ def main(argv: list[str] | None = None) -> int:
     args = p.parse_args(argv)
     if args.rounds < 1 or args.runs < 1:
         p.error("--rounds and --runs must be at least 1")
-    sides = [("parent", args.parent), ("change", args.change)]
+    # absolute, since each stage runs with its run directory as the cwd
+    sides = [("parent", os.path.abspath(args.parent)), ("change", os.path.abspath(args.change))]
     try:
         stages = [stage(root, args.workload, args.seed, args.label) for _, root in sides]
     except LookupError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     minimums: list[list[float]] = [[], []]
+    faults: list[list[int]] = [[], []]
     for order in schedule(args.rounds):
         for i in order:
             root = sides[i][1]
             work = run_dir(root, args.workload, args.seed)
             try:
-                minimums[i].append(min(time_process(root, work, stages[i], args.runs)))
+                times, run_faults = time_process(root, work, stages[i], args.runs)
             except RuntimeError as err:
                 print(f"error: {err}", file=sys.stderr)
                 return 1
+            minimums[i].append(min(times))
+            faults[i].extend(run_faults)
     print(f"{args.workload} {args.label}: {args.rounds} fresh processes a side, "
           f"{args.runs} runs each, per-process minimums in ms")
-    for (name, root), mins in zip(sides, minimums):
+    for (name, root), mins, flts in zip(sides, minimums, faults):
         q1, median, q3 = summary(mins)
         print(f"{name} {root}")
         print("  minimums " + " ".join(f"{1e3 * m:.1f}" for m in mins))
         print(f"  min {1e3 * min(mins):.1f}  q1 {1e3 * q1:.1f}  median {1e3 * median:.1f}"
               f"  q3 {1e3 * q3:.1f}")
+        print(f"  minor faults a run: median {statistics.median(flts):.0f}"
+              f"  min {min(flts)}  max {max(flts)}")
     return 0
 
 

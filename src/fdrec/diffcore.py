@@ -13,8 +13,8 @@ distinct codes' table rows, so work over repeated codes is done once.  Recurrent
 history encoders use one fused op, :func:`gru_sequence`: a whole masked GRU
 run is a single tape node whose backward pass is hand-written
 backpropagation through time.  Training and inference run the same op;
-there is no tape-free twin.  It is fed by a table and one code per real
-slot, and a row's h depends only on its codes, so the op steps each
+there is no tape-free twin.  It is fed by tables and one input code per
+real slot, and a row's h depends only on its codes, so the op steps each
 distinct prefix of the rows' codes once, as the nodes of a prefix trie, and
 a masked slot is skipped.  Its products keep the row rule below, so a row's
 hidden state does not depend on its batch mates or on the batch size; the
@@ -33,13 +33,14 @@ four outputs: at every head shape the models use (outputs × inputs 2×192,
 300 rows and changes them at 301, but at 64 to 192 outputs it changed a
 row's bits at row counts from 2 up to 5-18.  The contiguous ``x @ C``
 layout of :func:`gru_sequence` held at 2 to 256 rows at those wider shapes
-too.  The tests sweep 1 to 256 rows at the head shapes.  So each product op
-keeps the rule in its one tape node, and a query row scores the same
-whatever its batch mates, in calls of at most 256 rows: :func:`dense`
-appends zero rows up to two rows and four outputs, and no model's
-:func:`dense` has more than four; :func:`pooled` also sums over ascending
-ranges of 256 codes; and :func:`gru_sequence` runs its products on at least
-two rows.
+too, and at its input projections (D or 2D inputs × 3D, D = 8 to 64) up to
+1,200 rows.  The tests sweep the head shapes to 256 rows and the GRU's to
+1,200.  So each product op keeps the rule in its one tape node, and a query
+row scores the same whatever its batch mates, in calls of at most 256 rows:
+:func:`dense` appends zero rows up to two rows and four outputs, and no
+model's :func:`dense` has more than four; :func:`pooled` also sums over
+ascending ranges of 256 codes; and :func:`gru_sequence` runs its products on
+at least two rows and projects whole tables, of up to 1,200 rows.
 """
 
 from __future__ import annotations
@@ -477,8 +478,9 @@ def pooled(pool, emb: Var, codes) -> Var:
 
 def gru_sequence(p: GRUParams, xs, mask) -> Var:
     """Final hidden state [B,D] of a masked GRU run over ``mask`` [B,L] fed
-    by ``xs = (table, codes)``: the real slot j, in row-major order, reads
-    row ``codes[j]`` of ``table`` [M,I].
+    by ``xs = (parts, codes)``: the real slot j, in row-major order, reads
+    input ``codes[j]``, and input m joins, in part order, row ``index[m]``
+    of each part ``(table [R,I_i], index [M])``; W's columns split alike.
 
     Each step is ``h' = (1 - z) * h + z * h_cand``, starting from h = 0, with
     update gate ``z``, reset gate ``r`` and candidate
@@ -494,42 +496,39 @@ def gru_sequence(p: GRUParams, xs, mask) -> Var:
     records its code and its parent, the root (h = 0) for depth 0.  Depth t
     gathers its nodes' h from their parents and runs the gates and products
     on those nodes only; a row's output is the h of the node where its codes
-    end.  The table is projected once, through a contiguous copy of ``W.T``,
-    and each node reads its code's row of ``table @ W.T + b``.  That product
-    and the recurrent products ``h @ U`` run on at least two rows, by the row
-    rule: a one-node depth also reads the next row, which is 0 or unused.  So
-    a row's h has the bits of that row run alone, whatever its batch mates.
-    Each depth runs as whole-array expressions, which write its parent h,
+    end.  Each part's whole table is projected once, through its columns of
+    ``W.T`` copied contiguous: no row is copied per slot, but a catalog
+    table costs R × I × 3D whatever the batch reads.  b joins the first
+    part's projection, and a node's input row sums its parts' rows in part
+    order.  These and the recurrent products ``h @ U`` run on at least two
+    rows, by the row rule: a one-node depth also reads the next row, which
+    is 0 or unused.  So a row's h has the bits of that row run alone,
+    whatever its batch mates.  Each depth's whole-array expressions write its parent h,
     gates, candidate and ``r * h`` into the arrays the backward reads.
 
     The backward runs depth by depth on the nodes, the deepest first.  A
     node's children are contiguous, so their h gradients are added into it
     with ``np.add.reduceat``.  U's and b's gradients are products and sums
-    over the nodes.  Each code's input gradients are summed into ``S``
-    [M, 3D], and ``dW = S.T @ table`` and ``d table = S @ W``.  A table under
-    64 rows, such as a flag table, sums them by a one-hot product.  A larger
-    table adds each code's rows in node order, from 0.0, as the flat
-    bincount of :func:`_scatter_rows` does.  Where a code repeats, but never
-    within a depth, one ``+=`` per depth, depths ascending, adds them in
-    that order with the same bits and without the flat index of P·3D
-    entries.  A slot table such as ExpRec's meets this: a slot sits at one
-    position of its user's sequence, so it fixes the prefix that ends at it.
-    One ``np.bincount`` over the (depth, code) pairs checks it per call.
-    Distinct codes, which :func:`_scatter_rows` sets, and a code that
-    repeats within a depth, which it bincounts, go to :func:`_scatter_rows`.
-    These equal the gradients of stepping every slot up to rounding: they
-    add the same terms in another order.
+    over the nodes.  Each part sums the nodes' input gradients into ``S``
+    [R, 3D] by the row each reads, by a one-hot product under 64 rows (a
+    flag table) and by :func:`_scatter_rows` above, and takes its columns of
+    ``dW = S.T @ table`` and ``d table = S @ W``.  These equal the gradients
+    of stepping every slot up to rounding, in another order.
     """
-    table, codes = _as_var(xs[0]), np.asarray(xs[1])
+    parts, codes = xs[0], np.asarray(xs[1])
+    tables, index = [_as_var(t) for t, _ in parts], [np.asarray(i) for _, i in parts]
     keep = np.asarray(mask, dtype=bool)
-    if (keep.ndim != 2 or table.data.ndim != 2 or codes.ndim != 1
-            or len(codes) != keep.sum()):
-        raise ValueError("a GRU run expects mask [B,L], table [M,I] and codes [mask.sum()]")
-    _check_indices(codes, len(table.data))
     # gates stacked z, r, h: w [3D,I], u [3D,D], b [3D]
     w, u, b = (np.concatenate([getattr(p, t + g).data for g in "zrh"]) for t in "wub")
-    (B, L), M = keep.shape, len(table.data)
-    D = u.shape[1]
+    cols = np.cumsum([0] + [t.data.shape[1] for t in tables if t.data.ndim == 2])
+    M = len(index[0]) if index else 0
+    if (keep.ndim != 2 or codes.ndim != 1 or len(codes) != keep.sum() or not tables
+            or any(t.data.ndim != 2 or i.shape != (M,) for t, i in zip(tables, index))
+            or cols[-1] != w.shape[1]):
+        raise ValueError("a GRU run expects mask [B,L], codes [mask.sum()] and parts of W's width")
+    for i, n in [(codes, M)] + [(i, len(t.data)) for t, i in zip(tables, index)]:
+        _check_indices(i, n)
+    (B, L), D = keep.shape, u.shape[1]
     # each row's codes left-aligned and -1 past its end, rows in lexical order
     lens = keep.sum(axis=1)
     seq = np.full((B, L), -1)
@@ -553,7 +552,11 @@ def gru_sequence(p: GRUParams, xs, mask) -> Var:
     first = np.flatnonzero(np.diff(parent, prepend=-1))
     cut = np.searchsorted(first, off)
     tie = np.flatnonzero(np.diff(end, prepend=-1))
-    xn = (_pad_rows(table.data, 2) @ np.ascontiguousarray(w.T) + b)[code]
+    spans = [slice(lo, hi) for lo, hi in zip(cols, cols[1:])]
+    rows = [i[code] for i in index]
+    xp = [_pad_rows(t.data, 2) @ np.ascontiguousarray(w[:, s].T) for t, s in zip(tables, spans)]
+    xp[0] += b
+    xn = functools.reduce(lambda x, y: np.add(x, y, out=x), [p_[r] for p_, r in zip(xp, rows)])
     u_zr, u_h = (np.ascontiguousarray(u[g].T) for g in (slice(2 * D), slice(2 * D, None)))
     # hn[j] is the h of node id j, 0 for the root; hs[j] is node id j + 1's
     # h before its step, its parent's, and rhs[j] its r * h.  The rows past
@@ -591,29 +594,24 @@ def gru_sequence(p: GRUParams, xs, mask) -> Var:
             gn = gn * (1 - z) + drh * r + d[:, : 2 * D] @ u[: 2 * D]
             s = first[cut[t] : cut[t + 1]] - a
             gh[parent[a:e][s]] += np.add.reduceat(gn, s, axis=0)
-        if M < 64:
-            sums = (code == np.arange(M)[:, None]).astype(np.float64) @ dxp
-        elif (np.bincount(code).max(initial=0) <= 1
-              or np.bincount(np.repeat(np.arange(L) * M, n) + code).max() > 1):
-            sums = _scatter_rows(code, dxp, (M, 3 * D))
-        else:
-            # node order is depth order, so each code's rows add as in a bincount
-            sums = np.zeros((M, 3 * D))
-            for t in range(T):
-                a, e = off[t], off[t + 1]
-                sums[code[a:e]] += dxp[a:e]
-        dw = sums.T @ table.data
+        dw, d_tables = np.empty(w.shape), []
+        for t, s, r in zip(tables, spans, rows):
+            R = len(t.data)
+            sums = ((r == np.arange(R)[:, None]).astype(np.float64) @ dxp if R < 64
+                    else _scatter_rows(r, dxp, (R, 3 * D)))
+            dw[:, s] = sums.T @ t.data
+            d_tables.append(sums @ w[:, s])
         du_zr = dxp[:, : 2 * D].T @ hs[:P]
         du_h = dxp[:, 2 * D :].T @ rhs[:P]
         db = dxp.sum(axis=0)
         return (
-            sums @ w,
+            *d_tables,
             dw[:D], du_zr[:D], db[:D],
             dw[D : 2 * D], du_zr[D:], db[D : 2 * D],
             dw[2 * D :], du_h, db[2 * D :],
         )
 
-    return Var(out, (table, *p), vjp)
+    return Var(out, (*tables, *p), vjp)
 
 
 def adam_step(

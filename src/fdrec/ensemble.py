@@ -75,7 +75,7 @@ def _intent_logits(state: dc.ModelState, seqs: features.UserSequences,
     win = features.gather_window(seqs, rows, int(state.meta["window"]))
     flags = seqs.repeat[win.slot].astype(np.int64)
     h = dc.gru_sequence(dc.gru_leaves(state, "gru.intent"),
-                        (state.leaf("emb.flag"), flags), win.mask)
+                        (((state.leaf("emb.flag"), np.arange(2)),), flags), win.mask)
     e_mu = features.situation(state, seqs, rows)
     u = dc.gather_rows(state.leaf("emb.user"), win.user)
     feats = dc.concat([h, e_mu, u], axis=-1)

@@ -1,17 +1,18 @@
 """Exploration recommender: four-trigger fusion over unvisited stores.
 
-Triggers, in fixed order: the embedded current situation, a GRU encoding of
-recent history, the user's embedding passed through a situation-conditioned
-activation mix, and a similarity-weighted sum of neighbors' conditioned
-embeddings, pooled over the batch's distinct neighbours.  A softmax head over
-(situation ⊕ conditioned user) fuses the four into one vector that scores
-candidates by dot product.  Each trigger can be ablated; ablation removes its
-logit before the softmax so the remaining weights renormalize.  The fusion is
-the model's query forward, :func:`exprec_query`, over integer history windows
-and frozen neighbor tables; it trains through :func:`fdrec.training.fit_pairs`
-and scores through :func:`fdrec.evalharness.dot_scores`.  The checkpoint alone
-says how to score: the ablation mask is its ``meta["ablate"]`` and the
-neighbours are ``neighbors(meta["k_neighbors"], meta["neighbor_as_of"])``.
+Triggers, in fixed order: the embedded current situation, a GRU over recent
+orders fed by the store and situation tables, the user's embedding passed
+through a situation-conditioned activation mix, and a similarity-weighted sum
+of neighbors' conditioned embeddings, pooled over the batch's distinct
+neighbours.  A softmax head over (situation ⊕ conditioned user) fuses the
+four into one vector that scores candidates by dot product.  Each trigger
+can be ablated; ablation removes its logit before the softmax so the
+remaining weights renormalize.  The fusion is the model's query forward,
+:func:`exprec_query`, over integer history windows and frozen neighbor
+tables; it trains through :func:`fdrec.training.fit_pairs` and scores
+through :func:`fdrec.evalharness.dot_scores`.  The checkpoint alone says how
+to score: the ablation mask is its ``meta["ablate"]`` and the neighbours are
+``neighbors(meta["k_neighbors"], meta["neighbor_as_of"])``.
 """
 
 from __future__ import annotations
@@ -94,16 +95,16 @@ def exprec_query(state: dc.ModelState, data: features.Dataset,
     """Fused trigger vectors [B, D] of the interactions at flat ``rows``, the
     queries every ExpRec score dots with.
 
-    The history GRU is fed by a table of each distinct window slot's
-    ``store ⊕ situation`` row, embedded once, and by each real slot's code
-    into it, the ``np.unique`` inverse; :func:`fdrec.diffcore.gru_sequence`
-    then steps each distinct prefix of those codes once.
+    The history GRU reads each distinct window slot as two parts, its rows of
+    ``emb.store`` and of the batch's distinct situations, each table
+    projected once; each real slot's code is the ``np.unique`` inverse, and
+    :func:`fdrec.diffcore.gru_sequence` steps each distinct prefix once.
     The neighbours are the frozen per-user tables from :func:`neighbor_arrays`
     that ``state.meta`` names; the mix weights ``a`` do not depend on the
     neighbour, so their trigger is ``Σ_j a_j · (W @ act_j(E[n]))`` over the
-    batch's distinct codes n, ``W`` [B, |n|] holding each row's weights, by
-    :func:`fdrec.diffcore.pooled`.  The triggers set in
-    ``state.meta["ablate"]`` get a -inf logit, so they get exactly zero weight.
+    batch's distinct codes n, ``W`` [B, |n|] holding each row's weights, in
+    one :func:`fdrec.diffcore.pooled` over the ``act_j(E[n])`` side by side.
+    Triggers set in ``state.meta["ablate"]`` get a -inf logit: zero weight.
     """
     meta = state.meta
     mask = _check_mask(meta["ablate"])
@@ -116,11 +117,9 @@ def exprec_query(state: dc.ModelState, data: features.Dataset,
     mu_u, idx = features.situations(state, seqs, np.concatenate([slots, rows]))
     e_mu = dc.gather_rows(mu_u, idx[S:])
 
-    # history GRU over the window's real slots, each distinct slot's input once
-    situ_w = dc.gather_rows(mu_u, idx[:S])
-    store_w = dc.gather_rows(state.leaf("emb.store"), seqs.store[slots])
-    xs = dc.concat([store_w, situ_w], axis=-1)          # [S,2D]
-    e_h = dc.gru_sequence(dc.gru_leaves(state, "gru.hist"), (xs, inv), win.mask)
+    # history GRU over the window's real slots, each table projected once
+    parts = ((state.leaf("emb.store"), seqs.store[slots]), (mu_u, idx[:S]))
+    e_h = dc.gru_sequence(dc.gru_leaves(state, "gru.hist"), (parts, inv), win.mask)
 
     # situation-conditioned activation mix, shared by user and neighbors
     a = dc.softmax(dc.dense(state.leaf("cond.w"), state.leaf("cond.b"), e_mu))
@@ -132,7 +131,10 @@ def exprec_query(state: dc.ModelState, data: features.Dataset,
     pool = np.zeros((B, len(codes)))  # add.at: a pad (code 0, weight 0) may share code 0
     np.add.at(pool, (np.arange(B).repeat(nb_ids.shape[1]), inv.ravel()), nb_w[win.user].ravel())
     nb_emb = dc.gather_rows(state.leaf("emb.user"), codes)
-    e_cu = _mix(a, [dc.pooled(pool, act(nb_emb), codes) for act in _ACTIVATIONS_VAR])
+    # [B, 4D]: a column block keeps the bits of pooling its table alone
+    cu = dc.pooled(pool, dc.concat([f(nb_emb) for f in _ACTIVATIONS_VAR]), codes)
+    D = nb_emb.shape[1]
+    e_cu = _mix(a, [dc.getitem(cu, np.s_[:, j : j + D]) for j in range(0, cu.shape[1], D)])
 
     logits = dc.dense(
         state.leaf("fuse.w"), state.leaf("fuse.b"), dc.concat([e_mu, e_u], axis=-1)

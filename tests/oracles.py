@@ -1119,13 +1119,17 @@ def padded_window(seqs: features.UserSequences, flat_rows: np.ndarray,
 
 
 def padded_gru_sequence(p: dc.GRUParams, xs, mask) -> dc.Var:
-    """:func:`fdrec.diffcore.gru_sequence` fed by ``xs = (table, codes)``
-    with codes [B·L], one per grid cell in row-major order: the table's rows
-    are gathered at every cell on the tape, and the run reads the real
-    cells, picked by the raveled mask, so the table's gradient is scattered
-    from the grid with zeros at the masked cells."""
+    """:func:`fdrec.diffcore.gru_sequence` fed by ``xs = (parts, codes)``
+    with codes [B·L], one per grid cell in row-major order: each part's
+    table rows are gathered at every cell on the tape, and the run reads the
+    real cells, picked by the raveled mask, so each table's gradient is
+    scattered from the grid with zeros at the masked cells.  Each part is
+    projected apart, as the packed run projects it."""
+    parts, codes = xs
     real = np.flatnonzero(np.asarray(mask, dtype=bool).ravel())
-    return _packed_gru_sequence(p, (dc.gather_rows(*xs), real), mask)
+    grid = tuple((dc.gather_rows(t, np.asarray(i)[codes]), np.arange(len(codes)))
+                 for t, i in parts)
+    return _packed_gru_sequence(p, (grid, real), mask)
 
 
 def reprec_query_per_slot(state: dc.ModelState, data: features.Dataset,
@@ -1221,10 +1225,8 @@ def exprec_query_dense(state: dc.ModelState, data: features.Dataset,
     N = len(win.slot)
     mu_u, idx = features.situations(state, seqs, np.concatenate([win.slot, rows]))
     e_mu = dc.gather_rows(mu_u, idx[N:])
-    situ_w = dc.gather_rows(mu_u, idx[:N])
-    store_w = dc.gather_rows(state.leaf("emb.store"), seqs.store[win.slot])
-    xs = dc.concat([store_w, situ_w], axis=-1)
-    e_h = dc.gru_sequence(dc.gru_leaves(state, "gru.hist"), (xs, np.arange(N)), win.mask)
+    parts = ((state.leaf("emb.store"), seqs.store[win.slot]), (mu_u, idx[:N]))
+    e_h = dc.gru_sequence(dc.gru_leaves(state, "gru.hist"), (parts, np.arange(N)), win.mask)
     a = dc.softmax(dc.dense(state.leaf("cond.w"), state.leaf("cond.b"), e_mu))
     u_emb = dc.gather_rows(state.leaf("emb.user"), win.user)
     e_u = _mix(a, [act(u_emb) for act in _ACTIVATIONS_VAR])

@@ -59,19 +59,51 @@ def test_it_times_the_stage_in_fresh_processes_of_each_checkout(checkouts, capsy
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == ("tiny train.reprec: 3 fresh processes a side, 2 runs each, "
                         "per-process minimums in ms")
-    assert lines[1] == f"parent {parent}" and lines[4] == f"change {change}"
-    for at in (2, 5):
+    assert lines[1] == f"parent {parent}" and lines[5] == f"change {change}"
+    for at in (2, 6):
         head, *mins = lines[at].split()
         assert head == "minimums" and len(mins) == 3
         stats = lines[at + 1].split()
         assert stats[::2] == ["min", "q1", "median", "q3"]
         lo, q1, median, q3 = map(float, stats[1::2])
         assert 0.0 < lo == min(map(float, mins)) and lo <= q1 <= median <= q3
+        faults = lines[at + 2].split()
+        assert faults[:4] == ["minor", "faults", "a", "run:"] and faults[4::2] == [
+            "median", "min", "max"]
+        median, lo, hi = map(float, faults[5::2])
+        assert 0 <= lo <= median <= hi
     # each side ran the stage in its own run directory
     for root in checkouts:
         work = root / ".perfbench" / "tiny-s1-t0" / "plain"
         run_dir = load_config(str(work / "data" / "cfg")).run_dir()
         assert os.path.isfile(os.path.join(run_dir, "reprec.ckpt"))
+
+
+def test_checkouts_may_be_given_relative_to_the_cwd(checkouts, monkeypatch, capsys):
+    parent, change = checkouts
+    monkeypatch.chdir(parent.parent)
+    assert load_script().main([parent.name, change.name, "--workload", "tiny",
+                               "--label", "train.reprec", "--rounds", "1",
+                               "--runs", "1"]) == 0
+    assert f"change {change}" in capsys.readouterr().out.splitlines()
+
+
+def test_the_fault_median_pools_every_run_of_a_side(checkouts, monkeypatch, capsys):
+    """Each process reports each run's minor page faults; a side's median,
+    minimum and maximum are over all its runs, whatever process ran them."""
+    parent, change = checkouts
+    script = load_script()
+    # round 0 runs the parent first, round 1 the change first
+    runs = iter([([0.2, 0.1], [10, 30]), ([0.3, 0.4], [7, 9]),
+                 ([0.5, 0.3], [9, 30]), ([0.1, 0.1], [100, 40])])
+    monkeypatch.setattr(script, "time_process", lambda *a: next(runs))
+    assert script.main([str(parent), str(change), "--workload", "tiny",
+                        "--label", "train.reprec", "--rounds", "2", "--runs", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2] == "  minimums 100.0 100.0"
+    assert lines[4] == "  minor faults a run: median 35  min 10  max 100"
+    assert lines[6] == "  minimums 300.0 300.0"
+    assert lines[8] == "  minor faults a run: median 9  min 7  max 30"
 
 
 def test_rounds_alternate_which_side_goes_first():

@@ -166,17 +166,50 @@ def test_pooled_of_an_empty_var_pool(rows, n_codes):
     assert not emb.grad.any()
 
 
+@pytest.mark.parametrize("B", [2, 3, 17, 128, 256])
+@pytest.mark.parametrize("U", [5, 64, 256])
+@pytest.mark.parametrize("D", [32, 64])
+def test_pooled_column_blocks_keep_the_bits_of_each_table_alone(B, U, D):
+    """Four [U, D] tables side by side in one plain-pool ``pooled`` call, as
+    ExpRec pools its activated neighbour tables: each D-column block of the
+    output, and of the table gradient given that block of ``g``, is bit for
+    bit what pooling its table alone gives, codes over several ranges."""
+    gen = rng(B + U + D)
+    codes = np.sort(gen.choice(3 * 256, size=U, replace=False))
+    pool = np.where(gen.uniform(size=(B, U)) < 0.2, gen.uniform(size=(B, U)), 0.0)
+    tables = [gen.normal(size=(U, D)) for _ in range(4)]
+    g = gen.normal(size=(B, 4 * D))
+    wide = dc.pooled(pool, var(np.hstack(tables)), codes)
+    (d_wide,) = wide._vjp(g)
+    for j, table in enumerate(tables):
+        block = slice(j * D, j * D + D)
+        alone = dc.pooled(pool, var(table), codes)
+        (d_alone,) = alone._vjp(np.ascontiguousarray(g[:, block]))
+        assert np.ascontiguousarray(wide.data[:, block]).tobytes() == alone.data.tobytes()
+        assert np.ascontiguousarray(d_wide[:, block]).tobytes() == d_alone.tobytes()
+
+
 # the largest row count the row-rule sweep checks; at 301 rows OpenBLAS
 # rounds a row of a dense head's product differently
 SWEEP_ROWS = 256
+# the GRU projects whole table parts: a wide catalog's 789 stores, or the
+# distinct situations of a long-history chunk, which may pass 256
+GRU_SWEEP_ROWS = 1200
 
 
 def product_call(op: str, size: int, dim: int):
     """A ``SWEEP_ROWS``-row problem at one of the models' product shapes, as
     a function of the row count n: ``dense`` with ``size`` inputs and
     ``dim`` outputs, or ``pooled`` over ``size`` ascending codes spread over
-    several ranges and a ``dim``-wide table."""
+    several ranges and a ``dim``-wide table; or a ``GRU_SWEEP_ROWS``-row
+    table part of ``size`` columns projected to a ``dim``-wide GRU's 3·dim
+    gate inputs, in ``gru_sequence``'s layout: at least 2 rows, times a
+    contiguous copy of its columns of ``W.T``."""
     gen = rng(60 + size + dim)
+    if op == "gru":
+        x, w = gen.normal(size=(GRU_SWEEP_ROWS, size)), gen.normal(size=(3 * dim, size))
+        c = np.ascontiguousarray(w.T)
+        return lambda n: (dc._pad_rows(x[:n], 2) @ c)[:n]
     if op == "dense":
         w, b, x = (gen.normal(size=s) for s in ((dim, size), (dim,), (SWEEP_ROWS, size)))
         return lambda n: dc.dense(var(w), var(b), var(x[:n])).data
@@ -186,17 +219,21 @@ def product_call(op: str, size: int, dim: int):
 
 
 # dense: cond [D, 4], fuse [2D, 4] and the intent head [3D, 2] at the models'
-# dims; pooled: up to 1024 distinct neighbour codes at dims 8 and 64
+# dims; pooled: up to 1024 distinct neighbour codes at dims 8 and 64; gru:
+# D-wide parts (store, situation, flag) and 2D-wide inputs
 @pytest.mark.parametrize("op, size, dim", [
     *(("dense", k * d, out) for d in (8, 16, 32, 64) for k, out in ((1, 4), (2, 4), (3, 2))),
     *(("pooled", u, d) for u in (1, 2, 255, 256, 257, 385, 1024) for d in (8, 64)),
+    *(("gru", k * d, d) for d in (8, 32, 64) for k in (1, 2)),
 ])
 def test_a_product_row_keeps_its_bits_at_every_row_count(op, size, dim):
-    """Each row of an n-row call, n = 1 to ``SWEEP_ROWS``, equals that row of
-    the full call bit for bit, so no row depends on its batch mates."""
+    """Each row of an n-row call, n = 1 to ``SWEEP_ROWS`` (``GRU_SWEEP_ROWS``
+    for the GRU), equals that row of the full call bit for bit, so no row
+    depends on its batch mates."""
+    rows = GRU_SWEEP_ROWS if op == "gru" else SWEEP_ROWS
     call = product_call(op, size, dim)
-    full = call(SWEEP_ROWS)
-    for n in range(1, SWEEP_ROWS):
+    full = call(rows)
+    for n in range(1, rows):
         np.testing.assert_array_equal(call(n), full[:n], err_msg=f"{n} rows")
 
 
@@ -422,6 +459,13 @@ def gru_state(seed: int, in_dim: int, hidden: int) -> dc.ModelState:
     return state
 
 
+def one_part(table, codes):
+    """``gru_sequence``'s input with ``table`` as its one part, whose
+    inputs are the table's rows, and ``codes`` into them."""
+    n = len(table.data if isinstance(table, dc.Var) else table)
+    return ((table, np.arange(n)),), codes
+
+
 def run_gru(fn, state, xs, mask, target):
     """h, the gradient of ``xs`` [B, L, I] at the real slots [N, I] and every
     weight gradient of ``sum(tanh(h) * target)``.
@@ -433,8 +477,8 @@ def run_gru(fn, state, xs, mask, target):
     oracles.zero_grads(state)
     real = np.asarray(mask, dtype=bool)
     x = var(xs if fn is stepwise_gru else xs[real])
-    h = fn(dc.gru_leaves(state, "g"), x if fn is stepwise_gru else (x, np.arange(real.sum())),
-           mask)
+    h = fn(dc.gru_leaves(state, "g"),
+           x if fn is stepwise_gru else one_part(x, np.arange(real.sum())), mask)
     dc.backward(dc.sum_(dc.mul(dc.tanh(h), target)))
     gx = x.grad
     if fn is stepwise_gru:
@@ -550,7 +594,7 @@ def test_gru_sequence_h_of_a_row_does_not_depend_on_its_batch_mates(D, I, form):
     def run(m, xs=xs, codes=codes):
         real = m == 1.0
         fed = (xs[real], np.arange(real.sum())) if form == "rows" else (table, codes[real])
-        return dc.gru_sequence(p, fed, m).data
+        return dc.gru_sequence(p, one_part(*fed), m).data
 
     h = run(mask)
     for j in rng(60).choice(np.flatnonzero(lengths), size=19, replace=False):
@@ -573,7 +617,8 @@ def run_table_gru(state, table, codes, mask, target, fed=True):
     rows ``gather_rows(table, codes)``, one per real slot."""
     oracles.zero_grads(state)
     t = var(table)
-    xs = (t, codes) if fed else (dc.gather_rows(t, codes), np.arange(len(codes)))
+    xs = one_part(t, codes) if fed else one_part(dc.gather_rows(t, codes),
+                                                  np.arange(len(codes)))
     h = dc.gru_sequence(dc.gru_leaves(state, "g"), xs, mask)
     dc.backward(dc.sum_(dc.mul(dc.tanh(h), target)))
     return h.data, t.grad, {n: p.grad.copy() for n, p in state.params.items()}
@@ -635,7 +680,7 @@ def test_gru_sequence_table_gradient_check():
     target = rng(68).normal(size=(4, 4))
 
     def forward(s):
-        h = dc.gru_sequence(dc.gru_leaves(s, "g"), (s.leaf("t"), codes), mask)
+        h = dc.gru_sequence(dc.gru_leaves(s, "g"), one_part(s.leaf("t"), codes), mask)
         diff = dc.sub(h, target)
         return dc.mean_(dc.mul(diff, diff))
 
@@ -664,10 +709,10 @@ def test_gru_sequence_rejects_a_code_outside_the_table(code):
     state = gru_state(20, in_dim=4, hidden=3)
     codes = np.array([0, 1, code])
     with pytest.raises(ValueError, match="out of range for table with 2 rows"):
-        dc.gru_sequence(dc.gru_leaves(state, "g"), (np.zeros((2, 4)), codes),
+        dc.gru_sequence(dc.gru_leaves(state, "g"), one_part(np.zeros((2, 4)), codes),
                         np.ones((1, 3)))
     with pytest.raises(ValueError, match="codes"):
-        dc.gru_sequence(dc.gru_leaves(state, "g"), (np.zeros((2, 4)), codes[:2]),
+        dc.gru_sequence(dc.gru_leaves(state, "g"), one_part(np.zeros((2, 4)), codes[:2]),
                         np.ones((1, 3)))
 
 
@@ -686,18 +731,50 @@ def test_gru_sequence_empty_run_and_mask_shape():
     state = dc.ModelState(seed=7)
     state.add_gru("g", in_dim=4, hidden=3)
     p = dc.gru_leaves(state, "g")
-    empty = dc.gru_sequence(p, (np.zeros((2, 4)), np.zeros(0, dtype=int)), np.ones((2, 0)))
+    empty = dc.gru_sequence(p, one_part(np.zeros((2, 4)), np.zeros(0, dtype=int)),
+                            np.ones((2, 0)))
     np.testing.assert_array_equal(empty.data, np.zeros((2, 3)))
     mask = np.ones((6, 5))
     mask[2, :3] = 0.0
     xs, codes = rng(32).normal(size=(27, 4)), np.arange(27)
-    assert dc.gru_sequence(p, (xs, codes), mask).shape == (6, 3)
+    assert dc.gru_sequence(p, one_part(xs, codes), mask).shape == (6, 3)
     for bad_xs, bad_codes, bad_mask in [
             (xs.reshape(27, 2, 2), codes, mask), (xs, codes, mask[:, :, None]),
             (xs, codes[:-1], mask), (xs, np.append(codes, 0), mask),
             (xs, codes[:, None], mask)]:
         with pytest.raises(ValueError, match="mask"):
-            dc.gru_sequence(p, (bad_xs, bad_codes), bad_mask)
+            dc.gru_sequence(p, one_part(bad_xs, bad_codes), bad_mask)
+    # two parts of widths 3 + 1 over 27 inputs
+    ok = (xs[:, :3], codes), (xs[:5, 3:], codes % 5)
+    assert dc.gru_sequence(p, (ok, codes), mask).shape == (6, 3)
+    for bad in [((xs[:, :3], codes), (xs[:5, 3:], codes[:-1] % 5)),  # an index not [M]
+                ((xs[:, :3], codes), (xs[:5, 3:], codes % 6)),       # a row out of range
+                ((xs[:, :3], codes), (xs[:5, 2:], codes % 5)),       # widths 3 + 2
+                ((xs[:, :3], codes),)]:                              # widths 3
+        with pytest.raises(ValueError):
+            dc.gru_sequence(p, (bad, codes), mask)
+
+
+def test_gru_sequence_two_part_gradient_check():
+    """Inputs that read a 3-row and a 4-row table, each code a pair of
+    rows: both tables' gradients and all nine GRU parameters'."""
+    state = dc.ModelState(seed=13)
+    state.add_gru("g", in_dim=5, hidden=3)
+    state.add_param("a", (3, 2), scale=1.0)
+    state.add_param("b", (4, 3), scale=1.0)
+    pairs = (np.array([0, 1, 2, 0, 2]), np.array([3, 0, 1, 1, 2]))
+    mask, codes = trie_batch(TRIE_WINDOWS, 8, holes=True)
+    target = rng(88).normal(size=(len(mask), 3))
+
+    def forward(s):
+        parts = (s.leaf("a"), pairs[0]), (s.leaf("b"), pairs[1])
+        h = dc.gru_sequence(dc.gru_leaves(s, "g"), (parts, codes), mask)
+        diff = dc.sub(h, target)
+        return dc.mean_(dc.mul(diff, diff))
+
+    # every coordinate: the tables' 6 + 12 and the 81 of W, U and b
+    err = oracles.finite_difference_check(forward, state, num_coords=200, rng_seed=0)
+    assert err <= 1e-4
 
 
 def test_gru_sequence_gradient_check():
@@ -708,7 +785,7 @@ def test_gru_sequence_gradient_check():
     target = rng(34).normal(size=(3, 4))
 
     def forward(s):
-        h = dc.gru_sequence(dc.gru_leaves(s, "g"), (s.leaf("xs"), np.arange(6)), mask)
+        h = dc.gru_sequence(dc.gru_leaves(s, "g"), one_part(s.leaf("xs"), np.arange(6)), mask)
         diff = dc.sub(h, target)
         return dc.mean_(dc.mul(diff, diff))
 
@@ -745,10 +822,11 @@ def test_gru_sequence_a_row_in_a_prefix_trie_gets_its_bits_alone(D, I):
     p = dc.gru_leaves(state, "g")
     table = rng(75).normal(size=(5, I))
     mask, codes = trie_batch(TRIE_WINDOWS, 8)
-    h = dc.gru_sequence(p, (table, codes), mask).data
+    h = dc.gru_sequence(p, one_part(table, codes), mask).data
     starts = np.concatenate(([0], np.cumsum(mask.sum(axis=1)))).astype(int)
     for j in range(len(mask)):
-        alone = dc.gru_sequence(p, (table, codes[starts[j] : starts[j + 1]]), mask[j : j + 1])
+        alone = dc.gru_sequence(p, one_part(table, codes[starts[j] : starts[j + 1]]),
+                                mask[j : j + 1])
         np.testing.assert_array_equal(alone.data[0], h[j], err_msg=f"row {j}")
     np.testing.assert_array_equal(h[7], 0.0)
     assert len({tuple(r) for r in h}) == len({tuple(w) for w in TRIE_WINDOWS})
@@ -797,7 +875,7 @@ def test_gru_sequence_gradient_check_on_shared_prefixes():
     target = rng(80).normal(size=(len(mask), 4))
 
     def forward(s):
-        h = dc.gru_sequence(dc.gru_leaves(s, "g"), (s.leaf("t"), codes), mask)
+        h = dc.gru_sequence(dc.gru_leaves(s, "g"), one_part(s.leaf("t"), codes), mask)
         diff = dc.sub(h, target)
         return dc.mean_(dc.mul(diff, diff))
 
@@ -816,12 +894,12 @@ def sliding_windows(n: int, L: int) -> list[list[int]]:
 def gru_bit_batches(I: int):
     """(table, codes, mask) batches for the in-place reference: a flag-sized
     table under 64 rows fed the trie windows, with one-node depths, equal
-    windows and holes; a table of one row per real slot, 64 rows or more,
-    fed windows of every length and a holed one; a 70-row table fed the
-    sliding windows over one sequence, as ExpRec's slot table is, which sum
-    their input gradients one depth at a time; the same with one more
-    window that repeats code 5 at depth 1, which takes the flat bincount;
-    and a fully masked batch."""
+    windows and holes, whose input gradients sum by a one-hot product; a
+    table of one row per real slot, 64 rows or more, fed windows of every
+    length and a holed one, which ``_scatter_rows`` sets; a 70-row table fed
+    the sliding windows over one sequence, whose codes repeat across
+    depths, which it bincounts; the same with one more window that repeats
+    code 5 at depth 1; and a fully masked batch."""
     mask, codes = trie_batch(TRIE_WINDOWS, 8, holes=True)
     slots = holed_windows(9, 81)
     n = int(slots.sum())
@@ -838,35 +916,18 @@ def gru_bit_batches(I: int):
     }
 
 
-@pytest.mark.parametrize("batch, scatters", [("flag-table", 0), ("slot-table", 1),
-                                             ("sliding", 0), ("sliding-repeat", 1)])
-def test_gru_input_gradients_sum_by_depth_where_codes_repeat_only_across_depths(
-        batch, scatters, monkeypatch):
-    """A table of 64 rows or more whose codes repeat across depths but never
-    within one sums its input gradients one depth at a time; distinct codes
-    and a repeat within a depth go to ``_scatter_rows``, and a table under
-    64 rows uses neither."""
-    state = gru_state(24, in_dim=12, hidden=8)
-    table, codes, mask = gru_bit_batches(12)[batch]
-    out = dc.gru_sequence(dc.gru_leaves(state, "g"), (table, codes), mask)
-    calls, scatter = [], dc._scatter_rows
-    monkeypatch.setattr(dc, "_scatter_rows", lambda *a: calls.append(1) or scatter(*a))
-    out._vjp(rng(85).normal(size=(len(mask), 8)))
-    assert len(calls) == scatters
-
-
 @pytest.mark.parametrize("batch", ["flag-table", "slot-table", "sliding", "sliding-repeat",
                                    "all-masked"])
 @pytest.mark.parametrize("D, I", [(8, 12), (32, 40), (64, 96)])
 def test_gru_sequence_keeps_the_bits_of_the_in_place_loops(D, I, batch):
-    """The whole-array loops give h and all ten VJP outputs, the table's
-    gradient and the nine weight gradients, bit for bit as the in-place
-    loops they replaced."""
+    """Fed the table as its one part, the whole-array loops give h and all
+    ten VJP outputs, the table's gradient and the nine weight gradients,
+    bit for bit as the in-place loops over the table they replaced."""
     state = gru_state(24, in_dim=I, hidden=D)
     p = dc.gru_leaves(state, "g")
     table, codes, mask = gru_bit_batches(I)[batch]
     g = rng(85).normal(size=(len(mask), D))
-    got = dc.gru_sequence(p, (table, codes), mask)
+    got = dc.gru_sequence(p, one_part(table, codes), mask)
     want = oracles.gru_sequence_in_place(p, (table, codes), mask)
     assert got.data.tobytes() == want.data.tobytes()
     outs = list(zip(got._vjp(g), want._vjp(g)))

@@ -533,6 +533,30 @@ def test_a_row_keeps_its_bits_in_chunks_with_different_neighbour_unions(small_da
                                   exprec.exprec_query(state, small_data, wide).data[77])
 
 
+def test_a_row_keeps_its_bits_in_chunks_with_few_and_many_distinct_situations(small_data):
+    """Two ``QUERY_CHUNK``-row chunks: one of four users' rows, with fewer
+    than 256 distinct situations, and one of rows drawn over all users, with
+    more, so the GRU projects its situation part on more than 256 rows.  The
+    shared row sits at different positions and scores bit for bit the same."""
+    seqs = small_data.seqs
+    state = build(small_data, dim=32, seed=39, history_window=12, k_neighbors=4)
+
+    def situations(chunk):
+        slots = np.unique(features.gather_window(seqs, chunk, 12).slot)
+        return len(features.situations(state, seqs, np.concatenate([slots, chunk]))[0].data)
+
+    few = np.flatnonzero(seqs.user < 4)
+    row = few[-1]
+    narrow = np.concatenate([rng(40).choice(few, size=features.QUERY_CHUNK - 1), [row]])
+    wide = rng(41).choice(len(seqs.user), size=features.QUERY_CHUNK)
+    wide[100] = row
+    assert situations(narrow) < 256 < situations(wide)
+    assert seqs.user[row] == seqs.user[row - 1]  # its window holds past orders
+    got = exprec.exprec_query(state, small_data, narrow).data[-1]
+    np.testing.assert_array_equal(got, exprec.exprec_query(state, small_data, wide).data[100])
+    assert np.abs(got).max() > 0.0
+
+
 @pytest.fixture(scope="module")
 def many_users_data():
     """800 users, so that a chunk's rows bring more than 384 distinct neighbours."""
